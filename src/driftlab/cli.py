@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -82,25 +81,6 @@ def resolve_config_path(name: str) -> Path:
         return Path(str(candidate))
     known = ", ".join(list_presets())
     raise ConfigError(f"no config file or preset named {name!r} (presets: {known})")
-
-
-def worker_cap() -> int:
-    """Upper bound on concurrent workers, from DRIFTLAB_THREADS.
-
-    Execution is currently sequential (replicas and grid points are cheap at
-    desk scale and determinism is simplest to audit that way), so any
-    positive cap is honored trivially.
-    """
-    raw = os.environ.get("DRIFTLAB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"DRIFTLAB_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ConfigError("DRIFTLAB_THREADS must be >= 1")
-    return cap
 
 
 def _write_json(path: Path, obj) -> None:
@@ -178,7 +158,6 @@ def run_experiment(
     simulate: bool = True,
 ) -> int:
     """Execute a config document end to end; returns the exit severity."""
-    worker_cap()
     doc = load_config(resolve_config_path(str(config_path)))
     if seed is not None:
         if "run" in doc:

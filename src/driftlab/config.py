@@ -24,8 +24,10 @@ from .adaptation import (
     MeanFieldAM,
     PolynomialSchedule,
     Schedule,
+    gamma_at,
 )
 from .kernels import (
+    FAMILY_UNIFORM,
     PARAM_AM_COVARIANCE,
     PARAM_SCALAR_LOG_SCALE,
     AMParam,
@@ -254,11 +256,20 @@ def _error_path(err: jsonschema.ValidationError) -> str:
 
 
 def validate_document(doc: dict) -> None:
-    """Schema-validate a parsed config; raise ConfigError naming the field."""
+    """Schema-validate a parsed config; raise ConfigError naming the field.
+
+    Rules that tie one section to another (proposal family against target
+    dimension, first stepsize against adaptation rule) are checked by the
+    proposal and schedule builders, which run here as well.
+    """
     errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         raise ConfigError(err.message, _error_path(err))
+    if "proposal" in doc:
+        build_proposal(doc)
+    if "schedule" in doc:
+        build_schedule(doc)
 
 
 def load_config(path) -> dict:
@@ -294,6 +305,12 @@ def build_proposal(doc: dict) -> ProposalSpec:
     cfg = doc.get("proposal")
     if cfg is None:
         raise ConfigError("section required for this operation", "proposal")
+    dim = doc.get("target", {}).get("params", {}).get("dim", 1)
+    if cfg["family"] == FAMILY_UNIFORM and dim != 1:
+        raise ConfigError(
+            f"uniform increments are one-dimensional; the target has dim {dim}",
+            "proposal.family",
+        )
     try:
         return ProposalSpec(
             family=cfg["family"],
@@ -322,14 +339,26 @@ def build_schedule(doc: dict) -> Schedule:
     kind = cfg["kind"]
     try:
         if kind == "polynomial":
-            return PolynomialSchedule(
+            schedule = PolynomialSchedule(
                 c0=cfg.get("c0", 1.0), c1=cfg.get("c1", 0.0), a=cfg.get("a", 1.0)
             )
-        if kind == "constant":
-            return ConstantSchedule(gamma0=cfg.get("gamma0", 0.01))
-        return KestenSchedule(c0=cfg.get("c0", 1.0), a=cfg.get("a", 0.6))
+        elif kind == "constant":
+            schedule = ConstantSchedule(gamma0=cfg.get("gamma0", 0.01))
+        else:
+            schedule = KestenSchedule(c0=cfg.get("c0", 1.0), a=cfg.get("a", 0.6))
     except ValueError as exc:
         raise ConfigError(str(exc), "schedule") from exc
+    # The running-moments update is a convex combination only while the
+    # stepsize is at most 1; a larger first step can leave a negative
+    # "covariance" that the divergence guard does not catch.
+    if doc.get("adaptation", {}).get("rule") == RULE_AM:
+        first = gamma_at(schedule, 1, 0 if kind == "kesten" else None)
+        if first > 1.0:
+            raise ConfigError(
+                f"running-moments adaptation needs a first stepsize <= 1, got {first!r}",
+                "schedule",
+            )
+    return schedule
 
 
 def build_state_lyapunov(doc: dict, target: TargetModel) -> StateLyapunov:

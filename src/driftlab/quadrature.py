@@ -4,13 +4,14 @@ All integral evaluations in the package go through :func:`integrate_interval`
 so quadrature behavior (tolerances, subdivision limits, failure reporting)
 stays uniform.  The backend is QUADPACK via ``scipy.integrate.quad``: an
 adaptive subdivision scheme with an embedded Gauss-Kronrod error estimate.
+scipy is imported on the first call, not with this module, so processes that
+never evaluate an integral (simulation runs, Monte Carlo checks) skip its
+import cost.
 """
 from __future__ import annotations
 
 import warnings
 from typing import Callable, Optional, Sequence
-
-from scipy import integrate
 
 DEFAULT_ABS_TOL = 1e-8
 MAX_SUBDIVISIONS = 200
@@ -51,6 +52,8 @@ def integrate_interval(
         brk = sorted(p for p in points if a < p < b)
         if not brk:
             brk = None
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:

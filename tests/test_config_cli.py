@@ -1,10 +1,14 @@
 """Config schema, builders, CLI orchestration, and plot-data extraction."""
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import driftlab
 from driftlab import (
     ConfigError,
     build_chain_config,
@@ -24,9 +28,8 @@ from driftlab.cli import (
     resolve_config_path,
     run_check,
     run_experiment,
-    worker_cap,
 )
-from driftlab.config import n_replicas
+from driftlab.config import build_proposal, n_replicas
 
 PRESET_NAMES = ["am-gaussian-1d", "am-subexp-1d", "coerced", "fast-coerced", "toy"]
 
@@ -50,6 +53,45 @@ def toy_run_doc(c0: float = 100.0, horizon: int = 2000, replicas: int = 2) -> di
             "x0": 0,
             "recurrence": {"m": 2501.0, "r": 1.5},
         },
+    }
+
+
+def mv_run_doc(rule: str, horizon: int = 300, replicas: int = 2) -> dict:
+    """A correlated 2-D Gaussian target with a Gaussian proposal under the
+    running-moments ("am") or the coerced rule."""
+    doc = {
+        "target": {
+            "name": "gaussian",
+            "params": {"dim": 2, "mean": [1.0, -1.0], "cov": [[1.0, 0.8], [0.8, 2.0]]},
+        },
+        "schedule": {"kind": "polynomial", "c0": 0.5, "c1": 10.0, "a": 0.6},
+        "lyapunov": {"eta": 0.5},
+        "run": {
+            "kind": "srwm",
+            "horizon": horizon,
+            "replicas": replicas,
+            "seed": 11,
+            "recurrence": {"m": 1000.0, "r": 10.0},
+        },
+    }
+    if rule == "am":
+        doc["proposal"] = {"family": "gaussian", "parametrization": "am_covariance"}
+        doc["adaptation"] = {"rule": "am"}
+        doc["run"]["theta0"] = {"mu": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    else:
+        doc["proposal"] = {"family": "gaussian", "parametrization": "scalar_log_scale"}
+        doc["adaptation"] = {"rule": "coerced", "alpha_star": 0.44}
+        doc["run"]["theta0"] = 0.0
+    return doc
+
+
+def am_1d_doc(schedule: dict) -> dict:
+    return {
+        "target": {"name": "gaussian", "params": {"dim": 1}},
+        "proposal": {"family": "gaussian", "parametrization": "am_covariance"},
+        "adaptation": {"rule": "am"},
+        "schedule": schedule,
+        "run": {"kind": "srwm", "horizon": 100, "seed": 3, "theta0": {"mu": [0.0], "cov": [[1.0]]}},
     }
 
 
@@ -135,6 +177,49 @@ def test_missing_section_for_operation():
     assert exc.value.json_path in ("target", "adaptation", "run")
 
 
+def test_uniform_proposal_needs_one_dimensional_target(tmp_path):
+    doc = mv_run_doc("coerced")
+    doc["proposal"]["family"] = "uniform"
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == "proposal.family"
+    with pytest.raises(ConfigError) as exc:
+        build_proposal(doc)
+    assert exc.value.json_path == "proposal.family"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        # gamma_1 = 5: the 1-D running-moments path used to report a negative
+        # "covariance" with no diverged replica on this schedule
+        {"kind": "polynomial", "c0": 5.0, "c1": 0.0, "a": 1.0},
+        {"kind": "polynomial", "c0": 3.0, "c1": 1.0, "a": 0.5},
+        {"kind": "kesten", "c0": 1.5, "a": 0.6},
+    ],
+)
+def test_am_first_stepsize_above_one_rejected(tmp_path, schedule):
+    path = write_config(tmp_path, am_1d_doc(schedule))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == "schedule"
+    assert "first stepsize" in str(exc.value)
+
+
+def test_first_stepsize_limit_is_am_only():
+    # gamma_1 = 5 / (4 + 1) = 1 exactly is allowed
+    validate_document(am_1d_doc({"kind": "polynomial", "c0": 5.0, "c1": 4.0, "a": 1.0}))
+    validate_document(am_1d_doc({"kind": "kesten", "c0": 1.0}))
+    # the toy and coerced rules keep their large gains
+    validate_document(toy_run_doc(c0=1e12))
+    coerced = mv_run_doc("coerced")
+    coerced["schedule"] = {"kind": "polynomial", "c0": 5.0, "c1": 0.0, "a": 1.0}
+    validate_document(coerced)
+
+
 def test_build_grid_defaults():
     grid = build_grid({})
     assert grid.x_grid == (0.0,)
@@ -142,7 +227,7 @@ def test_build_grid_defaults():
 
 
 # ---------------------------------------------------------------------------
-# preset resolution and env plumbing
+# preset resolution and replica overrides
 
 
 def test_list_presets_names():
@@ -167,19 +252,6 @@ def test_resolve_config_path_unknown_lists_presets():
     message = str(exc.value)
     for name in PRESET_NAMES:
         assert name in message
-
-
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.delenv("DRIFTLAB_THREADS", raising=False)
-    assert worker_cap() == 1
-    monkeypatch.setenv("DRIFTLAB_THREADS", "4")
-    assert worker_cap() == 4
-    monkeypatch.setenv("DRIFTLAB_THREADS", "zero")
-    with pytest.raises(ConfigError, match="integer"):
-        worker_cap()
-    monkeypatch.setenv("DRIFTLAB_THREADS", "0")
-    with pytest.raises(ConfigError, match=">= 1"):
-        worker_cap()
 
 
 def test_n_replicas_override():
@@ -267,6 +339,30 @@ def test_rerun_same_seed_byte_identical(tmp_path):
     assert run_experiment(path, out=str(b)) == EXIT_OK
     assert (a / "trajectory.csv").read_bytes() == (b / "trajectory.csv").read_bytes()
     assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rule, param_columns",
+    [
+        ("am", ["mu_1", "mu_2", "cov_11", "cov_12", "cov_21", "cov_22"]),
+        ("coerced", ["theta_1"]),
+    ],
+)
+def test_two_dimensional_run_columns_and_rerun_identical(tmp_path, rule, param_columns):
+    # a 2-D target takes the generic multivariate path of the simulator
+    path = write_config(tmp_path, mv_run_doc(rule))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_experiment(path, out=str(a)) == EXIT_OK
+    assert run_experiment(path, out=str(b)) == EXIT_OK
+    with open(a / "trajectory.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][: len(param_columns) + 3] == ["i", *param_columns, "x_1", "x_2"]
+    assert len(rows) == 1 + 301
+    summary = json.loads((a / "summary.json").read_text())["summary"]
+    assert len(summary["per_replica"]) == 2
+    assert summary["aggregate"]["diverged_count"] == 0
+    for name in ("trajectory.csv", "summary.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 def test_run_check_unknown_name():
@@ -390,3 +486,50 @@ def test_main_verify_subcommand_skips_simulation(tmp_path, capsys):
     assert main(["verify", str(path), "--out", str(out)]) == EXIT_OK
     assert not (out / "trajectory.csv").exists()
     assert (out / "report-toy.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# start-up cost: scipy is imported only by quadrature checks
+
+_SCIPY_PROBE = """
+import sys
+import driftlab.cli
+code = driftlab.cli.main(sys.argv[1:])
+print("scipy-modules", sum(1 for m in sys.modules if m.startswith("scipy")))
+sys.exit(code)
+"""
+
+
+def run_in_fresh_process(cwd: Path, *args: str) -> subprocess.CompletedProcess:
+    """``driftlab`` ARGS in a new interpreter (this one may hold scipy
+    already), with the package under test first on the path."""
+    src = str(Path(driftlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def scipy_module_count(proc: subprocess.CompletedProcess) -> int:
+    return int(proc.stdout.rsplit("scipy-modules", 1)[1].split()[0])
+
+
+def test_run_without_quadrature_never_imports_scipy(tmp_path):
+    doc = json.loads(resolve_config_path("toy").read_text())
+    doc["run"].update(horizon=300, replicas=2)
+    path = write_config(tmp_path, doc)
+    proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert scipy_module_count(proc) == 0
+    assert (tmp_path / "out" / "report-toy.json").exists()
+
+
+def test_quadrature_verify_still_imports_scipy_and_passes(tmp_path):
+    proc = run_in_fresh_process(tmp_path, "verify", "am-subexp-1d", "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert scipy_module_count(proc) > 0
+    for check in ("fixed_theta_drift", "acceptance_bounds", "decomposition"):
+        report = json.loads((tmp_path / "out" / f"report-{check}.json").read_text())
+        assert report["pass"] is True
