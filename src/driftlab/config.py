@@ -260,12 +260,20 @@ def validate_document(doc: dict) -> None:
 
     Rules that tie one section to another (proposal family against target
     dimension, first stepsize against adaptation rule) are checked by the
-    proposal and schedule builders, which run here as well.
+    proposal and schedule builders, which run here as well.  A record
+    stride above 1 is accepted for toy runs only.
     """
     errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         raise ConfigError(err.message, _error_path(err))
+    run = doc.get("run", {})
+    if run.get("kind") == CHAIN_SRWM and run.get("record_stride", 1) > 1:
+        raise ConfigError(
+            "record_stride > 1 is supported for toy runs only; srwm recurrence "
+            "statistics are computed from every recorded step",
+            "run.record_stride",
+        )
     if "proposal" in doc:
         build_proposal(doc)
     if "schedule" in doc:

@@ -7,8 +7,18 @@ data, Lyapunov values, and membership in the recurrence set
 ``{w(theta) <= M} x {|x| <= R}``.
 
 Divergence policy: a run halts as soon as any parameter component leaves
-[-1e12, 1e12] or turns non-finite; the trajectory is flagged rather than
-raising, so replica sweeps can count failures.
+[-1e12, 1e12] or turns non-finite, or the 1-D running-moments variance
+turns negative; the trajectory is flagged rather than raising, so replica
+sweeps can count failures.
+
+The toy chain runs on one lockstep engine: all replicas advance together
+as numpy vectors, each drawing its uniforms in blocks from its own
+substream, with a block length chosen so that block length times replica
+count stays near 2**15 elements.  Each block is reduced to per-replica
+recurrence statistics as the run goes, and only replica 0 keeps its path,
+so ``record_stride`` thins that trajectory and never the statistics.  The
+srwm paths run one replica at a time and reduce its full stride-1
+trajectory.
 """
 from __future__ import annotations
 
@@ -248,7 +258,7 @@ def run_chain(config: ChainConfig, rng: Optional[np.random.Generator] = None, re
     if rng is None:
         rng = substream(config.seed, replica)
     if config.kind == CHAIN_TOY:
-        return _run_toy(config, rng, replica)
+        return _run_toy_replicas(config, [rng], replica=replica)[1]
     if config.rule.kind == RULE_AM:
         if config.theta0.mu.shape[0] == 1 and config.proposal.family in (
             FAMILY_GAUSSIAN,
@@ -470,11 +480,11 @@ def _run_am_1d(config: ChainConfig, rng, replica: int) -> Trajectory:
             if h_prev is not None and (h_prev[0] * h_cur[0] + h_prev[1] * h_cur[1]) < 0.0:
                 s += 1
             h_prev = h_cur
+        # a negative running variance is no covariance: halt as diverged
         if not (
             math.isfinite(mu)
-            and math.isfinite(g)
+            and 0.0 <= g <= THETA_MAX
             and abs(mu) <= THETA_MAX
-            and abs(g) <= THETA_MAX
             and math.isfinite(x)
         ):
             diverged = True
@@ -486,74 +496,184 @@ def _run_am_1d(config: ChainConfig, rng, replica: int) -> Trajectory:
     return rec.build(config, diverged, halt_index, replica)
 
 
-def _run_toy(config: ChainConfig, rng, replica: int) -> Trajectory:
-    """Two-state chain with the mean-tracking parameter update."""
+# Steps x replicas held by one block of the toy engine's buffers; the block
+# length follows from the replica count, so memory stays flat as it grows.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _run_toy_replicas(
+    config: ChainConfig,
+    rngs: list,
+    keep_first: bool = True,
+    replica: int = 0,
+) -> tuple[list[dict], Optional[Trajectory]]:
+    """Two-state chain with the mean-tracking parameter update, one replica
+    per generator in ``rngs``, all stepped together as numpy vectors.
+
+    Each replica draws one uniform per step from its own generator, in
+    blocks of B steps with B * len(rngs) near ``_BLOCK_ELEMENTS``; a block
+    draw returns what B scalar draws would, so every replica sees exactly
+    the numbers a one-chain loop sees.  After each block its rows are folded
+    into the recurrence statistics and dropped, except replica 0's path,
+    which becomes the returned trajectory (thinned by ``record_stride`` and
+    labelled ``replica``) when ``keep_first``.  A replica that diverges is
+    frozen at its halt row.  Returns one record per generator, in order,
+    and the trajectory.
+    """
+    n = config.horizon
+    n_rep = len(rngs)
+    block = max(1, _BLOCK_ELEMENTS // n_rep)
     schedule = config.schedule
     kesten = _kesten_on(schedule)
-    n = config.horizon
-    stride = config.record_stride
+    if kesten:
+        # step i uses the count left by steps 2..i-1, so at most n - 2
+        gamma_table = np.array([schedule.gamma_of_count(c) for c in range(n)])
     weight = config.param_weight
+    if weight.variant == W_ONE_PLUS_SQUARE:
+        def weights(th):
+            return 1.0 + th * th
+    else:
+        weights = np.vectorize(weight, otypes=[float])
+    stats = _RecurrenceCounter(n_rep, config.recurrence_m, config.recurrence_r)
+
+    theta = np.full(n_rep, float(config.theta0))
+    x = np.full(n_rep, bool(config.x0))
+    counts = np.zeros(n_rep, dtype=np.int64)
+    end = np.full(n_rep, n, dtype=np.int64)  # halt index, or the horizon
+    halted = np.zeros(n_rep, dtype=bool)
+    active = np.arange(n_rep)
+    final_theta = theta.copy()
+    if keep_first:
+        path_theta = np.empty(n + 1)
+        path_x = np.empty(n + 1, dtype=bool)
+        path_theta[0], path_x[0] = theta[0], x[0]
+
+    start = 1
+    # theta and w may overflow to inf, silently, as Python floats do
+    with np.errstate(over="ignore"):
+        stats.add(np.zeros(1, dtype=np.int64), np.abs(theta)[None], weights(theta)[None], x[None], active, end)
+        while start <= n and active.size:
+            rows = min(block, n - start + 1)
+            u = np.empty((active.size, rows))
+            for j, k in enumerate(active):
+                rngs[k].random(out=u[j])
+            u = np.ascontiguousarray(u.T)
+            th_blk = np.empty((rows, active.size))
+            x_blk = np.empty((rows, active.size), dtype=bool)
+            # per-step work is a few ufunc calls, so they write into scratch
+            # arrays: p holds exp(-|theta|), then the parameter increment
+            p = np.empty(active.size)
+            flipped = np.empty(active.size, dtype=bool)
+            for b in range(rows):
+                i = start + b
+                gm = gamma_table[counts] if kesten else gamma_at(schedule, i)
+                np.abs(theta, out=p)
+                np.negative(p, out=p)
+                np.exp(p, out=p)
+                np.less(u[b], p, out=flipped)
+                x = np.logical_xor(x, flipped, out=x_blk[b])
+                if kesten and i > 1:
+                    counts += flipped  # h_{i-1} * h_i < 0 exactly when x flips
+                np.subtract(0.5, x, out=p)
+                np.multiply(p, gm, out=p)
+                theta = np.add(theta, p, out=th_blk[b])
+            # freeze each replica at its first row past THETA_MAX; x needs no
+            # freezing, since exp(-|theta|) is 0 there and x cannot flip
+            bad = ~(np.abs(th_blk) <= THETA_MAX)
+            for j in np.flatnonzero(bad.any(axis=0)):
+                b = int(bad[:, j].argmax())
+                th_blk[b + 1:, j] = th_blk[b, j]
+                end[active[j]] = start + b
+                halted[active[j]] = True
+            index = np.arange(start, start + rows)
+            stats.add(index, np.abs(th_blk), weights(th_blk), x_blk, active, end[active])
+            final_theta[active] = th_blk[-1]
+            if keep_first and active[0] == 0:
+                path_theta[start:start + rows] = th_blk[:, 0]
+                path_x[start:start + rows] = x_blk[:, 0]
+            going = ~halted[active]
+            active, theta, x, counts = active[going], th_blk[-1, going], x_blk[-1, going], counts[going]
+            start += rows
+
+    records = [
+        {
+            "replica": j,
+            **stats.record(j),
+            "diverged": bool(halted[j]),
+            "halt_index": int(end[j]) if halted[j] else None,
+            "acceptance_tail": None,
+            "final_theta": [float(final_theta[j])],
+        }
+        for j in range(n_rep)
+    ]
+    traj = None
+    if keep_first:
+        traj = _toy_trajectory(config, path_theta, path_x, int(end[0]), bool(halted[0]), replica)
+    return records, traj
+
+
+def _toy_trajectory(config: ChainConfig, path_theta, path_x, end: int, diverged: bool, replica: int) -> Trajectory:
+    """Rows 0, every ``record_stride``-th step and the last step of one toy
+    path; w, W and in_C in scalar arithmetic, as a one-chain loop records
+    them."""
+    schedule = config.schedule
+    kesten = _kesten_on(schedule)
+    weight = config.param_weight
+    w_plus_sq = weight.variant == W_ONE_PLUS_SQUARE
     comp = config.compound
+    uv, uw = comp.upsilon_v, comp.upsilon_w
+    u_mode = comp.mode == "U"
     m_level = config.recurrence_m
     r_level = config.recurrence_r
 
-    exp = math.exp
-    draw_uniform = rng.random
+    flipped = np.zeros(end + 1, dtype=bool)
+    flipped[1:] = path_x[1:end + 1] != path_x[:end]
+    counts = np.zeros(end + 1, dtype=np.int64)
+    counts[2:] = np.cumsum(flipped[2:])
+    steps = list(range(0, end + 1, config.record_stride))
+    if steps[-1] != end:
+        steps.append(end)
 
-    theta = float(config.theta0)
-    x = int(config.x0)
-    s = 0
-    h_prev: Optional[float] = None
-
-    rec = _Recorder(["theta_1"], 1, kesten)
-
-    isfinite = math.isfinite
-    nan = math.nan
-    w_plus_sq = weight.variant == W_ONE_PLUS_SQUARE
-    uv, uw = comp.upsilon_v, comp.upsilon_w
-    u_mode = comp.mode == "U"
-    sched_kind, sc0, sc1, sca = _schedule_constants(schedule)
-
-    def record(i, th, xx, yy, acc, gm, count):
+    gammas, ws, comps, inside = [], [], [], []
+    for i, th, xx in zip(steps, path_theta[steps].tolist(), path_x[steps].tolist()):
+        # row i >= 1 carries the stepsize step i used, under the count of
+        # row i - 1; row 0 carries the first step's
+        gm = gamma_at(schedule, max(i, 1), int(counts[max(i - 1, 0)]) if kesten else None)
         wv = 1.0 + th * th if w_plus_sq else weight(th)
-        if isfinite(wv):
+        if math.isfinite(wv):
             cv = 1.0**uv + wv**uw / gm
             if u_mode:
                 cv = gm * cv
         else:
             cv = math.inf
-        inside = wv <= m_level and abs(xx) <= r_level
-        rec.add(i, (th,), (float(xx),), (float(yy),), acc, nan, gm, 1.0, wv, cv, inside, count)
-
-    gamma0 = gamma_at(schedule, 1, 0 if kesten else None)
-    record(0, theta, x, x, False, gamma0, 0)
-
-    diverged = False
-    halt_index: Optional[int] = None
-    for i in range(1, n + 1):
-        if sched_kind == "poly":
-            gm = sc0 / (sc1 + i) ** sca
-        elif sched_kind == "const":
-            gm = sc0
-        else:
-            gm = gamma_at(schedule, i, s)
-        flipped = draw_uniform() < exp(-abs(theta))
-        if flipped:
-            x = 1 - x
-        h_cur = 0.5 - x
-        theta = theta + gm * h_cur
-        if kesten:
-            if h_prev is not None and h_prev * h_cur < 0.0:
-                s += 1
-            h_prev = h_cur
-        if not (math.isfinite(theta) and abs(theta) <= THETA_MAX):
-            diverged = True
-            halt_index = i
-            record(i, theta, x, x, flipped, gm, s)
-            break
-        if i % stride == 0 or i == n:
-            record(i, theta, x, x, flipped, gm, s)
-    return rec.build(config, diverged, halt_index, replica)
+        gammas.append(gm)
+        ws.append(wv)
+        comps.append(cv)
+        inside.append(wv <= m_level and abs(xx) <= r_level)
+    rows = len(steps)
+    x_col = path_x[steps].astype(float).reshape(rows, 1)
+    return Trajectory(
+        index=np.asarray(steps, dtype=np.int64),
+        theta=path_theta[steps].reshape(rows, 1),
+        theta_labels=["theta_1"],
+        x=x_col,
+        y=x_col.copy(),
+        accepted=flipped[steps],
+        alpha=np.full(rows, math.nan),
+        gamma=np.asarray(gammas, dtype=float),
+        v=np.ones(rows),
+        w=np.asarray(ws, dtype=float),
+        compound=np.asarray(comps, dtype=float),
+        in_set=np.asarray(inside, dtype=bool),
+        kesten_counts=counts[steps] if kesten else None,
+        record_stride=config.record_stride,
+        horizon=config.horizon,
+        diverged=diverged,
+        halt_index=end if diverged else None,
+        replica=replica,
+        recurrence_m=m_level,
+        recurrence_r=r_level,
+    )
 
 
 def _run_generic(config: ChainConfig, rng, replica: int) -> Trajectory:
@@ -665,6 +785,72 @@ class RecurrenceStats:
     diverged: bool
 
 
+class _RecurrenceCounter:
+    """Recurrence-set statistics of several replicas, fed rows block by block.
+
+    Per replica it holds the counts ``recurrence_stats`` reports and whether
+    the last row seen lay in {w <= M} and in {w <= M} x {|x| <= R}, so each
+    block continues where the one before it ended.  Row 0 of a run is fed
+    like any other row.
+    """
+
+    def __init__(self, n: int, m_level: float, r_level: float):
+        self.m_level = m_level
+        self.r_level = r_level
+        self.first_hit = np.full(n, -1, dtype=np.int64)
+        self.n_hits = np.zeros(n, dtype=np.int64)
+        self.visits = np.zeros(n, dtype=np.int64)
+        self.exits = np.zeros(n, dtype=np.int64)
+        self.last_exit = np.full(n, -1, dtype=np.int64)
+        self.max_abs_theta = np.zeros(n)
+        self.inside = np.zeros(n, dtype=bool)
+        self.w_in = np.zeros(n, dtype=bool)
+
+    def add(self, index, abs_theta, w, x_norm, cols, end) -> np.ndarray:
+        """Fold in the rows ``index`` of the replicas ``cols``.
+
+        ``abs_theta`` (largest |theta| component), ``w`` and ``x_norm`` have
+        one row per index and one column per replica.  Rows of column j past
+        ``end[j]`` must repeat its row at ``end[j]`` (a halted replica); they
+        add no visit.  Returns the entry mask: rows in the recurrence set
+        whose previous row, if any, was not.
+        """
+        w_in = w <= self.m_level
+        inside = w_in & (x_norm <= self.r_level)
+        enter = inside.copy()
+        enter[0] &= ~self.inside[cols]
+        enter[1:] &= ~inside[:-1]
+        leave = ~w_in
+        leave[0] &= self.w_in[cols]
+        leave[1:] &= w_in[:-1]
+
+        first = enter.any(axis=0) & (self.first_hit[cols] < 0)
+        self.first_hit[cols[first]] = index[enter[:, first].argmax(axis=0)]
+        left = leave.any(axis=0)
+        self.last_exit[cols[left]] = index[len(index) - 1 - leave[::-1, left].argmax(axis=0)]
+        self.n_hits[cols] += enter.sum(axis=0)
+        self.visits[cols] += (inside & (index[:, None] <= end)).sum(axis=0)
+        self.exits[cols] += leave.sum(axis=0)
+        self.max_abs_theta[cols] = np.maximum(self.max_abs_theta[cols], abs_theta.max(axis=0))
+        self.inside[cols] = inside[-1]
+        self.w_in[cols] = w_in[-1]
+        return enter
+
+    def record(self, j: int) -> dict:
+        """Replica j's statistics under the per-replica record's keys."""
+        first = int(self.first_hit[j])
+        last = int(self.last_exit[j])
+        return {
+            "first_hit": first if first >= 0 else None,
+            "n_hits": int(self.n_hits[j]),
+            "visit_count": int(self.visits[j]),
+            "last_exit_time": last if last >= 0 else None,
+            "exit_count": int(self.exits[j]),
+            "max_abs_theta": float(self.max_abs_theta[j]),
+            "censored": not bool(self.inside[j]),
+        }
+
+
 def recurrence_stats(
     traj: Trajectory,
     m: Optional[float] = None,
@@ -679,28 +865,28 @@ def recurrence_stats(
         raise ValueError("recurrence statistics require record_stride == 1")
     if traj.index.shape[0] == 0:
         raise ValueError("empty trajectory")
-    m_level = traj.recurrence_m if m is None else float(m)
-    r_level = traj.recurrence_r if r is None else float(r)
-    w_in = traj.w <= m_level
-    x_norm = np.linalg.norm(traj.x, axis=1)
-    in_set = w_in & (x_norm <= r_level)
-
-    entries = [int(traj.index[j]) for j in range(len(in_set)) if in_set[j] and (j == 0 or not in_set[j - 1])]
-    first_hit = entries[0] if entries else None
-    visit_count = int(in_set.sum())
-
-    exits = [int(traj.index[j]) for j in range(1, len(w_in)) if w_in[j - 1] and not w_in[j]]
-    last_exit = exits[-1] if exits else None
-
-    max_abs_theta = float(np.max(np.abs(traj.theta))) if traj.theta.size else 0.0
+    counter = _RecurrenceCounter(
+        1,
+        traj.recurrence_m if m is None else float(m),
+        traj.recurrence_r if r is None else float(r),
+    )
+    enter = counter.add(
+        traj.index,
+        np.abs(traj.theta).max(axis=1)[:, None],
+        traj.w[:, None],
+        np.linalg.norm(traj.x, axis=1)[:, None],
+        np.zeros(1, dtype=np.int64),
+        traj.index[-1:],
+    )
+    rec = counter.record(0)
     return RecurrenceStats(
-        first_hit=first_hit,
-        hitting_times=entries,
-        visit_count=visit_count,
-        last_exit_time=last_exit,
-        exit_count=len(exits),
-        max_abs_theta=max_abs_theta,
-        censored=not bool(in_set[-1]),
+        first_hit=rec["first_hit"],
+        hitting_times=traj.index[enter[:, 0]].tolist(),
+        visit_count=rec["visit_count"],
+        last_exit_time=rec["last_exit_time"],
+        exit_count=rec["exit_count"],
+        max_abs_theta=rec["max_abs_theta"],
+        censored=rec["censored"],
         diverged=traj.diverged,
     )
 
@@ -811,6 +997,10 @@ def run_replicas(
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     seed = config.seed if base_seed is None else int(base_seed)
+    if config.kind == CHAIN_TOY:
+        rngs = [substream(seed, k) for k in range(n_replicas)]
+        records, first_traj = _run_toy_replicas(config, rngs, keep_first=keep_first_trajectory)
+        return summarize_replicas(records, seed), first_traj
     records = []
     first_traj: Optional[Trajectory] = None
     for k in range(n_replicas):

@@ -220,6 +220,38 @@ def test_first_stepsize_limit_is_am_only():
     validate_document(coerced)
 
 
+def test_srwm_record_stride_above_one_rejected(tmp_path):
+    # srwm recurrence statistics are computed from the recorded rows
+    doc = am_1d_doc({"kind": "polynomial", "c0": 0.5, "c1": 10.0, "a": 0.6})
+    doc["run"]["record_stride"] = 7
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == "run.record_stride"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    doc["run"]["record_stride"] = 1
+    validate_document(doc)
+
+
+def test_toy_record_stride_thins_only_the_trajectory(tmp_path):
+    every = toy_run_doc(horizon=100, replicas=3)
+    thinned = toy_run_doc(horizon=100, replicas=3)
+    thinned["run"]["record_stride"] = 7
+    out_every, out_thinned = tmp_path / "every", tmp_path / "thinned"
+    assert main(["run", str(write_config(tmp_path, every, "every.json")), "--out", str(out_every)]) == EXIT_OK
+    assert main(["run", str(write_config(tmp_path, thinned, "thinned.json")), "--out", str(out_thinned)]) == EXIT_OK
+    with open(out_thinned / "trajectory.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [int(r[0]) for r in rows] == list(range(0, 100, 7)) + [100]
+    with open(out_every / "trajectory.csv", newline="") as fh:
+        every_rows = list(csv.reader(fh))[1:]
+    assert rows == [every_rows[int(r[0])] for r in rows]
+    # the statistics still see every step
+    summary = json.loads((out_thinned / "summary.json").read_text())["summary"]
+    assert summary == json.loads((out_every / "summary.json").read_text())["summary"]
+
+
 def test_build_grid_defaults():
     grid = build_grid({})
     assert grid.x_grid == (0.0,)
