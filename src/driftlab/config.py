@@ -260,8 +260,10 @@ def validate_document(doc: dict) -> None:
 
     Rules that tie one section to another (proposal family against target
     dimension, first stepsize against adaptation rule) are checked by the
-    proposal and schedule builders, which run here as well.  A record
-    stride above 1 is accepted for toy runs only.
+    proposal and schedule builders, which run here as well.  A parameter
+    weight must fit the adaptation rule: ``am_poly`` weighs running moments
+    and the other variants a scalar parameter.  A record stride above 1 is
+    accepted for toy runs only.
     """
     errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
@@ -273,6 +275,14 @@ def validate_document(doc: dict) -> None:
             "record_stride > 1 is supported for toy runs only; srwm recurrence "
             "statistics are computed from every recorded step",
             "run.record_stride",
+        )
+    rule_kind = doc.get("adaptation", {}).get("rule")
+    variant = doc.get("lyapunov", {}).get("weight")
+    if rule_kind is not None and variant is not None and (variant == W_AM_POLY) != (rule_kind == RULE_AM):
+        fits = "am_poly" if rule_kind == RULE_AM else "exp_abs or one_plus_square"
+        raise ConfigError(
+            f"weight {variant!r} does not fit the {rule_kind!r} rule's parameter; use {fits}",
+            "lyapunov.weight",
         )
     if "proposal" in doc:
         build_proposal(doc)

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .quadrature import integrate_interval
-from .targets import TargetModel, matched_density_point
+from .targets import SYMMETRY_TOL, TargetModel, is_symmetric, matched_density_point
 
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_STUDENT = "student"
@@ -67,7 +67,7 @@ class AMParam:
     def __post_init__(self):
         mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
-        if cov.shape == () :
+        if cov.shape == ():
             cov = cov.reshape(1, 1)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "cov", cov)
@@ -76,10 +76,10 @@ class AMParam:
         n = mu.shape[0]
         if cov.shape != (n, n):
             raise ValueError("cov shape must match mu")
-        if not np.all(np.isfinite(mu)) or not np.all(np.isfinite(cov)):
+        if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
             raise ValueError("kernel parameter must be finite")
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise ValueError("cov must be symmetric to 1e-12")
+        if not is_symmetric(cov):
+            raise ValueError(f"cov must be symmetric to {SYMMETRY_TOL}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,7 @@ class StepResult(NamedTuple):
     proposed: float | np.ndarray
     accepted: bool
     alpha: float
+    log_density: float  # log pi(state)
 
 
 def proposal_covariance(spec: ProposalSpec, param: AMParam) -> np.ndarray:
@@ -174,14 +175,21 @@ def draw_increments(
     return z[:, 0] if n_dim == 1 else z
 
 
-def accept_prob(target: TargetModel, x, y) -> float:
-    """min(1, pi(y)/pi(x)), computed from log-densities."""
-    ly = float(np.asarray(target.log_density(y), dtype=float))
-    lx = float(np.asarray(target.log_density(x), dtype=float))
+def _log_density(target: TargetModel, x) -> float:
+    return float(np.asarray(target.log_density(x), dtype=float))
+
+
+def _accept_from_logs(ly: float, lx: float, x, y) -> float:
+    """min(1, exp(ly - lx)) for log pi(y) = ly and log pi(x) = lx."""
     if math.isnan(ly) or math.isnan(lx) or lx == -math.inf:
         raise ValueError(f"invalid point: log-density not finite at y={y!r}, x={x!r}")
     d = ly - lx
     return 1.0 if d >= 0.0 else math.exp(d)
+
+
+def accept_prob(target: TargetModel, x, y) -> float:
+    """min(1, pi(y)/pi(x)), computed from log-densities."""
+    return _accept_from_logs(_log_density(target, y), _log_density(target, x), x, y)
 
 
 def srwm_step(
@@ -190,18 +198,25 @@ def srwm_step(
     param: KernelParam,
     x,
     rng: np.random.Generator,
+    lx: Optional[float] = None,
 ) -> StepResult:
     """One Metropolis step at fixed kernel parameter.
 
-    The proposal and its acceptance probability are returned even on
-    rejection; adaptation rules keyed to the proposed move need both.
+    ``lx`` is log pi(x) when the caller already has it; the target is then
+    evaluated once, at the proposal.  The proposal and its acceptance
+    probability are returned even on rejection, since adaptation rules keyed
+    to the proposed move need both, and so is log pi of the new state.
     """
     z = draw_increments(spec, param, target.dim, rng)
     y = x + z
-    alpha = accept_prob(target, x, y)
+    ly = _log_density(target, y)
+    if lx is None:
+        lx = _log_density(target, x)
+    alpha = _accept_from_logs(ly, lx, x, y)
     accepted = rng.random() < alpha
-    state = y if accepted else x
-    return StepResult(state=state, proposed=y, accepted=bool(accepted), alpha=alpha)
+    if accepted:
+        return StepResult(state=y, proposed=y, accepted=True, alpha=alpha, log_density=ly)
+    return StepResult(state=x, proposed=y, accepted=False, alpha=alpha, log_density=lx)
 
 
 def _acceptance_breakpoints(target: TargetModel, x: float, sigma: float) -> list[float]:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .kernels import AMParam, KernelParam, ScalarParam
-from .targets import TargetModel
+from .targets import TargetModel, is_symmetric
 
 SCENARIO_AM_SUPEREXP = "am_superexp"
 SCENARIO_AM_SUBEXP_1D = "am_subexp_1d"
@@ -68,9 +68,13 @@ class StateLyapunov:
     def __call__(self, x):
         l = self.target.log_density(x)
         if np.ndim(l) == 0:
-            arg = -self.eta * float(l)
-            return math.exp(arg) if arg < 700.0 else math.inf
+            return self.of_log_density(float(l))
         return np.exp(-self.eta * np.asarray(l, dtype=float))
+
+    def of_log_density(self, l: float) -> float:
+        """V at a point whose log-density ``l`` is already known."""
+        arg = -self.eta * l
+        return math.exp(arg) if arg < 700.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -330,7 +334,7 @@ def check_det_inequality(cov: np.ndarray, slack: float = 1e-12) -> DetCheckResul
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("cov must be a square matrix")
-    if not np.allclose(cov, cov.T, atol=1e-12):
+    if not is_symmetric(cov):
         raise ValueError("cov must be symmetric")
     eigvals = np.linalg.eigvalsh(cov)
     if eigvals.min() < -1e-10:

@@ -28,6 +28,14 @@ from .quadrature import QuadratureError, integrate_interval
 
 INTEGRAND_FLOOR = 1e-14
 BISECTION_TOL = 1e-10
+# Absolute tolerance of every covariance symmetry check.
+SYMMETRY_TOL = 1e-12
+
+
+def is_symmetric(mat: np.ndarray) -> bool:
+    """max |mat - mat.T| <= SYMMETRY_TOL, with no slack relative to the size
+    of the entries; false when any entry is not finite."""
+    return bool(np.abs(mat - mat.T).max() <= SYMMETRY_TOL)
 
 
 class TailKind(Enum):
@@ -116,7 +124,7 @@ def gaussian_target(dim: int = 1, mean=None, cov=None) -> TargetModel:
         cov = cov.reshape(1, 1)
     if cov.shape != (dim, dim):
         raise ValueError("cov has wrong shape")
-    if not np.allclose(cov, cov.T, atol=1e-12):
+    if not is_symmetric(cov):
         raise ValueError("cov must be symmetric")
     eigvals = np.linalg.eigvalsh(cov)
     if eigvals.min() <= 0:

@@ -234,6 +234,33 @@ def test_srwm_record_stride_above_one_rejected(tmp_path):
     validate_document(doc)
 
 
+@pytest.mark.parametrize(
+    "preset, weight",
+    [("toy", "am_poly"), ("coerced", "am_poly"), ("am-gaussian-1d", "exp_abs")],
+)
+def test_weight_that_does_not_fit_the_rule_rejected(tmp_path, preset, weight):
+    # these used to load, then `run` died with a raw ValueError
+    doc = json.loads(resolve_config_path(preset).read_text())
+    doc.setdefault("lyapunov", {})["weight"] = weight
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == "lyapunov.weight"
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_weights_that_fit_the_rule_accepted():
+    for rule, weights in (("am", ["am_poly"]), ("coerced", ["exp_abs", "one_plus_square"])):
+        for weight in weights:
+            doc = mv_run_doc(rule)
+            doc["lyapunov"]["weight"] = weight
+            validate_document(doc)
+    toy = toy_run_doc()
+    toy["lyapunov"] = {"weight": "exp_abs"}
+    validate_document(toy)
+
+
 def test_toy_record_stride_thins_only_the_trajectory(tmp_path):
     every = toy_run_doc(horizon=100, replicas=3)
     thinned = toy_run_doc(horizon=100, replicas=3)

@@ -50,6 +50,24 @@ def test_proposal_covariance_scaling_and_ridge():
     assert got2[0, 1] == 0.0
 
 
+# asymmetric by 1 absolutely but by 1e-6 relatively, which a check with the
+# default relative tolerance of np.allclose would pass
+SKEWED_BY_ONE = np.array([[4e6, 1e6 + 1.0], [1e6, 4e6]])
+
+
+def test_am_param_symmetry_check_is_absolute():
+    with pytest.raises(ValueError, match="symmetric"):
+        AMParam(mu=np.zeros(2), cov=SKEWED_BY_ONE)
+    AMParam(mu=np.zeros(2), cov=np.array([[1.0, 1e-13], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        AMParam(mu=np.zeros(2), cov=np.array([[1.0, 1e-11], [0.0, 1.0]]))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            AMParam(mu=np.zeros(2), cov=np.array([[1.0, 0.0], [0.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            AMParam(mu=np.array([0.0, bad]), cov=np.eye(2))
+
+
 def test_scalar_param_sigma_is_exp_theta():
     assert ScalarParam(theta=0.0).sigma == 1.0
     assert ScalarParam(theta=2.0).sigma == pytest.approx(math.exp(2.0), rel=1e-15)
@@ -210,6 +228,38 @@ def test_srwm_step_rejection_keeps_state():
         else:
             assert r.state == r.proposed
         assert 0.0 <= r.alpha <= 1.0
+
+
+@pytest.mark.parametrize(
+    "target, spec, param, x0",
+    [
+        (gaussian_target(dim=1), UNIFORM_1D, ScalarParam(theta=1.0), 0.5),
+        (smoothed_subexp_target(0.5), GAUSS_1D, ScalarParam(theta=0.3), 2.0),
+        (
+            gaussian_target(dim=2, mean=[1.0, -1.0], cov=[[1.0, 0.8], [0.8, 2.0]]),
+            ProposalSpec(family=FAMILY_STUDENT, parametrization=PARAM_AM_COVARIANCE),
+            AMParam(mu=np.zeros(2), cov=np.array([[1.0, 0.3], [0.3, 0.5]])),
+            np.array([2.0, 2.0]),
+        ),
+        (gaussian_target(dim=3), GAUSS_1D, ScalarParam(theta=-0.2), np.array([1.0, 0.0, -1.0])),
+    ],
+)
+def test_srwm_step_with_known_log_density_is_the_same_step(target, spec, param, x0):
+    with_lx, without = substream(21, 0), substream(21, 0)
+    x = x0
+    lx = float(target.log_density(x))
+    moves = 0
+    for _ in range(300):
+        a = srwm_step(target, spec, param, x, without)
+        b = srwm_step(target, spec, param, x, with_lx, lx)
+        assert np.array_equal(a.state, b.state) and np.array_equal(a.proposed, b.proposed)
+        assert (a.accepted, a.alpha, a.log_density) == (b.accepted, b.alpha, b.log_density)
+        assert b.log_density == float(target.log_density(b.state))
+        moves += b.accepted
+        x, lx = b.state, b.log_density
+    assert 0 < moves < 300
+    # both consumed the same draws
+    assert without.random() == with_lx.random()
 
 
 def test_toy_transition_matrix_structure():

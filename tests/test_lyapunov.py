@@ -168,6 +168,12 @@ def test_det_inequality_frozen_case_and_identity_equality():
         check_det_inequality(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def test_det_inequality_symmetry_check_is_absolute():
+    with pytest.raises(ValueError, match="symmetric"):
+        check_det_inequality(np.array([[4e6, 1e6 + 1.0], [1e6, 4e6]]))
+    assert check_det_inequality(np.array([[4e6, 1e6], [1e6, 4e6]])).holds
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     a=arrays(np.float64, (3, 3), elements=st.floats(min_value=-2.0, max_value=2.0)),

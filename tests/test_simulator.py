@@ -15,6 +15,7 @@ from driftlab import (
     CompoundSpec,
     ConstantSchedule,
     FAMILY_GAUSSIAN,
+    FAMILY_STUDENT,
     FAMILY_UNIFORM,
     KestenSchedule,
     MeanFieldAM,
@@ -25,17 +26,27 @@ from driftlab import (
     ProposalSpec,
     RULE_AM,
     RULE_COERCED,
+    RULE_FAST_COERCED,
     RULE_TOY_MEAN,
+    ScalarParam,
     StateLyapunov,
     THETA_MAX,
+    Trajectory,
+    W_AM_POLY,
     W_EXP_ABS,
     W_ONE_PLUS_SQUARE,
+    am_increment,
+    am_update,
+    coerced_update,
+    compound_value,
+    fast_coerced_update,
     gamma_at,
     gaussian_target,
     kesten_advance,
     recurrence_stats,
     run_chain,
     run_replicas,
+    srwm_step,
     substream,
 )
 
@@ -404,3 +415,232 @@ def test_am_negative_variance_halts_as_diverged():
     summary, _ = run_replicas(cfg, 1)
     assert summary.any_diverged
     assert summary.per_replica[0]["halt_index"] == 1
+
+
+# ---------------------------------------------------------------------------
+# the multivariate path against its per-step composition
+
+
+def mv_config(rule=RULE_AM, dim=2, schedule=None, family=FAMILY_GAUSSIAN, stride=1, compound=None, x0=2.0):
+    """A correlated Gaussian target in ``dim`` dimensions under the
+    running-moments or a coerced rule, started at ``(x0, ..., x0)``."""
+    cov = 0.5 * np.eye(dim) + 0.5
+    cov[0, 0] = 2.0
+    t = gaussian_target(dim=dim, mean=np.linspace(-1.0, 1.0, dim), cov=cov)
+    am = rule == RULE_AM
+    return ChainConfig(
+        kind="srwm",
+        rule=AdaptationRule(kind=rule, alpha_star=None if am else 0.44),
+        schedule=schedule or PolynomialSchedule(c0=0.5, c1=10.0, a=0.6),
+        theta0=AMParam(mu=np.zeros(dim), cov=np.eye(dim)) if am else 0.0,
+        x0=np.full(dim, x0),
+        horizon=300,
+        seed=13,
+        recurrence_m=1000.0 if am else 20.0,
+        recurrence_r=3.0,
+        target=t,
+        proposal=ProposalSpec(
+            family=family, parametrization=PARAM_AM_COVARIANCE if am else PARAM_SCALAR_LOG_SCALE
+        ),
+        record_stride=stride,
+        state_lyapunov=StateLyapunov(t, 0.5),
+        param_weight=ParamLyapunov(W_AM_POLY if am else W_EXP_ABS),
+        compound=compound or CompoundSpec(),
+    )
+
+
+def reference_generic(cfg):
+    """One step at a time, composed from the public pieces: srwm_step
+    evaluating log pi at both points, a fresh kernel parameter wherever one
+    is needed, V and w from their Lyapunov objects, and the rule's update.
+    Rows (i, theta, x, y, accepted, alpha, gamma, V, w, W, in_C, s), with
+    the same stride, final row and divergence halt as the simulator."""
+    rng = substream(cfg.seed, 0)
+    rule = cfg.rule.kind
+    kesten = isinstance(cfg.schedule, KestenSchedule)
+    am = rule == RULE_AM
+    if am:
+        mu, cov = cfg.theta0.mu.copy(), cfg.theta0.cov.copy()
+    else:
+        theta = float(cfg.theta0)
+    x = np.atleast_1d(np.asarray(cfg.x0, dtype=float)).copy()
+    s, h_prev = 0, None
+
+    def param():
+        return AMParam(mu=mu, cov=cov) if am else ScalarParam(theta=theta)
+
+    def row(i, y, accepted, alpha, gamma):
+        v = float(cfg.state_lyapunov(x))
+        w = float(cfg.param_weight(param()))
+        comp = compound_value(cfg.compound, v, w, gamma) if math.isfinite(v) and math.isfinite(w) else math.inf
+        inside = w <= cfg.recurrence_m and float(np.linalg.norm(x)) <= cfg.recurrence_r
+        theta_row = list(mu) + list(cov.ravel()) if am else [theta]
+        return (i, theta_row, list(x), list(np.atleast_1d(y)), accepted, alpha, gamma, v, w, comp, inside, s)
+
+    rows = [row(0, x, False, math.nan, gamma_at(cfg.schedule, 1, 0 if kesten else None))]
+    for i in range(1, cfg.horizon + 1):
+        gamma = gamma_at(cfg.schedule, i, s if kesten else None)
+        step = srwm_step(cfg.target, cfg.proposal, param(), x, rng)
+        x_new = np.atleast_1d(np.asarray(step.state, dtype=float))
+        if am:
+            h = am_increment(mu, cov, x_new)
+            mu, cov = am_update(mu, cov, x_new, gamma)
+        elif rule == RULE_COERCED:
+            h = step.alpha - cfg.rule.alpha_star
+            theta = coerced_update(theta, step.alpha, gamma, cfg.rule.alpha_star)
+        else:
+            h = (abs(theta) + 1.0) * (step.alpha - cfg.rule.alpha_star)
+            theta = fast_coerced_update(theta, step.alpha, gamma, cfg.rule.alpha_star)
+        x = x_new
+        if kesten:
+            if h_prev is not None:
+                s = kesten_advance(s, h_prev, h)
+            h_prev = h
+        params = np.concatenate([mu, cov.ravel()]) if am else np.array([theta])
+        halted = not (
+            np.all(np.isfinite(params)) and np.max(np.abs(params)) <= THETA_MAX and np.all(np.isfinite(x))
+        )
+        if halted or i % cfg.record_stride == 0 or i == cfg.horizon:
+            rows.append(row(i, step.proposed, step.accepted, step.alpha, gamma))
+        if halted:
+            break
+    return rows, halted
+
+
+MV_CASES = {
+    "am-2d": {},
+    "am-3d": {"dim": 3},
+    "coerced-2d": {"rule": RULE_COERCED},
+    "fast-coerced-2d": {"rule": RULE_FAST_COERCED},
+    "am-2d-kesten": {"schedule": KestenSchedule(c0=0.5, a=0.6)},
+    "coerced-2d-kesten": {"rule": RULE_COERCED, "schedule": KestenSchedule(c0=0.5, a=0.6)},
+    "am-2d-student": {"family": FAMILY_STUDENT},
+    "coerced-2d-student": {"rule": RULE_COERCED, "family": FAMILY_STUDENT},
+    "am-2d-stride-3": {"stride": 3},
+    "coerced-2d-compound-u": {"rule": RULE_COERCED, "compound": CompoundSpec(upsilon_v=0.5, upsilon_w=0.7, mode="U")},
+    # |theta_1| = 1e13 * |alpha - 0.44| > THETA_MAX: halts at step 1
+    "coerced-2d-diverges": {"rule": RULE_COERCED, "schedule": PolynomialSchedule(c0=1e13, c1=0.0, a=1.0)},
+    # cov_11 = 1 + gamma_1 * (1e14 - 1) > THETA_MAX while |mu| stays near
+    # 1e6: halts at step 1 on the covariance alone
+    "am-2d-diverges": {"x0": 1e7},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MV_CASES))
+def test_generic_path_matches_per_step_composition(case):
+    cfg = mv_config(**MV_CASES[case])
+    rows, halted = reference_generic(cfg)
+    traj = run_chain(cfg)
+    assert traj.diverged == halted == case.endswith("-diverges")
+    if halted:
+        assert traj.index.tolist() == [0, 1]
+    assert traj.halt_index == (rows[-1][0] if halted else None)
+    assert traj.index.tolist() == [r[0] for r in rows]
+    np.testing.assert_array_equal(traj.theta, [r[1] for r in rows])
+    np.testing.assert_array_equal(traj.x, [r[2] for r in rows])
+    np.testing.assert_array_equal(traj.y, [r[3] for r in rows])
+    assert traj.accepted.tolist() == [r[4] for r in rows]
+    np.testing.assert_array_equal(traj.alpha, [r[5] for r in rows])
+    assert traj.gamma.tolist() == [r[6] for r in rows]
+    assert traj.v.tolist() == [r[7] for r in rows]
+    assert traj.w.tolist() == [r[8] for r in rows]
+    assert traj.compound.tolist() == [r[9] for r in rows]
+    assert traj.in_set.tolist() == [r[10] for r in rows]
+    if isinstance(cfg.schedule, KestenSchedule):
+        assert traj.kesten_counts.tolist() == [r[11] for r in rows]
+        assert traj.kesten_counts[-1] > 0
+    else:
+        assert traj.kesten_counts is None
+    if not halted:
+        # the chain moved and visited the recurrence set
+        assert traj.accepted.any() and traj.in_set.any()
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer against a row-at-a-time loop
+
+
+def reference_csv(traj, path):
+    """One row at a time: integers by ``str(int(.))``, floats by
+    ``repr(float(.))``."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(traj.column_names()) + "\n")
+        for r in range(traj.index.shape[0]):
+            cells = [str(int(traj.index[r]))]
+            cells += [repr(float(t)) for t in traj.theta[r]]
+            cells += [repr(float(u)) for u in traj.x[r]]
+            cells += [repr(float(u)) for u in traj.y[r]]
+            cells.append(str(int(traj.accepted[r])))
+            for col in (traj.alpha, traj.gamma, traj.v, traj.w, traj.compound):
+                cells.append(repr(float(col[r])))
+            cells.append(str(int(traj.in_set[r])))
+            if traj.kesten_counts is not None:
+                cells.append(str(int(traj.kesten_counts[r])))
+            fh.write(",".join(cells) + "\n")
+
+
+def synthetic_trajectory(rows, dim, n_theta, kesten, seed=0):
+    """Random values on every scale, with nan, inf, -inf, -0.0 and 0.0
+    sprinkled over the float columns."""
+    rng = np.random.default_rng(seed)
+
+    def floats(*shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+        special = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 0.1])
+        mask = rng.random(shape) < 0.1
+        a[mask] = special[rng.integers(0, special.size, int(mask.sum()))]
+        return a
+
+    return Trajectory(
+        index=np.arange(rows, dtype=np.int64) * 3,
+        theta=floats(rows, n_theta),
+        theta_labels=[f"theta_{j+1}" for j in range(n_theta)],
+        x=floats(rows, dim),
+        y=floats(rows, dim),
+        accepted=rng.random(rows) < 0.5,
+        alpha=floats(rows),
+        gamma=floats(rows),
+        v=floats(rows),
+        w=floats(rows),
+        compound=floats(rows),
+        in_set=rng.random(rows) < 0.5,
+        kesten_counts=rng.integers(0, 10**6, rows) if kesten else None,
+        record_stride=1,
+        horizon=3 * rows,
+        diverged=False,
+        halt_index=None,
+        replica=0,
+        recurrence_m=1.0,
+        recurrence_r=1.0,
+    )
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["chunk-default", "chunk-7"])
+@pytest.mark.parametrize("rows", [1, 1024, 1025, 2049])
+@pytest.mark.parametrize("dim, n_theta, kesten", [(1, 1, False), (2, 6, True), (3, 1, True)])
+def test_to_csv_matches_row_loop(tmp_path, monkeypatch, chunk, rows, dim, n_theta, kesten):
+    if chunk is not None:
+        monkeypatch.setattr(simulator, "_CSV_CHUNK_ROWS", chunk)
+    traj = synthetic_trajectory(rows, dim, n_theta, kesten, seed=rows)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    traj.to_csv(got)
+    reference_csv(traj, want)
+    assert got.read_bytes() == want.read_bytes()
+    lines = got.read_text().split("\n")
+    assert len(lines) == rows + 2 and lines[-1] == ""
+    if rows > 1:
+        cells = set(",".join(lines[1:]).split(","))
+        assert {"nan", "inf", "-inf", "-0.0", "0.0"} <= cells
+
+
+def test_to_csv_of_recorded_runs_matches_row_loop(tmp_path):
+    for cfg in (
+        mv_config(schedule=KestenSchedule(c0=0.5, a=0.6)),
+        mv_config(rule=RULE_COERCED),
+        coerced_config(horizon=1500),
+        toy_config(horizon=1100, schedule=KestenSchedule(c0=3.0, a=0.6)),
+    ):
+        traj = run_chain(cfg)
+        traj.to_csv(tmp_path / "got.csv")
+        reference_csv(traj, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

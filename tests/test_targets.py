@@ -46,6 +46,12 @@ def test_gaussian_nd_log_density_matches_quadratic_form():
     assert g == pytest.approx(-np.linalg.solve(cov, d), abs=1e-10)
 
 
+def test_gaussian_cov_symmetry_check_is_absolute():
+    with pytest.raises(ValueError, match="symmetric"):
+        gaussian_target(dim=2, cov=[[4e6, 1e6 + 1.0], [1e6, 4e6]])
+    gaussian_target(dim=2, cov=[[4e6, 1e6], [1e6, 4e6]])
+
+
 def test_smoothed_subexp_profile_and_ratio():
     t = smoothed_subexp_target(0.5)
     # l(x) = 1 - (1 + x^2)^(1/4); ratio pi(0)/pi(3) = exp(10^(1/4) - 1)
