@@ -263,7 +263,9 @@ def validate_document(doc: dict) -> None:
     proposal and schedule builders, which run here as well.  A parameter
     weight must fit the adaptation rule: ``am_poly`` weighs running moments
     and the other variants a scalar parameter.  A record stride above 1 is
-    accepted for toy runs only.
+    accepted for toy runs only.  Running-moment parameters (``run.theta0``,
+    ``verify.theta_grid``) are built here, so a covariance that is not
+    symmetric, or not the shape of its mean, is rejected with its path.
     """
     errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
@@ -288,6 +290,9 @@ def validate_document(doc: dict) -> None:
         build_proposal(doc)
     if "schedule" in doc:
         build_schedule(doc)
+    if isinstance(run.get("theta0"), dict):
+        _am_param(run["theta0"], "run.theta0")
+    _grid_thetas(doc.get("verify", {}))
 
 
 def load_config(path) -> dict:
@@ -444,10 +449,16 @@ def build_coefficients(doc: dict, target: TargetModel, proposal: Optional[Propos
         raise ConfigError(str(exc), "lyapunov") from exc
 
 
+def _am_param(entry: dict, path: str) -> AMParam:
+    try:
+        return AMParam(mu=np.asarray(entry["mu"], dtype=float), cov=np.asarray(entry["cov"], dtype=float))
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from exc
+
+
 def _theta0_from(doc_value, rule: AdaptationRule):
     if isinstance(doc_value, dict):
-        return AMParam(mu=np.asarray(doc_value["mu"], dtype=float),
-                       cov=np.asarray(doc_value["cov"], dtype=float))
+        return _am_param(doc_value, "run.theta0")
     if doc_value is None:
         if rule.kind == RULE_AM:
             raise ConfigError("running-moments runs need an initial parameter", "run.theta0")
@@ -508,19 +519,20 @@ def build_chain_config(doc: dict) -> ChainConfig:
         raise ConfigError(str(exc), "run") from exc
 
 
+def _grid_thetas(cfg: dict) -> tuple:
+    return tuple(
+        _am_param(entry, "verify.theta_grid") if isinstance(entry, dict) else float(entry)
+        for entry in cfg.get("theta_grid", [])
+    )
+
+
 def build_grid(doc: dict) -> GridSpec:
     cfg = doc.get("verify", {})
-    thetas = []
-    for entry in cfg.get("theta_grid", []):
-        if isinstance(entry, dict):
-            thetas.append(AMParam(mu=np.asarray(entry["mu"], dtype=float),
-                                  cov=np.asarray(entry["cov"], dtype=float)))
-        else:
-            thetas.append(float(entry))
+    thetas = _grid_thetas(cfg)
     try:
         return GridSpec(
             x_grid=tuple(cfg.get("x_grid", (0.0,))),
-            theta_grid=tuple(thetas),
+            theta_grid=thetas,
             gamma_grid=tuple(cfg.get("gamma_grid", (0.05,))),
             method=cfg.get("method", METHOD_QUADRATURE),
             mc_n=cfg.get("mc_n", 10_000),

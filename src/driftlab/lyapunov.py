@@ -99,14 +99,19 @@ class ParamLyapunov:
         if self.variant == W_AM_POLY:
             if not isinstance(param, AMParam):
                 raise ValueError("am_poly weight requires an AMParam")
-            mu_norm = float(np.linalg.norm(param.mu))
-            fro = float(np.linalg.norm(param.cov))
-            return 1.0 + mu_norm ** (2.0 + self.eps) + fro
+            return self.of_moments(param.mu, param.cov)
         theta = _theta_of(param)
         if self.variant == W_EXP_ABS:
             a = abs(theta)
             return math.exp(a) if a < 700.0 else math.inf
         return 1.0 + theta * theta
+
+    def of_moments(self, mu: np.ndarray, cov: np.ndarray) -> float:
+        """The am_poly weight of running moments given as arrays, which need
+        not make a valid kernel parameter (a diverged run's halt row)."""
+        mu_norm = float(np.linalg.norm(mu))
+        fro = float(np.linalg.norm(cov))
+        return 1.0 + mu_norm ** (2.0 + self.eps) + fro
 
 
 @dataclass(frozen=True)
@@ -306,18 +311,6 @@ def scenario_coefficients(
     elif beta > cap + 1e-12:
         raise ValueError(f"beta={beta} exceeds the scenario ceiling {cap}")
     return DriftCoefficients(scenario=scenario, iota=iota, beta=beta, dim=dim, **kw)
-
-
-def drift_coefficients_at(coef: DriftCoefficients, param) -> dict:
-    """Evaluate every coefficient function at one kernel parameter."""
-    return {
-        "a": coef.a(param),
-        "b": coef.b(param),
-        "c": coef.c(param),
-        "d": coef.d(param),
-        "e": coef.e(param),
-        "delta0": coef.delta0(),
-    }
 
 
 class DetCheckResult(NamedTuple):

@@ -16,21 +16,32 @@ as numpy vectors, each drawing its uniforms in blocks from its own
 substream, with a block length chosen so that block length times replica
 count stays near 2**15 elements.  Each block is reduced to per-replica
 recurrence statistics as the run goes, and only replica 0 keeps its path,
-so ``record_stride`` thins that trajectory and never the statistics.  The
-srwm paths run one replica at a time and reduce its full stride-1
-trajectory.
+so ``record_stride`` thins that trajectory and never the statistics.
+
+One-dimensional srwm chains run one replica at a time, each in a loop over
+Python floats that appends only raw values (parameter, state, proposal,
+acceptance, stepsize, log pi) to per-block lists.  Each block is folded into
+the same recurrence statistics and then dropped; replica 0's blocks become
+its trajectory, with V, w, W and in_C computed per kept row in the scalar
+arithmetic of a row-at-a-time recorder.  A uniform proposal draws a block's
+uniforms at once, in the order of the scalar draws.  ``run_chain`` sends
+these chains to that loop and every other srwm chain to the multivariate
+path.
 
 The multivariate path evaluates the target once per step, at the proposal:
 log pi of the current state is carried from step to step, and V is computed
-from it.  It builds and checks one kernel parameter per step, which serves
-both the recorded w and the next proposal.  ``Trajectory.to_csv`` formats
-blocks of rows a column at a time.
+from it.  It builds and checks one kernel parameter per step, which drives
+the next proposal; the recorded w is computed from the parameter's raw
+values, so a step that overflows it is recorded as the halt row.
+``Trajectory.to_csv`` formats blocks of rows a column at a time.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,7 +52,6 @@ from .adaptation import (
     RULE_FIXED,
     RULE_TOY_MEAN,
     AdaptationRule,
-    ConstantSchedule,
     KestenSchedule,
     MeanFieldAM,
     PolynomialSchedule,
@@ -55,7 +65,6 @@ from .adaptation import (
 )
 from .kernels import (
     FAMILY_GAUSSIAN,
-    FAMILY_STUDENT,
     FAMILY_UNIFORM,
     PARAM_AM_COVARIANCE,
     PARAM_SCALAR_LOG_SCALE,
@@ -116,6 +125,8 @@ class ChainConfig:
             raise ValueError("recurrence level M must be >= 1")
         if not (self.recurrence_r > 0.0):
             raise ValueError("recurrence radius R must be positive")
+        if (self.param_weight.variant == W_AM_POLY) != (self.rule.kind == RULE_AM):
+            raise ValueError("the am_poly weight goes with the am rule, and only with it")
         if self.kind == CHAIN_TOY:
             if self.rule.kind != RULE_TOY_MEAN:
                 raise ValueError("toy chain requires the toy_mean rule")
@@ -131,6 +142,8 @@ class ChainConfig:
                     raise ValueError("am rule requires an AMParam initial parameter")
                 if self.proposal.parametrization != PARAM_AM_COVARIANCE:
                     raise ValueError("am rule requires the covariance parametrization")
+                if self.theta0.mu.shape[0] != self.target.dim:
+                    raise ValueError("am initial parameter must have the target's dimension")
             else:
                 if isinstance(self.theta0, AMParam):
                     raise ValueError("scalar rules require a scalar initial parameter")
@@ -279,153 +292,163 @@ def run_chain(config: ChainConfig, rng: Optional[np.random.Generator] = None, re
         rng = substream(config.seed, replica)
     if config.kind == CHAIN_TOY:
         return _run_toy_replicas(config, [rng], replica=replica)[1]
-    if config.rule.kind == RULE_AM:
-        if config.theta0.mu.shape[0] == 1 and config.proposal.family in (
-            FAMILY_GAUSSIAN,
-            FAMILY_STUDENT,
-        ):
-            return _run_am_1d(config, rng, replica)
-        return _run_generic(config, rng, replica)
-    return _run_scalar(config, rng, replica)
+    if config.target.dim == 1:
+        return _run_srwm_1d(config, [rng], replica=replica)[1]
+    return _run_generic(config, rng, replica)
 
 
 def _kesten_on(schedule) -> bool:
     return isinstance(schedule, KestenSchedule)
 
 
-def _schedule_constants(schedule) -> tuple[str, float, float, float]:
-    """Hoisted form for loop-inlined stepsizes; arithmetic identical to
-    gamma_at so recorded values match it bit for bit."""
+# Steps per block of the 1-D srwm loops.  Each block's raw columns are folded
+# into the recurrence statistics and then dropped, or, for a kept path, turned
+# into trajectory columns.
+_SRWM_BLOCK_STEPS = 1 << 12
+
+# acceptance_tail is the accept rate over the last min(10,000, steps // 10)
+# steps (never row 0's flag); a ring of this many flags holds them.
+_TAIL_MAX = 10_000
+
+
+class _RawBlock(NamedTuple):
+    """Consecutive rows of one 1-D srwm path as its loop produced them.
+
+    ``theta`` holds one list per parameter column, ``gamma`` the stepsize
+    each row's step used (row 0: the first step's), ``counts`` the Kesten
+    count after each row (None without a Kesten schedule), and ``halted``
+    says the block ends at the divergence halt.
+    """
+
+    theta: tuple
+    x: list
+    y: list
+    accepted: list
+    alpha: list
+    gamma: list
+    log_density: list
+    counts: Optional[list]
+    halted: bool
+
+
+def _first_stepsize(schedule) -> tuple[bool, float, float, float, float]:
+    """(polynomial?, c0, c1, a, stepsize of step 1) for the 1-D loops.
+
+    A polynomial stepsize is recomputed on every step as ``c0 / (c1 + i) **
+    a``, the arithmetic of ``gamma_at``; a constant one never changes, and a
+    Kesten one changes only when the count does.
+    """
+    first = gamma_at(schedule, 1, 0 if _kesten_on(schedule) else None)
     if isinstance(schedule, PolynomialSchedule):
-        return ("poly", schedule.c0, schedule.c1, schedule.a)
-    if isinstance(schedule, ConstantSchedule):
-        return ("const", schedule.gamma0, 0.0, 0.0)
-    return ("kesten", 0.0, 0.0, 0.0)
+        return True, schedule.c0, schedule.c1, schedule.a, first
+    return False, 0.0, 0.0, 0.0, first
 
 
-def _run_scalar(config: ChainConfig, rng, replica: int) -> Trajectory:
-    """Scalar log-scale rules (coerced / fast_coerced / fixed) in one dimension
-    or with scalar proposals; tight loop over python floats."""
+def _scalar_blocks(config: ChainConfig, rng, block: int):
+    """Scalar log-scale rules (coerced / fast_coerced / fixed) on a 1-D
+    target, over Python floats: yields row 0, then blocks of up to ``block``
+    steps, the last one ending at the horizon or at the halt row.
+
+    A uniform proposal draws a block's increments and coins at once, 2 *
+    block uniforms read alternately, which is the order of one increment and
+    one coin per step; a Gaussian or Student proposal draws its increment
+    and then its coin on every step.
+    """
     target = config.target
-    if target.dim != 1:
-        return _run_generic(config, rng, replica)
     spec = config.proposal
     rule = config.rule
-    schedule = config.schedule
-    kesten = _kesten_on(schedule)
+    kesten = _kesten_on(config.schedule)
+    gamma_of_count = config.schedule.gamma_of_count if kesten else None
     n = config.horizon
-    stride = config.record_stride
-    eta = config.state_lyapunov.eta if config.state_lyapunov is not None else 0.0
-    weight = config.param_weight
-    comp = config.compound
-    m_level = config.recurrence_m
-    r_level = config.recurrence_r
     alpha_star = rule.alpha_star if rule.alpha_star is not None else 0.0
     fast = rule.kind == RULE_FAST_COERCED
     fixed = rule.kind == RULE_FIXED
+    uniform = spec.family == FAMILY_UNIFORM
+    gaussian = spec.family == FAMILY_GAUSSIAN
+    dof = spec.student_dof
 
     logp = target.log_density
     exp = math.exp
+    isfinite = math.isfinite
+    inf = math.inf
     draw_normal = rng.standard_normal
     draw_uniform = rng.random
     draw_t = rng.standard_t
-    family = spec.family
-    dof = spec.student_dof
+    poly, c0, c1, a, gm = _first_stepsize(config.schedule)
 
     theta = float(config.theta0)
     x = float(np.asarray(config.x0, dtype=float).reshape(()))
     lx = float(logp(x))
     s = 0
-    h_prev: Optional[float] = None
+    h_prev = 0.0  # 0 * h is never negative, so step 1 cannot advance s
+    yield _RawBlock(([theta],), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
-    rec = _Recorder(["theta_1"], 1, kesten)
-
-    isfinite = math.isfinite
-    w_exp_abs = weight.variant == W_EXP_ABS
-    w_plus_sq = weight.variant == W_ONE_PLUS_SQUARE
-    uv, uw = comp.upsilon_v, comp.upsilon_w
-    u_mode = comp.mode == "U"
-    sched_kind, sc0, sc1, sca = _schedule_constants(schedule)
-
-    def record(i, th, xx, yy, acc, al, gm, lxx, count):
-        v = exp(-eta * lxx) if -eta * lxx < 700.0 else math.inf
-        if w_exp_abs:
-            a_th = abs(th)
-            wv = exp(a_th) if a_th < 700.0 else math.inf
-        elif w_plus_sq:
-            wv = 1.0 + th * th
+    for start in range(1, n + 1, block):
+        stop = min(start + block, n + 1)
+        if uniform:
+            u = rng.random(2 * (stop - start)).tolist()
+            incs, coins = u[0::2], u[1::2]
         else:
-            wv = weight(th)
-        if isfinite(wv) and isfinite(v):
-            cv = v**uv + wv**uw / gm
-            if u_mode:
-                cv = gm * cv
-        else:
-            cv = math.inf
-        inside = wv <= m_level and abs(xx) <= r_level
-        rec.add(i, (th,), (xx,), (yy,), acc, al, gm, v, wv, cv, inside, count)
-
-    gamma0 = gamma_at(schedule, 1, 0 if kesten else None)
-    record(0, theta, x, x, False, math.nan, gamma0, lx, 0)
-
-    diverged = False
-    halt_index: Optional[int] = None
-    for i in range(1, n + 1):
-        if sched_kind == "poly":
-            gm = sc0 / (sc1 + i) ** sca
-        elif sched_kind == "const":
-            gm = sc0
-        else:
-            gm = gamma_at(schedule, i, s)
-        sigma = exp(theta) if theta < 700.0 else math.inf
-        if family == FAMILY_GAUSSIAN:
-            z = sigma * draw_normal()
-        elif family == FAMILY_UNIFORM:
-            z = sigma * (2.0 * draw_uniform() - 1.0)
-        else:
-            z = sigma * draw_t(dof)
-        y = x + z
-        ly = float(logp(y))
-        d = ly - lx
-        alpha = 1.0 if d >= 0.0 else exp(d)
-        accepted = draw_uniform() < alpha
-        if accepted:
-            x, lx = y, ly
-        if fixed:
-            h_cur = 0.0
-        elif fast:
-            h_cur = (abs(theta) + 1.0) * (alpha - alpha_star)
-            theta = theta + gm * h_cur
-        else:
-            h_cur = alpha - alpha_star
-            theta = theta + gm * h_cur
-        if kesten:
-            if h_prev is not None and h_prev * h_cur < 0.0:
-                s += 1
-            h_prev = h_cur
-        if not (math.isfinite(theta) and abs(theta) <= THETA_MAX and math.isfinite(x)):
-            diverged = True
-            halt_index = i
-            record(i, theta, x, y, accepted, alpha, gm, lx, s)
-            break
-        if i % stride == 0 or i == n:
-            record(i, theta, x, y, accepted, alpha, gm, lx, s)
-    return rec.build(config, diverged, halt_index, replica)
+            incs = coins = repeat(0.0)
+        ths, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], []
+        counts = [] if kesten else None
+        halted = False
+        for i, du, coin in zip(range(start, stop), incs, coins):
+            if poly:
+                gm = c0 / (c1 + i) ** a
+            sigma = exp(theta) if theta < 700.0 else inf
+            if uniform:
+                z = sigma * (2.0 * du - 1.0)
+            else:
+                z = sigma * draw_normal() if gaussian else sigma * draw_t(dof)
+                coin = draw_uniform()
+            y = x + z
+            ly = float(logp(y))
+            d = ly - lx
+            alpha = 1.0 if d >= 0.0 else exp(d)
+            accepted = coin < alpha
+            if accepted:
+                x, lx = y, ly
+            if fixed:
+                h_cur = 0.0
+            elif fast:
+                h_cur = (abs(theta) + 1.0) * (alpha - alpha_star)
+                theta = theta + gm * h_cur
+            else:
+                h_cur = alpha - alpha_star
+                theta = theta + gm * h_cur
+            ths.append(theta)
+            xs.append(x)
+            ys.append(y)
+            accs.append(accepted)
+            alphas.append(alpha)
+            gms.append(gm)
+            lxs.append(lx)
+            if kesten:
+                if h_prev * h_cur < 0.0:
+                    s += 1
+                    gm = gamma_of_count(s)
+                h_prev = h_cur
+                counts.append(s)
+            # a NaN or infinite theta fails the bound as well
+            if not (abs(theta) <= THETA_MAX and isfinite(x)):
+                halted = True
+                break
+        yield _RawBlock((ths,), xs, ys, accs, alphas, gms, lxs, counts, halted)
+        if halted:
+            return
 
 
-def _run_am_1d(config: ChainConfig, rng, replica: int) -> Trajectory:
-    """Running-moments rule in one dimension; scalar fast path."""
+def _am_1d_blocks(config: ChainConfig, rng, block: int):
+    """Running-moments rule on a 1-D target with a Gaussian or Student
+    proposal, over Python floats: yields row 0, then blocks of up to
+    ``block`` steps, the last one ending at the horizon or at the halt row.
+    A negative running variance is no covariance, so it halts the run."""
     target = config.target
     spec = config.proposal
-    schedule = config.schedule
-    kesten = _kesten_on(schedule)
+    kesten = _kesten_on(config.schedule)
+    gamma_of_count = config.schedule.gamma_of_count if kesten else None
     n = config.horizon
-    stride = config.record_stride
-    eta = config.state_lyapunov.eta if config.state_lyapunov is not None else 0.0
-    weight = config.param_weight
-    comp = config.compound
-    m_level = config.recurrence_m
-    r_level = config.recurrence_r
     eps = spec.eps_ridge
     scale2 = RW_SCALE * RW_SCALE
     gaussian = spec.family == FAMILY_GAUSSIAN
@@ -434,86 +457,230 @@ def _run_am_1d(config: ChainConfig, rng, replica: int) -> Trajectory:
     logp = target.log_density
     exp = math.exp
     sqrt = math.sqrt
+    isfinite = math.isfinite
     draw_normal = rng.standard_normal
     draw_uniform = rng.random
     draw_t = rng.standard_t
+    poly, c0, c1, a, gm = _first_stepsize(config.schedule)
 
     mu = float(config.theta0.mu[0])
     g = float(config.theta0.cov[0, 0])
     x = float(np.asarray(config.x0, dtype=float).reshape(()))
     lx = float(logp(x))
     s = 0
-    h_prev: Optional[tuple[float, float]] = None
+    h_mu = h_g = 0.0  # the increment before step 1: cannot advance s
+    yield _RawBlock(([mu], [g]), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
-    rec = _Recorder(["mu_1", "cov_11"], 1, kesten)
+    for start in range(1, n + 1, block):
+        mus, gs, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], [], []
+        counts = [] if kesten else None
+        halted = False
+        for i in range(start, min(start + block, n + 1)):
+            if poly:
+                gm = c0 / (c1 + i) ** a
+            var = scale2 * (g + eps)
+            sd = sqrt(var) if var > 0 else 0.0
+            z = sd * draw_normal() if gaussian else sd * draw_t(dof)
+            y = x + z
+            ly = float(logp(y))
+            d = ly - lx
+            alpha = 1.0 if d >= 0.0 else exp(d)
+            accepted = draw_uniform() < alpha
+            if accepted:
+                x, lx = y, ly
+            dev = x - mu
+            dg = dev * dev - g
+            mu = mu + gm * dev
+            g = g + gm * dg
+            mus.append(mu)
+            gs.append(g)
+            xs.append(x)
+            ys.append(y)
+            accs.append(accepted)
+            alphas.append(alpha)
+            gms.append(gm)
+            lxs.append(lx)
+            if kesten:
+                if h_mu * dev + h_g * dg < 0.0:
+                    s += 1
+                    gm = gamma_of_count(s)
+                h_mu, h_g = dev, dg
+                counts.append(s)
+            # NaN or infinite moments fail the bounds as well
+            if not (0.0 <= g <= THETA_MAX and abs(mu) <= THETA_MAX and isfinite(x)):
+                halted = True
+                break
+        yield _RawBlock((mus, gs), xs, ys, accs, alphas, gms, lxs, counts, halted)
+        if halted:
+            return
 
-    isfinite = math.isfinite
-    am_poly = weight.variant == W_AM_POLY
-    w_expo = 2.0 + weight.eps
-    uv, uw = comp.upsilon_v, comp.upsilon_w
-    u_mode = comp.mode == "U"
-    sched_kind, sc0, sc1, sca = _schedule_constants(schedule)
 
-    def record(i, xx, yy, acc, al, gm, lxx, count):
-        v = exp(-eta * lxx) if -eta * lxx < 700.0 else math.inf
-        if am_poly:
-            # same arithmetic as the weight on a 1x1 running-moment pair
-            wv = 1.0 + abs(mu) ** w_expo + abs(g)
+def _srwm_1d_weights(weight: ParamLyapunov):
+    """w of every row of a block's parameter columns, in the scalar
+    arithmetic of ``weight`` (on a 1x1 running-moment pair for am_poly)."""
+    exp = math.exp
+    inf = math.inf
+    if weight.variant == W_AM_POLY:
+        expo = 2.0 + weight.eps
+        return lambda mus, gs: [1.0 + abs(m) ** expo + abs(g) for m, g in zip(mus, gs)]
+    if weight.variant == W_EXP_ABS:
+        return lambda ths: [exp(t) if t < 700.0 else inf for t in map(abs, ths)]
+    return lambda ths: [1.0 + t * t for t in ths]
+
+
+def _run_srwm_1d(
+    config: ChainConfig,
+    rngs: list,
+    keep_first: bool = True,
+    replica: int = 0,
+) -> tuple[list[dict], Optional[Trajectory]]:
+    """One-dimensional srwm chains, one replica per generator in ``rngs``,
+    run one after another.
+
+    Each replica's loop (``_scalar_blocks`` or ``_am_1d_blocks``) yields raw
+    columns block by block.  A block is folded into the recurrence
+    statistics and its accept flags into a ring for ``acceptance_tail``,
+    then dropped, except replica 0's when ``keep_first``: its rows, thinned
+    by ``record_stride``, become the returned trajectory's columns (labelled
+    ``replica``).  Returns one record per generator, in order, and the
+    trajectory.
+    """
+    am = config.rule.kind == RULE_AM
+    blocks_of = _am_1d_blocks if am else _scalar_blocks
+    weights = _srwm_1d_weights(config.param_weight)
+    stats = _RecurrenceCounter(len(rngs), config.recurrence_m, config.recurrence_r)
+    horizon = np.array([config.horizon])
+    records = []
+    traj = None
+    for k, rng in enumerate(rngs):
+        cols = np.array([k])
+        path = _KeptPath(config, ["mu_1", "cov_11"] if am else ["theta_1"]) if keep_first and k == 0 else None
+        flags = deque(maxlen=_TAIL_MAX)
+        start = 0
+        for blk in blocks_of(config, rng, _SRWM_BLOCK_STEPS):
+            index = np.arange(start, start + len(blk.x))
+            theta = np.array(blk.theta)
+            x = np.array(blk.x)
+            w_cells = weights(*blk.theta)
+            w = np.array(w_cells)
+            stats.add(index, np.abs(theta).max(axis=0)[:, None], w[:, None], np.abs(x)[:, None], cols, horizon)
+            flags.extend(blk.accepted)
+            if path is not None:
+                path.add(index, blk, theta, x, w, w_cells)
+            start += len(blk.x)
+        end = start - 1
+        tail = list(flags)[-min(_TAIL_MAX, max(end // 10, 1)):]
+        final_theta = [th[-1] for th in blk.theta]
+        records.append({
+            "replica": k,
+            **stats.record(k),
+            "diverged": blk.halted,
+            "halt_index": end if blk.halted else None,
+            "acceptance_tail": sum(tail) / len(tail),
+            "final_theta": final_theta,
+            **_final_errors(config, np.array(final_theta), blk.halted),
+        })
+        if path is not None:
+            traj = path.build(end, blk.halted, replica)
+    return records, traj
+
+
+class _KeptPath:
+    """Trajectory columns of one 1-D srwm path, built block by block.
+
+    A block keeps its rows at multiples of ``record_stride`` and its last
+    row when it ends the run; V, W and in_C of those rows are computed in
+    the scalar arithmetic of a one-row-at-a-time recorder.
+    """
+
+    def __init__(self, config: ChainConfig, labels: list[str]):
+        self.config = config
+        self.labels = labels
+        self.eta = config.state_lyapunov.eta if config.state_lyapunov is not None else 0.0
+        self.cols: dict[str, list[np.ndarray]] = {}
+
+    def add(self, index, blk: _RawBlock, theta, x, w, w_cells: list) -> None:
+        """Keep rows of ``blk``; ``index``, ``theta``, ``x`` and ``w`` are its
+        step numbers, parameter columns, states and weights as arrays, and
+        ``w_cells`` the weights as floats."""
+        config = self.config
+        stride = config.record_stride
+        if stride == 1:
+            keep = slice(None)
+
+            def pick(col):
+                return col
         else:
-            wv = weight(AMParam(mu=np.array([mu]), cov=np.array([[g]])))
-        if isfinite(wv) and isfinite(v):
-            cv = v**uv + wv**uw / gm
-            if u_mode:
-                cv = gm * cv
-        else:
-            cv = math.inf
-        inside = wv <= m_level and abs(xx) <= r_level
-        rec.add(i, (mu, g), (xx,), (yy,), acc, al, gm, v, wv, cv, inside, count)
+            rows = index.shape[0]
+            ends_run = blk.halted or index[-1] == config.horizon
+            keep = list(range(int(-index[0]) % stride, rows, stride))
+            if ends_run and (not keep or keep[-1] != rows - 1):
+                keep.append(rows - 1)
+            if not keep:
+                return
 
-    gamma0 = gamma_at(schedule, 1, 0 if kesten else None)
-    record(0, x, x, False, math.nan, gamma0, lx, 0)
-
-    diverged = False
-    halt_index: Optional[int] = None
-    for i in range(1, n + 1):
-        if sched_kind == "poly":
-            gm = sc0 / (sc1 + i) ** sca
-        elif sched_kind == "const":
-            gm = sc0
-        else:
-            gm = gamma_at(schedule, i, s)
-        var = scale2 * (g + eps)
-        sd = sqrt(var) if var > 0 else 0.0
-        z = sd * draw_normal() if gaussian else sd * draw_t(dof)
-        y = x + z
-        ly = float(logp(y))
-        d = ly - lx
-        alpha = 1.0 if d >= 0.0 else exp(d)
-        accepted = draw_uniform() < alpha
-        if accepted:
-            x, lx = y, ly
-        dev = x - mu
-        h_cur = (dev, dev * dev - g)
-        mu = mu + gm * dev
-        g = g + gm * (dev * dev - g)
-        if kesten:
-            if h_prev is not None and (h_prev[0] * h_cur[0] + h_prev[1] * h_cur[1]) < 0.0:
-                s += 1
-            h_prev = h_cur
-        # a negative running variance is no covariance: halt as diverged
-        if not (
-            math.isfinite(mu)
-            and 0.0 <= g <= THETA_MAX
-            and abs(mu) <= THETA_MAX
-            and math.isfinite(x)
+            def pick(col):
+                return [col[p] for p in keep]
+        exp = math.exp
+        inf = math.inf
+        eta = self.eta
+        vs = [exp(-eta * lx) if -eta * lx < 700.0 else inf for lx in pick(blk.log_density)]
+        gammas = pick(blk.gamma)
+        x, w = x[keep], w[keep]
+        for name, col in (
+            ("index", index[keep]),
+            ("theta", theta[:, keep]),
+            ("x", x),
+            ("y", np.array(pick(blk.y))),
+            ("accepted", np.array(pick(blk.accepted), dtype=bool)),
+            ("alpha", np.array(pick(blk.alpha))),
+            ("gamma", np.array(gammas)),
+            ("v", np.array(vs)),
+            ("w", w),
+            ("compound", np.array(_compound_cells(config.compound, vs, pick(w_cells), gammas))),
+            ("in_set", (w <= config.recurrence_m) & (np.abs(x) <= config.recurrence_r)),
+            ("counts", np.array(pick(blk.counts) if blk.counts is not None else [], dtype=np.int64)),
         ):
-            diverged = True
-            halt_index = i
-            record(i, x, y, accepted, alpha, gm, lx, s)
-            break
-        if i % stride == 0 or i == n:
-            record(i, x, y, accepted, alpha, gm, lx, s)
-    return rec.build(config, diverged, halt_index, replica)
+            self.cols.setdefault(name, []).append(col)
+
+    def build(self, end: int, diverged: bool, replica: int) -> Trajectory:
+        config = self.config
+        col = {name: np.concatenate(parts, axis=-1) for name, parts in self.cols.items()}
+        rows = col["index"].shape[0]
+        return Trajectory(
+            index=col["index"],
+            theta=np.ascontiguousarray(col["theta"].T),
+            theta_labels=self.labels,
+            x=col["x"].reshape(rows, 1),
+            y=col["y"].reshape(rows, 1),
+            accepted=col["accepted"],
+            alpha=col["alpha"],
+            gamma=col["gamma"],
+            v=col["v"],
+            w=col["w"],
+            compound=col["compound"],
+            in_set=col["in_set"],
+            kesten_counts=col["counts"] if _kesten_on(config.schedule) else None,
+            record_stride=config.record_stride,
+            horizon=config.horizon,
+            diverged=diverged,
+            halt_index=end if diverged else None,
+            replica=replica,
+            recurrence_m=config.recurrence_m,
+            recurrence_r=config.recurrence_r,
+        )
+
+
+def _compound_cells(comp: CompoundSpec, vs, ws, gammas) -> list[float]:
+    """W = V**uv + w**uw / gamma (times gamma in mode U) of each row, or inf
+    where V or w is not finite."""
+    uv, uw = comp.upsilon_v, comp.upsilon_w
+    isfinite = math.isfinite
+    inf = math.inf
+    rows = zip(vs, ws, gammas)
+    if comp.mode == "U":
+        return [gm * (v**uv + wv**uw / gm) if isfinite(wv) and isfinite(v) else inf for v, wv, gm in rows]
+    return [v**uv + wv**uw / gm if isfinite(wv) and isfinite(v) else inf for v, wv, gm in rows]
 
 
 # Steps x replicas held by one block of the toy engine's buffers; the block
@@ -640,9 +807,6 @@ def _toy_trajectory(config: ChainConfig, path_theta, path_x, end: int, diverged:
     kesten = _kesten_on(schedule)
     weight = config.param_weight
     w_plus_sq = weight.variant == W_ONE_PLUS_SQUARE
-    comp = config.compound
-    uv, uw = comp.upsilon_v, comp.upsilon_w
-    u_mode = comp.mode == "U"
     m_level = config.recurrence_m
     r_level = config.recurrence_r
 
@@ -654,21 +818,14 @@ def _toy_trajectory(config: ChainConfig, path_theta, path_x, end: int, diverged:
     if steps[-1] != end:
         steps.append(end)
 
-    gammas, ws, comps, inside = [], [], [], []
+    gammas, ws, inside = [], [], []
     for i, th, xx in zip(steps, path_theta[steps].tolist(), path_x[steps].tolist()):
         # row i >= 1 carries the stepsize step i used, under the count of
         # row i - 1; row 0 carries the first step's
         gm = gamma_at(schedule, max(i, 1), int(counts[max(i - 1, 0)]) if kesten else None)
         wv = 1.0 + th * th if w_plus_sq else weight(th)
-        if math.isfinite(wv):
-            cv = 1.0**uv + wv**uw / gm
-            if u_mode:
-                cv = gm * cv
-        else:
-            cv = math.inf
         gammas.append(gm)
         ws.append(wv)
-        comps.append(cv)
         inside.append(wv <= m_level and abs(xx) <= r_level)
     rows = len(steps)
     x_col = path_x[steps].astype(float).reshape(rows, 1)
@@ -683,7 +840,7 @@ def _toy_trajectory(config: ChainConfig, path_theta, path_x, end: int, diverged:
         gamma=np.asarray(gammas, dtype=float),
         v=np.ones(rows),
         w=np.asarray(ws, dtype=float),
-        compound=np.asarray(comps, dtype=float),
+        compound=np.asarray(_compound_cells(config.compound, repeat(1.0), ws, gammas), dtype=float),
         in_set=np.asarray(inside, dtype=bool),
         kesten_counts=counts[steps] if kesten else None,
         record_stride=config.record_stride,
@@ -700,9 +857,12 @@ def _run_generic(config: ChainConfig, rng, replica: int) -> Trajectory:
     """Multivariate chains, numpy per step.
 
     Each step builds one kernel parameter, after the update; it is checked
-    once, gives the recorded w and drives the next proposal.  The target is
-    evaluated once per step, at the proposal: log pi of the current state is
-    carried from step to step, and V is computed from it.
+    once and drives the next proposal.  A step that leaves the parameter
+    past THETA_MAX (or non-finite) halts the run before that parameter is
+    built, and the recorded w comes from the raw mean and covariance (or
+    theta).  The target is evaluated once per step, at the proposal: log pi
+    of the current state is carried from step to step, and V is computed
+    from it.
     """
     target = config.target
     spec = config.proposal
@@ -742,7 +902,8 @@ def _run_generic(config: ChainConfig, rng, replica: int) -> Trajectory:
 
     def record(i, yy, acc, al, gm, count):
         v = state_lyap.of_log_density(lx) if state_lyap is not None else 1.0
-        wv = float(weight(param))
+        # from the raw parameter: at a halt row it may be no valid kernel parameter
+        wv = weight.of_moments(mu, cov) if am else weight(theta)
         cv = compound_value(comp, v, wv, gm) if math.isfinite(wv) and math.isfinite(v) else math.inf
         inside = wv <= m_level and float(np.linalg.norm(x)) <= r_level
         theta_row = (*mu.tolist(), *cov.ravel().tolist()) if am else (theta,)
@@ -779,13 +940,12 @@ def _run_generic(config: ChainConfig, rng, replica: int) -> Trajectory:
                 s = kesten_advance(s, h_prev, h_cur)
             h_prev = h_cur
         # a NaN or infinite parameter fails the bound as well
-        halt = not (bounded and np.isfinite(x).all())
-        param = current_param()
-        if halt:
+        if not (bounded and np.isfinite(x).all()):
             diverged = True
             halt_index = i
             record(i, step.proposed, step.accepted, step.alpha, gm, s)
             break
+        param = current_param()
         if i % stride == 0 or i == n:
             record(i, step.proposed, step.accepted, step.alpha, gm, s)
     return rec.build(config, diverged, halt_index, replica)
@@ -942,10 +1102,25 @@ class ReplicaSummary:
 
 
 def _quantile(values: list[float], q: float) -> float:
-    finite = [v for v in values if math.isfinite(v)]
+    """The q-quantile of the finite values, nan when there are none.
+
+    numpy's default "linear" rule, in its own arithmetic: virtual index
+    (n - 1) * q, and a lerp that works from the upper end when the weight
+    is at least 1/2.  ``np.quantile`` itself would import ``numpy.ma`` (via
+    ``np.unique``) on its first call, about 12 ms of every run.
+    """
+    finite = sorted(v for v in values if math.isfinite(v))
     if not finite:
         return math.nan
-    return float(np.quantile(np.asarray(finite), q))
+    n = len(finite)
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return float(finite[-1])
+    lo = math.floor(virtual)
+    t = virtual - lo
+    a, b = finite[lo], finite[lo + 1]
+    diff = b - a
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
 
 def summarize_replicas(per_replica: list[dict], base_seed: int) -> ReplicaSummary:
@@ -984,12 +1159,11 @@ def summarize_replicas(per_replica: list[dict], base_seed: int) -> ReplicaSummar
 
 
 def _replica_record(config: ChainConfig, traj: Trajectory) -> dict:
+    """The per-replica record of a multivariate srwm run, from its stride-1
+    trajectory."""
     stats = recurrence_stats(traj)
-    n_steps = traj.index.shape[0] - 1
-    tail_len = min(10_000, max(n_steps // 10, 1))
-    tail = traj.accepted[-tail_len:] if n_steps >= 1 else np.zeros(0, dtype=bool)
-    acceptance_tail = float(tail.mean()) if tail.size and config.kind == CHAIN_SRWM else None
-    rec = {
+    tail = traj.accepted[-min(_TAIL_MAX, max((traj.index.shape[0] - 1) // 10, 1)):]
+    return {
         "replica": traj.replica,
         "first_hit": stats.first_hit,
         "n_hits": len(stats.hitting_times),
@@ -1000,16 +1174,22 @@ def _replica_record(config: ChainConfig, traj: Trajectory) -> dict:
         "censored": stats.censored,
         "diverged": stats.diverged,
         "halt_index": traj.halt_index,
-        "acceptance_tail": acceptance_tail,
+        "acceptance_tail": float(tail.mean()),
         "final_theta": [float(t) for t in traj.theta[-1]],
+        **_final_errors(config, traj.theta[-1], traj.diverged),
     }
-    if config.rule.kind == RULE_AM and config.moments is not None and not traj.diverged:
-        k = config.moments.mu_pi.shape[0]
-        mu_f = traj.theta[-1, :k]
-        cov_f = traj.theta[-1, k:].reshape(k, k)
-        rec["final_err_mu"] = float(np.linalg.norm(mu_f - config.moments.mu_pi))
-        rec["final_err_cov"] = float(np.linalg.norm(cov_f - config.moments.cov_pi))
-    return rec
+
+
+def _final_errors(config: ChainConfig, final_theta: np.ndarray, diverged: bool) -> dict:
+    """Distances of a running-moments run's final mean and covariance from
+    the target's, when both are known and the run did not diverge."""
+    if config.rule.kind != RULE_AM or config.moments is None or diverged:
+        return {}
+    k = config.moments.mu_pi.shape[0]
+    return {
+        "final_err_mu": float(np.linalg.norm(final_theta[:k] - config.moments.mu_pi)),
+        "final_err_cov": float(np.linalg.norm(final_theta[k:].reshape(k, k) - config.moments.cov_pi)),
+    }
 
 
 def run_replicas(
@@ -1021,15 +1201,17 @@ def run_replicas(
     """Run ``n_replicas`` independent chains on replica substreams.
 
     Returns the summary plus (optionally) replica 0's full trajectory for
-    trace output.  Trajectories of other replicas are reduced to stats
-    immediately to keep memory at desk scale.
+    trace output.  Toy and 1-D srwm replicas are reduced to statistics block
+    by block as they run; a multivariate replica's trajectory is reduced as
+    soon as it ends, to keep memory at desk scale.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     seed = config.seed if base_seed is None else int(base_seed)
-    if config.kind == CHAIN_TOY:
+    if config.kind == CHAIN_TOY or config.target.dim == 1:
+        engine = _run_toy_replicas if config.kind == CHAIN_TOY else _run_srwm_1d
         rngs = [substream(seed, k) for k in range(n_replicas)]
-        records, first_traj = _run_toy_replicas(config, rngs, keep_first=keep_first_trajectory)
+        records, first_traj = engine(config, rngs, keep_first=keep_first_trajectory)
         return summarize_replicas(records, seed), first_traj
     records = []
     first_traj: Optional[Trajectory] = None

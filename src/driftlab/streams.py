@@ -21,9 +21,3 @@ def substream(seed: int, index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def spawn_streams(seed: int, n: int) -> list[np.random.Generator]:
-    """Return ``n`` replica substreams of ``seed`` in index order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return [substream(seed, k) for k in range(n)]

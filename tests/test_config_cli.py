@@ -548,12 +548,13 @@ def test_main_verify_subcommand_skips_simulation(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up cost: scipy is imported only by quadrature checks
+# start-up cost: scipy is imported only by quadrature checks, numpy.ma never
 
 _SCIPY_PROBE = """
 import sys
 import driftlab.cli
 code = driftlab.cli.main(sys.argv[1:])
+print("numpy.ma-modules", sum(1 for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 print("scipy-modules", sum(1 for m in sys.modules if m.startswith("scipy")))
 sys.exit(code)
 """
@@ -575,6 +576,10 @@ def scipy_module_count(proc: subprocess.CompletedProcess) -> int:
     return int(proc.stdout.rsplit("scipy-modules", 1)[1].split()[0])
 
 
+def numpy_ma_module_count(proc: subprocess.CompletedProcess) -> int:
+    return int(proc.stdout.rsplit("numpy.ma-modules", 1)[1].split()[0])
+
+
 def test_run_without_quadrature_never_imports_scipy(tmp_path):
     doc = json.loads(resolve_config_path("toy").read_text())
     doc["run"].update(horizon=300, replicas=2)
@@ -592,3 +597,73 @@ def test_quadrature_verify_still_imports_scipy_and_passes(tmp_path):
     for check in ("fixed_theta_drift", "acceptance_bounds", "decomposition"):
         report = json.loads((tmp_path / "out" / f"report-{check}.json").read_text())
         assert report["pass"] is True
+
+
+def test_coerced_run_never_imports_numpy_ma(tmp_path):
+    # the replica summary's quantiles are computed without np.quantile, whose
+    # first call imports numpy.ma
+    doc = json.loads(resolve_config_path("coerced").read_text())
+    doc["run"].update(horizon=300, replicas=3)
+    path = write_config(tmp_path, doc)
+    proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert numpy_ma_module_count(proc) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
+    assert summary["aggregate"]["acceptance_tail_median"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# running-moment parameters in the config are checked at load time
+
+NOT_SYMMETRIC = {"mu": [0.0, 0.0], "cov": [[1.0, 0.5], [0.0, 1.0]]}
+
+
+def test_theta0_that_is_no_kernel_parameter_rejected_with_path(tmp_path):
+    # this used to load, then `run` died with a raw ValueError
+    doc = mv_run_doc("am")
+    doc["run"]["theta0"] = NOT_SYMMETRIC
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == "run.theta0"
+    assert "symmetric" in str(exc.value)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    doc["run"]["theta0"] = {"mu": [0.0, 0.0], "cov": [[1.0]]}
+    with pytest.raises(ConfigError) as exc:
+        validate_document(doc)
+    assert exc.value.json_path == "run.theta0"
+
+
+def test_theta_grid_entry_that_is_no_kernel_parameter_rejected_with_path(tmp_path):
+    doc = mv_run_doc("am")
+    identity = {"mu": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    doc["verify"] = {"checks": ["compound_drift"], "theta_grid": [identity, NOT_SYMMETRIC]}
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == "verify.theta_grid"
+    with pytest.raises(ConfigError) as exc:
+        build_grid(doc)
+    assert exc.value.json_path == "verify.theta_grid"
+    assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_generic_path_halts_on_a_parameter_that_overflows(tmp_path):
+    # one fast-coerced step takes theta from 1e12 to inf; the run is flagged
+    # as diverged at that step instead of dying on the parameter check
+    doc = mv_run_doc("coerced", horizon=50, replicas=2)
+    doc["adaptation"] = {"rule": "fast_coerced", "alpha_star": 0.44}
+    doc["schedule"] = {"kind": "polynomial", "c0": 1e300, "c1": 10.0, "a": 0.6}
+    doc["run"]["theta0"] = 1e12
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_DIVERGED
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["aggregate"]["diverged_count"] == 2
+    assert [r["halt_index"] for r in summary["per_replica"]] == [1, 1]
+    with open(out / "trajectory.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [r[0] for r in rows[1:]] == ["0", "1"]
+    assert rows[-1][1] in ("inf", "-inf")

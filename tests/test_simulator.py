@@ -27,6 +27,7 @@ from driftlab import (
     RULE_AM,
     RULE_COERCED,
     RULE_FAST_COERCED,
+    RULE_FIXED,
     RULE_TOY_MEAN,
     ScalarParam,
     StateLyapunov,
@@ -267,6 +268,20 @@ def test_config_validation_rejects_mismatches():
         ChainConfig(**{**c2.__dict__, "theta0": AMParam(mu=np.zeros(1), cov=np.eye(1))})
     with pytest.raises(ValueError):
         ChainConfig(**{**c2.__dict__, "horizon": 0})
+
+
+def test_config_rejects_a_weight_or_initial_mean_that_does_not_fit():
+    # am_poly weighs running moments, the other weights a scalar parameter
+    with pytest.raises(ValueError):
+        ChainConfig(**{**coerced_config().__dict__, "param_weight": ParamLyapunov(W_AM_POLY)})
+    with pytest.raises(ValueError):
+        ChainConfig(**{**toy_config().__dict__, "param_weight": ParamLyapunov(W_AM_POLY)})
+    am = am_config()
+    with pytest.raises(ValueError):
+        ChainConfig(**{**am.__dict__, "param_weight": ParamLyapunov(W_EXP_ABS)})
+    # the running mean has the target's dimension, which picks the path
+    with pytest.raises(ValueError):
+        ChainConfig(**{**am.__dict__, "theta0": AMParam(mu=np.zeros(2), cov=np.eye(2))})
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -644,3 +659,291 @@ def test_to_csv_of_recorded_runs_matches_row_loop(tmp_path):
         traj.to_csv(tmp_path / "got.csv")
         reference_csv(traj, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the streamed 1-D srwm loops against per-step recording loops
+
+
+def reference_scalar(cfg, rng, replica=0):
+    """The scalar log-scale rules on a 1-D target, one step at a time, with
+    every recorded row built as it is reached (V, w, W and in_C included):
+    a Metropolis step at sigma = exp(theta), then theta += gamma_i * h with
+    h = alpha - alpha* (coerced), (|theta| + 1)(alpha - alpha*) (fast) or 0
+    (fixed).  Each step draws its increment and then its coin."""
+    spec, rule, schedule = cfg.proposal, cfg.rule, cfg.schedule
+    kesten = isinstance(schedule, KestenSchedule)
+    eta = cfg.state_lyapunov.eta if cfg.state_lyapunov is not None else 0.0
+    alpha_star = rule.alpha_star if rule.alpha_star is not None else 0.0
+    logp = cfg.target.log_density
+    theta, x = float(cfg.theta0), float(cfg.x0)
+    lx = float(logp(x))
+    s, h_prev = 0, None
+    rec = simulator._Recorder(["theta_1"], 1, kesten)
+
+    def record(i, y, accepted, alpha, gamma):
+        v = math.exp(-eta * lx) if -eta * lx < 700.0 else math.inf
+        w = cfg.param_weight(theta)
+        comp = compound_value(cfg.compound, v, w, gamma) if math.isfinite(w) and math.isfinite(v) else math.inf
+        rec.add(i, (theta,), (x,), (y,), accepted, alpha, gamma, v, w, comp,
+                w <= cfg.recurrence_m and abs(x) <= cfg.recurrence_r, s)
+
+    record(0, x, False, math.nan, gamma_at(schedule, 1, 0 if kesten else None))
+    halted = False
+    for i in range(1, cfg.horizon + 1):
+        gamma = gamma_at(schedule, i, s if kesten else None)
+        sigma = math.exp(theta) if theta < 700.0 else math.inf
+        if spec.family == FAMILY_GAUSSIAN:
+            z = sigma * rng.standard_normal()
+        elif spec.family == FAMILY_UNIFORM:
+            z = sigma * (2.0 * rng.random() - 1.0)
+        else:
+            z = sigma * rng.standard_t(spec.student_dof)
+        y = x + z
+        ly = float(logp(y))
+        alpha = 1.0 if ly >= lx else math.exp(ly - lx)
+        accepted = rng.random() < alpha
+        if accepted:
+            x, lx = y, ly
+        if rule.kind == RULE_COERCED:
+            h = alpha - alpha_star
+        elif rule.kind == RULE_FAST_COERCED:
+            h = (abs(theta) + 1.0) * (alpha - alpha_star)
+        else:
+            h = 0.0
+        if rule.kind != RULE_FIXED:
+            # gamma * h, not fast_coerced_update's (gamma * (|theta| + 1)) * (...)
+            theta = theta + gamma * h
+        if kesten:
+            if h_prev is not None:
+                s = kesten_advance(s, [h_prev], [h])
+            h_prev = h
+        halted = not (math.isfinite(theta) and abs(theta) <= THETA_MAX and math.isfinite(x))
+        if halted or i % cfg.record_stride == 0 or i == cfg.horizon:
+            record(i, y, accepted, alpha, gamma)
+        if halted:
+            break
+    return rec.build(cfg, halted, i if halted else None, replica)
+
+
+def reference_am_1d(cfg, rng, replica=0):
+    """The running-moments rule on a 1-D target, one step at a time, with
+    every recorded row built as it is reached: a Metropolis step with
+    variance RW_SCALE**2 * (g + eps), then mu += gamma_i * (x - mu) and
+    g += gamma_i * ((x - mu)**2 - g), with the pre-update mu and g on the
+    right.  Halts on a parameter past THETA_MAX, a non-finite one or a
+    negative variance.  Stepsizes of 1 and above are allowed (am_update
+    refuses them), so a run can be made to halt."""
+    spec, schedule = cfg.proposal, cfg.schedule
+    kesten = isinstance(schedule, KestenSchedule)
+    eta = cfg.state_lyapunov.eta if cfg.state_lyapunov is not None else 0.0
+    logp = cfg.target.log_density
+    m, g = float(cfg.theta0.mu[0]), float(cfg.theta0.cov[0, 0])
+    x = float(cfg.x0)
+    lx = float(logp(x))
+    s, h_prev = 0, None
+    rec = simulator._Recorder(["mu_1", "cov_11"], 1, kesten)
+
+    def record(i, y, accepted, alpha, gamma):
+        v = math.exp(-eta * lx) if -eta * lx < 700.0 else math.inf
+        w = 1.0 + abs(m) ** (2.0 + cfg.param_weight.eps) + abs(g)
+        comp = compound_value(cfg.compound, v, w, gamma) if math.isfinite(w) and math.isfinite(v) else math.inf
+        rec.add(i, (m, g), (x,), (y,), accepted, alpha, gamma, v, w, comp,
+                w <= cfg.recurrence_m and abs(x) <= cfg.recurrence_r, s)
+
+    record(0, x, False, math.nan, gamma_at(schedule, 1, 0 if kesten else None))
+    halted = False
+    for i in range(1, cfg.horizon + 1):
+        gamma = gamma_at(schedule, i, s if kesten else None)
+        var = simulator.RW_SCALE**2 * (g + spec.eps_ridge)
+        sd = math.sqrt(var) if var > 0 else 0.0
+        z = sd * (rng.standard_normal() if spec.family == FAMILY_GAUSSIAN else rng.standard_t(spec.student_dof))
+        y = x + z
+        ly = float(logp(y))
+        alpha = 1.0 if ly >= lx else math.exp(ly - lx)
+        accepted = rng.random() < alpha
+        if accepted:
+            x, lx = y, ly
+        h = (x - m, (x - m) * (x - m) - g)
+        m, g = m + gamma * h[0], g + gamma * h[1]
+        if kesten:
+            if h_prev is not None and h_prev[0] * h[0] + h_prev[1] * h[1] < 0.0:
+                s += 1
+            h_prev = h
+        halted = not (math.isfinite(m) and 0.0 <= g <= THETA_MAX and abs(m) <= THETA_MAX and math.isfinite(x))
+        if halted or i % cfg.record_stride == 0 or i == cfg.horizon:
+            record(i, y, accepted, alpha, gamma)
+        if halted:
+            break
+    return rec.build(cfg, halted, i if halted else None, replica)
+
+
+def reference_1d(cfg, rng, replica=0):
+    return (reference_am_1d if cfg.rule.kind == RULE_AM else reference_scalar)(cfg, rng, replica)
+
+
+def srwm_1d_config(rule=RULE_COERCED, family=FAMILY_UNIFORM, schedule=None, horizon=600, theta0=0.0, **kw):
+    """A 1-D srwm chain on N(0.5, 2): uniform, Gaussian or Student
+    increments under a scalar rule, or the running-moments rule."""
+    t = gaussian_target(dim=1, mean=[0.5], cov=[[2.0]])
+    am = rule == RULE_AM
+    args = dict(
+        kind="srwm",
+        rule=AdaptationRule(kind=rule, alpha_star=0.44 if rule in (RULE_COERCED, RULE_FAST_COERCED) else None),
+        schedule=schedule or PolynomialSchedule(c0=0.5, c1=10.0, a=0.6),
+        theta0=AMParam(mu=np.zeros(1), cov=np.eye(1)) if am else theta0,
+        x0=1.0,
+        horizon=horizon,
+        seed=29,
+        recurrence_m=30.0 if am else 3.0,
+        recurrence_r=2.0,
+        target=t,
+        proposal=ProposalSpec(
+            family=family, parametrization=PARAM_AM_COVARIANCE if am else PARAM_SCALAR_LOG_SCALE
+        ),
+        state_lyapunov=StateLyapunov(t, 0.5),
+        param_weight=ParamLyapunov(W_AM_POLY if am else W_EXP_ABS),
+    )
+    args.update(kw)
+    return ChainConfig(**args)
+
+
+SRWM_1D_CASES = {
+    "coerced-uniform": {},
+    "coerced-gaussian-constant": {"family": FAMILY_GAUSSIAN, "schedule": ConstantSchedule(0.05)},
+    "coerced-student-kesten": {"family": FAMILY_STUDENT, "schedule": KestenSchedule(c0=0.5, a=0.6)},
+    "coerced-uniform-kesten": {"schedule": KestenSchedule(c0=0.5, a=0.6)},
+    "coerced-one-plus-square-compound-u": {
+        "param_weight": ParamLyapunov(W_ONE_PLUS_SQUARE),
+        "compound": CompoundSpec(upsilon_v=0.5, upsilon_w=0.7, mode="U"),
+    },
+    "coerced-no-state-lyapunov": {"state_lyapunov": None},
+    "fast-coerced-uniform": {"rule": RULE_FAST_COERCED, "theta0": 5.0},
+    "fast-coerced-gaussian-kesten": {"rule": RULE_FAST_COERCED, "family": FAMILY_GAUSSIAN,
+                                     "schedule": KestenSchedule(c0=0.5, a=0.6)},
+    "fixed-gaussian": {"rule": RULE_FIXED, "family": FAMILY_GAUSSIAN, "theta0": 0.3},
+    "fixed-uniform-kesten": {"rule": RULE_FIXED, "schedule": KestenSchedule(c0=0.5, a=0.6)},
+    "am-gaussian": {"rule": RULE_AM, "family": FAMILY_GAUSSIAN},
+    "am-student-constant": {"rule": RULE_AM, "family": FAMILY_STUDENT, "schedule": ConstantSchedule(0.05)},
+    "am-gaussian-kesten": {"rule": RULE_AM, "family": FAMILY_GAUSSIAN, "schedule": KestenSchedule(c0=0.5, a=0.6)},
+    # gamma near 5 makes fast-coerced theta grow geometrically: every
+    # replica halts on |theta| > THETA_MAX, tens of steps in
+    "fast-coerced-diverges": {"rule": RULE_FAST_COERCED, "schedule": PolynomialSchedule(c0=5.0, c1=0.0, a=0.001)},
+    # |theta_1| = 1e13 * |alpha - 0.44| > THETA_MAX: halts at step 1
+    "coerced-diverges-at-1": {"schedule": PolynomialSchedule(c0=1e13, c1=0.0, a=1.0)},
+    # gamma near 1.5: g' = -0.5 g + 1.5 dev**2 turns negative once dev**2 < g / 3
+    "am-diverges": {
+        "rule": RULE_AM, "family": FAMILY_GAUSSIAN, "schedule": PolynomialSchedule(c0=1.5, c1=0.0, a=0.001)
+    },
+}
+
+
+def assert_same_trajectory(got, want):
+    assert got.index.tolist() == want.index.tolist()
+    assert got.theta_labels == want.theta_labels
+    for name in ("theta", "x", "y", "alpha", "gamma", "v", "w", "compound"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert getattr(got, name).dtype == np.float64 and getattr(got, name).shape == getattr(want, name).shape
+    assert got.accepted.tolist() == want.accepted.tolist()
+    assert got.in_set.tolist() == want.in_set.tolist()
+    if want.kesten_counts is None:
+        assert got.kesten_counts is None
+    else:
+        assert got.kesten_counts.tolist() == want.kesten_counts.tolist()
+    for name in ("record_stride", "horizon", "diverged", "halt_index", "replica", "recurrence_m", "recurrence_r"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+# "default": every horizon here is shorter than one block; "64" and "1":
+# several blocks, or one step per block; "halt-last" / "halt-first": replica
+# 0's halt row ends block 1, or opens block 2 (for the cases that halt past
+# their first steps)
+BLOCK_SETTINGS = ["default", "64", "1"]
+HALTING_LATE = ["fast-coerced-diverges", "am-diverges"]
+
+
+@pytest.mark.parametrize(
+    "case, block",
+    [(case, block) for case in sorted(SRWM_1D_CASES) for block in BLOCK_SETTINGS]
+    + [(case, block) for case in HALTING_LATE for block in ("halt-last", "halt-first")],
+)
+def test_streamed_1d_matches_per_step_loops(monkeypatch, case, block):
+    cfg = srwm_1d_config(**SRWM_1D_CASES[case])
+    n_rep = 3
+    refs = [reference_1d(cfg, substream(cfg.seed, k), k) for k in range(n_rep)]
+    halt = refs[0].halt_index
+    assert (halt is not None) == ("-diverges" in case)
+    if case in HALTING_LATE:
+        assert halt > 2
+    if block.startswith("halt"):
+        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", halt if block == "halt-last" else halt - 1)
+    elif block != "default":
+        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", int(block))
+    summary, first = run_replicas(cfg, n_rep, keep_first_trajectory=True)
+    assert summary.per_replica == [simulator._replica_record(cfg, ref) for ref in refs]
+    assert_same_trajectory(first, refs[0])
+
+
+@pytest.mark.parametrize("case", ["coerced-uniform", "am-gaussian-kesten", "fast-coerced-diverges"])
+@pytest.mark.parametrize("block", [None, 5])
+def test_run_chain_stride_matches_per_step_loop(monkeypatch, case, block):
+    if block is not None:
+        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", block)
+    cfg = srwm_1d_config(**SRWM_1D_CASES[case], record_stride=7)
+    traj = run_chain(cfg, replica=4)
+    assert_same_trajectory(traj, reference_1d(cfg, substream(cfg.seed, 4), 4))
+    assert traj.index[0] == 0 and all(i % 7 == 0 for i in traj.index[1:-1].tolist())
+    # a caller's generator is used as given
+    again = run_chain(cfg, rng=substream(cfg.seed, 4), replica=4)
+    assert again.index.tolist() == traj.index.tolist() and again.theta.tolist() == traj.theta.tolist()
+
+
+def test_run_replicas_never_records_a_whole_1d_path(monkeypatch):
+    # 1-D replicas are reduced block by block; only the multivariate path
+    # runs whole trajectories through run_chain and the row recorder
+    def refuse(*args, **kwargs):
+        raise AssertionError("a 1-D replica went through the per-step recorder")
+
+    monkeypatch.setattr(simulator, "run_chain", refuse)
+    monkeypatch.setattr(simulator, "_Recorder", refuse)
+    for case in ("coerced-uniform", "am-gaussian"):
+        summary, first = run_replicas(srwm_1d_config(**SRWM_1D_CASES[case]), 3, keep_first_trajectory=True)
+        assert summary.n_replicas == 3 and first.index.shape[0] == 601
+
+
+def test_streamed_record_keeps_a_bounded_tail(monkeypatch):
+    # 120,000 steps: acceptance_tail is over the last 10,000 flags, which span
+    # several blocks of 4,096 and, at 2,500 steps per block, more than four
+    monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", 2500)
+    cfg = srwm_1d_config(horizon=120_000)
+    summary, _ = run_replicas(cfg, 1)
+    ref = reference_1d(cfg, substream(cfg.seed, 0))
+    assert summary.per_replica == [simulator._replica_record(cfg, ref)]
+    assert summary.per_replica[0]["acceptance_tail"] == float(ref.accepted[-10_000:].mean())
+
+
+# ---------------------------------------------------------------------------
+# replica-summary quantiles
+
+
+def test_quantile_matches_numpy_linear_rule():
+    rng = np.random.default_rng(3)
+    cases = [[5.0], [2.0, 2.0, 2.0], [1.0, 1.0, 3.0, 3.0], [7.0, 1.0], [0.0, 1e300, -1e300]]
+    for _ in range(3000):
+        n = int(rng.integers(1, 40))
+        scale = 10.0 ** rng.integers(-8, 9)
+        if rng.random() < 0.4:
+            cases.append(rng.integers(0, 6, n).astype(float).tolist())  # ties
+        else:
+            cases.append((rng.standard_normal(n) * scale).tolist())
+    for values in cases:
+        for q in (0.0, 0.25, 0.5, 0.75, 1.0, float(rng.random())):
+            want = float(np.quantile(np.asarray(values), q))
+            assert simulator._quantile(values, q) == want, (values, q)
+            # non-finite values are dropped first
+            assert simulator._quantile(values + [math.inf, -math.inf, math.nan], q) == want
+
+
+def test_quantile_of_no_finite_value_is_nan():
+    assert math.isnan(simulator._quantile([], 0.5))
+    assert math.isnan(simulator._quantile([math.inf, -math.inf, math.nan], 0.25))
