@@ -240,7 +240,8 @@ def emit_plot_data(input_path, kind: str, out_path=None, window: int = 1000) -> 
         header, rows = _read_csv(src)
         i_col = header.index("i")
         a_col = header.index("accepted")
-        flags = [(int(r[i_col]), 1.0 if r[a_col] == "True" else 0.0) for r in rows]
+        # trajectory.csv writes the flag as 1/0; True/False is read the same way
+        flags = [(int(r[i_col]), 1.0 if r[a_col] in ("1", "True") else 0.0) for r in rows]
         flags = [f for f in flags if f[0] > 0]  # index 0 is the initial state, not a transition
         with open(dst, "w", newline="") as fh:
             w = csv.writer(fh)

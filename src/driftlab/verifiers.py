@@ -126,8 +126,8 @@ class DriftReport:
                 for r in self.rows
             ],
             "pass": bool(self.passed),
-            "worst_point": _jsonable_tree(self.worst_point),
-            "notes": _jsonable_tree(self.notes),
+            "worst_point": _jsonable(self.worst_point),
+            "notes": _jsonable(self.notes),
         }
 
 
@@ -146,10 +146,6 @@ def _jsonable(v):
     if isinstance(v, (np.integer,)):
         return int(v)
     return repr(v)
-
-
-def _jsonable_tree(v):
-    return _jsonable(v)
 
 
 def _as_param(p):

@@ -484,6 +484,24 @@ def test_acceptance_rolling_drops_initial_row_and_averages(tmp_path):
     assert len(rows) == 1 + 6
 
 
+def test_acceptance_rolling_of_a_run_matches_the_accepted_column(tmp_path):
+    # trajectory.csv writes the flag as 1/0
+    doc = json.loads(resolve_config_path("coerced").read_text())
+    doc["run"].update(horizon=400, replicas=1)
+    doc.pop("verify", None)
+    out = tmp_path / "out"
+    assert run_experiment(write_config(tmp_path, doc), out=str(out)) == EXIT_OK
+    with open(out / "trajectory.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    i_col, a_col = header.index("i"), header.index("accepted")
+    flags = [float(r[a_col]) for r in rows if int(r[i_col]) > 0]
+    assert len(flags) == 400 and 0.0 < sum(flags) < 400
+    dst = emit_plot_data(out / "trajectory.csv", "acceptance-rolling", window=len(flags))
+    with open(dst, newline="") as fh:
+        plotted = list(csv.reader(fh))
+    assert plotted == [["i", "rolling_acceptance"], ["400", repr(sum(flags) / len(flags))]]
+
+
 def test_drift_margin_columns(tmp_path):
     report = {
         "rows": [
@@ -548,7 +566,7 @@ def test_main_verify_subcommand_skips_simulation(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up cost: scipy is imported only by quadrature checks, numpy.ma never
+# start-up cost: no run or check imports scipy or numpy.ma
 
 _SCIPY_PROBE = """
 import sys
@@ -590,13 +608,20 @@ def test_run_without_quadrature_never_imports_scipy(tmp_path):
     assert (tmp_path / "out" / "report-toy.json").exists()
 
 
-def test_quadrature_verify_still_imports_scipy_and_passes(tmp_path):
+def test_quadrature_verify_never_imports_scipy_and_passes(tmp_path):
     proc = run_in_fresh_process(tmp_path, "verify", "am-subexp-1d", "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert scipy_module_count(proc) > 0
+    assert scipy_module_count(proc) == 0
     for check in ("fixed_theta_drift", "acceptance_bounds", "decomposition"):
         report = json.loads((tmp_path / "out" / f"report-{check}.json").read_text())
         assert report["pass"] is True
+    doc = json.loads(resolve_config_path("am-subexp-1d").read_text())
+    doc["run"].update(horizon=300, replicas=2)
+    path = write_config(tmp_path, doc)
+    proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "run"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert scipy_module_count(proc) == 0
+    assert (tmp_path / "run" / "trajectory.csv").exists()
 
 
 def test_coerced_run_never_imports_numpy_ma(tmp_path):
