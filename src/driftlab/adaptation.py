@@ -190,9 +190,9 @@ def coerced_update(theta: float, alpha_val: float, gamma: float, alpha_star: flo
 
 
 def fast_coerced_update(theta: float, alpha_val: float, gamma: float, alpha_star: float) -> float:
-    """theta + gamma * (|theta| + 1) * (alpha - alpha_star)."""
+    """theta + gamma * ((|theta| + 1) * (alpha - alpha_star))."""
     _check_coerced_args(alpha_val, gamma, alpha_star)
-    return theta + gamma * (abs(theta) + 1.0) * (alpha_val - alpha_star)
+    return theta + gamma * ((abs(theta) + 1.0) * (alpha_val - alpha_star))
 
 
 def _check_coerced_args(alpha_val: float, gamma: float, alpha_star: float) -> None:

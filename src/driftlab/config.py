@@ -262,22 +262,16 @@ def validate_document(doc: dict) -> None:
     dimension, first stepsize against adaptation rule) are checked by the
     proposal and schedule builders, which run here as well.  A parameter
     weight must fit the adaptation rule: ``am_poly`` weighs running moments
-    and the other variants a scalar parameter.  A record stride above 1 is
-    accepted for toy runs only.  Running-moment parameters (``run.theta0``,
-    ``verify.theta_grid``) are built here, so a covariance that is not
-    symmetric, or not the shape of its mean, is rejected with its path.
+    and the other variants a scalar parameter.  Running-moment parameters
+    (``run.theta0``, ``verify.theta_grid``) are built here, so a covariance
+    that is not symmetric, or not the shape of its mean, is rejected with
+    its path.
     """
     errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
     if errors:
         err = errors[0]
         raise ConfigError(err.message, _error_path(err))
     run = doc.get("run", {})
-    if run.get("kind") == CHAIN_SRWM and run.get("record_stride", 1) > 1:
-        raise ConfigError(
-            "record_stride > 1 is supported for toy runs only; srwm recurrence "
-            "statistics are computed from every recorded step",
-            "run.record_stride",
-        )
     rule_kind = doc.get("adaptation", {}).get("rule")
     variant = doc.get("lyapunov", {}).get("weight")
     if rule_kind is not None and variant is not None and (variant == W_AM_POLY) != (rule_kind == RULE_AM):

@@ -385,14 +385,6 @@ def toy_transition_matrix(theta: float) -> np.ndarray:
     return np.array([[1.0 - e, e], [e, 1.0 - e]])
 
 
-def toy_step(theta: float, x: int, rng: np.random.Generator) -> int:
-    """One transition of the toy chain from state ``x`` in {0, 1}."""
-    if x not in (0, 1):
-        raise ValueError("toy state must be 0 or 1")
-    e = math.exp(-abs(theta))
-    return 1 - x if rng.random() < e else x
-
-
 def toy_second_eigenvalue(theta: float) -> float:
     """Second eigenvalue 1 - 2 exp(-|theta|) of the toy transition matrix.
 

@@ -18,22 +18,20 @@ count stays near 2**15 elements.  Each block is reduced to per-replica
 recurrence statistics as the run goes, and only replica 0 keeps its path,
 so ``record_stride`` thins that trajectory and never the statistics.
 
-One-dimensional srwm chains run one replica at a time, each in a loop over
-Python floats that appends only raw values (parameter, state, proposal,
-acceptance, stepsize, log pi) to per-block lists.  Each block is folded into
-the same recurrence statistics and then dropped; replica 0's blocks become
-its trajectory, with V, w, W and in_C computed per kept row in the scalar
-arithmetic of a row-at-a-time recorder.  A uniform proposal draws a block's
-uniforms at once, in the order of the scalar draws.  ``run_chain`` sends
-these chains to that loop and every other srwm chain to the multivariate
-path.
-
-The multivariate path evaluates the target once per step, at the proposal:
-log pi of the current state is carried from step to step, and V is computed
-from it.  It builds and checks one kernel parameter per step, which drives
-the next proposal; the recorded w is computed from the parameter's raw
-values, so a step that overflows it is recorded as the halt row.
-``Trajectory.to_csv`` formats blocks of rows a column at a time.
+srwm chains run one replica at a time, each in a loop that appends only raw
+values (parameter, state, proposal, acceptance, stepsize, log pi) to
+per-block lists.  Each block is folded into the same recurrence statistics
+and then dropped; replica 0's blocks become its trajectory, with V, w, W and
+in_C computed per kept row in the scalar arithmetic of a row-at-a-time
+recorder, so ``record_stride`` thins that trajectory and never the
+statistics.  On a 1-D target the loop runs over Python floats, and a uniform
+proposal draws a block's uniforms at once, in the order of the scalar draws.
+In several dimensions it runs numpy per step: the target is evaluated once
+per step, at the proposal, with log pi of the current state carried from
+step to step, and one kernel parameter is built and checked per step, which
+drives the next proposal.  A step that overflows the parameter is kept, raw,
+as the halt row.  ``Trajectory.to_csv`` formats blocks of rows a column at a
+time.
 """
 from __future__ import annotations
 
@@ -81,7 +79,6 @@ from .lyapunov import (
     CompoundSpec,
     ParamLyapunov,
     StateLyapunov,
-    compound_value,
 )
 from .streams import substream
 
@@ -228,82 +225,21 @@ def _int_cells(col: np.ndarray) -> list[str]:
     return list(map(str, col.astype(np.int64).tolist()))
 
 
-class _Recorder:
-    def __init__(self, theta_labels, dim, kesten: bool):
-        self.theta_labels = theta_labels
-        self.dim = dim
-        self.kesten = kesten
-        self.idx: list[int] = []
-        self.theta: list[tuple] = []
-        self.x: list[tuple] = []
-        self.y: list[tuple] = []
-        self.accepted: list[bool] = []
-        self.alpha: list[float] = []
-        self.gamma: list[float] = []
-        self.v: list[float] = []
-        self.w: list[float] = []
-        self.compound: list[float] = []
-        self.in_set: list[bool] = []
-        self.counts: list[int] = []
-
-    def add(self, i, theta, x, y, accepted, alpha, gamma, v, w, comp, in_set, s=0):
-        self.idx.append(i)
-        self.theta.append(theta)
-        self.x.append(x)
-        self.y.append(y)
-        self.accepted.append(accepted)
-        self.alpha.append(alpha)
-        self.gamma.append(gamma)
-        self.v.append(v)
-        self.w.append(w)
-        self.compound.append(comp)
-        self.in_set.append(in_set)
-        if self.kesten:
-            self.counts.append(s)
-
-    def build(self, config: ChainConfig, diverged, halt_index, replica) -> Trajectory:
-        return Trajectory(
-            index=np.asarray(self.idx, dtype=np.int64),
-            theta=np.asarray(self.theta, dtype=float).reshape(len(self.idx), -1),
-            theta_labels=self.theta_labels,
-            x=np.asarray(self.x, dtype=float).reshape(len(self.idx), self.dim),
-            y=np.asarray(self.y, dtype=float).reshape(len(self.idx), self.dim),
-            accepted=np.asarray(self.accepted, dtype=bool),
-            alpha=np.asarray(self.alpha, dtype=float),
-            gamma=np.asarray(self.gamma, dtype=float),
-            v=np.asarray(self.v, dtype=float),
-            w=np.asarray(self.w, dtype=float),
-            compound=np.asarray(self.compound, dtype=float),
-            in_set=np.asarray(self.in_set, dtype=bool),
-            kesten_counts=np.asarray(self.counts, dtype=np.int64) if self.kesten else None,
-            record_stride=config.record_stride,
-            horizon=config.horizon,
-            diverged=diverged,
-            halt_index=halt_index,
-            replica=replica,
-            recurrence_m=config.recurrence_m,
-            recurrence_r=config.recurrence_r,
-        )
-
-
 def run_chain(config: ChainConfig, rng: Optional[np.random.Generator] = None, replica: int = 0) -> Trajectory:
     """Run one adaptive chain; deterministic given (config, seed, replica)."""
     if rng is None:
         rng = substream(config.seed, replica)
-    if config.kind == CHAIN_TOY:
-        return _run_toy_replicas(config, [rng], replica=replica)[1]
-    if config.target.dim == 1:
-        return _run_srwm_1d(config, [rng], replica=replica)[1]
-    return _run_generic(config, rng, replica)
+    engine = _run_toy_replicas if config.kind == CHAIN_TOY else _run_srwm
+    return engine(config, [rng], replica=replica)[1]
 
 
 def _kesten_on(schedule) -> bool:
     return isinstance(schedule, KestenSchedule)
 
 
-# Steps per block of the 1-D srwm loops.  Each block's raw columns are folded
-# into the recurrence statistics and then dropped, or, for a kept path, turned
-# into trajectory columns.
+# Steps per block of the srwm loops.  Each block's raw columns are folded into
+# the recurrence statistics and then dropped, or, for a kept path, turned into
+# trajectory columns.
 _SRWM_BLOCK_STEPS = 1 << 12
 
 # acceptance_tail is the accept rate over the last min(10,000, steps // 10)
@@ -312,12 +248,13 @@ _TAIL_MAX = 10_000
 
 
 class _RawBlock(NamedTuple):
-    """Consecutive rows of one 1-D srwm path as its loop produced them.
+    """Consecutive rows of one srwm path as its loop produced them.
 
-    ``theta`` holds one list per parameter column, ``gamma`` the stepsize
-    each row's step used (row 0: the first step's), ``counts`` the Kesten
-    count after each row (None without a Kesten schedule), and ``halted``
-    says the block ends at the divergence halt.
+    ``theta`` holds one list per parameter column, ``x`` and ``y`` one float
+    per row on a 1-D target and one list of coordinates per row otherwise,
+    ``gamma`` the stepsize each row's step used (row 0: the first step's),
+    ``counts`` the Kesten count after each row (None without a Kesten
+    schedule), and ``halted`` says the block ends at the divergence halt.
     """
 
     theta: tuple
@@ -515,58 +452,160 @@ def _am_1d_blocks(config: ChainConfig, rng, block: int):
             return
 
 
-def _srwm_1d_weights(weight: ParamLyapunov):
-    """w of every row of a block's parameter columns, in the scalar
+def _generic_blocks(config: ChainConfig, rng, block: int):
+    """Multivariate chains, numpy per step: yields row 0, then blocks of up
+    to ``block`` steps, the last one ending at the horizon or at the halt row.
+
+    Each step builds one kernel parameter, after the update; it is checked
+    once and drives the next proposal.  A step that leaves the parameter
+    past THETA_MAX (or non-finite) halts the run before that parameter is
+    built, so the halt row carries the raw mean and covariance (or theta).
+    The target is evaluated once per step, at the proposal: log pi of the
+    current state is carried from step to step.
+    """
+    target = config.target
+    spec = config.proposal
+    rule = config.rule
+    schedule = config.schedule
+    kesten = _kesten_on(schedule)
+    n = config.horizon
+    am = rule.kind == RULE_AM
+    if am:
+        mu = config.theta0.mu.copy()
+        cov = config.theta0.cov.copy()
+        param = AMParam(mu=mu, cov=cov)
+        row = (*mu.tolist(), *cov.ravel().tolist())
+    else:
+        theta = float(config.theta0)
+        param = ScalarParam(theta=theta)
+        row = (theta,)
+    x = np.atleast_1d(np.asarray(config.x0, dtype=float)).copy()
+    lx = float(np.asarray(target.log_density(x), dtype=float))
+    s = 0
+    h_prev = None
+    gm = gamma_at(schedule, 1, 0 if kesten else None)
+    yield _RawBlock(_columns([row]), [x.tolist()], [x.tolist()], [False], [math.nan], [gm], [lx],
+                    [0] if kesten else None, False)
+
+    for start in range(1, n + 1, block):
+        rows, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], []
+        counts = [] if kesten else None
+        halted = False
+        for i in range(start, min(start + block, n + 1)):
+            gm = gamma_at(schedule, i, s if kesten else None)
+            step = srwm_step(target, spec, param, x, rng, lx)
+            x = np.atleast_1d(np.asarray(step.state, dtype=float))
+            lx = step.log_density
+            if am:
+                if kesten:
+                    h_cur = am_increment(mu, cov, x)
+                mu, cov = am_update(mu, cov, x, gm)
+                bounded = np.abs(mu).max() <= THETA_MAX and np.abs(cov).max() <= THETA_MAX
+                rows.append((*mu.tolist(), *cov.ravel().tolist()))
+            else:
+                if rule.kind == RULE_COERCED:
+                    h_cur = step.alpha - rule.alpha_star
+                    theta = coerced_update(theta, step.alpha, gm, rule.alpha_star)
+                elif rule.kind == RULE_FAST_COERCED:
+                    h_cur = (abs(theta) + 1.0) * (step.alpha - rule.alpha_star)
+                    theta = fast_coerced_update(theta, step.alpha, gm, rule.alpha_star)
+                else:
+                    h_cur = 0.0
+                bounded = abs(theta) <= THETA_MAX
+                rows.append((theta,))
+            if kesten:
+                if h_prev is not None:
+                    s = kesten_advance(s, h_prev, h_cur)
+                h_prev = h_cur
+                counts.append(s)
+            xs.append(x.tolist())
+            ys.append(step.proposed.tolist())
+            accs.append(step.accepted)
+            alphas.append(step.alpha)
+            gms.append(gm)
+            lxs.append(lx)
+            # a NaN or infinite parameter fails the bound as well
+            if not (bounded and np.isfinite(x).all()):
+                halted = True
+                break
+            param = AMParam(mu=mu, cov=cov) if am else ScalarParam(theta=theta)
+        yield _RawBlock(_columns(rows), xs, ys, accs, alphas, gms, lxs, counts, halted)
+        if halted:
+            return
+
+
+def _columns(rows: list[tuple]) -> tuple:
+    """Parameter rows as one list per column."""
+    return tuple(map(list, zip(*rows)))
+
+
+def _srwm_weights(weight: ParamLyapunov, dim: int):
+    """w of every row of a block's parameter columns: ``weight.of_moments``
+    row by row for running moments in several dimensions, else the scalar
     arithmetic of ``weight`` (on a 1x1 running-moment pair for am_poly)."""
     exp = math.exp
     inf = math.inf
+    if weight.variant == W_AM_POLY and dim > 1:
+        def moments(cols):
+            rows = np.array(cols).T.copy()
+            return [weight.of_moments(r[:dim], r[dim:].reshape(dim, dim)) for r in rows]
+        return moments
     if weight.variant == W_AM_POLY:
         expo = 2.0 + weight.eps
-        return lambda mus, gs: [1.0 + abs(m) ** expo + abs(g) for m, g in zip(mus, gs)]
+        return lambda cols: [1.0 + abs(m) ** expo + abs(g) for m, g in zip(*cols)]
     if weight.variant == W_EXP_ABS:
-        return lambda ths: [exp(t) if t < 700.0 else inf for t in map(abs, ths)]
-    return lambda ths: [1.0 + t * t for t in ths]
+        return lambda cols: [exp(t) if t < 700.0 else inf for t in map(abs, cols[0])]
+    return lambda cols: [1.0 + t * t for t in cols[0]]
 
 
-def _run_srwm_1d(
+def _run_srwm(
     config: ChainConfig,
     rngs: list,
     keep_first: bool = True,
     replica: int = 0,
 ) -> tuple[list[dict], Optional[Trajectory]]:
-    """One-dimensional srwm chains, one replica per generator in ``rngs``,
-    run one after another.
+    """srwm chains, one replica per generator in ``rngs``, run one after
+    another.
 
-    Each replica's loop (``_scalar_blocks`` or ``_am_1d_blocks``) yields raw
-    columns block by block.  A block is folded into the recurrence
-    statistics and its accept flags into a ring for ``acceptance_tail``,
-    then dropped, except replica 0's when ``keep_first``: its rows, thinned
-    by ``record_stride``, become the returned trajectory's columns (labelled
-    ``replica``).  Returns one record per generator, in order, and the
-    trajectory.
+    Each replica's loop (``_scalar_blocks`` or ``_am_1d_blocks`` on a 1-D
+    target, ``_generic_blocks`` otherwise) yields raw columns block by block.
+    A block is folded into the recurrence statistics and its accept flags
+    into a ring for ``acceptance_tail``, then dropped, except replica 0's
+    when ``keep_first``: its rows, thinned by ``record_stride``, become the
+    returned trajectory's columns (labelled ``replica``).  Returns one record
+    per generator, in order, and the trajectory.
     """
+    dim = config.target.dim
     am = config.rule.kind == RULE_AM
-    blocks_of = _am_1d_blocks if am else _scalar_blocks
-    weights = _srwm_1d_weights(config.param_weight)
+    if dim > 1:
+        blocks_of = _generic_blocks
+    else:
+        blocks_of = _am_1d_blocks if am else _scalar_blocks
+    if am:
+        labels = [f"mu_{j+1}" for j in range(dim)] + [f"cov_{a+1}{b+1}" for a in range(dim) for b in range(dim)]
+    else:
+        labels = ["theta_1"]
+    weights = _srwm_weights(config.param_weight, dim)
     stats = _RecurrenceCounter(len(rngs), config.recurrence_m, config.recurrence_r)
     horizon = np.array([config.horizon])
     records = []
     traj = None
     for k, rng in enumerate(rngs):
         cols = np.array([k])
-        path = _KeptPath(config, ["mu_1", "cov_11"] if am else ["theta_1"]) if keep_first and k == 0 else None
+        path = _KeptPath(config, labels) if keep_first and k == 0 else None
         flags = deque(maxlen=_TAIL_MAX)
         start = 0
         for blk in blocks_of(config, rng, _SRWM_BLOCK_STEPS):
             index = np.arange(start, start + len(blk.x))
             theta = np.array(blk.theta)
-            x = np.array(blk.x)
-            w_cells = weights(*blk.theta)
+            x = np.array(blk.x).reshape(index.shape[0], dim)
+            x_norm = np.abs(x[:, 0]) if dim == 1 else np.linalg.norm(x, axis=1)
+            w_cells = weights(blk.theta)
             w = np.array(w_cells)
-            stats.add(index, np.abs(theta).max(axis=0)[:, None], w[:, None], np.abs(x)[:, None], cols, horizon)
+            stats.add(index, np.abs(theta).max(axis=0)[:, None], w[:, None], x_norm[:, None], cols, horizon)
             flags.extend(blk.accepted)
             if path is not None:
-                path.add(index, blk, theta, x, w, w_cells)
+                path.add(index, blk, theta, x, x_norm, w, w_cells)
             start += len(blk.x)
         end = start - 1
         tail = list(flags)[-min(_TAIL_MAX, max(end // 10, 1)):]
@@ -586,7 +625,7 @@ def _run_srwm_1d(
 
 
 class _KeptPath:
-    """Trajectory columns of one 1-D srwm path, built block by block.
+    """Trajectory columns of one srwm path, built block by block.
 
     A block keeps its rows at multiples of ``record_stride`` and its last
     row when it ends the run; V, W and in_C of those rows are computed in
@@ -599,10 +638,11 @@ class _KeptPath:
         self.eta = config.state_lyapunov.eta if config.state_lyapunov is not None else 0.0
         self.cols: dict[str, list[np.ndarray]] = {}
 
-    def add(self, index, blk: _RawBlock, theta, x, w, w_cells: list) -> None:
-        """Keep rows of ``blk``; ``index``, ``theta``, ``x`` and ``w`` are its
-        step numbers, parameter columns, states and weights as arrays, and
-        ``w_cells`` the weights as floats."""
+    def add(self, index, blk: _RawBlock, theta, x, x_norm, w, w_cells: list) -> None:
+        """Keep rows of ``blk``; ``index``, ``theta``, ``x``, ``x_norm`` and
+        ``w`` are its step numbers, parameter columns, states (one row per
+        step), state norms and weights as arrays, and ``w_cells`` the weights
+        as floats."""
         config = self.config
         stride = config.record_stride
         if stride == 1:
@@ -629,30 +669,29 @@ class _KeptPath:
         x, w = x[keep], w[keep]
         for name, col in (
             ("index", index[keep]),
-            ("theta", theta[:, keep]),
+            ("theta", theta[:, keep].T),
             ("x", x),
-            ("y", np.array(pick(blk.y))),
+            ("y", np.array(pick(blk.y)).reshape(x.shape)),
             ("accepted", np.array(pick(blk.accepted), dtype=bool)),
             ("alpha", np.array(pick(blk.alpha))),
             ("gamma", np.array(gammas)),
             ("v", np.array(vs)),
             ("w", w),
             ("compound", np.array(_compound_cells(config.compound, vs, pick(w_cells), gammas))),
-            ("in_set", (w <= config.recurrence_m) & (np.abs(x) <= config.recurrence_r)),
+            ("in_set", (w <= config.recurrence_m) & (x_norm[keep] <= config.recurrence_r)),
             ("counts", np.array(pick(blk.counts) if blk.counts is not None else [], dtype=np.int64)),
         ):
             self.cols.setdefault(name, []).append(col)
 
     def build(self, end: int, diverged: bool, replica: int) -> Trajectory:
         config = self.config
-        col = {name: np.concatenate(parts, axis=-1) for name, parts in self.cols.items()}
-        rows = col["index"].shape[0]
+        col = {name: np.concatenate(parts) for name, parts in self.cols.items()}
         return Trajectory(
             index=col["index"],
-            theta=np.ascontiguousarray(col["theta"].T),
+            theta=np.ascontiguousarray(col["theta"]),
             theta_labels=self.labels,
-            x=col["x"].reshape(rows, 1),
-            y=col["y"].reshape(rows, 1),
+            x=col["x"],
+            y=col["y"],
             accepted=col["accepted"],
             alpha=col["alpha"],
             gamma=col["gamma"],
@@ -851,104 +890,6 @@ def _toy_trajectory(config: ChainConfig, path_theta, path_x, end: int, diverged:
         recurrence_m=m_level,
         recurrence_r=r_level,
     )
-
-
-def _run_generic(config: ChainConfig, rng, replica: int) -> Trajectory:
-    """Multivariate chains, numpy per step.
-
-    Each step builds one kernel parameter, after the update; it is checked
-    once and drives the next proposal.  A step that leaves the parameter
-    past THETA_MAX (or non-finite) halts the run before that parameter is
-    built, and the recorded w comes from the raw mean and covariance (or
-    theta).  The target is evaluated once per step, at the proposal: log pi
-    of the current state is carried from step to step, and V is computed
-    from it.
-    """
-    target = config.target
-    spec = config.proposal
-    rule = config.rule
-    schedule = config.schedule
-    kesten = _kesten_on(schedule)
-    n = config.horizon
-    stride = config.record_stride
-    state_lyap = config.state_lyapunov
-    weight = config.param_weight
-    comp = config.compound
-    m_level = config.recurrence_m
-    r_level = config.recurrence_r
-    dim = target.dim
-
-    am = rule.kind == RULE_AM
-    if am:
-        mu = config.theta0.mu.copy()
-        cov = config.theta0.cov.copy()
-        k = mu.shape[0]
-        labels = [f"mu_{j+1}" for j in range(k)] + [
-            f"cov_{a+1}{b+1}" for a in range(k) for b in range(k)
-        ]
-    else:
-        theta = float(config.theta0)
-        labels = ["theta_1"]
-
-    x = np.atleast_1d(np.asarray(config.x0, dtype=float)).copy()
-    lx = float(np.asarray(target.log_density(x), dtype=float))
-    s = 0
-    h_prev = None
-
-    rec = _Recorder(labels, dim, kesten)
-
-    def current_param():
-        return AMParam(mu=mu, cov=cov) if am else ScalarParam(theta=theta)
-
-    def record(i, yy, acc, al, gm, count):
-        v = state_lyap.of_log_density(lx) if state_lyap is not None else 1.0
-        # from the raw parameter: at a halt row it may be no valid kernel parameter
-        wv = weight.of_moments(mu, cov) if am else weight(theta)
-        cv = compound_value(comp, v, wv, gm) if math.isfinite(wv) and math.isfinite(v) else math.inf
-        inside = wv <= m_level and float(np.linalg.norm(x)) <= r_level
-        theta_row = (*mu.tolist(), *cov.ravel().tolist()) if am else (theta,)
-        rec.add(i, theta_row, tuple(x.tolist()), tuple(yy.tolist()), acc, al, gm, v, wv, cv, inside, count)
-
-    param = current_param()
-    gamma0 = gamma_at(schedule, 1, 0 if kesten else None)
-    record(0, x, False, math.nan, gamma0, 0)
-
-    diverged = False
-    halt_index: Optional[int] = None
-    for i in range(1, n + 1):
-        gm = gamma_at(schedule, i, s if kesten else None)
-        step = srwm_step(target, spec, param, x, rng, lx)
-        x = np.atleast_1d(np.asarray(step.state, dtype=float))
-        lx = step.log_density
-        if am:
-            if kesten:
-                h_cur = am_increment(mu, cov, x)
-            mu, cov = am_update(mu, cov, x, gm)
-            bounded = np.abs(mu).max() <= THETA_MAX and np.abs(cov).max() <= THETA_MAX
-        else:
-            if rule.kind == RULE_COERCED:
-                h_cur = step.alpha - rule.alpha_star
-                theta = coerced_update(theta, step.alpha, gm, rule.alpha_star)
-            elif rule.kind == RULE_FAST_COERCED:
-                h_cur = (abs(theta) + 1.0) * (step.alpha - rule.alpha_star)
-                theta = fast_coerced_update(theta, step.alpha, gm, rule.alpha_star)
-            else:
-                h_cur = 0.0
-            bounded = abs(theta) <= THETA_MAX
-        if kesten:
-            if h_prev is not None:
-                s = kesten_advance(s, h_prev, h_cur)
-            h_prev = h_cur
-        # a NaN or infinite parameter fails the bound as well
-        if not (bounded and np.isfinite(x).all()):
-            diverged = True
-            halt_index = i
-            record(i, step.proposed, step.accepted, step.alpha, gm, s)
-            break
-        param = current_param()
-        if i % stride == 0 or i == n:
-            record(i, step.proposed, step.accepted, step.alpha, gm, s)
-    return rec.build(config, diverged, halt_index, replica)
 
 
 # ---------------------------------------------------------------------------
@@ -1158,28 +1099,6 @@ def summarize_replicas(per_replica: list[dict], base_seed: int) -> ReplicaSummar
     )
 
 
-def _replica_record(config: ChainConfig, traj: Trajectory) -> dict:
-    """The per-replica record of a multivariate srwm run, from its stride-1
-    trajectory."""
-    stats = recurrence_stats(traj)
-    tail = traj.accepted[-min(_TAIL_MAX, max((traj.index.shape[0] - 1) // 10, 1)):]
-    return {
-        "replica": traj.replica,
-        "first_hit": stats.first_hit,
-        "n_hits": len(stats.hitting_times),
-        "visit_count": stats.visit_count,
-        "last_exit_time": stats.last_exit_time,
-        "exit_count": stats.exit_count,
-        "max_abs_theta": stats.max_abs_theta,
-        "censored": stats.censored,
-        "diverged": stats.diverged,
-        "halt_index": traj.halt_index,
-        "acceptance_tail": float(tail.mean()),
-        "final_theta": [float(t) for t in traj.theta[-1]],
-        **_final_errors(config, traj.theta[-1], traj.diverged),
-    }
-
-
 def _final_errors(config: ChainConfig, final_theta: np.ndarray, diverged: bool) -> dict:
     """Distances of a running-moments run's final mean and covariance from
     the target's, when both are known and the run did not diverge."""
@@ -1201,23 +1120,13 @@ def run_replicas(
     """Run ``n_replicas`` independent chains on replica substreams.
 
     Returns the summary plus (optionally) replica 0's full trajectory for
-    trace output.  Toy and 1-D srwm replicas are reduced to statistics block
-    by block as they run; a multivariate replica's trajectory is reduced as
-    soon as it ends, to keep memory at desk scale.
+    trace output.  Every replica is reduced to statistics block by block as
+    it runs, so memory stays at desk scale.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     seed = config.seed if base_seed is None else int(base_seed)
-    if config.kind == CHAIN_TOY or config.target.dim == 1:
-        engine = _run_toy_replicas if config.kind == CHAIN_TOY else _run_srwm_1d
-        rngs = [substream(seed, k) for k in range(n_replicas)]
-        records, first_traj = engine(config, rngs, keep_first=keep_first_trajectory)
-        return summarize_replicas(records, seed), first_traj
-    records = []
-    first_traj: Optional[Trajectory] = None
-    for k in range(n_replicas):
-        traj = run_chain(config, rng=substream(seed, k), replica=k)
-        if k == 0 and keep_first_trajectory:
-            first_traj = traj
-        records.append(_replica_record(config, traj))
+    engine = _run_toy_replicas if config.kind == CHAIN_TOY else _run_srwm
+    rngs = [substream(seed, k) for k in range(n_replicas)]
+    records, first_traj = engine(config, rngs, keep_first=keep_first_trajectory)
     return summarize_replicas(records, seed), first_traj

@@ -20,13 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import QuadratureError, integrate_interval
-
-INTEGRAND_FLOOR = 1e-14
 BISECTION_TOL = 1e-10
 # Absolute tolerance of every covariance symmetry check.
 SYMMETRY_TOL = 1e-12
@@ -94,17 +91,6 @@ class TargetModel:
             raise ValueError("unimodal_1d flag requires dim == 1")
 
 
-class TailIntegrals(NamedTuple):
-    """Outward/inward tail functionals of a one-dimensional target.
-
-    ``outward``: integral over z >= 0 of (pi(x + sgn(x) z) / pi(x))**gamma.
-    ``inward``: integral over 0 <= z <= |x| of (pi(x) / pi(x - sgn(x) z))**gamma.
-    """
-
-    outward: float
-    inward: float
-
-
 # ---------------------------------------------------------------------------
 # built-in families
 
@@ -160,11 +146,19 @@ def gaussian_target(dim: int = 1, mean=None, cov=None) -> TargetModel:
 
     prec_mat = np.linalg.inv(cov)
 
+    # The quadratic form is positive definite, so where it evaluates to NaN
+    # at a NaN-free point (inf - inf, from infinite or overflowing
+    # coordinates) its value is +inf and the log-density -inf.
     def logp_nd(x):
         d = np.asarray(x, dtype=float) - mean
         if d.ndim == 1:
-            return -0.5 * float(d @ prec_mat @ d)
-        return -0.5 * np.einsum("...i,ij,...j->...", d, prec_mat, d)
+            q = float(d @ prec_mat @ d)
+            if math.isnan(q) and not np.isnan(d).any():
+                return -math.inf
+            return -0.5 * q
+        q = np.einsum("...i,ij,...j->...", d, prec_mat, d)
+        q[np.isnan(q) & ~np.isnan(d).any(axis=-1)] = math.inf
+        return -0.5 * q
 
     def grad_nd(x):
         d = np.asarray(x, dtype=float) - mean
@@ -348,46 +342,3 @@ def matched_density_point(target: TargetModel, x: float, tol: float = BISECTION_
         else:
             t_hi = t_mid
     return m - s * 0.5 * (t_lo + t_hi)
-
-
-def tail_integrals(target: TargetModel, x: float, gamma: float) -> TailIntegrals:
-    """Outward and inward tail integrals at ``x`` with power ``gamma``.
-
-    The outward integral's improper upper limit is truncated where the
-    integrand falls below 1e-14; both integrals are evaluated by adaptive
-    quadrature to absolute tolerance 1e-8.
-    """
-    if target.dim != 1:
-        raise ValueError("tail_integrals requires a one-dimensional target")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    x = float(x)
-    if x == 0.0:
-        raise ValueError("tail_integrals requires |x| > 0")
-    s = 1.0 if x > 0 else -1.0
-    logp = target.log_density
-    lx = float(logp(x))
-    if not math.isfinite(lx):
-        raise ValueError(f"invalid point: log-density not finite at x={x!r}")
-
-    def outward_integrand(z: float) -> float:
-        d = gamma * (float(logp(x + s * z)) - lx)
-        return math.exp(d) if d < 700.0 else math.inf
-
-    cutoff = max(1.0, 2.0 * abs(x))
-    doublings = 0
-    while outward_integrand(cutoff) > INTEGRAND_FLOOR:
-        cutoff *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise QuadratureError(
-                "outward tail integrand does not decay; target tails too heavy"
-            )
-    outward = integrate_interval(outward_integrand, 0.0, cutoff, tol=1e-8)
-
-    def inward_integrand(z: float) -> float:
-        d = gamma * (lx - float(logp(x - s * z)))
-        return math.exp(d) if d < 700.0 else math.inf
-
-    inward = integrate_interval(inward_integrand, 0.0, abs(x), tol=1e-8)
-    return TailIntegrals(outward=outward, inward=inward)

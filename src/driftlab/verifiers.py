@@ -325,7 +325,7 @@ def _w_drift_lhs_quadrature(
             if rule.kind == RULE_COERCED:
                 t_new = theta + gamma * (alpha - a_star)
             elif rule.kind == RULE_FAST_COERCED:
-                t_new = theta + gamma * (abs(theta) + 1.0) * (alpha - a_star)
+                t_new = theta + gamma * ((abs(theta) + 1.0) * (alpha - a_star))
             else:
                 t_new = theta
             return weight(t_new) / (2.0 * sigma)
@@ -366,7 +366,7 @@ def _w_drift_lhs_mc(
         t_new = param.theta + gamma * (alpha - a_star)
         vals = _weight_vectorized(weight)(t_new)
     elif rule.kind == RULE_FAST_COERCED:
-        t_new = param.theta + gamma * (abs(param.theta) + 1.0) * (alpha - a_star)
+        t_new = param.theta + gamma * ((abs(param.theta) + 1.0) * (alpha - a_star))
         vals = _weight_vectorized(weight)(t_new)
     elif rule.kind == RULE_FIXED:
         vals = np.full(n, weight(param))
@@ -1024,49 +1024,6 @@ def verify_toy(theta_grid: Sequence[float], eig_tol: float = 1e-12, inv_tol: flo
         grid={"theta_grid": [float(t) for t in theta_grid],
               "method": "exact", "mc_n": None},
         fitted={"eig_tol": eig_tol, "invariance_tol": inv_tol},
-        rows=rows,
-        passed=all(r.passed for r in rows),
-    )
-
-
-# ---------------------------------------------------------------------------
-# quadrature vs Monte-Carlo agreement
-
-
-def cross_check_kernel(
-    target: TargetModel,
-    proposal: ProposalSpec,
-    lyap: StateLyapunov,
-    n_points: int = 20,
-    mc_n: int = 100_000,
-    seed: int = 77,
-    se_factor: float = 4.0,
-) -> DriftReport:
-    """Random (theta, x) points where the Monte-Carlo kernel application
-    must sit within a few standard errors of the quadrature value."""
-    rng = substream(seed, 0)
-    rows = []
-    for j in range(n_points):
-        theta = float(rng.uniform(-1.0, 1.0))
-        x = float(rng.uniform(-10.0, 10.0))
-        param = ScalarParam(theta=theta)
-        quad, _ = apply_kernel_to_function(target, proposal, param, lyap, x)
-        mc, se = apply_kernel_to_function(
-            target, proposal, param, lyap, x,
-            method="monte_carlo", n=mc_n, rng=substream(seed, j + 1),
-        )
-        diff = abs(quad - mc)
-        ok = diff <= se_factor * se
-        rows.append(
-            DriftRow(
-                point={"theta": theta, "x": x},
-                lhs=quad, rhs=mc, margin=se_factor * se - diff, se=se, passed=ok,
-            )
-        )
-    return DriftReport(
-        check="kernel_cross_check",
-        grid={"n_points": n_points, "method": METHOD_MONTE_CARLO, "mc_n": mc_n},
-        fitted={"se_factor": se_factor},
         rows=rows,
         passed=all(r.passed for r in rows),
     )

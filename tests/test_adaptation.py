@@ -119,7 +119,7 @@ def test_coerced_step_size_envelopes(theta, alpha, gamma):
     new1 = coerced_update(theta, alpha, gamma, a_star)
     assert abs(new1 - theta) <= gamma * max(a_star, 1.0 - a_star) + math.ulp(new1)
     new2 = fast_coerced_update(theta, alpha, gamma, a_star)
-    assert abs(new2 - theta) <= gamma * (abs(theta) + 1.0) * max(a_star, 1.0 - a_star) + math.ulp(new2)
+    assert abs(new2 - theta) <= gamma * ((abs(theta) + 1.0) * max(a_star, 1.0 - a_star)) + math.ulp(new2)
 
 
 def test_kesten_advance_strict_sign():

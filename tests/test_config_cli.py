@@ -220,18 +220,31 @@ def test_first_stepsize_limit_is_am_only():
     validate_document(coerced)
 
 
-def test_srwm_record_stride_above_one_rejected(tmp_path):
-    # srwm recurrence statistics are computed from the recorded rows
-    doc = am_1d_doc({"kind": "polynomial", "c0": 0.5, "c1": 10.0, "a": 0.6})
-    doc["run"]["record_stride"] = 7
-    path = write_config(tmp_path, doc)
-    with pytest.raises(ConfigError) as exc:
-        load_config(path)
-    assert exc.value.json_path == "run.record_stride"
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
-    doc["run"]["record_stride"] = 1
-    validate_document(doc)
+def test_srwm_record_stride_thins_only_the_trajectory(tmp_path):
+    # srwm statistics see every step at any stride, as toy ones do: the
+    # coerced preset (1-D) and the 2-D AM config of the benchmark
+    coerced = json.loads(resolve_config_path("coerced").read_text())
+    coerced["run"].update(horizon=1000, replicas=3)
+    for name, doc in (("coerced", coerced), ("am-2d", mv_run_doc("am", horizon=300, replicas=3))):
+        out = {}
+        for stride in (1, 7):
+            doc["run"]["record_stride"] = stride
+            out[stride] = tmp_path / f"{name}-{stride}"
+            path = write_config(tmp_path, doc, f"{name}-{stride}.json")
+            assert main(["run", str(path), "--out", str(out[stride])]) == EXIT_OK
+        horizon = doc["run"]["horizon"]
+        summaries = [json.loads((out[k] / "summary.json").read_text()) for k in (1, 7)]
+        assert summaries[0]["summary"] == summaries[1]["summary"]
+        for summary in summaries:
+            summary["config"]["run"].pop("record_stride")
+        assert summaries[0] == summaries[1]
+        with open(out[1] / "trajectory.csv", newline="") as fh:
+            every = list(csv.reader(fh))
+        with open(out[7] / "trajectory.csv", newline="") as fh:
+            thinned = list(csv.reader(fh))
+        assert thinned[0] == every[0]
+        assert [int(r[0]) for r in thinned[1:]] == list(range(0, horizon, 7)) + [horizon]
+        assert thinned[1:] == [every[1 + int(r[0])] for r in thinned[1:]]
 
 
 @pytest.mark.parametrize(

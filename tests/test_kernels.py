@@ -30,7 +30,6 @@ from driftlab import (
     srwm_step,
     substream,
     toy_second_eigenvalue,
-    toy_step,
     toy_transition_matrix,
 )
 
@@ -189,14 +188,29 @@ def test_apply_kernel_student_requires_monte_carlo():
     assert math.isfinite(got)
 
 
-def test_apply_kernel_mc_agrees_with_quadrature():
-    t = smoothed_subexp_target(0.5)
+def _gaussian_points(n=20):
+    """(theta, x) points on the standard Gaussian target: theta ~ U(-1, 1)
+    and x ~ U(-10, 10), drawn in turn from substream(77, 0); point j checks
+    its Monte Carlo estimate on substream(77, j + 1)."""
+    rng = substream(77, 0)
+    return [(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-10.0, 10.0))) for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "target, theta, x, n, stream",
+    [pytest.param("subexp", 0.3, 4.0, 200_000, (3, 1), id="subexp")]
+    + [
+        pytest.param("gaussian", theta, x, 100_000, (77, j + 1), id=f"gaussian-{j}")
+        for j, (theta, x) in enumerate(_gaussian_points())
+    ],
+)
+def test_apply_kernel_mc_agrees_with_quadrature(target, theta, x, n, stream):
+    t = smoothed_subexp_target(0.5) if target == "subexp" else gaussian_target(dim=1)
     lyap = StateLyapunov(t, 0.5)
-    param = ScalarParam(theta=0.3)
-    x = 4.0
+    param = ScalarParam(theta=theta)
     quad, _ = apply_kernel_to_function(t, UNIFORM_1D, param, lyap, x)
     mc, se = apply_kernel_to_function(
-        t, UNIFORM_1D, param, lyap, x, method="monte_carlo", n=200_000, rng=substream(3, 1)
+        t, UNIFORM_1D, param, lyap, x, method="monte_carlo", n=n, rng=substream(*stream)
     )
     assert abs(mc - quad) <= 4.0 * se
 
@@ -271,10 +285,3 @@ def test_toy_transition_matrix_structure():
     assert toy_second_eigenvalue(theta) == pytest.approx(0.9004258632642721, abs=1e-15)
     assert toy_second_eigenvalue(0.0) == -1.0
     assert toy_second_eigenvalue(math.log(2.0)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_toy_step_frequencies():
-    rng = substream(21, 0)
-    theta = 1.0
-    stay = sum(toy_step(theta, 0, rng) == 0 for _ in range(20_000)) / 20_000
-    assert stay == pytest.approx(1.0 - math.exp(-1.0), abs=0.01)

@@ -1,5 +1,7 @@
 """Chain driver: reproducibility, recorded columns, recurrence bookkeeping."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -464,22 +466,93 @@ def mv_config(rule=RULE_AM, dim=2, schedule=None, family=FAMILY_GAUSSIAN, stride
     )
 
 
-def reference_generic(cfg):
-    """One step at a time, composed from the public pieces: srwm_step
-    evaluating log pi at both points, a fresh kernel parameter wherever one
-    is needed, V and w from their Lyapunov objects, and the rule's update.
-    Rows (i, theta, x, y, accepted, alpha, gamma, V, w, W, in_C, s), with
-    the same stride, final row and divergence halt as the simulator."""
-    rng = substream(cfg.seed, 0)
+class RowRecorder:
+    """Rows of a one-step-at-a-time reference loop, built into a Trajectory
+    with the simulator's column layout."""
+
+    def __init__(self, cfg, labels):
+        self.cfg = cfg
+        self.labels = labels
+        self.rows = []
+
+    def add(self, i, theta, x, y, accepted, alpha, gamma, v, w, comp, inside, s):
+        self.rows.append((i, theta, x, y, accepted, alpha, gamma, v, w, comp, inside, s))
+
+    def build(self, halted, halt_index, replica):
+        cfg = self.cfg
+        n = len(self.rows)
+        i, theta, x, y, accepted, alpha, gamma, v, w, comp, inside, s = map(list, zip(*self.rows))
+        return Trajectory(
+            index=np.array(i, dtype=np.int64),
+            theta=np.array(theta, dtype=float).reshape(n, -1),
+            theta_labels=self.labels,
+            x=np.array(x, dtype=float).reshape(n, -1),
+            y=np.array(y, dtype=float).reshape(n, -1),
+            accepted=np.array(accepted, dtype=bool),
+            alpha=np.array(alpha, dtype=float),
+            gamma=np.array(gamma, dtype=float),
+            v=np.array(v, dtype=float),
+            w=np.array(w, dtype=float),
+            compound=np.array(comp, dtype=float),
+            in_set=np.array(inside, dtype=bool),
+            kesten_counts=np.array(s, dtype=np.int64) if isinstance(cfg.schedule, KestenSchedule) else None,
+            record_stride=cfg.record_stride,
+            horizon=cfg.horizon,
+            diverged=halted,
+            halt_index=halt_index,
+            replica=replica,
+            recurrence_m=cfg.recurrence_m,
+            recurrence_r=cfg.recurrence_r,
+        )
+
+
+def replica_record(cfg, traj):
+    """The per-replica record of a stride-1 srwm trajectory, reduced by
+    ``recurrence_stats``; acceptance_tail is the accept rate of the last
+    min(10,000, steps // 10) steps."""
+    stats = recurrence_stats(traj)
+    tail = traj.accepted[-min(10_000, max((traj.index.shape[0] - 1) // 10, 1)):]
+    rec = {
+        "replica": traj.replica,
+        "first_hit": stats.first_hit,
+        "n_hits": len(stats.hitting_times),
+        "visit_count": stats.visit_count,
+        "last_exit_time": stats.last_exit_time,
+        "exit_count": stats.exit_count,
+        "max_abs_theta": stats.max_abs_theta,
+        "censored": stats.censored,
+        "diverged": stats.diverged,
+        "halt_index": traj.halt_index,
+        "acceptance_tail": float(tail.mean()),
+        "final_theta": [float(t) for t in traj.theta[-1]],
+    }
+    if cfg.rule.kind == RULE_AM and cfg.moments is not None and not traj.diverged:
+        k = cfg.moments.mu_pi.shape[0]
+        rec["final_err_mu"] = float(np.linalg.norm(traj.theta[-1][:k] - cfg.moments.mu_pi))
+        rec["final_err_cov"] = float(np.linalg.norm(traj.theta[-1][k:].reshape(k, k) - cfg.moments.cov_pi))
+    return rec
+
+
+def reference_generic(cfg, replica=0):
+    """One step at a time on the replica's substream, composed from the
+    public pieces: srwm_step evaluating log pi at both points, a fresh
+    kernel parameter wherever one is needed, V and w from their Lyapunov
+    objects, and the rule's update.  Rows every ``record_stride`` steps, the
+    final row, and the divergence halt row, as the simulator keeps them."""
+    rng = substream(cfg.seed, replica)
     rule = cfg.rule.kind
     kesten = isinstance(cfg.schedule, KestenSchedule)
     am = rule == RULE_AM
+    dim = cfg.target.dim
     if am:
         mu, cov = cfg.theta0.mu.copy(), cfg.theta0.cov.copy()
+        labels = [f"mu_{j+1}" for j in range(dim)] + [f"cov_{a+1}{b+1}" for a in range(dim) for b in range(dim)]
     else:
         theta = float(cfg.theta0)
+        labels = ["theta_1"]
     x = np.atleast_1d(np.asarray(cfg.x0, dtype=float)).copy()
     s, h_prev = 0, None
+    rec = RowRecorder(cfg, labels)
 
     def param():
         return AMParam(mu=mu, cov=cov) if am else ScalarParam(theta=theta)
@@ -490,9 +563,9 @@ def reference_generic(cfg):
         comp = compound_value(cfg.compound, v, w, gamma) if math.isfinite(v) and math.isfinite(w) else math.inf
         inside = w <= cfg.recurrence_m and float(np.linalg.norm(x)) <= cfg.recurrence_r
         theta_row = list(mu) + list(cov.ravel()) if am else [theta]
-        return (i, theta_row, list(x), list(np.atleast_1d(y)), accepted, alpha, gamma, v, w, comp, inside, s)
+        rec.add(i, theta_row, list(x), list(np.atleast_1d(y)), accepted, alpha, gamma, v, w, comp, inside, s)
 
-    rows = [row(0, x, False, math.nan, gamma_at(cfg.schedule, 1, 0 if kesten else None))]
+    row(0, x, False, math.nan, gamma_at(cfg.schedule, 1, 0 if kesten else None))
     for i in range(1, cfg.horizon + 1):
         gamma = gamma_at(cfg.schedule, i, s if kesten else None)
         step = srwm_step(cfg.target, cfg.proposal, param(), x, rng)
@@ -516,10 +589,10 @@ def reference_generic(cfg):
             np.all(np.isfinite(params)) and np.max(np.abs(params)) <= THETA_MAX and np.all(np.isfinite(x))
         )
         if halted or i % cfg.record_stride == 0 or i == cfg.horizon:
-            rows.append(row(i, step.proposed, step.accepted, step.alpha, gamma))
+            row(i, step.proposed, step.accepted, step.alpha, gamma)
         if halted:
             break
-    return rows, halted
+    return rec.build(halted, i if halted else None, replica)
 
 
 MV_CASES = {
@@ -538,35 +611,31 @@ MV_CASES = {
     # cov_11 = 1 + gamma_1 * (1e14 - 1) > THETA_MAX while |mu| stays near
     # 1e6: halts at step 1 on the covariance alone
     "am-2d-diverges": {"x0": 1e7},
+    # the covariance reaches 9.3e11 at step 1 and 1.09e12 at step 2: halts at
+    # step 2, so the halt row can end block 1 or open block 2
+    "am-2d-step-2-diverges": {"x0": 2.8e6},
+    # gamma near 5: |theta| grows geometrically, passes 700 (an infinite
+    # proposal scale, so proposals at infinity, which are rejected) and
+    # halts on THETA_MAX at step 69
+    "fast-coerced-2d-diverges": {"rule": RULE_FAST_COERCED, "schedule": PolynomialSchedule(c0=5.0, c1=0.0, a=0.001)},
 }
+
+# halt index of replica 0 in each case that diverges
+MV_HALTS = {"am-2d-diverges": 1, "am-2d-step-2-diverges": 2, "coerced-2d-diverges": 1, "fast-coerced-2d-diverges": 69}
 
 
 @pytest.mark.parametrize("case", sorted(MV_CASES))
 def test_generic_path_matches_per_step_composition(case):
     cfg = mv_config(**MV_CASES[case])
-    rows, halted = reference_generic(cfg)
+    ref = reference_generic(cfg)
     traj = run_chain(cfg)
-    assert traj.diverged == halted == case.endswith("-diverges")
-    if halted:
-        assert traj.index.tolist() == [0, 1]
-    assert traj.halt_index == (rows[-1][0] if halted else None)
-    assert traj.index.tolist() == [r[0] for r in rows]
-    np.testing.assert_array_equal(traj.theta, [r[1] for r in rows])
-    np.testing.assert_array_equal(traj.x, [r[2] for r in rows])
-    np.testing.assert_array_equal(traj.y, [r[3] for r in rows])
-    assert traj.accepted.tolist() == [r[4] for r in rows]
-    np.testing.assert_array_equal(traj.alpha, [r[5] for r in rows])
-    assert traj.gamma.tolist() == [r[6] for r in rows]
-    assert traj.v.tolist() == [r[7] for r in rows]
-    assert traj.w.tolist() == [r[8] for r in rows]
-    assert traj.compound.tolist() == [r[9] for r in rows]
-    assert traj.in_set.tolist() == [r[10] for r in rows]
-    if isinstance(cfg.schedule, KestenSchedule):
-        assert traj.kesten_counts.tolist() == [r[11] for r in rows]
+    assert traj.diverged == ref.diverged == case.endswith("-diverges")
+    if ref.diverged:
+        assert traj.index.tolist() == list(range(MV_HALTS[case] + 1))
+    assert_same_trajectory(traj, ref)
+    if ref.kesten_counts is not None:
         assert traj.kesten_counts[-1] > 0
-    else:
-        assert traj.kesten_counts is None
-    if not halted:
+    if not ref.diverged:
         # the chain moved and visited the recurrence set
         assert traj.accepted.any() and traj.in_set.any()
 
@@ -679,7 +748,7 @@ def reference_scalar(cfg, rng, replica=0):
     theta, x = float(cfg.theta0), float(cfg.x0)
     lx = float(logp(x))
     s, h_prev = 0, None
-    rec = simulator._Recorder(["theta_1"], 1, kesten)
+    rec = RowRecorder(cfg, ["theta_1"])
 
     def record(i, y, accepted, alpha, gamma):
         v = math.exp(-eta * lx) if -eta * lx < 700.0 else math.inf
@@ -712,7 +781,7 @@ def reference_scalar(cfg, rng, replica=0):
         else:
             h = 0.0
         if rule.kind != RULE_FIXED:
-            # gamma * h, not fast_coerced_update's (gamma * (|theta| + 1)) * (...)
+            # gamma * h, the order of fast_coerced_update: gamma * ((|theta| + 1) * (alpha - alpha*))
             theta = theta + gamma * h
         if kesten:
             if h_prev is not None:
@@ -723,7 +792,7 @@ def reference_scalar(cfg, rng, replica=0):
             record(i, y, accepted, alpha, gamma)
         if halted:
             break
-    return rec.build(cfg, halted, i if halted else None, replica)
+    return rec.build(halted, i if halted else None, replica)
 
 
 def reference_am_1d(cfg, rng, replica=0):
@@ -742,7 +811,7 @@ def reference_am_1d(cfg, rng, replica=0):
     x = float(cfg.x0)
     lx = float(logp(x))
     s, h_prev = 0, None
-    rec = simulator._Recorder(["mu_1", "cov_11"], 1, kesten)
+    rec = RowRecorder(cfg, ["mu_1", "cov_11"])
 
     def record(i, y, accepted, alpha, gamma):
         v = math.exp(-eta * lx) if -eta * lx < 700.0 else math.inf
@@ -775,7 +844,7 @@ def reference_am_1d(cfg, rng, replica=0):
             record(i, y, accepted, alpha, gamma)
         if halted:
             break
-    return rec.build(cfg, halted, i if halted else None, replica)
+    return rec.build(halted, i if halted else None, replica)
 
 
 def reference_1d(cfg, rng, replica=0):
@@ -880,7 +949,7 @@ def test_streamed_1d_matches_per_step_loops(monkeypatch, case, block):
     elif block != "default":
         monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", int(block))
     summary, first = run_replicas(cfg, n_rep, keep_first_trajectory=True)
-    assert summary.per_replica == [simulator._replica_record(cfg, ref) for ref in refs]
+    assert summary.per_replica == [replica_record(cfg, ref) for ref in refs]
     assert_same_trajectory(first, refs[0])
 
 
@@ -898,17 +967,31 @@ def test_run_chain_stride_matches_per_step_loop(monkeypatch, case, block):
     assert again.index.tolist() == traj.index.tolist() and again.theta.tolist() == traj.theta.tolist()
 
 
+def test_fast_coerced_update_is_the_1d_recursion():
+    # one rounding for the fast-coerced rule: replaying a streamed 1-D path
+    # through fast_coerced_update gives its parameter bit for bit
+    cfg = srwm_1d_config(**SRWM_1D_CASES["fast-coerced-uniform"])
+    traj = run_chain(cfg)
+    theta = traj.theta[:, 0].tolist()
+    steps = zip(theta[:-1], traj.alpha[1:].tolist(), traj.gamma[1:].tolist())
+    assert [fast_coerced_update(t, alpha, gamma, 0.44) for t, alpha, gamma in steps] == theta[1:]
+
+
 def test_run_replicas_never_records_a_whole_1d_path(monkeypatch):
-    # 1-D replicas are reduced block by block; only the multivariate path
-    # runs whole trajectories through run_chain and the row recorder
+    # every srwm replica, 1-D or multivariate, is reduced block by block:
+    # none runs a whole trajectory through run_chain
     def refuse(*args, **kwargs):
-        raise AssertionError("a 1-D replica went through the per-step recorder")
+        raise AssertionError("a replica went through run_chain")
 
     monkeypatch.setattr(simulator, "run_chain", refuse)
-    monkeypatch.setattr(simulator, "_Recorder", refuse)
-    for case in ("coerced-uniform", "am-gaussian"):
-        summary, first = run_replicas(srwm_1d_config(**SRWM_1D_CASES[case]), 3, keep_first_trajectory=True)
-        assert summary.n_replicas == 3 and first.index.shape[0] == 601
+    for cfg in (
+        srwm_1d_config(**SRWM_1D_CASES["coerced-uniform"]),
+        srwm_1d_config(**SRWM_1D_CASES["am-gaussian"]),
+        mv_config(),
+        mv_config(rule=RULE_COERCED),
+    ):
+        summary, first = run_replicas(cfg, 3, keep_first_trajectory=True)
+        assert summary.n_replicas == 3 and first.index.shape[0] == cfg.horizon + 1
 
 
 def test_streamed_record_keeps_a_bounded_tail(monkeypatch):
@@ -918,8 +1001,44 @@ def test_streamed_record_keeps_a_bounded_tail(monkeypatch):
     cfg = srwm_1d_config(horizon=120_000)
     summary, _ = run_replicas(cfg, 1)
     ref = reference_1d(cfg, substream(cfg.seed, 0))
-    assert summary.per_replica == [simulator._replica_record(cfg, ref)]
+    assert summary.per_replica == [replica_record(cfg, ref)]
     assert summary.per_replica[0]["acceptance_tail"] == float(ref.accepted[-10_000:].mean())
+
+
+# ---------------------------------------------------------------------------
+# streamed multivariate replicas against the per-step composition
+
+
+@functools.lru_cache(maxsize=None)
+def mv_reference(case, replica, stride_one=False):
+    """``reference_generic`` of an MV_CASES entry, computed once per run."""
+    cfg = mv_config(**MV_CASES[case])
+    if stride_one:
+        cfg = dataclasses.replace(cfg, record_stride=1)
+    return reference_generic(cfg, replica)
+
+
+MV_HALTING_LATE = ["am-2d-step-2-diverges", "fast-coerced-2d-diverges"]
+
+
+@pytest.mark.parametrize(
+    "case, block",
+    [(case, block) for case in sorted(MV_CASES) for block in BLOCK_SETTINGS]
+    + [(case, block) for case in MV_HALTING_LATE for block in ("halt-last", "halt-first")],
+)
+def test_streamed_mv_matches_per_step_composition(monkeypatch, case, block):
+    cfg = mv_config(**MV_CASES[case])
+    n_rep = 3
+    refs = [mv_reference(case, k, stride_one=True) for k in range(n_rep)]
+    halt = refs[0].halt_index
+    assert halt == MV_HALTS.get(case)
+    if block.startswith("halt"):
+        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", halt if block == "halt-last" else halt - 1)
+    elif block != "default":
+        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", int(block))
+    summary, first = run_replicas(cfg, n_rep, keep_first_trajectory=True)
+    assert summary.per_replica == [replica_record(cfg, ref) for ref in refs]
+    assert_same_trajectory(first, mv_reference(case, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from driftlab import (
     TailKind,
@@ -21,7 +20,6 @@ from driftlab import (
     make_target,
     matched_density_point,
     smoothed_subexp_target,
-    tail_integrals,
     two_scale_gaussian_target,
 )
 
@@ -95,24 +93,15 @@ def test_matched_density_point_two_scale():
     assert matched_density_point(g, 0.0) == 0.0
 
 
-def test_tail_integrals_gaussian_closed_form():
-    t = gaussian_target(dim=1)
-    x = 1.5
-    got = tail_integrals(t, x, 1.0)
-    # outward: integral_0^inf exp(-((x+z)^2 - x^2)/2) dz
-    ref_out, _ = integrate.quad(lambda z: math.exp(-0.5 * ((x + z) ** 2 - x * x)), 0, np.inf)
-    # inward: integral_0^x exp(((x-z)^2 - x^2)/2)^{-1}... the inverse ratio
-    ref_in, _ = integrate.quad(lambda z: math.exp(-0.5 * (x * x - (x - z) ** 2)), 0, x)
-    assert got.outward == pytest.approx(ref_out, abs=1e-7)
-    assert got.inward == pytest.approx(ref_in, abs=1e-7)
-
-
-def test_tail_integrals_require_off_origin_point():
-    t = gaussian_target(dim=1)
-    with pytest.raises(ValueError):
-        tail_integrals(t, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        tail_integrals(t, 1.0, 0.0)
+def test_gaussian_log_density_at_infinity_is_minus_inf():
+    # inf - inf inside the quadratic form would give NaN
+    t = gaussian_target(dim=2, mean=[1.0, -1.0], cov=[[1.0, 0.8], [0.8, 2.0]])
+    for y in ([np.inf, np.inf], [-np.inf, np.inf], [np.inf, 0.0], [1e200, -1e200]):
+        assert float(t.log_density(np.array(y))) == -math.inf
+    assert math.isnan(float(t.log_density(np.array([np.nan, 0.0]))))
+    batch = np.array([[np.inf, np.inf], [np.nan, 0.0], [1.0, -1.0], [1e200, -1e200]])
+    lp = np.asarray(t.log_density(batch))
+    assert lp[0] == -math.inf and math.isnan(lp[1]) and lp[2] == 0.0 and lp[3] == -math.inf
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,7 +24,6 @@ from driftlab import (
     W_EXP_ABS,
     accept_reject_profile,
     apply_kernel_to_function,
-    cross_check_kernel,
     decomposition_terms,
     deficit_loglog_slope,
     gaussian_target,
@@ -303,13 +302,3 @@ def test_profile_zero_at_origin():
     t = smoothed_subexp_target(0.5)
     for x in (5.0, 20.0, 80.0):
         assert accept_reject_profile(t, 0.5, x, 0.0) == 0.0
-
-
-# -- cross-method agreement ------------------------------------------------------
-
-
-def test_cross_check_kernel_quadrature_vs_mc():
-    t = gaussian_target(dim=1)
-    report = cross_check_kernel(t, UNIFORM_1D, StateLyapunov(t, 0.5))
-    assert report.passed
-    assert len(report.rows) == 20
