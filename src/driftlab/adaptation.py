@@ -15,7 +15,6 @@ product).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,27 +123,6 @@ def gamma_at(schedule: Schedule, i: int, kesten_count: Optional[int] = None) -> 
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
-def inverse_diff_limsup(schedule: Schedule) -> float:
-    """Limit superior of gamma_{i+1}**-1 - gamma_i**-1 along the schedule.
-
-    For the polynomial schedule the successive inverse differences converge:
-    to 0 when the exponent is below 1, and exactly to 1/c0 when the exponent
-    equals 1 (so the slow-adaptation condition at exponent 1 requires
-    1/c0 plus the limiting stepsize to stay below the drift slope at 0).
-    Constant schedules give 0.  The sign-change schedule is data-dependent
-    and has no analytic value.
-    """
-    if isinstance(schedule, PolynomialSchedule):
-        if schedule.a < 1.0:
-            return 0.0
-        return 1.0 / schedule.c0
-    if isinstance(schedule, ConstantSchedule):
-        return 0.0
-    if isinstance(schedule, KestenSchedule):
-        raise ValueError("sign-change schedule has no analytic inverse-difference limit")
-    raise ValueError(f"unknown schedule {schedule!r}")
-
-
 # ---------------------------------------------------------------------------
 # update maps
 
@@ -183,16 +161,37 @@ def am_increment(mu, cov, x_new) -> np.ndarray:
     return np.concatenate([d, (np.outer(d, d) - cov).ravel()])
 
 
+def scalar_update(kind: str, theta, alpha, gamma, alpha_star):
+    """(theta', h) for a scalar log-scale rule: theta' = theta + gamma * h with
+    h = alpha - alpha_star (coerced) or (|theta| + 1) * (alpha - alpha_star)
+    (fast_coerced); the fixed rule gives (theta, 0.0).
+
+    The one copy of this arithmetic outside the 1-D simulator loop: the
+    multivariate chain and every certificate call it, so both see the same
+    update map.  Takes Python floats or numpy arrays, elementwise with the
+    same rounding; no argument checks.
+    """
+    if kind == RULE_FIXED:
+        return theta, 0.0
+    if kind == RULE_COERCED:
+        h = alpha - alpha_star
+    elif kind == RULE_FAST_COERCED:
+        h = (abs(theta) + 1.0) * (alpha - alpha_star)
+    else:
+        raise ValueError(f"{kind!r} is not a scalar log-scale rule")
+    return theta + gamma * h, h
+
+
 def coerced_update(theta: float, alpha_val: float, gamma: float, alpha_star: float) -> float:
     """theta + gamma * (alpha - alpha_star)."""
     _check_coerced_args(alpha_val, gamma, alpha_star)
-    return theta + gamma * (alpha_val - alpha_star)
+    return scalar_update(RULE_COERCED, theta, alpha_val, gamma, alpha_star)[0]
 
 
 def fast_coerced_update(theta: float, alpha_val: float, gamma: float, alpha_star: float) -> float:
     """theta + gamma * ((|theta| + 1) * (alpha - alpha_star))."""
     _check_coerced_args(alpha_val, gamma, alpha_star)
-    return theta + gamma * ((abs(theta) + 1.0) * (alpha_val - alpha_star))
+    return scalar_update(RULE_FAST_COERCED, theta, alpha_val, gamma, alpha_star)[0]
 
 
 def _check_coerced_args(alpha_val: float, gamma: float, alpha_star: float) -> None:
@@ -235,16 +234,3 @@ class MeanFieldAM:
         object.__setattr__(self, "cov_pi", cov)
         if cov.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("cov_pi shape must match mu_pi")
-
-
-def mean_field_am(mu, cov, moments: MeanFieldAM) -> tuple[np.ndarray, np.ndarray]:
-    """Mean field of the running-moments update at (mu, cov).
-
-    Vanishes exactly at (mu_pi, cov_pi): the update's unique root.
-    """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape == ():
-        cov = cov.reshape(1, 1)
-    d = moments.mu_pi - mu
-    return d, np.outer(d, d) + moments.cov_pi - cov

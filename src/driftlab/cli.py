@@ -27,7 +27,6 @@ from .config import (
     ConfigError,
     build_chain_config,
     build_coefficients,
-    build_compound,
     build_grid,
     build_proposal,
     build_rule,
@@ -127,10 +126,8 @@ def run_check(name: str, doc: dict) -> DriftReport:
         if grid.method != METHOD_MONTE_CARLO:
             # this check is sampling-based by contract
             grid = dataclasses.replace(grid, method=METHOD_MONTE_CARLO)
-        compound = build_compound(doc)
         return verify_compound_drift(
-            target, proposal, rule, lyap, weight, compound, grid, coef,
-            center_radius=center_radius,
+            target, proposal, rule, lyap, weight, grid, coef, center_radius=center_radius
         )
     raise ConfigError(f"unknown check {name!r}", "verify.checks")
 

@@ -8,7 +8,6 @@ the builders call, so a document that loads cleanly builds cleanly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 import jsonschema

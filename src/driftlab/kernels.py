@@ -22,6 +22,9 @@ FAMILY_UNIFORM = "uniform"
 PARAM_AM_COVARIANCE = "am_covariance"
 PARAM_SCALAR_LOG_SCALE = "scalar_log_scale"
 
+# Absolute tolerance of the kernel integrals (acceptance rate, P f).
+QUAD_TOL = 1e-9
+
 # Classical random-walk scaling constant for covariance-based proposals:
 # proposal covariance = (RW_SCALE**2 / dim) * (cov + eps_ridge * I).
 RW_SCALE = 2.38
@@ -179,12 +182,25 @@ def _log_density(target: TargetModel, x) -> float:
     return float(np.asarray(target.log_density(x), dtype=float))
 
 
-def _accept_from_logs(ly: float, lx: float, x, y) -> float:
+def acceptance(ly: float, lx: float) -> float:
     """min(1, exp(ly - lx)) for log pi(y) = ly and log pi(x) = lx."""
-    if math.isnan(ly) or math.isnan(lx) or lx == -math.inf:
-        raise ValueError(f"invalid point: log-density not finite at y={y!r}, x={x!r}")
     d = ly - lx
     return 1.0 if d >= 0.0 else math.exp(d)
+
+
+def acceptance_vec(ly: np.ndarray, lx) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, log alpha) with alpha = min(1, exp(ly - lx)), elementwise over
+    an array of log pi(y)."""
+    log_alpha = np.minimum(ly - lx, 0.0)
+    return np.exp(log_alpha), log_alpha
+
+
+def _accept_from_logs(ly: float, lx: float, x, y) -> float:
+    """:func:`acceptance`, refusing a NaN log-density or a current state
+    outside the support."""
+    if math.isnan(ly) or math.isnan(lx) or lx == -math.inf:
+        raise ValueError(f"invalid point: log-density not finite at y={y!r}, x={x!r}")
+    return acceptance(ly, lx)
 
 
 def accept_prob(target: TargetModel, x, y) -> float:
@@ -232,7 +248,7 @@ def _acceptance_breakpoints(target: TargetModel, x: float, sigma: float) -> list
     return pts
 
 
-def mean_acceptance(target: TargetModel, sigma: float, x: float, tol: float = 1e-9) -> float:
+def mean_acceptance(target: TargetModel, sigma: float, x: float) -> float:
     """Average acceptance probability from ``x`` under compact-uniform
     increments of half-width ``sigma``, by adaptive quadrature.
 
@@ -252,11 +268,10 @@ def mean_acceptance(target: TargetModel, sigma: float, x: float, tol: float = 1e
     q = 0.5 / sigma
 
     def integrand(z: float) -> float:
-        d = float(logp(x + z)) - lx
-        return q if d >= 0.0 else q * math.exp(d)
+        return q * acceptance(float(logp(x + z)), lx)
 
     pts = _acceptance_breakpoints(target, x, sigma)
-    return integrate_interval(integrand, -sigma, sigma, tol=tol, points=pts)
+    return integrate_interval(integrand, -sigma, sigma, tol=QUAD_TOL, points=pts)
 
 
 def apply_kernel_to_function(
@@ -268,7 +283,6 @@ def apply_kernel_to_function(
     method: str = "quadrature",
     n: int = 10_000,
     rng: Optional[np.random.Generator] = None,
-    tol: float = 1e-9,
 ) -> tuple[float, float]:
     """Estimate (P f)(x), the one-step kernel average of ``f`` from ``x``.
 
@@ -327,21 +341,18 @@ def apply_kernel_to_function(
 
         def accepted_part(z: float) -> float:
             y = x + z
-            d = float(logp(y)) - lx
-            a = 1.0 if d >= 0.0 else math.exp(d)
+            a = acceptance(float(logp(y)), lx)
             fy = float(f(y))
             if not math.isfinite(fy):
                 raise ValueError(f"non-integrable test function: non-finite value at y={y!r}")
             return q_of(z) * a * fy
 
         def acceptance_mass(z: float) -> float:
-            d = float(logp(x + z)) - lx
-            a = 1.0 if d >= 0.0 else math.exp(d)
-            return q_of(z) * a
+            return q_of(z) * acceptance(float(logp(x + z)), lx)
 
         pts = _acceptance_breakpoints(target, x, half)
-        moved = integrate_interval(accepted_part, -half, half, tol=tol, points=pts)
-        mass = integrate_interval(acceptance_mass, -half, half, tol=tol, points=pts)
+        moved = integrate_interval(accepted_part, -half, half, tol=QUAD_TOL, points=pts)
+        mass = integrate_interval(acceptance_mass, -half, half, tol=QUAD_TOL, points=pts)
         return moved + fx * (1.0 - mass), 0.0
 
     if method != "monte_carlo":
@@ -354,16 +365,10 @@ def apply_kernel_to_function(
     ys = x + zs
     ly = np.asarray(target.log_density(ys), dtype=float)
     lx = float(np.asarray(target.log_density(x), dtype=float))
-    alphas = np.exp(np.minimum(0.0, ly - lx))
-    try:
-        fy = np.asarray(f(ys), dtype=float)
-        if fy.shape != (n,):
-            raise TypeError
-    except Exception:
-        if target.dim == 1:
-            fy = np.array([float(f(float(y))) for y in ys])
-        else:
-            fy = np.array([float(f(y)) for y in ys])
+    alphas = acceptance_vec(ly, lx)[0]
+    fy = np.asarray(f(ys), dtype=float)
+    if fy.shape != (n,):
+        raise ValueError(f"monte_carlo needs a vectorised f: f(ys) has shape {fy.shape}, not ({n},)")
     fx = float(f(x if target.dim > 1 else float(x)))
     vals = fy * alphas + fx * (1.0 - alphas)
     if not np.all(np.isfinite(vals)):
@@ -386,13 +391,5 @@ def toy_transition_matrix(theta: float) -> np.ndarray:
 
 
 def toy_second_eigenvalue(theta: float) -> float:
-    """Second eigenvalue 1 - 2 exp(-|theta|) of the toy transition matrix.
-
-    Cross-checked against a direct 2x2 eigendecomposition on every call.
-    """
-    e = math.exp(-abs(theta))
-    lam = 1.0 - 2.0 * e
-    eigs = np.linalg.eigvalsh(toy_transition_matrix(theta))
-    if abs(eigs[0] - lam) > 1e-12:
-        raise RuntimeError("toy eigenvalue formula disagrees with eigendecomposition")
-    return lam
+    """Second eigenvalue 1 - 2 exp(-|theta|) of the toy transition matrix."""
+    return 1.0 - 2.0 * math.exp(-abs(theta))

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import AMParam, KernelParam, ScalarParam
+from .kernels import AMParam, ScalarParam
 from .targets import TargetModel, is_symmetric
 
 SCENARIO_AM_SUPEREXP = "am_superexp"
@@ -120,14 +120,11 @@ class CompoundSpec:
 
     upsilon_v: float = 1.0
     upsilon_w: float = 1.0
-    lam_star: float = 1.0
     mode: str = "W"
 
     def __post_init__(self):
         if not (0.0 < self.upsilon_v <= 1.0) or not (0.0 < self.upsilon_w <= 1.0):
             raise ValueError("compound exponents must lie in (0, 1]")
-        if self.lam_star < 1.0:
-            raise ValueError("lam_star must be >= 1")
         if self.mode not in ("W", "U"):
             raise ValueError("mode must be 'W' or 'U'")
 
@@ -151,13 +148,12 @@ class DriftCoefficients:
     Free constants (``a0``, ``slope_c``, ``b_const``, ``sup_c_vbeta``) are
     fitted by the verifiers on a grid and then frozen; everything else is
     structural.  ``iota`` is the state-drift exponent, ``beta`` the
-    parameter-drift exponent, ``p_delta`` the slope-function power.
+    parameter-drift exponent.
     """
 
     scenario: str
     iota: float
     beta: float
-    p_delta: float = 1.0
     a0: float = 1.0
     slope_c: float = 1.0
     b_const: float = 1.0
@@ -175,8 +171,8 @@ class DriftCoefficients:
             raise ValueError("iota must lie in (0, 1]")
         if not (0.0 < self.beta < 1.0):
             raise ValueError("beta must lie in (0, 1)")
-        if not (0.0 < self.p_delta and self.p_delta * self.beta <= self.iota + 1e-12):
-            raise ValueError("p_delta must lie in (0, iota/beta]")
+        if self.beta > self.iota + 1e-12:
+            raise ValueError("beta must not exceed iota (the slope function is linear)")
         if self.a0 <= 0 or self.slope_c <= 0:
             raise ValueError("fitted constants must be positive")
         if self.scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED):
@@ -319,8 +315,9 @@ class DetCheckResult(NamedTuple):
     holds: bool
 
 
-def check_det_inequality(cov: np.ndarray, slack: float = 1e-12) -> DetCheckResult:
-    """sqrt(det(cov)) <= dim**(-dim/4) * |cov|_F**(dim/2) for PSD matrices.
+def check_det_inequality(cov: np.ndarray) -> DetCheckResult:
+    """sqrt(det(cov)) <= dim**(-dim/4) * |cov|_F**(dim/2) for PSD matrices,
+    up to an absolute slack of 1e-12.
 
     Equality holds exactly at scalar multiples of the identity.
     """
@@ -337,4 +334,4 @@ def check_det_inequality(cov: np.ndarray, slack: float = 1e-12) -> DetCheckResul
     lhs = math.sqrt(max(det, 0.0))
     fro = float(np.linalg.norm(cov))
     rhs = n ** (-n / 4.0) * fro ** (n / 2.0)
-    return DetCheckResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + slack)
+    return DetCheckResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12)

@@ -16,7 +16,10 @@ as numpy vectors, each drawing its uniforms in blocks from its own
 substream, with a block length chosen so that block length times replica
 count stays near 2**15 elements.  Each block is reduced to per-replica
 recurrence statistics as the run goes, and only replica 0 keeps its path,
-so ``record_stride`` thins that trajectory and never the statistics.
+so ``record_stride`` thins that trajectory and never the statistics.  One
+toy chain alone pays numpy's per-call cost on every step (11.7 us/step at
+R = 1, against 2.3 us for a scalar loop, on a 2-vCPU VM); no preset or
+benchmark workload runs one, so it gets no second engine of its own.
 
 srwm chains run one replica at a time, each in a loop that appends only raw
 values (parameter, state, proposal, acceptance, stepsize, log pi) to
@@ -45,7 +48,6 @@ import numpy as np
 
 from .adaptation import (
     RULE_AM,
-    RULE_COERCED,
     RULE_FAST_COERCED,
     RULE_FIXED,
     RULE_TOY_MEAN,
@@ -56,10 +58,9 @@ from .adaptation import (
     Schedule,
     am_increment,
     am_update,
-    coerced_update,
-    fast_coerced_update,
     gamma_at,
     kesten_advance,
+    scalar_update,
 )
 from .kernels import (
     FAMILY_GAUSSIAN,
@@ -341,6 +342,8 @@ def _scalar_blocks(config: ChainConfig, rng, block: int):
                 coin = draw_uniform()
             y = x + z
             ly = float(logp(y))
+            # kernels.acceptance and adaptation.scalar_update inlined: the two calls
+            # took a 1.2 us step to 1.4 us (coerced preset, 2 x 200,000 steps, 2-vCPU VM)
             d = ly - lx
             alpha = 1.0 if d >= 0.0 else exp(d)
             accepted = coin < alpha
@@ -421,7 +424,7 @@ def _am_1d_blocks(config: ChainConfig, rng, block: int):
             y = x + z
             ly = float(logp(y))
             d = ly - lx
-            alpha = 1.0 if d >= 0.0 else exp(d)
+            alpha = 1.0 if d >= 0.0 else exp(d)  # kernels.acceptance, inlined as above
             accepted = draw_uniform() < alpha
             if accepted:
                 x, lx = y, ly
@@ -503,14 +506,7 @@ def _generic_blocks(config: ChainConfig, rng, block: int):
                 bounded = np.abs(mu).max() <= THETA_MAX and np.abs(cov).max() <= THETA_MAX
                 rows.append((*mu.tolist(), *cov.ravel().tolist()))
             else:
-                if rule.kind == RULE_COERCED:
-                    h_cur = step.alpha - rule.alpha_star
-                    theta = coerced_update(theta, step.alpha, gm, rule.alpha_star)
-                elif rule.kind == RULE_FAST_COERCED:
-                    h_cur = (abs(theta) + 1.0) * (step.alpha - rule.alpha_star)
-                    theta = fast_coerced_update(theta, step.alpha, gm, rule.alpha_star)
-                else:
-                    h_cur = 0.0
+                theta, h_cur = scalar_update(rule.kind, theta, step.alpha, gm, rule.alpha_star)
                 bounded = abs(theta) <= THETA_MAX
                 rows.append((theta,))
             if kesten:
@@ -595,18 +591,21 @@ def _run_srwm(
         path = _KeptPath(config, labels) if keep_first and k == 0 else None
         flags = deque(maxlen=_TAIL_MAX)
         start = 0
-        for blk in blocks_of(config, rng, _SRWM_BLOCK_STEPS):
-            index = np.arange(start, start + len(blk.x))
-            theta = np.array(blk.theta)
-            x = np.array(blk.x).reshape(index.shape[0], dim)
-            x_norm = np.abs(x[:, 0]) if dim == 1 else np.linalg.norm(x, axis=1)
-            w_cells = weights(blk.theta)
-            w = np.array(w_cells)
-            stats.add(index, np.abs(theta).max(axis=0)[:, None], w[:, None], x_norm[:, None], cols, horizon)
-            flags.extend(blk.accepted)
-            if path is not None:
-                path.add(index, blk, theta, x, x_norm, w, w_cells)
-            start += len(blk.x)
+        # a diverging multivariate chain overflows its proposal scale and the
+        # quadratic form of its proposals; that is the halt, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for blk in blocks_of(config, rng, _SRWM_BLOCK_STEPS):
+                index = np.arange(start, start + len(blk.x))
+                theta = np.array(blk.theta)
+                x = np.array(blk.x).reshape(index.shape[0], dim)
+                x_norm = np.abs(x[:, 0]) if dim == 1 else np.linalg.norm(x, axis=1)
+                w_cells = weights(blk.theta)
+                w = np.array(w_cells)
+                stats.add(index, np.abs(theta).max(axis=0)[:, None], w[:, None], x_norm[:, None], cols, horizon)
+                flags.extend(blk.accepted)
+                if path is not None:
+                    path.add(index, blk, theta, x, x_norm, w, w_cells)
+                start += len(blk.x)
         end = start - 1
         tail = list(flags)[-min(_TAIL_MAX, max(end // 10, 1)):]
         final_theta = [th[-1] for th in blk.theta]

@@ -18,7 +18,7 @@ Built-in families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -68,17 +68,14 @@ class TailClass:
 class TargetModel:
     """Unnormalized target with sup log-density = 0.
 
-    ``log_density`` and ``grad_log_density`` accept floats (dim 1) or arrays;
-    batch evaluation follows numpy broadcasting.  ``hess_log_density`` is
-    optional and one-dimensional only.
+    ``log_density`` accepts floats (dim 1) or arrays; batch evaluation
+    follows numpy broadcasting.
     """
 
     name: str
     dim: int
     log_density: Callable
-    grad_log_density: Callable
     tail: TailClass
-    hess_log_density: Optional[Callable] = None
     known_mean: Optional[np.ndarray] = None
     known_cov: Optional[np.ndarray] = None
     unimodal_1d: bool = False
@@ -119,24 +116,15 @@ def gaussian_target(dim: int = 1, mean=None, cov=None) -> TargetModel:
     if dim == 1:
         m = float(mean[0])
         half_prec = 0.5 / float(cov[0, 0])
-        prec = 1.0 / float(cov[0, 0])
 
         def logp(x):
             d = x - m
             return -(d * d) * half_prec
 
-        def grad(x):
-            return -(x - m) * prec
-
-        def hess(x):
-            return -prec * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else -prec
-
         return TargetModel(
             name="gaussian",
             dim=1,
             log_density=logp,
-            grad_log_density=grad,
-            hess_log_density=hess,
             tail=TailClass(TailKind.GAUSSIAN, 2.0),
             known_mean=mean,
             known_cov=cov,
@@ -160,15 +148,10 @@ def gaussian_target(dim: int = 1, mean=None, cov=None) -> TargetModel:
         q[np.isnan(q) & ~np.isnan(d).any(axis=-1)] = math.inf
         return -0.5 * q
 
-    def grad_nd(x):
-        d = np.asarray(x, dtype=float) - mean
-        return -d @ prec_mat
-
     return TargetModel(
         name="gaussian",
         dim=dim,
         log_density=logp_nd,
-        grad_log_density=grad_nd,
         tail=TailClass(TailKind.GAUSSIAN, 2.0),
         known_mean=mean,
         known_cov=cov,
@@ -193,18 +176,10 @@ def smoothed_subexp_target(alpha: float) -> TargetModel:
     def logp(x):
         return 1.0 - (1.0 + x * x) ** half
 
-    def grad(x):
-        return -alpha * x * (1.0 + x * x) ** (half - 1.0)
-
-    def hess(x):
-        return -alpha * (1.0 + x * x) ** (half - 2.0) * (1.0 + (alpha - 1.0) * x * x)
-
     return TargetModel(
         name="subexp",
         dim=1,
         log_density=logp,
-        grad_log_density=grad,
-        hess_log_density=hess,
         tail=_subexp_tail(alpha),
         unimodal_1d=True,
         mode=0.0,
@@ -214,7 +189,6 @@ def smoothed_subexp_target(alpha: float) -> TargetModel:
 def exact_tail_subexp_target(alpha: float) -> TargetModel:
     """Target with exact power-law log-density ``-|x|^alpha``.
 
-    The gradient is undefined at 0; the implementation returns 0 there.
     Closed forms for acceptance and tail integrals make this family the
     reference for oracle tests.
     """
@@ -224,18 +198,10 @@ def exact_tail_subexp_target(alpha: float) -> TargetModel:
     def logp(x):
         return -abs(x) ** alpha
 
-    def grad(x):
-        xa = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = -alpha * np.sign(xa) * np.abs(xa) ** (alpha - 1.0)
-        g = np.where(xa == 0.0, 0.0, g)
-        return float(g) if np.ndim(x) == 0 else g
-
     return TargetModel(
         name="subexp_exact",
         dim=1,
         log_density=logp,
-        grad_log_density=grad,
         tail=_subexp_tail(alpha),
         unimodal_1d=True,
         mode=0.0,
@@ -254,22 +220,10 @@ def two_scale_gaussian_target(var_right: float = 1.0, var_left: float = 4.0) -> 
         out = np.where(xa >= 0.0, -(xa * xa) * hr, -(xa * xa) * hl)
         return float(out) if np.ndim(x) == 0 else out
 
-    def grad(x):
-        xa = np.asarray(x, dtype=float)
-        out = np.where(xa >= 0.0, -2.0 * hr * xa, -2.0 * hl * xa)
-        return float(out) if np.ndim(x) == 0 else out
-
-    def hess(x):
-        xa = np.asarray(x, dtype=float)
-        out = np.where(xa >= 0.0, -2.0 * hr, -2.0 * hl) * np.ones_like(xa)
-        return float(out) if np.ndim(x) == 0 else out
-
     return TargetModel(
         name="two_scale_gaussian",
         dim=1,
         log_density=logp,
-        grad_log_density=grad,
-        hess_log_density=hess,
         tail=TailClass(TailKind.GAUSSIAN, 2.0),
         unimodal_1d=True,
         mode=0.0,
@@ -295,15 +249,6 @@ def make_target(name: str, **params) -> TargetModel:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def density_ratio(target: TargetModel, y, x) -> float:
-    """pi(y) / pi(x).  May overflow to inf for extreme separations."""
-    ly = float(np.asarray(target.log_density(y), dtype=float))
-    lx = float(np.asarray(target.log_density(x), dtype=float))
-    if not (math.isfinite(ly) and math.isfinite(lx)):
-        raise ValueError(f"invalid point: log-density not finite at y={y!r}, x={x!r}")
-    return float(np.exp(ly - lx))
 
 
 def matched_density_point(target: TargetModel, x: float, tol: float = BISECTION_TOL) -> float:

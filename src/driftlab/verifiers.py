@@ -25,27 +25,26 @@ from .adaptation import (
     RULE_FIXED,
     AdaptationRule,
     am_update,
+    scalar_update,
 )
 from .kernels import (
     FAMILY_UNIFORM,
-    PARAM_AM_COVARIANCE,
     PARAM_SCALAR_LOG_SCALE,
+    QUAD_TOL,
     AMParam,
     ProposalSpec,
     ScalarParam,
-    accept_prob,
+    acceptance,
+    acceptance_vec,
     apply_kernel_to_function,
     draw_increments,
     mean_acceptance,
-    proposal_covariance,
     toy_transition_matrix,
 )
 from .lyapunov import (
-    CompoundSpec,
     DriftCoefficients,
     ParamLyapunov,
     StateLyapunov,
-    W_AM_POLY,
     W_EXP_ABS,
     W_ONE_PLUS_SQUARE,
 )
@@ -56,7 +55,6 @@ from .targets import TailKind, TargetModel, matched_density_point
 METHOD_QUADRATURE = "quadrature"
 METHOD_MONTE_CARLO = "monte_carlo"
 
-DEFAULT_QUAD_TOL = 1e-9
 MC_SE_FACTOR = 3.0
 HEADROOM = 1e-9
 
@@ -162,16 +160,21 @@ def _param_label(p) -> dict:
     return {"theta": float(p.theta)}
 
 
-def _grid_dict(grid: GridSpec, theta_grid=None) -> dict:
-    thetas = grid.theta_grid if theta_grid is None else theta_grid
+def _grid_dict(grid: GridSpec) -> dict:
     return {
         "x_grid": [_jsonable(np.asarray(x, dtype=float).tolist()) for x in grid.x_grid],
-        "theta_grid": [_param_label(_as_param(t)) for t in thetas],
+        "theta_grid": [_param_label(_as_param(t)) for t in grid.theta_grid],
         "gamma_grid": [float(g) for g in grid.gamma_grid],
         "method": grid.method,
         "mc_n": grid.mc_n if grid.method == METHOD_MONTE_CARLO else None,
         "seed": grid.seed,
     }
+
+
+def _row_passes(margin: float, se: float, mc: bool) -> bool:
+    """The margin rule: beyond MC_SE_FACTOR standard errors for a
+    Monte-Carlo row, at least -QUAD_TOL for a quadrature row."""
+    return margin > MC_SE_FACTOR * se if mc else margin >= -QUAD_TOL
 
 
 def _weight_vectorized(weight: ParamLyapunov) -> Callable[[np.ndarray], np.ndarray]:
@@ -195,7 +198,6 @@ def verify_fixed_theta_drift(
     coef: DriftCoefficients,
     grid: GridSpec,
     center_radius: float = 5.0,
-    tol: float = DEFAULT_QUAD_TOL,
 ) -> DriftReport:
     """Certificate for the state-space drift at frozen kernel parameters.
 
@@ -220,7 +222,7 @@ def verify_fixed_theta_drift(
                     method="monte_carlo", n=grid.mc_n, rng=substream(grid.seed, idx),
                 )
             else:
-                pv, se = apply_kernel_to_function(target, proposal, param, lyap, xf, tol=tol)
+                pv, se = apply_kernel_to_function(target, proposal, param, lyap, xf)
             if not math.isfinite(pv):
                 raise ValueError(f"non-finite kernel application at theta={param}, x={xf}")
             v = float(lyap(xf))
@@ -228,14 +230,14 @@ def verify_fixed_theta_drift(
             evals.append((param, xf, v, pv, se, inside, base_a))
             idx += 1
 
-    slack = lambda se: MC_SE_FACTOR * se if mc else tol
+    slack = lambda se: MC_SE_FACTOR * se if mc else QUAD_TOL
     # Cap per tail point: the largest a0 whose frozen row still meets the
-    # margin rule.  Quadrature rows may sit at -tol, so the cap gains +tol;
+    # margin rule.  Quadrature rows may sit at -QUAD_TOL, so the cap gains it;
     # MC rows must clear +3 SE, so the cap loses it.  A degenerate Lyapunov
     # (zero deficit everywhere) then fits a tiny positive a0 instead of
     # flagging infeasibility.
     caps = [
-        (v - pv + (tol if not mc else -MC_SE_FACTOR * se)) * base_a / v**coef.iota
+        (v - pv + (QUAD_TOL if not mc else -MC_SE_FACTOR * se)) * base_a / v**coef.iota
         for (param, xf, v, pv, se, inside, base_a) in evals
         if not inside
     ]
@@ -256,11 +258,10 @@ def verify_fixed_theta_drift(
         else:
             rhs = v - v**coef.iota / frozen.a(param)
         margin = rhs - pv
-        ok = margin > MC_SE_FACTOR * se if mc else margin >= -tol
         rows.append(
             DriftRow(
                 point={**_param_label(param), "x": xf, "region": "center" if inside else "tail"},
-                lhs=pv, rhs=rhs, margin=margin, se=se, passed=ok,
+                lhs=pv, rhs=rhs, margin=margin, se=se, passed=_row_passes(margin, se, mc),
             )
         )
     feasible = (a0_fit is None or a0_fit > 0) and (b_fit is None or math.isfinite(b_fit))
@@ -279,7 +280,6 @@ def deficit_loglog_slope(
     eta: float,
     x: float,
     sigmas: Sequence[float],
-    tol: float = DEFAULT_QUAD_TOL,
 ) -> tuple[float, list[float]]:
     """Log-log slope of the drift deficit ``V(x) - P_sigma V(x)`` against
     the proposal radius, for regime-structure checks.  Requires every
@@ -292,7 +292,7 @@ def deficit_loglog_slope(
     v = float(lyap(x))
     for sigma in sigmas:
         param = ScalarParam(theta=math.log(sigma))
-        pv, _ = apply_kernel_to_function(target, spec, param, lyap, float(x), tol=tol)
+        pv, _ = apply_kernel_to_function(target, spec, param, lyap, float(x))
         deficits.append(v - pv)
     if any(d <= 0 for d in deficits):
         return math.nan, deficits
@@ -304,9 +304,7 @@ def deficit_loglog_slope(
 # parameter drift: E[w(update(theta, X+))] <= w(theta) (1 - gamma * Delta(arg))
 
 
-def _w_drift_lhs_quadrature(
-    target, proposal, rule, weight, param, x, gamma, tol
-) -> float:
+def _w_drift_lhs_quadrature(target, proposal, rule, weight, param, x, gamma) -> float:
     """E[w(theta')] for one step of the adaptive pair, by quadrature."""
     if target.dim != 1 or proposal.family != FAMILY_UNIFORM:
         raise ValueError("w-drift quadrature needs a one-dimensional compact-uniform kernel")
@@ -316,18 +314,10 @@ def _w_drift_lhs_quadrature(
         if not math.isfinite(sigma):
             raise ValueError("proposal radius overflow")
         lx = float(target.log_density(x))
-        a_star = rule.alpha_star if rule.alpha_star is not None else 0.0
 
         def integrand(z: float) -> float:
-            ly = float(target.log_density(x + z))
-            d = ly - lx
-            alpha = 1.0 if d >= 0.0 else math.exp(d)
-            if rule.kind == RULE_COERCED:
-                t_new = theta + gamma * (alpha - a_star)
-            elif rule.kind == RULE_FAST_COERCED:
-                t_new = theta + gamma * ((abs(theta) + 1.0) * (alpha - a_star))
-            else:
-                t_new = theta
+            alpha = acceptance(float(target.log_density(x + z)), lx)
+            t_new = scalar_update(rule.kind, theta, alpha, gamma, rule.alpha_star)[0]
             return weight(t_new) / (2.0 * sigma)
 
         points = [0.0, -x]
@@ -335,13 +325,13 @@ def _w_drift_lhs_quadrature(
             ups = matched_density_point(target, x)
             points.append(ups - x)
         points = [p for p in points if -sigma < p < sigma]
-        return integrate_interval(integrand, -sigma, sigma, tol=tol, points=points)
+        return integrate_interval(integrand, -sigma, sigma, tol=QUAD_TOL, points=points)
     if rule.kind == RULE_AM:
         def f(x_new: float) -> float:
             mu2, cov2 = am_update(param.mu, param.cov, np.atleast_1d(x_new), gamma)
             return weight(AMParam(mu=mu2, cov=cov2))
 
-        val, _ = apply_kernel_to_function(target, proposal, param, f, float(x), tol=tol)
+        val, _ = apply_kernel_to_function(target, proposal, param, f, float(x))
         return val
     raise ValueError(f"unsupported rule {rule.kind!r} for the parameter drift")
 
@@ -354,27 +344,21 @@ def _w_drift_lhs_mc(
     z = draw_increments(proposal, param, dim, rng, size=n)
     x_arr = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (n, dim)).copy()
     y = x_arr + (z.reshape(n, dim))
-    lx = float(np.atleast_1d(target.log_density(np.asarray(x, dtype=float)))[0]) if dim > 1 else float(
-        target.log_density(float(np.asarray(x).reshape(())))
-    )
+    lx = float(target.log_density(x_arr[0] if dim > 1 else float(x_arr[0, 0])))
     ly = np.asarray(target.log_density(y if dim > 1 else y[:, 0]), dtype=float)
-    alpha = np.exp(np.minimum(ly - lx, 0.0))
+    alpha = acceptance_vec(ly, lx)[0]
     accept = rng.random(n) < alpha
     x_next = np.where(accept[:, None], y, x_arr)
-    a_star = rule.alpha_star if rule.alpha_star is not None else 0.0
-    if rule.kind == RULE_COERCED:
-        t_new = param.theta + gamma * (alpha - a_star)
-        vals = _weight_vectorized(weight)(t_new)
-    elif rule.kind == RULE_FAST_COERCED:
-        t_new = param.theta + gamma * ((abs(param.theta) + 1.0) * (alpha - a_star))
-        vals = _weight_vectorized(weight)(t_new)
-    elif rule.kind == RULE_FIXED:
-        vals = np.full(n, weight(param))
-    else:
+    if rule.kind == RULE_AM:
         vals = np.empty(n)
         for j in range(n):
             mu2, cov2 = am_update(param.mu, param.cov, x_next[j], gamma)
             vals[j] = weight(AMParam(mu=mu2, cov=cov2))
+    elif rule.kind == RULE_FIXED:
+        vals = np.full(n, weight(param))
+    else:
+        t_new = scalar_update(rule.kind, param.theta, alpha, gamma, rule.alpha_star)[0]
+        vals = _weight_vectorized(weight)(t_new)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return mean, se
@@ -389,7 +373,6 @@ def verify_w_drift(
     grid: GridSpec,
     state_lyapunov: Optional[StateLyapunov] = None,
     center_radius: float = 5.0,
-    tol: float = DEFAULT_QUAD_TOL,
 ) -> DriftReport:
     """Certificate for the parameter drift with the scenario slope function.
 
@@ -426,27 +409,23 @@ def verify_w_drift(
                         grid.mc_n, substream(grid.seed, idx),
                     )
                 else:
-                    lhs = _w_drift_lhs_quadrature(
-                        target, proposal, rule, weight, param, xf, gamma, tol
-                    )
+                    lhs = _w_drift_lhs_quadrature(target, proposal, rule, weight, param, xf, gamma)
                     se = 0.0
                 if not math.isfinite(lhs):
                     raise ValueError(f"non-finite parameter-drift estimate at theta={param}, x={xf}")
                 evals.append((param, xf, gamma, w_theta, v_val, inside, lhs, se))
                 idx += 1
 
+    def rhs_of(cc: DriftCoefficients, param, gamma, w_theta, v_val, inside) -> float:
+        arg = cc.d(param) if inside else cc.c(param) + v_val**cc.beta / cc.e(param)
+        return w_theta * (1.0 - gamma * cc.delta(arg))
+
     def margins(c_val: float) -> list[float]:
         cc = coef.with_constants(slope_c=c_val)
-        out = []
-        for param, xf, gamma, w_theta, v_val, inside, lhs, se in evals:
-            if inside:
-                arg = cc.d(param)
-            else:
-                arg = cc.c(param) + v_val**cc.beta / cc.e(param)
-            rhs = w_theta * (1.0 - gamma * cc.delta(arg))
-            need = MC_SE_FACTOR * se if mc else tol
-            out.append(rhs - lhs - need)
-        return out
+        return [
+            rhs_of(cc, param, gamma, w_theta, v_val, inside) - lhs - (MC_SE_FACTOR * se if mc else QUAD_TOL)
+            for param, xf, gamma, w_theta, v_val, inside, lhs, se in evals
+        ]
 
     lo, hi = 1e-6, 1e12
     fit_c: Optional[float] = None
@@ -470,15 +449,13 @@ def verify_w_drift(
     frozen = coef.with_constants(slope_c=fit_c) if fit_c is not None else coef
     rows = []
     for param, xf, gamma, w_theta, v_val, inside, lhs, se in evals:
-        arg = frozen.d(param) if inside else frozen.c(param) + v_val**frozen.beta / frozen.e(param)
-        rhs = w_theta * (1.0 - gamma * frozen.delta(arg))
+        rhs = rhs_of(frozen, param, gamma, w_theta, v_val, inside)
         margin = rhs - lhs
-        ok = margin > MC_SE_FACTOR * se if mc else margin >= -tol
         rows.append(
             DriftRow(
                 point={**_param_label(param), "x": xf, "gamma": gamma,
                        "region": "center" if inside else "tail"},
-                lhs=lhs, rhs=rhs, margin=margin, se=se, passed=ok,
+                lhs=lhs, rhs=rhs, margin=margin, se=se, passed=_row_passes(margin, se, mc),
             )
         )
     passed = fit_c is not None and all(r.passed for r in rows)
@@ -509,12 +486,9 @@ def verify_compound_drift(
     rule: AdaptationRule,
     lyap_v: StateLyapunov,
     weight: ParamLyapunov,
-    compound: CompoundSpec,
     grid: GridSpec,
     coef: DriftCoefficients,
     center_radius: float = 5.0,
-    gamma_pairs: Optional[Sequence[tuple[float, float]]] = None,
-    eps_gap: Optional[float] = None,
 ) -> DriftReport:
     """Monte-Carlo certificate for the one-step compound contraction.
 
@@ -522,6 +496,8 @@ def verify_compound_drift(
     ``m_star`` (lexicographically) for the smallest pair giving a positive
     contraction rate ``delta`` with every outside margin beyond three
     standard errors.  Reports the best candidate when the search fails.
+    Each stepsize is paired with itself, so the inverse-difference ceiling
+    on stepsize pairs reduces to ``delta(0) > 0``.
 
     The estimator integrates the accept coin out analytically (its
     conditional expectation given the proposal increment is available in
@@ -538,21 +514,10 @@ def verify_compound_drift(
         raise ValueError("verify_compound_drift needs a non-empty theta_grid")
     if rule.kind not in (RULE_COERCED, RULE_FAST_COERCED, RULE_AM):
         raise ValueError("compound drift needs an adaptive rule")
-    delta0 = coef.delta0()
-    eps = 0.5 * delta0 if eps_gap is None else eps_gap
-    if not (0.0 < eps < delta0):
-        raise ValueError("eps_gap must lie in (0, delta(0))")
-    pairs = [(g, g) for g in grid.gamma_grid] if gamma_pairs is None else list(gamma_pairs)
-    for g, gbar in pairs:
-        if g <= 0 or gbar <= 0:
-            raise ValueError("stepsize pairs must be positive")
-        if 1.0 / g - 1.0 / gbar >= delta0 - eps:
-            raise ValueError(
-                f"stepsize pair ({g}, {gbar}) violates the inverse-difference ceiling"
-            )
+    if not coef.delta0() > 0.0:
+        raise ValueError("compound drift needs a slope function with delta(0) > 0")
 
     dim = target.dim
-    a_star = rule.alpha_star if rule.alpha_star is not None else 0.0
     points = []
     idx = 0
     for p_raw in grid.theta_grid:
@@ -563,7 +528,7 @@ def verify_compound_drift(
             x_scalar = float(xf[0]) if dim == 1 else None
             v_x = float(lyap_v(x_scalar if dim == 1 else xf))
             inside_c = float(np.linalg.norm(xf)) <= center_radius
-            for g, gbar in pairs:
+            for g in grid.gamma_grid:
                 rng = substream(grid.seed, idx)
                 m = grid.mc_n // 2
                 z = draw_increments(proposal, param, dim, rng, size=m).reshape(m, dim)
@@ -574,27 +539,21 @@ def verify_compound_drift(
                     ly = np.asarray(
                         target.log_density(y[:, 0] if dim == 1 else y), dtype=float
                     )
-                    log_alpha = np.minimum(ly - lx, 0.0)
-                    alpha = np.exp(log_alpha)
+                    alpha, log_alpha = acceptance_vec(ly, lx)
                     # alpha * V(y) in log space: the product never exceeds V(x)
                     # even where V(y) alone overflows
                     av = np.exp(np.minimum(log_alpha - lyap_v.eta * ly, 700.0))
                     v_part = av + (1.0 - alpha) * v_x
-                    if rule.kind == RULE_COERCED:
-                        t_new = param.theta + g * (alpha - a_star)
-                        w_part = _weight_vectorized(weight)(t_new)
-                    elif rule.kind == RULE_FAST_COERCED:
-                        t_new = param.theta + g * (abs(param.theta) + 1.0) * (alpha - a_star)
-                        w_part = _weight_vectorized(weight)(t_new)
-                    else:
-                        mu_r, cov_r = am_update(param.mu, param.cov, xf, g)
-                        w_reject = weight(AMParam(mu=mu_r, cov=cov_r))
-                        w_acc = np.empty(m)
-                        for j in range(m):
-                            mu2, cov2 = am_update(param.mu, param.cov, y[j], g)
-                            w_acc[j] = weight(AMParam(mu=mu2, cov=cov2))
-                        w_part = alpha * w_acc + (1.0 - alpha) * w_reject
-                    return v_part, w_part
+                    if rule.kind != RULE_AM:
+                        t_new = scalar_update(rule.kind, param.theta, alpha, g, rule.alpha_star)[0]
+                        return v_part, _weight_vectorized(weight)(t_new)
+                    mu_r, cov_r = am_update(param.mu, param.cov, xf, g)
+                    w_reject = weight(AMParam(mu=mu_r, cov=cov_r))
+                    w_acc = np.empty(m)
+                    for j in range(m):
+                        mu2, cov2 = am_update(param.mu, param.cov, y[j], g)
+                        w_acc[j] = weight(AMParam(mu=mu2, cov=cov2))
+                    return v_part, alpha * w_acc + (1.0 - alpha) * w_reject
 
                 v_plus, w_plus = coin_free(xf[None, :] + z)
                 v_minus, w_minus = coin_free(xf[None, :] - z)
@@ -609,7 +568,7 @@ def verify_compound_drift(
                 points.append(
                     {
                         "param": param, "x": xf, "v_x": v_x, "w_theta": w_theta,
-                        "inside_c": inside_c, "gamma": g, "gamma_bar": gbar,
+                        "inside_c": inside_c, "gamma": g,
                         "mean_v": mean_v, "mean_w": mean_w,
                         "var_v": var_v, "var_w": var_w, "cov_vw": cov_vw,
                         "n": m, "denom": denom,
@@ -617,69 +576,64 @@ def verify_compound_drift(
                 )
                 idx += 1
 
-    w_levels = sorted({pt["w_theta"] for pt in points})
-    lam_values = [float(2**k) for k in range(11)]
-
-    def candidate_delta(lam: float, m_star: float):
-        outside = [
-            pt for pt in points
-            if not (pt["w_theta"] <= m_star and pt["inside_c"])
-        ]
-        if not outside:
-            return None, outside
-        caps = []
-        for pt in outside:
+    def row_stats(lam: float) -> list[tuple[float, float]]:
+        """(mean, SE) of lam * V + w / gamma one step on, per point."""
+        out = []
+        for pt in points:
             mean_s = lam * pt["mean_v"] + pt["mean_w"] / pt["gamma"]
             var_s = (
                 lam * lam * pt["var_v"]
                 + 2.0 * lam * pt["cov_vw"] / pt["gamma"]
                 + pt["var_w"] / pt["gamma"] ** 2
             )
-            se = math.sqrt(max(var_s, 0.0) / pt["n"])
-            gap = lam * pt["v_x"] + pt["w_theta"] / pt["gamma_bar"] - mean_s
-            caps.append((gap - MC_SE_FACTOR * se) / pt["denom"])
-        return min(caps), outside
+            out.append((mean_s, math.sqrt(max(var_s, 0.0) / pt["n"])))
+        return out
 
+    def outside(pt, m_star: float) -> bool:
+        return not (pt["w_theta"] <= m_star and pt["inside_c"])
+
+    w_levels = sorted({pt["w_theta"] for pt in points})
+    lam_values = [float(2**k) for k in range(11)]
     found = None
     best = None
     for lam in lam_values:
+        stats = row_stats(lam)
         for m_star in w_levels:
-            delta, outside = candidate_delta(lam, m_star)
-            if delta is None:
+            caps = [
+                (lam * pt["v_x"] + pt["w_theta"] / pt["gamma"] - mean_s - MC_SE_FACTOR * se) / pt["denom"]
+                for pt, (mean_s, se) in zip(points, stats)
+                if outside(pt, m_star)
+            ]
+            if not caps:
                 continue
+            delta = min(caps)
             if best is None or delta > best[2]:
-                best = (lam, m_star, delta)
+                best = (lam, m_star, delta, stats)
             if delta > 0.0:
-                found = (lam, m_star, delta)
+                found = (lam, m_star, delta, stats)
                 break
         if found:
             break
 
-    lam, m_star, delta_raw = found if found else (best if best else (1.0, w_levels[0], math.nan))
+    # with no candidate every point lies in the joint center, so no row is kept
+    lam, m_star, delta_raw, stats = found or best or (1.0, w_levels[0], math.nan, [])
     delta = delta_raw * (1.0 - HEADROOM) if (found and delta_raw > 0) else delta_raw
 
     rows = []
-    for pt in points:
-        if pt["w_theta"] <= m_star and pt["inside_c"]:
+    for pt, (mean_s, se) in zip(points, stats):
+        if not outside(pt, m_star):
             continue
-        mean_s = lam * pt["mean_v"] + pt["mean_w"] / pt["gamma"]
-        var_s = (
-            lam * lam * pt["var_v"]
-            + 2.0 * lam * pt["cov_vw"] / pt["gamma"]
-            + pt["var_w"] / pt["gamma"] ** 2
-        )
-        se = math.sqrt(max(var_s, 0.0) / pt["n"])
-        rhs = lam * pt["v_x"] + pt["w_theta"] / pt["gamma_bar"] - delta * pt["denom"]
+        rhs = lam * pt["v_x"] + pt["w_theta"] / pt["gamma"] - delta * pt["denom"]
         margin = rhs - mean_s
         rows.append(
             DriftRow(
                 point={
                     **_param_label(pt["param"]),
                     "x": float(pt["x"][0]) if dim == 1 else [float(u) for u in pt["x"]],
-                    "gamma": pt["gamma"], "gamma_bar": pt["gamma_bar"],
+                    "gamma": pt["gamma"], "gamma_bar": pt["gamma"],
                 },
                 lhs=mean_s, rhs=rhs, margin=margin, se=se,
-                passed=margin > MC_SE_FACTOR * se,
+                passed=_row_passes(margin, se, True),
             )
         )
     passed = found is not None and bool(rows) and all(r.passed for r in rows)
@@ -707,7 +661,6 @@ def verify_acceptance_bounds(
     target: TargetModel,
     sigma_grid: Sequence[float],
     x_grid: Sequence[float],
-    tol: float = DEFAULT_QUAD_TOL,
 ) -> DriftReport:
     """Bounds on the compact-uniform acceptance rate at the radius extremes.
 
@@ -729,23 +682,22 @@ def verify_acceptance_bounds(
     alphas: dict[tuple[float, float], float] = {}
     for s in sigmas:
         for x in x_grid:
-            alphas[(s, float(x))] = mean_acceptance(target, s, float(x), tol=tol)
+            alphas[(s, float(x))] = mean_acceptance(target, s, float(x))
+    # tail scale (-log density)**(1/p), floored at 1, of each start point
+    scales = {}
+    for x in x_grid:
+        l_val = float(target.log_density(float(x)))
+        scales[float(x)] = max((-l_val) ** (1.0 / p) if l_val < 0 else 0.0, 1.0)
 
     low_sigmas = [s for s in sigmas if s <= 1.0]
     high_sigmas = [s for s in sigmas if s >= 1.0]
 
-    def low_level(s: float) -> float:
-        return max((0.5 - alphas[(s, float(x))]) / s for x in x_grid)
+    low_level = {s: max((0.5 - alphas[(s, float(x))]) / s for x in x_grid) for s in low_sigmas}
 
     def high_level(s: float) -> float:
-        out = []
-        for x in x_grid:
-            l_val = float(target.log_density(float(x)))
-            scale = max((-l_val) ** (1.0 / p) if l_val < 0 else 0.0, 1.0)
-            out.append(alphas[(s, float(x))] * s / scale)
-        return max(out)
+        return max(alphas[(s, float(x))] * s / scales[float(x)] for x in x_grid)
 
-    c_minus = max((max(0.0, low_level(s)) for s in low_sigmas), default=None)
+    c_minus = max((max(0.0, low_level[s]) for s in low_sigmas), default=None)
     c_plus = max((high_level(s) for s in high_sigmas), default=None)
     if c_minus is not None:
         c_minus = c_minus * (1.0 + HEADROOM) + 1e-15
@@ -754,17 +706,15 @@ def verify_acceptance_bounds(
 
     stab_low = True
     if len(low_sigmas) >= 2:
-        stab_low = low_level(low_sigmas[0]) <= low_level(low_sigmas[1]) + 1e-9
+        stab_low = low_level[low_sigmas[0]] <= low_level[low_sigmas[1]] + 1e-9
     stab_high = True
     if len(high_sigmas) >= 2:
         for x in x_grid:
             xf = float(x)
-            l_val = float(target.log_density(xf))
-            scale = max((-l_val) ** (1.0 / p) if l_val < 0 else 0.0, 1.0)
             engaged = [s for s in high_sigmas if s >= xf]
             if len(engaged) < 2:
                 continue
-            levels = [alphas[(s, xf)] * s / scale for s in engaged]
+            levels = [alphas[(s, xf)] * s / scales[xf] for s in engaged]
             if levels[-1] > 1.25 * max(levels[:-1]) + 1e-12:
                 stab_high = False
                 break
@@ -779,18 +729,16 @@ def verify_acceptance_bounds(
                     DriftRow(
                         point={"sigma": s, "x": float(x), "bound": "lower"},
                         lhs=lhs, rhs=a_val, margin=a_val - lhs, se=0.0,
-                        passed=a_val - lhs >= -tol,
+                        passed=_row_passes(a_val - lhs, 0.0, False),
                     )
                 )
             if s >= 1.0 and c_plus is not None:
-                l_val = float(target.log_density(float(x)))
-                scale = max((-l_val) ** (1.0 / p) if l_val < 0 else 0.0, 1.0)
-                rhs = c_plus * scale / s
+                rhs = c_plus * scales[float(x)] / s
                 rows.append(
                     DriftRow(
                         point={"sigma": s, "x": float(x), "bound": "upper"},
                         lhs=a_val, rhs=rhs, margin=rhs - a_val, se=0.0,
-                        passed=rhs - a_val >= -tol,
+                        passed=_row_passes(rhs - a_val, 0.0, False),
                     )
                 )
     fits_ok = (c_minus is None or math.isfinite(c_minus)) and (
@@ -815,6 +763,16 @@ def verify_acceptance_bounds(
 
 # ---------------------------------------------------------------------------
 # four-term decomposition of the normalized kernel application
+
+
+# Absolute tolerance of the decomposition's integrals.
+_DECOMP_TOL = 1e-10
+# Largest |lhs - rhs| between the two pipelines, and the sign slack of the
+# profile and crossing terms.
+_RESIDUAL_TOL = 1e-6
+_SIGN_TOL = 1e-9
+# Points of the accept/reject profile on [0, x].
+_PROFILE_POINTS = 201
 
 
 def _phi(target: TargetModel, base: float, expo: float, sign: float, z: float) -> float:
@@ -843,7 +801,6 @@ def decomposition_terms(
     eta: float,
     sigma: float,
     x: float,
-    tol: float = 1e-10,
 ) -> dict:
     """The four pieces of ``P_sigma V(x)/V(x) - 1`` for the compact-uniform
     kernel: local balance, outward tail, and the two matched-point crossing
@@ -854,14 +811,14 @@ def decomposition_terms(
     q = 1.0 / (2.0 * sigma)
 
     local = q * integrate_interval(
-        lambda z: accept_reject_profile(target, eta, x, z), 0.0, min(sigma, x), tol=tol
+        lambda z: accept_reject_profile(target, eta, x, z), 0.0, min(sigma, x), tol=_DECOMP_TOL
     )
 
     outward = 0.0
     if sigma >= x:
         outward = q * integrate_interval(
             lambda z: _phi(target, x, 1.0 - eta, 1.0, z) - _phi(target, x, 1.0, 1.0, z),
-            x, sigma, tol=tol,
+            x, sigma, tol=_DECOMP_TOL,
         )
 
     cross_accept = 0.0
@@ -869,7 +826,7 @@ def decomposition_terms(
         upper = min(sigma - x + ups, 0.0)
         if upper > ups:
             cross_accept = q * integrate_interval(
-                lambda z: _phi(target, ups, -eta, -1.0, z) - 1.0, ups, upper, tol=tol
+                lambda z: _phi(target, ups, -eta, -1.0, z) - 1.0, ups, upper, tol=_DECOMP_TOL
             )
 
     cross_reject = 0.0
@@ -878,7 +835,7 @@ def decomposition_terms(
         if upper > 0.0:
             cross_reject = q * integrate_interval(
                 lambda z: _phi(target, ups, 1.0 - eta, -1.0, z) - _phi(target, ups, 1.0, -1.0, z),
-                0.0, upper, tol=tol,
+                0.0, upper, tol=_DECOMP_TOL,
             )
 
     return {
@@ -890,22 +847,19 @@ def decomposition_terms(
     }
 
 
-def normalized_kernel_gain(
-    target: TargetModel, eta: float, sigma: float, x: float, tol: float = 1e-10
-) -> float:
+def normalized_kernel_gain(target: TargetModel, eta: float, sigma: float, x: float) -> float:
     """``P_sigma V(x)/V(x) - 1`` as one integral over the move length."""
     lx = float(target.log_density(x))
 
     def integrand(z: float) -> float:
         ly = float(target.log_density(x + z))
         d = ly - lx
-        alpha = 1.0 if d >= 0.0 else math.exp(d)
         vr = math.exp(-eta * d) if -eta * d < 700.0 else math.inf
-        return alpha * (vr - 1.0)
+        return acceptance(ly, lx) * (vr - 1.0)
 
     ups = matched_density_point(target, x)
     points = [p for p in (0.0, ups - x, -x) if -sigma < p < sigma]
-    return integrate_interval(integrand, -sigma, sigma, tol=tol, points=points) / (2.0 * sigma)
+    return integrate_interval(integrand, -sigma, sigma, tol=_DECOMP_TOL, points=points) / (2.0 * sigma)
 
 
 def verify_decomposition(
@@ -913,10 +867,6 @@ def verify_decomposition(
     lyap: StateLyapunov,
     sigma_grid: Sequence[float],
     x_grid: Sequence[float],
-    residual_tol: float = 1e-6,
-    profile_tol: float = 1e-9,
-    cross_tol: float = 1e-9,
-    n_profile: int = 201,
 ) -> DriftReport:
     """Two independent quadrature pipelines for the normalized kernel gain
     must agree; the profile and crossing terms must carry the signs the
@@ -938,7 +888,7 @@ def verify_decomposition(
     tail_eps: dict[float, list[float]] = {}
     for x in x_grid:
         xf = float(x)
-        zs = np.linspace(0.0, xf, n_profile)
+        zs = np.linspace(0.0, xf, _PROFILE_POINTS)
         psi_vals = [accept_reject_profile(target, eta, xf, float(z)) for z in zs]
         profile_max = max(profile_max, max(psi_vals))
         for s in sigma_grid:
@@ -947,7 +897,6 @@ def verify_decomposition(
             terms = decomposition_terms(target, eta, sf, xf)
             rhs = terms["local"] + terms["outward"] + terms["cross_accept"] + terms["cross_reject"]
             residual = abs(lhs - rhs)
-            ok = residual <= residual_tol
             if sf >= xf:
                 cross_accept_max = max(cross_accept_max, terms["cross_accept"])
                 tail_eps.setdefault(xf, []).append(
@@ -956,11 +905,12 @@ def verify_decomposition(
             rows.append(
                 DriftRow(
                     point={"sigma": sf, "x": xf},
-                    lhs=lhs, rhs=rhs, margin=residual_tol - residual, se=0.0, passed=ok,
+                    lhs=lhs, rhs=rhs, margin=_RESIDUAL_TOL - residual, se=0.0,
+                    passed=residual <= _RESIDUAL_TOL,
                 )
             )
-    profile_ok = profile_max <= profile_tol
-    cross_ok = cross_accept_max <= cross_tol if tail_eps else True
+    profile_ok = profile_max <= _SIGN_TOL
+    cross_ok = cross_accept_max <= _SIGN_TOL if tail_eps else True
     xs_sorted = sorted(tail_eps)
     r_t = None
     for idx, xv in enumerate(xs_sorted):
@@ -986,7 +936,7 @@ def verify_decomposition(
             "r_t": r_t,
             "profile_max": profile_max,
             "cross_accept_max": cross_accept_max if tail_eps else None,
-            "residual_tol": residual_tol,
+            "residual_tol": _RESIDUAL_TOL,
         },
         rows=rows,
         passed=passed,
@@ -997,7 +947,13 @@ def verify_decomposition(
 # two-state chain: invariant row vector and second eigenvalue
 
 
-def verify_toy(theta_grid: Sequence[float], eig_tol: float = 1e-12, inv_tol: float = 1e-14) -> DriftReport:
+# Largest gap between the closed-form and the computed second eigenvalue,
+# and largest invariance residual of the uniform row vector.
+_EIG_TOL = 1e-12
+_INV_TOL = 1e-14
+
+
+def verify_toy(theta_grid: Sequence[float]) -> DriftReport:
     """Closed-form second eigenvalue against a direct eigendecomposition,
     plus exact invariance of the uniform row vector."""
     rows = []
@@ -1010,12 +966,12 @@ def verify_toy(theta_grid: Sequence[float], eig_tol: float = 1e-12, inv_tol: flo
         # second eigenvalue is identified without referencing the formula
         second = float(np.min(np.linalg.eigvals(p).real))
         inv_residual = float(np.max(np.abs(pi @ p - pi)))
-        ok = abs(formula - second) <= eig_tol and inv_residual <= inv_tol
+        ok = abs(formula - second) <= _EIG_TOL and inv_residual <= _INV_TOL
         rows.append(
             DriftRow(
                 point={"theta": tf},
                 lhs=formula, rhs=second,
-                margin=eig_tol - abs(formula - second),
+                margin=_EIG_TOL - abs(formula - second),
                 se=inv_residual, passed=ok,
             )
         )
@@ -1023,7 +979,7 @@ def verify_toy(theta_grid: Sequence[float], eig_tol: float = 1e-12, inv_tol: flo
         check="toy",
         grid={"theta_grid": [float(t) for t in theta_grid],
               "method": "exact", "mc_n": None},
-        fitted={"eig_tol": eig_tol, "invariance_tol": inv_tol},
+        fitted={"eig_tol": _EIG_TOL, "invariance_tol": _INV_TOL},
         rows=rows,
         passed=all(r.passed for r in rows),
     )

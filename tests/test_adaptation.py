@@ -11,19 +11,18 @@ from driftlab import (
     AdaptationRule,
     ConstantSchedule,
     KestenSchedule,
-    MeanFieldAM,
     PolynomialSchedule,
     RULE_COERCED,
+    RULE_FAST_COERCED,
     RULE_FIXED,
     am_increment,
     am_update,
     coerced_update,
     fast_coerced_update,
     gamma_at,
-    inverse_diff_limsup,
     kesten_advance,
-    mean_field_am,
 )
+from driftlab.adaptation import scalar_update
 
 
 def test_polynomial_schedule_values():
@@ -59,16 +58,6 @@ def test_kesten_schedule_needs_count():
         gamma_at(s, 7)
 
 
-def test_inverse_diff_limsup():
-    # a = 1: 1/gamma_{i+1} - 1/gamma_i = 1/c0 exactly
-    assert inverse_diff_limsup(PolynomialSchedule(c0=4.0, c1=2.0, a=1.0)) == pytest.approx(0.25)
-    # a < 1: differences vanish
-    assert inverse_diff_limsup(PolynomialSchedule(c0=1.0, a=0.6)) == 0.0
-    assert inverse_diff_limsup(ConstantSchedule(0.1)) == 0.0
-    with pytest.raises(ValueError):
-        inverse_diff_limsup(KestenSchedule(c0=1.0))
-
-
 def test_am_update_frozen_values():
     mu2, cov2 = am_update(0.0, 1.0, 2.0, 0.1)
     assert mu2 == pytest.approx(np.array([0.2]), abs=0.0)
@@ -98,6 +87,10 @@ def test_coerced_updates_frozen_values():
     assert coerced_update(2.0, 1.0, 0.1, 0.44) == pytest.approx(2.056, rel=1e-15)
     assert coerced_update(-1.2, 0.24, 0.1, 0.44) == pytest.approx(-1.22, rel=1e-14)
     assert fast_coerced_update(2.0, 1.0, 0.1, 0.44) == pytest.approx(2.168, rel=1e-15)
+    # both are the shared update behind argument checks
+    assert coerced_update(-7.25, 0.013, 0.37, 0.44) == scalar_update(RULE_COERCED, -7.25, 0.013, 0.37, 0.44)[0]
+    assert fast_coerced_update(31.0, 0.9, 0.05, 0.44) == scalar_update(RULE_FAST_COERCED, 31.0, 0.9, 0.05, 0.44)[0]
+    assert scalar_update(RULE_FIXED, 2.0, 1.0, 0.1, 0.44) == (2.0, 0.0)
     with pytest.raises(ValueError):
         coerced_update(0.0, 1.2, 0.1, 0.44)
     with pytest.raises(ValueError):
@@ -122,6 +115,27 @@ def test_coerced_step_size_envelopes(theta, alpha, gamma):
     assert abs(new2 - theta) <= gamma * ((abs(theta) + 1.0) * max(a_star, 1.0 - a_star)) + math.ulp(new2)
 
 
+@pytest.mark.parametrize("kind", [RULE_COERCED, RULE_FAST_COERCED, RULE_FIXED])
+def test_scalar_update_arrays_match_scalars_bitwise(kind):
+    # the certificates feed whole draw batches through the same map the
+    # chain applies one float at a time
+    rng = np.random.default_rng(21)
+    thetas = np.concatenate([rng.uniform(-40.0, 40.0, 200), [0.0, -0.0, 1e-300, 700.5]])
+    alphas = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 1.0, 0.44, 1e-17]])
+    a_star = 0.44
+    for gamma in (0.05, 0.3172, 1e-9):
+        t_arr, h_arr = scalar_update(kind, thetas, alphas, gamma, a_star)
+        pairs = [scalar_update(kind, t, a, gamma, a_star) for t, a in zip(thetas.tolist(), alphas.tolist())]
+        assert np.broadcast_to(t_arr, thetas.shape).tolist() == [t for t, _ in pairs]
+        assert np.broadcast_to(h_arr, thetas.shape).tolist() == [h for _, h in pairs]
+        # one parameter against a batch of acceptance probabilities
+        t_batch, _ = scalar_update(kind, 2.5, alphas, gamma, a_star)
+        singles = [scalar_update(kind, 2.5, a, gamma, a_star)[0] for a in alphas.tolist()]
+        assert np.broadcast_to(t_batch, alphas.shape).tolist() == singles
+    with pytest.raises(ValueError):
+        scalar_update("am", 0.0, 0.5, 0.1, a_star)
+
+
 def test_kesten_advance_strict_sign():
     assert kesten_advance(0, [1.0], [-1.0]) == 1
     assert kesten_advance(2, [1.0], [1.0]) == 2
@@ -131,16 +145,6 @@ def test_kesten_advance_strict_sign():
         kesten_advance(-1, [1.0], [1.0])
     with pytest.raises(ValueError):
         kesten_advance(0, [1.0], [1.0, 2.0])
-
-
-def test_mean_field_vanishes_at_true_moments():
-    m = MeanFieldAM(mu_pi=np.array([-1.0]), cov_pi=np.array([[4.0]]))
-    dmu, dcov = mean_field_am(np.array([-1.0]), np.array([[4.0]]), m)
-    assert dmu == pytest.approx(np.zeros(1), abs=0.0)
-    assert dcov == pytest.approx(np.zeros((1, 1)), abs=0.0)
-    dmu2, dcov2 = mean_field_am(np.array([0.0]), np.array([[1.0]]), m)
-    assert dmu2 == pytest.approx(np.array([-1.0]), abs=0.0)
-    assert dcov2 == pytest.approx(np.array([[4.0]]), abs=0.0)
 
 
 def test_rule_validation():

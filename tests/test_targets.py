@@ -1,4 +1,4 @@
-"""Target families: normalization, ratios, matched points, tail integrals.
+"""Target families: normalization, ratios, matched points.
 
 Closed-form expected values are computed independently in each test (or
 frozen from a hand derivation stated inline) rather than read back from the
@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from driftlab import (
     TailKind,
-    density_ratio,
     exact_tail_subexp_target,
     gaussian_target,
     make_target,
@@ -28,7 +27,8 @@ def test_gaussian_sup_calibration_and_ratio():
     t = gaussian_target(dim=1)
     assert float(t.log_density(0.0)) == 0.0
     # standard normal: pi(1)/pi(0) = exp(-1/2)
-    assert density_ratio(t, 1.0, 0.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
+    ratio = math.exp(float(t.log_density(1.0)) - float(t.log_density(0.0)))
+    assert ratio == pytest.approx(math.exp(-0.5), abs=1e-15)
     assert t.tail.kind is TailKind.GAUSSIAN
 
 
@@ -40,8 +40,6 @@ def test_gaussian_nd_log_density_matches_quadratic_form():
     d = x - mean
     expected = -0.5 * d @ np.linalg.solve(cov, d)
     assert float(t.log_density(x)) == pytest.approx(expected, abs=1e-12)
-    g = np.asarray(t.grad_log_density(x), dtype=float)
-    assert g == pytest.approx(-np.linalg.solve(cov, d), abs=1e-10)
 
 
 def test_gaussian_cov_symmetry_check_is_absolute():
@@ -54,11 +52,10 @@ def test_smoothed_subexp_profile_and_ratio():
     t = smoothed_subexp_target(0.5)
     # l(x) = 1 - (1 + x^2)^(1/4); ratio pi(0)/pi(3) = exp(10^(1/4) - 1)
     assert float(t.log_density(0.0)) == 0.0
-    assert density_ratio(t, 0.0, 3.0) == pytest.approx(math.exp(10 ** 0.25 - 1.0), rel=1e-12)
+    ratio = math.exp(float(t.log_density(0.0)) - float(t.log_density(3.0)))
+    assert ratio == pytest.approx(math.exp(10 ** 0.25 - 1.0), rel=1e-12)
     assert t.tail.kind is TailKind.SUBEXPONENTIAL
     assert t.tail.exponent == 0.5
-    # smooth at the origin: gradient vanishes there
-    assert float(t.grad_log_density(0.0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exact_tail_subexp_is_exact_power_of_abs():

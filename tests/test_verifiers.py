@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import driftlab.verifiers as verifiers
 from driftlab import (
     AMParam,
-    CompoundSpec,
     AdaptationRule,
     FAMILY_UNIFORM,
     GridSpec,
@@ -18,19 +18,25 @@ from driftlab import (
     ParamLyapunov,
     ProposalSpec,
     RULE_COERCED,
+    RULE_FAST_COERCED,
     SCENARIO_COERCED,
+    SCENARIO_FAST_COERCED,
     ScalarParam,
     StateLyapunov,
     W_EXP_ABS,
+    W_ONE_PLUS_SQUARE,
     accept_reject_profile,
     apply_kernel_to_function,
     decomposition_terms,
     deficit_loglog_slope,
+    draw_increments,
+    fast_coerced_update,
     gaussian_target,
     mean_acceptance,
     normalized_kernel_gain,
     scenario_coefficients,
     smoothed_subexp_target,
+    substream,
     verify_acceptance_bounds,
     verify_compound_drift,
     verify_decomposition,
@@ -199,7 +205,7 @@ def test_compound_drift_single_far_point_one_row():
         method=METHOD_MONTE_CARLO, mc_n=4000, seed=11,
     )
     report = verify_compound_drift(
-        t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, CompoundSpec(), grid, coef
+        t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, grid, coef
     )
     assert len(report.rows) == 1
     assert report.passed
@@ -216,7 +222,7 @@ def test_compound_drift_excludes_joint_center():
         method=METHOD_MONTE_CARLO, mc_n=4000, seed=12,
     )
     report = verify_compound_drift(
-        t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, CompoundSpec(), grid, coef
+        t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, grid, coef
     )
     assert report.passed
     labels = {(row.point["theta"], row.point["x"]) for row in report.rows}
@@ -227,6 +233,58 @@ def test_compound_drift_excludes_joint_center():
     # the searched ladder is the dyadic one
     assert report.notes["searched_lam"][:3] == [1.0, 2.0, 4.0]
     assert report.notes["searched_lam"][-1] == 1024.0
+
+
+def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch):
+    # the parameter weights behind every row must be those of the chain's
+    # own fast-coerced step, draw by draw and bit for bit; at these points
+    # rounding the step as (gamma * (|theta| + 1)) * (alpha - alpha*) moves
+    # some of them
+    t = gaussian_target(dim=1)
+    rule = AdaptationRule(kind=RULE_FAST_COERCED, alpha_star=0.44)
+    weight = ParamLyapunov(W_ONE_PLUS_SQUARE)
+    coef = scenario_coefficients(SCENARIO_FAST_COERCED, iota=1.0, alpha_star=0.44, gamma_max=0.05)
+    grid = GridSpec(
+        x_grid=(0.0, 10.0), theta_grid=(0.3, -2.7), gamma_grid=(0.05, 0.013),
+        method=METHOD_MONTE_CARLO, mc_n=4000, seed=5,
+    )
+    captured = []
+    vectorized = verifiers._weight_vectorized
+
+    def recording(w):
+        f = vectorized(w)
+
+        def g(theta_new):
+            vals = f(theta_new)
+            captured.append(vals)
+            return vals
+        return g
+
+    monkeypatch.setattr(verifiers, "_weight_vectorized", recording)
+    report = verify_compound_drift(t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, grid, coef)
+    assert report.rows
+
+    m = grid.mc_n // 2
+    expected = []
+    idx = 0
+    for theta in grid.theta_grid:
+        for x in grid.x_grid:
+            for gamma in grid.gamma_grid:
+                z = draw_increments(UNIFORM_1D, ScalarParam(theta), 1, substream(grid.seed, idx), size=m)
+                lx = float(t.log_density(x))
+                for y in (x + z, x - z):
+                    alpha = np.exp(np.minimum(np.asarray(t.log_density(y)) - lx, 0.0))
+                    expected.append(
+                        [weight(fast_coerced_update(theta, a, gamma, 0.44)) for a in alpha.tolist()]
+                    )
+                idx += 1
+    assert len(captured) == len(expected)
+    for got, want in zip(captured, expected):
+        assert got.tolist() == want
+    # so each point's w-mean is the reference's as well
+    for k in range(0, len(expected), 2):
+        pair = 0.5 * (captured[k] + captured[k + 1])
+        assert float(pair.mean()) == float((0.5 * (np.array(expected[k]) + np.array(expected[k + 1]))).mean())
 
 
 # -- acceptance-rate envelopes -------------------------------------------------
