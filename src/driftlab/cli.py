@@ -90,7 +90,12 @@ def _write_json(path: Path, obj) -> None:
 
 
 def run_check(name: str, doc: dict) -> DriftReport:
-    """Build the objects one verification check needs and run it."""
+    """Build the objects one verification check needs and run it.
+
+    ``compound_drift`` is Monte Carlo only: without ``verify.method`` it runs
+    by Monte Carlo, and ``validate_document`` rejects a document that asks
+    for quadrature with it.
+    """
     if name not in CHECK_NAMES:
         raise ConfigError(f"unknown check {name!r}", "verify.checks")
     vcfg = doc.get("verify", {})
@@ -123,8 +128,7 @@ def run_check(name: str, doc: dict) -> DriftReport:
             state_lyapunov=lyap, center_radius=center_radius,
         )
     if name == "compound_drift":
-        if grid.method != METHOD_MONTE_CARLO:
-            # this check is sampling-based by contract
+        if "method" not in vcfg:
             grid = dataclasses.replace(grid, method=METHOD_MONTE_CARLO)
         return verify_compound_drift(
             target, proposal, rule, lyap, weight, grid, coef, center_radius=center_radius

@@ -1,16 +1,20 @@
 """Experiment configuration: JSON schema, validation, and object builders.
 
 A config document has up to eight sections (target, proposal, adaptation,
-schedule, lyapunov, run, verify, output).  Unknown keys are rejected
-everywhere; numeric domain constraints are re-validated by the constructors
-the builders call, so a document that loads cleanly builds cleanly.
+schedule, lyapunov, run, verify, output).  ``SCHEMA`` is the one description
+of a document; ``_schema_errors`` walks it, covering exactly the JSON Schema
+keywords it uses, so loading a config needs no schema library.  Unknown keys
+are rejected everywhere; numeric domain constraints are re-validated by the
+constructors the builders call, so a document that loads cleanly builds
+cleanly.
 """
 from __future__ import annotations
 
 import json
-from typing import Optional
+import operator
+import sys
+from typing import Iterator, Optional
 
-import jsonschema
 import numpy as np
 
 from .adaptation import (
@@ -247,29 +251,115 @@ SCHEMA = {
     },
 }
 
-_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _error_path(err: jsonschema.ValidationError) -> str:
-    return ".".join(str(p) for p in err.absolute_path)
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # JSON integers only: 2.0 would reach range() and numpy seeds as a float
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    # finite only: json.load accepts NaN and Infinity, which pass every bound,
+    # and integers too large for a float, which float() cannot convert
+    "number": lambda v: _is_number(v) and abs(v) <= sys.float_info.max,
+}
+
+_BOUNDS = {
+    "minimum": (operator.lt, "is less than the minimum of"),
+    "maximum": (operator.gt, "is greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "is less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "is greater than or equal to the maximum of"),
+}
+
+SCHEMA_KEYWORDS = frozenset(
+    ("$schema", "type", "enum", "minItems", "minLength", "items", "properties",
+     "additionalProperties", "required", "oneOf", *_BOUNDS)
+)
+
+
+def _schema_errors(value, schema: dict, path: tuple = ()) -> Iterator[tuple[tuple, str]]:
+    """Yield ``(path, message)`` for each way ``value`` breaks ``schema``.
+
+    Keywords are checked in the schema's order with their JSON Schema
+    2020-12 meaning and jsonschema's messages, except that ``integer``
+    excludes integral floats and ``number`` excludes NaN, infinities and
+    integers beyond the float range.
+    ``additionalProperties`` must be ``false``; any keyword outside
+    ``SCHEMA_KEYWORDS`` raises, so no part of a schema goes unchecked.
+    """
+    for key, rule in schema.items():
+        if key == "type":
+            if not _TYPES[rule](value):
+                yield path, f"{value!r} is not of type {rule!r}"
+        elif key == "enum":
+            if value not in rule:
+                yield path, f"{value!r} is not one of {rule!r}"
+        elif key in _BOUNDS:
+            fails, words = _BOUNDS[key]
+            if _is_number(value) and fails(value, rule):
+                yield path, f"{value!r} {words} {rule!r}"
+        elif key in ("minItems", "minLength"):
+            if isinstance(value, list if key == "minItems" else str) and len(value) < rule:
+                yield path, f"{value!r} {'should be non-empty' if rule == 1 else 'is too short'}"
+        elif key == "items":
+            if isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from _schema_errors(item, rule, path + (i,))
+        elif key == "properties":
+            if isinstance(value, dict):
+                for name, sub in rule.items():
+                    if name in value:
+                        yield from _schema_errors(value[name], sub, path + (name,))
+        elif key == "additionalProperties" and rule is False:
+            if isinstance(value, dict):
+                known = schema.get("properties", {})
+                extras = sorted((name for name in value if name not in known), key=str)
+                if extras:
+                    names = ", ".join(repr(name) for name in extras)
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, f"Additional properties are not allowed ({names} {verb} unexpected)"
+        elif key == "required":
+            if isinstance(value, dict):
+                for name in rule:
+                    if name not in value:
+                        yield path, f"{name!r} is a required property"
+        elif key == "oneOf":
+            valid = [sub for sub in rule if next(_schema_errors(value, sub), None) is None]
+            if not valid:
+                yield path, f"{value!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                subs = ", ".join(repr(sub) for sub in valid[1:] + valid[:1])
+                yield path, f"{value!r} is valid under each of {subs}"
+        elif key != "$schema":
+            raise NotImplementedError(f"schema keyword {key}: {rule!r} is not implemented")
 
 
 def validate_document(doc: dict) -> None:
     """Schema-validate a parsed config; raise ConfigError naming the field.
 
+    Errors are sorted by path and the first is raised.  Verdicts match JSON
+    Schema 2020-12 except for two stricter rules: an ``integer`` key takes a
+    JSON integer only (``200.0`` is rejected), and a ``number`` is finite
+    (``NaN``, ``Infinity`` and ``-Infinity``, which ``json.load`` accepts,
+    and integers too large for a float are rejected).
+
     Rules that tie one section to another (proposal family against target
     dimension, first stepsize against adaptation rule) are checked by the
     proposal and schedule builders, which run here as well.  A parameter
     weight must fit the adaptation rule: ``am_poly`` weighs running moments
-    and the other variants a scalar parameter.  Running-moment parameters
-    (``run.theta0``, ``verify.theta_grid``) are built here, so a covariance
-    that is not symmetric, or not the shape of its mean, is rejected with
-    its path.
+    and the other variants a scalar parameter.  ``compound_drift`` is a Monte
+    Carlo check, so a document that asks for quadrature with it is rejected.
+    Running-moment parameters (``run.theta0``, ``verify.theta_grid``) are
+    built here, so a covariance that is not symmetric, or not the shape of
+    its mean, is rejected with its path.
     """
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    errors = sorted(_schema_errors(doc, SCHEMA), key=lambda e: e[0])
     if errors:
-        err = errors[0]
-        raise ConfigError(err.message, _error_path(err))
+        path, message = errors[0]
+        raise ConfigError(message, ".".join(str(p) for p in path))
     run = doc.get("run", {})
     rule_kind = doc.get("adaptation", {}).get("rule")
     variant = doc.get("lyapunov", {}).get("weight")
@@ -279,13 +369,19 @@ def validate_document(doc: dict) -> None:
             f"weight {variant!r} does not fit the {rule_kind!r} rule's parameter; use {fits}",
             "lyapunov.weight",
         )
+    verify = doc.get("verify", {})
+    if verify.get("method") == METHOD_QUADRATURE and "compound_drift" in verify.get("checks", ()):
+        raise ConfigError(
+            "the compound_drift check is Monte Carlo only; set method to 'monte_carlo' or leave it out",
+            "verify.method",
+        )
     if "proposal" in doc:
         build_proposal(doc)
     if "schedule" in doc:
         build_schedule(doc)
     if isinstance(run.get("theta0"), dict):
         _am_param(run["theta0"], "run.theta0")
-    _grid_thetas(doc.get("verify", {}))
+    _grid_thetas(verify)
 
 
 def load_config(path) -> dict:

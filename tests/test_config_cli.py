@@ -274,6 +274,29 @@ def test_weights_that_fit_the_rule_accepted():
     validate_document(toy)
 
 
+def test_quadrature_method_with_compound_drift_rejected(tmp_path):
+    # compound_drift used to switch to Monte Carlo without a word
+    doc = json.loads(resolve_config_path("coerced").read_text())
+    doc["verify"]["method"] = "quadrature"
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == "verify.method"
+    assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_compound_drift_without_method_runs_monte_carlo(tmp_path):
+    doc = json.loads(resolve_config_path("coerced").read_text())
+    del doc["verify"]["method"]
+    validate_document(doc)
+    report = run_check("compound_drift", doc)
+    assert report.to_json_dict()["grid"]["method"] == "monte_carlo"
+    doc["verify"]["checks"] = ["fixed_theta_drift"]
+    doc["verify"]["method"] = "quadrature"
+    validate_document(doc)
+
+
 def test_toy_record_stride_thins_only_the_trajectory(tmp_path):
     every = toy_run_doc(horizon=100, replicas=3)
     thinned = toy_run_doc(horizon=100, replicas=3)
@@ -579,7 +602,7 @@ def test_main_verify_subcommand_skips_simulation(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up cost: no run or check imports scipy or numpy.ma
+# start-up cost: no run or check imports scipy, numpy.ma or a schema library
 
 _SCIPY_PROBE = """
 import sys
@@ -587,6 +610,7 @@ import driftlab.cli
 code = driftlab.cli.main(sys.argv[1:])
 print("numpy.ma-modules", sum(1 for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 print("scipy-modules", sum(1 for m in sys.modules if m.startswith("scipy")))
+print("jsonschema-modules", sum(1 for m in sys.modules if m.split(".")[0] in ("jsonschema", "referencing", "attrs")))
 sys.exit(code)
 """
 
@@ -603,12 +627,9 @@ def run_in_fresh_process(cwd: Path, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def scipy_module_count(proc: subprocess.CompletedProcess) -> int:
-    return int(proc.stdout.rsplit("scipy-modules", 1)[1].split()[0])
-
-
-def numpy_ma_module_count(proc: subprocess.CompletedProcess) -> int:
-    return int(proc.stdout.rsplit("numpy.ma-modules", 1)[1].split()[0])
+def module_count(proc: subprocess.CompletedProcess, label: str) -> int:
+    """The probe's count of loaded ``label`` modules."""
+    return int(proc.stdout.rsplit(f"{label}-modules", 1)[1].split()[0])
 
 
 def test_run_without_quadrature_never_imports_scipy(tmp_path):
@@ -617,14 +638,16 @@ def test_run_without_quadrature_never_imports_scipy(tmp_path):
     path = write_config(tmp_path, doc)
     proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert scipy_module_count(proc) == 0
+    assert module_count(proc, "scipy") == 0
+    assert module_count(proc, "jsonschema") == 0
     assert (tmp_path / "out" / "report-toy.json").exists()
 
 
 def test_quadrature_verify_never_imports_scipy_and_passes(tmp_path):
     proc = run_in_fresh_process(tmp_path, "verify", "am-subexp-1d", "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert scipy_module_count(proc) == 0
+    assert module_count(proc, "scipy") == 0
+    assert module_count(proc, "jsonschema") == 0
     for check in ("fixed_theta_drift", "acceptance_bounds", "decomposition"):
         report = json.loads((tmp_path / "out" / f"report-{check}.json").read_text())
         assert report["pass"] is True
@@ -633,7 +656,7 @@ def test_quadrature_verify_never_imports_scipy_and_passes(tmp_path):
     path = write_config(tmp_path, doc)
     proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "run"))
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert scipy_module_count(proc) == 0
+    assert module_count(proc, "scipy") == 0
     assert (tmp_path / "run" / "trajectory.csv").exists()
 
 
@@ -645,7 +668,7 @@ def test_coerced_run_never_imports_numpy_ma(tmp_path):
     path = write_config(tmp_path, doc)
     proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert numpy_ma_module_count(proc) == 0
+    assert module_count(proc, "numpy.ma") == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
     assert summary["aggregate"]["acceptance_tail_median"] > 0.0
 
