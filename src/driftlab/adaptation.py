@@ -132,7 +132,8 @@ def am_update(mu, cov, x_new, gamma: float) -> tuple[np.ndarray, np.ndarray]:
 
     ``gamma`` must lie strictly inside (0, 1): the covariance update is a
     convex combination plus a rank-one term, and stepsizes at or beyond 1
-    lose positive semidefiniteness.
+    lose positive semidefiniteness.  A stack of states ``x_new`` of shape
+    (n, d) gives the n updated moments stacked, shapes (n, d) and (n, d, d).
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError("gamma must lie strictly in (0, 1)")
@@ -143,7 +144,7 @@ def am_update(mu, cov, x_new, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     x_new = np.atleast_1d(np.asarray(x_new, dtype=float))
     d = x_new - mu
     mu2 = mu + gamma * d
-    cov2 = cov + gamma * (np.outer(d, d) - cov)
+    cov2 = cov + gamma * (d[..., :, None] * d[..., None, :] - cov)
     return mu2, cov2
 
 

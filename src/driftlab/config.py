@@ -30,6 +30,7 @@ from .adaptation import (
     gamma_at,
 )
 from .kernels import (
+    FAMILY_STUDENT,
     FAMILY_UNIFORM,
     PARAM_AM_COVARIANCE,
     PARAM_SCALAR_LOG_SCALE,
@@ -351,7 +352,9 @@ def validate_document(doc: dict) -> None:
     proposal and schedule builders, which run here as well.  A parameter
     weight must fit the adaptation rule: ``am_poly`` weighs running moments
     and the other variants a scalar parameter.  ``compound_drift`` is a Monte
-    Carlo check, so a document that asks for quadrature with it is rejected.
+    Carlo check, so a document that asks for quadrature with it is rejected,
+    and so is a quadrature ``fixed_theta_drift`` or ``w_drift`` that the
+    kernel integrals cannot run (see ``_check_quadrature``).
     Running-moment parameters (``run.theta0``, ``verify.theta_grid``) are
     built here, so a covariance that is not symmetric, or not the shape of
     its mean, is rejected with its path.
@@ -375,6 +378,7 @@ def validate_document(doc: dict) -> None:
             "the compound_drift check is Monte Carlo only; set method to 'monte_carlo' or leave it out",
             "verify.method",
         )
+    _check_quadrature(doc)
     if "proposal" in doc:
         build_proposal(doc)
     if "schedule" in doc:
@@ -382,6 +386,34 @@ def validate_document(doc: dict) -> None:
     if isinstance(run.get("theta0"), dict):
         _am_param(run["theta0"], "run.theta0")
     _grid_thetas(verify)
+
+
+def _check_quadrature(doc: dict) -> None:
+    """Reject, at ``verify.method``, a quadrature state or parameter drift
+    check that the one-dimensional kernel integrals cannot run: Student
+    increments (an unbounded heavy-tailed window), a target with dim > 1,
+    or ``w_drift`` under a scalar rule with increments other than
+    compact-uniform ones.  A document without a proposal is left to the
+    proposal builder, which names the missing section."""
+    verify = doc.get("verify", {})
+    checks = {"fixed_theta_drift", "w_drift"}.intersection(verify.get("checks", ()))
+    if verify.get("method", METHOD_QUADRATURE) != METHOD_QUADRATURE or not checks or "proposal" not in doc:
+        return
+    family = doc["proposal"].get("family")
+    dim = doc.get("target", {}).get("params", {}).get("dim", 1)
+    if family == FAMILY_STUDENT:
+        reason = "Student increments have no quadrature window"
+    elif dim != 1:
+        reason = f"quadrature checks are one-dimensional; the target has dim {dim}"
+    elif (
+        "w_drift" in checks
+        and doc.get("adaptation", {}).get("rule", RULE_AM) != RULE_AM
+        and family != FAMILY_UNIFORM
+    ):
+        reason = "w_drift quadrature under a scalar rule needs compact-uniform increments"
+    else:
+        return
+    raise ConfigError(f"{reason}; set method to 'monte_carlo'", "verify.method")
 
 
 def load_config(path) -> dict:

@@ -235,7 +235,15 @@ def srwm_step(
     return StepResult(state=x, proposed=y, accepted=False, alpha=alpha, log_density=lx)
 
 
-def _acceptance_breakpoints(target: TargetModel, x: float, sigma: float) -> list[float]:
+def acceptance_breakpoints(target: TargetModel, x: float, half: float) -> list[float]:
+    """Breakpoints, as increments from ``x``, of a one-step integrand over
+    the window (-half, half): 0, the moves to the mode and to the
+    matched-density point (kinks of the acceptance probability), and the
+    target's bulk edges (``TargetModel.bulk_edge``) inside the window.  A
+    window much wider than the bulk can hold all of it between a breakpoint
+    and QAG-21's nearest node (0.22% of the subinterval's width away), so
+    the bulk edges are breakpoints too.  The integrator drops points
+    outside the window."""
     pts = [0.0]
     if target.unimodal_1d:
         m = float(target.mode)
@@ -243,8 +251,12 @@ def _acceptance_breakpoints(target: TargetModel, x: float, sigma: float) -> list
             pts.append(m - x)
             y_star = matched_density_point(target, x)
             z_star = y_star - x
-            if -sigma < z_star < sigma:
+            if -half < z_star < half:
                 pts.append(z_star)
+        for side in (-1.0, 1.0):
+            z_edge = target.bulk_edge(side) - x
+            if -half < z_edge < half:
+                pts.append(z_edge)
     return pts
 
 
@@ -253,8 +265,8 @@ def mean_acceptance(target: TargetModel, sigma: float, x: float) -> float:
     increments of half-width ``sigma``, by adaptive quadrature.
 
     Only the compact-uniform family admits this finite-interval quadrature;
-    use Monte Carlo through :func:`apply_kernel_to_function` for unbounded
-    increment families.
+    for unbounded increment families the verifiers' one-step Monte Carlo
+    estimator integrates the acceptance coin out instead.
     """
     if target.dim != 1:
         raise ValueError("mean_acceptance requires a one-dimensional target")
@@ -270,7 +282,7 @@ def mean_acceptance(target: TargetModel, sigma: float, x: float) -> float:
     def integrand(z: float) -> float:
         return q * acceptance(float(logp(x + z)), lx)
 
-    pts = _acceptance_breakpoints(target, x, sigma)
+    pts = acceptance_breakpoints(target, x, sigma)
     return integrate_interval(integrand, -sigma, sigma, tol=QUAD_TOL, points=pts)
 
 
@@ -278,104 +290,83 @@ def apply_kernel_to_function(
     target: TargetModel,
     spec: ProposalSpec,
     param: KernelParam,
-    f: Callable,
+    log_f: Callable[[float, float], float],
     x,
-    method: str = "quadrature",
-    n: int = 10_000,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[float, float]:
-    """Estimate (P f)(x), the one-step kernel average of ``f`` from ``x``.
+) -> float:
+    """(P f)(x), the one-step kernel average of a positive function ``f``
+    from ``x``, by adaptive quadrature.
 
-    Quadrature (one-dimensional; compact-uniform or gaussian increments)
-    returns (estimate, 0.0); Monte Carlo over ``n`` proposal draws returns
-    (estimate, standard error).  The rejection atom is handled exactly in
-    both modes: each proposal contributes
-    ``alpha * f(y) + (1 - alpha) * f(x)``.
+    ``log_f(y, ly)`` is log f(y) at a state ``y`` whose log-density ``ly``
+    the integrand already has (``StateLyapunov.log`` fits), so log pi is
+    evaluated once per node.  Each proposal contributes
+    ``alpha * f(y) + (1 - alpha) * f(x)``, with the product formed as
+    ``exp(min(0, ly - lx) + log f(y))``: it stays finite where a state
+    Lyapunov function's f(y) alone overflows.
 
+    One-dimensional targets with compact-uniform or gaussian increments
+    only; other families go through the verifiers' Monte Carlo estimator.
     Gaussian increments are integrated over a 40-standard-deviation window.
     The tail left out is below any realistic tolerance for the functions
     used here (state Lyapunov functions, where ``alpha * f(y) <= f(x)``
     caps the integrand, and polynomially growing parameter weights).
     """
-    if method == "quadrature":
-        if target.dim != 1:
-            raise ValueError("quadrature requires a one-dimensional target")
-        if spec.family == FAMILY_UNIFORM:
-            if not isinstance(param, ScalarParam):
-                raise ValueError("parametrization mismatch: scalar proposal needs a ScalarParam")
-            sigma = param.sigma
-            half = sigma
+    if target.dim != 1:
+        raise ValueError("quadrature requires a one-dimensional target")
+    if spec.family == FAMILY_UNIFORM:
+        if not isinstance(param, ScalarParam):
+            raise ValueError("parametrization mismatch: scalar proposal needs a ScalarParam")
+        sigma = param.sigma
+        half = sigma
 
-            def q_of(z: float) -> float:
-                return 0.5 / sigma
+        def q_of(z: float) -> float:
+            return 0.5 / sigma
 
-        elif spec.family == FAMILY_GAUSSIAN:
-            if isinstance(param, AMParam):
-                if param.mu.shape[0] != 1:
-                    raise ValueError("quadrature requires a one-dimensional target")
-                sd = math.sqrt(float(proposal_covariance(spec, param)[0, 0]))
-            elif isinstance(param, ScalarParam):
-                sd = param.sigma
-            else:
-                raise ValueError(f"cannot interpret {param!r} as a kernel parameter")
-            if not (0.0 < sd < math.inf):
-                raise ValueError("gaussian quadrature needs a finite positive scale")
-            half = 40.0 * sd
-            norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
-            inv2 = 0.5 / (sd * sd)
-
-            def q_of(z: float) -> float:
-                return norm * math.exp(-z * z * inv2)
-
+    elif spec.family == FAMILY_GAUSSIAN:
+        if isinstance(param, AMParam):
+            if param.mu.shape[0] != 1:
+                raise ValueError("quadrature requires a one-dimensional target")
+            sd = math.sqrt(float(proposal_covariance(spec, param)[0, 0]))
+        elif isinstance(param, ScalarParam):
+            sd = param.sigma
         else:
-            raise ValueError(
-                "quadrature supports compact-uniform and gaussian increments; "
-                "use monte_carlo for heavy-tailed families"
-            )
-        x = float(x)
-        lx = float(target.log_density(x))
-        logp = target.log_density
-        fx = float(f(x))
-        if not math.isfinite(fx):
-            raise ValueError("non-integrable test function: non-finite value at the current state")
+            raise ValueError(f"cannot interpret {param!r} as a kernel parameter")
+        if not (0.0 < sd < math.inf):
+            raise ValueError("gaussian quadrature needs a finite positive scale")
+        half = 40.0 * sd
+        norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
+        inv2 = 0.5 / (sd * sd)
 
-        def accepted_part(z: float) -> float:
-            y = x + z
-            a = acceptance(float(logp(y)), lx)
-            fy = float(f(y))
-            if not math.isfinite(fy):
-                raise ValueError(f"non-integrable test function: non-finite value at y={y!r}")
-            return q_of(z) * a * fy
+        def q_of(z: float) -> float:
+            return norm * math.exp(-z * z * inv2)
 
-        def acceptance_mass(z: float) -> float:
-            return q_of(z) * acceptance(float(logp(x + z)), lx)
+    else:
+        raise ValueError(
+            "quadrature supports compact-uniform and gaussian increments; "
+            "use monte_carlo for heavy-tailed families"
+        )
+    x = float(x)
+    lx = float(target.log_density(x))
+    logp = target.log_density
+    log_fx = log_f(x, lx)
+    if not log_fx < 700.0:
+        raise ValueError("non-integrable test function: non-finite value at the current state")
+    fx = math.exp(log_fx)
 
-        pts = _acceptance_breakpoints(target, x, half)
-        moved = integrate_interval(accepted_part, -half, half, tol=QUAD_TOL, points=pts)
-        mass = integrate_interval(acceptance_mass, -half, half, tol=QUAD_TOL, points=pts)
-        return moved + fx * (1.0 - mass), 0.0
+    def accepted_part(z: float) -> float:
+        y = x + z
+        ly = float(logp(y))
+        arg = min(0.0, ly - lx) + log_f(y, ly)
+        if not arg < 700.0:
+            raise ValueError(f"non-integrable test function: alpha * f is not finite at y={y!r}")
+        return q_of(z) * math.exp(arg)
 
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'monte_carlo'")
-    if n < 1:
-        raise ValueError("monte_carlo requires n >= 1")
-    if rng is None:
-        raise ValueError("monte_carlo requires an explicit rng")
-    zs = draw_increments(spec, param, target.dim, rng, size=n)
-    ys = x + zs
-    ly = np.asarray(target.log_density(ys), dtype=float)
-    lx = float(np.asarray(target.log_density(x), dtype=float))
-    alphas = acceptance_vec(ly, lx)[0]
-    fy = np.asarray(f(ys), dtype=float)
-    if fy.shape != (n,):
-        raise ValueError(f"monte_carlo needs a vectorised f: f(ys) has shape {fy.shape}, not ({n},)")
-    fx = float(f(x if target.dim > 1 else float(x)))
-    vals = fy * alphas + fx * (1.0 - alphas)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("non-integrable test function: non-finite sample values")
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return est, se
+    def acceptance_mass(z: float) -> float:
+        return q_of(z) * acceptance(float(logp(x + z)), lx)
+
+    pts = acceptance_breakpoints(target, x, half)
+    moved = integrate_interval(accepted_part, -half, half, tol=QUAD_TOL, points=pts)
+    mass = integrate_interval(acceptance_mass, -half, half, tol=QUAD_TOL, points=pts)
+    return moved + fx * (1.0 - mass)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,14 @@ class StateLyapunov:
         l = self.target.log_density(x)
         if np.ndim(l) == 0:
             return self.of_log_density(float(l))
-        return np.exp(-self.eta * np.asarray(l, dtype=float))
+        arg = self.log(x, np.asarray(l, dtype=float))
+        return np.where(arg < 700.0, np.exp(np.minimum(arg, 700.0)), math.inf)
+
+    def log(self, x, l):
+        """log V(x) = -eta * l from the log-density ``l`` at ``x`` (``x`` is
+        not read); floats or arrays.  The ``log_f(y, ly)`` form that
+        :func:`~driftlab.kernels.apply_kernel_to_function` integrates."""
+        return -self.eta * l
 
     def of_log_density(self, l: float) -> float:
         """V at a point whose log-density ``l`` is already known."""
@@ -106,11 +113,19 @@ class ParamLyapunov:
             return math.exp(a) if a < 700.0 else math.inf
         return 1.0 + theta * theta
 
-    def of_moments(self, mu: np.ndarray, cov: np.ndarray) -> float:
+    def of_moments(self, mu: np.ndarray, cov: np.ndarray):
         """The am_poly weight of running moments given as arrays, which need
-        not make a valid kernel parameter (a diverged run's halt row)."""
-        mu_norm = float(np.linalg.norm(mu))
-        fro = float(np.linalg.norm(cov))
+        not make a valid kernel parameter (a diverged run's halt row).
+
+        A stack of moments, ``mu`` of shape (n, d) and ``cov`` (n, d, d),
+        gives the array of n weights; one pair gives a float.
+        """
+        if np.ndim(mu) > 1:
+            mu_norm = np.linalg.norm(mu, axis=-1)
+            fro = np.linalg.norm(cov, axis=(-2, -1))
+        else:
+            mu_norm = float(np.linalg.norm(mu))
+            fro = float(np.linalg.norm(cov))
         return 1.0 + mu_norm ** (2.0 + self.eps) + fro
 
 

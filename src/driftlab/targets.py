@@ -18,13 +18,15 @@ Built-in families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
 BISECTION_TOL = 1e-10
+# How far below its mode, in nats, a unimodal target's bulk ends.
+BULK_NATS = 50.0
 # Absolute tolerance of every covariance symmetry check.
 SYMMETRY_TOL = 1e-12
 
@@ -80,12 +82,23 @@ class TargetModel:
     known_cov: Optional[np.ndarray] = None
     unimodal_1d: bool = False
     mode: float | np.ndarray = 0.0
+    # bulk_edge's results, per side, filled on first use
+    _bulk_edges: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.unimodal_1d and self.dim != 1:
             raise ValueError("unimodal_1d flag requires dim == 1")
+
+    def bulk_edge(self, side: float) -> float:
+        """The point on ``side`` (+1 or -1) of the mode of a unimodal
+        one-dimensional target where log pi falls ``BULK_NATS`` below its
+        value at the mode; searched for once per side."""
+        if side not in self._bulk_edges:
+            level = float(self.log_density(float(self.mode))) - BULK_NATS
+            self._bulk_edges[side] = density_level_point(self, level, side)
+        return self._bulk_edges[side]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +268,7 @@ def matched_density_point(target: TargetModel, x: float, tol: float = BISECTION_
     """Point on the opposite side of the mode with the same density as ``x``.
 
     Bracket by geometric expansion from the mode, then plain bisection down
-    to absolute tolerance ``tol``.  ``x`` at the mode returns ``x`` itself.
+    to absolute tolerance ``tol`` (or to adjacent floats, far from the mode).  ``x`` at the mode returns ``x`` itself.
     """
     if target.dim != 1:
         raise ValueError("matched_density_point requires a one-dimensional target")
@@ -268,22 +281,33 @@ def matched_density_point(target: TargetModel, x: float, tol: float = BISECTION_
     level = float(target.log_density(x))
     if not math.isfinite(level):
         raise ValueError(f"invalid point: log-density not finite at x={x!r}")
-    s = 1.0 if x > m else -1.0
-    logp = target.log_density
+    side = -1.0 if x > m else 1.0
+    return density_level_point(target, level, side, max(abs(x - m), 1.0), tol)
 
+
+def density_level_point(
+    target: TargetModel, level: float, side: float, t_hi: float = 1.0, tol: float = BISECTION_TOL
+) -> float:
+    """``mode + side * t`` (``side`` +1 or -1) where the log-density of a
+    unimodal one-dimensional target falls to ``level``: the bracket
+    [0, t_hi] doubles until it holds the crossing, then bisection halves it
+    down to ``tol`` or to two adjacent floats, whichever comes first."""
+    m = float(target.mode)
+    logp = target.log_density
     t_lo = 0.0
-    t_hi = max(abs(x - m), 1.0)
     expansions = 0
-    while float(logp(m - s * t_hi)) > level:
+    while float(logp(m + side * t_hi)) > level:
         t_lo = t_hi
         t_hi *= 2.0
         expansions += 1
         if expansions > 200:
-            raise ValueError("density never falls to the matching level on the opposite side")
+            raise ValueError(f"density never falls to log-density {level!r} on side {side:+g} of the mode")
     while t_hi - t_lo > tol:
         t_mid = 0.5 * (t_lo + t_hi)
-        if float(logp(m - s * t_mid)) > level:
+        if not t_lo < t_mid < t_hi:
+            break  # adjacent floats: far from the mode, ulp(t) exceeds tol
+        if float(logp(m + side * t_mid)) > level:
             t_lo = t_mid
         else:
             t_hi = t_mid
-    return m - s * 0.5 * (t_lo + t_hi)
+    return m + side * 0.5 * (t_lo + t_hi)

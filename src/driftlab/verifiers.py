@@ -35,6 +35,7 @@ from .kernels import (
     ProposalSpec,
     ScalarParam,
     acceptance,
+    acceptance_breakpoints,
     acceptance_vec,
     apply_kernel_to_function,
     draw_increments,
@@ -186,6 +187,61 @@ def _weight_vectorized(weight: ParamLyapunov) -> Callable[[np.ndarray], np.ndarr
     raise ValueError("vectorized weights exist for scalar variants only")
 
 
+def _one_step_pairs(
+    target: TargetModel,
+    proposal: ProposalSpec,
+    lyap: StateLyapunov,
+    param,
+    x,
+    n: int,
+    rng: np.random.Generator,
+    rule: Optional[AdaptationRule] = None,
+    weight: Optional[ParamLyapunov] = None,
+    gamma: float = 0.0,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per-pair samples of one adaptive step from (``param``, ``x``): the
+    Monte Carlo estimator behind every drift check.
+
+    Draws ``n // 2`` increments z from ``rng`` and pairs each with -z
+    (antithetic increments).  The accept coin is integrated out in closed
+    form, the Rao-Blackwellised acceptance of Andrieu and Thoms (2008), "A
+    tutorial on adaptive MCMC": a proposal y adds
+    ``alpha * V(y) + (1 - alpha) * V(x)`` to E[V(X1)], with
+    ``alpha * V(y) = exp(min(0, ly - lx) + log V(y))`` formed in log space,
+    so it stays finite where V(y) alone overflows.  Given a ``rule`` (with
+    its ``weight`` and stepsize ``gamma``) the second samples are
+    E[w(theta1)]: the scalar update keyed to alpha, or the accepted and
+    rejected running moments weighted by alpha; without one they are None.
+    """
+    dim = target.dim
+    z = draw_increments(proposal, param, dim, rng, size=n // 2).reshape(-1, dim)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    lx = float(target.log_density(float(xv[0]) if dim == 1 else xv))
+    v_x = lyap.of_log_density(lx)
+    if rule is not None and rule.kind == RULE_AM:
+        w_reject = weight.of_moments(*am_update(param.mu, param.cov, xv, gamma))
+    v_sum = w_sum = 0.0
+    for y in (xv[None, :] + z, xv[None, :] - z):
+        ly = np.asarray(target.log_density(y[:, 0] if dim == 1 else y), dtype=float)
+        alpha, log_alpha = acceptance_vec(ly, lx)
+        v_sum = v_sum + (np.exp(np.minimum(log_alpha + lyap.log(y, ly), 700.0)) + (1.0 - alpha) * v_x)
+        if rule is None:
+            continue
+        if rule.kind == RULE_AM:
+            w_accept = weight.of_moments(*am_update(param.mu, param.cov, y, gamma))
+            w_sum = w_sum + (alpha * w_accept + (1.0 - alpha) * w_reject)
+        else:
+            # the fixed rule hands theta back as a scalar
+            t_new = scalar_update(rule.kind, param.theta, alpha, gamma, rule.alpha_star)[0]
+            w_sum = w_sum + _weight_vectorized(weight)(np.broadcast_to(t_new, alpha.shape))
+    return 0.5 * v_sum, None if rule is None else 0.5 * w_sum
+
+
+def _mean_se(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error."""
+    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(samples.size))
+
+
 # ---------------------------------------------------------------------------
 # fixed-theta state drift: P_theta V <= [V - V**iota / a] outside the center,
 # <= b inside
@@ -217,12 +273,12 @@ def verify_fixed_theta_drift(
         for x in grid.x_grid:
             xf = float(np.asarray(x, dtype=float).reshape(()))
             if mc:
-                pv, se = apply_kernel_to_function(
-                    target, proposal, param, lyap, xf,
-                    method="monte_carlo", n=grid.mc_n, rng=substream(grid.seed, idx),
+                v_pairs, _ = _one_step_pairs(
+                    target, proposal, lyap, param, xf, grid.mc_n, substream(grid.seed, idx)
                 )
+                pv, se = _mean_se(v_pairs)
             else:
-                pv, se = apply_kernel_to_function(target, proposal, param, lyap, xf)
+                pv, se = apply_kernel_to_function(target, proposal, param, lyap.log, xf), 0.0
             if not math.isfinite(pv):
                 raise ValueError(f"non-finite kernel application at theta={param}, x={xf}")
             v = float(lyap(xf))
@@ -292,7 +348,7 @@ def deficit_loglog_slope(
     v = float(lyap(x))
     for sigma in sigmas:
         param = ScalarParam(theta=math.log(sigma))
-        pv, _ = apply_kernel_to_function(target, spec, param, lyap, float(x))
+        pv = apply_kernel_to_function(target, spec, param, lyap.log, float(x))
         deficits.append(v - pv)
     if any(d <= 0 for d in deficits):
         return math.nan, deficits
@@ -306,9 +362,9 @@ def deficit_loglog_slope(
 
 def _w_drift_lhs_quadrature(target, proposal, rule, weight, param, x, gamma) -> float:
     """E[w(theta')] for one step of the adaptive pair, by quadrature."""
-    if target.dim != 1 or proposal.family != FAMILY_UNIFORM:
-        raise ValueError("w-drift quadrature needs a one-dimensional compact-uniform kernel")
     if rule.kind in (RULE_COERCED, RULE_FAST_COERCED, RULE_FIXED):
+        if target.dim != 1 or proposal.family != FAMILY_UNIFORM:
+            raise ValueError("w-drift quadrature under a scalar rule needs a one-dimensional compact-uniform kernel")
         theta = param.theta
         sigma = param.sigma
         if not math.isfinite(sigma):
@@ -320,48 +376,14 @@ def _w_drift_lhs_quadrature(target, proposal, rule, weight, param, x, gamma) -> 
             t_new = scalar_update(rule.kind, theta, alpha, gamma, rule.alpha_star)[0]
             return weight(t_new) / (2.0 * sigma)
 
-        points = [0.0, -x]
-        if target.unimodal_1d:
-            ups = matched_density_point(target, x)
-            points.append(ups - x)
-        points = [p for p in points if -sigma < p < sigma]
+        points = acceptance_breakpoints(target, x, sigma)
         return integrate_interval(integrand, -sigma, sigma, tol=QUAD_TOL, points=points)
     if rule.kind == RULE_AM:
-        def f(x_new: float) -> float:
-            mu2, cov2 = am_update(param.mu, param.cov, np.atleast_1d(x_new), gamma)
-            return weight(AMParam(mu=mu2, cov=cov2))
+        def log_w(y: float, ly: float) -> float:
+            return math.log(weight.of_moments(*am_update(param.mu, param.cov, [y], gamma)))
 
-        val, _ = apply_kernel_to_function(target, proposal, param, f, float(x))
-        return val
+        return apply_kernel_to_function(target, proposal, param, log_w, x)
     raise ValueError(f"unsupported rule {rule.kind!r} for the parameter drift")
-
-
-def _w_drift_lhs_mc(
-    target, proposal, rule, weight, param, x, gamma, n, rng
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of E[w(theta')] with one kernel step."""
-    dim = target.dim
-    z = draw_increments(proposal, param, dim, rng, size=n)
-    x_arr = np.broadcast_to(np.atleast_1d(np.asarray(x, dtype=float)), (n, dim)).copy()
-    y = x_arr + (z.reshape(n, dim))
-    lx = float(target.log_density(x_arr[0] if dim > 1 else float(x_arr[0, 0])))
-    ly = np.asarray(target.log_density(y if dim > 1 else y[:, 0]), dtype=float)
-    alpha = acceptance_vec(ly, lx)[0]
-    accept = rng.random(n) < alpha
-    x_next = np.where(accept[:, None], y, x_arr)
-    if rule.kind == RULE_AM:
-        vals = np.empty(n)
-        for j in range(n):
-            mu2, cov2 = am_update(param.mu, param.cov, x_next[j], gamma)
-            vals[j] = weight(AMParam(mu=mu2, cov=cov2))
-    elif rule.kind == RULE_FIXED:
-        vals = np.full(n, weight(param))
-    else:
-        t_new = scalar_update(rule.kind, param.theta, alpha, gamma, rule.alpha_star)[0]
-        vals = _weight_vectorized(weight)(t_new)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return mean, se
 
 
 def verify_w_drift(
@@ -404,10 +426,11 @@ def verify_w_drift(
             inside = abs(xf) <= center_radius
             for gamma in grid.gamma_grid:
                 if mc:
-                    lhs, se = _w_drift_lhs_mc(
-                        target, proposal, rule, weight, param, xf, gamma,
-                        grid.mc_n, substream(grid.seed, idx),
+                    _, w_pairs = _one_step_pairs(
+                        target, proposal, lyap, param, xf, grid.mc_n, substream(grid.seed, idx),
+                        rule, weight, gamma,
                     )
+                    lhs, se = _mean_se(w_pairs)
                 else:
                     lhs = _w_drift_lhs_quadrature(target, proposal, rule, weight, param, xf, gamma)
                     se = 0.0
@@ -499,14 +522,12 @@ def verify_compound_drift(
     Each stepsize is paired with itself, so the inverse-difference ceiling
     on stepsize pairs reduces to ``delta(0) > 0``.
 
-    The estimator integrates the accept coin out analytically (its
-    conditional expectation given the proposal increment is available in
-    closed form) and averages antithetic increment pairs, so ``mc_n`` draws
-    become ``mc_n // 2`` independent pair samples of the same one-step
-    expectation.  Certifiable margins at desk-scale sample sizes need this:
-    the state Lyapunov spans many orders of magnitude across the grid and
-    the raw estimator's noise would otherwise swamp genuinely positive
-    drift gaps.
+    Each point's one-step expectations of V and w come from
+    :func:`_one_step_pairs`, as ``mc_n // 2`` antithetic pair samples with
+    the accept coin integrated out.  Certifiable margins at desk-scale
+    sample sizes need this: the state Lyapunov spans many orders of
+    magnitude across the grid and a raw estimator's noise would otherwise
+    swamp genuinely positive drift gaps.
     """
     if grid.method != METHOD_MONTE_CARLO:
         raise ValueError("the compound drift check is Monte-Carlo only")
@@ -525,40 +546,13 @@ def verify_compound_drift(
         w_theta = weight(param)
         for x in grid.x_grid:
             xf = np.atleast_1d(np.asarray(x, dtype=float))
-            x_scalar = float(xf[0]) if dim == 1 else None
-            v_x = float(lyap_v(x_scalar if dim == 1 else xf))
+            v_x = float(lyap_v(float(xf[0]) if dim == 1 else xf))
             inside_c = float(np.linalg.norm(xf)) <= center_radius
             for g in grid.gamma_grid:
-                rng = substream(grid.seed, idx)
-                m = grid.mc_n // 2
-                z = draw_increments(proposal, param, dim, rng, size=m).reshape(m, dim)
-                lx = float(target.log_density(x_scalar if dim == 1 else xf))
-
-                def coin_free(y):
-                    """(E[V(X1)|z], E[w(theta1)|z]) with the coin integrated out."""
-                    ly = np.asarray(
-                        target.log_density(y[:, 0] if dim == 1 else y), dtype=float
-                    )
-                    alpha, log_alpha = acceptance_vec(ly, lx)
-                    # alpha * V(y) in log space: the product never exceeds V(x)
-                    # even where V(y) alone overflows
-                    av = np.exp(np.minimum(log_alpha - lyap_v.eta * ly, 700.0))
-                    v_part = av + (1.0 - alpha) * v_x
-                    if rule.kind != RULE_AM:
-                        t_new = scalar_update(rule.kind, param.theta, alpha, g, rule.alpha_star)[0]
-                        return v_part, _weight_vectorized(weight)(t_new)
-                    mu_r, cov_r = am_update(param.mu, param.cov, xf, g)
-                    w_reject = weight(AMParam(mu=mu_r, cov=cov_r))
-                    w_acc = np.empty(m)
-                    for j in range(m):
-                        mu2, cov2 = am_update(param.mu, param.cov, y[j], g)
-                        w_acc[j] = weight(AMParam(mu=mu2, cov=cov2))
-                    return v_part, alpha * w_acc + (1.0 - alpha) * w_reject
-
-                v_plus, w_plus = coin_free(xf[None, :] + z)
-                v_minus, w_minus = coin_free(xf[None, :] - z)
-                v_pair = 0.5 * (v_plus + v_minus)
-                w_pair = 0.5 * (w_plus + w_minus)
+                v_pair, w_pair = _one_step_pairs(
+                    target, proposal, lyap_v, param, xf, grid.mc_n, substream(grid.seed, idx),
+                    rule, weight, g,
+                )
                 mean_v = float(v_pair.mean())
                 mean_w = float(w_pair.mean())
                 var_v = float(v_pair.var(ddof=1))
@@ -571,7 +565,7 @@ def verify_compound_drift(
                         "inside_c": inside_c, "gamma": g,
                         "mean_v": mean_v, "mean_w": mean_w,
                         "var_v": var_v, "var_w": var_w, "cov_vw": cov_vw,
-                        "n": m, "denom": denom,
+                        "n": v_pair.size, "denom": denom,
                     }
                 )
                 idx += 1

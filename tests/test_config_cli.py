@@ -1,9 +1,11 @@
 """Config schema, builders, CLI orchestration, and plot-data extraction."""
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -295,6 +297,59 @@ def test_compound_drift_without_method_runs_monte_carlo(tmp_path):
     doc["verify"]["checks"] = ["fixed_theta_drift"]
     doc["verify"]["method"] = "quadrature"
     validate_document(doc)
+
+
+_GAUSSIAN_2D = {"name": "gaussian", "params": {"dim": 2}}
+_SCALAR_GAUSSIAN = {"family": "gaussian", "parametrization": "scalar_log_scale"}
+_SCALAR_STUDENT = {"family": "student", "parametrization": "scalar_log_scale"}
+
+
+@pytest.mark.parametrize(
+    "preset, check, method, sections, json_path",
+    [
+        pytest.param("coerced", "fixed_theta_drift", "quadrature", {"proposal": _SCALAR_STUDENT},
+                     "verify.method", id="student-quadrature"),
+        pytest.param("coerced", "fixed_theta_drift", "quadrature",
+                     {"target": _GAUSSIAN_2D, "proposal": _SCALAR_GAUSSIAN},
+                     "verify.method", id="dim-2-fixed-theta-quadrature"),
+        pytest.param("coerced", "w_drift", "quadrature",
+                     {"target": _GAUSSIAN_2D, "proposal": _SCALAR_GAUSSIAN},
+                     "verify.method", id="dim-2-w-drift-quadrature"),
+        pytest.param("coerced", "w_drift", "quadrature", {"proposal": _SCALAR_GAUSSIAN},
+                     "verify.method", id="scalar-rule-gaussian-w-drift-quadrature"),
+        # V(y) = pi(y)**(-1/2) overflows on this grid's windows; alpha * V(y)
+        # does not
+        pytest.param("coerced", "fixed_theta_drift", "quadrature", {}, None,
+                     id="coerced-fixed-theta-quadrature"),
+        pytest.param("coerced", "fixed_theta_drift", "monte_carlo", {}, None,
+                     id="coerced-fixed-theta-monte-carlo"),
+        pytest.param("am-subexp-1d", "w_drift", "quadrature", {}, None, id="am-w-drift-quadrature"),
+    ],
+)
+def test_drift_check_configs_run_or_name_a_path(tmp_path, preset, check, method, sections, json_path):
+    doc = json.loads(resolve_config_path(preset).read_text())
+    doc.update(sections)
+    doc["verify"].update(checks=[check], method=method)
+    path = write_config(tmp_path, doc)
+    if json_path is not None:
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.json_path == json_path
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_check(check, load_config(path))
+    assert report.rows
+    assert all(math.isfinite(row.lhs) for row in report.rows)
+
+
+def test_quadrature_w_drift_without_proposal_names_the_section(tmp_path):
+    doc = json.loads(resolve_config_path("coerced").read_text())
+    del doc["proposal"]
+    doc["verify"].update(checks=["w_drift"], method="quadrature")
+    with pytest.raises(ConfigError) as exc:
+        run_check("w_drift", load_config(write_config(tmp_path, doc)))
+    assert exc.value.json_path == "proposal"
 
 
 def test_toy_record_stride_thins_only_the_trajectory(tmp_path):

@@ -32,6 +32,7 @@ from driftlab import (
     toy_second_eigenvalue,
     toy_transition_matrix,
 )
+from driftlab.verifiers import _mean_se, _one_step_pairs
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)
 GAUSS_1D = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_SCALAR_LOG_SCALE)
@@ -118,6 +119,40 @@ def test_mean_acceptance_frozen_values():
     assert mean_acceptance(t_g, 1.0, 0.0) == pytest.approx(ref, abs=1e-9)
 
 
+@pytest.mark.parametrize("theta", [5.0, 8.0, 12.0])
+def test_wide_window_on_the_gaussian_matches_closed_forms(theta):
+    # radius e**theta around the standard Gaussian's mode: the whole bulk
+    # lies between the window's breakpoint at 0 and QAG-21's outermost node
+    # unless the bulk edges (log pi 50 nats down, |y| = 10) split the window
+    t = gaussian_target(dim=1)
+    sigma = math.exp(theta)
+    mass = math.sqrt(2.0 * math.pi) / (2.0 * sigma) * math.erf(sigma / math.sqrt(2.0))
+    assert mean_acceptance(t, sigma, 0.0) == pytest.approx(mass, rel=1e-9)
+    # V = pi**(-1/2): alpha * V(y) = exp(-y**2 / 4) from x = 0
+    moved = math.sqrt(math.pi) / sigma * math.erf(sigma / 2.0)
+    lyap = StateLyapunov(t, 0.5)
+    pv = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=theta), lyap.log, 0.0)
+    assert pv == pytest.approx(moved + 1.0 - mass, abs=1e-9)
+
+
+def test_wide_target_breakpoints_far_from_the_mode():
+    # sd 1e5: the bulk edges (10 sd) lie past 2**19 from the mode, where the
+    # bisection's bracket meets adjacent floats before the absolute tolerance
+    s = 1e5
+    t = gaussian_target(dim=1, cov=[[s * s]])
+    theta = 14.0
+    sigma = math.exp(theta)
+    mass = math.sqrt(2.0 * math.pi) * s / (2.0 * sigma) * math.erf(sigma / (math.sqrt(2.0) * s))
+    assert mean_acceptance(t, sigma, 0.0) == pytest.approx(mass, rel=1e-9)
+    moved = math.sqrt(math.pi) * s / sigma * math.erf(sigma / (2.0 * s))
+    lyap = StateLyapunov(t, 0.5)
+    pv = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=theta), lyap.log, 0.0)
+    assert pv == pytest.approx(moved + 1.0 - mass, abs=1e-9)
+    # a slowly decaying tail: 50 nats down lies near |y| = 50**4
+    heavy = smoothed_subexp_target(0.25)
+    assert 0.0 < mean_acceptance(heavy, 1e7, 3.0) < 1.0
+
+
 def test_mean_acceptance_laplace_profile_value():
     # a target with exact exp(-|x|) profile: alpha at the mode with sigma 1
     # is 1 - 1/e; built from the smoothed family is not exact, so check the
@@ -139,8 +174,7 @@ def test_apply_kernel_uniform_matches_direct_integral():
     t = smoothed_subexp_target(0.5)
     lyap = StateLyapunov(t, 0.5)
     x, sigma = 7.0, 1.5
-    got, se = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=math.log(sigma)), lyap, x)
-    assert se == 0.0
+    got = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=math.log(sigma)), lyap.log, x)
     lx = float(t.log_density(x))
 
     def integrand(z):
@@ -156,7 +190,7 @@ def test_apply_kernel_gaussian_matches_direct_integral():
     t = gaussian_target(dim=1)
     lyap = StateLyapunov(t, 0.5)
     x, sigma = 2.0, 0.7
-    got, _ = apply_kernel_to_function(t, GAUSS_1D, ScalarParam(theta=math.log(sigma)), lyap, x)
+    got = apply_kernel_to_function(t, GAUSS_1D, ScalarParam(theta=math.log(sigma)), lyap.log, x)
     lx = float(t.log_density(x))
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
@@ -179,11 +213,9 @@ def test_apply_kernel_student_requires_monte_carlo():
     lyap = StateLyapunov(t, 0.5)
     spec = ProposalSpec(family=FAMILY_STUDENT, parametrization=PARAM_SCALAR_LOG_SCALE)
     with pytest.raises(ValueError, match="monte_carlo"):
-        apply_kernel_to_function(t, spec, ScalarParam(theta=0.0), lyap, 1.0)
-    got, se = apply_kernel_to_function(
-        t, spec, ScalarParam(theta=0.0), lyap, 1.0,
-        method="monte_carlo", n=20_000, rng=substream(9, 0),
-    )
+        apply_kernel_to_function(t, spec, ScalarParam(theta=0.0), lyap.log, 1.0)
+    v_pairs, _ = _one_step_pairs(t, spec, lyap, ScalarParam(theta=0.0), 1.0, 20_000, substream(9, 0))
+    got, se = _mean_se(v_pairs)
     assert se > 0.0
     assert math.isfinite(got)
 
@@ -208,10 +240,8 @@ def test_apply_kernel_mc_agrees_with_quadrature(target, theta, x, n, stream):
     t = smoothed_subexp_target(0.5) if target == "subexp" else gaussian_target(dim=1)
     lyap = StateLyapunov(t, 0.5)
     param = ScalarParam(theta=theta)
-    quad, _ = apply_kernel_to_function(t, UNIFORM_1D, param, lyap, x)
-    mc, se = apply_kernel_to_function(
-        t, UNIFORM_1D, param, lyap, x, method="monte_carlo", n=n, rng=substream(*stream)
-    )
+    quad = apply_kernel_to_function(t, UNIFORM_1D, param, lyap.log, x)
+    mc, se = _mean_se(_one_step_pairs(t, UNIFORM_1D, lyap, param, x, n, substream(*stream))[0])
     assert abs(mc - quad) <= 4.0 * se
 
 

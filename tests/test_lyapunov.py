@@ -1,6 +1,7 @@
 """Lyapunov functions, scenario coefficients, matrix inequality checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ def test_state_lyapunov_at_least_one_for_calibrated_targets():
     assert np.all(v(xs) >= 1.0)
 
 
+def test_state_lyapunov_arrays_cap_without_warning():
+    # V = pi**(-1/2) on the standard Gaussian overflows past |x| = 53; the
+    # array form reads inf there, as the scalar form does, and stays quiet
+    t = gaussian_target(dim=1)
+    v = StateLyapunov(t, 0.5)
+    xs = np.array([0.0, 2.0, 52.0, 53.0, 60.0, 1e100])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = v(xs)
+    assert out.tolist() == [v(float(x)) for x in xs]
+    assert math.isinf(out[-1]) and math.isfinite(out[2])
+    assert v.log(xs, t.log_density(xs)).tolist() == (-0.5 * t.log_density(xs)).tolist()
+
+
 def test_param_weights_frozen_values():
     assert ParamLyapunov(W_EXP_ABS)(ScalarParam(theta=math.log(10.0))) == pytest.approx(10.0, rel=1e-15)
     assert ParamLyapunov(W_ONE_PLUS_SQUARE)(ScalarParam(theta=3.0)) == 10.0
@@ -64,6 +79,11 @@ def test_param_weights_frozen_values():
         ParamLyapunov("nope")
     with pytest.raises(ValueError):
         ParamLyapunov(W_AM_POLY)(ScalarParam(theta=0.0))
+    # a stack of moments gives one weight per entry
+    mus = np.array([[2.0, 0.0], [0.0, 1.0]])
+    covs = np.array([np.eye(2), 2.0 * np.eye(2)])
+    stacked = w.of_moments(mus, covs)
+    assert stacked.tolist() == pytest.approx([w.of_moments(m, c) for m, c in zip(mus, covs)], rel=1e-15)
 
 
 def test_compound_value_modes():

@@ -90,6 +90,14 @@ def test_matched_density_point_two_scale():
     assert matched_density_point(g, 0.0) == 0.0
 
 
+def test_level_point_far_from_the_mode_stops_at_adjacent_floats():
+    # past |t| = 2**19 the spacing of floats exceeds the bisection tolerance,
+    # so the bracket can stop shrinking before it is tol wide
+    g = gaussian_target(dim=1, cov=[[1e10]])
+    assert matched_density_point(g, 1e6) == pytest.approx(-1e6, rel=1e-12)
+    assert g.bulk_edge(1.0) == pytest.approx(1e6, rel=1e-12)  # 50 nats = 10 sd
+
+
 def test_gaussian_log_density_at_infinity_is_minus_inf():
     # inf - inf inside the quadratic form would give NaN
     t = gaussian_target(dim=2, mean=[1.0, -1.0], cov=[[1.0, 0.8], [0.8, 2.0]])

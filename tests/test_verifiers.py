@@ -10,10 +10,12 @@ import driftlab.verifiers as verifiers
 from driftlab import (
     AMParam,
     AdaptationRule,
+    FAMILY_GAUSSIAN,
     FAMILY_UNIFORM,
     GridSpec,
     METHOD_MONTE_CARLO,
     METHOD_QUADRATURE,
+    PARAM_AM_COVARIANCE,
     PARAM_SCALAR_LOG_SCALE,
     ParamLyapunov,
     ProposalSpec,
@@ -23,15 +25,20 @@ from driftlab import (
     SCENARIO_FAST_COERCED,
     ScalarParam,
     StateLyapunov,
+    W_AM_POLY,
     W_EXP_ABS,
     W_ONE_PLUS_SQUARE,
     accept_reject_profile,
+    am_update,
     apply_kernel_to_function,
+    build_grid,
     decomposition_terms,
     deficit_loglog_slope,
     draw_increments,
     fast_coerced_update,
     gaussian_target,
+    load_config,
+    make_target,
     mean_acceptance,
     normalized_kernel_gain,
     scenario_coefficients,
@@ -44,6 +51,7 @@ from driftlab import (
     verify_toy,
     verify_w_drift,
 )
+from driftlab.cli import resolve_config_path, run_check
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)
 
@@ -88,7 +96,7 @@ def test_gaussian_tail_contracts_pointwise():
     t = gaussian_target(dim=1)
     lyap = StateLyapunov(t, 0.5)
     for x in (6.0, 10.0, 20.0):
-        pv, _ = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=0.0), lyap, x)
+        pv = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=0.0), lyap.log, x)
         assert pv - float(lyap(x)) < 0.0
 
 
@@ -190,6 +198,84 @@ def test_w_drift_monte_carlo_agrees():
     rq = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, gq)
     rm = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, gm)
     assert abs(rq.rows[0].lhs - rm.rows[0].lhs) <= 4.0 * rm.rows[0].se
+
+
+def _preset_check_doc(preset: str, check: str, method: str, **verify) -> dict:
+    doc = load_config(resolve_config_path(preset))
+    doc["verify"].update(checks=[check], method=method, **verify)
+    return doc
+
+
+# The coerced grid stops at theta = 3: from theta = 5 on, a uniform window
+# puts only about 1/sigma of the draws in the target's bulk, and the
+# standard error understates the Monte Carlo error there.
+@pytest.mark.parametrize(
+    "preset, check, verify",
+    [
+        ("coerced", "fixed_theta_drift", {"theta_grid": [-8.0, -5.0, -3.0, 3.0]}),
+        ("coerced", "w_drift", {"theta_grid": [-8.0, -5.0, -3.0, 3.0]}),
+        ("am-subexp-1d", "w_drift", {}),
+    ],
+)
+def test_monte_carlo_agrees_with_quadrature_per_row(preset, check, verify):
+    quad = run_check(check, _preset_check_doc(preset, check, "quadrature", **verify))
+    mc = run_check(check, _preset_check_doc(preset, check, "monte_carlo", **verify))
+    assert len(quad.rows) == len(mc.rows)
+    for q_row, mc_row in zip(quad.rows, mc.rows):
+        assert q_row.point == mc_row.point
+        assert abs(q_row.lhs - mc_row.lhs) <= 4.0 * mc_row.se + 1e-9
+
+
+def _am_reference_means(doc: dict, idx: int, param: AMParam, x: float, gamma: float):
+    """(mean V, mean w) one AM step on from (param, x), draw by draw with
+    ``am_update``: the estimator's antithetic pairs with the coin
+    integrated out."""
+    target = make_target(doc["target"]["name"], **doc["target"]["params"])
+    proposal = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_AM_COVARIANCE, eps_ridge=0.1)
+    lyap = StateLyapunov(target, 0.5)
+    weight = ParamLyapunov(W_AM_POLY, eps=0.5)
+    m = doc["verify"]["mc_n"] // 2
+    z = draw_increments(proposal, param, 1, substream(doc["verify"]["seed"], idx), size=m)
+    lx = float(target.log_density(x))
+    w_reject = weight(AMParam(*am_update(param.mu, param.cov, [x], gamma)))
+    v_sum = np.zeros(m)
+    w_sum = np.zeros(m)
+    for ys in (x + z, x - z):
+        for j, y in enumerate(ys.tolist()):
+            ly = float(target.log_density(y))
+            alpha = min(1.0, math.exp(ly - lx))
+            w_accept = weight(AMParam(*am_update(param.mu, param.cov, [y], gamma)))
+            v_sum[j] += alpha * float(lyap(y)) + (1.0 - alpha) * float(lyap(x))
+            w_sum[j] += alpha * w_accept + (1.0 - alpha) * w_reject
+    return float((0.5 * v_sum).mean()), float((0.5 * w_sum).mean())
+
+
+@pytest.mark.parametrize("check", ["w_drift", "compound_drift"])
+def test_am_monte_carlo_checks_match_a_per_draw_reference(check):
+    doc = _preset_check_doc("am-subexp-1d", check, "monte_carlo", mc_n=2000)
+    report = run_check(check, doc)
+    grid = build_grid(doc)
+    rows = {json.dumps(row.point, sort_keys=True): row for row in report.rows}
+    compared = 0
+    idx = 0
+    for param in grid.theta_grid:
+        for x in grid.x_grid:
+            for gamma in grid.gamma_grid:
+                mean_v, mean_w = _am_reference_means(doc, idx, param, x, gamma)
+                idx += 1
+                label = {"mu": param.mu.tolist(), "cov": param.cov.tolist(), "x": x, "gamma": gamma}
+                if check == "w_drift":
+                    label["region"] = "center" if abs(x) <= 5.0 else "tail"
+                    want = mean_w
+                else:
+                    label["gamma_bar"] = gamma
+                    want = report.fitted["lam_star"] * mean_v + mean_w / gamma
+                row = rows.get(json.dumps(label, sort_keys=True))
+                if row is None:  # a compound point inside the joint center
+                    continue
+                assert row.lhs == pytest.approx(want, rel=1e-12)
+                compared += 1
+    assert compared == len(report.rows) > 0
 
 
 # -- compound drift ------------------------------------------------------------
