@@ -5,184 +5,10 @@ updated from the trajectory) are simulated on reproducible substreams, and
 the stability inequalities that justify them (state drift, parameter-weight
 drift, their compound contraction, acceptance-rate bounds) are certified
 numerically on finite grids with explicit error control.
+
+Each name is imported from the module that defines it, for example
+``from driftlab.simulator import run_replicas``; the package itself binds
+only ``__version__``.
 """
-from .adaptation import (
-    RULE_AM,
-    RULE_COERCED,
-    RULE_FAST_COERCED,
-    RULE_FIXED,
-    RULE_TOY_MEAN,
-    AdaptationRule,
-    ConstantSchedule,
-    KestenSchedule,
-    MeanFieldAM,
-    PolynomialSchedule,
-    am_increment,
-    am_update,
-    coerced_update,
-    fast_coerced_update,
-    gamma_at,
-    kesten_advance,
-)
-from .config import (
-    ConfigError,
-    build_chain_config,
-    build_grid,
-    load_config,
-    validate_document,
-)
-from .kernels import (
-    FAMILY_GAUSSIAN,
-    FAMILY_STUDENT,
-    FAMILY_UNIFORM,
-    PARAM_AM_COVARIANCE,
-    PARAM_SCALAR_LOG_SCALE,
-    RW_SCALE,
-    AMParam,
-    ProposalSpec,
-    ScalarParam,
-    accept_prob,
-    apply_kernel_to_function,
-    draw_increments,
-    mean_acceptance,
-    proposal_covariance,
-    srwm_step,
-    toy_second_eigenvalue,
-    toy_transition_matrix,
-)
-from .lyapunov import (
-    SCENARIO_AM_SUBEXP_1D,
-    SCENARIO_AM_SUPEREXP,
-    SCENARIO_COERCED,
-    SCENARIO_FAST_COERCED,
-    W_AM_POLY,
-    W_EXP_ABS,
-    W_ONE_PLUS_SQUARE,
-    CompoundSpec,
-    ParamLyapunov,
-    StateLyapunov,
-    check_det_inequality,
-    compound_value,
-    default_beta,
-    scenario_coefficients,
-)
-from .quadrature import QuadratureError, integrate_interval
-from .simulator import (
-    THETA_MAX,
-    ChainConfig,
-    Trajectory,
-    recurrence_stats,
-    run_chain,
-    run_replicas,
-)
-from .streams import substream
-from .targets import (
-    TailKind,
-    exact_tail_subexp_target,
-    gaussian_target,
-    make_target,
-    matched_density_point,
-    smoothed_subexp_target,
-    two_scale_gaussian_target,
-)
-from .verifiers import (
-    METHOD_MONTE_CARLO,
-    METHOD_QUADRATURE,
-    GridSpec,
-    accept_reject_profile,
-    decomposition_terms,
-    deficit_loglog_slope,
-    normalized_kernel_gain,
-    verify_acceptance_bounds,
-    verify_compound_drift,
-    verify_decomposition,
-    verify_fixed_theta_drift,
-    verify_toy,
-    verify_w_drift,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AMParam",
-    "AdaptationRule",
-    "ChainConfig",
-    "CompoundSpec",
-    "ConfigError",
-    "ConstantSchedule",
-    "FAMILY_GAUSSIAN",
-    "FAMILY_STUDENT",
-    "FAMILY_UNIFORM",
-    "GridSpec",
-    "KestenSchedule",
-    "METHOD_MONTE_CARLO",
-    "METHOD_QUADRATURE",
-    "MeanFieldAM",
-    "PARAM_AM_COVARIANCE",
-    "PARAM_SCALAR_LOG_SCALE",
-    "ParamLyapunov",
-    "PolynomialSchedule",
-    "ProposalSpec",
-    "QuadratureError",
-    "RULE_AM",
-    "RULE_COERCED",
-    "RULE_FAST_COERCED",
-    "RULE_FIXED",
-    "RULE_TOY_MEAN",
-    "RW_SCALE",
-    "SCENARIO_AM_SUBEXP_1D",
-    "SCENARIO_AM_SUPEREXP",
-    "SCENARIO_COERCED",
-    "SCENARIO_FAST_COERCED",
-    "ScalarParam",
-    "StateLyapunov",
-    "THETA_MAX",
-    "TailKind",
-    "Trajectory",
-    "W_AM_POLY",
-    "W_EXP_ABS",
-    "W_ONE_PLUS_SQUARE",
-    "accept_prob",
-    "accept_reject_profile",
-    "am_increment",
-    "am_update",
-    "apply_kernel_to_function",
-    "build_chain_config",
-    "build_grid",
-    "check_det_inequality",
-    "coerced_update",
-    "compound_value",
-    "decomposition_terms",
-    "default_beta",
-    "deficit_loglog_slope",
-    "draw_increments",
-    "exact_tail_subexp_target",
-    "fast_coerced_update",
-    "gamma_at",
-    "gaussian_target",
-    "integrate_interval",
-    "kesten_advance",
-    "load_config",
-    "make_target",
-    "matched_density_point",
-    "mean_acceptance",
-    "normalized_kernel_gain",
-    "proposal_covariance",
-    "recurrence_stats",
-    "run_chain",
-    "run_replicas",
-    "scenario_coefficients",
-    "smoothed_subexp_target",
-    "srwm_step",
-    "substream",
-    "toy_second_eigenvalue",
-    "toy_transition_matrix",
-    "two_scale_gaussian_target",
-    "validate_document",
-    "verify_acceptance_bounds",
-    "verify_compound_drift",
-    "verify_decomposition",
-    "verify_fixed_theta_drift",
-    "verify_toy",
-    "verify_w_drift",
-]

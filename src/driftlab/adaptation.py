@@ -63,8 +63,6 @@ class PolynomialSchedule:
             raise ValueError("c1 must be non-negative")
         if not (0.0 < self.a <= 1.0):
             raise ValueError("exponent a must lie in (0, 1]")
-        if self.c1 == 0.0 and self.a == 0.0:
-            raise ValueError("degenerate schedule")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ import numpy as np
 from .adaptation import (
     RULE_AM,
     RULE_COERCED,
+    RULE_FAST_COERCED,
+    RULE_FIXED,
+    RULE_TOY_MEAN,
     RULES,
     AdaptationRule,
     ConstantSchedule,
@@ -38,6 +41,10 @@ from .kernels import (
     ProposalSpec,
 )
 from .lyapunov import (
+    SCENARIO_AM_SUBEXP_1D,
+    SCENARIO_AM_SUPEREXP,
+    SCENARIO_COERCED,
+    SCENARIO_FAST_COERCED,
     SCENARIOS,
     CompoundSpec,
     DriftCoefficients,
@@ -349,12 +356,12 @@ def validate_document(doc: dict) -> None:
 
     Rules that tie one section to another (proposal family against target
     dimension, first stepsize against adaptation rule) are checked by the
-    proposal and schedule builders, which run here as well.  A parameter
-    weight must fit the adaptation rule: ``am_poly`` weighs running moments
-    and the other variants a scalar parameter.  ``compound_drift`` is a Monte
-    Carlo check, so a document that asks for quadrature with it is rejected,
-    and so is a quadrature ``fixed_theta_drift`` or ``w_drift`` that the
-    kernel integrals cannot run (see ``_check_quadrature``).
+    proposal and schedule builders, which run here as well.  The weight,
+    drift scenario, checks and grids must fit the adaptation rule (see
+    ``_check_rule_fit``).  ``compound_drift`` is a Monte Carlo check, so a
+    document that asks for quadrature with it is rejected, and so is a
+    quadrature ``fixed_theta_drift`` or ``w_drift`` that the kernel
+    integrals cannot run (see ``_check_quadrature``).
     Running-moment parameters (``run.theta0``, ``verify.theta_grid``) are
     built here, so a covariance that is not symmetric, or not the shape of
     its mean, is rejected with its path.
@@ -364,15 +371,8 @@ def validate_document(doc: dict) -> None:
         path, message = errors[0]
         raise ConfigError(message, ".".join(str(p) for p in path))
     run = doc.get("run", {})
-    rule_kind = doc.get("adaptation", {}).get("rule")
-    variant = doc.get("lyapunov", {}).get("weight")
-    if rule_kind is not None and variant is not None and (variant == W_AM_POLY) != (rule_kind == RULE_AM):
-        fits = "am_poly" if rule_kind == RULE_AM else "exp_abs or one_plus_square"
-        raise ConfigError(
-            f"weight {variant!r} does not fit the {rule_kind!r} rule's parameter; use {fits}",
-            "lyapunov.weight",
-        )
     verify = doc.get("verify", {})
+    _check_rule_fit(doc)
     if verify.get("method") == METHOD_QUADRATURE and "compound_drift" in verify.get("checks", ()):
         raise ConfigError(
             "the compound_drift check is Monte Carlo only; set method to 'monte_carlo' or leave it out",
@@ -386,6 +386,52 @@ def validate_document(doc: dict) -> None:
     if isinstance(run.get("theta0"), dict):
         _am_param(run["theta0"], "run.theta0")
     _grid_thetas(verify)
+
+
+# The drift scenarios whose inequalities each rule's chain obeys, and the
+# checks that have no update to step under a rule.
+_RULE_SCENARIOS = {
+    RULE_AM: (SCENARIO_AM_SUPEREXP, SCENARIO_AM_SUBEXP_1D),
+    RULE_COERCED: (SCENARIO_COERCED,),
+    RULE_FAST_COERCED: (SCENARIO_FAST_COERCED,),
+    RULE_FIXED: (SCENARIO_COERCED, SCENARIO_FAST_COERCED),
+    RULE_TOY_MEAN: (),
+}
+_RULE_NO_CHECKS = {RULE_FIXED: ("compound_drift",), RULE_TOY_MEAN: ("w_drift", "compound_drift")}
+
+
+def _check_rule_fit(doc: dict) -> None:
+    """Reject, each at its path, a parameter weight, drift scenario or check
+    that does not fit the adaptation rule, a ``verify.theta_grid`` entry
+    that is no parameter of the scenario (am scenarios take running moments
+    {mu, cov}, the others a number), and under the am rule a
+    ``verify.gamma_grid`` stepsize of 1 or more, which no running-moments
+    step takes."""
+    rule = doc.get("adaptation", {}).get("rule")
+    variant = doc.get("lyapunov", {}).get("weight")
+    scenario = doc.get("lyapunov", {}).get("scenario")
+    verify = doc.get("verify", {})
+    if rule is not None and variant is not None and (variant == W_AM_POLY) != (rule == RULE_AM):
+        fits = "am_poly" if rule == RULE_AM else "exp_abs or one_plus_square"
+        raise ConfigError(
+            f"weight {variant!r} does not fit the {rule!r} rule's parameter; use {fits}",
+            "lyapunov.weight",
+        )
+    if rule is not None and scenario is not None and scenario not in _RULE_SCENARIOS[rule]:
+        fits = " or ".join(map(repr, _RULE_SCENARIOS[rule])) or "none"
+        raise ConfigError(f"scenario {scenario!r} does not fit the {rule!r} rule; scenarios that do: {fits}",
+                          "lyapunov.scenario")
+    for check in verify.get("checks", ()):
+        if check in _RULE_NO_CHECKS.get(rule, ()):
+            raise ConfigError(f"the {check} check has no update to step under the {rule!r} rule", "verify.checks")
+    if scenario is not None:
+        moments = scenario in _RULE_SCENARIOS[RULE_AM]
+        for i, entry in enumerate(verify.get("theta_grid", ())):
+            if isinstance(entry, dict) != moments:
+                wants = "running moments {mu, cov}" if moments else "a number"
+                raise ConfigError(f"entry {i} is no {scenario!r} parameter, which is {wants}", "verify.theta_grid")
+    if rule == RULE_AM and any(g >= 1.0 for g in verify.get("gamma_grid", ())):
+        raise ConfigError("a running-moments step needs stepsizes below 1", "verify.gamma_grid")
 
 
 def _check_quadrature(doc: dict) -> None:

@@ -11,30 +11,31 @@ Divergence policy: a run halts as soon as any parameter component leaves
 turns negative; the trajectory is flagged rather than raising, so replica
 sweeps can count failures.
 
-The toy chain runs on one lockstep engine: all replicas advance together
-as numpy vectors, each drawing its uniforms in blocks from its own
-substream, with a block length chosen so that block length times replica
-count stays near 2**15 elements.  Each block is reduced to per-replica
-recurrence statistics as the run goes, and only replica 0 keeps its path,
-so ``record_stride`` thins that trajectory and never the statistics.  One
-toy chain alone pays numpy's per-call cost on every step (11.7 us/step at
-R = 1, against 2.3 us for a scalar loop, on a 2-vCPU VM); no preset or
-benchmark workload runs one, so it gets no second engine of its own.
-
-srwm chains run one replica at a time, each in a loop that appends only raw
-values (parameter, state, proposal, acceptance, stepsize, log pi) to
-per-block lists.  Each block is folded into the same recurrence statistics
-and then dropped; replica 0's blocks become its trajectory, with V, w, W and
-in_C computed per kept row in the scalar arithmetic of a row-at-a-time
-recorder, so ``record_stride`` thins that trajectory and never the
-statistics.  On a 1-D target the loop runs over Python floats, and a uniform
+Replicas never keep their whole path.  The toy chain runs on one lockstep
+engine: all replicas advance together as numpy vectors, each drawing its
+uniforms in blocks from its own substream, with a block length chosen so
+that block length times replica count stays near 2**15 elements.  One toy
+chain alone pays numpy's per-call cost on every step (11.7 us/step at R = 1,
+against 2.3 us for a scalar loop, on a 2-vCPU VM); no preset or benchmark
+workload runs one, so it gets no second engine of its own.  srwm chains run
+one replica at a time, each in a loop that appends only raw values
+(parameter, state, proposal, acceptance, stepsize, log pi) to per-block
+lists.  On a 1-D target the loop runs over Python floats, and a uniform
 proposal draws a block's uniforms at once, in the order of the scalar draws.
 In several dimensions it runs numpy per step: the target is evaluated once
 per step, at the proposal, with log pi of the current state carried from
 step to step, and one kernel parameter is built and checked per step, which
 drives the next proposal.  A step that overflows the parameter is kept, raw,
-as the halt row.  ``Trajectory.to_csv`` formats blocks of rows a column at a
-time.
+as the halt row.
+
+Either engine folds each block into per-replica recurrence statistics
+(``_RecurrenceCounter``) and drops it; replica 0's rows also go to
+``_KeptPath`` as a ``_RawBlock`` (a toy block reads x = y = the state,
+log pi = 0 and alpha = NaN).  ``_KeptPath`` alone picks the kept rows,
+every ``record_stride``-th step and the last, and computes their V, w, W and
+in_C in the scalar arithmetic of a row-at-a-time recorder, so
+``record_stride`` thins the trajectory and never the statistics.
+``Trajectory.to_csv`` formats blocks of rows a column at a time.
 """
 from __future__ import annotations
 
@@ -249,7 +250,7 @@ _TAIL_MAX = 10_000
 
 
 class _RawBlock(NamedTuple):
-    """Consecutive rows of one srwm path as its loop produced them.
+    """Consecutive rows of one path as its loop produced them.
 
     ``theta`` holds one list per parameter column, ``x`` and ``y`` one float
     per row on a 1-D target and one list of coordinates per row otherwise,
@@ -591,21 +592,18 @@ def _run_srwm(
         path = _KeptPath(config, labels) if keep_first and k == 0 else None
         flags = deque(maxlen=_TAIL_MAX)
         start = 0
-        # a diverging multivariate chain overflows its proposal scale and the
-        # quadratic form of its proposals; that is the halt, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            for blk in blocks_of(config, rng, _SRWM_BLOCK_STEPS):
-                index = np.arange(start, start + len(blk.x))
-                theta = np.array(blk.theta)
-                x = np.array(blk.x).reshape(index.shape[0], dim)
-                x_norm = np.abs(x[:, 0]) if dim == 1 else np.linalg.norm(x, axis=1)
-                w_cells = weights(blk.theta)
-                w = np.array(w_cells)
-                stats.add(index, np.abs(theta).max(axis=0)[:, None], w[:, None], x_norm[:, None], cols, horizon)
-                flags.extend(blk.accepted)
-                if path is not None:
-                    path.add(index, blk, theta, x, x_norm, w, w_cells)
-                start += len(blk.x)
+        for blk in blocks_of(config, rng, _SRWM_BLOCK_STEPS):
+            index = np.arange(start, start + len(blk.x))
+            theta = np.array(blk.theta)
+            x = np.array(blk.x).reshape(index.shape[0], dim)
+            x_norm = np.abs(x[:, 0]) if dim == 1 else np.linalg.norm(x, axis=1)
+            w_cells = weights(blk.theta)
+            w = np.array(w_cells)
+            stats.add(index, np.abs(theta).max(axis=0)[:, None], w[:, None], x_norm[:, None], cols, horizon)
+            flags.extend(blk.accepted)
+            if path is not None:
+                path.add(index, blk, theta, x, x_norm, w, w_cells)
+            start += len(blk.x)
         end = start - 1
         tail = list(flags)[-min(_TAIL_MAX, max(end // 10, 1)):]
         final_theta = [th[-1] for th in blk.theta]
@@ -624,7 +622,7 @@ def _run_srwm(
 
 
 class _KeptPath:
-    """Trajectory columns of one srwm path, built block by block.
+    """Trajectory columns of one path, toy or srwm, built block by block.
 
     A block keeps its rows at multiples of ``record_stride`` and its last
     row when it ends the run; V, W and in_C of those rows are computed in
@@ -739,9 +737,9 @@ def _run_toy_replicas(
     blocks of B steps with B * len(rngs) near ``_BLOCK_ELEMENTS``; a block
     draw returns what B scalar draws would, so every replica sees exactly
     the numbers a one-chain loop sees.  After each block its rows are folded
-    into the recurrence statistics and dropped, except replica 0's path,
-    which becomes the returned trajectory (thinned by ``record_stride`` and
-    labelled ``replica``) when ``keep_first``.  A replica that diverges is
+    into the recurrence statistics and dropped; when ``keep_first``, replica
+    0's rows up to its halt row also go to a ``_KeptPath``, which builds the
+    returned trajectory (labelled ``replica``).  A replica that diverges is
     frozen at its halt row.  Returns one record per generator, in order,
     and the trajectory.
     """
@@ -750,9 +748,8 @@ def _run_toy_replicas(
     block = max(1, _BLOCK_ELEMENTS // n_rep)
     schedule = config.schedule
     kesten = _kesten_on(schedule)
-    if kesten:
-        # step i uses the count left by steps 2..i-1, so at most n - 2
-        gamma_table = np.array([schedule.gamma_of_count(c) for c in range(n)])
+    # step i uses the count left by steps 2..i-1, so at most n - 2
+    gamma_table = np.array([schedule.gamma_of_count(c) for c in range(n)]) if kesten else None
     weight = config.param_weight
     if weight.variant == W_ONE_PLUS_SQUARE:
         def weights(th):
@@ -760,6 +757,7 @@ def _run_toy_replicas(
     else:
         weights = np.vectorize(weight, otypes=[float])
     stats = _RecurrenceCounter(n_rep, config.recurrence_m, config.recurrence_r)
+    path = _KeptPath(config, ["theta_1"]) if keep_first else None
 
     theta = np.full(n_rep, float(config.theta0))
     x = np.full(n_rep, bool(config.x0))
@@ -768,15 +766,15 @@ def _run_toy_replicas(
     halted = np.zeros(n_rep, dtype=bool)
     active = np.arange(n_rep)
     final_theta = theta.copy()
-    if keep_first:
-        path_theta = np.empty(n + 1)
-        path_x = np.empty(n + 1, dtype=bool)
-        path_theta[0], path_x[0] = theta[0], x[0]
 
     start = 1
     # theta and w may overflow to inf, silently, as Python floats do
     with np.errstate(over="ignore"):
-        stats.add(np.zeros(1, dtype=np.int64), np.abs(theta)[None], weights(theta)[None], x[None], active, end)
+        w = weights(theta)
+        stats.add(np.zeros(1, dtype=np.int64), np.abs(theta)[None], w[None], x[None], active, end)
+        if path is not None:
+            _keep_toy_rows(path, schedule, gamma_table, np.zeros(1, dtype=np.int64), theta[:1], x[:1], w[:1],
+                           bool(x[0]), 0, False)
         while start <= n and active.size:
             rows = min(block, n - start + 1)
             u = np.empty((active.size, rows))
@@ -785,6 +783,7 @@ def _run_toy_replicas(
             u = np.ascontiguousarray(u.T)
             th_blk = np.empty((rows, active.size))
             x_blk = np.empty((rows, active.size), dtype=bool)
+            x_in, count_in = bool(x[0]), int(counts[0])
             # per-step work is a few ufunc calls, so they write into scratch
             # arrays: p holds exp(-|theta|), then the parameter increment
             p = np.empty(active.size)
@@ -811,11 +810,13 @@ def _run_toy_replicas(
                 end[active[j]] = start + b
                 halted[active[j]] = True
             index = np.arange(start, start + rows)
-            stats.add(index, np.abs(th_blk), weights(th_blk), x_blk, active, end[active])
+            w = weights(th_blk)
+            stats.add(index, np.abs(th_blk), w, x_blk, active, end[active])
             final_theta[active] = th_blk[-1]
-            if keep_first and active[0] == 0:
-                path_theta[start:start + rows] = th_blk[:, 0]
-                path_x[start:start + rows] = x_blk[:, 0]
+            if path is not None and active[0] == 0:
+                cut = int(end[0]) - start + 1  # rows up to replica 0's halt row, or all
+                _keep_toy_rows(path, schedule, gamma_table, index[:cut], th_blk[:cut, 0], x_blk[:cut, 0],
+                               w[:cut, 0], x_in, count_in, bool(halted[0]))
             going = ~halted[active]
             active, theta, x, counts = active[going], th_blk[-1, going], x_blk[-1, going], counts[going]
             start += rows
@@ -831,64 +832,34 @@ def _run_toy_replicas(
         }
         for j in range(n_rep)
     ]
-    traj = None
-    if keep_first:
-        traj = _toy_trajectory(config, path_theta, path_x, int(end[0]), bool(halted[0]), replica)
+    traj = path.build(int(end[0]), bool(halted[0]), replica) if path is not None else None
     return records, traj
 
 
-def _toy_trajectory(config: ChainConfig, path_theta, path_x, end: int, diverged: bool, replica: int) -> Trajectory:
-    """Rows 0, every ``record_stride``-th step and the last step of one toy
-    path; w, W and in_C in scalar arithmetic, as a one-chain loop records
-    them."""
-    schedule = config.schedule
-    kesten = _kesten_on(schedule)
-    weight = config.param_weight
-    w_plus_sq = weight.variant == W_ONE_PLUS_SQUARE
-    m_level = config.recurrence_m
-    r_level = config.recurrence_r
-
-    flipped = np.zeros(end + 1, dtype=bool)
-    flipped[1:] = path_x[1:end + 1] != path_x[:end]
-    counts = np.zeros(end + 1, dtype=np.int64)
-    counts[2:] = np.cumsum(flipped[2:])
-    steps = list(range(0, end + 1, config.record_stride))
-    if steps[-1] != end:
-        steps.append(end)
-
-    gammas, ws, inside = [], [], []
-    for i, th, xx in zip(steps, path_theta[steps].tolist(), path_x[steps].tolist()):
-        # row i >= 1 carries the stepsize step i used, under the count of
-        # row i - 1; row 0 carries the first step's
-        gm = gamma_at(schedule, max(i, 1), int(counts[max(i - 1, 0)]) if kesten else None)
-        wv = 1.0 + th * th if w_plus_sq else weight(th)
-        gammas.append(gm)
-        ws.append(wv)
-        inside.append(wv <= m_level and abs(xx) <= r_level)
-    rows = len(steps)
-    x_col = path_x[steps].astype(float).reshape(rows, 1)
-    return Trajectory(
-        index=np.asarray(steps, dtype=np.int64),
-        theta=path_theta[steps].reshape(rows, 1),
-        theta_labels=["theta_1"],
-        x=x_col,
-        y=x_col.copy(),
-        accepted=flipped[steps],
-        alpha=np.full(rows, math.nan),
-        gamma=np.asarray(gammas, dtype=float),
-        v=np.ones(rows),
-        w=np.asarray(ws, dtype=float),
-        compound=np.asarray(_compound_cells(config.compound, repeat(1.0), ws, gammas), dtype=float),
-        in_set=np.asarray(inside, dtype=bool),
-        kesten_counts=counts[steps] if kesten else None,
-        record_stride=config.record_stride,
-        horizon=config.horizon,
-        diverged=diverged,
-        halt_index=end if diverged else None,
-        replica=replica,
-        recurrence_m=m_level,
-        recurrence_r=r_level,
-    )
+def _keep_toy_rows(path: _KeptPath, schedule, gamma_table, index, theta, x, w, x_in: bool, count_in: int,
+                   halted: bool) -> None:
+    """Hand replica 0's toy rows ``index`` to ``path`` as the block an srwm
+    loop would hand over: x = y = the state, log pi = 0 (so V = 1), alpha =
+    NaN, a flip as the accept flag, and the weights ``w`` the statistics
+    used.  ``x_in`` and ``count_in`` are the state and Kesten count before
+    the rows; ``gamma_table`` is None without a Kesten schedule."""
+    flips = x != np.concatenate(([x_in], x[:-1]))
+    counts = None
+    if gamma_table is not None:
+        # the count moves from step 2 on, and step i uses the count of row i - 1
+        after = count_in + np.cumsum(flips & (index > 1))
+        gammas = gamma_table[np.concatenate(([count_in], after[:-1]))].tolist()
+        counts = after.tolist()
+    else:
+        gammas = [gamma_at(schedule, max(i, 1)) for i in index.tolist()]  # row 0: step 1's
+    xs = x.astype(float)
+    cells, w_cells = xs.tolist(), w.tolist()
+    rows = len(cells)
+    blk = _RawBlock((theta.tolist(),), cells, cells, flips.tolist(), [math.nan] * rows, gammas, [0.0] * rows,
+                    counts, halted)
+    # arrays of their own, as _run_srwm builds them: the path keeps what it is
+    # given, and a view of theta or w would keep every replica's block alive
+    path.add(index, blk, np.array(blk.theta), xs[:, None], xs, np.array(w_cells), w_cells)
 
 
 # ---------------------------------------------------------------------------

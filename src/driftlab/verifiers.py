@@ -40,6 +40,7 @@ from .kernels import (
     apply_kernel_to_function,
     draw_increments,
     mean_acceptance,
+    toy_second_eigenvalue,
     toy_transition_matrix,
 )
 from .lyapunov import (
@@ -518,7 +519,9 @@ def verify_compound_drift(
     Searches doubling ``lam_star`` values and parameter-weight levels
     ``m_star`` (lexicographically) for the smallest pair giving a positive
     contraction rate ``delta`` with every outside margin beyond three
-    standard errors.  Reports the best candidate when the search fails.
+    standard errors.  When the search fails it reports the best candidate's
+    delta and judges the candidate's rows at delta = 0, so the rows that
+    block a positive delta fail.
     Each stepsize is paired with itself, so the inverse-difference ceiling
     on stepsize pairs reduces to ``delta(0) > 0``.
 
@@ -611,7 +614,7 @@ def verify_compound_drift(
 
     # with no candidate every point lies in the joint center, so no row is kept
     lam, m_star, delta_raw, stats = found or best or (1.0, w_levels[0], math.nan, [])
-    delta = delta_raw * (1.0 - HEADROOM) if (found and delta_raw > 0) else delta_raw
+    delta = delta_raw * (1.0 - HEADROOM) if found else 0.0
 
     rows = []
     for pt, (mean_s, se) in zip(points, stats):
@@ -637,7 +640,7 @@ def verify_compound_drift(
         fitted={
             "lam_star": lam,
             "m_star": m_star,
-            "delta": delta,
+            "delta": delta if found else delta_raw,
             "center_radius": center_radius,
             "found": found is not None,
         },
@@ -955,7 +958,7 @@ def verify_toy(theta_grid: Sequence[float]) -> DriftReport:
     for t in theta_grid:
         tf = float(t)
         p = toy_transition_matrix(tf)
-        formula = 1.0 - 2.0 * math.exp(-abs(tf))
+        formula = toy_second_eigenvalue(tf)
         # the chain's spectrum is {1, lambda} with lambda < 1, so the
         # second eigenvalue is identified without referencing the formula
         second = float(np.min(np.linalg.eigvals(p).real))

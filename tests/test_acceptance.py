@@ -11,20 +11,18 @@ import math
 import numpy as np
 from scipy import stats
 
-from driftlab import (
-    StateLyapunov,
-    build_chain_config,
-    check_det_inequality,
+from driftlab.cli import list_presets, resolve_config_path, run_check, run_experiment
+from driftlab.config import build_chain_config, load_config
+from driftlab.lyapunov import StateLyapunov, check_det_inequality
+from driftlab.simulator import run_replicas
+from driftlab.streams import substream
+from driftlab.targets import make_target
+from driftlab.verifiers import (
     deficit_loglog_slope,
-    load_config,
-    make_target,
-    run_replicas,
-    substream,
     verify_acceptance_bounds,
     verify_decomposition,
     verify_toy,
 )
-from driftlab.cli import list_presets, resolve_config_path, run_check, run_experiment
 
 SIGMA_GRID = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 10.0, 100.0, 400.0, 1000.0)
 TAIL_X_GRID = (20.0, 40.0, 80.0, 160.0)

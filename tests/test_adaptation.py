@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import (
+from driftlab.adaptation import (
     AdaptationRule,
     ConstantSchedule,
     KestenSchedule,
@@ -21,8 +21,8 @@ from driftlab import (
     fast_coerced_update,
     gamma_at,
     kesten_advance,
+    scalar_update,
 )
-from driftlab.adaptation import scalar_update
 
 
 def test_polynomial_schedule_values():

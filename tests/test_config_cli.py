@@ -11,13 +11,6 @@ from pathlib import Path
 import pytest
 
 import driftlab
-from driftlab import (
-    ConfigError,
-    build_chain_config,
-    build_grid,
-    load_config,
-    validate_document,
-)
 from driftlab.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -31,7 +24,15 @@ from driftlab.cli import (
     run_check,
     run_experiment,
 )
-from driftlab.config import build_proposal, n_replicas
+from driftlab.config import (
+    ConfigError,
+    build_chain_config,
+    build_grid,
+    build_proposal,
+    load_config,
+    n_replicas,
+    validate_document,
+)
 
 PRESET_NAMES = ["am-gaussian-1d", "am-subexp-1d", "coerced", "fast-coerced", "toy"]
 
@@ -764,6 +765,71 @@ def test_theta_grid_entry_that_is_no_kernel_parameter_rejected_with_path(tmp_pat
     assert exc.value.json_path == "verify.theta_grid"
     assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+
+
+_AM_1D_PARAM = {"mu": [0.0], "cov": [[1.0]]}
+
+
+@pytest.mark.parametrize(
+    "preset, edits, json_path",
+    [
+        # the coerced chain certified in the running-moments weight dies in
+        # fixed_theta_drift; in the fast rule's inequality it passes wrongly
+        pytest.param("coerced", {"lyapunov.scenario": "am_superexp", "verify.checks": ["fixed_theta_drift"]},
+                     "lyapunov.scenario", id="coerced-rule-am-scenario"),
+        pytest.param("coerced", {"lyapunov.scenario": "fast_coerced"},
+                     "lyapunov.scenario", id="coerced-rule-fast-scenario"),
+        pytest.param("am-subexp-1d", {"lyapunov.scenario": "coerced"},
+                     "lyapunov.scenario", id="am-rule-scalar-scenario"),
+        pytest.param("fast-coerced", {"lyapunov.scenario": "coerced"},
+                     "lyapunov.scenario", id="fast-rule-coerced-scenario"),
+        pytest.param("toy", {"lyapunov": {"scenario": "coerced"}},
+                     "lyapunov.scenario", id="toy-rule-any-scenario"),
+        pytest.param("coerced", {"adaptation": {"rule": "toy_mean"}, "lyapunov": {}, "verify.checks": ["w_drift"]},
+                     "verify.checks", id="toy-rule-w-drift"),
+        pytest.param("coerced", {"adaptation": {"rule": "toy_mean"}, "lyapunov": {}},
+                     "verify.checks", id="toy-rule-compound-drift"),
+        pytest.param("coerced", {"adaptation": {"rule": "fixed"}},
+                     "verify.checks", id="fixed-rule-compound-drift"),
+        pytest.param("am-subexp-1d", {"verify.theta_grid": [_AM_1D_PARAM, 1.0]},
+                     "verify.theta_grid", id="am-scenario-scalar-theta"),
+        pytest.param("coerced", {"verify.theta_grid": [0.0, _AM_1D_PARAM]},
+                     "verify.theta_grid", id="coerced-scenario-moments-theta"),
+        pytest.param("am-subexp-1d", {"verify.checks": ["w_drift"], "verify.method": "monte_carlo",
+                                      "verify.gamma_grid": [0.05, 1.5]},
+                     "verify.gamma_grid", id="am-rule-gamma-above-one"),
+        pytest.param("am-subexp-1d", {"verify.checks": ["compound_drift"], "verify.method": "monte_carlo",
+                                      "verify.gamma_grid": [1.0]},
+                     "verify.gamma_grid", id="am-rule-gamma-one"),
+    ],
+)
+def test_sections_that_do_not_fit_the_rule_are_rejected_at_load(tmp_path, preset, edits, json_path):
+    doc = json.loads(resolve_config_path(preset).read_text())
+    for key, value in edits.items():
+        section, _, name = key.partition(".")
+        if name:
+            doc[section][name] = value
+        else:
+            doc[section] = value
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == json_path
+    assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_sections_that_fit_the_rule_load():
+    # the fixed rule takes either scalar scenario, and w_drift runs under it
+    for scenario in ("coerced", "fast_coerced"):
+        doc = json.loads(resolve_config_path("coerced").read_text())
+        doc["adaptation"]["rule"] = "fixed"
+        doc["lyapunov"]["scenario"] = scenario
+        doc["verify"].update(checks=["w_drift"], gamma_grid=[0.05, 0.5])
+        validate_document(doc)
+    doc = json.loads(resolve_config_path("am-subexp-1d").read_text())
+    doc["verify"].update(checks=["w_drift"], method="monte_carlo", gamma_grid=[0.999])
+    validate_document(doc)
 
 
 def test_generic_path_halts_on_a_parameter_that_overflows(tmp_path):

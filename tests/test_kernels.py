@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from driftlab import (
+from driftlab.kernels import (
     AMParam,
     FAMILY_GAUSSIAN,
     FAMILY_STUDENT,
@@ -18,20 +18,18 @@ from driftlab import (
     ProposalSpec,
     RW_SCALE,
     ScalarParam,
-    StateLyapunov,
     accept_prob,
     apply_kernel_to_function,
     draw_increments,
-    exact_tail_subexp_target,
-    gaussian_target,
     mean_acceptance,
     proposal_covariance,
-    smoothed_subexp_target,
     srwm_step,
-    substream,
     toy_second_eigenvalue,
     toy_transition_matrix,
 )
+from driftlab.lyapunov import StateLyapunov
+from driftlab.streams import substream
+from driftlab.targets import exact_tail_subexp_target, gaussian_target, smoothed_subexp_target
 from driftlab.verifiers import _mean_se, _one_step_pairs
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)

@@ -9,15 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftlab import (
-    AMParam,
+from driftlab.kernels import AMParam, ScalarParam
+from driftlab.lyapunov import (
     CompoundSpec,
     ParamLyapunov,
     SCENARIO_AM_SUBEXP_1D,
     SCENARIO_AM_SUPEREXP,
     SCENARIO_COERCED,
     SCENARIO_FAST_COERCED,
-    ScalarParam,
     StateLyapunov,
     W_AM_POLY,
     W_EXP_ABS,
@@ -25,11 +24,10 @@ from driftlab import (
     check_det_inequality,
     compound_value,
     default_beta,
-    gaussian_target,
     scenario_coefficients,
-    smoothed_subexp_target,
-    substream,
 )
+from driftlab.streams import substream
+from driftlab.targets import gaussian_target, smoothed_subexp_target
 
 
 def test_state_lyapunov_gaussian_values():
@@ -145,6 +143,21 @@ def test_scenario_coefficient_values_fast_coerced():
     # beta must sit strictly below iota/2
     with pytest.raises(ValueError):
         scenario_coefficients(SCENARIO_FAST_COERCED, iota=1.0, beta=0.5)
+
+
+def test_fast_coerced_offsets_closed_form():
+    coef = scenario_coefficients(
+        SCENARIO_FAST_COERCED, iota=1.0, alpha_star=0.44, gamma_max=0.05, slope_c=2.0, sup_c_vbeta=3.0
+    )
+    # c = m / slope_c on the window |theta| <= 1 (m = min(0.44, 0.06)), else 0
+    for theta in (0.0, 0.5, -1.0, 1.0):
+        assert coef.c(ScalarParam(theta=theta)) == pytest.approx(0.03, rel=1e-12)
+    for theta in (1.5, -3.0):
+        assert coef.c(ScalarParam(theta=theta)) == 0.0
+    # d = 2 sup_C V**beta / e^|theta| + c, with e^|theta| = inf from |theta| = 700 on
+    assert coef.d(ScalarParam(theta=0.5)) == pytest.approx(6.0 * math.exp(-0.5) + 0.03, rel=1e-12)
+    assert coef.d(ScalarParam(theta=-2.0)) == pytest.approx(6.0 * math.exp(-2.0), rel=1e-12)
+    assert coef.d(ScalarParam(theta=800.0)) == 0.0
 
 
 def test_scenario_coefficient_values_am():

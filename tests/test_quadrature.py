@@ -9,10 +9,16 @@ from scipy import integrate
 
 import driftlab.kernels as kernels
 import driftlab.verifiers as verifiers
-from driftlab import QuadratureError, integrate_interval, mean_acceptance
 from driftlab.cli import resolve_config_path, run_check
 from driftlab.config import build_target, load_config
-from driftlab.quadrature import DEFAULT_ABS_TOL, MAX_SUBDIVISIONS, _kronrod21
+from driftlab.kernels import mean_acceptance
+from driftlab.quadrature import (
+    DEFAULT_ABS_TOL,
+    MAX_SUBDIVISIONS,
+    QuadratureError,
+    _kronrod21,
+    integrate_interval,
+)
 
 
 def scipy_quad_reference(

@@ -9,9 +9,15 @@ import sys
 import jsonschema
 import pytest
 
-from driftlab import ConfigError, load_config, validate_document
 from driftlab.cli import resolve_config_path
-from driftlab.config import SCHEMA, SCHEMA_KEYWORDS, _schema_errors
+from driftlab.config import (
+    ConfigError,
+    SCHEMA,
+    SCHEMA_KEYWORDS,
+    _schema_errors,
+    load_config,
+    validate_document,
+)
 from test_config_cli import PRESET_NAMES, mv_run_doc, write_config
 
 

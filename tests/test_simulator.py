@@ -11,48 +11,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlab import simulator
-from driftlab import (
+from driftlab.adaptation import (
     AdaptationRule,
-    AMParam,
-    ChainConfig,
-    CompoundSpec,
     ConstantSchedule,
-    FAMILY_GAUSSIAN,
-    FAMILY_STUDENT,
-    FAMILY_UNIFORM,
     KestenSchedule,
     MeanFieldAM,
-    PARAM_AM_COVARIANCE,
-    PARAM_SCALAR_LOG_SCALE,
-    ParamLyapunov,
     PolynomialSchedule,
-    ProposalSpec,
     RULE_AM,
     RULE_COERCED,
     RULE_FAST_COERCED,
     RULE_FIXED,
     RULE_TOY_MEAN,
-    ScalarParam,
-    StateLyapunov,
-    THETA_MAX,
-    Trajectory,
-    W_AM_POLY,
-    W_EXP_ABS,
-    W_ONE_PLUS_SQUARE,
     am_increment,
     am_update,
     coerced_update,
-    compound_value,
     fast_coerced_update,
     gamma_at,
-    gaussian_target,
     kesten_advance,
+)
+from driftlab.kernels import (
+    AMParam,
+    FAMILY_GAUSSIAN,
+    FAMILY_STUDENT,
+    FAMILY_UNIFORM,
+    PARAM_AM_COVARIANCE,
+    PARAM_SCALAR_LOG_SCALE,
+    ProposalSpec,
+    ScalarParam,
+    srwm_step,
+)
+from driftlab.lyapunov import (
+    CompoundSpec,
+    ParamLyapunov,
+    StateLyapunov,
+    W_AM_POLY,
+    W_EXP_ABS,
+    W_ONE_PLUS_SQUARE,
+    compound_value,
+)
+from driftlab.simulator import (
+    ChainConfig,
+    THETA_MAX,
+    Trajectory,
     recurrence_stats,
     run_chain,
     run_replicas,
-    srwm_step,
-    substream,
 )
+from driftlab.streams import substream
+from driftlab.targets import gaussian_target
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)
 

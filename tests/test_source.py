@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name it never uses."""
+"""Source hygiene: no module imports a name it never uses, and the package
+``__init__`` re-exports nothing."""
 
 import ast
 from pathlib import Path
@@ -7,9 +8,7 @@ import pytest
 
 import driftlab
 
-MODULES = sorted(
-    p for p in Path(driftlab.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(Path(driftlab.__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +34,29 @@ def test_detector_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def bound_names(source: str) -> list[str]:
+    """Names a module's top level binds, docstring aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)):
+            names.append(type(node).__name__)
+    return names
+
+
+def test_bound_names_sees_imports_definitions_and_statements():
+    src = '"""doc"""\nimport a.b\nfrom c import d as e\nx = y = 1\ndef f(): pass\nif x: pass\n'
+    assert bound_names(src) == ["a", "e", "x", "y", "f", "If"]
+
+
+def test_package_init_binds_only_the_version():
+    init = Path(driftlab.__file__).resolve()
+    assert bound_names(init.read_text()) == ["__version__"]

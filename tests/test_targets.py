@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import (
+from driftlab.targets import (
     TailKind,
     exact_tail_subexp_target,
     gaussian_target,
@@ -98,6 +98,7 @@ def test_level_point_far_from_the_mode_stops_at_adjacent_floats():
     assert g.bulk_edge(1.0) == pytest.approx(1e6, rel=1e-12)  # 50 nats = 10 sd
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_gaussian_log_density_at_infinity_is_minus_inf():
     # inf - inf inside the quadratic form would give NaN
     t = gaussian_target(dim=2, mean=[1.0, -1.0], cov=[[1.0, 0.8], [0.8, 2.0]])

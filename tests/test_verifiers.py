@@ -7,43 +7,54 @@ import numpy as np
 import pytest
 
 import driftlab.verifiers as verifiers
-from driftlab import (
-    AMParam,
+from driftlab.adaptation import (
     AdaptationRule,
-    FAMILY_GAUSSIAN,
-    FAMILY_UNIFORM,
-    GridSpec,
-    METHOD_MONTE_CARLO,
-    METHOD_QUADRATURE,
-    PARAM_AM_COVARIANCE,
-    PARAM_SCALAR_LOG_SCALE,
-    ParamLyapunov,
-    ProposalSpec,
     RULE_COERCED,
     RULE_FAST_COERCED,
+    am_update,
+    fast_coerced_update,
+)
+from driftlab.cli import resolve_config_path, run_check
+from driftlab.config import (
+    build_grid,
+    build_rule,
+    build_state_lyapunov,
+    build_target,
+    build_weight,
+    load_config,
+)
+from driftlab.kernels import (
+    AMParam,
+    FAMILY_GAUSSIAN,
+    FAMILY_UNIFORM,
+    PARAM_AM_COVARIANCE,
+    PARAM_SCALAR_LOG_SCALE,
+    ProposalSpec,
+    ScalarParam,
+    apply_kernel_to_function,
+    draw_increments,
+    mean_acceptance,
+)
+from driftlab.lyapunov import (
+    ParamLyapunov,
     SCENARIO_COERCED,
     SCENARIO_FAST_COERCED,
-    ScalarParam,
     StateLyapunov,
     W_AM_POLY,
     W_EXP_ABS,
     W_ONE_PLUS_SQUARE,
+    scenario_coefficients,
+)
+from driftlab.streams import substream
+from driftlab.targets import gaussian_target, make_target, smoothed_subexp_target
+from driftlab.verifiers import (
+    GridSpec,
+    METHOD_MONTE_CARLO,
+    METHOD_QUADRATURE,
     accept_reject_profile,
-    am_update,
-    apply_kernel_to_function,
-    build_grid,
     decomposition_terms,
     deficit_loglog_slope,
-    draw_increments,
-    fast_coerced_update,
-    gaussian_target,
-    load_config,
-    make_target,
-    mean_acceptance,
     normalized_kernel_gain,
-    scenario_coefficients,
-    smoothed_subexp_target,
-    substream,
     verify_acceptance_bounds,
     verify_compound_drift,
     verify_decomposition,
@@ -51,7 +62,6 @@ from driftlab import (
     verify_toy,
     verify_w_drift,
 )
-from driftlab.cli import resolve_config_path, run_check
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)
 
@@ -373,6 +383,28 @@ def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch):
         assert float(pair.mean()) == float((0.5 * (np.array(expected[k]) + np.array(expected[k + 1]))).mean())
 
 
+def test_compound_drift_failed_search_names_the_blocking_rows():
+    # on am-subexp-1d no (lam, M) pair gives delta > 0; the rows of the best
+    # candidate are judged at delta = 0, so the rows that block it fail
+    doc = _preset_check_doc("am-subexp-1d", "compound_drift", "monte_carlo")
+    report = run_check("compound_drift", doc)
+    assert not report.passed
+    assert report.fitted["found"] is False
+    assert report.fitted["delta"] < 0.0
+    assert any(not r.passed for r in report.rows)
+    target = build_target(doc)
+    lyap = build_state_lyapunov(doc, target)
+    weight = build_weight(doc, build_rule(doc))
+    for row in report.rows:
+        param = AMParam(mu=np.array(row.point["mu"]), cov=np.array(row.point["cov"]))
+        at_zero = report.fitted["lam_star"] * float(lyap(row.point["x"])) + weight(param) / row.point["gamma"]
+        assert row.rhs == pytest.approx(at_zero, rel=1e-15)
+        assert row.passed == (row.margin > 3.0 * row.se)
+    worst = min(report.rows, key=lambda r: r.margin)
+    assert not worst.passed
+    assert report.worst_point == {"point": worst.point, "margin": worst.margin}
+
+
 # -- acceptance-rate envelopes -------------------------------------------------
 
 
@@ -393,6 +425,19 @@ def test_acceptance_bounds_subexp_pass_and_scaling():
         assert 0.05 <= ratio <= 0.2
 
 
+def test_acceptance_bounds_fail_when_the_large_radius_level_grows():
+    # from x = 20 a window of radius 20 covers half of {|y| <= 20} and one of
+    # radius 40 all of it, so alpha * sigma doubles: no 1/sigma law yet
+    t = smoothed_subexp_target(0.5)
+    report = verify_acceptance_bounds(t, sigma_grid=(0.5, 1.0, 20.0, 40.0), x_grid=(20.0,))
+    ratio = 2.0 * mean_acceptance(t, 40.0, 20.0) / mean_acceptance(t, 20.0, 20.0)
+    assert ratio > 1.25
+    assert report.fitted["stabilized_large_sigma"] is False
+    assert report.fitted["stabilized_small_sigma"] is True
+    assert all(r.passed for r in report.rows)
+    assert not report.passed
+
+
 def test_acceptance_near_half_at_vanishing_radius():
     t = smoothed_subexp_target(0.5)
     for x in (20.0, 40.0):
@@ -402,7 +447,7 @@ def test_acceptance_near_half_at_vanishing_radius():
 def test_acceptance_laplace_profile_closed_form():
     # exact-tail exponent 1 has log-density -|x|: at the mode with unit
     # radius the acceptance integrates to 1 - 1/e
-    from driftlab import exact_tail_subexp_target
+    from driftlab.targets import exact_tail_subexp_target
 
     t = exact_tail_subexp_target(1.0)
     assert mean_acceptance(t, 1.0, 0.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
@@ -424,6 +469,23 @@ def test_decomposition_report_passes():
     assert report.fitted["eps_t"] > 0.0
     assert report.fitted["r_t"] is not None and report.fitted["r_t"] <= 80.0
     assert all(r.passed for r in report.rows)
+
+
+def test_decomposition_without_a_threshold_reports_the_worst_rate():
+    # at x = 20 the outward mass still beats the inward deficit at sigma = 20,
+    # so no level qualifies and eps_t is the worst rate on the grid
+    t = smoothed_subexp_target(0.5)
+    sigmas = (20.0, 100.0)
+    report = verify_decomposition(t, StateLyapunov(t, 0.5), sigma_grid=sigmas, x_grid=(20.0,))
+    rates = []
+    for s in sigmas:
+        terms = decomposition_terms(t, 0.5, s, 20.0)
+        rates.append(-(terms["local"] + terms["outward"]) * s / 20.0)
+    assert min(rates) <= 0.0
+    assert report.fitted["r_t"] is None
+    assert report.fitted["eps_t"] == min(rates)
+    assert all(r.passed for r in report.rows)
+    assert not report.passed
 
 
 def test_decomposition_residual_at_reference_point():
