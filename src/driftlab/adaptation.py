@@ -41,8 +41,6 @@ class AdaptationRule:
     alpha_star: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in RULES:
-            raise ValueError(f"unknown adaptation rule {self.kind!r}")
         if self.kind in (RULE_COERCED, RULE_FAST_COERCED):
             if self.alpha_star is None or not (0.0 < self.alpha_star < 0.5):
                 raise ValueError("coerced rules require alpha_star in (0, 1/2)")
@@ -56,24 +54,12 @@ class PolynomialSchedule:
     c1: float = 0.0
     a: float = 1.0
 
-    def __post_init__(self):
-        if not (self.c0 > 0):
-            raise ValueError("c0 must be positive")
-        if self.c1 < 0:
-            raise ValueError("c1 must be non-negative")
-        if not (0.0 < self.a <= 1.0):
-            raise ValueError("exponent a must lie in (0, 1]")
-
 
 @dataclass(frozen=True)
 class ConstantSchedule:
     """gamma_i = gamma0 for every step."""
 
     gamma0: float
-
-    def __post_init__(self):
-        if not (0.0 < self.gamma0 < 1.0):
-            raise ValueError("gamma0 must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -86,12 +72,6 @@ class KestenSchedule:
 
     c0: float
     a: float = 0.6
-
-    def __post_init__(self):
-        if not (self.c0 > 0):
-            raise ValueError("c0 must be positive")
-        if not (0.0 < self.a <= 1.0):
-            raise ValueError("exponent a must lie in (0, 1]")
 
     def gamma_of_count(self, s: int) -> float:
         if s < 0:
@@ -128,13 +108,15 @@ def gamma_at(schedule: Schedule, i: int, kesten_count: Optional[int] = None) -> 
 def am_update(mu, cov, x_new, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Running-moments update driven by the new state.
 
-    ``gamma`` must lie strictly inside (0, 1): the covariance update is a
-    convex combination plus a rank-one term, and stepsizes at or beyond 1
-    lose positive semidefiniteness.  A stack of states ``x_new`` of shape
-    (n, d) gives the n updated moments stacked, shapes (n, d) and (n, d, d).
+    ``gamma`` must lie in (0, 1]: the covariance update is a convex
+    combination plus a rank-one term, and stepsizes beyond 1 lose positive
+    semidefiniteness.  At 1 the update is the combination's endpoint,
+    mu' = x and cov' = (x - mu)(x - mu)^T.  A stack of states ``x_new`` of
+    shape (n, d) gives the n updated moments stacked, shapes (n, d) and
+    (n, d, d).
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValueError("gamma must lie strictly in (0, 1)")
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError("gamma must lie in (0, 1]")
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     cov = np.asarray(cov, dtype=float)
     if cov.shape == ():

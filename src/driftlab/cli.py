@@ -35,6 +35,7 @@ from .config import (
     build_weight,
     load_config,
     n_replicas,
+    validate_document,
 )
 from .simulator import run_replicas
 from .verifiers import (
@@ -157,13 +158,21 @@ def run_experiment(
     replicas: Optional[int] = None,
     simulate: bool = True,
 ) -> int:
-    """Execute a config document end to end; returns the exit severity."""
+    """Execute a config document end to end; returns the exit severity.
+
+    ``seed`` overrides ``verify.seed``, and ``run.seed`` when simulating,
+    and is validated there.  No ``ConfigError`` comes after the output
+    directory exists."""
     doc = load_config(resolve_config_path(str(config_path)))
     if seed is not None:
-        if "run" in doc:
-            doc["run"]["seed"] = int(seed)
-        if "verify" in doc:
-            doc["verify"]["seed"] = int(seed)
+        for section in ("run", "verify") if simulate else ("verify",):
+            if section in doc:
+                doc[section]["seed"] = seed
+        validate_document(doc)
+    simulate = simulate and "run" in doc
+    if simulate:
+        chain_config = build_chain_config(doc)
+        count = n_replicas(doc, replicas)
     out_dir = Path(out if out is not None else doc.get("output", {}).get("directory", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     formats = doc.get("output", {}).get("formats", ["csv", "json"])
@@ -171,9 +180,7 @@ def run_experiment(
     severity = EXIT_OK
     table: list[tuple[str, bool, Optional[float]]] = []
 
-    if simulate and "run" in doc:
-        chain_config = build_chain_config(doc)
-        count = n_replicas(doc, replicas)
+    if simulate:
         summary, first = run_replicas(chain_config, count, keep_first_trajectory=True)
         if "csv" in formats and first is not None:
             first.to_csv(out_dir / "trajectory.csv")

@@ -1,12 +1,19 @@
 """Experiment configuration: JSON schema, validation, and object builders.
 
 A config document has up to eight sections (target, proposal, adaptation,
-schedule, lyapunov, run, verify, output).  ``SCHEMA`` is the one description
-of a document; ``_schema_errors`` walks it, covering exactly the JSON Schema
-keywords it uses, so loading a config needs no schema library.  Unknown keys
-are rejected everywhere; numeric domain constraints are re-validated by the
-constructors the builders call, so a document that loads cleanly builds
-cleanly.
+schedule, lyapunov, run, verify, output).  Each rule has one owner, and
+``validate_document`` runs them all at load, each error naming its JSON path:
+
+* ``SCHEMA`` owns the rules about one key: types, enums, bounds, required
+  and unknown keys.  ``_schema_errors`` walks it, so loading needs no schema
+  library, and no constructor repeats these rules.
+* ``_check_rule_fit`` and ``_check_quadrature`` tie the adaptation rule and
+  the verify method to the other sections.
+* The builders, and the constructors they call, own what needs a built
+  object: target parameters, the proposal against target and rule, the
+  first AM stepsize, ``run.theta0`` and ``run.x0``, the scenario's
+  exponents and ``gamma_max``, and what each check needs.  Every document
+  is built at load, so one that loads builds.
 """
 from __future__ import annotations
 
@@ -57,7 +64,7 @@ from .lyapunov import (
     scenario_coefficients,
 )
 from .simulator import CHAIN_SRWM, CHAIN_TOY, ChainConfig
-from .targets import BUILTIN_TARGETS, TargetModel, make_target
+from .targets import BUILTIN_TARGETS, TailKind, TargetModel, make_target
 from .verifiers import METHOD_MONTE_CARLO, METHOD_QUADRATURE, GridSpec
 
 CHECK_NAMES = (
@@ -173,7 +180,6 @@ SCHEMA = {
                 "compound_mode": {"type": "string", "enum": ["W", "U"]},
                 "weight": {"type": "string", "enum": sorted(W_VARIANTS)},
                 "w_eps": {"type": "number", "exclusiveMinimum": 0},
-                "alpha_star": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 0.5},
                 "gamma_max": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -346,31 +352,27 @@ def _schema_errors(value, schema: dict, path: tuple = ()) -> Iterator[tuple[tupl
 
 
 def validate_document(doc: dict) -> None:
-    """Schema-validate a parsed config; raise ConfigError naming the field.
+    """Validate a parsed config; raise ConfigError naming the field.
 
-    Errors are sorted by path and the first is raised.  Verdicts match JSON
-    Schema 2020-12 except for two stricter rules: an ``integer`` key takes a
-    JSON integer only (``200.0`` is rejected), and a ``number`` is finite
-    (``NaN``, ``Infinity`` and ``-Infinity``, which ``json.load`` accepts,
-    and integers too large for a float are rejected).
+    Schema errors are sorted by path and the first is raised.  Verdicts
+    match JSON Schema 2020-12 except for two stricter rules: an ``integer``
+    key takes a JSON integer only (``200.0`` is rejected), and a ``number``
+    is finite (``NaN``, ``Infinity`` and ``-Infinity``, which ``json.load``
+    accepts, and integers too large for a float are rejected).
 
-    Rules that tie one section to another (proposal family against target
-    dimension, first stepsize against adaptation rule) are checked by the
-    proposal and schedule builders, which run here as well.  The weight,
-    drift scenario, checks and grids must fit the adaptation rule (see
-    ``_check_rule_fit``).  ``compound_drift`` is a Monte Carlo check, so a
-    document that asks for quadrature with it is rejected, and so is a
-    quadrature ``fixed_theta_drift`` or ``w_drift`` that the kernel
-    integrals cannot run (see ``_check_quadrature``).
-    Running-moment parameters (``run.theta0``, ``verify.theta_grid``) are
-    built here, so a covariance that is not symmetric, or not the shape of
-    its mean, is rejected with its path.
+    The weight, drift scenario, checks and grids must then fit the
+    adaptation rule (see ``_check_rule_fit``).  ``compound_drift`` is a
+    Monte Carlo check, so a document that asks for quadrature with it is
+    rejected, and so is a quadrature ``fixed_theta_drift`` or ``w_drift``
+    that the kernel integrals cannot run (see ``_check_quadrature``).
+    Last, the document is built through the builders ``driftlab run`` calls:
+    the chain config when there is a ``run`` section, and the inputs of each
+    listed check (``_build_check_inputs``).
     """
     errors = sorted(_schema_errors(doc, SCHEMA), key=lambda e: e[0])
     if errors:
         path, message = errors[0]
         raise ConfigError(message, ".".join(str(p) for p in path))
-    run = doc.get("run", {})
     verify = doc.get("verify", {})
     _check_rule_fit(doc)
     if verify.get("method") == METHOD_QUADRATURE and "compound_drift" in verify.get("checks", ()):
@@ -379,13 +381,10 @@ def validate_document(doc: dict) -> None:
             "verify.method",
         )
     _check_quadrature(doc)
-    if "proposal" in doc:
-        build_proposal(doc)
-    if "schedule" in doc:
-        build_schedule(doc)
-    if isinstance(run.get("theta0"), dict):
-        _am_param(run["theta0"], "run.theta0")
-    _grid_thetas(verify)
+    if "run" in doc:
+        build_chain_config(doc)
+    for check in verify.get("checks", ()):
+        _build_check_inputs(check, doc)
 
 
 # The drift scenarios whose inequalities each rule's chain obeys, and the
@@ -405,8 +404,8 @@ def _check_rule_fit(doc: dict) -> None:
     that does not fit the adaptation rule, a ``verify.theta_grid`` entry
     that is no parameter of the scenario (am scenarios take running moments
     {mu, cov}, the others a number), and under the am rule a
-    ``verify.gamma_grid`` stepsize of 1 or more, which no running-moments
-    step takes."""
+    ``verify.gamma_grid`` stepsize above 1, which no running-moments step
+    takes."""
     rule = doc.get("adaptation", {}).get("rule")
     variant = doc.get("lyapunov", {}).get("weight")
     scenario = doc.get("lyapunov", {}).get("scenario")
@@ -430,8 +429,8 @@ def _check_rule_fit(doc: dict) -> None:
             if isinstance(entry, dict) != moments:
                 wants = "running moments {mu, cov}" if moments else "a number"
                 raise ConfigError(f"entry {i} is no {scenario!r} parameter, which is {wants}", "verify.theta_grid")
-    if rule == RULE_AM and any(g >= 1.0 for g in verify.get("gamma_grid", ())):
-        raise ConfigError("a running-moments step needs stepsizes below 1", "verify.gamma_grid")
+    if rule == RULE_AM and any(g > 1.0 for g in verify.get("gamma_grid", ())):
+        raise ConfigError("a running-moments step needs stepsizes of at most 1", "verify.gamma_grid")
 
 
 def _check_quadrature(doc: dict) -> None:
@@ -527,17 +526,12 @@ def build_schedule(doc: dict) -> Schedule:
     if cfg is None:
         raise ConfigError("section required for this operation", "schedule")
     kind = cfg["kind"]
-    try:
-        if kind == "polynomial":
-            schedule = PolynomialSchedule(
-                c0=cfg.get("c0", 1.0), c1=cfg.get("c1", 0.0), a=cfg.get("a", 1.0)
-            )
-        elif kind == "constant":
-            schedule = ConstantSchedule(gamma0=cfg.get("gamma0", 0.01))
-        else:
-            schedule = KestenSchedule(c0=cfg.get("c0", 1.0), a=cfg.get("a", 0.6))
-    except ValueError as exc:
-        raise ConfigError(str(exc), "schedule") from exc
+    if kind == "polynomial":
+        schedule = PolynomialSchedule(c0=cfg.get("c0", 1.0), c1=cfg.get("c1", 0.0), a=cfg.get("a", 1.0))
+    elif kind == "constant":
+        schedule = ConstantSchedule(gamma0=cfg.get("gamma0", 0.01))
+    else:
+        schedule = KestenSchedule(c0=cfg.get("c0", 1.0), a=cfg.get("a", 0.6))
     # The running-moments update is a convex combination only while the
     # stepsize is at most 1; a larger first step can leave a negative
     # "covariance" that the divergence guard does not catch.
@@ -552,11 +546,7 @@ def build_schedule(doc: dict) -> Schedule:
 
 
 def build_state_lyapunov(doc: dict, target: TargetModel) -> StateLyapunov:
-    eta = doc.get("lyapunov", {}).get("eta", 0.5)
-    try:
-        return StateLyapunov(target, eta)
-    except ValueError as exc:
-        raise ConfigError(str(exc), "lyapunov.eta") from exc
+    return StateLyapunov(target, doc.get("lyapunov", {}).get("eta", 0.5))
 
 
 def default_weight_variant(rule_kind: str) -> str:
@@ -569,23 +559,16 @@ def default_weight_variant(rule_kind: str) -> str:
 
 def build_weight(doc: dict, rule: AdaptationRule) -> ParamLyapunov:
     cfg = doc.get("lyapunov", {})
-    variant = cfg.get("weight", default_weight_variant(rule.kind))
-    try:
-        return ParamLyapunov(variant, eps=cfg.get("w_eps", 0.5))
-    except ValueError as exc:
-        raise ConfigError(str(exc), "lyapunov.weight") from exc
+    return ParamLyapunov(cfg.get("weight", default_weight_variant(rule.kind)), eps=cfg.get("w_eps", 0.5))
 
 
 def build_compound(doc: dict) -> CompoundSpec:
     cfg = doc.get("lyapunov", {})
-    try:
-        return CompoundSpec(
-            upsilon_v=cfg.get("upsilon_v", 1.0),
-            upsilon_w=cfg.get("upsilon_w", 1.0),
-            mode=cfg.get("compound_mode", "W"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "lyapunov") from exc
+    return CompoundSpec(
+        upsilon_v=cfg.get("upsilon_v", 1.0),
+        upsilon_w=cfg.get("upsilon_w", 1.0),
+        mode=cfg.get("compound_mode", "W"),
+    )
 
 
 def build_coefficients(doc: dict, target: TargetModel, proposal: Optional[ProposalSpec]) -> DriftCoefficients:
@@ -593,10 +576,11 @@ def build_coefficients(doc: dict, target: TargetModel, proposal: Optional[Propos
     scenario = cfg.get("scenario")
     if scenario is None:
         raise ConfigError("a drift scenario is required for this check", "lyapunov.scenario")
+    if scenario == SCENARIO_AM_SUBEXP_1D and target.dim != 1:
+        raise ConfigError(f"the am_subexp_1d scenario is one-dimensional; the target has dim {target.dim}",
+                          "lyapunov.scenario")
     kw = {}
-    if "alpha_star" in cfg:
-        kw["alpha_star"] = cfg["alpha_star"]
-    elif "adaptation" in doc and doc["adaptation"].get("alpha_star") is not None:
+    if doc.get("adaptation", {}).get("alpha_star") is not None:
         kw["alpha_star"] = doc["adaptation"]["alpha_star"]
     if "gamma_max" in cfg:
         kw["gamma_max"] = cfg["gamma_max"]
@@ -621,6 +605,20 @@ def _am_param(entry: dict, path: str) -> AMParam:
         return AMParam(mu=np.asarray(entry["mu"], dtype=float), cov=np.asarray(entry["cov"], dtype=float))
     except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
+
+
+def _x0_from(doc_value, target: Optional[TargetModel]):
+    """The initial state: 0 or 1 on the toy chain (no target), else a point
+    of the target's dimension, its mode by default."""
+    if target is None:
+        if doc_value not in (None, 0, 1):
+            raise ConfigError(f"the toy chain starts in state 0 or 1, not {doc_value!r}", "run.x0")
+        return int(doc_value or 0)
+    if doc_value is None:
+        return float(np.asarray(target.mode).reshape(-1)[0]) if target.dim == 1 else np.asarray(target.mode)
+    if np.size(doc_value) != target.dim:
+        raise ConfigError(f"{np.size(doc_value)} coordinates for a target of dim {target.dim}", "run.x0")
+    return np.asarray(doc_value, dtype=float) if isinstance(doc_value, list) else float(doc_value)
 
 
 def _theta0_from(doc_value, rule: AdaptationRule):
@@ -653,15 +651,7 @@ def build_chain_config(doc: dict) -> ChainConfig:
     weight = build_weight(doc, rule)
     compound = build_compound(doc)
     theta0 = _theta0_from(cfg.get("theta0"), rule)
-    if "x0" in cfg:
-        x0 = cfg["x0"]
-        x0 = np.asarray(x0, dtype=float) if isinstance(x0, list) else (
-            int(x0) if kind == CHAIN_TOY else float(x0)
-        )
-    else:
-        x0 = 0 if kind == CHAIN_TOY else (
-            float(np.asarray(target.mode).reshape(-1)[0]) if target.dim == 1 else np.asarray(target.mode)
-        )
+    x0 = _x0_from(cfg.get("x0"), target)
     rec = cfg.get("recurrence", {"m": 1e3, "r": 10.0})
     try:
         return ChainConfig(
@@ -686,27 +676,61 @@ def build_chain_config(doc: dict) -> ChainConfig:
         raise ConfigError(str(exc), "run") from exc
 
 
-def _grid_thetas(cfg: dict) -> tuple:
-    return tuple(
-        _am_param(entry, "verify.theta_grid") if isinstance(entry, dict) else float(entry)
-        for entry in cfg.get("theta_grid", [])
+def build_grid(doc: dict) -> GridSpec:
+    cfg = doc.get("verify", {})
+    return GridSpec(
+        x_grid=tuple(cfg.get("x_grid", (0.0,))),
+        theta_grid=tuple(
+            _am_param(entry, "verify.theta_grid") if isinstance(entry, dict) else float(entry)
+            for entry in cfg.get("theta_grid", [])
+        ),
+        gamma_grid=tuple(cfg.get("gamma_grid", (0.05,))),
+        method=cfg.get("method", METHOD_QUADRATURE),
+        mc_n=cfg.get("mc_n", 10_000),
+        seed=cfg.get("seed", 2024),
     )
 
 
-def build_grid(doc: dict) -> GridSpec:
-    cfg = doc.get("verify", {})
-    thetas = _grid_thetas(cfg)
-    try:
-        return GridSpec(
-            x_grid=tuple(cfg.get("x_grid", (0.0,))),
-            theta_grid=thetas,
-            gamma_grid=tuple(cfg.get("gamma_grid", (0.05,))),
-            method=cfg.get("method", METHOD_QUADRATURE),
-            mc_n=cfg.get("mc_n", 10_000),
-            seed=cfg.get("seed", 2024),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc), "verify") from exc
+def _build_check_inputs(check: str, doc: dict) -> None:
+    """Build the objects ``cli.run_check`` builds for ``check``, and reject
+    a check that cannot run on them, each at its path: a drift check
+    without ``verify.theta_grid``, with running moments whose dimension is
+    not the target's, or with a ``proposal.parametrization`` that does not
+    fit the grid's parameters (running moments take ``am_covariance``,
+    numbers ``scalar_log_scale``), ``acceptance_bounds`` on a target without a
+    subexponential tail (``verify.checks``), and ``decomposition`` on a
+    target that is not one-dimensional and unimodal (``verify.checks``),
+    with ``lyapunov.eta`` = 0 or at a ``verify.tail_x_grid`` point x <= 0."""
+    if check == "toy":
+        return
+    target = build_target(doc)
+    if check == "acceptance_bounds":
+        if target.tail.kind is not TailKind.SUBEXPONENTIAL:
+            raise ConfigError(f"acceptance_bounds needs a subexponential tail; the {target.name} target's "
+                              f"is {target.tail.kind.value}", "verify.checks")
+        return
+    lyap = build_state_lyapunov(doc, target)
+    if check == "decomposition":
+        if not target.unimodal_1d:
+            raise ConfigError(f"decomposition needs a one-dimensional unimodal target, not {target.name}",
+                              "verify.checks")
+        if lyap.eta == 0.0:
+            raise ConfigError("decomposition needs eta > 0", "lyapunov.eta")
+        if any(x <= 0 for x in doc.get("verify", {}).get("tail_x_grid", ())):
+            raise ConfigError("decomposition is stated for positive x", "verify.tail_x_grid")
+        return
+    grid = build_grid(doc)
+    if not grid.theta_grid:
+        raise ConfigError(f"the {check} check needs a theta_grid", "verify.theta_grid")
+    if any(isinstance(t, AMParam) and t.mu.shape[0] != target.dim for t in grid.theta_grid):
+        raise ConfigError(f"running moments of the target's dimension {target.dim} expected", "verify.theta_grid")
+    proposal = build_proposal(doc)
+    if any(isinstance(t, AMParam) != (proposal.parametrization == PARAM_AM_COVARIANCE) for t in grid.theta_grid):
+        raise ConfigError(f"{proposal.parametrization} proposals do not take the theta_grid's parameters",
+                          "proposal.parametrization")
+    build_coefficients(doc, target, proposal)
+    if check != "fixed_theta_drift":
+        build_weight(doc, build_rule(doc))
 
 
 def n_replicas(doc: dict, override: Optional[int] = None) -> int:

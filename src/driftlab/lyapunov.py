@@ -61,10 +61,6 @@ class StateLyapunov:
     target: TargetModel
     eta: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.eta < 1.0):
-            raise ValueError("eta must lie in [0, 1)")
-
     def __call__(self, x):
         l = self.target.log_density(x)
         if np.ndim(l) == 0:
@@ -95,12 +91,6 @@ class ParamLyapunov:
 
     variant: str
     eps: float = 0.5
-
-    def __post_init__(self):
-        if self.variant not in W_VARIANTS:
-            raise ValueError(f"unknown parameter-weight variant {self.variant!r}")
-        if self.variant == W_AM_POLY and not (self.eps > 0):
-            raise ValueError("am_poly weight requires eps > 0")
 
     def __call__(self, param) -> float:
         if self.variant == W_AM_POLY:
@@ -136,12 +126,6 @@ class CompoundSpec:
     upsilon_v: float = 1.0
     upsilon_w: float = 1.0
     mode: str = "W"
-
-    def __post_init__(self):
-        if not (0.0 < self.upsilon_v <= 1.0) or not (0.0 < self.upsilon_w <= 1.0):
-            raise ValueError("compound exponents must lie in (0, 1]")
-        if self.mode not in ("W", "U"):
-            raise ValueError("mode must be 'W' or 'U'")
 
 
 def compound_value(spec: CompoundSpec, v_val: float, w_val: float, gamma: float) -> float:
@@ -180,24 +164,12 @@ class DriftCoefficients:
     dim: int = 1
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        if not (0.0 < self.iota <= 1.0):
-            raise ValueError("iota must lie in (0, 1]")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError("beta must lie in (0, 1)")
-        if self.beta > self.iota + 1e-12:
-            raise ValueError("beta must not exceed iota (the slope function is linear)")
         if self.a0 <= 0 or self.slope_c <= 0:
             raise ValueError("fitted constants must be positive")
-        if self.scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED):
-            m = min(self.alpha_star, 0.5 - self.alpha_star)
-            if not (0.0 < self.alpha_star < 0.5):
-                raise ValueError("alpha_star must lie in (0, 1/2)")
-            if not (0.0 < self.gamma_max < m):
-                raise ValueError("gamma_max must lie in (0, min(alpha_star, 1/2 - alpha_star))")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+        if self.scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED) and not (
+            0.0 < self.gamma_max < self.accept_margin
+        ):
+            raise ValueError("gamma_max must lie in (0, min(alpha_star, 1/2 - alpha_star))")
 
     # -- scenario pieces ----------------------------------------------------
 
@@ -309,8 +281,6 @@ def scenario_coefficients(
     The exponent ceilings are enforced: ``beta`` above the scenario rule is
     rejected rather than silently clipped.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
     if iota is None:
         iota = 1.0 if scenario == SCENARIO_AM_SUPEREXP else 0.9
     if beta is None:

@@ -112,28 +112,12 @@ class ChainConfig:
     moments: Optional[MeanFieldAM] = None
 
     def __post_init__(self):
-        if self.kind not in (CHAIN_SRWM, CHAIN_TOY):
-            raise ValueError(f"unknown chain kind {self.kind!r}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if not (self.recurrence_m >= 1.0):
-            raise ValueError("recurrence level M must be >= 1")
-        if not (self.recurrence_r > 0.0):
-            raise ValueError("recurrence radius R must be positive")
-        if (self.param_weight.variant == W_AM_POLY) != (self.rule.kind == RULE_AM):
-            raise ValueError("the am_poly weight goes with the am rule, and only with it")
         if self.kind == CHAIN_TOY:
             if self.rule.kind != RULE_TOY_MEAN:
                 raise ValueError("toy chain requires the toy_mean rule")
             if self.x0 not in (0, 1):
                 raise ValueError("toy chain state must start in {0, 1}")
         else:
-            if self.target is None or self.proposal is None:
-                raise ValueError("srwm chain requires a target and a proposal")
             if self.rule.kind == RULE_TOY_MEAN:
                 raise ValueError("toy_mean rule requires the toy chain")
             if self.rule.kind == RULE_AM:

@@ -72,16 +72,6 @@ class GridSpec:
     mc_n: int = 10_000
     seed: int = 2024
 
-    def __post_init__(self):
-        if len(self.x_grid) == 0:
-            raise ValueError("x_grid must be non-empty")
-        if self.method not in (METHOD_QUADRATURE, METHOD_MONTE_CARLO):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == METHOD_MONTE_CARLO and self.mc_n < 1000:
-            raise ValueError("Monte-Carlo grids need mc_n >= 1000")
-        if any(g <= 0 for g in self.gamma_grid):
-            raise ValueError("gamma_grid entries must be positive")
-
 
 @dataclass
 class DriftRow:

@@ -178,6 +178,9 @@ def test_missing_section_for_operation():
     with pytest.raises(ConfigError) as exc:
         build_chain_config(doc)
     assert exc.value.json_path in ("target", "adaptation", "run")
+    with pytest.raises(ConfigError) as exc:
+        build_chain_config({})
+    assert exc.value.json_path == "run"
 
 
 def test_uniform_proposal_needs_one_dimensional_target(tmp_path):
@@ -798,9 +801,6 @@ _AM_1D_PARAM = {"mu": [0.0], "cov": [[1.0]]}
         pytest.param("am-subexp-1d", {"verify.checks": ["w_drift"], "verify.method": "monte_carlo",
                                       "verify.gamma_grid": [0.05, 1.5]},
                      "verify.gamma_grid", id="am-rule-gamma-above-one"),
-        pytest.param("am-subexp-1d", {"verify.checks": ["compound_drift"], "verify.method": "monte_carlo",
-                                      "verify.gamma_grid": [1.0]},
-                     "verify.gamma_grid", id="am-rule-gamma-one"),
     ],
 )
 def test_sections_that_do_not_fit_the_rule_are_rejected_at_load(tmp_path, preset, edits, json_path):
@@ -832,6 +832,14 @@ def test_sections_that_fit_the_rule_load():
     validate_document(doc)
 
 
+def test_am_rule_gamma_one_loads(tmp_path):
+    # a running-moments step of exactly 1 is the convex combination's endpoint
+    doc = json.loads(resolve_config_path("am-subexp-1d").read_text())
+    doc["verify"].update(checks=["compound_drift"], method="monte_carlo", gamma_grid=[1.0])
+    validate_document(doc)
+    assert load_config(write_config(tmp_path, doc))["verify"]["gamma_grid"] == [1.0]
+
+
 def test_generic_path_halts_on_a_parameter_that_overflows(tmp_path):
     # one fast-coerced step takes theta from 1e12 to inf; the run is flagged
     # as diverged at that step instead of dying on the parameter check
@@ -849,3 +857,219 @@ def test_generic_path_halts_on_a_parameter_that_overflows(tmp_path):
         rows = list(csv.reader(fh))
     assert [r[0] for r in rows[1:]] == ["0", "1"]
     assert rows[-1][1] in ("inf", "-inf")
+
+
+# ---------------------------------------------------------------------------
+# every rule is checked at load, each at its JSON path, before anything runs
+
+DELETE = object()
+_IDENTITY_2D = {"mu": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+def edited(base: str, edits: dict) -> dict:
+    """A preset (or ``mv-am``, the 2-D AM run) with each dotted key set to
+    its value; ``DELETE`` removes the key."""
+    doc = mv_run_doc("am") if base == "mv-am" else json.loads(resolve_config_path(base).read_text())
+    for key, value in edits.items():
+        *parents, last = key.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        if value is DELETE:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+def assert_rejected_before_running(tmp_path, doc: dict, json_path: str) -> None:
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == json_path
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "base, edits, json_path",
+    [
+        # AdaptationRule's kind
+        pytest.param("coerced", {"adaptation.rule": "nope"}, "adaptation.rule", id="rule-kind"),
+        # PolynomialSchedule, ConstantSchedule and KestenSchedule
+        pytest.param("coerced", {"schedule.c0": 0.0}, "schedule.c0", id="polynomial-c0"),
+        pytest.param("coerced", {"schedule.c1": -1.0}, "schedule.c1", id="polynomial-c1"),
+        pytest.param("coerced", {"schedule.a": 1.5}, "schedule.a", id="polynomial-a"),
+        pytest.param("coerced", {"schedule": {"kind": "constant", "gamma0": 0.0}}, "schedule.gamma0",
+                     id="constant-gamma0-zero"),
+        pytest.param("coerced", {"schedule": {"kind": "constant", "gamma0": 1.0}}, "schedule.gamma0",
+                     id="constant-gamma0-one"),
+        pytest.param("coerced", {"schedule": {"kind": "kesten", "c0": -1.0}}, "schedule.c0", id="kesten-c0"),
+        pytest.param("coerced", {"schedule": {"kind": "kesten", "a": 0.0}}, "schedule.a", id="kesten-a"),
+        # ProposalSpec's family, parametrization, eps_ridge and student_dof
+        pytest.param("coerced", {"proposal.family": "cauchy"}, "proposal.family", id="proposal-family"),
+        pytest.param("coerced", {"proposal.parametrization": "full"}, "proposal.parametrization",
+                     id="proposal-parametrization"),
+        pytest.param("coerced", {"proposal.eps_ridge": 0.0}, "proposal.eps_ridge", id="proposal-eps-ridge"),
+        pytest.param("coerced", {"proposal.student_dof": 0.0}, "proposal.student_dof", id="proposal-student-dof"),
+        # StateLyapunov, ParamLyapunov and CompoundSpec
+        pytest.param("coerced", {"lyapunov.eta": 1.0}, "lyapunov.eta", id="state-eta"),
+        pytest.param("coerced", {"lyapunov.weight": "nope"}, "lyapunov.weight", id="weight-variant"),
+        pytest.param("am-subexp-1d", {"lyapunov.w_eps": 0.0}, "lyapunov.w_eps", id="weight-eps"),
+        pytest.param("coerced", {"lyapunov.upsilon_v": 1.5}, "lyapunov.upsilon_v", id="compound-upsilon-v"),
+        pytest.param("coerced", {"lyapunov.upsilon_w": 0.0}, "lyapunov.upsilon_w", id="compound-upsilon-w"),
+        pytest.param("coerced", {"lyapunov.compound_mode": "V"}, "lyapunov.compound_mode", id="compound-mode"),
+        # DriftCoefficients and scenario_coefficients
+        pytest.param("coerced", {"lyapunov.scenario": "nope"}, "lyapunov.scenario", id="scenario"),
+        pytest.param("coerced", {"lyapunov.iota": 0.0}, "lyapunov.iota", id="iota"),
+        pytest.param("coerced", {"lyapunov.beta": 1.0}, "lyapunov.beta", id="beta"),
+        pytest.param("coerced", {"adaptation.alpha_star": 0.5}, "adaptation.alpha_star", id="alpha-star"),
+        pytest.param("coerced", {"target.params.dim": 0}, "target.params.dim", id="dim"),
+        # ChainConfig's kind, horizon, stride, seed, M and R
+        pytest.param("coerced", {"run.kind": "mcmc"}, "run.kind", id="chain-kind"),
+        pytest.param("coerced", {"run.horizon": 0}, "run.horizon", id="horizon"),
+        pytest.param("coerced", {"run.record_stride": 0}, "run.record_stride", id="record-stride"),
+        pytest.param("coerced", {"run.seed": -1}, "run.seed", id="seed"),
+        pytest.param("coerced", {"run.recurrence.m": 0.5}, "run.recurrence.m", id="recurrence-m"),
+        pytest.param("coerced", {"run.recurrence.r": 0.0}, "run.recurrence.r", id="recurrence-r"),
+        # ChainConfig's am_poly weight against the rule, and srwm without a target or a proposal
+        pytest.param("coerced", {"lyapunov.weight": "am_poly"}, "lyapunov.weight", id="am-poly-weight-scalar-rule"),
+        pytest.param("coerced", {"target": DELETE}, "target", id="srwm-without-target"),
+        pytest.param("coerced", {"proposal": DELETE}, "proposal", id="srwm-without-proposal"),
+        # GridSpec's x_grid, method, mc_n and gamma_grid
+        pytest.param("coerced", {"verify.x_grid": []}, "verify.x_grid", id="x-grid-empty"),
+        pytest.param("coerced", {"verify.method": "exact"}, "verify.method", id="method"),
+        pytest.param("coerced", {"verify.mc_n": 999}, "verify.mc_n", id="mc-n"),
+        pytest.param("coerced", {"verify.gamma_grid": [0.0]}, "verify.gamma_grid.0", id="gamma-grid"),
+    ],
+)
+def test_rules_of_deleted_constructor_guards_are_checked_at_load(tmp_path, base, edits, json_path):
+    assert_rejected_before_running(tmp_path, edited(base, edits), json_path)
+
+
+@pytest.mark.parametrize(
+    "base, edits, json_path",
+    [
+        pytest.param("am-gaussian-1d", {"proposal.family": "uniform"}, "proposal", id="uniform-am-covariance"),
+        pytest.param("coerced", {"lyapunov.gamma_max": 0.06}, "lyapunov", id="gamma-max-above-margin"),
+        pytest.param("am-subexp-1d", {"lyapunov.beta": 0.5}, "lyapunov", id="beta-above-ceiling"),
+        pytest.param("toy", {"adaptation": {"rule": "coerced", "alpha_star": 0.44}}, "run", id="toy-chain-coerced"),
+        pytest.param("coerced", {"adaptation": {"rule": "toy_mean"}, "lyapunov": {}, "verify": DELETE}, "run",
+                     id="srwm-chain-toy-mean"),
+        pytest.param("am-gaussian-1d", {"run.theta0": 0.5}, "run", id="am-scalar-theta0"),
+        pytest.param("am-gaussian-1d", {"proposal.parametrization": "scalar_log_scale"}, "run",
+                     id="am-scalar-log-scale"),
+        pytest.param("mv-am", {"run.theta0": {"mu": [0.0], "cov": [[1.0]]}}, "run", id="am-theta0-dim"),
+        pytest.param("coerced", {"run.theta0": {"mu": [0.0], "cov": [[1.0]]}}, "run", id="scalar-rule-moments-theta0"),
+        pytest.param("coerced", {"proposal": {"family": "gaussian", "parametrization": "am_covariance"}}, "run",
+                     id="scalar-rule-am-covariance"),
+        pytest.param("am-gaussian-1d", {"run.theta0": DELETE}, "run.theta0", id="am-without-theta0"),
+        pytest.param("coerced", {"adaptation.alpha_star": DELETE}, "adaptation", id="coerced-without-alpha-star"),
+        pytest.param("coerced", {"adaptation": DELETE}, "adaptation", id="no-adaptation"),
+        pytest.param("coerced", {"schedule": DELETE}, "schedule", id="no-schedule"),
+        pytest.param("coerced", {"lyapunov.scenario": DELETE}, "lyapunov.scenario", id="no-scenario"),
+        pytest.param("coerced", {"run": DELETE, "target": DELETE}, "target", id="check-without-target"),
+        pytest.param("coerced", {"run": DELETE, "proposal": DELETE}, "proposal", id="check-without-proposal"),
+    ],
+)
+def test_cross_section_rules_are_checked_at_load(tmp_path, base, edits, json_path):
+    assert_rejected_before_running(tmp_path, edited(base, edits), json_path)
+
+
+@pytest.mark.parametrize(
+    "base, edits, json_path",
+    [
+        # these ran the simulation and wrote its artifacts, then died raw in the check
+        pytest.param("coerced", {"verify.checks": ["fixed_theta_drift"], "verify.theta_grid": DELETE},
+                     "verify.theta_grid", id="fixed-theta-drift-without-theta-grid"),
+        pytest.param("coerced", {"verify.checks": ["w_drift"], "verify.theta_grid": DELETE},
+                     "verify.theta_grid", id="w-drift-without-theta-grid"),
+        pytest.param("coerced", {"verify.theta_grid": DELETE}, "verify.theta_grid",
+                     id="compound-drift-without-theta-grid"),
+        pytest.param("coerced", {"verify.checks": ["acceptance_bounds"]}, "verify.checks",
+                     id="acceptance-bounds-gaussian-tail"),
+        pytest.param("am-subexp-1d", {"verify.checks": ["decomposition"], "lyapunov.eta": 0.0}, "lyapunov.eta",
+                     id="decomposition-eta-zero"),
+        pytest.param("mv-am", {"verify": {"checks": ["decomposition"]}}, "verify.checks",
+                     id="decomposition-two-dimensional"),
+        pytest.param("am-subexp-1d", {"verify.checks": ["decomposition"], "verify.tail_x_grid": [20.0, 0.0]},
+                     "verify.tail_x_grid", id="decomposition-at-zero"),
+        pytest.param("am-subexp-1d", {"run": DELETE, "proposal.parametrization": "scalar_log_scale"},
+                     "proposal.parametrization", id="moments-grid-scalar-proposal"),
+        pytest.param("coerced", {"run": DELETE, "proposal": {"family": "gaussian", "parametrization": "am_covariance"}},
+                     "proposal.parametrization", id="number-grid-covariance-proposal"),
+    ],
+)
+def test_checks_that_cannot_run_are_rejected_before_the_run(tmp_path, base, edits, json_path):
+    assert_rejected_before_running(tmp_path, edited(base, edits), json_path)
+
+
+@pytest.mark.parametrize(
+    "base, edits, json_path",
+    [
+        # the toy chain ran from int(x0), and [0, 1] died on numpy's ambiguous truth value
+        pytest.param("toy", {"run.x0": 0.5}, "run.x0", id="toy-half"),
+        pytest.param("toy", {"run.x0": -0.2}, "run.x0", id="toy-negative"),
+        pytest.param("toy", {"run.x0": 1.7}, "run.x0", id="toy-above-one"),
+        pytest.param("toy", {"run.x0": [0, 1]}, "run.x0", id="toy-list"),
+        # srwm runs died on a reshape or a broadcast
+        pytest.param("coerced", {"run.x0": [0.0, 1.0]}, "run.x0", id="srwm-1d-two-coordinates"),
+        pytest.param("mv-am", {"run.x0": 1.0}, "run.x0", id="srwm-2d-number"),
+        pytest.param("mv-am", {"run.x0": [1.0, 2.0, 3.0]}, "run.x0", id="srwm-2d-three-coordinates"),
+        # running moments of another dimension than the target's died in DriftCoefficients.a
+        pytest.param("am-subexp-1d", {"verify.checks": ["fixed_theta_drift"], "verify.theta_grid": [_IDENTITY_2D]},
+                     "verify.theta_grid", id="theta-grid-2d-on-1d-target"),
+        pytest.param("mv-am", {"lyapunov.scenario": "am_subexp_1d",
+                               "verify": {"checks": ["w_drift"], "method": "monte_carlo",
+                                          "theta_grid": [_IDENTITY_2D]}},
+                     "lyapunov.scenario", id="am-subexp-1d-on-2d-target"),
+    ],
+)
+def test_states_and_dimensions_are_checked_at_load(tmp_path, base, edits, json_path):
+    assert_rejected_before_running(tmp_path, edited(base, edits), json_path)
+
+
+def test_states_that_fit_the_chain_load():
+    for x0 in (0, 1, 1.0):
+        validate_document(edited("toy", {"run.x0": x0}))
+    for x0 in (2.5, [2.5]):
+        validate_document(edited("coerced", {"run.x0": x0}))
+    validate_document(edited("mv-am", {"run.x0": [1.0, 2.0]}))
+
+
+@pytest.mark.parametrize("command, json_path", [("verify", "verify.seed"), ("run", "run.seed")])
+def test_negative_seed_override_rejected_at_the_seed_key(tmp_path, capsys, command, json_path):
+    # verify used to end in a raw traceback from numpy's seeding
+    out = tmp_path / "out"
+    assert main([command, "coerced", "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {json_path}: -1 is less than the minimum of 0")
+    assert not out.exists()
+
+
+def test_replica_override_rejected_before_the_run(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, toy_run_doc())
+    assert main(["run", str(path), "--replicas", "0", "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_lyapunov_alpha_star_is_no_key(tmp_path):
+    # adaptation.alpha_star is the one alpha*: a second knob let a document
+    # simulate at one level and certify at another
+    doc = edited("coerced", {"lyapunov.alpha_star": 0.3})
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_config(tmp_path, doc))
+    assert exc.value.json_path == "lyapunov"
+    assert "'alpha_star' was unexpected" in str(exc.value)
+
+
+def test_two_dimensional_am_run_with_first_stepsize_one(tmp_path):
+    # gamma_1 = 1 moves the running moments to their endpoint, mu = x and
+    # cov = (x - mu)(x - mu)^T, which the ridge keeps positive definite; the
+    # 2-D run died in am_update while the 1-D run went through
+    for doc in (mv_run_doc("am", horizon=200), am_1d_doc({})):
+        doc["schedule"] = {"kind": "polynomial", "c0": 1.0, "c1": 0.0, "a": 1.0}
+        out = tmp_path / f"out-{len(doc['run']['theta0']['mu'])}"
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())["summary"]
+        assert summary["aggregate"]["diverged_count"] == 0

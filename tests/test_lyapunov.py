@@ -40,8 +40,6 @@ def test_state_lyapunov_gaussian_values():
     assert out == pytest.approx([1.0, math.e], rel=1e-14)
     # eta = 0 degenerates to the constant 1
     assert StateLyapunov(t, 0.0)(17.3) == 1.0
-    with pytest.raises(ValueError):
-        StateLyapunov(t, 1.0)
 
 
 def test_state_lyapunov_at_least_one_for_calibrated_targets():
@@ -74,8 +72,6 @@ def test_param_weights_frozen_values():
     assert w(p) == pytest.approx(1.0 + 2.0**2.5 + 3.0, rel=1e-15)
     assert math.isinf(ParamLyapunov(W_EXP_ABS)(ScalarParam(theta=701.0)))
     with pytest.raises(ValueError):
-        ParamLyapunov("nope")
-    with pytest.raises(ValueError):
         ParamLyapunov(W_AM_POLY)(ScalarParam(theta=0.0))
     # a stack of moments gives one weight per entry
     mus = np.array([[2.0, 0.0], [0.0, 1.0]])
@@ -93,8 +89,6 @@ def test_compound_value_modes():
         compound_value(spec, 0.5, 4.0, 0.5)
     with pytest.raises(ValueError):
         compound_value(spec, 8.0, 4.0, 0.0)
-    with pytest.raises(ValueError):
-        CompoundSpec(upsilon_v=1.5)
 
 
 @settings(max_examples=60, deadline=None)

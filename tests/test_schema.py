@@ -9,15 +9,18 @@ import sys
 import jsonschema
 import pytest
 
-from driftlab.cli import resolve_config_path
+import driftlab.cli as cli
+from driftlab.cli import resolve_config_path, run_check
 from driftlab.config import (
     ConfigError,
     SCHEMA,
     SCHEMA_KEYWORDS,
     _schema_errors,
+    build_chain_config,
     load_config,
     validate_document,
 )
+from driftlab.verifiers import GridSpec
 from test_config_cli import PRESET_NAMES, mv_run_doc, write_config
 
 
@@ -256,3 +259,31 @@ def test_walker_matches_the_reference_on_a_mutation_corpus():
             tally["stricter"] += 1
     # the corpus reaches every verdict often enough to mean something
     assert min(tally.values()) >= CORPUS_SIZE // 50, tally
+
+
+def test_every_accepted_mutant_builds(monkeypatch):
+    # validate_document builds what `run` builds, so a document it accepts
+    # cannot fail in a builder, or on an empty theta grid, after the
+    # simulation has written its artifacts; the checks themselves are
+    # replaced by stubs that keep their grids
+    grids = []
+    for name in [n for n in vars(cli) if n.startswith("verify_")]:
+        monkeypatch.setattr(cli, name, lambda *args, **kw: grids.extend(a for a in args if isinstance(a, GridSpec)))
+    rng = random.Random(20241018)
+    bases = corpus_bases()
+    accepted = built_checks = 0
+    for n in range(CORPUS_SIZE):
+        doc = mutate(bases[n % len(bases)], rng)
+        try:
+            validate_document(doc)
+        except ConfigError:
+            continue
+        accepted += 1
+        if "run" in doc:
+            build_chain_config(doc)
+        for check in doc.get("verify", {}).get("checks", ()):
+            run_check(check, doc)
+            built_checks += 1
+    assert all(grid.theta_grid for grid in grids)
+    # enough documents load, and enough of them list checks, to mean something
+    assert accepted >= CORPUS_SIZE // 20 and built_checks >= CORPUS_SIZE // 50, (accepted, built_checks)

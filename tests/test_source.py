@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and the package
-``__init__`` re-exports nothing."""
+"""Source hygiene: no module imports a name it never uses, the package
+``__init__`` re-exports nothing, and every JSON path a ``ConfigError``
+names is a key path of the config schema."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import driftlab
+from driftlab.config import SCHEMA
 
-MODULES = sorted(Path(driftlab.__file__).resolve().parent.glob("*.py"))
+PACKAGE = Path(driftlab.__file__).resolve().parent
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,3 +63,39 @@ def test_bound_names_sees_imports_definitions_and_statements():
 def test_package_init_binds_only_the_version():
     init = Path(driftlab.__file__).resolve()
     assert bound_names(init.read_text()) == ["__version__"]
+
+
+def config_error_paths(source: str) -> list[tuple[str, int]]:
+    """(path, line) of each string literal passed as a ``ConfigError``'s
+    JSON path, the second positional argument or ``json_path=``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ConfigError":
+            for arg in node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "json_path"]:
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    found.append((arg.value, arg.lineno))
+    return found
+
+
+def schema_key_paths(schema: dict, prefix: str = "") -> set[str]:
+    """Dotted paths of every key the schema's objects declare."""
+    paths = set()
+    for name, sub in schema.get("properties", {}).items():
+        paths |= {prefix + name} | schema_key_paths(sub, prefix + name + ".")
+    return paths
+
+
+def test_path_detectors_read_literals_and_declared_keys():
+    src = 'ConfigError("m", "run.seed")\nConfigError("m")\nConfigError("m", json_path="verify")\n' \
+          'ConfigError("m", path)\nValueError("m", "x")\n'
+    assert config_error_paths(src) == [("run.seed", 1), ("verify", 3)]
+    schema = {"properties": {"a": {"properties": {"b": {"type": "number"}}}, "c": {"items": {}}}}
+    assert schema_key_paths(schema) == {"a", "a.b", "c"}
+
+
+@pytest.mark.parametrize("name", ["config.py", "cli.py"])
+def test_config_errors_name_schema_keys(name):
+    known = schema_key_paths(SCHEMA)
+    unknown = [f"{path} (line {line})" for path, line in config_error_paths((PACKAGE / name).read_text())
+               if path not in known]
+    assert unknown == []
