@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -23,23 +22,15 @@ from pathlib import Path
 from typing import Optional
 
 from .config import (
-    CHECK_NAMES,
     ConfigError,
     build_chain_config,
-    build_coefficients,
-    build_grid,
-    build_proposal,
-    build_rule,
-    build_state_lyapunov,
-    build_target,
-    build_weight,
+    build_check_args,
     load_config,
     n_replicas,
     validate_document,
 )
 from .simulator import run_replicas
 from .verifiers import (
-    METHOD_MONTE_CARLO,
     DriftReport,
     verify_acceptance_bounds,
     verify_compound_drift,
@@ -55,9 +46,6 @@ EXIT_DIVERGED = 2
 EXIT_VERIFY = 3
 
 PLOT_KINDS = ("theta-trace", "drift-margin", "acceptance-rolling")
-
-_DEFAULT_SIGMA_GRID = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 10.0, 100.0, 1000.0)
-_DEFAULT_TAIL_X_GRID = (20.0, 40.0, 80.0)
 
 
 def list_presets() -> list[str]:
@@ -91,49 +79,14 @@ def _write_json(path: Path, obj) -> None:
 
 
 def run_check(name: str, doc: dict) -> DriftReport:
-    """Build the objects one verification check needs and run it.
-
-    ``compound_drift`` is Monte Carlo only: without ``verify.method`` it runs
-    by Monte Carlo, and ``validate_document`` rejects a document that asks
-    for quadrature with it.
-    """
-    if name not in CHECK_NAMES:
+    """Run one verification check on the arguments ``build_check_args``
+    builds for it."""
+    verifiers = {"toy": verify_toy, "fixed_theta_drift": verify_fixed_theta_drift, "w_drift": verify_w_drift,
+                 "compound_drift": verify_compound_drift, "acceptance_bounds": verify_acceptance_bounds,
+                 "decomposition": verify_decomposition}
+    if name not in verifiers:
         raise ConfigError(f"unknown check {name!r}", "verify.checks")
-    vcfg = doc.get("verify", {})
-    if name == "toy":
-        thetas = vcfg.get("toy_theta_grid", list(range(-3, 4)))
-        return verify_toy(tuple(float(t) for t in thetas))
-
-    target = build_target(doc)
-    sigma_grid = tuple(vcfg.get("sigma_grid", _DEFAULT_SIGMA_GRID))
-    tail_x = tuple(vcfg.get("tail_x_grid", _DEFAULT_TAIL_X_GRID))
-    if name == "acceptance_bounds":
-        return verify_acceptance_bounds(target, sigma_grid, tail_x)
-    if name == "decomposition":
-        lyap = build_state_lyapunov(doc, target)
-        return verify_decomposition(target, lyap, sigma_grid, tail_x)
-
-    grid = build_grid(doc)
-    center_radius = vcfg.get("center_radius", 5.0)
-    proposal = build_proposal(doc)
-    lyap = build_state_lyapunov(doc, target)
-    coef = build_coefficients(doc, target, proposal)
-    if name == "fixed_theta_drift":
-        return verify_fixed_theta_drift(target, proposal, lyap, coef, grid, center_radius=center_radius)
-
-    rule = build_rule(doc)
-    weight = build_weight(doc, rule)
-    if name == "w_drift":
-        return verify_w_drift(
-            target, proposal, rule, weight, coef, grid,
-            state_lyapunov=lyap, center_radius=center_radius,
-        )
-    # compound_drift, the one name of CHECK_NAMES left
-    if "method" not in vcfg:
-        grid = dataclasses.replace(grid, method=METHOD_MONTE_CARLO)
-    return verify_compound_drift(
-        target, proposal, rule, lyap, weight, grid, coef, center_radius=center_radius
-    )
+    return verifiers[name](*build_check_args(name, doc))
 
 
 def _fmt_margin(m) -> str:

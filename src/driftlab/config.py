@@ -12,11 +12,13 @@ schedule, lyapunov, run, verify, output).  Each rule has one owner, and
 * The builders, and the constructors they call, own what needs a built
   object: target parameters, the proposal against target and rule, the
   first AM stepsize, ``run.theta0`` and ``run.x0``, the scenario's
-  exponents and ``gamma_max``, and what each check needs.  Every document
-  is built at load, so one that loads builds.
+  exponents and ``gamma_max``, and (``build_check_args``, at load and in
+  ``cli.run_check``) what each check needs, which no verifier re-checks.
+  Every document is built at load, so one that loads builds.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import operator
 import sys
@@ -367,7 +369,7 @@ def validate_document(doc: dict) -> None:
     that the kernel integrals cannot run (see ``_check_quadrature``).
     Last, the document is built through the builders ``driftlab run`` calls:
     the chain config when there is a ``run`` section, and the inputs of each
-    listed check (``_build_check_inputs``).
+    listed check (``build_check_args``).
     """
     errors = sorted(_schema_errors(doc, SCHEMA), key=lambda e: e[0])
     if errors:
@@ -384,7 +386,7 @@ def validate_document(doc: dict) -> None:
     if "run" in doc:
         build_chain_config(doc)
     for check in verify.get("checks", ()):
-        _build_check_inputs(check, doc)
+        build_check_args(check, doc)
 
 
 # The drift scenarios whose inequalities each rule's chain obeys, and the
@@ -691,24 +693,34 @@ def build_grid(doc: dict) -> GridSpec:
     )
 
 
-def _build_check_inputs(check: str, doc: dict) -> None:
-    """Build the objects ``cli.run_check`` builds for ``check``, and reject
-    a check that cannot run on them, each at its path: a drift check
+# proposal radii and start points of acceptance_bounds and decomposition
+_DEFAULT_SIGMA_GRID = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 10.0, 100.0, 1000.0)
+_DEFAULT_TAIL_X_GRID = (20.0, 40.0, 80.0)
+
+
+def build_check_args(check: str, doc: dict) -> tuple:
+    """The positional arguments of ``verifiers.verify_<check>``, for
+    ``validate_document`` and ``cli.run_check``.  Rejects, each at its path,
+    a check that cannot run on them: a drift check
     without ``verify.theta_grid``, with running moments whose dimension is
     not the target's, or with a ``proposal.parametrization`` that does not
     fit the grid's parameters (running moments take ``am_covariance``,
     numbers ``scalar_log_scale``), ``acceptance_bounds`` on a target without a
     subexponential tail (``verify.checks``), and ``decomposition`` on a
     target that is not one-dimensional and unimodal (``verify.checks``),
-    with ``lyapunov.eta`` = 0 or at a ``verify.tail_x_grid`` point x <= 0."""
+    with ``lyapunov.eta`` = 0 or at a ``verify.tail_x_grid`` point x <= 0.
+    ``compound_drift`` runs by Monte Carlo when no method is set."""
+    cfg = doc.get("verify", {})
     if check == "toy":
-        return
+        return (tuple(float(t) for t in cfg.get("toy_theta_grid", range(-3, 4))),)
     target = build_target(doc)
+    sigma_grid = tuple(cfg.get("sigma_grid", _DEFAULT_SIGMA_GRID))
+    tail_x = tuple(cfg.get("tail_x_grid", _DEFAULT_TAIL_X_GRID))
     if check == "acceptance_bounds":
         if target.tail.kind is not TailKind.SUBEXPONENTIAL:
             raise ConfigError(f"acceptance_bounds needs a subexponential tail; the {target.name} target's "
                               f"is {target.tail.kind.value}", "verify.checks")
-        return
+        return target, sigma_grid, tail_x
     lyap = build_state_lyapunov(doc, target)
     if check == "decomposition":
         if not target.unimodal_1d:
@@ -716,9 +728,9 @@ def _build_check_inputs(check: str, doc: dict) -> None:
                               "verify.checks")
         if lyap.eta == 0.0:
             raise ConfigError("decomposition needs eta > 0", "lyapunov.eta")
-        if any(x <= 0 for x in doc.get("verify", {}).get("tail_x_grid", ())):
+        if any(x <= 0 for x in tail_x):
             raise ConfigError("decomposition is stated for positive x", "verify.tail_x_grid")
-        return
+        return target, lyap, sigma_grid, tail_x
     grid = build_grid(doc)
     if not grid.theta_grid:
         raise ConfigError(f"the {check} check needs a theta_grid", "verify.theta_grid")
@@ -728,9 +740,17 @@ def _build_check_inputs(check: str, doc: dict) -> None:
     if any(isinstance(t, AMParam) != (proposal.parametrization == PARAM_AM_COVARIANCE) for t in grid.theta_grid):
         raise ConfigError(f"{proposal.parametrization} proposals do not take the theta_grid's parameters",
                           "proposal.parametrization")
-    build_coefficients(doc, target, proposal)
-    if check != "fixed_theta_drift":
-        build_weight(doc, build_rule(doc))
+    coef = build_coefficients(doc, target, proposal)
+    center_radius = cfg.get("center_radius", 5.0)
+    if check == "fixed_theta_drift":
+        return target, proposal, lyap, coef, grid, center_radius
+    rule = build_rule(doc)
+    weight = build_weight(doc, rule)
+    if check == "w_drift":
+        return target, proposal, rule, weight, coef, grid, lyap, center_radius
+    if "method" not in cfg:
+        grid = dataclasses.replace(grid, method=METHOD_MONTE_CARLO)
+    return target, proposal, rule, lyap, weight, grid, coef, center_radius
 
 
 def n_replicas(doc: dict, override: Optional[int] = None) -> int:

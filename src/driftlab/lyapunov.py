@@ -108,15 +108,21 @@ class ParamLyapunov:
         not make a valid kernel parameter (a diverged run's halt row).
 
         A stack of moments, ``mu`` of shape (n, d) and ``cov`` (n, d, d),
-        gives the array of n weights; one pair gives a float.
+        gives the array of n weights; one pair gives a float.  A weight
+        past the float range is inf, without a warning.
         """
         if np.ndim(mu) > 1:
-            mu_norm = np.linalg.norm(mu, axis=-1)
-            fro = np.linalg.norm(cov, axis=(-2, -1))
-        else:
-            mu_norm = float(np.linalg.norm(mu))
-            fro = float(np.linalg.norm(cov))
-        return 1.0 + mu_norm ** (2.0 + self.eps) + fro
+            with np.errstate(over="ignore"):
+                return 1.0 + np.linalg.norm(mu, axis=-1) ** (2.0 + self.eps) + np.linalg.norm(cov, axis=(-2, -1))
+        return 1.0 + pow_or_inf(float(np.linalg.norm(mu)), 2.0 + self.eps) + float(np.linalg.norm(cov))
+
+
+def pow_or_inf(base: float, expo: float) -> float:
+    """``base ** expo`` for floats base >= 0 and expo > 0, inf on overflow."""
+    try:
+        return base**expo
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

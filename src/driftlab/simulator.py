@@ -81,6 +81,7 @@ from .lyapunov import (
     CompoundSpec,
     ParamLyapunov,
     StateLyapunov,
+    pow_or_inf,
 )
 from .streams import substream
 
@@ -533,7 +534,12 @@ def _srwm_weights(weight: ParamLyapunov, dim: int):
         return moments
     if weight.variant == W_AM_POLY:
         expo = 2.0 + weight.eps
-        return lambda cols: [1.0 + abs(m) ** expo + abs(g) for m, g in zip(*cols)]
+        def am_poly_1d(cols):
+            try:
+                return [1.0 + abs(m) ** expo + abs(g) for m, g in zip(*cols)]
+            except OverflowError:  # a block with an overflowing weight, taken again row by row
+                return [1.0 + pow_or_inf(abs(m), expo) + abs(g) for m, g in zip(*cols)]
+        return am_poly_1d
     if weight.variant == W_EXP_ABS:
         return lambda cols: [exp(t) if t < 700.0 else inf for t in map(abs, cols[0])]
     return lambda cols: [1.0 + t * t for t in cols[0]]

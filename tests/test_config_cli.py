@@ -347,6 +347,19 @@ def test_drift_check_configs_run_or_name_a_path(tmp_path, preset, check, method,
     assert all(math.isfinite(row.lhs) for row in report.rows)
 
 
+def test_decomposition_on_a_gaussian_target_has_finite_rows():
+    # far out in a Gaussian tail the acceptance underflows to 0 while
+    # V(y)/V(x) overflows; their product was nan and the check died in the
+    # quadrature
+    doc = edited("coerced", {"verify.checks": ["decomposition"]})
+    validate_document(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_check("decomposition", doc)
+    assert report.rows
+    assert all(math.isfinite(v) for row in report.rows for v in (row.lhs, row.rhs, row.margin))
+
+
 def test_quadrature_w_drift_without_proposal_names_the_section(tmp_path):
     doc = json.loads(resolve_config_path("coerced").read_text())
     del doc["proposal"]
@@ -859,6 +872,28 @@ def test_generic_path_halts_on_a_parameter_that_overflows(tmp_path):
     assert rows[-1][1] in ("inf", "-inf")
 
 
+def test_one_dimensional_am_run_halts_on_a_mean_whose_weight_overflows(tmp_path):
+    # |mu| ** 2.5 past the float range raised OverflowError in the 1-D
+    # am_poly weight, and the run died without its artifacts
+    doc = edited("am-gaussian-1d", {"run.horizon": 50, "run.replicas": 2, "run.theta0.mu": [1e300]})
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_DIVERGED
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    assert summary["aggregate"]["diverged_count"] == 2
+    assert (out / "trajectory.csv").exists()
+
+
+def test_am_poly_weight_past_the_float_range_runs_quietly(tmp_path):
+    # |mu| ** 1001 overflows once |mu| passes about 2.03, and the weight
+    # of those rows is inf
+    doc = edited("am-subexp-1d", {"run.horizon": 200, "run.replicas": 2, "lyapunov.w_eps": 999})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+    assert (out / "summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # every rule is checked at load, each at its JSON path, before anything runs
 
@@ -988,6 +1023,10 @@ def test_cross_section_rules_are_checked_at_load(tmp_path, base, edits, json_pat
                      id="compound-drift-without-theta-grid"),
         pytest.param("coerced", {"verify.checks": ["acceptance_bounds"]}, "verify.checks",
                      id="acceptance-bounds-gaussian-tail"),
+        pytest.param("mv-am", {"verify": {"checks": ["acceptance_bounds"]}}, "verify.checks",
+                     id="acceptance-bounds-two-dimensional"),
+        pytest.param("am-subexp-1d", {"verify.checks": ["acceptance_bounds"], "verify.sigma_grid": []},
+                     "verify.sigma_grid", id="acceptance-bounds-without-sigma-grid"),
         pytest.param("am-subexp-1d", {"verify.checks": ["decomposition"], "lyapunov.eta": 0.0}, "lyapunov.eta",
                      id="decomposition-eta-zero"),
         pytest.param("mv-am", {"verify": {"checks": ["decomposition"]}}, "verify.checks",

@@ -80,6 +80,16 @@ def test_param_weights_frozen_values():
     assert stacked.tolist() == pytest.approx([w.of_moments(m, c) for m, c in zip(mus, covs)], rel=1e-15)
 
 
+def test_am_poly_weight_past_the_float_range_is_inf_without_a_warning():
+    # 3 ** 1001 overflows: one pair raised OverflowError, a stack warned
+    w = ParamLyapunov(W_AM_POLY, eps=999.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert w.of_moments(np.array([3.0]), np.eye(1)) == math.inf
+        assert w.of_moments(np.array([[3.0], [0.0]]), np.array([np.eye(1), np.eye(1)])).tolist() == [math.inf, 2.0]
+    assert w.of_moments(np.array([1.0]), np.eye(1)) == 3.0
+
+
 def test_compound_value_modes():
     spec = CompoundSpec(upsilon_v=1.0, upsilon_w=1.0, mode="W")
     assert compound_value(spec, 8.0, 4.0, 0.5) == 16.0

@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
-``__init__`` re-exports nothing, and every JSON path a ``ConfigError``
-names is a key path of the config schema."""
+``__init__`` re-exports nothing, ``cli`` builds through two config
+builders only, and every JSON path a ``ConfigError`` names is a key path
+of the config schema."""
 
 import ast
 from pathlib import Path
@@ -63,6 +64,30 @@ def test_bound_names_sees_imports_definitions_and_statements():
 def test_package_init_binds_only_the_version():
     init = Path(driftlab.__file__).resolve()
     assert bound_names(init.read_text()) == ["__version__"]
+
+
+def config_builders(source: str) -> list[str]:
+    """The ``build_*`` names a module imports from the package's ``config``."""
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "config"
+        for alias in node.names
+        if alias.name.startswith("build_")
+    ]
+
+
+def test_builder_detector_reads_relative_config_imports():
+    src = "from .config import ConfigError, build_grid\nfrom config import build_rule\n" \
+          "from .verifiers import build_x\nfrom .config import (\n    build_check_args,\n)\n"
+    assert config_builders(src) == ["build_grid", "build_check_args"]
+
+
+def test_cli_builds_each_check_through_one_builder():
+    # a second builder call in cli would be a second copy of what
+    # validate_document builds at load
+    builders = config_builders((PACKAGE / "cli.py").read_text())
+    assert set(builders) <= {"build_chain_config", "build_check_args"}, builders
 
 
 def config_error_paths(source: str) -> list[tuple[str, int]]:
