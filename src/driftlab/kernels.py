@@ -298,6 +298,8 @@ def apply_kernel_to_function(
     The tail left out is below any realistic tolerance for the functions
     used here (state Lyapunov functions, where ``alpha * f(y) <= f(x)``
     caps the integrand, and polynomially growing parameter weights).
+    ``OverflowError`` is raised when ``f`` or ``alpha * f`` at a node is
+    past the float range.
     """
     if target.dim != 1:
         raise ValueError("quadrature requires a one-dimensional target")
@@ -338,7 +340,7 @@ def apply_kernel_to_function(
     logp = target.log_density
     log_fx = log_f(x, lx)
     if not log_fx < 700.0:
-        raise ValueError("non-integrable test function: non-finite value at the current state")
+        raise OverflowError("non-integrable test function: non-finite value at the current state")
     fx = math.exp(log_fx)
 
     def accepted_part(z: float) -> float:
@@ -346,7 +348,7 @@ def apply_kernel_to_function(
         ly = float(logp(y))
         arg = min(0.0, ly - lx) + log_f(y, ly)
         if not arg < 700.0:
-            raise ValueError(f"non-integrable test function: alpha * f is not finite at y={y!r}")
+            raise OverflowError(f"non-integrable test function: alpha * f is not finite at y={y!r}")
         return q_of(z) * math.exp(arg)
 
     def acceptance_mass(z: float) -> float:

@@ -17,11 +17,14 @@ uniforms in blocks from its own substream, with a block length chosen so
 that block length times replica count stays near 2**15 elements.  One toy
 chain alone pays numpy's per-call cost on every step (11.7 us/step at R = 1,
 against 2.3 us for a scalar loop, on a 2-vCPU VM); no preset or benchmark
-workload runs one, so it gets no second engine of its own.  srwm chains run
-one replica at a time, each in a loop that appends only raw values
-(parameter, state, proposal, acceptance, stepsize, log pi) to per-block
-lists.  On a 1-D target the loop runs over Python floats, and a uniform
-proposal draws a block's uniforms at once, in the order of the scalar draws.
+workload runs one, so it gets no second engine of its own, and it stays in
+one process.  srwm replicas are split into contiguous slices, one per usable
+core, each run in a forked worker (``_fork_map``) except the first, which
+this process runs.  Within a slice, replicas run one after another, each in
+a loop that appends only raw values (parameter, state, proposal, acceptance,
+stepsize, log pi) to per-block lists.  On a 1-D target the loop runs over
+Python floats, and a uniform proposal draws a block's uniforms at once, in
+the order of the scalar draws.
 In several dimensions it runs numpy per step: the target is evaluated once
 per step, at the proposal, with log pi of the current state carried from
 step to step, and one kernel parameter is built and checked per step, which
@@ -35,15 +38,20 @@ log pi = 0 and alpha = NaN).  ``_KeptPath`` alone picks the kept rows,
 every ``record_stride``-th step and the last, and computes their V, w, W and
 in_C in the scalar arithmetic of a row-at-a-time recorder, so
 ``record_stride`` thins the trajectory and never the statistics.
-``Trajectory.to_csv`` formats blocks of rows a column at a time.
+``Trajectory.to_csv`` formats blocks of rows a column at a time, its rows
+split over forked workers the same way.  Neither split changes a byte of the
+outputs: each replica draws from its own substream, records carry their
+global replica index, and a CSV row's text depends on that row alone.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NamedTuple, Optional
+from typing import BinaryIO, Callable, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -180,28 +188,55 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write the rows under ``column_names()``: integers and flags as
-        integers, floats by ``repr`` (so they read back exactly).  Cells are
-        formatted a column at a time, ``_CSV_CHUNK_ROWS`` rows at a time."""
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.column_names()) + "\n")
-            for lo in range(0, self.index.shape[0], _CSV_CHUNK_ROWS):
-                rows = slice(lo, lo + _CSV_CHUNK_ROWS)
-                cols = [_int_cells(self.index[rows])]
-                for block in (self.theta[rows], self.x[rows], self.y[rows]):
-                    cols += [_float_cells(c) for c in block.T]
-                cols.append(_int_cells(self.accepted[rows]))
-                cols += [_float_cells(c[rows]) for c in (self.alpha, self.gamma, self.v, self.w, self.compound)]
-                cols.append(_int_cells(self.in_set[rows]))
-                if self.kesten_counts is not None:
-                    cols.append(_int_cells(self.kesten_counts[rows]))
-                fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        integers, floats by ``repr`` (so they read back exactly).
+
+        The rows are split into contiguous slices, one per worker
+        (``_slices``).  This process writes the first slice straight to the
+        file; each forked worker formats its slice in its own memory and
+        sends the bytes through a pipe, which this process copies into the
+        file ``_PIPE_CHUNK_BYTES`` at a time, so it never holds another
+        slice's text.
+        """
+        own, *rest = _slices(self.index.shape[0], 1, _MIN_WORKER_ROWS)
+        with open(path, "wb") as fh:
+            fh.write((",".join(self.column_names()) + "\n").encode())
+
+            def write_own() -> None:
+                for text in self._csv_blocks(own):
+                    fh.write(text)
+
+            def copy(stream: BinaryIO) -> None:
+                while chunk := stream.read(_PIPE_CHUNK_BYTES):
+                    fh.write(chunk)
+
+            jobs = [lambda part=part: b"".join(self._csv_blocks(part)) for part in rest]
+            _fork_map(jobs, write_own, copy)
+
+    def _csv_blocks(self, part: slice):
+        """The CSV lines of rows ``part``, as bytes, ``_CSV_CHUNK_ROWS`` rows
+        at a time, each formatted a column at a time."""
+        for lo in range(part.start, part.stop, _CSV_CHUNK_ROWS):
+            rows = slice(lo, min(lo + _CSV_CHUNK_ROWS, part.stop))
+            cols = [_int_cells(self.index[rows])]
+            for block in (self.theta[rows], self.x[rows], self.y[rows]):
+                cols += [_float_cells(c) for c in block.T]
+            cols.append(_int_cells(self.accepted[rows]))
+            cols += [_float_cells(c[rows]) for c in (self.alpha, self.gamma, self.v, self.w, self.compound)]
+            cols.append(_int_cells(self.in_set[rows]))
+            if self.kesten_counts is not None:
+                cols.append(_int_cells(self.kesten_counts[rows]))
+            yield ("\n".join(map(",".join, zip(*cols))) + "\n").encode()
 
 
-# Rows per block of Trajectory.to_csv.  Only one block's cells are held at a
-# time: whole columns at once raise a long run's peak memory by several MB,
-# and blocks of 1,024 rows still add about 0.8 MB (2 %) to a 2,001-row toy
-# run's.  At 128 rows the writer is as fast and the peak does not move.
+# Rows per block of Trajectory._csv_blocks.  This process holds one block's
+# cells at a time (a CSV worker holds its whole slice's text, in its own
+# memory): whole columns at once raise a long run's peak memory by several
+# MB, and blocks of 1,024 rows still add about 0.8 MB (2 %) to a 2,001-row
+# toy run's.  At 128 rows the writer is as fast and the peak does not move.
 _CSV_CHUNK_ROWS = 128
+
+# Bytes per read when a CSV worker's pipe is copied into the file.
+_PIPE_CHUNK_BYTES = 1 << 16
 
 
 def _float_cells(col: np.ndarray) -> list[str]:
@@ -552,15 +587,17 @@ def _run_srwm(
     replica: int = 0,
 ) -> tuple[list[dict], Optional[Trajectory]]:
     """srwm chains, one replica per generator in ``rngs``, run one after
-    another.
+    another; the generators are those of replicas ``replica``,
+    ``replica + 1``, ...
 
     Each replica's loop (``_scalar_blocks`` or ``_am_1d_blocks`` on a 1-D
     target, ``_generic_blocks`` otherwise) yields raw columns block by block.
     A block is folded into the recurrence statistics and its accept flags
-    into a ring for ``acceptance_tail``, then dropped, except replica 0's
-    when ``keep_first``: its rows, thinned by ``record_stride``, become the
-    returned trajectory's columns (labelled ``replica``).  Returns one record
-    per generator, in order, and the trajectory.
+    into a ring for ``acceptance_tail``, then dropped, except the first
+    replica's when ``keep_first``: its rows, thinned by ``record_stride``,
+    become the returned trajectory's columns (labelled ``replica``).
+    Returns one record per generator, in order and labelled with its
+    replica index, and the trajectory.
     """
     dim = config.target.dim
     am = config.rule.kind == RULE_AM
@@ -598,7 +635,7 @@ def _run_srwm(
         tail = list(flags)[-min(_TAIL_MAX, max(end // 10, 1)):]
         final_theta = [th[-1] for th in blk.theta]
         records.append({
-            "replica": k,
+            "replica": replica + k,
             **stats.record(k),
             "diverged": blk.halted,
             "halt_index": end if blk.halted else None,
@@ -1082,11 +1119,135 @@ def run_replicas(
     Returns the summary plus (optionally) replica 0's full trajectory for
     trace output.  Every replica is reduced to statistics block by block as
     it runs, so memory stays at desk scale.
+
+    srwm replicas are split into contiguous slices, one per worker
+    (``_slices``).  This process runs the first slice, so replica 0's
+    trajectory never crosses a pipe; each forked worker runs one other slice
+    and sends back only its records.  The toy engine stays in this process:
+    its per-step cost is mostly numpy call overhead, which a split does not
+    divide.  200 x 2,000 steps took 58 ms in one process and 51 ms over two
+    workers (2-vCPU VM), 7 ms of a 0.38 s ``driftlab run`` of that size.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     seed = config.seed if base_seed is None else int(base_seed)
-    engine = _run_toy_replicas if config.kind == CHAIN_TOY else _run_srwm
     rngs = [substream(seed, k) for k in range(n_replicas)]
-    records, first_traj = engine(config, rngs, keep_first=keep_first_trajectory)
+    if config.kind == CHAIN_TOY:
+        records, first_traj = _run_toy_replicas(config, rngs, keep_first=keep_first_trajectory)
+        return summarize_replicas(records, seed), first_traj
+    own, *rest = _slices(n_replicas, config.horizon + 1, _MIN_WORKER_STEPS)
+    records = []
+
+    def run_own():
+        own_records, traj = _run_srwm(config, rngs[own], keep_first=keep_first_trajectory)
+        records.extend(own_records)
+        return traj
+
+    jobs = [lambda part=part: pickle.dumps(_run_srwm(config, rngs[part], False, part.start)[0])
+            for part in rest]
+    first_traj = _fork_map(jobs, run_own, lambda stream: records.extend(pickle.load(stream)))
     return summarize_replicas(records, seed), first_traj
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+#
+# One fork, pipe and reap round trip with an empty job costs about 4.8 ms
+# on a 2-vCPU VM from a 40 MB process, and a worker then runs its first few
+# ms slower than this process would (copy-on-write faults), so a worker pays
+# for itself only past about 8 ms of work.  Measured break-evens, in work per
+# worker (R = 2, forced one against two workers, median of 21): 4,000-5,000
+# replica-steps of the 1-D scalar loops (1,500 for 1-D AM), and about 750
+# CSV rows of a 1-D srwm trajectory or 1,000-1,600 of a toy one.  A split
+# never leaves a worker less than these minimums.
+_MIN_WORKER_STEPS = 5_000
+_MIN_WORKER_ROWS = 1_500
+
+# The first byte a worker writes: its job's bytes follow, or the pickled
+# exception the job raised.
+_JOB_DONE = b"\0"
+_JOB_FAILED = b"\1"
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on, the most workers a split uses; 1 where
+    the platform cannot say (and may have no ``os.fork``)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _slices(n: int, cost: int, min_cost: int) -> list[slice]:
+    """[0, n) as contiguous slices of near-equal length, the first ones
+    longest: one per usable core, at most one per item, and no more than
+    leave each slice ``min_cost`` when each item costs ``cost``."""
+    parts = max(1, min(_usable_cores(), n, n * cost // min_cost))
+    q, r = divmod(n, parts)
+    bounds = [k * q + min(k, r) for k in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _fork_map(
+    jobs: list[Callable[[], bytes]],
+    own: Callable[[], object],
+    take: Callable[[BinaryIO], None],
+):
+    """Run ``own()`` in this process while each of ``jobs`` runs in a forked
+    worker, and return what ``own`` returns.
+
+    A job returns bytes, which its worker writes to a pipe.  Once ``own``
+    returns, ``take(stream)`` reads each job's bytes from a binary stream,
+    in job order.  An exception a job raises is raised here again, with its
+    type and message.  Every worker is reaped before this returns or
+    raises, after every read end is closed, so a worker blocked on a full
+    pipe gets EPIPE and exits instead of waiting for a reader that is gone.
+    """
+    pids, reads = [], []
+    try:
+        for job in jobs:
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(job, w, reads)
+            finally:
+                os.close(w)
+            pids.append(pid)
+        result = own()
+        for k, r in enumerate(reads):
+            with open(r, "rb", closefd=False) as stream:
+                status = stream.read(1)
+                if status == _JOB_DONE:
+                    take(stream)
+                    continue
+                body = stream.read()
+            if status == _JOB_FAILED:
+                raise pickle.loads(body)  # bytes our own worker wrote
+            raise RuntimeError(f"worker {k + 1} of {len(jobs)} ended without a result")
+        return result
+    finally:
+        for r in reads:
+            os.close(r)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _work(job: Callable[[], bytes], w: int, reads: list[int]) -> NoReturn:
+    """A forked worker's whole life: close the read ends it inherited, run
+    ``job`` and write its status byte and bytes (or the exception it raised)
+    to the pipe ``w``.  It leaves through ``os._exit``, so it never returns
+    into its caller's frames or flushes buffers it shares with its parent;
+    an exception that cannot be written leaves no status byte."""
+    code = 1
+    try:
+        for r in reads:
+            os.close(r)
+        try:
+            status, body = _JOB_DONE, job()
+        except Exception as exc:
+            status, body = _JOB_FAILED, pickle.dumps(exc)
+        with open(w, "wb") as out:
+            out.write(status)
+            out.write(body)
+        code = 0
+    finally:
+        os._exit(code)

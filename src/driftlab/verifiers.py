@@ -221,7 +221,8 @@ def _one_step_pairs(
             continue
         if rule.kind == RULE_AM:
             w_accept = weight.of_moments(*am_update(param.mu, param.cov, y, gamma))
-            w_sum = w_sum + (alpha * w_accept + (1.0 - alpha) * w_reject)
+            with np.errstate(invalid="ignore"):  # 0 * inf: a weight past the float range fails its row
+                w_sum = w_sum + (alpha * w_accept + (1.0 - alpha) * w_reject)
         else:
             # the fixed rule hands theta back as a scalar
             t_new = scalar_update(rule.kind, param.theta, alpha, gamma, rule.alpha_star)[0]
@@ -230,8 +231,10 @@ def _one_step_pairs(
 
 
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error."""
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(samples.size))
+    """Sample mean and its standard error; either is inf or nan, without a
+    warning, once the samples' sums pass the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(samples.size))
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +421,14 @@ def verify_w_drift(
                     )
                     lhs, se = _mean_se(w_pairs)
                 else:
-                    lhs = _w_drift_lhs_quadrature(target, proposal, rule, weight, param, xf, gamma)
+                    try:
+                        lhs = _w_drift_lhs_quadrature(target, proposal, rule, weight, param, xf, gamma)
+                    except OverflowError:
+                        lhs = math.inf
                     se = 0.0
                 if not math.isfinite(lhs):
-                    raise ValueError(f"non-finite parameter-drift estimate at theta={param}, x={xf}")
+                    # E[w(theta')] past the float range: the row fails with margin -inf
+                    lhs = math.inf
                 evals.append((param, xf, gamma, w_theta, v_val, inside, lhs, se))
                 idx += 1
 

@@ -369,6 +369,24 @@ def test_quadrature_w_drift_without_proposal_names_the_section(tmp_path):
     assert exc.value.json_path == "proposal"
 
 
+@pytest.mark.parametrize("method", ["monte_carlo", "quadrature"])
+def test_w_drift_past_the_float_range_fails_its_rows(tmp_path, capsys, method):
+    # w_eps = 999 puts the am_poly weight of the updated moments past the
+    # float range: rows fail with margin -inf, where the check used to die
+    # with a raw ValueError
+    doc = json.loads(resolve_config_path("am-subexp-1d").read_text())
+    doc["lyapunov"]["w_eps"] = 999
+    doc["verify"].update(checks=["w_drift"], method=method)
+    path = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["verify", str(path), "--out", str(tmp_path / "out")]) == EXIT_VERIFY
+    report = json.loads((tmp_path / "out" / "report-w_drift.json").read_text())
+    assert report["pass"] is False and report["worst_point"]["margin"] == "-inf"
+    assert all(row["lhs"] == "inf" and not row["pass"] for row in report["rows"] if row["margin"] == "-inf")
+    assert "w_drift  FAIL    -inf" in capsys.readouterr().out
+
+
 def test_toy_record_stride_thins_only_the_trajectory(tmp_path):
     every = toy_run_doc(horizon=100, replicas=3)
     thinned = toy_run_doc(horizon=100, replicas=3)
@@ -683,6 +701,9 @@ code = driftlab.cli.main(sys.argv[1:])
 print("numpy.ma-modules", sum(1 for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 print("scipy-modules", sum(1 for m in sys.modules if m.startswith("scipy")))
 print("jsonschema-modules", sum(1 for m in sys.modules if m.split(".")[0] in ("jsonschema", "referencing", "attrs")))
+print("process-pool-modules", sum(1 for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+import resource
+print("worker-maxrss-kb", resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 sys.exit(code)
 """
 
@@ -711,6 +732,7 @@ def test_run_without_quadrature_never_imports_scipy(tmp_path):
     proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert module_count(proc, "scipy") == 0
+    assert module_count(proc, "process-pool") == 0
     assert module_count(proc, "jsonschema") == 0
     assert (tmp_path / "out" / "report-toy.json").exists()
 
@@ -729,7 +751,23 @@ def test_quadrature_verify_never_imports_scipy_and_passes(tmp_path):
     proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "run"))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert module_count(proc, "scipy") == 0
+    assert module_count(proc, "process-pool") == 0
     assert (tmp_path / "run" / "trajectory.csv").exists()
+
+
+def test_run_with_workers_loads_no_process_pool_module(tmp_path):
+    # replicas and trajectory rows go to workers forked by hand: importing
+    # multiprocessing alone would cost about 24 ms of every run
+    doc = json.loads(resolve_config_path("coerced").read_text())
+    doc["run"].update(horizon=20_000, replicas=2)
+    del doc["verify"]
+    path = write_config(tmp_path, doc)
+    proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert module_count(proc, "process-pool") == 0
+    if len(os.sched_getaffinity(0)) > 1:  # the run did start workers
+        assert int(proc.stdout.rsplit("worker-maxrss-kb", 1)[1].split()[0]) > 0
+    assert (tmp_path / "out" / "trajectory.csv").stat().st_size > 0
 
 
 def test_coerced_run_never_imports_numpy_ma(tmp_path):
@@ -741,6 +779,7 @@ def test_coerced_run_never_imports_numpy_ma(tmp_path):
     proc = run_in_fresh_process(tmp_path, "run", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_OK, proc.stderr
     assert module_count(proc, "numpy.ma") == 0
+    assert module_count(proc, "process-pool") == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())["summary"]
     assert summary["aggregate"]["acceptance_tail_median"] > 0.0
 

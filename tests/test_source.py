@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, the package
 ``__init__`` re-exports nothing, ``cli`` builds through two config
-builders only, and every JSON path a ``ConfigError`` names is a key path
-of the config schema."""
+builders only, every JSON path a ``ConfigError`` names is a key path of
+the config schema, and one function forks."""
 
 import ast
 from pathlib import Path
@@ -124,3 +124,34 @@ def test_config_errors_name_schema_keys(name):
     unknown = [f"{path} (line {line})" for path, line in config_error_paths((PACKAGE / name).read_text())
                if path not in known]
     assert unknown == []
+
+
+def fork_sites(source: str) -> list[str]:
+    """The functions that name ``os.fork`` (``<module>`` at top level), one
+    entry per mention; ``from os import fork`` counts as a mention too."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "fork" and \
+                isinstance(node.value, ast.Name) and node.value.id == "os":
+            sites.append(where)
+        if isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name == "fork" for a in node.names):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_fork_detector_names_the_enclosing_function():
+    src = "import os\nfrom os import fork\ndef f():\n    def g():\n        return os.fork()\n    os.getpid()\n"
+    assert fork_sites(src) == ["<module>", "g"]
+
+
+def test_one_function_forks():
+    # every worker process starts in simulator._fork_map, which reaps it
+    sites = [f"{path.stem}.{site}" for path in MODULES for site in fork_sites(path.read_text())]
+    assert sites == ["simulator._fork_map"]
