@@ -15,8 +15,7 @@ product).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,7 +27,6 @@ RULE_FIXED = "fixed"
 RULES = (RULE_AM, RULE_COERCED, RULE_FAST_COERCED, RULE_TOY_MEAN, RULE_FIXED)
 
 
-@dataclass(frozen=True)
 class AdaptationRule:
     """Which update map drives the kernel parameter.
 
@@ -37,17 +35,17 @@ class AdaptationRule:
     (useful for fixed-kernel diagnostics).
     """
 
-    kind: str
-    alpha_star: Optional[float] = None
+    __slots__ = ("kind", "alpha_star")
 
-    def __post_init__(self):
-        if self.kind in (RULE_COERCED, RULE_FAST_COERCED):
-            if self.alpha_star is None or not (0.0 < self.alpha_star < 0.5):
+    def __init__(self, kind: str, alpha_star: Optional[float] = None):
+        if kind in (RULE_COERCED, RULE_FAST_COERCED):
+            if alpha_star is None or not (0.0 < alpha_star < 0.5):
                 raise ValueError("coerced rules require alpha_star in (0, 1/2)")
+        self.kind = kind
+        self.alpha_star = alpha_star
 
 
-@dataclass(frozen=True)
-class PolynomialSchedule:
+class PolynomialSchedule(NamedTuple):
     """gamma_i = c0 / (c1 + i)**a for step index i >= 1."""
 
     c0: float
@@ -55,15 +53,13 @@ class PolynomialSchedule:
     a: float = 1.0
 
 
-@dataclass(frozen=True)
-class ConstantSchedule:
+class ConstantSchedule(NamedTuple):
     """gamma_i = gamma0 for every step."""
 
     gamma0: float
 
 
-@dataclass(frozen=True)
-class KestenSchedule:
+class KestenSchedule(NamedTuple):
     """Stepsize gamma(s) = c0 / (1 + s)**a indexed by the sign-change count.
 
     The count ``s`` lives in the chain state, not here; the schedule object
@@ -163,27 +159,6 @@ def scalar_update(kind: str, theta, alpha, gamma, alpha_star):
     return theta + gamma * h, h
 
 
-def coerced_update(theta: float, alpha_val: float, gamma: float, alpha_star: float) -> float:
-    """theta + gamma * (alpha - alpha_star)."""
-    _check_coerced_args(alpha_val, gamma, alpha_star)
-    return scalar_update(RULE_COERCED, theta, alpha_val, gamma, alpha_star)[0]
-
-
-def fast_coerced_update(theta: float, alpha_val: float, gamma: float, alpha_star: float) -> float:
-    """theta + gamma * ((|theta| + 1) * (alpha - alpha_star))."""
-    _check_coerced_args(alpha_val, gamma, alpha_star)
-    return scalar_update(RULE_FAST_COERCED, theta, alpha_val, gamma, alpha_star)[0]
-
-
-def _check_coerced_args(alpha_val: float, gamma: float, alpha_star: float) -> None:
-    if not (0.0 <= alpha_val <= 1.0):
-        raise ValueError("alpha must lie in [0, 1]")
-    if not (gamma > 0.0):
-        raise ValueError("gamma must be positive")
-    if not (0.0 < alpha_star < 0.5):
-        raise ValueError("alpha_star must lie in (0, 1/2)")
-
-
 def kesten_advance(s: int, h_prev, h_cur) -> int:
     """Advance the sign-change count iff successive increments oppose.
 
@@ -199,19 +174,17 @@ def kesten_advance(s: int, h_prev, h_cur) -> int:
     return s + 1 if float(hp @ hc) < 0.0 else s
 
 
-@dataclass(frozen=True)
 class MeanFieldAM:
     """True first and second central moments of the target."""
 
-    mu_pi: np.ndarray
-    cov_pi: np.ndarray
+    __slots__ = ("mu_pi", "cov_pi")
 
-    def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu_pi, dtype=float))
-        cov = np.asarray(self.cov_pi, dtype=float)
+    def __init__(self, mu_pi: np.ndarray, cov_pi: np.ndarray):
+        mu = np.atleast_1d(np.asarray(mu_pi, dtype=float))
+        cov = np.asarray(cov_pi, dtype=float)
         if cov.shape == ():
             cov = cov.reshape(1, 1)
-        object.__setattr__(self, "mu_pi", mu)
-        object.__setattr__(self, "cov_pi", cov)
         if cov.shape != (mu.shape[0], mu.shape[0]):
             raise ValueError("cov_pi shape must match mu_pi")
+        self.mu_pi = mu
+        self.cov_pi = cov

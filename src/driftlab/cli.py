@@ -29,7 +29,6 @@ from .config import (
     n_replicas,
     validate_document,
 )
-from .simulator import run_replicas
 from .verifiers import (
     DriftReport,
     verify_acceptance_bounds,
@@ -116,6 +115,11 @@ def run_experiment(
     ``seed`` overrides ``verify.seed``, and ``run.seed`` when simulating,
     and is validated there.  No ``ConfigError`` comes after the output
     directory exists."""
+    if simulate:
+        # Imported here, so that verify, plot and presets never load the
+        # simulator, and before the config loads: compiled after it, the
+        # module left a toy run's peak memory 0.3 MB higher.
+        from .simulator import run_replicas
     doc = load_config(resolve_config_path(str(config_path)))
     if seed is not None:
         for section in ("run", "verify") if simulate else ("verify",):

@@ -1,4 +1,6 @@
-"""Experiment configuration: JSON schema, validation, and object builders.
+"""Experiment configuration: JSON schema, validation, object builders, and
+the chain config (``ChainConfig``, chain kinds ``CHAIN_SRWM`` and
+``CHAIN_TOY``) that ``build_chain_config`` returns and the simulator runs.
 
 A config document has up to eight sections (target, proposal, adaptation,
 schedule, lyapunov, run, verify, output).  Each rule has one owner, and
@@ -65,9 +67,57 @@ from .lyapunov import (
     W_VARIANTS,
     scenario_coefficients,
 )
-from .simulator import CHAIN_SRWM, CHAIN_TOY, ChainConfig
 from .targets import BUILTIN_TARGETS, TailKind, TargetModel, make_target
 from .verifiers import METHOD_MONTE_CARLO, METHOD_QUADRATURE, GridSpec
+
+CHAIN_SRWM = "srwm"
+CHAIN_TOY = "toy"
+
+
+# Stays a dataclass: tests derive variants of a config with dataclasses.replace.
+@dataclasses.dataclass(frozen=True)
+class ChainConfig:
+    """Everything needed to reproduce one adaptive run."""
+
+    kind: str
+    rule: AdaptationRule
+    schedule: Schedule
+    theta0: float | AMParam
+    x0: float | int | np.ndarray
+    horizon: int
+    seed: int
+    recurrence_m: float
+    recurrence_r: float
+    target: Optional[object] = None
+    proposal: Optional[ProposalSpec] = None
+    record_stride: int = 1
+    state_lyapunov: Optional[StateLyapunov] = None
+    param_weight: ParamLyapunov = ParamLyapunov(W_ONE_PLUS_SQUARE)
+    compound: CompoundSpec = CompoundSpec()
+    moments: Optional[MeanFieldAM] = None
+
+    def __post_init__(self):
+        if self.kind == CHAIN_TOY:
+            if self.rule.kind != RULE_TOY_MEAN:
+                raise ValueError("toy chain requires the toy_mean rule")
+            if self.x0 not in (0, 1):
+                raise ValueError("toy chain state must start in {0, 1}")
+        else:
+            if self.rule.kind == RULE_TOY_MEAN:
+                raise ValueError("toy_mean rule requires the toy chain")
+            if self.rule.kind == RULE_AM:
+                if not isinstance(self.theta0, AMParam):
+                    raise ValueError("am rule requires an AMParam initial parameter")
+                if self.proposal.parametrization != PARAM_AM_COVARIANCE:
+                    raise ValueError("am rule requires the covariance parametrization")
+                if self.theta0.mu.shape[0] != self.target.dim:
+                    raise ValueError("am initial parameter must have the target's dimension")
+            else:
+                if isinstance(self.theta0, AMParam):
+                    raise ValueError("scalar rules require a scalar initial parameter")
+                if self.proposal.parametrization != PARAM_SCALAR_LOG_SCALE:
+                    raise ValueError("scalar rules require the scalar log-scale parametrization")
+
 
 CHECK_NAMES = (
     "toy",
@@ -749,7 +799,7 @@ def build_check_args(check: str, doc: dict) -> tuple:
     if check == "w_drift":
         return target, proposal, rule, weight, coef, grid, lyap, center_radius
     if "method" not in cfg:
-        grid = dataclasses.replace(grid, method=METHOD_MONTE_CARLO)
+        grid = grid._replace(method=METHOD_MONTE_CARLO)
     return target, proposal, rule, lyap, weight, grid, coef, center_radius
 
 

@@ -8,7 +8,6 @@ usual density ratio clipped at 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ QUAD_TOL = 1e-9
 RW_SCALE = 2.38
 
 
-@dataclass(frozen=True)
 class ProposalSpec:
     """Increment distribution family plus its parametrization.
 
@@ -39,30 +37,27 @@ class ProposalSpec:
     Compact-uniform increments are one-dimensional and scalar-parametrized.
     """
 
-    family: str
-    parametrization: str
-    eps_ridge: float = 0.1
-    student_dof: float = 4.0
+    __slots__ = ("family", "parametrization", "eps_ridge", "student_dof")
 
-    def __post_init__(self):
-        if self.family == FAMILY_UNIFORM and self.parametrization != PARAM_SCALAR_LOG_SCALE:
+    def __init__(self, family: str, parametrization: str, eps_ridge: float = 0.1, student_dof: float = 4.0):
+        if family == FAMILY_UNIFORM and parametrization != PARAM_SCALAR_LOG_SCALE:
             raise ValueError("uniform increments require the scalar log-scale parametrization")
+        self.family = family
+        self.parametrization = parametrization
+        self.eps_ridge = eps_ridge
+        self.student_dof = student_dof
 
 
-@dataclass(frozen=True)
 class AMParam:
     """Running-moments kernel parameter: mean vector plus covariance."""
 
-    mu: np.ndarray
-    cov: np.ndarray
+    __slots__ = ("mu", "cov")
 
-    def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        cov = np.asarray(self.cov, dtype=float)
+    def __init__(self, mu: np.ndarray, cov: np.ndarray):
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        cov = np.asarray(cov, dtype=float)
         if cov.shape == ():
             cov = cov.reshape(1, 1)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "cov", cov)
         if mu.ndim != 1:
             raise ValueError("mu must be a vector")
         n = mu.shape[0]
@@ -72,17 +67,19 @@ class AMParam:
             raise ValueError("kernel parameter must be finite")
         if not is_symmetric(cov):
             raise ValueError(f"cov must be symmetric to {SYMMETRY_TOL}")
+        self.mu = mu
+        self.cov = cov
 
 
-@dataclass(frozen=True)
 class ScalarParam:
     """Scalar log-scale kernel parameter; increment scale is exp(theta)."""
 
-    theta: float
+    __slots__ = ("theta",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.theta):
+    def __init__(self, theta: float):
+        if not math.isfinite(theta):
             raise ValueError("kernel parameter must be finite")
+        self.theta = theta
 
     @property
     def sigma(self) -> float:
@@ -190,11 +187,6 @@ def _accept_from_logs(ly: float, lx: float, x, y) -> float:
     if math.isnan(ly) or math.isnan(lx) or lx == -math.inf:
         raise ValueError(f"invalid point: log-density not finite at y={y!r}, x={x!r}")
     return acceptance(ly, lx)
-
-
-def accept_prob(target: TargetModel, x, y) -> float:
-    """min(1, pi(y)/pi(x)), computed from log-densities."""
-    return _accept_from_logs(_log_density(target, y), _log_density(target, x), x, y)
 
 
 def srwm_step(

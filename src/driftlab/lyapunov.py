@@ -8,8 +8,10 @@ Two layers of Lyapunov structure appear in the drift checks:
   adaptation scheme (polynomial in the running moments, ``exp|theta|``, or
   ``1 + theta**2``).
 
-Compound values combine the two with a stepsize: ``W = V**uv + w**uw / gamma``
-and its stepsize-scaled form ``U = gamma * W``.  A ``DriftCoefficients``
+A ``CompoundSpec`` holds the exponents and mode of the compound function
+that combines the two with a stepsize, ``W = V**uv + w**uw / gamma`` or its
+stepsize-scaled form ``U = gamma * W``; the simulator evaluates it on each
+recorded row.  A ``DriftCoefficients``
 record freezes one named scenario's coefficient functions (rate ``a``,
 level-set bound ``b``, offsets ``c`` and ``d``, normalizer ``e``, slope
 function ``delta``) so verifiers can evaluate both sides of each inequality.
@@ -17,7 +19,6 @@ function ``delta``) so verifiers can evaluate both sides of each inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -50,8 +51,7 @@ def _theta_of(param) -> float:
     raise ValueError("expected a scalar kernel parameter")
 
 
-@dataclass(frozen=True)
-class StateLyapunov:
+class StateLyapunov(NamedTuple):
     """V(x) = density(x)**(-eta); always >= 1 for sup-calibrated targets.
 
     ``eta`` in [0, 1): zero gives the degenerate constant function used in
@@ -80,8 +80,7 @@ class StateLyapunov:
         return math.exp(arg) if arg < 700.0 else math.inf
 
 
-@dataclass(frozen=True)
-class ParamLyapunov:
+class ParamLyapunov(NamedTuple):
     """Parameter-space weight w; always >= 1.
 
     Variants: ``am_poly`` is ``1 + |mu|**(2+eps) + |cov|_F`` over running
@@ -125,8 +124,7 @@ def pow_or_inf(base: float, expo: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class CompoundSpec:
+class CompoundSpec(NamedTuple):
     """Exponents and mode for the compound parameter-state functions."""
 
     upsilon_v: float = 1.0
@@ -134,19 +132,6 @@ class CompoundSpec:
     mode: str = "W"
 
 
-def compound_value(spec: CompoundSpec, v_val: float, w_val: float, gamma: float) -> float:
-    """W = v**uv + w**uw / gamma, or its stepsize-scaled form U = gamma * W."""
-    if not (v_val >= 1.0):
-        raise ValueError("state Lyapunov value must be >= 1")
-    if not (w_val >= 1.0):
-        raise ValueError("parameter weight must be >= 1")
-    if not (gamma > 0.0):
-        raise ValueError("gamma must be positive")
-    w_big = v_val**spec.upsilon_v + (w_val**spec.upsilon_w) / gamma
-    return gamma * w_big if spec.mode == "U" else w_big
-
-
-@dataclass(frozen=True)
 class DriftCoefficients:
     """Coefficient functions of one drift scenario.
 
@@ -156,25 +141,39 @@ class DriftCoefficients:
     parameter-drift exponent.
     """
 
-    scenario: str
-    iota: float
-    beta: float
-    a0: float = 1.0
-    slope_c: float = 1.0
-    b_const: float = 1.0
-    sup_c_vbeta: float = 1.0
-    eps_ridge: float = 0.1
-    w_eps: float = 0.5
-    alpha_star: float = 0.44
-    gamma_max: float = 0.05
-    dim: int = 1
+    __slots__ = ("scenario", "iota", "beta", "a0", "slope_c", "b_const", "sup_c_vbeta", "eps_ridge", "w_eps",
+                 "alpha_star", "gamma_max", "dim")
 
-    def __post_init__(self):
-        if self.a0 <= 0 or self.slope_c <= 0:
+    def __init__(
+        self,
+        scenario: str,
+        iota: float,
+        beta: float,
+        a0: float = 1.0,
+        slope_c: float = 1.0,
+        b_const: float = 1.0,
+        sup_c_vbeta: float = 1.0,
+        eps_ridge: float = 0.1,
+        w_eps: float = 0.5,
+        alpha_star: float = 0.44,
+        gamma_max: float = 0.05,
+        dim: int = 1,
+    ):
+        self.scenario = scenario
+        self.iota = iota
+        self.beta = beta
+        self.a0 = a0
+        self.slope_c = slope_c
+        self.b_const = b_const
+        self.sup_c_vbeta = sup_c_vbeta
+        self.eps_ridge = eps_ridge
+        self.w_eps = w_eps
+        self.alpha_star = alpha_star
+        self.gamma_max = gamma_max
+        self.dim = dim
+        if a0 <= 0 or slope_c <= 0:
             raise ValueError("fitted constants must be positive")
-        if self.scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED) and not (
-            0.0 < self.gamma_max < self.accept_margin
-        ):
+        if scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED) and not (0.0 < gamma_max < self.accept_margin):
             raise ValueError("gamma_max must lie in (0, min(alpha_star, 1/2 - alpha_star))")
 
     # -- scenario pieces ----------------------------------------------------
@@ -259,7 +258,7 @@ class DriftCoefficients:
         return self.delta(0.0)
 
     def with_constants(self, **kw) -> "DriftCoefficients":
-        return replace(self, **kw)
+        return DriftCoefficients(**{**{name: getattr(self, name) for name in self.__slots__}, **kw})
 
 
 def default_beta(scenario: str, iota: float, dim: int = 1) -> float:

@@ -49,7 +49,7 @@ import math
 import os
 import pickle
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import BinaryIO, Callable, NamedTuple, NoReturn, Optional
 
@@ -59,26 +59,20 @@ from .adaptation import (
     RULE_AM,
     RULE_FAST_COERCED,
     RULE_FIXED,
-    RULE_TOY_MEAN,
-    AdaptationRule,
     KestenSchedule,
-    MeanFieldAM,
     PolynomialSchedule,
-    Schedule,
     am_increment,
     am_update,
     gamma_at,
     kesten_advance,
     scalar_update,
 )
+from .config import CHAIN_TOY, ChainConfig
 from .kernels import (
     FAMILY_GAUSSIAN,
     FAMILY_UNIFORM,
-    PARAM_AM_COVARIANCE,
-    PARAM_SCALAR_LOG_SCALE,
     RW_SCALE,
     AMParam,
-    ProposalSpec,
     ScalarParam,
     srwm_step,
 )
@@ -88,61 +82,14 @@ from .lyapunov import (
     W_ONE_PLUS_SQUARE,
     CompoundSpec,
     ParamLyapunov,
-    StateLyapunov,
     pow_or_inf,
 )
 from .streams import substream
 
 THETA_MAX = 1e12
 
-CHAIN_SRWM = "srwm"
-CHAIN_TOY = "toy"
 
-
-@dataclass(frozen=True)
-class ChainConfig:
-    """Everything needed to reproduce one adaptive run."""
-
-    kind: str
-    rule: AdaptationRule
-    schedule: Schedule
-    theta0: float | AMParam
-    x0: float | int | np.ndarray
-    horizon: int
-    seed: int
-    recurrence_m: float
-    recurrence_r: float
-    target: Optional[object] = None
-    proposal: Optional[ProposalSpec] = None
-    record_stride: int = 1
-    state_lyapunov: Optional[StateLyapunov] = None
-    param_weight: ParamLyapunov = field(default_factory=lambda: ParamLyapunov("one_plus_square"))
-    compound: CompoundSpec = field(default_factory=CompoundSpec)
-    moments: Optional[MeanFieldAM] = None
-
-    def __post_init__(self):
-        if self.kind == CHAIN_TOY:
-            if self.rule.kind != RULE_TOY_MEAN:
-                raise ValueError("toy chain requires the toy_mean rule")
-            if self.x0 not in (0, 1):
-                raise ValueError("toy chain state must start in {0, 1}")
-        else:
-            if self.rule.kind == RULE_TOY_MEAN:
-                raise ValueError("toy_mean rule requires the toy chain")
-            if self.rule.kind == RULE_AM:
-                if not isinstance(self.theta0, AMParam):
-                    raise ValueError("am rule requires an AMParam initial parameter")
-                if self.proposal.parametrization != PARAM_AM_COVARIANCE:
-                    raise ValueError("am rule requires the covariance parametrization")
-                if self.theta0.mu.shape[0] != self.target.dim:
-                    raise ValueError("am initial parameter must have the target's dimension")
-            else:
-                if isinstance(self.theta0, AMParam):
-                    raise ValueError("scalar rules require a scalar initial parameter")
-                if self.proposal.parametrization != PARAM_SCALAR_LOG_SCALE:
-                    raise ValueError("scalar rules require the scalar log-scale parametrization")
-
-
+# Stays a dataclass: bench/spans.py reads its arrays through dataclasses.fields.
 @dataclass
 class Trajectory:
     """Recorded rows of one run.  Row 0 is the initial condition."""
@@ -893,8 +840,7 @@ def _keep_toy_rows(path: _KeptPath, schedule, gamma_table, index, theta, x, w, x
 # recurrence diagnostics
 
 
-@dataclass(frozen=True)
-class RecurrenceStats:
+class RecurrenceStats(NamedTuple):
     """Visit bookkeeping for the recurrence set {w <= M} x {|x| <= R}.
 
     ``hitting_times`` lists the first entry and every re-entry after an
@@ -1019,8 +965,7 @@ def recurrence_stats(
     )
 
 
-@dataclass(frozen=True)
-class ReplicaSummary:
+class ReplicaSummary(NamedTuple):
     """Order-independent aggregate over replica substreams."""
 
     n_replicas: int

@@ -45,7 +45,6 @@ class TailKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
 class TailClass:
     """Tail behavior tag.
 
@@ -54,19 +53,21 @@ class TailClass:
     superexponential ones.
     """
 
-    kind: TailKind
-    exponent: Optional[float] = None
+    __slots__ = ("kind", "exponent")
 
-    def __post_init__(self):
-        if self.kind is TailKind.SUBEXPONENTIAL:
-            if self.exponent is None or not (0.0 < self.exponent < 1.0):
+    def __init__(self, kind: TailKind, exponent: Optional[float] = None):
+        if kind is TailKind.SUBEXPONENTIAL:
+            if exponent is None or not (0.0 < exponent < 1.0):
                 raise ValueError(
                     "subexponential tail requires exponent p in (0, 1)"
                 )
-        if self.exponent is not None and self.exponent <= 0:
+        if exponent is not None and exponent <= 0:
             raise ValueError("tail exponent must be positive")
+        self.kind = kind
+        self.exponent = exponent
 
 
+# Stays a dataclass: bench/spans.py copies it with dataclasses.replace.
 @dataclass(frozen=True)
 class TargetModel:
     """Unnormalized target with sup log-density = 0.

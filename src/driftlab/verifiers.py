@@ -17,8 +17,7 @@ not re-check the rules checked at load; it checks only numbers it computes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,8 +61,7 @@ MC_SE_FACTOR = 3.0
 HEADROOM = 1e-9
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Evaluation grid plus estimation method for one verifier run."""
 
     x_grid: tuple
@@ -74,8 +72,7 @@ class GridSpec:
     seed: int = 2024
 
 
-@dataclass
-class DriftRow:
+class DriftRow(NamedTuple):
     point: dict
     lhs: float
     rhs: float
@@ -84,14 +81,19 @@ class DriftRow:
     passed: bool
 
 
-@dataclass
 class DriftReport:
-    check: str
-    grid: dict
-    fitted: dict
-    rows: list[DriftRow]
-    passed: bool
-    notes: dict = field(default_factory=dict)
+    """One check's verdict: its grid, fitted constants, rows and notes."""
+
+    __slots__ = ("check", "grid", "fitted", "rows", "passed", "notes")
+
+    def __init__(self, check: str, grid: dict, fitted: dict, rows: list[DriftRow], passed: bool,
+                 notes: Optional[dict] = None):
+        self.check = check
+        self.grid = grid
+        self.fitted = fitted
+        self.rows = rows
+        self.passed = passed
+        self.notes = {} if notes is None else notes
 
     @property
     def worst_point(self) -> Optional[dict]:
@@ -221,8 +223,13 @@ def _one_step_pairs(
             continue
         if rule.kind == RULE_AM:
             w_accept = weight.of_moments(*am_update(param.mu, param.cov, y, gamma))
-            with np.errstate(invalid="ignore"):  # 0 * inf: a weight past the float range fails its row
-                w_sum = w_sum + (alpha * w_accept + (1.0 - alpha) * w_reject)
+            # a proposal adds only the outcomes it can have: a weight past the
+            # float range times a zero probability would be nan, not 0
+            w_step = np.zeros_like(alpha)
+            moves, stays = alpha > 0.0, alpha < 1.0
+            w_step[moves] = alpha[moves] * w_accept[moves]
+            w_step[stays] += (1.0 - alpha[stays]) * w_reject
+            w_sum = w_sum + w_step
         else:
             # the fixed rule hands theta back as a scalar
             t_new = scalar_update(rule.kind, param.theta, alpha, gamma, rule.alpha_star)[0]
@@ -542,11 +549,13 @@ def verify_compound_drift(
                     target, proposal, lyap_v, param, xf, grid.mc_n, substream(grid.seed, idx),
                     rule, weight, g,
                 )
-                mean_v = float(v_pair.mean())
-                mean_w = float(w_pair.mean())
-                var_v = float(v_pair.var(ddof=1))
-                var_w = float(w_pair.var(ddof=1))
-                cov_vw = float(np.cov(v_pair, w_pair, ddof=1)[0, 1])
+                # inf or nan, as in _mean_se, once the samples pass the float range
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean_v = float(v_pair.mean())
+                    mean_w = float(w_pair.mean())
+                    var_v = float(v_pair.var(ddof=1))
+                    var_w = float(w_pair.var(ddof=1))
+                    cov_vw = float(np.cov(v_pair, w_pair, ddof=1)[0, 1])
                 denom = v_x**coef.iota / coef.a(param) + w_theta
                 points.append(
                     {

@@ -17,8 +17,6 @@ from driftlab.adaptation import (
     RULE_FIXED,
     am_increment,
     am_update,
-    coerced_update,
-    fast_coerced_update,
     gamma_at,
     kesten_advance,
     scalar_update,
@@ -79,19 +77,12 @@ def test_am_increment_frozen():
 
 
 def test_coerced_updates_frozen_values():
-    assert coerced_update(2.0, 1.0, 0.1, 0.44) == pytest.approx(2.056, rel=1e-15)
-    assert coerced_update(-1.2, 0.24, 0.1, 0.44) == pytest.approx(-1.22, rel=1e-14)
-    assert fast_coerced_update(2.0, 1.0, 0.1, 0.44) == pytest.approx(2.168, rel=1e-15)
-    # both are the shared update behind argument checks
-    assert coerced_update(-7.25, 0.013, 0.37, 0.44) == scalar_update(RULE_COERCED, -7.25, 0.013, 0.37, 0.44)[0]
-    assert fast_coerced_update(31.0, 0.9, 0.05, 0.44) == scalar_update(RULE_FAST_COERCED, 31.0, 0.9, 0.05, 0.44)[0]
+    assert scalar_update(RULE_COERCED, 2.0, 1.0, 0.1, 0.44)[0] == pytest.approx(2.056, rel=1e-15)
+    assert scalar_update(RULE_COERCED, -1.2, 0.24, 0.1, 0.44)[0] == pytest.approx(-1.22, rel=1e-14)
+    assert scalar_update(RULE_FAST_COERCED, 2.0, 1.0, 0.1, 0.44)[0] == pytest.approx(2.168, rel=1e-15)
     assert scalar_update(RULE_FIXED, 2.0, 1.0, 0.1, 0.44) == (2.0, 0.0)
     with pytest.raises(ValueError):
-        coerced_update(0.0, 1.2, 0.1, 0.44)
-    with pytest.raises(ValueError):
-        coerced_update(0.0, 0.5, -0.1, 0.44)
-    with pytest.raises(ValueError):
-        coerced_update(0.0, 0.5, 0.1, 0.6)
+        scalar_update("am", 0.0, 0.5, 0.1, 0.44)
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,9 +95,9 @@ def test_coerced_step_size_envelopes(theta, alpha, gamma):
     # the step itself is bounded exactly (rounding is monotone); the only
     # extra error is the rounding of theta + step, one ulp of the result
     a_star = 0.44
-    new1 = coerced_update(theta, alpha, gamma, a_star)
+    new1 = scalar_update(RULE_COERCED, theta, alpha, gamma, a_star)[0]
     assert abs(new1 - theta) <= gamma * max(a_star, 1.0 - a_star) + math.ulp(new1)
-    new2 = fast_coerced_update(theta, alpha, gamma, a_star)
+    new2 = scalar_update(RULE_FAST_COERCED, theta, alpha, gamma, a_star)[0]
     assert abs(new2 - theta) <= gamma * ((abs(theta) + 1.0) * max(a_star, 1.0 - a_star)) + math.ulp(new2)
 
 

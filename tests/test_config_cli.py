@@ -702,6 +702,7 @@ print("numpy.ma-modules", sum(1 for m in sys.modules if m == "numpy.ma" or m.sta
 print("scipy-modules", sum(1 for m in sys.modules if m.startswith("scipy")))
 print("jsonschema-modules", sum(1 for m in sys.modules if m.split(".")[0] in ("jsonschema", "referencing", "attrs")))
 print("process-pool-modules", sum(1 for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+print("simulator-modules", sum(1 for m in sys.modules if m == "driftlab.simulator"))
 import resource
 print("worker-maxrss-kb", resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 sys.exit(code)
@@ -734,7 +735,23 @@ def test_run_without_quadrature_never_imports_scipy(tmp_path):
     assert module_count(proc, "scipy") == 0
     assert module_count(proc, "process-pool") == 0
     assert module_count(proc, "jsonschema") == 0
+    assert module_count(proc, "simulator") == 1
     assert (tmp_path / "out" / "report-toy.json").exists()
+
+
+@pytest.mark.parametrize("command", ["verify toy", "presets", "plot"])
+def test_commands_that_never_simulate_never_load_the_simulator(tmp_path, command):
+    # the chain config and its kinds live in config, and cli imports the
+    # simulator only to run a chain, so these commands never compile it
+    args = command.split()
+    if command == "verify toy":
+        args += ["--out", str(tmp_path / "out")]
+    if command == "plot":
+        (tmp_path / "trajectory.csv").write_text("i,theta_1\n0,0.0\n1,0.5\n")
+        args += [str(tmp_path / "trajectory.csv"), "--kind", "theta-trace"]
+    proc = run_in_fresh_process(tmp_path, *args)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert module_count(proc, "simulator") == 0
 
 
 def test_quadrature_verify_never_imports_scipy_and_passes(tmp_path):
@@ -742,6 +759,7 @@ def test_quadrature_verify_never_imports_scipy_and_passes(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     assert module_count(proc, "scipy") == 0
     assert module_count(proc, "jsonschema") == 0
+    assert module_count(proc, "simulator") == 0
     for check in ("fixed_theta_drift", "acceptance_bounds", "decomposition"):
         report = json.loads((tmp_path / "out" / f"report-{check}.json").read_text())
         assert report["pass"] is True
@@ -752,6 +770,7 @@ def test_quadrature_verify_never_imports_scipy_and_passes(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     assert module_count(proc, "scipy") == 0
     assert module_count(proc, "process-pool") == 0
+    assert module_count(proc, "simulator") == 1
     assert (tmp_path / "run" / "trajectory.csv").exists()
 
 

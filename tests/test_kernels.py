@@ -18,7 +18,7 @@ from driftlab.kernels import (
     ProposalSpec,
     RW_SCALE,
     ScalarParam,
-    accept_prob,
+    acceptance,
     apply_kernel_to_function,
     draw_increments,
     mean_acceptance,
@@ -99,10 +99,10 @@ def test_student_increments_match_requested_scale_family():
     assert np.all(np.isfinite(z))
 
 
-def test_accept_prob_matches_ratio():
+def test_acceptance_matches_ratio():
     t = gaussian_target(dim=1)
-    assert accept_prob(t, 1.0, 0.0) == 1.0  # uphill move
-    assert accept_prob(t, 0.0, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert acceptance(t.log_density(0.0), t.log_density(1.0)) == 1.0  # uphill move
+    assert acceptance(t.log_density(1.0), t.log_density(0.0)) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 def test_mean_acceptance_frozen_values():

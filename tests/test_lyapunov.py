@@ -22,10 +22,10 @@ from driftlab.lyapunov import (
     W_EXP_ABS,
     W_ONE_PLUS_SQUARE,
     check_det_inequality,
-    compound_value,
     default_beta,
     scenario_coefficients,
 )
+from driftlab.simulator import _compound_cells
 from driftlab.streams import substream
 from driftlab.targets import gaussian_target, smoothed_subexp_target
 
@@ -92,13 +92,12 @@ def test_am_poly_weight_past_the_float_range_is_inf_without_a_warning():
 
 def test_compound_value_modes():
     spec = CompoundSpec(upsilon_v=1.0, upsilon_w=1.0, mode="W")
-    assert compound_value(spec, 8.0, 4.0, 0.5) == 16.0
+    assert _compound_cells(spec, [8.0], [4.0], [0.5]) == [16.0]
     spec_u = CompoundSpec(upsilon_v=1.0, upsilon_w=1.0, mode="U")
-    assert compound_value(spec_u, 8.0, 4.0, 0.5) == 8.0
-    with pytest.raises(ValueError):
-        compound_value(spec, 0.5, 4.0, 0.5)
-    with pytest.raises(ValueError):
-        compound_value(spec, 8.0, 4.0, 0.0)
+    assert _compound_cells(spec_u, [8.0], [4.0], [0.5]) == [8.0]
+    # a row whose V or w is past the float range is inf in both modes
+    for s in (spec, spec_u):
+        assert _compound_cells(s, [math.inf, 8.0], [4.0, math.inf], [0.5, 0.5]) == [math.inf, math.inf]
 
 
 @settings(max_examples=60, deadline=None)
@@ -111,7 +110,7 @@ def test_compound_value_modes():
 def test_compound_monotone_decreasing_in_gamma(v, w, g1, g2):
     spec = CompoundSpec(upsilon_v=1.0, upsilon_w=0.7, mode="W")
     lo, hi = sorted((g1, g2))
-    assert compound_value(spec, v, w, lo) >= compound_value(spec, v, w, hi)
+    assert _compound_cells(spec, [v], [w], [lo]) >= _compound_cells(spec, [v], [w], [hi])
 
 
 def test_scenario_coefficient_values_coerced():
@@ -274,5 +273,5 @@ def test_compound_value_monotone_in_v_and_w(v1, v2, w1, w2, g):
     spec = CompoundSpec(upsilon_v=1.0, upsilon_w=1.0)
     lo_v, hi_v = sorted((v1, v2))
     lo_w, hi_w = sorted((w1, w2))
-    assert compound_value(spec, hi_v, lo_w, g) >= compound_value(spec, lo_v, lo_w, g)
-    assert compound_value(spec, lo_v, hi_w, g) >= compound_value(spec, lo_v, lo_w, g)
+    assert _compound_cells(spec, [hi_v], [lo_w], [g]) >= _compound_cells(spec, [lo_v], [lo_w], [g])
+    assert _compound_cells(spec, [lo_v], [hi_w], [g]) >= _compound_cells(spec, [lo_v], [lo_w], [g])

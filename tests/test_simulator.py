@@ -24,11 +24,11 @@ from driftlab.adaptation import (
     RULE_TOY_MEAN,
     am_increment,
     am_update,
-    coerced_update,
-    fast_coerced_update,
     gamma_at,
     kesten_advance,
+    scalar_update,
 )
+from driftlab.config import ChainConfig
 from driftlab.kernels import (
     AMParam,
     FAMILY_GAUSSIAN,
@@ -47,12 +47,11 @@ from driftlab.lyapunov import (
     W_AM_POLY,
     W_EXP_ABS,
     W_ONE_PLUS_SQUARE,
-    compound_value,
 )
 from driftlab.simulator import (
-    ChainConfig,
     THETA_MAX,
     Trajectory,
+    _compound_cells,
     recurrence_stats,
     run_chain,
     run_replicas,
@@ -558,7 +557,7 @@ def reference_generic(cfg, replica=0):
     def row(i, y, accepted, alpha, gamma):
         v = float(cfg.state_lyapunov(x))
         w = float(cfg.param_weight(param()))
-        comp = compound_value(cfg.compound, v, w, gamma) if math.isfinite(v) and math.isfinite(w) else math.inf
+        comp = _compound_cells(cfg.compound, [v], [w], [gamma])[0]
         inside = w <= cfg.recurrence_m and float(np.linalg.norm(x)) <= cfg.recurrence_r
         theta_row = list(mu) + list(cov.ravel()) if am else [theta]
         rec.add(i, theta_row, list(x), list(np.atleast_1d(y)), accepted, alpha, gamma, v, w, comp, inside, s)
@@ -573,10 +572,10 @@ def reference_generic(cfg, replica=0):
             mu, cov = am_update(mu, cov, x_new, gamma)
         elif rule == RULE_COERCED:
             h = step.alpha - cfg.rule.alpha_star
-            theta = coerced_update(theta, step.alpha, gamma, cfg.rule.alpha_star)
+            theta = scalar_update(RULE_COERCED, theta, step.alpha, gamma, cfg.rule.alpha_star)[0]
         else:
             h = (abs(theta) + 1.0) * (step.alpha - cfg.rule.alpha_star)
-            theta = fast_coerced_update(theta, step.alpha, gamma, cfg.rule.alpha_star)
+            theta = scalar_update(RULE_FAST_COERCED, theta, step.alpha, gamma, cfg.rule.alpha_star)[0]
         x = x_new
         if kesten:
             if h_prev is not None:
@@ -751,7 +750,7 @@ def reference_scalar(cfg, rng, replica=0):
     def record(i, y, accepted, alpha, gamma):
         v = math.exp(-eta * lx) if -eta * lx < 700.0 else math.inf
         w = cfg.param_weight(theta)
-        comp = compound_value(cfg.compound, v, w, gamma) if math.isfinite(w) and math.isfinite(v) else math.inf
+        comp = _compound_cells(cfg.compound, [v], [w], [gamma])[0]
         rec.add(i, (theta,), (x,), (y,), accepted, alpha, gamma, v, w, comp,
                 w <= cfg.recurrence_m and abs(x) <= cfg.recurrence_r, s)
 
@@ -779,7 +778,7 @@ def reference_scalar(cfg, rng, replica=0):
         else:
             h = 0.0
         if rule.kind != RULE_FIXED:
-            # gamma * h, the order of fast_coerced_update: gamma * ((|theta| + 1) * (alpha - alpha*))
+            # gamma * h, the order of scalar_update: gamma * ((|theta| + 1) * (alpha - alpha*))
             theta = theta + gamma * h
         if kesten:
             if h_prev is not None:
@@ -814,7 +813,7 @@ def reference_am_1d(cfg, rng, replica=0):
     def record(i, y, accepted, alpha, gamma):
         v = math.exp(-eta * lx) if -eta * lx < 700.0 else math.inf
         w = 1.0 + abs(m) ** (2.0 + cfg.param_weight.eps) + abs(g)
-        comp = compound_value(cfg.compound, v, w, gamma) if math.isfinite(w) and math.isfinite(v) else math.inf
+        comp = _compound_cells(cfg.compound, [v], [w], [gamma])[0]
         rec.add(i, (m, g), (x,), (y,), accepted, alpha, gamma, v, w, comp,
                 w <= cfg.recurrence_m and abs(x) <= cfg.recurrence_r, s)
 
@@ -967,12 +966,12 @@ def test_run_chain_stride_matches_per_step_loop(monkeypatch, case, block):
 
 def test_fast_coerced_update_is_the_1d_recursion():
     # one rounding for the fast-coerced rule: replaying a streamed 1-D path
-    # through fast_coerced_update gives its parameter bit for bit
+    # through scalar_update gives its parameter bit for bit
     cfg = srwm_1d_config(**SRWM_1D_CASES["fast-coerced-uniform"])
     traj = run_chain(cfg)
     theta = traj.theta[:, 0].tolist()
     steps = zip(theta[:-1], traj.alpha[1:].tolist(), traj.gamma[1:].tolist())
-    assert [fast_coerced_update(t, alpha, gamma, 0.44) for t, alpha, gamma in steps] == theta[1:]
+    assert [scalar_update(RULE_FAST_COERCED, t, alpha, gamma, 0.44)[0] for t, alpha, gamma in steps] == theta[1:]
 
 
 def test_run_replicas_never_records_a_whole_1d_path(monkeypatch):

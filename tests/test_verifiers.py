@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from driftlab.adaptation import (
     RULE_COERCED,
     RULE_FAST_COERCED,
     am_update,
-    fast_coerced_update,
+    scalar_update,
 )
 from driftlab.cli import resolve_config_path, run_check
 from driftlab.config import (
@@ -22,6 +23,7 @@ from driftlab.config import (
     build_target,
     build_weight,
     load_config,
+    validate_document,
 )
 from driftlab.kernels import (
     AMParam,
@@ -371,7 +373,7 @@ def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch):
                 for y in (x + z, x - z):
                     alpha = np.exp(np.minimum(np.asarray(t.log_density(y)) - lx, 0.0))
                     expected.append(
-                        [weight(fast_coerced_update(theta, a, gamma, 0.44)) for a in alpha.tolist()]
+                        [weight(scalar_update(RULE_FAST_COERCED, theta, a, gamma, 0.44)[0]) for a in alpha.tolist()]
                     )
                 idx += 1
     assert len(captured) == len(expected)
@@ -381,6 +383,34 @@ def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch):
     for k in range(0, len(expected), 2):
         pair = 0.5 * (captured[k] + captured[k + 1])
         assert float(pair.mean()) == float((0.5 * (np.array(expected[k]) + np.array(expected[k + 1]))).mean())
+
+
+@pytest.mark.parametrize("check", ["w_drift", "compound_drift"])
+def test_weight_past_the_float_range_gives_no_nan_pair(monkeypatch, check):
+    # w_eps = 999 puts the am_poly weight of the updated moments past the
+    # float range; a proposal accepted with probability 1 never keeps the
+    # old moments, whose weight is inf, so 0 * inf must not enter its pair
+    doc = load_config(resolve_config_path("am-subexp-1d"))
+    doc["lyapunov"]["w_eps"] = 999
+    doc["verify"].update(checks=[check], method="monte_carlo")
+    validate_document(doc)
+    pairs = []
+    one_step_pairs = verifiers._one_step_pairs
+
+    def recording(*args, **kwargs):
+        pairs.append(one_step_pairs(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(verifiers, "_one_step_pairs", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_check(check, doc)
+    assert pairs and not any(np.isnan(w_pairs).any() for _, w_pairs in pairs)
+    assert any(np.isinf(w_pairs).any() for _, w_pairs in pairs)
+    inf_rows = [r for r in report.rows if r.lhs == math.inf]
+    assert inf_rows and not any(r.passed for r in inf_rows)
+    assert not any(math.isnan(r.lhs) for r in report.rows)
+    assert not report.passed
 
 
 def test_compound_drift_failed_search_names_the_blocking_rows():
