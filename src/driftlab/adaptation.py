@@ -143,10 +143,9 @@ def scalar_update(kind: str, theta, alpha, gamma, alpha_star):
     h = alpha - alpha_star (coerced) or (|theta| + 1) * (alpha - alpha_star)
     (fast_coerced); the fixed rule gives (theta, 0.0).
 
-    The one copy of this arithmetic outside the 1-D simulator loop: the
-    multivariate chain and every certificate call it, so both see the same
-    update map.  Takes Python floats or numpy arrays, elementwise with the
-    same rounding; no argument checks.
+    The one copy of this arithmetic outside the simulator loops, which
+    inline it: every certificate calls it.  Takes Python floats or numpy
+    arrays, elementwise with the same rounding; no argument checks.
     """
     if kind == RULE_FIXED:
         return theta, 0.0

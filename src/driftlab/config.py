@@ -652,11 +652,26 @@ def build_coefficients(doc: dict, target: TargetModel, proposal: Optional[Propos
         raise ConfigError(str(exc), "lyapunov") from exc
 
 
+# A running covariance counts as positive semidefinite when its smallest
+# eigenvalue is at least -_PSD_RTOL times its largest in absolute value:
+# eigvalsh rounds a singular one such as [[0.3, 0.1], [0.1, 1/30]] to -7e-18.
+_PSD_RTOL = 1e-12
+
+
 def _am_param(entry: dict, path: str) -> AMParam:
+    """Running moments from a JSON entry.  Their covariance must be positive
+    semidefinite: the update keeps it so, and the ridge then makes every
+    proposal covariance positive definite.  An indefinite one has no
+    proposal root in several dimensions, is a negative variance in one, and
+    gives a check the root of a negative number."""
     try:
-        return AMParam(mu=np.asarray(entry["mu"], dtype=float), cov=np.asarray(entry["cov"], dtype=float))
+        param = AMParam(mu=np.asarray(entry["mu"], dtype=float), cov=np.asarray(entry["cov"], dtype=float))
     except ValueError as exc:
         raise ConfigError(str(exc), path) from exc
+    vals = np.linalg.eigvalsh(param.cov)
+    if vals[0] < -_PSD_RTOL * abs(vals[-1]):
+        raise ConfigError(f"cov must be positive semidefinite; its smallest eigenvalue is {vals[0]:.6g}", path)
+    return param
 
 
 def _x0_from(doc_value, target: Optional[TargetModel]):

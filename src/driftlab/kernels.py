@@ -8,7 +8,7 @@ usual density ratio clipped at 1.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -89,14 +89,6 @@ class ScalarParam:
 KernelParam = AMParam | ScalarParam
 
 
-class StepResult(NamedTuple):
-    state: float | np.ndarray
-    proposed: float | np.ndarray
-    accepted: bool
-    alpha: float
-    log_density: float  # log pi(state)
-
-
 def proposal_covariance(spec: ProposalSpec, param: AMParam) -> np.ndarray:
     """Scaled, ridge-inflated proposal covariance for covariance proposals."""
     if spec.parametrization != PARAM_AM_COVARIANCE:
@@ -109,7 +101,7 @@ def proposal_covariance(spec: ProposalSpec, param: AMParam) -> np.ndarray:
 
 def _symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
-    if vals.min() <= 0:
+    if vals[0] <= 0:  # eigh sorts the eigenvalues in ascending order
         raise ValueError("proposal covariance not positive definite")
     return (vecs * np.sqrt(vals)) @ vecs.T
 
@@ -119,30 +111,24 @@ def draw_increments(
     param: KernelParam,
     dim: int,
     rng: np.random.Generator,
-    size: Optional[int] = None,
-):
-    """Draw proposal increments; ``size=None`` gives a single increment.
-
-    Single draws from one-dimensional proposals come back as floats.
-    """
+    size: int,
+) -> np.ndarray:
+    """Draw ``size`` proposal increments: shape (size,) in one dimension,
+    (size, dim) otherwise."""
     if spec.parametrization == PARAM_SCALAR_LOG_SCALE:
         if not isinstance(param, ScalarParam):
             raise ValueError("parametrization mismatch: scalar proposal needs a ScalarParam")
         if spec.family == FAMILY_UNIFORM and dim != 1:
             raise ValueError("uniform increments are one-dimensional")
         sigma = param.sigma
-        n = 1 if size is None else size
-        shape = n if dim == 1 else (n, dim)
+        shape = size if dim == 1 else (size, dim)
         if spec.family == FAMILY_GAUSSIAN:
             raw = rng.standard_normal(shape)
         elif spec.family == FAMILY_STUDENT:
             raw = rng.standard_t(spec.student_dof, shape)
         else:
             raw = 2.0 * rng.random(shape) - 1.0
-        z = sigma * raw
-        if size is None:
-            return float(z[0]) if dim == 1 else z[0]
-        return z
+        return sigma * raw
 
     if not isinstance(param, AMParam):
         raise ValueError("parametrization mismatch: covariance proposal needs an AMParam")
@@ -151,21 +137,14 @@ def draw_increments(
         raise ValueError("kernel parameter dimension does not match target dimension")
     cov_p = proposal_covariance(spec, param)
     root = _symmetric_sqrt(cov_p)
-    n = 1 if size is None else size
-    normals = rng.standard_normal((n, n_dim))
+    normals = rng.standard_normal((size, n_dim))
     z = normals @ root.T
     if spec.family == FAMILY_STUDENT:
-        chi = rng.chisquare(spec.student_dof, n) / spec.student_dof
+        chi = rng.chisquare(spec.student_dof, size) / spec.student_dof
         z = z / np.sqrt(chi)[:, None]
     elif spec.family == FAMILY_UNIFORM:
         raise ValueError("uniform increments require the scalar log-scale parametrization")
-    if size is None:
-        return float(z[0, 0]) if n_dim == 1 else z[0]
     return z[:, 0] if n_dim == 1 else z
-
-
-def _log_density(target: TargetModel, x) -> float:
-    return float(np.asarray(target.log_density(x), dtype=float))
 
 
 def acceptance(ly: float, lx: float) -> float:
@@ -179,41 +158,6 @@ def acceptance_vec(ly: np.ndarray, lx) -> tuple[np.ndarray, np.ndarray]:
     an array of log pi(y)."""
     log_alpha = np.minimum(ly - lx, 0.0)
     return np.exp(log_alpha), log_alpha
-
-
-def _accept_from_logs(ly: float, lx: float, x, y) -> float:
-    """:func:`acceptance`, refusing a NaN log-density or a current state
-    outside the support."""
-    if math.isnan(ly) or math.isnan(lx) or lx == -math.inf:
-        raise ValueError(f"invalid point: log-density not finite at y={y!r}, x={x!r}")
-    return acceptance(ly, lx)
-
-
-def srwm_step(
-    target: TargetModel,
-    spec: ProposalSpec,
-    param: KernelParam,
-    x,
-    rng: np.random.Generator,
-    lx: Optional[float] = None,
-) -> StepResult:
-    """One Metropolis step at fixed kernel parameter.
-
-    ``lx`` is log pi(x) when the caller already has it; the target is then
-    evaluated once, at the proposal.  The proposal and its acceptance
-    probability are returned even on rejection, since adaptation rules keyed
-    to the proposed move need both, and so is log pi of the new state.
-    """
-    z = draw_increments(spec, param, target.dim, rng)
-    y = x + z
-    ly = _log_density(target, y)
-    if lx is None:
-        lx = _log_density(target, x)
-    alpha = _accept_from_logs(ly, lx, x, y)
-    accepted = rng.random() < alpha
-    if accepted:
-        return StepResult(state=y, proposed=y, accepted=True, alpha=alpha, log_density=ly)
-    return StepResult(state=x, proposed=y, accepted=False, alpha=alpha, log_density=lx)
 
 
 def acceptance_breakpoints(target: TargetModel, x: float, half: float) -> list[float]:

@@ -108,12 +108,15 @@ class ParamLyapunov(NamedTuple):
 
         A stack of moments, ``mu`` of shape (n, d) and ``cov`` (n, d, d),
         gives the array of n weights; one pair gives a float.  A weight
-        past the float range is inf, without a warning.
+        past the float range is inf, without a warning.  One pair's norms
+        are ``np.linalg.norm``'s own arithmetic, sqrt(v . v) of the array
+        raveled in memory order, without its per-call checks.
         """
         if np.ndim(mu) > 1:
             with np.errstate(over="ignore"):
                 return 1.0 + np.linalg.norm(mu, axis=-1) ** (2.0 + self.eps) + np.linalg.norm(cov, axis=(-2, -1))
-        return 1.0 + pow_or_inf(float(np.linalg.norm(mu)), 2.0 + self.eps) + float(np.linalg.norm(cov))
+        m, c = mu.ravel(order="K"), cov.ravel(order="K")
+        return 1.0 + pow_or_inf(math.sqrt(m.dot(m)), 2.0 + self.eps) + math.sqrt(c.dot(c))
 
 
 def pow_or_inf(base: float, expo: float) -> float:

@@ -25,11 +25,14 @@ a loop that appends only raw values (parameter, state, proposal, acceptance,
 stepsize, log pi) to per-block lists.  On a 1-D target the loop runs over
 Python floats, and a uniform proposal draws a block's uniforms at once, in
 the order of the scalar draws.
-In several dimensions it runs numpy per step: the target is evaluated once
+In several dimensions the loop calls numpy only for vectors: the proposal
+(under running moments, one ``eigh`` root of the proposal covariance per
+step, from ``kernels._symmetric_sqrt``) and the running-moments update, in
+the arithmetic of ``adaptation.am_update``.  The target is evaluated once
 per step, at the proposal, with log pi of the current state carried from
-step to step, and one kernel parameter is built and checked per step, which
-drives the next proposal.  A step that overflows the parameter is kept, raw,
-as the halt row.
+step to step, and the divergence check reads the Python floats of the row
+the step appends.  A step that overflows the parameter is kept, raw, as
+the halt row.
 
 Either engine folds each block into per-replica recurrence statistics
 (``_RecurrenceCounter``) and drops it; replica 0's rows also go to
@@ -61,20 +64,14 @@ from .adaptation import (
     RULE_FIXED,
     KestenSchedule,
     PolynomialSchedule,
-    am_increment,
-    am_update,
     gamma_at,
-    kesten_advance,
-    scalar_update,
 )
 from .config import CHAIN_TOY, ChainConfig
 from .kernels import (
     FAMILY_GAUSSIAN,
     FAMILY_UNIFORM,
     RW_SCALE,
-    AMParam,
-    ScalarParam,
-    srwm_step,
+    _symmetric_sqrt,
 )
 from .lyapunov import (
     W_AM_POLY,
@@ -238,7 +235,7 @@ class _RawBlock(NamedTuple):
 
 
 def _first_stepsize(schedule) -> tuple[bool, float, float, float, float]:
-    """(polynomial?, c0, c1, a, stepsize of step 1) for the 1-D loops.
+    """(polynomial?, c0, c1, a, stepsize of step 1) for the srwm loops.
 
     A polynomial stepsize is recomputed on every step as ``c0 / (c1 + i) **
     a``, the arithmetic of ``gamma_at``; a constant one never changes, and a
@@ -424,75 +421,130 @@ def _am_1d_blocks(config: ChainConfig, rng, block: int):
 
 
 def _generic_blocks(config: ChainConfig, rng, block: int):
-    """Multivariate chains, numpy per step: yields row 0, then blocks of up
-    to ``block`` steps, the last one ending at the horizon or at the halt row.
+    """Multivariate chains, one step at a time: yields row 0, then blocks of
+    up to ``block`` steps, the last one ending at the horizon or at the halt
+    row.
 
-    Each step builds one kernel parameter, after the update; it is checked
-    once and drives the next proposal.  A step that leaves the parameter
-    past THETA_MAX (or non-finite) halts the run before that parameter is
-    built, so the halt row carries the raw mean and covariance (or theta).
-    The target is evaluated once per step, at the proposal: log pi of the
-    current state is carried from step to step.
+    A step draws its increment, ``standard_normal((1, d))`` times the
+    transposed ``eigh`` root of the proposal covariance (running moments)
+    or exp(theta) times ``standard_normal((1, d))`` or ``standard_t(dof,
+    (1, d))`` (a scalar rule), then one chi-square for Student increments
+    under running moments, then its coin: the draws and the arithmetic of
+    one ``kernels.draw_increments`` increment.  The update is the arithmetic
+    of ``adaptation.am_update`` (``am_increment`` for a Kesten count) or of
+    ``scalar_update``.  The target is evaluated once per step, at the
+    proposal: log pi of the current state is carried from step to step.
+
+    No kernel parameter is built or checked: the update keeps the
+    covariance symmetric, the step's row is checked against THETA_MAX as
+    Python floats (a NaN fails too) before it can drive a proposal, and
+    ``config.build_schedule`` keeps an AM stepsize at most 1.  A step that
+    fails the check is kept, raw, as the halt row.
     """
     target = config.target
     spec = config.proposal
     rule = config.rule
-    schedule = config.schedule
-    kesten = _kesten_on(schedule)
+    kesten = _kesten_on(config.schedule)
+    gamma_of_count = config.schedule.gamma_of_count if kesten else None
     n = config.horizon
+    dim = target.dim
+    shape = (1, dim)
     am = rule.kind == RULE_AM
+    fast = rule.kind == RULE_FAST_COERCED
+    fixed = rule.kind == RULE_FIXED
+    alpha_star = rule.alpha_star if rule.alpha_star is not None else 0.0
+    gaussian = spec.family == FAMILY_GAUSSIAN
+    dof = spec.student_dof
+    # proposal covariance (RW_SCALE**2 / d) * (cov + eps_ridge * I), the
+    # arithmetic of kernels.proposal_covariance
+    scale = RW_SCALE**2 / dim
+    ridge = spec.eps_ridge * np.eye(dim)
+
+    logp = target.log_density
+    exp = math.exp
+    isfinite = math.isfinite
+    inf = math.inf
+    draw_normal = rng.standard_normal
+    draw_uniform = rng.random
+    draw_t = rng.standard_t
+    draw_chi = rng.chisquare
+    poly, c0, c1, a, gm = _first_stepsize(config.schedule)
+
     if am:
-        mu = config.theta0.mu.copy()
-        cov = config.theta0.cov.copy()
-        param = AMParam(mu=mu, cov=cov)
-        row = (*mu.tolist(), *cov.ravel().tolist())
+        mu, cov = config.theta0.mu, config.theta0.cov  # the update makes new arrays
+        row = [*mu.tolist(), *cov.ravel().tolist()]
+        h_prev = np.zeros(len(row))  # the increment before step 1: cannot advance s
     else:
         theta = float(config.theta0)
-        param = ScalarParam(theta=theta)
-        row = (theta,)
-    x = np.atleast_1d(np.asarray(config.x0, dtype=float)).copy()
-    lx = float(np.asarray(target.log_density(x), dtype=float))
+        row = [theta]
+        h_prev = 0.0
+    x = np.atleast_1d(np.asarray(config.x0, dtype=float))
+    xl = x.tolist()
+    lx = float(logp(x))
     s = 0
-    h_prev = None
-    gm = gamma_at(schedule, 1, 0 if kesten else None)
-    yield _RawBlock(_columns([row]), [x.tolist()], [x.tolist()], [False], [math.nan], [gm], [lx],
-                    [0] if kesten else None, False)
+    yield _RawBlock(_columns([row]), [xl], [xl], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
     for start in range(1, n + 1, block):
         rows, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], []
         counts = [] if kesten else None
         halted = False
         for i in range(start, min(start + block, n + 1)):
-            gm = gamma_at(schedule, i, s if kesten else None)
-            step = srwm_step(target, spec, param, x, rng, lx)
-            x = np.atleast_1d(np.asarray(step.state, dtype=float))
-            lx = step.log_density
+            if poly:
+                gm = c0 / (c1 + i) ** a
             if am:
-                if kesten:
-                    h_cur = am_increment(mu, cov, x)
-                mu, cov = am_update(mu, cov, x, gm)
-                bounded = np.abs(mu).max() <= THETA_MAX and np.abs(cov).max() <= THETA_MAX
-                rows.append((*mu.tolist(), *cov.ravel().tolist()))
+                z = draw_normal(shape) @ _symmetric_sqrt(scale * (cov + ridge)).T
+                if not gaussian:
+                    z = z / np.sqrt(draw_chi(dof, 1) / dof)[:, None]
             else:
-                theta, h_cur = scalar_update(rule.kind, theta, step.alpha, gm, rule.alpha_star)
+                sigma = exp(theta) if theta < 700.0 else inf
+                z = sigma * (draw_normal(shape) if gaussian else draw_t(dof, shape))
+            y = x + z[0]
+            ly = float(logp(y))
+            if ly != ly or not lx > -inf:
+                raise ValueError(f"invalid point: log-density not finite at y={y!r}, x={x!r}")
+            d = ly - lx
+            alpha = 1.0 if d >= 0.0 else exp(d)  # kernels.acceptance, inlined as in the 1-D loops
+            yl = y.tolist()
+            accepted = draw_uniform() < alpha
+            if accepted:
+                x, xl, lx = y, yl, ly
+            if am:
+                dev = x - mu
+                dcov = dev[:, None] * dev - cov
+                if kesten:
+                    h_cur = np.concatenate((dev, dcov.ravel()))  # adaptation.am_increment
+                mu = mu + gm * dev
+                cov = cov + gm * dcov
+                row = [*mu.tolist(), *cov.ravel().tolist()]
+                bounded = all(abs(v) <= THETA_MAX for v in row)
+            else:
+                if fixed:
+                    h_cur = 0.0
+                elif fast:
+                    h_cur = (abs(theta) + 1.0) * (alpha - alpha_star)
+                    theta = theta + gm * h_cur
+                else:
+                    h_cur = alpha - alpha_star
+                    theta = theta + gm * h_cur
+                row = [theta]
                 bounded = abs(theta) <= THETA_MAX
-                rows.append((theta,))
-            if kesten:
-                if h_prev is not None:
-                    s = kesten_advance(s, h_prev, h_cur)
-                h_prev = h_cur
-                counts.append(s)
-            xs.append(x.tolist())
-            ys.append(step.proposed.tolist())
-            accs.append(step.accepted)
-            alphas.append(step.alpha)
+            rows.append(row)
+            xs.append(xl)
+            ys.append(yl)
+            accs.append(accepted)
+            alphas.append(alpha)
             gms.append(gm)
             lxs.append(lx)
+            if kesten:
+                if (h_prev @ h_cur if am else h_prev * h_cur) < 0.0:
+                    s += 1
+                    gm = gamma_of_count(s)
+                h_prev = h_cur
+                counts.append(s)
             # a NaN or infinite parameter fails the bound as well
-            if not (bounded and np.isfinite(x).all()):
+            if not (bounded and all(map(isfinite, xl))):
                 halted = True
                 break
-            param = AMParam(mu=mu, cov=cov) if am else ScalarParam(theta=theta)
         yield _RawBlock(_columns(rows), xs, ys, accs, alphas, gms, lxs, counts, halted)
         if halted:
             return

@@ -1126,6 +1126,34 @@ def test_states_and_dimensions_are_checked_at_load(tmp_path, base, edits, json_p
     assert_rejected_before_running(tmp_path, edited(base, edits), json_path)
 
 
+@pytest.mark.parametrize(
+    "base, edits, json_path",
+    [
+        # the 2-D run made its output directory, then died raw on its proposal root
+        pytest.param("mv-am", {"run.theta0.cov": [[1.0, 0.0], [0.0, -5.0]]}, "run.theta0", id="indefinite-2d"),
+        # the 1-D run reported a diverged replica
+        pytest.param("am-gaussian-1d", {"run.theta0.cov": [[-5.0]]}, "run.theta0", id="negative-1d"),
+        # verify died on a math domain error
+        pytest.param("am-subexp-1d", {"verify.theta_grid": [{"mu": [0.0], "cov": [[-5.0]]}]}, "verify.theta_grid",
+                     id="negative-theta-grid"),
+    ],
+)
+def test_indefinite_running_covariance_rejected_at_load(tmp_path, base, edits, json_path):
+    doc = edited(base, edits)
+    assert_rejected_before_running(tmp_path, doc, json_path)
+    if "verify" in doc:
+        assert main(["verify", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+
+def test_singular_running_covariance_loads_and_runs(tmp_path):
+    # positive semidefinite: the ridge makes the proposal covariance positive definite
+    validate_document(edited("am-subexp-1d", {"verify.theta_grid": [{"mu": [0.0], "cov": [[0.0]]}]}))
+    doc = edited("mv-am", {"run.theta0.cov": [[1.0, 1.0], [1.0, 1.0]]})
+    doc["run"]["horizon"] = 50
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 def test_states_that_fit_the_chain_load():
     for x0 in (0, 1, 1.0):
         validate_document(edited("toy", {"run.x0": x0}))

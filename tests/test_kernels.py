@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from driftlab.adaptation import RULE_AM, RULE_FIXED, AdaptationRule, PolynomialSchedule
+from driftlab.config import ChainConfig
 from driftlab.kernels import (
     AMParam,
     FAMILY_GAUSSIAN,
@@ -23,14 +25,15 @@ from driftlab.kernels import (
     draw_increments,
     mean_acceptance,
     proposal_covariance,
-    srwm_step,
     toy_second_eigenvalue,
     toy_transition_matrix,
 )
-from driftlab.lyapunov import StateLyapunov
+from driftlab.lyapunov import W_AM_POLY, W_EXP_ABS, ParamLyapunov, StateLyapunov
+from driftlab.simulator import run_chain
 from driftlab.streams import substream
 from driftlab.targets import exact_tail_subexp_target, gaussian_target, smoothed_subexp_target
 from driftlab.verifiers import _mean_se, _one_step_pairs
+from test_simulator import assert_same_trajectory, reference_generic, reference_srwm_step
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)
 GAUSS_1D = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_SCALAR_LOG_SCALE)
@@ -76,14 +79,13 @@ def test_uniform_increments_stay_in_box():
     rng = substream(5, 0)
     z = draw_increments(UNIFORM_1D, ScalarParam(theta=math.log(3.0)), 1, rng, size=4000)
     assert np.max(np.abs(z)) <= 3.0
-    # a single draw is a plain float
-    one = draw_increments(UNIFORM_1D, ScalarParam(theta=0.0), 1, rng)
-    assert isinstance(one, float)
+    # one draw in one dimension is a vector of one
+    assert draw_increments(UNIFORM_1D, ScalarParam(theta=0.0), 1, rng, size=1).shape == (1,)
 
 
 def test_parametrization_mismatch_rejected():
     with pytest.raises(ValueError, match="mismatch"):
-        draw_increments(UNIFORM_1D, AMParam(mu=np.zeros(1), cov=np.eye(1)), 1, substream(1, 0))
+        draw_increments(UNIFORM_1D, AMParam(mu=np.zeros(1), cov=np.eye(1)), 1, substream(1, 0), size=1)
     spec = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_AM_COVARIANCE)
     with pytest.raises(ValueError, match="mismatch"):
         proposal_covariance(spec, ScalarParam(theta=0.0))  # type: ignore[arg-type]
@@ -254,22 +256,44 @@ def test_step_acceptance_frequency_tracks_mean_acceptance(theta, x, seed):
     param = ScalarParam(theta=theta)
     rng = substream(seed, 0)
     n = 4000
-    hits = sum(srwm_step(t, UNIFORM_1D, param, x, rng).accepted for _ in range(n))
+    hits = sum(reference_srwm_step(t, UNIFORM_1D, param, np.array([x]), rng)[2] for _ in range(n))
     a_bar = mean_acceptance(t, param.sigma, x)
     se = math.sqrt(max(a_bar * (1.0 - a_bar), 1e-12) / n)
     assert abs(hits / n - a_bar) <= 5.0 * se + 1e-3
 
 
+def chain_from(target, spec, param, x0, horizon=300):
+    """A ``horizon``-step chain from ``x0`` with ``param`` as its initial
+    kernel parameter: under the fixed rule at a ScalarParam, or under
+    running moments from an AMParam."""
+    am = isinstance(param, AMParam)
+    return ChainConfig(
+        kind="srwm",
+        rule=AdaptationRule(kind=RULE_AM if am else RULE_FIXED),
+        schedule=PolynomialSchedule(c0=0.5, c1=10.0, a=0.6),
+        theta0=param if am else param.theta,
+        x0=x0,
+        horizon=horizon,
+        seed=21,
+        recurrence_m=1000.0,
+        recurrence_r=3.0,
+        target=target,
+        proposal=spec,
+        state_lyapunov=StateLyapunov(target, 0.5),
+        param_weight=ParamLyapunov(W_AM_POLY if am else W_EXP_ABS),
+    )
+
+
 def test_srwm_step_rejection_keeps_state():
-    t = gaussian_target(dim=1)
-    rng = substream(12, 0)
-    for _ in range(200):
-        r = srwm_step(t, UNIFORM_1D, ScalarParam(theta=1.0), 0.5, rng)
-        if not r.accepted:
-            assert r.state == 0.5
+    traj = run_chain(chain_from(gaussian_target(dim=1), UNIFORM_1D, ScalarParam(theta=1.0), 0.5, horizon=200))
+    x, y = traj.x[:, 0], traj.y[:, 0]
+    for i in range(1, 201):
+        if not traj.accepted[i]:
+            assert x[i] == x[i - 1]
         else:
-            assert r.state == r.proposed
-        assert 0.0 <= r.alpha <= 1.0
+            assert x[i] == y[i]
+        assert 0.0 <= traj.alpha[i] <= 1.0
+    assert 0 < traj.accepted.sum() < 200
 
 
 @pytest.mark.parametrize(
@@ -287,19 +311,15 @@ def test_srwm_step_rejection_keeps_state():
     ],
 )
 def test_srwm_step_with_known_log_density_is_the_same_step(target, spec, param, x0):
+    """The simulator evaluates log pi once per step and carries it; its
+    chain is the one that evaluates log pi at both points on every step."""
+    cfg = chain_from(target, spec, param, x0)
     with_lx, without = substream(21, 0), substream(21, 0)
-    x = x0
-    lx = float(target.log_density(x))
-    moves = 0
-    for _ in range(300):
-        a = srwm_step(target, spec, param, x, without)
-        b = srwm_step(target, spec, param, x, with_lx, lx)
-        assert np.array_equal(a.state, b.state) and np.array_equal(a.proposed, b.proposed)
-        assert (a.accepted, a.alpha, a.log_density) == (b.accepted, b.alpha, b.log_density)
-        assert b.log_density == float(target.log_density(b.state))
-        moves += b.accepted
-        x, lx = b.state, b.log_density
-    assert 0 < moves < 300
+    traj = run_chain(cfg, with_lx)
+    # same states, proposals, coins and acceptance probabilities, and V of
+    # the carried log pi equal to V of a fresh evaluation at the state
+    assert_same_trajectory(traj, reference_generic(cfg, rng=without))
+    assert 0 < traj.accepted[1:].sum() < 300
     # both consumed the same draws
     assert without.random() == with_lx.random()
 

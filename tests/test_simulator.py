@@ -38,7 +38,6 @@ from driftlab.kernels import (
     PARAM_SCALAR_LOG_SCALE,
     ProposalSpec,
     ScalarParam,
-    srwm_step,
 )
 from driftlab.lyapunov import (
     CompoundSpec,
@@ -530,13 +529,44 @@ def replica_record(cfg, traj):
     return rec
 
 
-def reference_generic(cfg, replica=0):
-    """One step at a time on the replica's substream, composed from the
-    public pieces: srwm_step evaluating log pi at both points, a fresh
-    kernel parameter wherever one is needed, V and w from their Lyapunov
-    objects, and the rule's update.  Rows every ``record_stride`` steps, the
-    final row, and the divergence halt row, as the simulator keeps them."""
-    rng = substream(cfg.seed, replica)
+def reference_srwm_step(target, spec, param, x, rng):
+    """One Metropolis step at a fixed kernel parameter, written out from the
+    recursion, with log pi evaluated at both points: an increment of shape
+    (1, d), which is ``standard_normal((1, d))`` times the transposed
+    ``eigh`` root of (RW_SCALE**2 / d) * (cov + eps I) under running moments
+    (divided by the root of a chi-square over its dof for Student
+    increments), or exp(theta) times normal, Student or uniform (-1, 1)
+    draws under a log scale; then the coin.  Returns (state, proposal,
+    accepted, alpha)."""
+    d = target.dim
+    student = spec.family == FAMILY_STUDENT
+    if isinstance(param, AMParam):
+        vals, vecs = np.linalg.eigh(simulator.RW_SCALE**2 / d * (param.cov + spec.eps_ridge * np.eye(d)))
+        z = rng.standard_normal((1, d)) @ ((vecs * np.sqrt(vals)) @ vecs.T).T
+        if student:
+            z = z / np.sqrt(rng.chisquare(spec.student_dof, 1) / spec.student_dof)
+    elif spec.family == FAMILY_UNIFORM:
+        z = param.sigma * (2.0 * rng.random((1, d)) - 1.0)
+    else:
+        z = param.sigma * (rng.standard_t(spec.student_dof, (1, d)) if student else rng.standard_normal((1, d)))
+    y = x + z[0]
+
+    def logp(p):  # a 1-D target takes a float
+        return float(target.log_density(p[0] if d == 1 else p))
+
+    ly, lx = logp(y), logp(x)
+    alpha = 1.0 if ly >= lx else math.exp(ly - lx)
+    accepted = rng.random() < alpha
+    return (y if accepted else x), y, accepted, alpha
+
+
+def reference_generic(cfg, replica=0, rng=None):
+    """One step at a time on the replica's substream (or ``rng``), composed from
+    ``reference_srwm_step``, a fresh kernel parameter wherever one is
+    needed, V and w from their Lyapunov objects, and the rule's update
+    (``fixed`` keeps theta).  Rows every ``record_stride`` steps, the final
+    row, and the divergence halt row, as the simulator keeps them."""
+    rng = substream(cfg.seed, replica) if rng is None else rng
     rule = cfg.rule.kind
     kesten = isinstance(cfg.schedule, KestenSchedule)
     am = rule == RULE_AM
@@ -555,7 +585,7 @@ def reference_generic(cfg, replica=0):
         return AMParam(mu=mu, cov=cov) if am else ScalarParam(theta=theta)
 
     def row(i, y, accepted, alpha, gamma):
-        v = float(cfg.state_lyapunov(x))
+        v = float(cfg.state_lyapunov(x[0] if dim == 1 else x))
         w = float(cfg.param_weight(param()))
         comp = _compound_cells(cfg.compound, [v], [w], [gamma])[0]
         inside = w <= cfg.recurrence_m and float(np.linalg.norm(x)) <= cfg.recurrence_r
@@ -565,17 +595,18 @@ def reference_generic(cfg, replica=0):
     row(0, x, False, math.nan, gamma_at(cfg.schedule, 1, 0 if kesten else None))
     for i in range(1, cfg.horizon + 1):
         gamma = gamma_at(cfg.schedule, i, s if kesten else None)
-        step = srwm_step(cfg.target, cfg.proposal, param(), x, rng)
-        x_new = np.atleast_1d(np.asarray(step.state, dtype=float))
+        x_new, y, accepted, alpha = reference_srwm_step(cfg.target, cfg.proposal, param(), x, rng)
         if am:
             h = am_increment(mu, cov, x_new)
             mu, cov = am_update(mu, cov, x_new, gamma)
+        elif rule == RULE_FIXED:
+            h = 0.0
         elif rule == RULE_COERCED:
-            h = step.alpha - cfg.rule.alpha_star
-            theta = scalar_update(RULE_COERCED, theta, step.alpha, gamma, cfg.rule.alpha_star)[0]
+            h = alpha - cfg.rule.alpha_star
+            theta = scalar_update(RULE_COERCED, theta, alpha, gamma, cfg.rule.alpha_star)[0]
         else:
-            h = (abs(theta) + 1.0) * (step.alpha - cfg.rule.alpha_star)
-            theta = scalar_update(RULE_FAST_COERCED, theta, step.alpha, gamma, cfg.rule.alpha_star)[0]
+            h = (abs(theta) + 1.0) * (alpha - cfg.rule.alpha_star)
+            theta = scalar_update(RULE_FAST_COERCED, theta, alpha, gamma, cfg.rule.alpha_star)[0]
         x = x_new
         if kesten:
             if h_prev is not None:
@@ -586,7 +617,7 @@ def reference_generic(cfg, replica=0):
             np.all(np.isfinite(params)) and np.max(np.abs(params)) <= THETA_MAX and np.all(np.isfinite(x))
         )
         if halted or i % cfg.record_stride == 0 or i == cfg.horizon:
-            row(i, step.proposed, step.accepted, step.alpha, gamma)
+            row(i, y, accepted, alpha, gamma)
         if halted:
             break
     return rec.build(halted, i if halted else None, replica)
@@ -594,6 +625,8 @@ def reference_generic(cfg, replica=0):
 
 MV_CASES = {
     "am-2d": {},
+    "am-2d-constant": {"schedule": ConstantSchedule(0.05)},
+    "fixed-2d": {"rule": RULE_FIXED},
     "am-3d": {"dim": 3},
     "coerced-2d": {"rule": RULE_COERCED},
     "fast-coerced-2d": {"rule": RULE_FAST_COERCED},
