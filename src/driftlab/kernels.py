@@ -101,8 +101,11 @@ def proposal_covariance(spec: ProposalSpec, param: AMParam) -> np.ndarray:
 
 def _symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
-    if vals[0] <= 0:  # eigh sorts the eigenvalues in ascending order
-        raise ValueError("proposal covariance not positive definite")
+    # eigh sorts the eigenvalues in ascending order.  A singular covariance
+    # whose ridge rounds away can come out slightly negative: its root is
+    # clamped at 0, as a 1-D variance <= 0 gives sd 0.
+    if vals[0] < 0:
+        vals = np.maximum(vals, 0.0)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 

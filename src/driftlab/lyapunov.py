@@ -108,8 +108,11 @@ class ParamLyapunov(NamedTuple):
 
         A stack of moments, ``mu`` of shape (n, d) and ``cov`` (n, d, d),
         gives the array of n weights; one pair gives a float.  A weight
-        past the float range is inf, without a warning.  One pair's norms
-        are ``np.linalg.norm``'s own arithmetic, sqrt(v . v) of the array
+        past the float range is inf: a stack's without a warning, one
+        pair's with numpy's overflow warning from the dot product (entries
+        past about 1e154) unless the caller ignores overflow, as
+        ``simulator._run_srwm`` does.  One pair's norms are
+        ``np.linalg.norm``'s own arithmetic, sqrt(v . v) of the array
         raveled in memory order, without its per-call checks.
         """
         if np.ndim(mu) > 1:

@@ -500,8 +500,6 @@ def _generic_blocks(config: ChainConfig, rng, block: int):
                 z = sigma * (draw_normal(shape) if gaussian else draw_t(dof, shape))
             y = x + z[0]
             ly = float(logp(y))
-            if ly != ly or not lx > -inf:
-                raise ValueError(f"invalid point: log-density not finite at y={y!r}, x={x!r}")
             d = ly - lx
             alpha = 1.0 if d >= 0.0 else exp(d)  # kernels.acceptance, inlined as in the 1-D loops
             yl = y.tolist()
@@ -579,6 +577,10 @@ def _srwm_weights(weight: ParamLyapunov, dim: int):
     return lambda cols: [1.0 + t * t for t in cols[0]]
 
 
+# A chain far out overflows the multivariate update, the state's norm and
+# the weight to inf or NaN silently, as Python floats do in 1-D; the halt
+# check then ends the replica.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_srwm(
     config: ChainConfig,
     rngs: list,

@@ -1,5 +1,7 @@
 """Config schema, builders, CLI orchestration, and plot-data extraction."""
+import atexit
 import csv
+import gc
 import json
 import math
 import os
@@ -695,8 +697,12 @@ def test_main_verify_subcommand_skips_simulation(tmp_path, capsys):
 # start-up cost: no run or check imports scipy, numpy.ma or a schema library
 
 _SCIPY_PROBE = """
+import atexit
+import gc
 import sys
 import driftlab.cli
+# registered before main's hook, so it runs after it (last in, first out)
+atexit.register(lambda: print("frozen-at-exit", gc.get_freeze_count()))
 code = driftlab.cli.main(sys.argv[1:])
 print("numpy.ma-modules", sum(1 for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
 print("scipy-modules", sum(1 for m in sys.modules if m.startswith("scipy")))
@@ -724,6 +730,43 @@ def run_in_fresh_process(cwd: Path, *args: str) -> subprocess.CompletedProcess:
 def module_count(proc: subprocess.CompletedProcess, label: str) -> int:
     """The probe's count of loaded ``label`` modules."""
     return int(proc.stdout.rsplit(f"{label}-modules", 1)[1].split()[0])
+
+
+def frozen_at_exit(proc: subprocess.CompletedProcess) -> int:
+    """The probe's count of objects frozen out of the shut-down collections."""
+    return int(proc.stdout.rsplit("frozen-at-exit", 1)[1].split()[0])
+
+
+def test_commands_freeze_the_heap_at_exit(tmp_path):
+    # the interpreter's shut-down collections then skip the heap that numpy
+    # and driftlab built at import; outputs and exit codes stay the same
+    proc = run_in_fresh_process(tmp_path, "verify", "toy", "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[:3] == ["check  result  worst_margin", "-----  ------  ------------",
+                                            "toy    PASS    1.000e-12"]
+    assert (tmp_path / "out" / "report-toy.json").exists()
+    assert frozen_at_exit(proc) > 0
+    proc = run_in_fresh_process(tmp_path, "run", "no-such-preset")
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: no config file or preset named 'no-such-preset'")
+    assert frozen_at_exit(proc) > 0
+
+
+def test_main_registers_one_freeze_hook_and_freezes_nothing(monkeypatch, capsys):
+    # an in-process caller keeps its collector until it exits; the hook list
+    # is modelled here, because atexit._ncallbacks also counts the slots
+    # that unregister empties
+    hooks = []
+
+    def unregister(func):  # every occurrence goes, as in atexit
+        hooks[:] = [h for h in hooks if h != func]
+
+    monkeypatch.setattr(atexit, "register", hooks.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    assert main(["presets"]) == EXIT_OK
+    assert main(["presets"]) == EXIT_OK
+    assert hooks == [gc.freeze]
+    assert gc.get_freeze_count() == 0
 
 
 def test_run_without_quadrature_never_imports_scipy(tmp_path):
@@ -1147,11 +1190,31 @@ def test_indefinite_running_covariance_rejected_at_load(tmp_path, base, edits, j
 
 
 def test_singular_running_covariance_loads_and_runs(tmp_path):
-    # positive semidefinite: the ridge makes the proposal covariance positive definite
+    # positive semidefinite: the ridge makes the proposal covariance positive
+    # definite; where it rounds away (cov + 1e-20 I gives cov back), the root
+    # gets a zero direction, as a 1-D variance <= 0 gives sd 0, where the run
+    # died on a raw ValueError
     validate_document(edited("am-subexp-1d", {"verify.theta_grid": [{"mu": [0.0], "cov": [[0.0]]}]}))
     doc = edited("mv-am", {"run.theta0.cov": [[1.0, 1.0], [1.0, 1.0]]})
     doc["run"]["horizon"] = 50
     assert main(["run", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_OK
+    doc["proposal"]["eps_ridge"] = 1e-20
+    out = tmp_path / "tiny-ridge"
+    assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) in (EXIT_OK, EXIT_DIVERGED)
+    assert (out / "summary.json").exists() and (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("rule, x0", [("am", 1e200), ("coerced", 1e200), ("am", 1e80)])
+def test_two_dimensional_chain_from_a_far_point_halts_as_diverged(tmp_path, rule, x0):
+    # as a 1-D chain does; the 2-D run died on a raw "invalid point"
+    # ValueError where log pi(x0) is -inf, or printed numpy overflow warnings
+    doc = mv_run_doc(rule)
+    doc["run"]["x0"] = [x0, x0]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_DIVERGED
+    assert (out / "summary.json").exists() and (out / "trajectory.csv").exists()
 
 
 def test_states_that_fit_the_chain_load():

@@ -20,6 +20,7 @@ from driftlab.kernels import (
     ProposalSpec,
     RW_SCALE,
     ScalarParam,
+    _symmetric_sqrt,
     acceptance,
     apply_kernel_to_function,
     draw_increments,
@@ -49,6 +50,15 @@ def test_proposal_covariance_scaling_and_ridge():
     got2 = proposal_covariance(spec, param2)
     assert got2[0, 0] == pytest.approx(RW_SCALE**2 / 2 * 1.1, rel=1e-15)
     assert got2[0, 1] == 0.0
+
+
+def test_symmetric_sqrt_clamps_a_rounded_negative_eigenvalue():
+    # a singular covariance whose ridge rounds away: its root has a zero
+    # direction, as a 1-D variance <= 0 gives sd 0
+    assert np.array_equal(_symmetric_sqrt(np.diag([4.0, -1e-18])), np.diag([2.0, 0.0]))
+    mat = np.array([[2.0, 0.5], [0.5, 1.0]])
+    vals, vecs = np.linalg.eigh(mat)
+    assert np.array_equal(_symmetric_sqrt(mat), (vecs * np.sqrt(vals)) @ vecs.T)
 
 
 # asymmetric by 1 absolutely but by 1e-6 relatively, which a check with the

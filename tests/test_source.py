@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, the package
 ``__init__`` re-exports nothing, ``cli`` builds through two config
 builders only, every JSON path a ``ConfigError`` names is a key path of
-the config schema, one function forks, and three classes are dataclasses."""
+the config schema, one function forks, one freezes the heap, and three
+classes are dataclasses."""
 
 import ast
 from pathlib import Path
@@ -126,18 +127,19 @@ def test_config_errors_name_schema_keys(name):
     assert unknown == []
 
 
-def fork_sites(source: str) -> list[str]:
-    """The functions that name ``os.fork`` (``<module>`` at top level), one
-    entry per mention; ``from os import fork`` counts as a mention too."""
+def attribute_sites(source: str, module: str, attr: str) -> list[str]:
+    """The functions that name ``module.attr`` (``<module>`` at top level),
+    one entry per mention; ``from module import attr`` counts as a mention
+    too."""
     sites = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "fork" and \
-                isinstance(node.value, ast.Name) and node.value.id == "os":
+        if isinstance(node, ast.Attribute) and node.attr == attr and \
+                isinstance(node.value, ast.Name) and node.value.id == module:
             sites.append(where)
-        if isinstance(node, ast.ImportFrom) and node.module == "os" and any(a.name == "fork" for a in node.names):
+        if isinstance(node, ast.ImportFrom) and node.module == module and any(a.name == attr for a in node.names):
             sites.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -148,13 +150,20 @@ def fork_sites(source: str) -> list[str]:
 
 def test_fork_detector_names_the_enclosing_function():
     src = "import os\nfrom os import fork\ndef f():\n    def g():\n        return os.fork()\n    os.getpid()\n"
-    assert fork_sites(src) == ["<module>", "g"]
+    assert attribute_sites(src, "os", "fork") == ["<module>", "g"]
 
 
 def test_one_function_forks():
     # every worker process starts in simulator._fork_map, which reaps it
-    sites = [f"{path.stem}.{site}" for path in MODULES for site in fork_sites(path.read_text())]
+    sites = [f"{path.stem}.{site}" for path in MODULES for site in attribute_sites(path.read_text(), "os", "fork")]
     assert sites == ["simulator._fork_map"]
+
+
+def test_one_function_freezes_the_heap():
+    # cli.main registers gc.freeze to run at exit; a freeze anywhere else
+    # would pin garbage in an in-process caller or in a forked worker
+    sites = {f"{path.stem}.{site}" for path in MODULES for site in attribute_sites(path.read_text(), "gc", "freeze")}
+    assert sites == {"cli.main"}
 
 
 def dataclass_names(source: str) -> list[str]:
