@@ -124,20 +124,6 @@ def am_update(mu, cov, x_new, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     return mu2, cov2
 
 
-def am_increment(mu, cov, x_new) -> np.ndarray:
-    """Flattened update direction of the running-moments rule.
-
-    Used for sign-change detection: the inner product of successive
-    increments decides whether the stepsize index advances.
-    """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape == ():
-        cov = cov.reshape(1, 1)
-    d = np.atleast_1d(np.asarray(x_new, dtype=float)) - mu
-    return np.concatenate([d, (np.outer(d, d) - cov).ravel()])
-
-
 def scalar_update(kind: str, theta, alpha, gamma, alpha_star):
     """(theta', h) for a scalar log-scale rule: theta' = theta + gamma * h with
     h = alpha - alpha_star (coerced) or (|theta| + 1) * (alpha - alpha_star)
@@ -156,21 +142,6 @@ def scalar_update(kind: str, theta, alpha, gamma, alpha_star):
     else:
         raise ValueError(f"{kind!r} is not a scalar log-scale rule")
     return theta + gamma * h, h
-
-
-def kesten_advance(s: int, h_prev, h_cur) -> int:
-    """Advance the sign-change count iff successive increments oppose.
-
-    The comparison is strict: a zero inner product does not advance the
-    count.
-    """
-    if s < 0:
-        raise ValueError("sign-change count must be non-negative")
-    hp = np.ravel(np.asarray(h_prev, dtype=float))
-    hc = np.ravel(np.asarray(h_cur, dtype=float))
-    if hp.shape != hc.shape:
-        raise ValueError("increment shapes differ")
-    return s + 1 if float(hp @ hc) < 0.0 else s
 
 
 class MeanFieldAM:

@@ -17,7 +17,6 @@ import atexit
 import csv
 import gc
 import json
-import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -31,8 +30,10 @@ from .config import (
     n_replicas,
     validate_document,
 )
+from .kernels import ScalarParam
 from .verifiers import (
     DriftReport,
+    _jsonable,
     verify_acceptance_bounds,
     verify_compound_drift,
     verify_decomposition,
@@ -73,9 +74,11 @@ def resolve_config_path(name: str) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as strict JSON: non-finite floats in the reports'
+    encoding, the strings "nan", "inf" and "-inf" (``verifiers._jsonable``)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -233,7 +236,7 @@ def emit_plot_data(input_path, kind: str, out_path=None, window: int = 1000) -> 
         if "sigma" in point:
             sigma = point["sigma"]
         elif "theta" in point:
-            sigma = math.exp(point["theta"])
+            sigma = ScalarParam(point["theta"]).sigma  # inf from theta = 700 on
         else:
             sigma = ""
         rows_out.append([x, sigma, row.get("margin", ""), row.get("se", "")])
@@ -274,19 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # Freeze the heap at exit: the interpreter's shut-down collections then
-    # skip the ~22,000 objects that numpy and driftlab built at import and
-    # leave them to the OS.  The time from main's return to the end of the
-    # process fell from 26-51 ms to 6-16 ms per command (2-vCPU VM, median
-    # of 9).  The hook runs after every artifact is closed and every line is
-    # printed; an in-process caller keeps its collector until it exits, and
-    # a forked worker, which leaves through os._exit, never runs it.
-    # Freezing at the start of main gave the same gain, but it freezes
-    # garbage not yet collected, and would pin it in an in-process caller.
-    # Freezing before fork left a worker's cost unchanged within noise
-    # (am-gaussian-1d, 12 runs: 127 against 132 ms of CPU, 2,211 against
-    # 2,229 minor faults), and the collections while a command runs take
-    # 1-6 ms.  Unregistered first, so that repeated calls leave one hook.
+    # Freeze the heap at exit, so that the interpreter's shut-down
+    # collections skip the objects built at import (README, "Start-up and
+    # shut-down", has the measurements and the alternatives).  An in-process
+    # caller keeps its collector until it exits, and a forked worker leaves
+    # through os._exit, which runs no hook.  Unregistered first, so that
+    # repeated calls leave one hook.
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)

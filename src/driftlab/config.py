@@ -455,9 +455,10 @@ def _check_rule_fit(doc: dict) -> None:
     """Reject, each at its path, a parameter weight, drift scenario or check
     that does not fit the adaptation rule, a ``verify.theta_grid`` entry
     that is no parameter of the scenario (am scenarios take running moments
-    {mu, cov}, the others a number), and under the am rule a
-    ``verify.gamma_grid`` stepsize above 1, which no running-moments step
-    takes."""
+    {mu, cov}, the others a number below 700: from there on the proposal
+    scale e**theta, ``kernels.ScalarParam.sigma``, is inf), and under the am
+    rule a ``verify.gamma_grid`` stepsize above 1, which no running-moments
+    step takes."""
     rule = doc.get("adaptation", {}).get("rule")
     variant = doc.get("lyapunov", {}).get("weight")
     scenario = doc.get("lyapunov", {}).get("scenario")
@@ -481,6 +482,9 @@ def _check_rule_fit(doc: dict) -> None:
             if isinstance(entry, dict) != moments:
                 wants = "running moments {mu, cov}" if moments else "a number"
                 raise ConfigError(f"entry {i} is no {scenario!r} parameter, which is {wants}", "verify.theta_grid")
+            if not moments and entry >= 700.0:
+                raise ConfigError(f"theta = {entry!r} puts the proposal scale e**theta past the float range",
+                                  f"verify.theta_grid.{i}")
     if rule == RULE_AM and any(g > 1.0 for g in verify.get("gamma_grid", ())):
         raise ConfigError("a running-moments step needs stepsizes of at most 1", "verify.gamma_grid")
 

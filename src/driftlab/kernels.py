@@ -229,7 +229,9 @@ def apply_kernel_to_function(
     evaluated once per node.  Each proposal contributes
     ``alpha * f(y) + (1 - alpha) * f(x)``, with the product formed as
     ``exp(min(0, ly - lx) + log f(y))``: it stays finite where a state
-    Lyapunov function's f(y) alone overflows.
+    Lyapunov function's f(y) alone overflows.  A proposal where
+    log pi = -inf (alpha = 0) contributes only ``f(x)``: its f(y) is not
+    formed.
 
     One-dimensional targets with compact-uniform or gaussian increments
     only; other families go through the verifiers' Monte Carlo estimator.
@@ -285,6 +287,8 @@ def apply_kernel_to_function(
     def accepted_part(z: float) -> float:
         y = x + z
         ly = float(logp(y))
+        if ly == -math.inf:  # never accepted; -inf + inf would be nan
+            return 0.0
         arg = min(0.0, ly - lx) + log_f(y, ly)
         if not arg < 700.0:
             raise OverflowError(f"non-integrable test function: alpha * f is not finite at y={y!r}")

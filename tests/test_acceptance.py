@@ -209,13 +209,13 @@ def test_criterion_11_fast_rule_hits_sooner(criterion):
         }
     )
     base["lyapunov"]["weight"] = "exp_abs"  # makes {w <= e^5} the window {|theta| <= 5}
+    base["run"]["seed"] = 515151  # shared streams pair the replicas
     fast = copy.deepcopy(base)
     fast["adaptation"]["rule"] = "fast_coerced"
     fast["lyapunov"]["scenario"] = "fast_coerced"
 
-    seed = 515151  # shared streams pair the replicas
-    std_summary, _ = run_replicas(build_chain_config(base), 50, base_seed=seed)
-    fast_summary, _ = run_replicas(build_chain_config(fast), 50, base_seed=seed)
+    std_summary, _ = run_replicas(build_chain_config(base), 50)
+    fast_summary, _ = run_replicas(build_chain_config(fast), 50)
     censor = horizon + 1
     std_hits = [r["first_hit"] if r["first_hit"] is not None else censor for r in std_summary.per_replica]
     fast_hits = [r["first_hit"] if r["first_hit"] is not None else censor for r in fast_summary.per_replica]

@@ -1,4 +1,4 @@
-"""Update rules, stepsize schedules, sign-change counting."""
+"""Update rules and stepsize schedules, the sign-change schedule included."""
 
 import math
 
@@ -15,10 +15,8 @@ from driftlab.adaptation import (
     RULE_COERCED,
     RULE_FAST_COERCED,
     RULE_FIXED,
-    am_increment,
     am_update,
     gamma_at,
-    kesten_advance,
     scalar_update,
 )
 
@@ -71,11 +69,6 @@ def test_am_update_preserves_psd():
         assert np.linalg.eigvalsh(cov).min() > 0.0
 
 
-def test_am_increment_frozen():
-    h = am_increment(0.0, 1.0, 2.0)
-    assert h == pytest.approx(np.array([2.0, 3.0]), abs=0.0)
-
-
 def test_coerced_updates_frozen_values():
     assert scalar_update(RULE_COERCED, 2.0, 1.0, 0.1, 0.44)[0] == pytest.approx(2.056, rel=1e-15)
     assert scalar_update(RULE_COERCED, -1.2, 0.24, 0.1, 0.44)[0] == pytest.approx(-1.22, rel=1e-14)
@@ -120,17 +113,6 @@ def test_scalar_update_arrays_match_scalars_bitwise(kind):
         assert np.broadcast_to(t_batch, alphas.shape).tolist() == singles
     with pytest.raises(ValueError):
         scalar_update("am", 0.0, 0.5, 0.1, a_star)
-
-
-def test_kesten_advance_strict_sign():
-    assert kesten_advance(0, [1.0], [-1.0]) == 1
-    assert kesten_advance(2, [1.0], [1.0]) == 2
-    assert kesten_advance(2, [1.0], [0.0]) == 2  # zero product: no advance
-    assert kesten_advance(0, [1.0, -1.0], [1.0, 1.0]) == 0
-    with pytest.raises(ValueError):
-        kesten_advance(-1, [1.0], [1.0])
-    with pytest.raises(ValueError):
-        kesten_advance(0, [1.0], [1.0, 2.0])
 
 
 def test_rule_validation():

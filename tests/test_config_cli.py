@@ -389,6 +389,25 @@ def test_w_drift_past_the_float_range_fails_its_rows(tmp_path, capsys, method):
     assert "w_drift  FAIL    -inf" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("method, checks", [
+    ("monte_carlo", ["fixed_theta_drift", "compound_drift"]),
+    ("quadrature", ["fixed_theta_drift"]),
+])
+def test_proposals_where_pi_is_zero_add_only_their_rejected_term(tmp_path, method, checks):
+    # at theta = 650 almost every proposal lands where log pi = -inf, and
+    # alpha * V(y) was exp(-inf + inf): a raw ValueError and nan compound
+    # rows by Monte Carlo, an OverflowError in the quadrature
+    doc = edited("coerced", {"run": DELETE, "verify.theta_grid": [650.0], "verify.checks": checks,
+                             "verify.method": method})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(write_config(tmp_path, doc)), "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY)
+    for check in checks:
+        rows = json.loads((out / f"report-{check}.json").read_text())["rows"]
+        assert rows and all(isinstance(row["lhs"], float) and math.isfinite(row["lhs"]) for row in rows)
+
+
 def test_toy_record_stride_thins_only_the_trajectory(tmp_path):
     every = toy_run_doc(horizon=100, replicas=3)
     thinned = toy_run_doc(horizon=100, replicas=3)
@@ -635,6 +654,9 @@ def test_drift_margin_columns(tmp_path):
         "rows": [
             {"point": {"theta": 0.0, "x": 6.0}, "margin": -0.5, "se": 0.0},
             {"point": {"sigma": 10.0, "x": 20.0}, "margin": 0.25, "se": 0.01},
+            # e**theta raised OverflowError from theta = 710 on
+            {"point": {"theta": 800.0, "x": 3.0}, "margin": "-inf", "se": 0.0},
+            {"point": {"theta": 650.0, "x": 0.0}, "margin": 0.0, "se": 0.0},
         ]
     }
     src = tmp_path / "report.json"
@@ -645,6 +667,8 @@ def test_drift_margin_columns(tmp_path):
     assert rows[0] == ["x", "sigma", "margin", "se"]
     assert rows[1] == ["6.0", "1.0", "-0.5", "0.0"]
     assert rows[2] == ["20.0", "10.0", "0.25", "0.01"]
+    assert rows[3] == ["3.0", "inf", "-inf", "0.0"]
+    assert rows[4] == ["0.0", repr(math.exp(650.0)), "0.0", "0.0"]
 
 
 def test_unknown_plot_kind_lists_available(tmp_path):
@@ -912,6 +936,9 @@ _AM_1D_PARAM = {"mu": [0.0], "cov": [[1.0]]}
                      "verify.theta_grid", id="am-scenario-scalar-theta"),
         pytest.param("coerced", {"verify.theta_grid": [0.0, _AM_1D_PARAM]},
                      "verify.theta_grid", id="coerced-scenario-moments-theta"),
+        # from theta = 700 on, the proposal scale ScalarParam.sigma = e**theta is inf
+        pytest.param("coerced", {"verify.theta_grid": [3.0, 700.5]}, "verify.theta_grid.1", id="coerced-theta-700.5"),
+        pytest.param("coerced", {"verify.theta_grid": [3.0, 800.0]}, "verify.theta_grid.1", id="coerced-theta-800"),
         pytest.param("am-subexp-1d", {"verify.checks": ["w_drift"], "verify.method": "monte_carlo",
                                       "verify.gamma_grid": [0.05, 1.5]},
                      "verify.gamma_grid", id="am-rule-gamma-above-one"),
@@ -1214,7 +1241,15 @@ def test_two_dimensional_chain_from_a_far_point_halts_as_diverged(tmp_path, rule
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_DIVERGED
-    assert (out / "summary.json").exists() and (out / "trajectory.csv").exists()
+    assert (out / "trajectory.csv").exists()
+
+    # no replica hits, so the first-hit quantiles are nan: written as the
+    # string "nan", where they were bare NaN tokens, which strict JSON lacks
+    def refuse(token):
+        raise ValueError(f"{token} is not strict JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)["summary"]
+    assert summary["aggregate"]["first_hit_median"] == "nan"
 
 
 def test_states_that_fit_the_chain_load():

@@ -30,11 +30,11 @@ from driftlab.kernels import (
     toy_transition_matrix,
 )
 from driftlab.lyapunov import W_AM_POLY, W_EXP_ABS, ParamLyapunov, StateLyapunov
-from driftlab.simulator import run_chain
+from driftlab.simulator import _run_srwm
 from driftlab.streams import substream
 from driftlab.targets import exact_tail_subexp_target, gaussian_target, smoothed_subexp_target
 from driftlab.verifiers import _mean_se, _one_step_pairs
-from test_simulator import assert_same_trajectory, reference_generic, reference_srwm_step
+from test_simulator import assert_same_trajectory, first_run, reference_generic, reference_srwm_step
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)
 GAUSS_1D = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_SCALAR_LOG_SCALE)
@@ -295,7 +295,7 @@ def chain_from(target, spec, param, x0, horizon=300):
 
 
 def test_srwm_step_rejection_keeps_state():
-    traj = run_chain(chain_from(gaussian_target(dim=1), UNIFORM_1D, ScalarParam(theta=1.0), 0.5, horizon=200))
+    traj, _ = first_run(chain_from(gaussian_target(dim=1), UNIFORM_1D, ScalarParam(theta=1.0), 0.5, horizon=200))
     x, y = traj.x[:, 0], traj.y[:, 0]
     for i in range(1, 201):
         if not traj.accepted[i]:
@@ -325,10 +325,10 @@ def test_srwm_step_with_known_log_density_is_the_same_step(target, spec, param, 
     chain is the one that evaluates log pi at both points on every step."""
     cfg = chain_from(target, spec, param, x0)
     with_lx, without = substream(21, 0), substream(21, 0)
-    traj = run_chain(cfg, with_lx)
+    _, traj = _run_srwm(cfg, [with_lx], True, 0)
     # same states, proposals, coins and acceptance probabilities, and V of
     # the carried log pi equal to V of a fresh evaluation at the state
-    assert_same_trajectory(traj, reference_generic(cfg, rng=without))
+    assert_same_trajectory(traj, reference_generic(cfg, rng=without)[0])
     assert 0 < traj.accepted[1:].sum() < 300
     # both consumed the same draws
     assert without.random() == with_lx.random()

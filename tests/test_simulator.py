@@ -22,10 +22,8 @@ from driftlab.adaptation import (
     RULE_FAST_COERCED,
     RULE_FIXED,
     RULE_TOY_MEAN,
-    am_increment,
     am_update,
     gamma_at,
-    kesten_advance,
     scalar_update,
 )
 from driftlab.config import ChainConfig
@@ -51,8 +49,6 @@ from driftlab.simulator import (
     THETA_MAX,
     Trajectory,
     _compound_cells,
-    recurrence_stats,
-    run_chain,
     run_replicas,
 )
 from driftlab.streams import substream
@@ -118,30 +114,59 @@ def am_config(horizon=2000, seed=5, schedule=None):
     )
 
 
+def first_run(cfg):
+    """Replica 0 alone, through ``run_replicas`` (one replica never forks):
+    its trajectory and its record."""
+    summary, traj = run_replicas(cfg, 1, keep_first_trajectory=True)
+    return traj, summary.per_replica[0]
+
+
+def recount(traj, m, r):
+    """The recurrence statistics of a stride-1 trajectory, counted row by
+    row from its theta, w and x columns: entries into {w <= m} x {|x| <= r}
+    (a first row inside counts), exits from {w <= m}, and visits."""
+    w_in = (traj.w <= m).tolist()
+    inside = [wi and norm <= r for wi, norm in zip(w_in, np.linalg.norm(traj.x, axis=1).tolist())]
+    index = traj.index.tolist()
+    entries = [index[j] for j in range(len(index)) if inside[j] and (j == 0 or not inside[j - 1])]
+    exits = [index[j] for j in range(1, len(index)) if w_in[j - 1] and not w_in[j]]
+    return {
+        "first_hit": entries[0] if entries else None,
+        "n_hits": len(entries),
+        "visit_count": sum(inside),
+        "last_exit_time": exits[-1] if exits else None,
+        "exit_count": len(exits),
+        "max_abs_theta": float(np.abs(traj.theta).max()),
+        "censored": not inside[-1],
+    }
+
+
 def test_run_chain_reproducible_and_substream_equivalent():
+    # one chain, run twice, and once more by the toy engine on replica 0's
+    # substream
     cfg = toy_config()
-    t1 = run_chain(cfg)
-    t2 = run_chain(cfg)
+    t1, _ = first_run(cfg)
+    t2, _ = first_run(cfg)
     assert np.array_equal(t1.theta, t2.theta)
     assert np.array_equal(t1.x, t2.x)
-    t3 = run_chain(cfg, rng=substream(cfg.seed, 0))
+    _, t3 = simulator._run_toy_replicas(cfg, [substream(cfg.seed, 0)], True)
     assert np.array_equal(t1.theta, t3.theta)
 
 
 def test_recorded_gamma_matches_schedule():
     for cfg in (toy_config(horizon=500), coerced_config(horizon=500)):
-        traj = run_chain(cfg)
+        traj, _ = first_run(cfg)
         for j in range(1, traj.index.shape[0]):
             i = int(traj.index[j])
             assert traj.gamma[j] == gamma_at(cfg.schedule, i)
     cfg = coerced_config(horizon=300, schedule=ConstantSchedule(0.02))
-    traj = run_chain(cfg)
+    traj, _ = first_run(cfg)
     assert np.all(traj.gamma[1:] == 0.02)
 
 
 def test_recorded_columns_are_self_consistent():
     cfg = coerced_config(horizon=800)
-    traj = run_chain(cfg)
+    traj, _ = first_run(cfg)
     # w column is exp(|theta|); W column the compound value; V from the
     # state function; in_C the conjunction of both level sets
     th = traj.theta[:, 0]
@@ -157,15 +182,15 @@ def test_recorded_columns_are_self_consistent():
 
 
 def test_csv_headers_by_rule(tmp_path):
-    traj = run_chain(coerced_config(horizon=10))
+    traj, _ = first_run(coerced_config(horizon=10))
     assert traj.column_names() == [
         "i", "theta_1", "x", "y", "accepted", "alpha", "gamma_i", "V", "w", "W", "in_C",
     ]
-    am = run_chain(am_config(horizon=10))
+    am, _ = first_run(am_config(horizon=10))
     assert am.column_names() == [
         "i", "mu_1", "cov_11", "x", "y", "accepted", "alpha", "gamma_i", "V", "w", "W", "in_C",
     ]
-    toy = run_chain(toy_config(horizon=10))
+    toy, _ = first_run(toy_config(horizon=10))
     assert toy.column_names()[:2] == ["i", "theta_1"]
     # toy rows carry no acceptance probability
     assert math.isnan(float(toy.alpha[1]))
@@ -182,7 +207,7 @@ def test_csv_headers_by_rule(tmp_path):
 def test_kesten_column_and_count_consistency(tmp_path):
     sched = KestenSchedule(c0=0.5, a=0.6)
     cfg = coerced_config(horizon=400, schedule=sched)
-    traj = run_chain(cfg)
+    traj, _ = first_run(cfg)
     assert traj.kesten_counts is not None
     counts = traj.kesten_counts
     assert np.all(np.diff(counts) >= 0)
@@ -199,45 +224,47 @@ def test_kesten_column_and_count_consistency(tmp_path):
 
 def test_divergence_guard_halts():
     cfg = toy_config(c0=1e12, horizon=50)
-    traj = run_chain(cfg)
-    assert traj.diverged
-    assert traj.halt_index is not None and traj.halt_index <= 50
+    traj, rec = first_run(cfg)
+    assert rec["diverged"]
+    assert rec["halt_index"] is not None and rec["halt_index"] <= 50
+    # the trajectory ends at the halt row
+    assert traj.index[-1] == rec["halt_index"]
     assert abs(traj.theta[-1, 0]) > THETA_MAX or not math.isfinite(traj.theta[-1, 0])
-    stats = recurrence_stats(traj)
-    assert stats.diverged
 
 
 def test_record_stride_keeps_final_row():
     cfg = toy_config(horizon=100)
     cfg = ChainConfig(**{**cfg.__dict__, "record_stride": 7})
-    traj = run_chain(cfg)
+    traj, _ = first_run(cfg)
     idx = traj.index.tolist()
     assert idx[0] == 0
     assert idx[-1] == 100
     assert all(i % 7 == 0 or i == 100 for i in idx)
-    with pytest.raises(ValueError):
-        recurrence_stats(traj)  # stride > 1 has gaps
 
 
 def test_recurrence_stats_match_direct_recount():
-    traj = run_chain(coerced_config(horizon=600, seed=19))
-    stats = recurrence_stats(traj)
-    in_set = (traj.w <= traj.recurrence_m) & (np.abs(traj.x[:, 0]) <= traj.recurrence_r)
+    cfg = coerced_config(horizon=600, seed=19)
+    traj, rec = first_run(cfg)
+    in_set = (traj.w <= cfg.recurrence_m) & (np.abs(traj.x[:, 0]) <= cfg.recurrence_r)
+    assert np.array_equal(traj.in_set, in_set)
     entries = [
         int(traj.index[j])
         for j in range(len(in_set))
         if in_set[j] and (j == 0 or not in_set[j - 1])
     ]
-    assert stats.visit_count == int(in_set.sum())
-    assert stats.hitting_times == entries
-    assert stats.first_hit == (entries[0] if entries else None)
-    w_in = traj.w <= traj.recurrence_m
-    exits = sum(1 for j in range(1, len(w_in)) if w_in[j - 1] and not w_in[j])
-    assert stats.exit_count == exits
-    assert stats.censored == (not bool(in_set[-1]))
-    # overriding the levels recomputes
-    loose = recurrence_stats(traj, m=math.inf, r=math.inf)
-    assert loose.visit_count == traj.index.shape[0]
+    assert rec["visit_count"] == int(in_set.sum())
+    assert rec["n_hits"] == len(entries)
+    assert rec["first_hit"] == (entries[0] if entries else None)
+    w_in = traj.w <= cfg.recurrence_m
+    exits = [int(traj.index[j]) for j in range(1, len(w_in)) if w_in[j - 1] and not w_in[j]]
+    assert rec["exit_count"] == len(exits)
+    assert rec["last_exit_time"] == (exits[-1] if exits else None)
+    assert rec["censored"] == (not bool(in_set[-1]))
+    assert rec["max_abs_theta"] == float(np.abs(traj.theta).max())
+    # the same path with unbounded levels visits on every row
+    _, loose = first_run(dataclasses.replace(cfg, recurrence_m=math.inf, recurrence_r=math.inf))
+    assert loose["visit_count"] == traj.index.shape[0]
+    assert (loose["n_hits"], loose["first_hit"], loose["exit_count"]) == (1, 0, 0)
 
 
 def test_run_replicas_matches_individual_runs():
@@ -246,9 +273,11 @@ def test_run_replicas_matches_individual_runs():
     assert first is not None
     assert summary.n_replicas == 3
     assert [r["replica"] for r in summary.per_replica] == [0, 1, 2]
-    solo = run_chain(cfg, rng=substream(42, 2), replica=2)
-    assert summary.per_replica[2]["max_abs_theta"] == recurrence_stats(solo).max_abs_theta
-    assert summary.per_replica[0]["max_abs_theta"] == recurrence_stats(first).max_abs_theta
+    # replica 2 run alone, by the engine on its substream, is the same chain
+    _, solo = simulator._run_toy_replicas(cfg, [substream(42, 2)], True)
+    for k, traj in ((0, first), (2, solo)):
+        want = recount(traj, cfg.recurrence_m, cfg.recurrence_r)
+        assert {key: summary.per_replica[k][key] for key in want} == want
     assert summary.aggregate["hit_count"] <= 3
     with pytest.raises(ValueError):
         run_replicas(cfg, 0)
@@ -286,7 +315,7 @@ def test_config_rejects_an_initial_mean_that_does_not_fit():
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_coerced_increment_envelope_along_path(seed):
     cfg = coerced_config(horizon=300, seed=seed)
-    traj = run_chain(cfg)
+    traj, _ = first_run(cfg)
     th = traj.theta[:, 0]
     for j in range(1, len(th)):
         gm = traj.gamma[j]
@@ -314,8 +343,8 @@ def reference_toy(cfg, replica):
             x = 1 - x
         h = 0.5 - x
         theta = theta + gamma * h
-        if h_prev is not None:
-            s = kesten_advance(s, [h_prev], [h])
+        if h_prev is not None and h_prev * h < 0.0:
+            s += 1
         h_prev = h
         rows.append((i, theta, x, flipped, gamma, s))
         if not abs(theta) <= THETA_MAX:
@@ -391,10 +420,11 @@ def test_toy_engine_matches_scalar_recursion(monkeypatch, n_rep, case, block_ele
         assert first.kesten_counts.tolist() == [row[5] for row in kept]
     else:
         assert first.kesten_counts is None
-    assert first.diverged == summary.per_replica[0]["diverged"]
-    assert first.halt_index == summary.per_replica[0]["halt_index"]
+    # the trajectory ends at replica 0's halt row, or at the horizon
+    rec = summary.per_replica[0]
+    assert first.index[-1] == (rec["halt_index"] if rec["diverged"] else cfg.horizon)
     # one chain alone gives replica 0's trajectory
-    solo = run_chain(cfg)
+    _, solo = simulator._run_toy_replicas(cfg, [substream(cfg.seed, 0)], True)
     assert solo.index.tolist() == first.index.tolist()
     assert solo.theta.tolist() == first.theta.tolist()
 
@@ -403,16 +433,10 @@ def test_toy_engine_matches_scalar_recursion(monkeypatch, n_rep, case, block_ele
 def test_recurrence_stats_of_first_trajectory_equal_streamed_record(case):
     cfg = toy_config(horizon=400, seed=31, **TOY_CASES[case])
     summary, first = run_replicas(cfg, 3, keep_first_trajectory=True)
-    stats = recurrence_stats(first)
+    want = recount(first, cfg.recurrence_m, cfg.recurrence_r)
     rec = summary.per_replica[0]
-    assert rec["first_hit"] == stats.first_hit
-    assert rec["n_hits"] == len(stats.hitting_times)
-    assert rec["visit_count"] == stats.visit_count
-    assert rec["last_exit_time"] == stats.last_exit_time
-    assert rec["exit_count"] == stats.exit_count
-    assert rec["max_abs_theta"] == stats.max_abs_theta
-    assert rec["censored"] == stats.censored
-    assert rec["diverged"] == stats.diverged
+    assert {key: rec[key] for key in want} == want
+    assert first.index[-1] == (rec["halt_index"] if rec["diverged"] else cfg.horizon)
 
 
 def test_am_negative_variance_halts_as_diverged():
@@ -420,14 +444,12 @@ def test_am_negative_variance_halts_as_diverged():
     # directly must flag the negative variance it produces.  Seed 2 rejects
     # the first proposal, so g_1 = 1 + 5 * (0 - 1) = -4.
     cfg = am_config(horizon=200, seed=2, schedule=PolynomialSchedule(c0=5.0, c1=0.0, a=1.0))
-    traj = run_chain(cfg)
-    assert traj.diverged
-    assert traj.halt_index == 1
+    summary, traj = run_replicas(cfg, 1, keep_first_trajectory=True)
+    assert summary.any_diverged
+    assert summary.per_replica[0]["diverged"]
+    assert summary.per_replica[0]["halt_index"] == 1
     assert traj.index.tolist() == [0, 1]
     assert traj.theta[-1, 1] == -4.0
-    summary, _ = run_replicas(cfg, 1)
-    assert summary.any_diverged
-    assert summary.per_replica[0]["halt_index"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +496,7 @@ class RowRecorder:
     def add(self, i, theta, x, y, accepted, alpha, gamma, v, w, comp, inside, s):
         self.rows.append((i, theta, x, y, accepted, alpha, gamma, v, w, comp, inside, s))
 
-    def build(self, halted, halt_index, replica):
+    def build(self):
         cfg = self.cfg
         n = len(self.rows)
         i, theta, x, y, accepted, alpha, gamma, v, w, comp, inside, s = map(list, zip(*self.rows))
@@ -492,37 +514,24 @@ class RowRecorder:
             compound=np.array(comp, dtype=float),
             in_set=np.array(inside, dtype=bool),
             kesten_counts=np.array(s, dtype=np.int64) if isinstance(cfg.schedule, KestenSchedule) else None,
-            record_stride=cfg.record_stride,
-            horizon=cfg.horizon,
-            diverged=halted,
-            halt_index=halt_index,
-            replica=replica,
-            recurrence_m=cfg.recurrence_m,
-            recurrence_r=cfg.recurrence_r,
         )
 
 
-def replica_record(cfg, traj):
-    """The per-replica record of a stride-1 srwm trajectory, reduced by
-    ``recurrence_stats``; acceptance_tail is the accept rate of the last
-    min(10,000, steps // 10) steps."""
-    stats = recurrence_stats(traj)
+def replica_record(cfg, traj, halt_index, replica):
+    """The per-replica record of a stride-1 srwm trajectory of ``replica``
+    that halts at ``halt_index`` (None: never), counted by ``recount``;
+    acceptance_tail is the accept rate of the last min(10,000, steps // 10)
+    steps."""
     tail = traj.accepted[-min(10_000, max((traj.index.shape[0] - 1) // 10, 1)):]
     rec = {
-        "replica": traj.replica,
-        "first_hit": stats.first_hit,
-        "n_hits": len(stats.hitting_times),
-        "visit_count": stats.visit_count,
-        "last_exit_time": stats.last_exit_time,
-        "exit_count": stats.exit_count,
-        "max_abs_theta": stats.max_abs_theta,
-        "censored": stats.censored,
-        "diverged": stats.diverged,
-        "halt_index": traj.halt_index,
+        "replica": replica,
+        **recount(traj, cfg.recurrence_m, cfg.recurrence_r),
+        "diverged": halt_index is not None,
+        "halt_index": halt_index,
         "acceptance_tail": float(tail.mean()),
         "final_theta": [float(t) for t in traj.theta[-1]],
     }
-    if cfg.rule.kind == RULE_AM and cfg.moments is not None and not traj.diverged:
+    if cfg.rule.kind == RULE_AM and cfg.moments is not None and halt_index is None:
         k = cfg.moments.mu_pi.shape[0]
         rec["final_err_mu"] = float(np.linalg.norm(traj.theta[-1][:k] - cfg.moments.mu_pi))
         rec["final_err_cov"] = float(np.linalg.norm(traj.theta[-1][k:].reshape(k, k) - cfg.moments.cov_pi))
@@ -565,7 +574,11 @@ def reference_generic(cfg, replica=0, rng=None):
     ``reference_srwm_step``, a fresh kernel parameter wherever one is
     needed, V and w from their Lyapunov objects, and the rule's update
     (``fixed`` keeps theta).  Rows every ``record_stride`` steps, the final
-    row, and the divergence halt row, as the simulator keeps them."""
+    row, and the divergence halt row, as the simulator keeps them.  The Kesten
+    count advances when successive increments have a negative inner product,
+    under running moments the mean's and the covariance's increments
+    flattened into one vector.  Returns the trajectory and the halt index
+    (None: no halt)."""
     rng = substream(cfg.seed, replica) if rng is None else rng
     rule = cfg.rule.kind
     kesten = isinstance(cfg.schedule, KestenSchedule)
@@ -597,7 +610,8 @@ def reference_generic(cfg, replica=0, rng=None):
         gamma = gamma_at(cfg.schedule, i, s if kesten else None)
         x_new, y, accepted, alpha = reference_srwm_step(cfg.target, cfg.proposal, param(), x, rng)
         if am:
-            h = am_increment(mu, cov, x_new)
+            dev = x_new - mu
+            h = np.concatenate([dev, (np.outer(dev, dev) - cov).ravel()])
             mu, cov = am_update(mu, cov, x_new, gamma)
         elif rule == RULE_FIXED:
             h = 0.0
@@ -609,8 +623,8 @@ def reference_generic(cfg, replica=0, rng=None):
             theta = scalar_update(RULE_FAST_COERCED, theta, alpha, gamma, cfg.rule.alpha_star)[0]
         x = x_new
         if kesten:
-            if h_prev is not None:
-                s = kesten_advance(s, h_prev, h)
+            if h_prev is not None and (h_prev @ h if am else h_prev * h) < 0.0:
+                s += 1
             h_prev = h
         params = np.concatenate([mu, cov.ravel()]) if am else np.array([theta])
         halted = not (
@@ -620,7 +634,7 @@ def reference_generic(cfg, replica=0, rng=None):
             row(i, y, accepted, alpha, gamma)
         if halted:
             break
-    return rec.build(halted, i if halted else None, replica)
+    return rec.build(), i if halted else None
 
 
 MV_CASES = {
@@ -657,15 +671,16 @@ MV_HALTS = {"am-2d-diverges": 1, "am-2d-step-2-diverges": 2, "coerced-2d-diverge
 @pytest.mark.parametrize("case", sorted(MV_CASES))
 def test_generic_path_matches_per_step_composition(case):
     cfg = mv_config(**MV_CASES[case])
-    ref = reference_generic(cfg)
-    traj = run_chain(cfg)
-    assert traj.diverged == ref.diverged == case.endswith("-diverges")
-    if ref.diverged:
-        assert traj.index.tolist() == list(range(MV_HALTS[case] + 1))
+    ref, halt = reference_generic(cfg)
+    traj, rec = first_run(cfg)
+    assert rec["diverged"] == (halt is not None) == case.endswith("-diverges")
+    assert rec["halt_index"] == halt == MV_HALTS.get(case)
+    if halt is not None:
+        assert traj.index.tolist() == list(range(halt + 1))
     assert_same_trajectory(traj, ref)
     if ref.kesten_counts is not None:
         assert traj.kesten_counts[-1] > 0
-    if not ref.diverged:
+    if halt is None:
         # the chain moved and visited the recurrence set
         assert traj.accepted.any() and traj.in_set.any()
 
@@ -719,13 +734,6 @@ def synthetic_trajectory(rows, dim, n_theta, kesten, seed=0):
         compound=floats(rows),
         in_set=rng.random(rows) < 0.5,
         kesten_counts=rng.integers(0, 10**6, rows) if kesten else None,
-        record_stride=1,
-        horizon=3 * rows,
-        diverged=False,
-        halt_index=None,
-        replica=0,
-        recurrence_m=1.0,
-        recurrence_r=1.0,
     )
 
 
@@ -754,7 +762,7 @@ def test_to_csv_of_recorded_runs_matches_row_loop(tmp_path):
         coerced_config(horizon=1500),
         toy_config(horizon=1100, schedule=KestenSchedule(c0=3.0, a=0.6)),
     ):
-        traj = run_chain(cfg)
+        traj, _ = first_run(cfg)
         traj.to_csv(tmp_path / "got.csv")
         reference_csv(traj, tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -764,12 +772,14 @@ def test_to_csv_of_recorded_runs_matches_row_loop(tmp_path):
 # the streamed 1-D srwm loops against per-step recording loops
 
 
-def reference_scalar(cfg, rng, replica=0):
+def reference_scalar(cfg, rng):
     """The scalar log-scale rules on a 1-D target, one step at a time, with
     every recorded row built as it is reached (V, w, W and in_C included):
     a Metropolis step at sigma = exp(theta), then theta += gamma_i * h with
     h = alpha - alpha* (coerced), (|theta| + 1)(alpha - alpha*) (fast) or 0
-    (fixed).  Each step draws its increment and then its coin."""
+    (fixed).  Each step draws its increment and then its coin, and the Kesten
+    count advances when successive increments have a negative product.
+    Returns the trajectory and the halt index (None: no halt)."""
     spec, rule, schedule = cfg.proposal, cfg.rule, cfg.schedule
     kesten = isinstance(schedule, KestenSchedule)
     eta = cfg.state_lyapunov.eta if cfg.state_lyapunov is not None else 0.0
@@ -814,25 +824,27 @@ def reference_scalar(cfg, rng, replica=0):
             # gamma * h, the order of scalar_update: gamma * ((|theta| + 1) * (alpha - alpha*))
             theta = theta + gamma * h
         if kesten:
-            if h_prev is not None:
-                s = kesten_advance(s, [h_prev], [h])
+            # strict: a zero product (the fixed rule's h = 0) does not advance
+            if h_prev is not None and h_prev * h < 0.0:
+                s += 1
             h_prev = h
         halted = not (math.isfinite(theta) and abs(theta) <= THETA_MAX and math.isfinite(x))
         if halted or i % cfg.record_stride == 0 or i == cfg.horizon:
             record(i, y, accepted, alpha, gamma)
         if halted:
             break
-    return rec.build(halted, i if halted else None, replica)
+    return rec.build(), i if halted else None
 
 
-def reference_am_1d(cfg, rng, replica=0):
+def reference_am_1d(cfg, rng):
     """The running-moments rule on a 1-D target, one step at a time, with
     every recorded row built as it is reached: a Metropolis step with
     variance RW_SCALE**2 * (g + eps), then mu += gamma_i * (x - mu) and
     g += gamma_i * ((x - mu)**2 - g), with the pre-update mu and g on the
     right.  Halts on a parameter past THETA_MAX, a non-finite one or a
     negative variance.  Stepsizes of 1 and above are allowed (am_update
-    refuses them), so a run can be made to halt."""
+    refuses them), so a run can be made to halt.  Returns the trajectory and
+    the halt index (None: no halt)."""
     spec, schedule = cfg.proposal, cfg.schedule
     kesten = isinstance(schedule, KestenSchedule)
     eta = cfg.state_lyapunov.eta if cfg.state_lyapunov is not None else 0.0
@@ -874,11 +886,11 @@ def reference_am_1d(cfg, rng, replica=0):
             record(i, y, accepted, alpha, gamma)
         if halted:
             break
-    return rec.build(halted, i if halted else None, replica)
+    return rec.build(), i if halted else None
 
 
-def reference_1d(cfg, rng, replica=0):
-    return (reference_am_1d if cfg.rule.kind == RULE_AM else reference_scalar)(cfg, rng, replica)
+def reference_1d(cfg, rng):
+    return (reference_am_1d if cfg.rule.kind == RULE_AM else reference_scalar)(cfg, rng)
 
 
 def srwm_1d_config(rule=RULE_COERCED, family=FAMILY_UNIFORM, schedule=None, horizon=600, theta0=0.0, **kw):
@@ -949,8 +961,6 @@ def assert_same_trajectory(got, want):
         assert got.kesten_counts is None
     else:
         assert got.kesten_counts.tolist() == want.kesten_counts.tolist()
-    for name in ("record_stride", "horizon", "diverged", "halt_index", "replica", "recurrence_m", "recurrence_r"):
-        assert getattr(got, name) == getattr(want, name), name
 
 
 # "default": every horizon here is shorter than one block; "64" and "1":
@@ -969,8 +979,8 @@ HALTING_LATE = ["fast-coerced-diverges", "am-diverges"]
 def test_streamed_1d_matches_per_step_loops(monkeypatch, case, block):
     cfg = srwm_1d_config(**SRWM_1D_CASES[case])
     n_rep = 3
-    refs = [reference_1d(cfg, substream(cfg.seed, k), k) for k in range(n_rep)]
-    halt = refs[0].halt_index
+    refs = [reference_1d(cfg, substream(cfg.seed, k)) for k in range(n_rep)]
+    halt = refs[0][1]
     assert (halt is not None) == ("-diverges" in case)
     if case in HALTING_LATE:
         assert halt > 2
@@ -979,29 +989,31 @@ def test_streamed_1d_matches_per_step_loops(monkeypatch, case, block):
     elif block != "default":
         monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", int(block))
     summary, first = run_replicas(cfg, n_rep, keep_first_trajectory=True)
-    assert summary.per_replica == [replica_record(cfg, ref) for ref in refs]
-    assert_same_trajectory(first, refs[0])
+    assert summary.per_replica == [replica_record(cfg, *ref, k) for k, ref in enumerate(refs)]
+    assert_same_trajectory(first, refs[0][0])
 
 
 @pytest.mark.parametrize("case", ["coerced-uniform", "am-gaussian-kesten", "fast-coerced-diverges"])
 @pytest.mark.parametrize("block", [None, 5])
 def test_run_chain_stride_matches_per_step_loop(monkeypatch, case, block):
+    # one chain, replica 4's, kept at stride 7 by the loop that runs a slice
+    # of replicas
     if block is not None:
         monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", block)
     cfg = srwm_1d_config(**SRWM_1D_CASES[case], record_stride=7)
-    traj = run_chain(cfg, replica=4)
-    assert_same_trajectory(traj, reference_1d(cfg, substream(cfg.seed, 4), 4))
+    records, traj = simulator._run_srwm(cfg, [substream(cfg.seed, 4)], True, 4)
+    ref, halt = reference_1d(cfg, substream(cfg.seed, 4))
+    assert_same_trajectory(traj, ref)
     assert traj.index[0] == 0 and all(i % 7 == 0 for i in traj.index[1:-1].tolist())
-    # a caller's generator is used as given
-    again = run_chain(cfg, rng=substream(cfg.seed, 4), replica=4)
-    assert again.index.tolist() == traj.index.tolist() and again.theta.tolist() == traj.theta.tolist()
+    assert [(r["replica"], r["halt_index"]) for r in records] == [(4, halt)]
+    assert (halt is not None) == case.endswith("-diverges")
 
 
 def test_fast_coerced_update_is_the_1d_recursion():
     # one rounding for the fast-coerced rule: replaying a streamed 1-D path
     # through scalar_update gives its parameter bit for bit
     cfg = srwm_1d_config(**SRWM_1D_CASES["fast-coerced-uniform"])
-    traj = run_chain(cfg)
+    traj, _ = first_run(cfg)
     theta = traj.theta[:, 0].tolist()
     steps = zip(theta[:-1], traj.alpha[1:].tolist(), traj.gamma[1:].tolist())
     assert [scalar_update(RULE_FAST_COERCED, t, alpha, gamma, 0.44)[0] for t, alpha, gamma in steps] == theta[1:]
@@ -1009,19 +1021,25 @@ def test_fast_coerced_update_is_the_1d_recursion():
 
 def test_run_replicas_never_records_a_whole_1d_path(monkeypatch):
     # every srwm replica, 1-D or multivariate, is reduced block by block:
-    # none runs a whole trajectory through run_chain
-    def refuse(*args, **kwargs):
-        raise AssertionError("a replica went through run_chain")
+    # only replica 0's rows go to a kept path
+    paths = []
 
-    monkeypatch.setattr(simulator, "run_chain", refuse)
+    class CountedPath(simulator._KeptPath):
+        def __init__(self, *args):
+            paths.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(simulator, "_KeptPath", CountedPath)
     for cfg in (
         srwm_1d_config(**SRWM_1D_CASES["coerced-uniform"]),
         srwm_1d_config(**SRWM_1D_CASES["am-gaussian"]),
         mv_config(),
         mv_config(rule=RULE_COERCED),
     ):
+        paths.clear()
         summary, first = run_replicas(cfg, 3, keep_first_trajectory=True)
         assert summary.n_replicas == 3 and first.index.shape[0] == cfg.horizon + 1
+        assert len(paths) == 1
 
 
 def test_streamed_record_keeps_a_bounded_tail(monkeypatch):
@@ -1030,8 +1048,8 @@ def test_streamed_record_keeps_a_bounded_tail(monkeypatch):
     monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", 2500)
     cfg = srwm_1d_config(horizon=120_000)
     summary, _ = run_replicas(cfg, 1)
-    ref = reference_1d(cfg, substream(cfg.seed, 0))
-    assert summary.per_replica == [replica_record(cfg, ref)]
+    ref, halt = reference_1d(cfg, substream(cfg.seed, 0))
+    assert summary.per_replica == [replica_record(cfg, ref, halt, 0)]
     assert summary.per_replica[0]["acceptance_tail"] == float(ref.accepted[-10_000:].mean())
 
 
@@ -1041,7 +1059,8 @@ def test_streamed_record_keeps_a_bounded_tail(monkeypatch):
 
 @functools.lru_cache(maxsize=None)
 def mv_reference(case, replica, stride_one=False):
-    """``reference_generic`` of an MV_CASES entry, computed once per run."""
+    """``reference_generic`` of an MV_CASES entry, computed once per run:
+    the trajectory and the halt index."""
     cfg = mv_config(**MV_CASES[case])
     if stride_one:
         cfg = dataclasses.replace(cfg, record_stride=1)
@@ -1060,7 +1079,7 @@ def test_streamed_mv_matches_per_step_composition(monkeypatch, case, block):
     cfg = mv_config(**MV_CASES[case])
     n_rep = 3
     refs = [mv_reference(case, k, stride_one=True) for k in range(n_rep)]
-    halt = refs[0].halt_index
+    halt = refs[0][1]
     assert halt == MV_HALTS.get(case)
     if block.startswith("halt"):
         monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", halt if block == "halt-last" else halt - 1)
@@ -1071,8 +1090,8 @@ def test_streamed_mv_matches_per_step_composition(monkeypatch, case, block):
             # the halt is the report: no numpy overflow warning on the way
             warnings.simplefilter("error", RuntimeWarning)
         summary, first = run_replicas(cfg, n_rep, keep_first_trajectory=True)
-    assert summary.per_replica == [replica_record(cfg, ref) for ref in refs]
-    assert_same_trajectory(first, mv_reference(case, 0))
+    assert summary.per_replica == [replica_record(cfg, *ref, k) for k, ref in enumerate(refs)]
+    assert_same_trajectory(first, mv_reference(case, 0)[0])
 
 
 # ---------------------------------------------------------------------------
