@@ -12,16 +12,19 @@ schedule, lyapunov, run, verify, output).  Each rule has one owner, and
 * ``_check_rule_fit`` and ``_check_quadrature`` tie the adaptation rule and
   the verify method to the other sections.
 * The builders, and the constructors they call, own what needs a built
-  object: target parameters, the proposal against target and rule, the
-  first AM stepsize, ``run.theta0`` and ``run.x0``, the scenario's
-  exponents and ``gamma_max``, and (``build_check_args``, at load and in
-  ``cli.run_check``) what each check needs, which no verifier re-checks.
+  object: target parameters, the proposal against target and rule (and a
+  ridge whose scaled value overflows), the first AM stepsize, a stepsize
+  that rounds to 0 within the horizon, ``run.theta0`` and ``run.x0``, the
+  scenario's exponents and ``gamma_max``, and (``build_check_args``, at
+  load and in ``cli.run_check``) what each check needs, which no verifier
+  re-checks.
   Every document is built at load, so one that loads builds.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import operator
 import sys
 from typing import Iterator, Optional
@@ -48,6 +51,7 @@ from .kernels import (
     FAMILY_UNIFORM,
     PARAM_AM_COVARIANCE,
     PARAM_SCALAR_LOG_SCALE,
+    RW_SCALE,
     AMParam,
     ProposalSpec,
 )
@@ -455,8 +459,9 @@ def _check_rule_fit(doc: dict) -> None:
     """Reject, each at its path, a parameter weight, drift scenario or check
     that does not fit the adaptation rule, a ``verify.theta_grid`` entry
     that is no parameter of the scenario (am scenarios take running moments
-    {mu, cov}, the others a number below 700: from there on the proposal
-    scale e**theta, ``kernels.ScalarParam.sigma``, is inf), and under the am
+    {mu, cov}, the others a number below 700 whose e**theta is not 0: from
+    700 on the proposal scale e**theta, ``kernels.ScalarParam.sigma``, is
+    inf, and below about -745.13 it rounds to 0), and under the am
     rule a ``verify.gamma_grid`` stepsize above 1, which no running-moments
     step takes."""
     rule = doc.get("adaptation", {}).get("rule")
@@ -484,6 +489,9 @@ def _check_rule_fit(doc: dict) -> None:
                 raise ConfigError(f"entry {i} is no {scenario!r} parameter, which is {wants}", "verify.theta_grid")
             if not moments and entry >= 700.0:
                 raise ConfigError(f"theta = {entry!r} puts the proposal scale e**theta past the float range",
+                                  f"verify.theta_grid.{i}")
+            if not moments and math.exp(entry) == 0.0:
+                raise ConfigError(f"theta = {entry!r} rounds the proposal scale e**theta to 0",
                                   f"verify.theta_grid.{i}")
     if rule == RULE_AM and any(g > 1.0 for g in verify.get("gamma_grid", ())):
         raise ConfigError("a running-moments step needs stepsizes of at most 1", "verify.gamma_grid")
@@ -556,11 +564,15 @@ def build_proposal(doc: dict) -> ProposalSpec:
             f"uniform increments are one-dimensional; the target has dim {dim}",
             "proposal.family",
         )
+    eps_ridge = cfg.get("eps_ridge", 0.1)
+    if not math.isfinite(RW_SCALE**2 * eps_ridge):
+        raise ConfigError(f"eps_ridge = {eps_ridge!r} puts the scaled ridge RW_SCALE**2 * eps_ridge past the "
+                          "float range", "proposal.eps_ridge")
     try:
         return ProposalSpec(
             family=cfg["family"],
             parametrization=cfg["parametrization"],
-            eps_ridge=cfg.get("eps_ridge", 0.1),
+            eps_ridge=eps_ridge,
             student_dof=cfg.get("student_dof", 4.0),
         )
     except ValueError as exc:
@@ -708,6 +720,13 @@ def build_chain_config(doc: dict) -> ChainConfig:
         raise ConfigError("section required for this operation", "run")
     rule = build_rule(doc)
     schedule = build_schedule(doc)
+    # The stepsize never grows (a > 0), so the horizon's is the smallest;
+    # the Kesten count stays below the step index.  A stepsize of 0 would
+    # divide the compound function W by 0.
+    last = gamma_at(schedule, cfg["horizon"], cfg["horizon"] - 1 if isinstance(schedule, KestenSchedule) else None)
+    if not last > 0.0:
+        raise ConfigError(f"the stepsize rounds to 0 within the horizon: {last!r} at step {cfg['horizon']}",
+                          "schedule")
     kind = cfg["kind"]
     target = None
     proposal = None

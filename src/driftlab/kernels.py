@@ -99,14 +99,42 @@ def proposal_covariance(spec: ProposalSpec, param: AMParam) -> np.ndarray:
     return (RW_SCALE**2 / n) * (param.cov + spec.eps_ridge * np.eye(n))
 
 
-def _symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    # eigh sorts the eigenvalues in ascending order.  A singular covariance
-    # whose ridge rounds away can come out slightly negative: its root is
-    # clamped at 0, as a 1-D variance <= 0 gives sd 0.
+def _root_rows(cov: list, dim: int) -> list[list[float]]:
+    """Symmetric square root of a ``dim`` x ``dim`` covariance given as a
+    flat row-major list of floats, returned as rows of floats.  Only the
+    lower triangle is read, as ``np.linalg.eigh`` reads it, and an
+    eigenvalue below 0 (a singular covariance whose ridge rounds away) is
+    clamped at 0, as a 1-D variance <= 0 gives sd 0.
+
+    At dim = 2 the root is closed-form: with eigenvalues hi >= lo of
+    [[a, b], [b, c]], it is (A + sqrt(hi * lo) I) / (sqrt(hi) + sqrt(lo)),
+    hi and lo from ``math.hypot`` so that no product of entries can
+    overflow; a diagonal matrix gives the roots of its entries.  Other
+    dimensions take the root from ``eigh``.
+    """
+    if dim == 2:
+        a, b, c = cov[0], cov[2], cov[3]
+        if b == 0.0:
+            return [[math.sqrt(a) if a > 0.0 else 0.0, 0.0], [0.0, math.sqrt(c) if c > 0.0 else 0.0]]
+        mid = 0.5 * a + 0.5 * c
+        rad = math.hypot(0.5 * a - 0.5 * c, b)
+        hi, lo = mid + rad, mid - rad
+        if hi <= 0.0:
+            return [[0.0, 0.0], [0.0, 0.0]]
+        s_hi = math.sqrt(hi)
+        s_lo = math.sqrt(lo) if lo > 0.0 else 0.0
+        s, t = s_hi * s_lo, s_hi + s_lo
+        return [[(a + s) / t, b / t], [b / t, (c + s) / t]]
+    vals, vecs = np.linalg.eigh(np.array(cov, dtype=float).reshape(dim, dim))
+    # eigh sorts the eigenvalues in ascending order
     if vals[0] < 0:
         vals = np.maximum(vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return ((vecs * np.sqrt(vals)) @ vecs.T).tolist()
+
+
+def _symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
+    """``_root_rows`` of a covariance array, as an array."""
+    return np.array(_root_rows(mat.ravel().tolist(), mat.shape[0]))
 
 
 def draw_increments(

@@ -19,6 +19,7 @@ function ``delta``) so verifiers can evaluate both sides of each inequality.
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -107,19 +108,20 @@ class ParamLyapunov(NamedTuple):
         not make a valid kernel parameter (a diverged run's halt row).
 
         A stack of moments, ``mu`` of shape (n, d) and ``cov`` (n, d, d),
-        gives the array of n weights; one pair gives a float.  A weight
-        past the float range is inf: a stack's without a warning, one
-        pair's with numpy's overflow warning from the dot product (entries
-        past about 1e154) unless the caller ignores overflow, as
-        ``simulator._run_srwm`` does.  One pair's norms are
-        ``np.linalg.norm``'s own arithmetic, sqrt(v . v) of the array
-        raveled in memory order, without its per-call checks.
+        gives the array of n weights, inf past the float range, without a
+        warning.  One pair gives a float, by ``of_floats``.
         """
         if np.ndim(mu) > 1:
             with np.errstate(over="ignore"):
                 return 1.0 + np.linalg.norm(mu, axis=-1) ** (2.0 + self.eps) + np.linalg.norm(cov, axis=(-2, -1))
-        m, c = mu.ravel(order="K"), cov.ravel(order="K")
-        return 1.0 + pow_or_inf(math.sqrt(m.dot(m)), 2.0 + self.eps) + math.sqrt(c.dot(c))
+        return self.of_floats(np.ravel(mu).tolist(), np.ravel(cov).tolist())
+
+    def of_floats(self, mu: list, cov: list) -> float:
+        """The am_poly weight of one pair of running moments given as flat
+        lists of floats (``cov`` row by row), over Python floats: each norm
+        is the square root of ``sum`` of the squares, and a weight past the
+        float range is inf, without a warning."""
+        return 1.0 + pow_or_inf(math.sqrt(sum(map(mul, mu, mu))), 2.0 + self.eps) + math.sqrt(sum(map(mul, cov, cov)))
 
 
 def pow_or_inf(base: float, expo: float) -> float:

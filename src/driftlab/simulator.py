@@ -26,14 +26,15 @@ a loop that appends only raw values (parameter, state, proposal, acceptance,
 stepsize, log pi) to per-block lists.  On a 1-D target the loop runs over
 Python floats, and a uniform proposal draws a block's uniforms at once, in
 the order of the scalar draws.
-In several dimensions the loop calls numpy only for vectors: the proposal
-(under running moments, one ``eigh`` root of the proposal covariance per
-step, from ``kernels._symmetric_sqrt``) and the running-moments update, in
-the arithmetic of ``adaptation.am_update``.  The target is evaluated once
-per step, at the proposal, with log pi of the current state carried from
-step to step, and the divergence check reads the Python floats of the row
-the step appends.  A step that overflows the parameter is kept, raw, as
-the halt row.
+In several dimensions the loop runs over Python floats too, calling numpy
+only to draw: under running moments the proposal applies the root of the
+proposal covariance from ``kernels._root_rows`` (closed-form at d = 2,
+``eigh`` from d = 3 on) row by row, and the running-moments update is the
+elementwise arithmetic of ``adaptation.am_update``.  The target is
+evaluated once per step, at the proposal, with log pi of the current state
+carried from step to step, and the divergence check reads the row the step
+appends.  A step that overflows the parameter is kept, raw, as the halt
+row.
 
 Either engine folds each block into per-replica recurrence statistics
 (``_RecurrenceCounter``) and drops it; replica 0's rows also go to
@@ -54,6 +55,7 @@ import os
 import pickle
 from collections import deque
 from itertools import repeat
+from operator import add, mul, sub
 from typing import BinaryIO, Callable, NamedTuple, NoReturn, Optional
 
 import numpy as np
@@ -71,7 +73,7 @@ from .kernels import (
     FAMILY_GAUSSIAN,
     FAMILY_UNIFORM,
     RW_SCALE,
-    _symmetric_sqrt,
+    _root_rows,
 )
 from .lyapunov import (
     W_AM_POLY,
@@ -198,7 +200,7 @@ class _RawBlock(NamedTuple):
     """Consecutive rows of one path as its loop produced them.
 
     ``theta`` holds one list per parameter column, ``x`` and ``y`` one float
-    per row on a 1-D target and one list of coordinates per row otherwise,
+    per row on a 1-D target and one tuple of coordinates per row otherwise,
     ``gamma`` the stepsize each row's step used (row 0: the first step's),
     ``counts`` the Kesten count after each row (None without a Kesten
     schedule), and ``halted`` says the block ends at the divergence halt.
@@ -402,25 +404,28 @@ def _am_1d_blocks(config: ChainConfig, rng, block: int):
 
 
 def _generic_blocks(config: ChainConfig, rng, block: int):
-    """Multivariate chains, one step at a time: yields row 0, then blocks of
-    up to ``block`` steps, the last one ending at the horizon or at the halt
-    row.
+    """Multivariate chains over Python floats, one step at a time: yields
+    row 0, then blocks of up to ``block`` steps, the last one ending at the
+    horizon or at the halt row.
 
-    A step draws its increment, ``standard_normal((1, d))`` times the
-    transposed ``eigh`` root of the proposal covariance (running moments)
-    or exp(theta) times ``standard_normal((1, d))`` or ``standard_t(dof,
-    (1, d))`` (a scalar rule), then one chi-square for Student increments
-    under running moments, then its coin: the draws and the arithmetic of
-    one ``kernels.draw_increments`` increment.  The update is the arithmetic
-    of ``adaptation.am_update`` or of ``scalar_update``; a Kesten count
-    compares successive increments, under running moments the mean's and the
-    covariance's increments flattened into one vector.  The target is
-    evaluated once per step, at the proposal: log pi of the current state is
-    carried from step to step.
+    A step draws ``standard_normal(d)`` and, under running moments, applies
+    the ``kernels._root_rows`` root of the proposal covariance (RW_SCALE**2
+    / d) * (cov + eps_ridge * I) row by row, then draws one chi-square for
+    Student increments; a scalar rule scales ``standard_normal(d)`` or
+    ``standard_t(dof, d)`` by exp(theta).  The coin comes last.  These are
+    the draws of one ``kernels.draw_increments`` increment and its coin.
+    The update is the elementwise arithmetic of ``adaptation.am_update``
+    or of ``scalar_update``; a Kesten count compares successive increments,
+    under running moments the mean's and the covariance's increments
+    flattened into one vector.  Sums of products are Python's ``sum``, so
+    they do not depend on the BLAS build (from Python 3.12 on ``sum`` is
+    compensated, which can move a last digit once more than two terms are
+    summed).  The target is evaluated once per step, at the proposal: log
+    pi of the current state is carried from step to step.
 
     No kernel parameter is built or checked: the update keeps the
-    covariance symmetric, the step's row is checked against THETA_MAX as
-    Python floats (a NaN fails too) before it can drive a proposal, and
+    covariance symmetric, the step's row is checked against THETA_MAX (a
+    NaN fails too) before it can drive a proposal, and
     ``config.build_schedule`` keeps an AM stepsize at most 1.  A step that
     fails the check is kept, raw, as the halt row.
     """
@@ -431,20 +436,20 @@ def _generic_blocks(config: ChainConfig, rng, block: int):
     gamma_of_count = config.schedule.gamma_of_count if kesten else None
     n = config.horizon
     dim = target.dim
-    shape = (1, dim)
     am = rule.kind == RULE_AM
     fast = rule.kind == RULE_FAST_COERCED
     fixed = rule.kind == RULE_FIXED
     alpha_star = rule.alpha_star if rule.alpha_star is not None else 0.0
     gaussian = spec.family == FAMILY_GAUSSIAN
     dof = spec.student_dof
-    # proposal covariance (RW_SCALE**2 / d) * (cov + eps_ridge * I), the
-    # arithmetic of kernels.proposal_covariance
+    # proposal covariance scale * (cov + ridge), the elementwise arithmetic
+    # of kernels.proposal_covariance, row-major like the covariance
     scale = RW_SCALE**2 / dim
-    ridge = spec.eps_ridge * np.eye(dim)
+    ridge = (spec.eps_ridge * np.eye(dim)).ravel().tolist()
 
     logp = target.log_density
     exp = math.exp
+    sqrt = math.sqrt
     isfinite = math.isfinite
     inf = math.inf
     draw_normal = rng.standard_normal
@@ -454,18 +459,17 @@ def _generic_blocks(config: ChainConfig, rng, block: int):
     poly, c0, c1, a, gm = _first_stepsize(config.schedule)
 
     if am:
-        mu, cov = config.theta0.mu, config.theta0.cov  # the update makes new arrays
-        row = [*mu.tolist(), *cov.ravel().tolist()]
-        h_prev = np.zeros(len(row))  # the increment before step 1: cannot advance s
+        mu, cov = config.theta0.mu.tolist(), config.theta0.cov.ravel().tolist()  # cov row-major
+        row = mu + cov
+        h_prev = [0.0] * len(row)  # the increment before step 1: cannot advance s
     else:
         theta = float(config.theta0)
         row = [theta]
         h_prev = 0.0
-    x = np.atleast_1d(np.asarray(config.x0, dtype=float))
-    xl = x.tolist()
+    x = tuple(np.atleast_1d(np.asarray(config.x0, dtype=float)).tolist())
     lx = float(logp(x))
     s = 0
-    yield _RawBlock(_columns([row]), [xl], [xl], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
+    yield _RawBlock(_columns([row]), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
     for start in range(1, n + 1, block):
         rows, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], []
@@ -475,28 +479,27 @@ def _generic_blocks(config: ChainConfig, rng, block: int):
             if poly:
                 gm = c0 / (c1 + i) ** a
             if am:
-                z = draw_normal(shape) @ _symmetric_sqrt(scale * (cov + ridge)).T
+                normal = draw_normal(dim).tolist()
+                root = _root_rows([scale * (c + e) for c, e in zip(cov, ridge)], dim)
+                z = [sum(map(mul, r, normal)) for r in root]
                 if not gaussian:
-                    z = z / np.sqrt(draw_chi(dof, 1) / dof)[:, None]
+                    q = sqrt(draw_chi(dof) / dof)
+                    z = [v / q for v in z] if q > 0.0 else [v * inf for v in z]  # numpy's v / 0
             else:
                 sigma = exp(theta) if theta < 700.0 else inf
-                z = sigma * (draw_normal(shape) if gaussian else draw_t(dof, shape))
-            y = x + z[0]
+                z = [sigma * v for v in (draw_normal(dim) if gaussian else draw_t(dof, dim)).tolist()]
+            y = tuple(map(add, x, z))  # a list(map(...)) of 2 would hold 8 slots
             ly = float(logp(y))
             d = ly - lx
             alpha = 1.0 if d >= 0.0 else exp(d)  # kernels.acceptance, inlined as in the 1-D loops
-            yl = y.tolist()
             accepted = draw_uniform() < alpha
             if accepted:
-                x, xl, lx = y, yl, ly
+                x, lx = y, ly
             if am:
-                dev = x - mu
-                dcov = dev[:, None] * dev - cov
-                if kesten:
-                    h_cur = np.concatenate((dev, dcov.ravel()))
-                mu = mu + gm * dev
-                cov = cov + gm * dcov
-                row = [*mu.tolist(), *cov.ravel().tolist()]
+                dev = list(map(sub, x, mu))
+                h_cur = dev + list(map(sub, [u * v for u in dev for v in dev], cov))
+                row = [t + gm * h for t, h in zip(row, h_cur)]
+                mu, cov = row[:dim], row[dim:]
                 bounded = all(abs(v) <= THETA_MAX for v in row)
             else:
                 if fixed:
@@ -510,20 +513,20 @@ def _generic_blocks(config: ChainConfig, rng, block: int):
                 row = [theta]
                 bounded = abs(theta) <= THETA_MAX
             rows.append(row)
-            xs.append(xl)
-            ys.append(yl)
+            xs.append(x)
+            ys.append(y)
             accs.append(accepted)
             alphas.append(alpha)
             gms.append(gm)
             lxs.append(lx)
             if kesten:
-                if (h_prev @ h_cur if am else h_prev * h_cur) < 0.0:
+                if (sum(map(mul, h_prev, h_cur)) if am else h_prev * h_cur) < 0.0:
                     s += 1
                     gm = gamma_of_count(s)
                 h_prev = h_cur
                 counts.append(s)
             # a NaN or infinite parameter fails the bound as well
-            if not (bounded and all(map(isfinite, xl))):
+            if not (bounded and all(map(isfinite, x))):
                 halted = True
                 break
         yield _RawBlock(_columns(rows), xs, ys, accs, alphas, gms, lxs, counts, halted)
@@ -537,16 +540,14 @@ def _columns(rows: list[tuple]) -> tuple:
 
 
 def _srwm_weights(weight: ParamLyapunov, dim: int):
-    """w of every row of a block's parameter columns: ``weight.of_moments``
+    """w of every row of a block's parameter columns: ``weight.of_floats``
     row by row for running moments in several dimensions, else the scalar
     arithmetic of ``weight`` (on a 1x1 running-moment pair for am_poly)."""
     exp = math.exp
     inf = math.inf
     if weight.variant == W_AM_POLY and dim > 1:
-        def moments(cols):
-            rows = np.array(cols).T.copy()
-            return [weight.of_moments(r[:dim], r[dim:].reshape(dim, dim)) for r in rows]
-        return moments
+        of_floats = weight.of_floats
+        return lambda cols: [of_floats(r[:dim], r[dim:]) for r in zip(*cols)]
     if weight.variant == W_AM_POLY:
         expo = 2.0 + weight.eps
         def am_poly_1d(cols):

@@ -18,9 +18,9 @@ Built-in families:
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul, sub
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,22 +148,31 @@ def gaussian_target(dim: int = 1, mean=None, cov=None) -> TargetModel:
         )
 
     prec_mat = np.linalg.inv(cov)
-    # No coordinate up to this size overflows the quadratic form, so a point
-    # within it skips the errstate (2.7 us, about as much as the form)
-    quiet_max = math.sqrt(sys.float_info.max / 4.0 / float(np.abs(prec_mat).max())) / dim
+    mean_floats = mean.tolist()
+    prec_rows = prec_mat.tolist()
+    inf = math.inf
 
     # The quadratic form is positive definite, so where it evaluates to NaN
     # at a NaN-free point (inf - inf, from infinite or overflowing
-    # coordinates) its value is +inf and the log-density -inf.
+    # coordinates) its value is +inf and the log-density -inf.  One point
+    # (a tuple or list of floats, or a 1-D array) is taken over Python
+    # floats, row by row of the precision matrix, which is several times
+    # faster than numpy on so few numbers and never warns; a stack goes
+    # through einsum.
     def logp_nd(x):
-        d = np.asarray(x, dtype=float) - mean
-        # false for inf, past quiet_max, and for a leading NaN
-        if d.ndim == 1 and max(map(abs, d.tolist())) <= quiet_max:
-            return -0.5 * float(d @ prec_mat @ d)
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = np.einsum("...i,ij,...j->...", d, prec_mat, d)
-        q = np.where(np.isnan(q) & ~np.isnan(d).any(axis=-1), math.inf, q)
-        return -0.5 * q if q.ndim else -0.5 * float(q)
+        if not isinstance(x, (tuple, list)):
+            x = np.asarray(x, dtype=float)
+            if x.ndim > 1:
+                d = x - mean
+                with np.errstate(over="ignore", invalid="ignore"):
+                    q = np.einsum("...i,ij,...j->...", d, prec_mat, d)
+                return -0.5 * np.where(np.isnan(q) & ~np.isnan(d).any(axis=-1), inf, q)
+            x = x.tolist()
+        d = list(map(sub, x, mean_floats))
+        q = sum(map(mul, d, [sum(map(mul, r, d)) for r in prec_rows]))
+        if q != q and not any(map(math.isnan, d)):
+            q = inf
+        return -0.5 * q
 
     return TargetModel(
         name="gaussian",

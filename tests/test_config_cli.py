@@ -939,6 +939,10 @@ _AM_1D_PARAM = {"mu": [0.0], "cov": [[1.0]]}
         # from theta = 700 on, the proposal scale ScalarParam.sigma = e**theta is inf
         pytest.param("coerced", {"verify.theta_grid": [3.0, 700.5]}, "verify.theta_grid.1", id="coerced-theta-700.5"),
         pytest.param("coerced", {"verify.theta_grid": [3.0, 800.0]}, "verify.theta_grid.1", id="coerced-theta-800"),
+        # below about -745.13 it rounds to 0
+        pytest.param("coerced", {"verify.theta_grid": [-800.0]}, "verify.theta_grid.0", id="coerced-theta-minus-800"),
+        pytest.param("coerced", {"verify.theta_grid": [3.0, -745.2]}, "verify.theta_grid.1",
+                     id="coerced-theta-minus-745.2"),
         pytest.param("am-subexp-1d", {"verify.checks": ["w_drift"], "verify.method": "monte_carlo",
                                       "verify.gamma_grid": [0.05, 1.5]},
                      "verify.gamma_grid", id="am-rule-gamma-above-one"),
@@ -1214,6 +1218,67 @@ def test_indefinite_running_covariance_rejected_at_load(tmp_path, base, edits, j
     if "verify" in doc:
         assert main(["verify", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_ridge_whose_scaled_value_overflows_is_rejected_at_load(tmp_path, command):
+    # RW_SCALE**2 * 1e308 is inf: verify died on numpy's overflow warning,
+    # then a raw ValueError from the quadrature
+    doc = edited("am-subexp-1d", {"proposal.eps_ridge": 1e308})
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.json_path == "proposal.eps_ridge"
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_ridge_that_loads_runs_in_two_dimensions(tmp_path):
+    # RW_SCALE**2 * 3e307 is finite: the closed-form root of the proposal
+    # covariance, about 8.5e307 on its diagonal, stays finite, every
+    # proposal lands where pi is 0 and is rejected
+    doc = edited("mv-am", {"proposal.eps_ridge": 3e307})
+    doc["run"].update(horizon=50, replicas=1)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+    with open(out / "trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(r["accepted"] == "0" and math.isfinite(float(r["y_1"])) for r in rows[1:])
+
+
+def test_student_increments_whose_chi_square_draw_is_zero_run_in_two_dimensions(tmp_path):
+    # at dof = 1e-300 every chi-square draw is 0, so every increment is
+    # infinite, as numpy's division by 0 makes it, and every proposal is
+    # rejected; the 2-D loop must not divide a Python float by 0
+    doc = edited("mv-am", {"proposal.family": "student", "proposal.student_dof": 1e-300})
+    doc["run"].update(horizon=50, replicas=1)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+    with open(out / "trajectory.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert all(r["accepted"] == "0" and r["y_1"] in ("inf", "-inf") for r in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [
+        # gamma_2 = 5e-324 / 2 rounds to 0: the run died on a raw
+        # ZeroDivisionError in the compound function W = V + w / gamma
+        {"kind": "polynomial", "c0": 5e-324, "c1": 0.0, "a": 1.0},
+        {"kind": "kesten", "c0": 5e-324, "a": 1.0},
+    ],
+    ids=["polynomial", "kesten"],
+)
+def test_stepsize_that_rounds_to_zero_within_the_horizon_is_rejected_at_load(tmp_path, schedule):
+    doc = edited("am-gaussian-1d", {"schedule": schedule})
+    assert_rejected_before_running(tmp_path, doc, "schedule")
+    # one step never reaches the second stepsize
+    doc["run"]["horizon"] = 1
+    validate_document(doc)
 
 
 def test_singular_running_covariance_loads_and_runs(tmp_path):

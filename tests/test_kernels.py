@@ -56,9 +56,61 @@ def test_symmetric_sqrt_clamps_a_rounded_negative_eigenvalue():
     # a singular covariance whose ridge rounds away: its root has a zero
     # direction, as a 1-D variance <= 0 gives sd 0
     assert np.array_equal(_symmetric_sqrt(np.diag([4.0, -1e-18])), np.diag([2.0, 0.0]))
-    mat = np.array([[2.0, 0.5], [0.5, 1.0]])
+    # from three dimensions on the root is eigh's, bit for bit
+    mat = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
     vals, vecs = np.linalg.eigh(mat)
     assert np.array_equal(_symmetric_sqrt(mat), (vecs * np.sqrt(vals)) @ vecs.T)
+    assert np.array_equal(_symmetric_sqrt(np.diag([4.0, 9.0, -1e-18])), np.diag([2.0, 3.0, 0.0]))
+
+
+def eigh_root(mat):
+    """The root the d >= 3 branch takes: ``eigh``, clamped at 0."""
+    vals, vecs = np.linalg.eigh(mat)
+    return (vecs * np.sqrt(np.maximum(vals, 0.0))) @ vecs.T
+
+
+def _spd(seed, scale):
+    a = np.random.default_rng(seed).standard_normal((2, 2))
+    return scale * (a @ a.T + 0.1 * np.eye(2))
+
+
+# case -> (2x2 covariance, tolerance on |closed form - eigh| relative to
+# sqrt of the largest entry).  A singular covariance's small eigenvalue is
+# known to about 1e-16 of the large one absolutely, so its square root,
+# either way it is computed, only to about 1e-8.
+ROOT_CASES = {
+    **{f"spd-{seed}": (_spd(seed, 10.0 ** (seed - 3)), 1e-14) for seed in range(7)},
+    "correlated": (np.array([[2.0, 0.5], [0.5, 1.0]]), 1e-15),
+    "diagonal": (np.diag([4.0, 9.0]), 0.0),
+    # (RW_SCALE**2 / 2) * (cov + 1e-20 I) of a singular cov: the ridge rounds away
+    "singular-ridge-rounds-away": ((RW_SCALE**2 / 2) * (np.ones((2, 2)) + 1e-20 * np.eye(2)), 1e-7),
+    # rank one in exact arithmetic; eigh's smaller eigenvalue rounds to -3.5e-18
+    "rounded-negative-eigenvalue": (np.outer([0.13, -1.19], [0.13, -1.19]), 1e-7),
+    "zero": (np.zeros((2, 2)), 0.0),
+    "near-1e12": (np.array([[1e12, 4e11], [4e11, 2.5e12]]), 1e-14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_closed_form_root_matches_eigh(case):
+    mat, tol = ROOT_CASES[case]
+    if case == "rounded-negative-eigenvalue":
+        assert np.linalg.eigvalsh(mat)[0] < 0.0
+    root = _symmetric_sqrt(mat)
+    assert root.shape == (2, 2) and root[0, 1] == root[1, 0]
+    assert np.all(np.isfinite(root))
+    scale = math.sqrt(np.abs(mat).max())
+    assert np.abs(root - eigh_root(mat)).max() <= tol * scale
+    # a root: its square gives the matrix back to rounding
+    assert np.abs(root @ root - mat).max() <= 1e-14 * np.abs(mat).max()
+    # positive semidefinite, as a clamped root is
+    assert np.linalg.eigvalsh(root)[0] >= -1e-15 * scale
+
+
+def test_closed_form_root_reads_the_lower_triangle():
+    # as eigh does: an asymmetry within the symmetry tolerance follows [1][0]
+    mat = np.array([[2.0, 0.5 + 1e-13], [0.5, 1.0]])
+    assert np.array_equal(_symmetric_sqrt(mat), _symmetric_sqrt(np.array([[2.0, 0.5], [0.5, 1.0]])))
 
 
 # asymmetric by 1 absolutely but by 1e-6 relatively, which a check with the

@@ -87,7 +87,15 @@ def test_am_poly_weight_past_the_float_range_is_inf_without_a_warning():
         warnings.simplefilter("error", RuntimeWarning)
         assert w.of_moments(np.array([3.0]), np.eye(1)) == math.inf
         assert w.of_moments(np.array([[3.0], [0.0]]), np.array([np.eye(1), np.eye(1)])).tolist() == [math.inf, 2.0]
+        # squares past the float range: one pair's sums of float products
+        # read inf where numpy's dot product warned
+        assert ParamLyapunov(W_AM_POLY).of_moments(np.array([1e200, 0.0]), np.eye(2)) == math.inf
+        assert ParamLyapunov(W_AM_POLY).of_moments(np.zeros(2), 1e200 * np.eye(2)) == math.inf
     assert w.of_moments(np.array([1.0]), np.eye(1)) == 3.0
+    # one pair as arrays and as the flat float lists the simulator keeps
+    w = ParamLyapunov(W_AM_POLY)
+    mu, cov = [0.3, -1.2], [2.0, 0.4, 0.4, 0.7]
+    assert w.of_moments(np.array(mu), np.array(cov).reshape(2, 2)) == w.of_floats(mu, cov)
 
 
 def test_compound_value_modes():

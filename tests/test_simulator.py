@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -36,6 +37,8 @@ from driftlab.kernels import (
     PARAM_SCALAR_LOG_SCALE,
     ProposalSpec,
     ScalarParam,
+    _root_rows,
+    draw_increments,
 )
 from driftlab.lyapunov import (
     CompoundSpec,
@@ -540,28 +543,42 @@ def replica_record(cfg, traj, halt_index, replica):
 
 def reference_srwm_step(target, spec, param, x, rng):
     """One Metropolis step at a fixed kernel parameter, written out from the
-    recursion, with log pi evaluated at both points: an increment of shape
-    (1, d), which is ``standard_normal((1, d))`` times the transposed
-    ``eigh`` root of (RW_SCALE**2 / d) * (cov + eps I) under running moments
+    recursion, with log pi evaluated at both points: under running moments,
+    ``standard_normal(d)`` times the ``kernels._root_rows`` root of
+    (RW_SCALE**2 / d) * (cov + eps I), row by row over Python floats
     (divided by the root of a chi-square over its dof for Student
-    increments), or exp(theta) times normal, Student or uniform (-1, 1)
-    draws under a log scale; then the coin.  Returns (state, proposal,
-    accepted, alpha)."""
+    increments); under a log scale, exp(theta) times normal, Student or
+    uniform (-1, 1) draws of shape (1, d).  Then the coin.  Returns (state,
+    proposal, accepted, alpha)."""
     d = target.dim
     student = spec.family == FAMILY_STUDENT
     if isinstance(param, AMParam):
-        vals, vecs = np.linalg.eigh(simulator.RW_SCALE**2 / d * (param.cov + spec.eps_ridge * np.eye(d)))
-        z = rng.standard_normal((1, d)) @ ((vecs * np.sqrt(vals)) @ vecs.T).T
+        cov_p = simulator.RW_SCALE**2 / d * (param.cov + spec.eps_ridge * np.eye(d))
+        normal = rng.standard_normal(d).tolist()
+        z = np.array([[sum(map(operator.mul, r, normal)) for r in _root_rows(cov_p.ravel().tolist(), d)]])
         if student:
-            z = z / np.sqrt(rng.chisquare(spec.student_dof, 1) / spec.student_dof)
-    elif spec.family == FAMILY_UNIFORM:
-        z = param.sigma * (2.0 * rng.random((1, d)) - 1.0)
+            z = z / math.sqrt(rng.chisquare(spec.student_dof) / spec.student_dof)
     else:
-        z = param.sigma * (rng.standard_t(spec.student_dof, (1, d)) if student else rng.standard_normal((1, d)))
-    y = x + z[0]
+        z = random_walk_increment(spec, param, d, rng)
+    return metropolis_move(target, x, x + z[0], rng)
 
+
+def random_walk_increment(spec, param, d, rng):
+    """exp(theta) times normal, Student or uniform (-1, 1) draws of shape
+    (1, d)."""
+    if spec.family == FAMILY_UNIFORM:
+        return param.sigma * (2.0 * rng.random((1, d)) - 1.0)
+    if spec.family == FAMILY_STUDENT:
+        return param.sigma * rng.standard_t(spec.student_dof, (1, d))
+    return param.sigma * rng.standard_normal((1, d))
+
+
+def metropolis_move(target, x, y, rng):
+    """The accept/reject half of a step from ``x`` to the proposal ``y``,
+    with log pi evaluated at both points: (state, proposal, accepted,
+    alpha)."""
     def logp(p):  # a 1-D target takes a float
-        return float(target.log_density(p[0] if d == 1 else p))
+        return float(target.log_density(p[0] if target.dim == 1 else p))
 
     ly, lx = logp(y), logp(x)
     alpha = 1.0 if ly >= lx else math.exp(ly - lx)
@@ -569,15 +586,22 @@ def reference_srwm_step(target, spec, param, x, rng):
     return (y if accepted else x), y, accepted, alpha
 
 
-def reference_generic(cfg, replica=0, rng=None):
+def composed_srwm_step(target, spec, param, x, rng):
+    """One step composed from ``kernels.draw_increments`` (one increment,
+    its matrix product in numpy) and the same accept/reject half."""
+    z = draw_increments(spec, param, target.dim, rng, 1).reshape(1, -1)
+    return metropolis_move(target, x, x + z[0], rng)
+
+
+def reference_generic(cfg, replica=0, rng=None, step=reference_srwm_step):
     """One step at a time on the replica's substream (or ``rng``), composed from
-    ``reference_srwm_step``, a fresh kernel parameter wherever one is
-    needed, V and w from their Lyapunov objects, and the rule's update
-    (``fixed`` keeps theta).  Rows every ``record_stride`` steps, the final
-    row, and the divergence halt row, as the simulator keeps them.  The Kesten
-    count advances when successive increments have a negative inner product,
-    under running moments the mean's and the covariance's increments
-    flattened into one vector.  Returns the trajectory and the halt index
+    ``step`` (``reference_srwm_step`` unless given), a fresh kernel parameter
+    wherever one is needed, V and w from their Lyapunov objects, and the
+    rule's update (``fixed`` keeps theta).  Rows every ``record_stride``
+    steps, the final row, and the divergence halt row, as the simulator keeps
+    them.  The Kesten count advances when successive increments have a
+    negative inner product, a sum of float products, under running moments
+    the mean's and the covariance's increments flattened into one vector.  Returns the trajectory and the halt index
     (None: no halt)."""
     rng = substream(cfg.seed, replica) if rng is None else rng
     rule = cfg.rule.kind
@@ -608,7 +632,7 @@ def reference_generic(cfg, replica=0, rng=None):
     row(0, x, False, math.nan, gamma_at(cfg.schedule, 1, 0 if kesten else None))
     for i in range(1, cfg.horizon + 1):
         gamma = gamma_at(cfg.schedule, i, s if kesten else None)
-        x_new, y, accepted, alpha = reference_srwm_step(cfg.target, cfg.proposal, param(), x, rng)
+        x_new, y, accepted, alpha = step(cfg.target, cfg.proposal, param(), x, rng)
         if am:
             dev = x_new - mu
             h = np.concatenate([dev, (np.outer(dev, dev) - cov).ravel()])
@@ -623,7 +647,7 @@ def reference_generic(cfg, replica=0, rng=None):
             theta = scalar_update(RULE_FAST_COERCED, theta, alpha, gamma, cfg.rule.alpha_star)[0]
         x = x_new
         if kesten:
-            if h_prev is not None and (h_prev @ h if am else h_prev * h) < 0.0:
+            if h_prev is not None and (sum(map(operator.mul, h_prev.tolist(), h.tolist())) if am else h_prev * h) < 0.0:
                 s += 1
             h_prev = h
         params = np.concatenate([mu, cov.ravel()]) if am else np.array([theta])
@@ -683,6 +707,42 @@ def test_generic_path_matches_per_step_composition(case):
     if halt is None:
         # the chain moved and visited the recurrence set
         assert traj.accepted.any() and traj.in_set.any()
+
+
+# The loop takes its increments and its quadratic forms row by row over
+# Python floats, kernels.draw_increments by numpy's matrix product; on
+# MV_CASES the float columns of the two agree to 8e-12 relative (am-3d).
+COMPOSED_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("case", sorted(MV_CASES))
+def test_generic_path_agrees_with_draw_increments_and_am_update(case):
+    # the same chain from kernels.draw_increments and adaptation.am_update:
+    # the same draws, so the same decisions, and floats to rounding
+    cfg = mv_config(**MV_CASES[case])
+    ref, halt = reference_generic(cfg, step=composed_srwm_step)
+    traj, rec = first_run(cfg)
+    assert rec["halt_index"] == halt == MV_HALTS.get(case)
+    assert traj.index.tolist() == ref.index.tolist()
+    assert traj.accepted.tolist() == ref.accepted.tolist()
+    assert traj.in_set.tolist() == ref.in_set.tolist()
+    if ref.kesten_counts is not None:
+        assert traj.kesten_counts.tolist() == ref.kesten_counts.tolist()
+    for name in ("theta", "x", "y", "alpha", "gamma", "v", "w", "compound"):
+        np.testing.assert_allclose(getattr(traj, name), getattr(ref, name), rtol=COMPOSED_RTOL, atol=0.0,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("family", [FAMILY_GAUSSIAN, FAMILY_STUDENT])
+def test_two_dimensional_am_runs_without_eigh(monkeypatch, family):
+    # the 2-D proposal root is closed-form: no eigh on any step
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    traj, rec = first_run(mv_config(family=family))
+    assert not rec["diverged"] and traj.index.shape[0] == 301
+    assert traj.accepted.any()
 
 
 # ---------------------------------------------------------------------------

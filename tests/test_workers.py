@@ -12,7 +12,7 @@ import pytest
 from driftlab import simulator
 from driftlab.adaptation import RULE_AM, RULE_COERCED, PolynomialSchedule
 from driftlab.cli import main, resolve_config_path
-from driftlab.kernels import FAMILY_GAUSSIAN
+from driftlab.kernels import FAMILY_GAUSSIAN, FAMILY_STUDENT
 from driftlab.simulator import run_replicas
 
 from test_config_cli import mv_run_doc, write_config
@@ -31,6 +31,8 @@ PATHS = {
     "scalar-1d": srwm_1d_config,
     "am-1d": lambda **kw: srwm_1d_config(rule=RULE_AM, family=FAMILY_GAUSSIAN, **kw),
     "am-2d": mv_config,
+    "am-2d-student": lambda **kw: mv_config(family=FAMILY_STUDENT, **kw),
+    "am-3d": lambda **kw: mv_config(dim=3, **kw),  # its proposal root is eigh's
     "coerced-2d": lambda **kw: mv_config(rule=RULE_COERCED, **kw),
 }
 STRIDE_7 = ({}, {"record_stride": 7}, ".....")
@@ -47,6 +49,10 @@ CASES = {
     ("am-2d", "stride-7"): STRIDE_7,
     # the covariance passes THETA_MAX at step 1 in every replica
     ("am-2d", "every-replica-halts"): ({"x0": 1e7}, {}, "DDDDD"),
+    ("am-2d-student", "plain"): ({}, {}, "....."),
+    ("am-2d-student", "stride-7"): STRIDE_7,
+    ("am-3d", "plain"): ({}, {}, "....."),
+    ("am-3d", "stride-7"): STRIDE_7,
     ("coerced-2d", "plain"): ({}, {}, "....."),
     ("coerced-2d", "stride-7"): STRIDE_7,
     ("coerced-2d", "replica-0-halts"): ({"schedule": _COERCED_2D_STEP_1}, {"seed": 10}, "D.DDD"),
