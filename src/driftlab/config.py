@@ -459,11 +459,12 @@ def _check_rule_fit(doc: dict) -> None:
     """Reject, each at its path, a parameter weight, drift scenario or check
     that does not fit the adaptation rule, a ``verify.theta_grid`` entry
     that is no parameter of the scenario (am scenarios take running moments
-    {mu, cov}, the others a number below 700 whose e**theta is not 0: from
-    700 on the proposal scale e**theta, ``kernels.ScalarParam.sigma``, is
-    inf, and below about -745.13 it rounds to 0), and under the am
-    rule a ``verify.gamma_grid`` stepsize above 1, which no running-moments
-    step takes."""
+    {mu, cov}, the others a number with |theta| < 700: from |theta| = 700
+    on the ``exp_abs`` weight e**|theta| is inf, and so is the proposal
+    scale e**theta, ``kernels.ScalarParam.sigma``, above 700, while below
+    about -745.13 it rounds to 0), and under the am rule a
+    ``verify.gamma_grid`` stepsize above 1, which no running-moments step
+    takes."""
     rule = doc.get("adaptation", {}).get("rule")
     variant = doc.get("lyapunov", {}).get("weight")
     scenario = doc.get("lyapunov", {}).get("scenario")
@@ -487,11 +488,8 @@ def _check_rule_fit(doc: dict) -> None:
             if isinstance(entry, dict) != moments:
                 wants = "running moments {mu, cov}" if moments else "a number"
                 raise ConfigError(f"entry {i} is no {scenario!r} parameter, which is {wants}", "verify.theta_grid")
-            if not moments and entry >= 700.0:
-                raise ConfigError(f"theta = {entry!r} puts the proposal scale e**theta past the float range",
-                                  f"verify.theta_grid.{i}")
-            if not moments and math.exp(entry) == 0.0:
-                raise ConfigError(f"theta = {entry!r} rounds the proposal scale e**theta to 0",
+            if not moments and abs(entry) >= 700.0:
+                raise ConfigError(f"theta = {entry!r} puts e**|theta| past the float range",
                                   f"verify.theta_grid.{i}")
     if rule == RULE_AM and any(g > 1.0 for g in verify.get("gamma_grid", ())):
         raise ConfigError("a running-moments step needs stepsizes of at most 1", "verify.gamma_grid")
@@ -790,6 +788,7 @@ def build_check_args(check: str, doc: dict) -> tuple:
     """The positional arguments of ``verifiers.verify_<check>``, for
     ``validate_document`` and ``cli.run_check``.  Rejects, each at its path,
     a check that cannot run on them: a drift check
+    at a ``verify.x_grid`` point where V(x) is not finite,
     without ``verify.theta_grid``, with running moments whose dimension is
     not the target's, or with a ``proposal.parametrization`` that does not
     fit the grid's parameters (running moments take ``am_covariance``,
@@ -820,6 +819,9 @@ def build_check_args(check: str, doc: dict) -> tuple:
             raise ConfigError("decomposition is stated for positive x", "verify.tail_x_grid")
         return target, lyap, sigma_grid, tail_x
     grid = build_grid(doc)
+    for i, x in enumerate(grid.x_grid):
+        if not math.isfinite(float(lyap(x if target.dim == 1 else np.atleast_1d(np.asarray(x, dtype=float))))):
+            raise ConfigError(f"V(x) is not finite at x = {x!r}", f"verify.x_grid.{i}")
     if not grid.theta_grid:
         raise ConfigError(f"the {check} check needs a theta_grid", "verify.theta_grid")
     if any(isinstance(t, AMParam) and t.mu.shape[0] != target.dim for t in grid.theta_grid):

@@ -5,18 +5,30 @@ fits the free constants the inequality only asserts to exist, freezes
 them, and reports per-point margins.  A report is a certificate over its
 grid, not a proof over the whole space.
 
-Margin rules: quadrature points pass at absolute tolerance ``1e-9``;
-Monte-Carlo points pass only when the margin exceeds three standard
-errors.  Fitted constants get a hair of headroom so frozen reports pass
-their own rule strictly.
+Margin rules (``_row_passes``): a quadrature row passes when its margin
+is at least ``-QUAD_TOL`` (1e-9), a Monte-Carlo row only when its margin
+exceeds ``MC_SE_FACTOR`` (3) standard errors; ``_slack`` gives either slack.
+
+The three drift checks (``fixed_theta_drift``, ``w_drift`` and
+``compound_drift``) share one skeleton, ``_certify``: estimate every grid
+row; fit each free constant so that every row's margin clears its slack
+(the slack is always subtracted from what a row allows); freeze each
+constant with one headroom rule toward its feasible side (``_freeze``);
+then judge every row again at the frozen constants.  A row whose estimate
+is not finite fails and is left out of the fit.  PASS needs rows, every
+frozen constant finite and positive (or set by no row), and every row to
+pass: a report is an intersection-union test, whose level is the per-row
+level with no multiplicity correction (Berger 1982, "Multiparameter
+hypothesis testing and acceptance sampling").
 
 ``verify_<check>`` takes what ``config.build_check_args`` builds and does
 not re-check the rules checked at load; it checks only numbers it computes
-(kernel applications, proposal radii, delta(0)).
+(non-finite estimates, proposal radii, delta(0)).
 """
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -166,12 +178,6 @@ def _grid_dict(grid: GridSpec) -> dict:
     }
 
 
-def _row_passes(margin: float, se: float, mc: bool) -> bool:
-    """The margin rule: beyond MC_SE_FACTOR standard errors for a
-    Monte-Carlo row, at least -QUAD_TOL for a quadrature row."""
-    return margin > MC_SE_FACTOR * se if mc else margin >= -QUAD_TOL
-
-
 def _weight_vectorized(weight: ParamLyapunov) -> Callable[[np.ndarray], np.ndarray]:
     """Vector form of a scalar-parameter weight for Monte-Carlo batches."""
     if weight.variant == W_EXP_ABS:
@@ -252,6 +258,108 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# the drift skeleton: one grid walk, fit, freeze, re-judge and report for the
+# fixed_theta_drift, w_drift and compound_drift checks
+
+
+def _slack(se: float, mc: bool) -> float:
+    """What a row's margin is measured against: MC_SE_FACTOR standard
+    errors for a Monte Carlo row, QUAD_TOL for a quadrature row."""
+    return MC_SE_FACTOR * se if mc else QUAD_TOL
+
+
+def _row_passes(margin: float, se: float, mc: bool) -> bool:
+    """The margin rule: beyond the slack for a Monte-Carlo row, at least
+    minus the slack for a quadrature row."""
+    return margin > _slack(se, mc) if mc else margin >= -_slack(se, mc)
+
+
+def _freeze(fit: float, side: int) -> float:
+    """A fitted constant moved by HEADROOM relative and 1e-15 absolute
+    toward its feasible side (``side`` +1 where larger values are
+    feasible, -1 where smaller ones are), so that frozen rows clear the
+    rule they were fitted to."""
+    return fit * (1.0 + HEADROOM if (fit >= 0.0) == (side > 0) else 1.0 - HEADROOM) + side * 1e-15
+
+
+def _certify(
+    check: str,
+    grid: GridSpec,
+    lyap: StateLyapunov,
+    center_radius: float,
+    estimate: Callable,
+    rhs: Callable,
+    fit: Callable,
+    notes: Optional[dict] = None,
+    lhs: Callable = lambda k, pt: pt.est,
+    label: Callable = lambda pt: {"region": "center" if pt.inside else "tail"},
+    per_gamma: bool = True,
+) -> DriftReport:
+    """The drift skeleton of the module docstring, for one check.
+
+    Walks theta, then x, then gamma (``per_gamma``; None otherwise).  A
+    point has ``i``, its position and substream index, ``param``, ``x`` (a
+    float on a one-dimensional target, else a 1-D array), ``gamma``, ``v``
+    = V(x), ``inside`` (|x| <= center_radius) and ``est``:
+    ``estimate(param, x, gamma, rng)``, the point's values and then their
+    error term (``rng`` is None by quadrature).  An OverflowError or a
+    value that is not finite makes ``est`` None, an inf row.
+    ``fit(points, slack)`` sees the other points and returns the report's
+    fitted constants in order, the feasible side (+1 or -1) of each one to
+    freeze, the point index that set each of those, and which points the
+    report keeps (a predicate, or None for all).  A kept row's sides are
+    ``lhs(constants, point)`` -> (lhs, se) and ``rhs(constants, point)``.
+    """
+    mc = grid.method == METHOD_MONTE_CARLO
+    dim = lyap.target.dim
+    points = []
+    for p_raw in grid.theta_grid:
+        param = _as_param(p_raw)
+        for x_raw in grid.x_grid:
+            xv = np.atleast_1d(np.asarray(x_raw, dtype=float))
+            x = float(xv[0]) if dim == 1 else xv
+            v = float(lyap(x))
+            inside = (abs(x) if dim == 1 else float(np.linalg.norm(xv))) <= center_radius
+            for gamma in grid.gamma_grid if per_gamma else (None,):
+                i = len(points)
+                try:
+                    est = estimate(param, x, gamma, substream(grid.seed, i) if mc else None)
+                except OverflowError:
+                    est = None
+                if est is not None and not all(math.isfinite(u) for u in est[:-1]):
+                    est = None
+                points.append(SimpleNamespace(i=i, param=param, x=x, gamma=gamma, v=v, inside=inside, est=est))
+
+    constants, toward, binding, keep = fit([pt for pt in points if pt.est is not None], lambda se: _slack(se, mc))
+    frozen = {
+        name: _freeze(value, toward[name]) if name in toward and value is not None else value
+        for name, value in constants.items()
+    }
+    rows, row_of = [], {}
+    for pt in points:
+        if keep is not None and not keep(pt):
+            continue
+        lhs_val, se = (math.inf, math.inf) if pt.est is None else lhs(frozen, pt)
+        rhs_val = rhs(frozen, pt)
+        margin = rhs_val - lhs_val
+        point = {**_param_label(pt.param), "x": pt.x if dim == 1 else [float(u) for u in pt.x]}
+        if per_gamma:
+            point["gamma"] = pt.gamma
+        row_of[pt.i] = len(rows)
+        rows.append(DriftRow(point={**point, **label(pt)}, lhs=lhs_val, rhs=rhs_val, margin=margin, se=se,
+                             passed=_row_passes(margin, se, mc)))
+    feasible = all(frozen[name] is None or (math.isfinite(frozen[name]) and frozen[name] > 0.0) for name in toward)
+    return DriftReport(
+        check=check,
+        grid=_grid_dict(grid),
+        fitted=frozen,
+        rows=rows,
+        passed=feasible and bool(rows) and all(r.passed for r in rows),
+        notes={**(notes or {}), "binding_rows": {name: row_of.get(i) for name, i in binding.items()}},
+    )
+
+
+# ---------------------------------------------------------------------------
 # fixed-theta state drift: P_theta V <= [V - V**iota / a] outside the center,
 # <= b inside
 
@@ -266,76 +374,39 @@ def verify_fixed_theta_drift(
 ) -> DriftReport:
     """Certificate for the state-space drift at frozen kernel parameters.
 
-    Fits the largest rate constant ``a0`` (and smallest level bound ``b``)
-    under the grid's margin rule, freezes them, and reports margins against
-    the frozen constants.  Passes when a positive ``a0`` exists and ``b``
-    is finite.
+    Fits the largest rate constant ``a0`` and the smallest level bound
+    ``b`` whose rows clear their slack, in closed form: each tail row caps
+    ``a0``, each center row floors ``b``.  Passes when ``a0`` is positive
+    and every row passes at the frozen constants; a tail row with no
+    deficit beyond its slack (P V = V, say) caps ``a0`` at or below 0 and
+    fails the check.
     """
     mc = grid.method == METHOD_MONTE_CARLO
-    evals = []
-    idx = 0
-    for p_raw in grid.theta_grid:
-        param = _as_param(p_raw)
-        base_a = coef.a(param) * coef.a0  # scenario rate with the a0 scale removed
-        for x in grid.x_grid:
-            xf = float(np.asarray(x, dtype=float).reshape(()))
-            if mc:
-                v_pairs, _ = _one_step_pairs(
-                    target, proposal, lyap, param, xf, grid.mc_n, substream(grid.seed, idx)
-                )
-                pv, se = _mean_se(v_pairs)
-            else:
-                pv, se = apply_kernel_to_function(target, proposal, param, lyap.log, xf), 0.0
-            if not math.isfinite(pv):
-                raise ValueError(f"non-finite kernel application at theta={param}, x={xf}")
-            v = float(lyap(xf))
-            inside = abs(xf) <= center_radius
-            evals.append((param, xf, v, pv, se, inside, base_a))
-            idx += 1
 
-    slack = lambda se: MC_SE_FACTOR * se if mc else QUAD_TOL
-    # Cap per tail point: the largest a0 whose frozen row still meets the
-    # margin rule.  Quadrature rows may sit at -QUAD_TOL, so the cap gains it;
-    # MC rows must clear +3 SE, so the cap loses it.  A degenerate Lyapunov
-    # (zero deficit everywhere) then fits a tiny positive a0 instead of
-    # flagging infeasibility.
-    caps = [
-        (v - pv + (QUAD_TOL if not mc else -MC_SE_FACTOR * se)) * base_a / v**coef.iota
-        for (param, xf, v, pv, se, inside, base_a) in evals
-        if not inside
-    ]
-    a0_fit = min(caps) if caps else None
-    if a0_fit is not None:
-        a0_fit = a0_fit * (1.0 - HEADROOM) - 1e-15 if a0_fit > 0 else a0_fit
-    b_vals = [pv + slack(se) for (_, _, _, pv, se, inside, _) in evals if inside]
-    b_fit = (max(b_vals) * (1.0 + HEADROOM) + 1e-15) if b_vals else None
+    def estimate(param, x, gamma, rng):
+        if mc:
+            return _mean_se(_one_step_pairs(target, proposal, lyap, param, x, grid.mc_n, rng)[0])
+        return apply_kernel_to_function(target, proposal, param, lyap.log, x), 0.0
 
-    frozen = coef.with_constants(
-        a0=a0_fit if (a0_fit is not None and a0_fit > 0) else coef.a0,
-        b_const=b_fit if b_fit is not None else coef.b_const,
-    )
-    rows = []
-    for param, xf, v, pv, se, inside, base_a in evals:
-        if inside:
-            rhs = frozen.b(param)
-        else:
-            rhs = v - v**coef.iota / frozen.a(param)
-        margin = rhs - pv
-        rows.append(
-            DriftRow(
-                point={**_param_label(param), "x": xf, "region": "center" if inside else "tail"},
-                lhs=pv, rhs=rhs, margin=margin, se=se, passed=_row_passes(margin, se, mc),
-            )
-        )
-    feasible = (a0_fit is None or a0_fit > 0) and (b_fit is None or math.isfinite(b_fit))
-    passed = feasible and all(r.passed for r in rows)
-    return DriftReport(
-        check="fixed_theta_drift",
-        grid=_grid_dict(grid),
-        fitted={"a0": a0_fit, "b": b_fit, "iota": coef.iota, "center_radius": center_radius},
-        rows=rows,
-        passed=passed,
-    )
+    def rhs(k, pt):
+        if pt.inside:
+            return k["b"]
+        # a rate that fits no row is judged at the scenario's own a0
+        a0 = k["a0"] if k["a0"] > 0 else coef.a0
+        return pt.v - pt.v**coef.iota / coef.with_constants(a0=a0).a(pt.param)
+
+    def fit(points, slack):
+        # each tail row caps a0 (coef.a(param) * coef.a0 is the scenario's
+        # rate with the a0 scale removed), each center row floors b
+        caps = [((pt.v - pt.est[0] - slack(pt.est[1])) * (coef.a(pt.param) * coef.a0) / pt.v**coef.iota, pt.i)
+                for pt in points if not pt.inside]
+        floors = [(pt.est[0] + slack(pt.est[1]), pt.i) for pt in points if pt.inside]
+        a0, a0_at = min(caps, default=(None, None))
+        b, b_at = max(floors, key=lambda floor: floor[0], default=(None, None))
+        return ({"a0": a0, "b": b, "iota": coef.iota, "center_radius": center_radius},
+                {"a0": -1, "b": 1}, {"a0": a0_at, "b": b_at}, None)
+
+    return _certify("fixed_theta_drift", grid, lyap, center_radius, estimate, rhs, fit, per_gamma=False)
 
 
 def deficit_loglog_slope(
@@ -409,9 +480,10 @@ def verify_w_drift(
 ) -> DriftReport:
     """Certificate for the parameter drift with the scenario slope function.
 
-    The slope constant is the smallest value making every grid margin pass,
-    found by bisection (the right side is monotone in the constant); the
-    report freezes it with a relative headroom bump.
+    The slope constant is the smallest value making every row clear its
+    slack, found by geometric bisection on [1e-6, 1e12] (the right side
+    grows with the constant); it is inf when no value up to 1e12 does, and
+    the rows are then judged at the scenario's own constant.
     """
     lyap = state_lyapunov if state_lyapunov is not None else StateLyapunov(target, 0.5)
     mc = grid.method == METHOD_MONTE_CARLO
@@ -424,91 +496,46 @@ def verify_w_drift(
     )
     coef = coef.with_constants(sup_c_vbeta=sup_vbeta)
 
-    evals = []
-    idx = 0
-    for p_raw in grid.theta_grid:
-        param = _as_param(p_raw)
-        w_theta = weight(param)
-        for x in grid.x_grid:
-            xf = float(np.asarray(x, dtype=float).reshape(()))
-            v_val = float(lyap(xf))
-            inside = abs(xf) <= center_radius
-            for gamma in grid.gamma_grid:
-                if mc:
-                    _, w_pairs = _one_step_pairs(
-                        target, proposal, lyap, param, xf, grid.mc_n, substream(grid.seed, idx),
-                        rule, weight, gamma,
-                    )
-                    lhs, se = _mean_se(w_pairs)
-                else:
-                    try:
-                        lhs = _w_drift_lhs_quadrature(target, proposal, rule, weight, param, xf, gamma)
-                    except OverflowError:
-                        lhs = math.inf
-                    se = 0.0
-                if not math.isfinite(lhs):
-                    # E[w(theta')] past the float range: the row fails with margin -inf
-                    lhs = math.inf
-                evals.append((param, xf, gamma, w_theta, v_val, inside, lhs, se))
-                idx += 1
+    def estimate(param, x, gamma, rng):
+        if mc:
+            return _mean_se(_one_step_pairs(target, proposal, lyap, param, x, grid.mc_n, rng, rule, weight, gamma)[1])
+        return _w_drift_lhs_quadrature(target, proposal, rule, weight, param, x, gamma), 0.0
 
-    def rhs_of(cc: DriftCoefficients, param, gamma, w_theta, v_val, inside) -> float:
-        arg = cc.d(param) if inside else cc.c(param) + v_val**cc.beta / cc.e(param)
-        return w_theta * (1.0 - gamma * cc.delta(arg))
+    def rhs_at(cc: DriftCoefficients, pt) -> float:
+        arg = cc.d(pt.param) if pt.inside else cc.c(pt.param) + pt.v**cc.beta / cc.e(pt.param)
+        return weight(pt.param) * (1.0 - pt.gamma * cc.delta(arg))
 
-    def margins(c_val: float) -> list[float]:
-        cc = coef.with_constants(slope_c=c_val)
-        return [
-            rhs_of(cc, param, gamma, w_theta, v_val, inside) - lhs - (MC_SE_FACTOR * se if mc else QUAD_TOL)
-            for param, xf, gamma, w_theta, v_val, inside, lhs, se in evals
-        ]
+    def rhs(k, pt):
+        c = k["slope_c"]
+        return rhs_at(coef.with_constants(slope_c=c) if c is not None and math.isfinite(c) else coef, pt)
 
-    lo, hi = 1e-6, 1e12
-    fit_c: Optional[float] = None
-    if min(margins(hi)) >= 0.0:
-        if min(margins(lo)) >= 0.0:
-            fit_c = lo
-        else:
-            a, b = lo, hi
+    def fit(points, slack):
+        def worst(c: float) -> tuple[float, Optional[int]]:
+            """The smallest margin beyond the slack at slope constant c, and its row."""
+            cc = coef.with_constants(slope_c=c)
+            return min(((rhs_at(cc, pt) - pt.est[0] - slack(pt.est[1]), pt.i) for pt in points),
+                       default=(math.inf, None))
+
+        lo, hi = 1e-6, 1e12
+        c = lo
+        if worst(hi)[0] < 0.0:
+            c = math.inf
+        elif worst(lo)[0] < 0.0:
+            a, c = lo, hi
             for _ in range(200):
-                mid = math.sqrt(a * b)
-                if min(margins(mid)) >= 0.0:
-                    b = mid
+                mid = math.sqrt(a * c)
+                if worst(mid)[0] >= 0.0:
+                    c = mid
                 else:
                     a = mid
-                if b - a <= 1e-9 * max(1.0, b):
+                if c - a <= 1e-9 * max(1.0, c):
                     break
-            fit_c = b
-    if fit_c is not None:
-        fit_c = fit_c * (1.0 + 1e-6) + 1e-12
+        return ({"slope_c": c if points else None, "sup_center_vbeta": sup_vbeta, "beta": coef.beta,
+                 "delta0": coef.delta0(), "center_radius": center_radius},
+                {"slope_c": 1}, {"slope_c": worst(min(c, hi))[1]}, None)
 
-    frozen = coef.with_constants(slope_c=fit_c) if fit_c is not None else coef
-    rows = []
-    for param, xf, gamma, w_theta, v_val, inside, lhs, se in evals:
-        rhs = rhs_of(frozen, param, gamma, w_theta, v_val, inside)
-        margin = rhs - lhs
-        rows.append(
-            DriftRow(
-                point={**_param_label(param), "x": xf, "gamma": gamma,
-                       "region": "center" if inside else "tail"},
-                lhs=lhs, rhs=rhs, margin=margin, se=se, passed=_row_passes(margin, se, mc),
-            )
-        )
-    passed = fit_c is not None and all(r.passed for r in rows)
-    return DriftReport(
-        check="w_drift",
-        grid=_grid_dict(grid),
-        fitted={
-            "slope_c": fit_c,
-            "sup_center_vbeta": sup_vbeta,
-            "beta": coef.beta,
-            "delta0": frozen.delta0(),
-            "center_radius": center_radius,
-        },
-        rows=rows,
-        passed=passed,
-        notes={"scenario": coef.scenario},
-    )
+    return _certify("w_drift", grid, lyap, center_radius, estimate, rhs, fit,
+                    notes={"scenario": coef.scenario})
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +557,11 @@ def verify_compound_drift(
 
     Searches doubling ``lam_star`` values and parameter-weight levels
     ``m_star`` (lexicographically) for the smallest pair giving a positive
-    contraction rate ``delta`` with every outside margin beyond three
-    standard errors.  When the search fails it reports the best candidate's
-    delta and judges the candidate's rows at delta = 0, so the rows that
-    block a positive delta fail.
+    contraction rate ``delta`` with every outside row clearing its slack;
+    the points inside the joint center (weight at most ``m_star`` and x in
+    the center ball) are dropped.  When the search fails it reports the
+    best candidate's delta and judges the candidate's rows at delta = 0, so
+    the rows that block a positive delta fail.
     Each stepsize is paired with itself, so the inverse-difference ceiling
     on stepsize pairs reduces to ``delta(0) > 0``.
 
@@ -546,116 +574,61 @@ def verify_compound_drift(
     """
     if not coef.delta0() > 0.0:
         raise ValueError("compound drift needs a slope function with delta(0) > 0")
+    grid = grid._replace(method=METHOD_MONTE_CARLO)
+    n_pairs = grid.mc_n // 2
 
-    dim = target.dim
-    points = []
-    idx = 0
-    for p_raw in grid.theta_grid:
-        param = _as_param(p_raw)
-        w_theta = weight(param)
-        for x in grid.x_grid:
-            xf = np.atleast_1d(np.asarray(x, dtype=float))
-            v_x = float(lyap_v(float(xf[0]) if dim == 1 else xf))
-            inside_c = float(np.linalg.norm(xf)) <= center_radius
-            for g in grid.gamma_grid:
-                v_pair, w_pair = _one_step_pairs(
-                    target, proposal, lyap_v, param, xf, grid.mc_n, substream(grid.seed, idx),
-                    rule, weight, g,
-                )
-                # inf or nan, as in _mean_se, once the samples pass the float range
-                with np.errstate(over="ignore", invalid="ignore"):
-                    mean_v = float(v_pair.mean())
-                    mean_w = float(w_pair.mean())
-                    var_v = float(v_pair.var(ddof=1))
-                    var_w = float(w_pair.var(ddof=1))
-                    cov_vw = float(np.cov(v_pair, w_pair, ddof=1)[0, 1])
-                denom = v_x**coef.iota / coef.a(param) + w_theta
-                points.append(
-                    {
-                        "param": param, "x": xf, "v_x": v_x, "w_theta": w_theta,
-                        "inside_c": inside_c, "gamma": g,
-                        "mean_v": mean_v, "mean_w": mean_w,
-                        "var_v": var_v, "var_w": var_w, "cov_vw": cov_vw,
-                        "n": v_pair.size, "denom": denom,
-                    }
-                )
-                idx += 1
+    def estimate(param, x, gamma, rng):
+        v_pair, w_pair = _one_step_pairs(target, proposal, lyap_v, param, x, grid.mc_n, rng, rule, weight, gamma)
+        # inf or nan, as in _mean_se, once the samples pass the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(v_pair.mean()), float(w_pair.mean()), (
+                float(v_pair.var(ddof=1)), float(w_pair.var(ddof=1)), float(np.cov(v_pair, w_pair, ddof=1)[0, 1]))
 
-    def row_stats(lam: float) -> list[tuple[float, float]]:
-        """(mean, SE) of lam * V + w / gamma one step on, per point."""
-        out = []
-        for pt in points:
-            mean_s = lam * pt["mean_v"] + pt["mean_w"] / pt["gamma"]
-            var_s = (
-                lam * lam * pt["var_v"]
-                + 2.0 * lam * pt["cov_vw"] / pt["gamma"]
-                + pt["var_w"] / pt["gamma"] ** 2
-            )
-            out.append((mean_s, math.sqrt(max(var_s, 0.0) / pt["n"])))
-        return out
+    def lhs(k, pt):
+        """(mean, SE) of lam * V + w / gamma one step on."""
+        lam = k["lam_star"]
+        mean_v, mean_w, (var_v, var_w, cov_vw) = pt.est
+        var_s = lam * lam * var_v + 2.0 * lam * cov_vw / pt.gamma + var_w / pt.gamma**2
+        return lam * mean_v + mean_w / pt.gamma, math.sqrt(max(var_s, 0.0) / n_pairs)
 
-    def outside(pt, m_star: float) -> bool:
-        return not (pt["w_theta"] <= m_star and pt["inside_c"])
+    def denom(pt):
+        return pt.v**coef.iota / coef.a(pt.param) + weight(pt.param)
 
-    w_levels = sorted({pt["w_theta"] for pt in points})
+    def rhs(k, pt):
+        delta = k["delta"] if k["found"] else 0.0
+        return k["lam_star"] * pt.v + weight(pt.param) / pt.gamma - delta * denom(pt)
+
+    def outside(pt, m_star):
+        return not (weight(pt.param) <= m_star and pt.inside)
+
+    w_levels = sorted({weight(_as_param(t)) for t in grid.theta_grid})
     lam_values = [float(2**k) for k in range(11)]
-    found = None
-    best = None
-    for lam in lam_values:
-        stats = row_stats(lam)
-        for m_star in w_levels:
-            caps = [
-                (lam * pt["v_x"] + pt["w_theta"] / pt["gamma"] - mean_s - MC_SE_FACTOR * se) / pt["denom"]
-                for pt, (mean_s, se) in zip(points, stats)
-                if outside(pt, m_star)
-            ]
-            if not caps:
-                continue
-            delta = min(caps)
-            if best is None or delta > best[2]:
-                best = (lam, m_star, delta, stats)
-            if delta > 0.0:
-                found = (lam, m_star, delta, stats)
-                break
-        if found:
-            break
 
-    # with no candidate every point lies in the joint center, so no row is kept
-    lam, m_star, delta_raw, stats = found or best or (1.0, w_levels[0], math.nan, [])
-    delta = delta_raw * (1.0 - HEADROOM) if found else 0.0
+    def fit(points, slack):
+        def fitted(lam, m_star, delta, at):
+            return ({"lam_star": lam, "m_star": m_star, "delta": delta, "center_radius": center_radius,
+                     "found": delta > 0.0}, {"delta": -1}, {"delta": at}, lambda pt: outside(pt, m_star))
 
-    rows = []
-    for pt, (mean_s, se) in zip(points, stats):
-        if not outside(pt, m_star):
-            continue
-        rhs = lam * pt["v_x"] + pt["w_theta"] / pt["gamma"] - delta * pt["denom"]
-        margin = rhs - mean_s
-        rows.append(
-            DriftRow(
-                point={
-                    **_param_label(pt["param"]),
-                    "x": float(pt["x"][0]) if dim == 1 else [float(u) for u in pt["x"]],
-                    "gamma": pt["gamma"], "gamma_bar": pt["gamma"],
-                },
-                lhs=mean_s, rhs=rhs, margin=margin, se=se,
-                passed=_row_passes(margin, se, True),
-            )
-        )
-    passed = found is not None and bool(rows) and all(r.passed for r in rows)
-    return DriftReport(
-        check="compound_drift",
-        grid=_grid_dict(grid),
-        fitted={
-            "lam_star": lam,
-            "m_star": m_star,
-            "delta": delta if found else delta_raw,
-            "center_radius": center_radius,
-            "found": found is not None,
-        },
-        rows=rows,
-        passed=passed,
-        notes={"scenario": coef.scenario, "searched_lam": lam_values, "w_levels": w_levels},
-    )
+        # with no candidate every point lies in the joint center, so no row is kept
+        best = (1.0, w_levels[0], math.nan, None)
+        for lam in lam_values:
+            k = {"lam_star": lam}
+            caps = []  # per point, the largest delta its row allows
+            for pt in points:
+                mean_s, se = lhs(k, pt)
+                caps.append(((lam * pt.v + weight(pt.param) / pt.gamma - mean_s - slack(se)) / denom(pt), pt.i))
+            for m_star in w_levels:
+                delta, at = min((cap for cap, pt in zip(caps, points) if outside(pt, m_star)),
+                                default=(None, None))
+                if delta is not None and not delta <= best[2]:  # a nan best is no candidate yet
+                    best = (lam, m_star, delta, at)
+                    if delta > 0.0:
+                        return fitted(*best)
+        return fitted(*best)
+
+    return _certify("compound_drift", grid, lyap_v, center_radius, estimate, rhs, fit,
+                    notes={"scenario": coef.scenario, "searched_lam": lam_values, "w_levels": w_levels},
+                    lhs=lhs, label=lambda pt: {"gamma_bar": pt.gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +672,9 @@ def verify_acceptance_bounds(
     c_minus = max((max(0.0, low_level[s]) for s in low_sigmas), default=None)
     c_plus = max((high_level(s) for s in high_sigmas), default=None)
     if c_minus is not None:
-        c_minus = c_minus * (1.0 + HEADROOM) + 1e-15
+        c_minus = _freeze(c_minus, 1)
     if c_plus is not None:
-        c_plus = c_plus * (1.0 + HEADROOM) + 1e-15
+        c_plus = _freeze(c_plus, 1)
 
     stab_low = True
     if len(low_sigmas) >= 2:

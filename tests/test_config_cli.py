@@ -939,7 +939,11 @@ _AM_1D_PARAM = {"mu": [0.0], "cov": [[1.0]]}
         # from theta = 700 on, the proposal scale ScalarParam.sigma = e**theta is inf
         pytest.param("coerced", {"verify.theta_grid": [3.0, 700.5]}, "verify.theta_grid.1", id="coerced-theta-700.5"),
         pytest.param("coerced", {"verify.theta_grid": [3.0, 800.0]}, "verify.theta_grid.1", id="coerced-theta-800"),
-        # below about -745.13 it rounds to 0
+        # from theta = -700 down the exp_abs weight e**|theta| is inf (compound_drift
+        # wrote delta nan and nan margins), and below about -745.13 e**theta rounds to 0
+        pytest.param("coerced", {"verify.theta_grid": [3.0, -701.0]}, "verify.theta_grid.1",
+                     id="coerced-theta-minus-701"),
+        pytest.param("coerced", {"verify.theta_grid": [-745.0]}, "verify.theta_grid.0", id="coerced-theta-minus-745"),
         pytest.param("coerced", {"verify.theta_grid": [-800.0]}, "verify.theta_grid.0", id="coerced-theta-minus-800"),
         pytest.param("coerced", {"verify.theta_grid": [3.0, -745.2]}, "verify.theta_grid.1",
                      id="coerced-theta-minus-745.2"),
@@ -1230,6 +1234,29 @@ def test_ridge_whose_scaled_value_overflows_is_rejected_at_load(tmp_path, comman
         load_config(path)
     assert exc.value.json_path == "proposal.eps_ridge"
     assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "preset, edits, json_path",
+    [
+        # V(60) = e**900: a raw OverflowError by quadrature, a RuntimeWarning by Monte Carlo
+        pytest.param("coerced", {"verify.checks": ["fixed_theta_drift"], "verify.method": "quadrature",
+                                 "verify.x_grid": [0.0, 60.0]}, "verify.x_grid.1", id="coerced-quadrature-x-60"),
+        pytest.param("coerced", {"verify.x_grid": [0.0, 60.0]}, "verify.x_grid.1", id="coerced-monte-carlo-x-60"),
+        # V(1e154) = e**(5e76): a raw OverflowError in the kernel application
+        pytest.param("am-subexp-1d", {"verify.x_grid": [1e154, 1.0]}, "verify.x_grid.0", id="am-subexp-x-1e154"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_drift_check_point_where_v_is_not_finite_is_rejected_at_load(tmp_path, capsys, preset, edits, json_path,
+                                                                     command):
+    path = write_config(tmp_path, edited(preset, edits))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {json_path}: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,9 +1,9 @@
 """Source hygiene: no module imports a name it never uses, the package
 ``__init__`` re-exports nothing, ``cli`` builds through two config
 builders only, every JSON path a ``ConfigError`` names is a key path of
-the config schema, one function forks, one freezes the heap, two classes
-are dataclasses, and source code names every top-level function and
-class."""
+the config schema, one function forks, one freezes the heap, the drift
+certificates have one headroom rule and one slack rule, two classes are
+dataclasses, and source code names every top-level function and class."""
 
 import ast
 from pathlib import Path
@@ -165,6 +165,43 @@ def test_one_function_freezes_the_heap():
     # would pin garbage in an in-process caller or in a forked worker
     sites = {f"{path.stem}.{site}" for path in MODULES for site in attribute_sites(path.read_text(), "gc", "freeze")}
     assert sites == {"cli.main"}
+
+
+def name_sites(source: str, name: str) -> list[str]:
+    """The functions that name the bare ``name`` (``<module>`` at top
+    level), one entry per mention; importing it counts as a mention too."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Name) and node.id == name:
+            sites.append(where)
+        if isinstance(node, ast.ImportFrom) and any((a.asname or a.name) == name for a in node.names):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_name_detector_sees_reads_bindings_and_imports():
+    src = "from k import TOL\nH = 1\ndef f(x=TOL):\n    def g():\n        return H * x\n    return k.H\n"
+    assert name_sites(src, "TOL") == ["<module>", "f"]
+    assert name_sites(src, "H") == ["<module>", "g"]
+
+
+def test_drift_certificates_have_one_headroom_rule_and_one_slack_rule():
+    # every fitted constant is frozen by verifiers._freeze, and every margin
+    # is measured against verifiers._slack, which _row_passes calls: a
+    # constant bumped elsewhere, or a slack added where another is
+    # subtracted, names these constants outside those two functions
+    source = (PACKAGE / "verifiers.py").read_text()
+    assert set(name_sites(source, "HEADROOM")) == {"<module>", "_freeze"}
+    assert set(name_sites(source, "MC_SE_FACTOR")) == {"<module>", "_slack"}
+    # QUAD_TOL is also the tolerance of the scalar w_drift integral, not a slack
+    assert set(name_sites(source, "QUAD_TOL")) == {"<module>", "_slack", "_w_drift_lhs_quadrature"}
 
 
 def dataclass_names(source: str) -> list[str]:

@@ -129,13 +129,16 @@ def test_fixed_theta_drift_gaussian_report():
 
 
 def test_fixed_theta_drift_degenerate_lyapunov():
-    # eta = 0 collapses V to 1: the inequality survives with a huge rate
-    # divisor and unit excursion bound
+    # eta = 0 collapses V to 1, so P V = V everywhere: outside the center no
+    # a > 0 gives P V <= V - V**iota / a, since the deficit V - P V is 0.
+    # The tail row caps a0 at -QUAD_TOL * base, below 0, and the check
+    # fails; the center bound b still fits P V = 1 plus its slack.
     t = gaussian_target(dim=1)
     coef = coerced_coef()
     grid = GridSpec(x_grid=(0.0, 6.0), theta_grid=(0.0,), method=METHOD_QUADRATURE)
     report = verify_fixed_theta_drift(t, UNIFORM_1D, StateLyapunov(t, 0.0), coef, grid)
-    assert report.passed
+    assert not report.passed
+    assert report.fitted["a0"] < 0.0
     assert report.fitted["b"] == pytest.approx(1.0, abs=1e-8)
 
 
@@ -433,6 +436,63 @@ def test_compound_drift_failed_search_names_the_blocking_rows():
     worst = min(report.rows, key=lambda r: r.margin)
     assert not worst.passed
     assert report.worst_point == {"point": worst.point, "margin": worst.margin}
+
+
+# -- the drift skeleton ----------------------------------------------------------
+
+
+_COERCED_GRID = {"theta_grid": [-8.0, -5.0, -3.0, 3.0]}
+
+
+# the drift checks the presets declare, then the other drift checks on the
+# preset configs (coerced on the grid of the agreement test above), by both
+# methods where both apply
+@pytest.mark.parametrize(
+    "preset, check, method, verify",
+    [
+        ("am-subexp-1d", "fixed_theta_drift", "quadrature", {}),
+        ("coerced", "compound_drift", "monte_carlo", {}),
+        ("am-subexp-1d", "fixed_theta_drift", "monte_carlo", {}),
+        ("am-subexp-1d", "w_drift", "quadrature", {}),
+        ("am-subexp-1d", "w_drift", "monte_carlo", {}),
+        ("coerced", "fixed_theta_drift", "quadrature", _COERCED_GRID),
+        ("coerced", "fixed_theta_drift", "monte_carlo", _COERCED_GRID),
+        ("coerced", "w_drift", "quadrature", _COERCED_GRID),
+        ("coerced", "w_drift", "monte_carlo", _COERCED_GRID),
+    ],
+)
+def test_binding_rows_are_the_tightest_and_pass_at_the_frozen_constants(preset, check, method, verify):
+    report = run_check(check, _preset_check_doc(preset, check, method, **verify))
+    assert report.passed
+    mc = method == METHOD_MONTE_CARLO
+    # how far each row's margin clears the slack its fit measured it against
+    excess = [row.margin - verifiers._slack(row.se, mc) for row in report.rows]
+    binding = report.notes["binding_rows"]
+    assert set(binding) == {"fixed_theta_drift": {"a0", "b"}, "w_drift": {"slope_c"},
+                            "compound_drift": {"delta"}}[check]
+    assert report.to_json_dict()["notes"]["binding_rows"] == binding
+    for name, i in binding.items():
+        # a0 is set by the tail rows, b by the center rows, the others by every row
+        region = {"a0": "tail", "b": "center"}.get(name)
+        rivals = [e for e, row in zip(excess, report.rows) if region in (None, row.point.get("region"))]
+        assert excess[i] == min(rivals)
+        assert excess[i] >= 0.0 and report.rows[i].passed
+
+
+@pytest.mark.parametrize("method", [METHOD_QUADRATURE, METHOD_MONTE_CARLO])
+def test_fixed_theta_drift_fails_where_no_proposal_moves(method):
+    # At theta = 650 the uniform window is e**650 wide, so every proposal
+    # lands where pi is 0 and is rejected: P V = V, and the tail rows have no
+    # deficit V - P V > 0.  Drift toward a small set needs a strictly
+    # positive deficit outside it (Meyn and Tweedie 2009), so no a0 > 0
+    # certifies this grid, by either method.
+    doc = _preset_check_doc("coerced", "fixed_theta_drift", method, theta_grid=[650.0])
+    report = run_check("fixed_theta_drift", doc)
+    lyap = build_state_lyapunov(doc, build_target(doc))
+    tail = [row for row in report.rows if row.point["region"] == "tail"]
+    assert tail and all(row.lhs == pytest.approx(float(lyap(row.point["x"])), rel=1e-12) for row in tail)
+    assert not report.fitted["a0"] > 0.0
+    assert not report.passed
 
 
 # -- acceptance-rate envelopes -------------------------------------------------
