@@ -286,11 +286,6 @@ SCHEMA = {
                     "items": {"oneOf": [{"type": "number"}, _AM_PARAM_SCHEMA]},
                     "minItems": 1,
                 },
-                "gamma_grid": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
                 "sigma_grid": {
                     "type": "array",
                     "items": {"type": "number", "exclusiveMinimum": 0},
@@ -463,8 +458,7 @@ def _check_rule_fit(doc: dict) -> None:
     on the ``exp_abs`` weight e**|theta| is inf, and so is the proposal
     scale e**theta, ``kernels.ScalarParam.sigma``, above 700, while below
     about -745.13 it rounds to 0), and under the am rule a
-    ``verify.gamma_grid`` stepsize above 1, which no running-moments step
-    takes."""
+    ``lyapunov.gamma_max`` above 1, which no running-moments step takes."""
     rule = doc.get("adaptation", {}).get("rule")
     variant = doc.get("lyapunov", {}).get("weight")
     scenario = doc.get("lyapunov", {}).get("scenario")
@@ -491,8 +485,8 @@ def _check_rule_fit(doc: dict) -> None:
             if not moments and abs(entry) >= 700.0:
                 raise ConfigError(f"theta = {entry!r} puts e**|theta| past the float range",
                                   f"verify.theta_grid.{i}")
-    if rule == RULE_AM and any(g > 1.0 for g in verify.get("gamma_grid", ())):
-        raise ConfigError("a running-moments step needs stepsizes of at most 1", "verify.gamma_grid")
+    if rule == RULE_AM and doc.get("lyapunov", {}).get("gamma_max", 0.0) > 1.0:
+        raise ConfigError("a running-moments step needs stepsizes of at most 1", "lyapunov.gamma_max")
 
 
 def _check_quadrature(doc: dict) -> None:
@@ -772,7 +766,6 @@ def build_grid(doc: dict) -> GridSpec:
             _am_param(entry, "verify.theta_grid") if isinstance(entry, dict) else float(entry)
             for entry in cfg.get("theta_grid", [])
         ),
-        gamma_grid=tuple(cfg.get("gamma_grid", (0.05,))),
         method=cfg.get("method", METHOD_QUADRATURE),
         mc_n=cfg.get("mc_n", 10_000),
         seed=cfg.get("seed", 2024),
@@ -786,16 +779,18 @@ _DEFAULT_TAIL_X_GRID = (20.0, 40.0, 80.0)
 
 def build_check_args(check: str, doc: dict) -> tuple:
     """The positional arguments of ``verifiers.verify_<check>``, for
-    ``validate_document`` and ``cli.run_check``.  Rejects, each at its path,
-    a check that cannot run on them: a drift check
-    at a ``verify.x_grid`` point where V(x) is not finite,
-    without ``verify.theta_grid``, with running moments whose dimension is
-    not the target's, or with a ``proposal.parametrization`` that does not
-    fit the grid's parameters (running moments take ``am_covariance``,
-    numbers ``scalar_log_scale``), ``acceptance_bounds`` on a target without a
-    subexponential tail (``verify.checks``), and ``decomposition`` on a
-    target that is not one-dimensional and unimodal (``verify.checks``),
-    with ``lyapunov.eta`` = 0 or at a ``verify.tail_x_grid`` point x <= 0.
+    ``validate_document`` and ``cli.run_check``; a number x of
+    ``verify.x_grid`` is the point (x, ..., x) on a dim-d target.  Rejects,
+    each at its path, a check that cannot run on them: a drift check at an
+    x where V(x) is not finite, without ``verify.theta_grid``, with running
+    moments whose dimension is not the target's, or with a
+    ``proposal.parametrization`` that does not fit them (running moments
+    take ``am_covariance``, numbers ``scalar_log_scale``); ``w_drift`` on a
+    target with dim > 1; ``acceptance_bounds`` on a target without a
+    subexponential tail, ``decomposition`` on one that is not 1-D and
+    unimodal, with ``lyapunov.eta`` = 0 or at a tail x <= 0, and either at a
+    ``verify.sigma_grid`` radius below the smallest normal float or a
+    ``verify.tail_x_grid`` point where log pi is not finite.
     ``compound_drift`` runs by Monte Carlo when no method is set."""
     cfg = doc.get("verify", {})
     if check == "toy":
@@ -803,16 +798,22 @@ def build_check_args(check: str, doc: dict) -> tuple:
     target = build_target(doc)
     sigma_grid = tuple(cfg.get("sigma_grid", _DEFAULT_SIGMA_GRID))
     tail_x = tuple(cfg.get("tail_x_grid", _DEFAULT_TAIL_X_GRID))
+    if check == "acceptance_bounds" and target.tail.kind is not TailKind.SUBEXPONENTIAL:
+        raise ConfigError(f"acceptance_bounds needs a subexponential tail; the {target.name} target's "
+                          f"is {target.tail.kind.value}", "verify.checks")
+    if check == "decomposition" and not target.unimodal_1d:
+        raise ConfigError(f"decomposition needs a one-dimensional unimodal target, not {target.name}", "verify.checks")
+    if check in ("acceptance_bounds", "decomposition"):
+        for i, sigma in enumerate(sigma_grid):
+            if sigma < sys.float_info.min:
+                raise ConfigError(f"sigma = {sigma!r} is below the smallest normal float", f"verify.sigma_grid.{i}")
+        for i, x in enumerate(tail_x):
+            if not math.isfinite(target.log_density(x)):
+                raise ConfigError(f"log pi is not finite at x = {x!r}", f"verify.tail_x_grid.{i}")
     if check == "acceptance_bounds":
-        if target.tail.kind is not TailKind.SUBEXPONENTIAL:
-            raise ConfigError(f"acceptance_bounds needs a subexponential tail; the {target.name} target's "
-                              f"is {target.tail.kind.value}", "verify.checks")
         return target, sigma_grid, tail_x
     lyap = build_state_lyapunov(doc, target)
     if check == "decomposition":
-        if not target.unimodal_1d:
-            raise ConfigError(f"decomposition needs a one-dimensional unimodal target, not {target.name}",
-                              "verify.checks")
         if lyap.eta == 0.0:
             raise ConfigError("decomposition needs eta > 0", "lyapunov.eta")
         if any(x <= 0 for x in tail_x):
@@ -820,7 +821,7 @@ def build_check_args(check: str, doc: dict) -> tuple:
         return target, lyap, sigma_grid, tail_x
     grid = build_grid(doc)
     for i, x in enumerate(grid.x_grid):
-        if not math.isfinite(float(lyap(x if target.dim == 1 else np.atleast_1d(np.asarray(x, dtype=float))))):
+        if not math.isfinite(float(lyap(x if target.dim == 1 else np.full(target.dim, float(x))))):
             raise ConfigError(f"V(x) is not finite at x = {x!r}", f"verify.x_grid.{i}")
     if not grid.theta_grid:
         raise ConfigError(f"the {check} check needs a theta_grid", "verify.theta_grid")
@@ -837,6 +838,8 @@ def build_check_args(check: str, doc: dict) -> tuple:
     rule = build_rule(doc)
     weight = build_weight(doc, rule)
     if check == "w_drift":
+        if target.dim != 1:
+            raise ConfigError(f"w_drift's center sup is one-dimensional, not dim {target.dim}", "verify.checks")
         return target, proposal, rule, weight, coef, grid, lyap, center_radius
     if "method" not in cfg:
         grid = grid._replace(method=METHOD_MONTE_CARLO)

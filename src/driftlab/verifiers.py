@@ -21,6 +21,12 @@ pass: a report is an intersection-union test, whose level is the per-row
 level with no multiplicity correction (Berger 1982, "Multiparameter
 hypothesis testing and acceptance sampling").
 
+``w_drift`` and ``compound_drift`` run at one stepsize, ``gamma_max``, and
+cover (0, gamma_max]: gamma enters only through (E w(theta + gamma H) -
+w(theta)) / gamma, H does not depend on gamma and every weight w is convex,
+so that quotient is nondecreasing in gamma draw by draw (Rockafellar 1970,
+"Convex Analysis", Thm 23.1).
+
 ``verify_<check>`` takes what ``config.build_check_args`` builds and does
 not re-check the rules checked at load; it checks only numbers it computes
 (non-finite estimates, proposal radii, delta(0)).
@@ -78,7 +84,6 @@ class GridSpec(NamedTuple):
 
     x_grid: tuple
     theta_grid: tuple = ()
-    gamma_grid: tuple = (0.05,)
     method: str = METHOD_QUADRATURE
     mc_n: int = 10_000
     seed: int = 2024
@@ -169,9 +174,8 @@ def _param_label(p) -> dict:
 
 def _grid_dict(grid: GridSpec) -> dict:
     return {
-        "x_grid": [_jsonable(np.asarray(x, dtype=float).tolist()) for x in grid.x_grid],
+        "x_grid": [float(x) for x in grid.x_grid],
         "theta_grid": [_param_label(_as_param(t)) for t in grid.theta_grid],
-        "gamma_grid": [float(g) for g in grid.gamma_grid],
         "method": grid.method,
         "mc_n": grid.mc_n if grid.method == METHOD_MONTE_CARLO else None,
         "seed": grid.seed,
@@ -282,6 +286,10 @@ def _freeze(fit: float, side: int) -> float:
     return fit * (1.0 + HEADROOM if (fit >= 0.0) == (side > 0) else 1.0 - HEADROOM) + side * 1e-15
 
 
+def _region(pt) -> dict:
+    return {"region": "center" if pt.inside else "tail"}
+
+
 def _certify(
     check: str,
     grid: GridSpec,
@@ -292,49 +300,45 @@ def _certify(
     fit: Callable,
     notes: Optional[dict] = None,
     lhs: Callable = lambda k, pt: pt.est,
-    label: Callable = lambda pt: {"region": "center" if pt.inside else "tail"},
-    per_gamma: bool = True,
+    label: Callable = _region,
 ) -> DriftReport:
     """The drift skeleton of the module docstring, for one check.
 
-    Walks theta, then x, then gamma (``per_gamma``; None otherwise).  A
-    point has ``i``, its position and substream index, ``param``, ``x`` (a
-    float on a one-dimensional target, else a 1-D array), ``gamma``, ``v``
-    = V(x), ``inside`` (|x| <= center_radius) and ``est``:
-    ``estimate(param, x, gamma, rng)``, the point's values and then their
-    error term (``rng`` is None by quadrature).  An OverflowError or a
-    value that is not finite makes ``est`` None, an inf row.
-    ``fit(points, slack)`` sees the other points and returns the report's
-    fitted constants in order, the feasible side (+1 or -1) of each one to
-    freeze, the point index that set each of those, and which points the
-    report keeps (a predicate, or None for all).  A kept row's sides are
-    ``lhs(constants, point)`` -> (lhs, se) and ``rhs(constants, point)``.
+    Walks theta, then x.  A point has ``i``, its position and substream
+    index, ``param``, ``x`` (a float on a one-dimensional target, else the
+    array with every coordinate x), ``v`` = V(x), ``inside`` (|x| <=
+    center_radius) and ``est``: ``estimate(param, x, rng)``, the point's
+    values and then their error term (``rng`` is None by quadrature).  An
+    OverflowError or a value that is not finite makes ``est`` None, an inf
+    row.  ``fit(points, slack)`` sees the other points and returns the
+    report's fitted constants in order, the feasible side (+1 or -1) of each
+    one to freeze, the point index that set each of those, and which points
+    the report keeps (a predicate, or None for all).  A kept row's sides are
+    ``lhs(constants, point)`` -> (lhs, se) and ``rhs(constants, point)``; a
+    row that set a frozen constant that is not finite and positive fails.
     """
     mc = grid.method == METHOD_MONTE_CARLO
     dim = lyap.target.dim
     points = []
-    for p_raw in grid.theta_grid:
-        param = _as_param(p_raw)
-        for x_raw in grid.x_grid:
-            xv = np.atleast_1d(np.asarray(x_raw, dtype=float))
-            x = float(xv[0]) if dim == 1 else xv
-            v = float(lyap(x))
-            inside = (abs(x) if dim == 1 else float(np.linalg.norm(xv))) <= center_radius
-            for gamma in grid.gamma_grid if per_gamma else (None,):
-                i = len(points)
-                try:
-                    est = estimate(param, x, gamma, substream(grid.seed, i) if mc else None)
-                except OverflowError:
-                    est = None
-                if est is not None and not all(math.isfinite(u) for u in est[:-1]):
-                    est = None
-                points.append(SimpleNamespace(i=i, param=param, x=x, gamma=gamma, v=v, inside=inside, est=est))
+    for i, (param, x_raw) in enumerate((_as_param(p), x) for p in grid.theta_grid for x in grid.x_grid):
+        x = float(x_raw) if dim == 1 else np.full(dim, float(x_raw))
+        v = float(lyap(x))
+        inside = (abs(x) if dim == 1 else float(np.linalg.norm(x))) <= center_radius
+        try:
+            est = estimate(param, x, substream(grid.seed, i) if mc else None)
+        except OverflowError:
+            est = None
+        if est is not None and not all(math.isfinite(u) for u in est[:-1]):
+            est = None
+        points.append(SimpleNamespace(i=i, param=param, x=x, v=v, inside=inside, est=est))
 
     constants, toward, binding, keep = fit([pt for pt in points if pt.est is not None], lambda se: _slack(se, mc))
     frozen = {
         name: _freeze(value, toward[name]) if name in toward and value is not None else value
         for name, value in constants.items()
     }
+    blocked = {binding[name] for name in toward
+               if frozen[name] is not None and not (math.isfinite(frozen[name]) and frozen[name] > 0.0)}
     rows, row_of = [], {}
     for pt in points:
         if keep is not None and not keep(pt):
@@ -342,19 +346,16 @@ def _certify(
         lhs_val, se = (math.inf, math.inf) if pt.est is None else lhs(frozen, pt)
         rhs_val = rhs(frozen, pt)
         margin = rhs_val - lhs_val
-        point = {**_param_label(pt.param), "x": pt.x if dim == 1 else [float(u) for u in pt.x]}
-        if per_gamma:
-            point["gamma"] = pt.gamma
+        point = {**_param_label(pt.param), "x": pt.x if dim == 1 else [float(u) for u in pt.x], **label(pt)}
         row_of[pt.i] = len(rows)
-        rows.append(DriftRow(point={**point, **label(pt)}, lhs=lhs_val, rhs=rhs_val, margin=margin, se=se,
-                             passed=_row_passes(margin, se, mc)))
-    feasible = all(frozen[name] is None or (math.isfinite(frozen[name]) and frozen[name] > 0.0) for name in toward)
+        rows.append(DriftRow(point=point, lhs=lhs_val, rhs=rhs_val, margin=margin, se=se,
+                             passed=_row_passes(margin, se, mc) and pt.i not in blocked))
     return DriftReport(
         check=check,
         grid=_grid_dict(grid),
         fitted=frozen,
         rows=rows,
-        passed=feasible and bool(rows) and all(r.passed for r in rows),
+        passed=not blocked and bool(rows) and all(r.passed for r in rows),
         notes={**(notes or {}), "binding_rows": {name: row_of.get(i) for name, i in binding.items()}},
     )
 
@@ -383,7 +384,7 @@ def verify_fixed_theta_drift(
     """
     mc = grid.method == METHOD_MONTE_CARLO
 
-    def estimate(param, x, gamma, rng):
+    def estimate(param, x, rng):
         if mc:
             return _mean_se(_one_step_pairs(target, proposal, lyap, param, x, grid.mc_n, rng)[0])
         return apply_kernel_to_function(target, proposal, param, lyap.log, x), 0.0
@@ -406,7 +407,7 @@ def verify_fixed_theta_drift(
         return ({"a0": a0, "b": b, "iota": coef.iota, "center_radius": center_radius},
                 {"a0": -1, "b": 1}, {"a0": a0_at, "b": b_at}, None)
 
-    return _certify("fixed_theta_drift", grid, lyap, center_radius, estimate, rhs, fit, per_gamma=False)
+    return _certify("fixed_theta_drift", grid, lyap, center_radius, estimate, rhs, fit)
 
 
 def deficit_loglog_slope(
@@ -488,22 +489,23 @@ def verify_w_drift(
     lyap = state_lyapunov if state_lyapunov is not None else StateLyapunov(target, 0.5)
     mc = grid.method == METHOD_MONTE_CARLO
 
-    # sup of V**beta over the center set enters d(theta); exact for targets
-    # that decay monotonically away from the mode
+    # sup of V**beta over the center set enters d(theta); exact for
+    # one-dimensional targets that decay monotonically away from the mode
     sup_vbeta = max(
         float(lyap(xx)) ** coef.beta
         for xx in {0.0, center_radius, -center_radius}
     )
     coef = coef.with_constants(sup_c_vbeta=sup_vbeta)
+    gamma = coef.gamma_max
 
-    def estimate(param, x, gamma, rng):
+    def estimate(param, x, rng):
         if mc:
             return _mean_se(_one_step_pairs(target, proposal, lyap, param, x, grid.mc_n, rng, rule, weight, gamma)[1])
         return _w_drift_lhs_quadrature(target, proposal, rule, weight, param, x, gamma), 0.0
 
     def rhs_at(cc: DriftCoefficients, pt) -> float:
         arg = cc.d(pt.param) if pt.inside else cc.c(pt.param) + pt.v**cc.beta / cc.e(pt.param)
-        return weight(pt.param) * (1.0 - pt.gamma * cc.delta(arg))
+        return weight(pt.param) * (1.0 - gamma * cc.delta(arg))
 
     def rhs(k, pt):
         c = k["slope_c"]
@@ -531,11 +533,11 @@ def verify_w_drift(
                 if c - a <= 1e-9 * max(1.0, c):
                     break
         return ({"slope_c": c if points else None, "sup_center_vbeta": sup_vbeta, "beta": coef.beta,
-                 "delta0": coef.delta0(), "center_radius": center_radius},
+                 "delta0": coef.delta0(), "center_radius": center_radius, "gamma_max": gamma},
                 {"slope_c": 1}, {"slope_c": worst(min(c, hi))[1]}, None)
 
     return _certify("w_drift", grid, lyap, center_radius, estimate, rhs, fit,
-                    notes={"scenario": coef.scenario})
+                    notes={"scenario": coef.scenario}, label=lambda pt: {"gamma": gamma, **_region(pt)})
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +564,8 @@ def verify_compound_drift(
     the center ball) are dropped.  When the search fails it reports the
     best candidate's delta and judges the candidate's rows at delta = 0, so
     the rows that block a positive delta fail.
-    Each stepsize is paired with itself, so the inverse-difference ceiling
-    on stepsize pairs reduces to ``delta(0) > 0``.
+    The one stepsize, ``coef.gamma_max``, is paired with itself, so the
+    inverse-difference ceiling on stepsize pairs reduces to ``delta(0) > 0``.
 
     Each point's one-step expectations of V and w come from
     :func:`_one_step_pairs`, as ``mc_n // 2`` antithetic pair samples with
@@ -576,8 +578,9 @@ def verify_compound_drift(
         raise ValueError("compound drift needs a slope function with delta(0) > 0")
     grid = grid._replace(method=METHOD_MONTE_CARLO)
     n_pairs = grid.mc_n // 2
+    gamma = coef.gamma_max
 
-    def estimate(param, x, gamma, rng):
+    def estimate(param, x, rng):
         v_pair, w_pair = _one_step_pairs(target, proposal, lyap_v, param, x, grid.mc_n, rng, rule, weight, gamma)
         # inf or nan, as in _mean_se, once the samples pass the float range
         with np.errstate(over="ignore", invalid="ignore"):
@@ -588,15 +591,15 @@ def verify_compound_drift(
         """(mean, SE) of lam * V + w / gamma one step on."""
         lam = k["lam_star"]
         mean_v, mean_w, (var_v, var_w, cov_vw) = pt.est
-        var_s = lam * lam * var_v + 2.0 * lam * cov_vw / pt.gamma + var_w / pt.gamma**2
-        return lam * mean_v + mean_w / pt.gamma, math.sqrt(max(var_s, 0.0) / n_pairs)
+        var_s = lam * lam * var_v + 2.0 * lam * cov_vw / gamma + var_w / gamma**2
+        return lam * mean_v + mean_w / gamma, math.sqrt(max(var_s, 0.0) / n_pairs)
 
     def denom(pt):
         return pt.v**coef.iota / coef.a(pt.param) + weight(pt.param)
 
     def rhs(k, pt):
         delta = k["delta"] if k["found"] else 0.0
-        return k["lam_star"] * pt.v + weight(pt.param) / pt.gamma - delta * denom(pt)
+        return k["lam_star"] * pt.v + weight(pt.param) / gamma - delta * denom(pt)
 
     def outside(pt, m_star):
         return not (weight(pt.param) <= m_star and pt.inside)
@@ -607,7 +610,8 @@ def verify_compound_drift(
     def fit(points, slack):
         def fitted(lam, m_star, delta, at):
             return ({"lam_star": lam, "m_star": m_star, "delta": delta, "center_radius": center_radius,
-                     "found": delta > 0.0}, {"delta": -1}, {"delta": at}, lambda pt: outside(pt, m_star))
+                     "gamma_max": gamma, "found": delta > 0.0},
+                    {"delta": -1}, {"delta": at}, lambda pt: outside(pt, m_star))
 
         # with no candidate every point lies in the joint center, so no row is kept
         best = (1.0, w_levels[0], math.nan, None)
@@ -616,7 +620,7 @@ def verify_compound_drift(
             caps = []  # per point, the largest delta its row allows
             for pt in points:
                 mean_s, se = lhs(k, pt)
-                caps.append(((lam * pt.v + weight(pt.param) / pt.gamma - mean_s - slack(se)) / denom(pt), pt.i))
+                caps.append(((lam * pt.v + weight(pt.param) / gamma - mean_s - slack(se)) / denom(pt), pt.i))
             for m_star in w_levels:
                 delta, at = min((cap for cap, pt in zip(caps, points) if outside(pt, m_star)),
                                 default=(None, None))
@@ -628,7 +632,7 @@ def verify_compound_drift(
 
     return _certify("compound_drift", grid, lyap_v, center_radius, estimate, rhs, fit,
                     notes={"scenario": coef.scenario, "searched_lam": lam_values, "w_levels": w_levels},
-                    lhs=lhs, label=lambda pt: {"gamma_bar": pt.gamma})
+                    lhs=lhs, label=lambda pt: {"gamma": gamma})
 
 
 # ---------------------------------------------------------------------------
@@ -669,16 +673,10 @@ def verify_acceptance_bounds(
     def high_level(s: float) -> float:
         return max(alphas[(s, float(x))] * s / scales[float(x)] for x in x_grid)
 
-    c_minus = max((max(0.0, low_level[s]) for s in low_sigmas), default=None)
-    c_plus = max((high_level(s) for s in high_sigmas), default=None)
-    if c_minus is not None:
-        c_minus = _freeze(c_minus, 1)
-    if c_plus is not None:
-        c_plus = _freeze(c_plus, 1)
+    c_minus = _freeze(max(max(0.0, low_level[s]) for s in low_sigmas), 1) if low_sigmas else None
+    c_plus = _freeze(max(high_level(s) for s in high_sigmas), 1) if high_sigmas else None
 
-    stab_low = True
-    if len(low_sigmas) >= 2:
-        stab_low = low_level[low_sigmas[0]] <= low_level[low_sigmas[1]] + 1e-9
+    stab_low = len(low_sigmas) < 2 or low_level[low_sigmas[0]] <= low_level[low_sigmas[1]] + 1e-9
     stab_high = True
     if len(high_sigmas) >= 2:
         for x in x_grid:
@@ -713,9 +711,7 @@ def verify_acceptance_bounds(
                         passed=_row_passes(rhs - a_val, 0.0, False),
                     )
                 )
-    fits_ok = (c_minus is None or math.isfinite(c_minus)) and (
-        c_plus is None or math.isfinite(c_plus)
-    )
+    fits_ok = all(c is None or math.isfinite(c) for c in (c_minus, c_plus))
     passed = fits_ok and stab_low and stab_high and all(r.passed for r in rows)
     return DriftReport(
         check="acceptance_bounds",

@@ -948,8 +948,8 @@ _AM_1D_PARAM = {"mu": [0.0], "cov": [[1.0]]}
         pytest.param("coerced", {"verify.theta_grid": [3.0, -745.2]}, "verify.theta_grid.1",
                      id="coerced-theta-minus-745.2"),
         pytest.param("am-subexp-1d", {"verify.checks": ["w_drift"], "verify.method": "monte_carlo",
-                                      "verify.gamma_grid": [0.05, 1.5]},
-                     "verify.gamma_grid", id="am-rule-gamma-above-one"),
+                                      "lyapunov.gamma_max": 1.5},
+                     "lyapunov.gamma_max", id="am-rule-gamma-above-one"),
     ],
 )
 def test_sections_that_do_not_fit_the_rule_are_rejected_at_load(tmp_path, preset, edits, json_path):
@@ -974,19 +974,21 @@ def test_sections_that_fit_the_rule_load():
         doc = json.loads(resolve_config_path("coerced").read_text())
         doc["adaptation"]["rule"] = "fixed"
         doc["lyapunov"]["scenario"] = scenario
-        doc["verify"].update(checks=["w_drift"], gamma_grid=[0.05, 0.5])
+        doc["verify"]["checks"] = ["w_drift"]
         validate_document(doc)
     doc = json.loads(resolve_config_path("am-subexp-1d").read_text())
-    doc["verify"].update(checks=["w_drift"], method="monte_carlo", gamma_grid=[0.999])
+    doc["lyapunov"]["gamma_max"] = 0.999
+    doc["verify"].update(checks=["w_drift"], method="monte_carlo")
     validate_document(doc)
 
 
 def test_am_rule_gamma_one_loads(tmp_path):
     # a running-moments step of exactly 1 is the convex combination's endpoint
     doc = json.loads(resolve_config_path("am-subexp-1d").read_text())
-    doc["verify"].update(checks=["compound_drift"], method="monte_carlo", gamma_grid=[1.0])
+    doc["lyapunov"]["gamma_max"] = 1.0
+    doc["verify"].update(checks=["compound_drift"], method="monte_carlo")
     validate_document(doc)
-    assert load_config(write_config(tmp_path, doc))["verify"]["gamma_grid"] == [1.0]
+    assert load_config(write_config(tmp_path, doc))["lyapunov"]["gamma_max"] == 1.0
 
 
 def test_generic_path_halts_on_a_parameter_that_overflows(tmp_path):
@@ -1107,11 +1109,11 @@ def assert_rejected_before_running(tmp_path, doc: dict, json_path: str) -> None:
         pytest.param("coerced", {"lyapunov.weight": "am_poly"}, "lyapunov.weight", id="am-poly-weight-scalar-rule"),
         pytest.param("coerced", {"target": DELETE}, "target", id="srwm-without-target"),
         pytest.param("coerced", {"proposal": DELETE}, "proposal", id="srwm-without-proposal"),
-        # GridSpec's x_grid, method, mc_n and gamma_grid
+        # GridSpec's x_grid, method and mc_n; no stepsize grid (drift checks run at lyapunov.gamma_max)
         pytest.param("coerced", {"verify.x_grid": []}, "verify.x_grid", id="x-grid-empty"),
         pytest.param("coerced", {"verify.method": "exact"}, "verify.method", id="method"),
         pytest.param("coerced", {"verify.mc_n": 999}, "verify.mc_n", id="mc-n"),
-        pytest.param("coerced", {"verify.gamma_grid": [0.0]}, "verify.gamma_grid.0", id="gamma-grid"),
+        pytest.param("coerced", {"verify.gamma_grid": [0.05]}, "verify", id="gamma-grid"),
     ],
 )
 def test_rules_of_deleted_constructor_guards_are_checked_at_load(tmp_path, base, edits, json_path):
@@ -1169,6 +1171,16 @@ def test_cross_section_rules_are_checked_at_load(tmp_path, base, edits, json_pat
                      id="decomposition-two-dimensional"),
         pytest.param("am-subexp-1d", {"verify.checks": ["decomposition"], "verify.tail_x_grid": [20.0, 0.0]},
                      "verify.tail_x_grid", id="decomposition-at-zero"),
+        # a radius below the smallest normal float: a raw QuadratureError in acceptance_bounds
+        pytest.param("am-subexp-1d", {"verify.sigma_grid": [5e-324, 1.0]}, "verify.sigma_grid.0",
+                     id="sigma-5e-324"),
+        pytest.param("am-subexp-1d", {"verify.sigma_grid": [1.0, 3e-309]}, "verify.sigma_grid.1",
+                     id="sigma-3e-309"),
+        # log pi(1e200) = -inf: a raw ValueError in acceptance_bounds and in decomposition
+        pytest.param("am-subexp-1d", {"verify.tail_x_grid": [20.0, 1e200]}, "verify.tail_x_grid.1",
+                     id="tail-x-1e200"),
+        pytest.param("am-subexp-1d", {"verify.checks": ["decomposition"], "verify.tail_x_grid": [1e200]},
+                     "verify.tail_x_grid.0", id="decomposition-tail-x-1e200"),
         pytest.param("am-subexp-1d", {"run": DELETE, "proposal.parametrization": "scalar_log_scale"},
                      "proposal.parametrization", id="moments-grid-scalar-proposal"),
         pytest.param("coerced", {"run": DELETE, "proposal": {"family": "gaussian", "parametrization": "am_covariance"}},
@@ -1257,6 +1269,34 @@ def test_drift_check_point_where_v_is_not_finite_is_rejected_at_load(tmp_path, c
         assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {json_path}: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_smallest_normal_radius_and_a_far_tail_point_run(tmp_path):
+    # the edges of the two grid rules: sigma at sys.float_info.min, and
+    # x = 1e20, where log pi is -1e10 but finite
+    doc = edited("am-subexp-1d", {"run": DELETE, "verify.checks": ["acceptance_bounds", "decomposition"],
+                                  "verify.sigma_grid": [sys.float_info.min, 1.0], "verify.tail_x_grid": [1e20]})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+    assert (out / "report-acceptance_bounds.json").exists() and (out / "report-decomposition.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_w_drift_on_a_two_dimensional_target_is_rejected_at_load(tmp_path, capsys, command):
+    # its sup of V**beta over the center evaluates V at the numbers 0 and
+    # +-center_radius, which on a 2-D target died with a raw TypeError
+    doc = edited("mv-am", {"lyapunov.scenario": "am_superexp",
+                           "verify": {"checks": ["w_drift"], "method": "monte_carlo", "x_grid": [0.0, 10.0],
+                                      "theta_grid": [_IDENTITY_2D]}})
+    path = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: verify.checks: ") and "one-dimensional" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -2,8 +2,9 @@
 ``__init__`` re-exports nothing, ``cli`` builds through two config
 builders only, every JSON path a ``ConfigError`` names is a key path of
 the config schema, one function forks, one freezes the heap, the drift
-certificates have one headroom rule and one slack rule, two classes are
-dataclasses, and source code names every top-level function and class."""
+certificates have one headroom rule and one slack rule, the default
+stepsize ceiling is written once, two classes are dataclasses, and source
+code names every top-level function and class."""
 
 import ast
 from pathlib import Path
@@ -202,6 +203,39 @@ def test_drift_certificates_have_one_headroom_rule_and_one_slack_rule():
     assert set(name_sites(source, "MC_SE_FACTOR")) == {"<module>", "_slack"}
     # QUAD_TOL is also the tolerance of the scalar w_drift integral, not a slack
     assert set(name_sites(source, "QUAD_TOL")) == {"<module>", "_slack", "_w_drift_lhs_quadrature"}
+
+
+def float_sites(source: str, value: float) -> list[str]:
+    """The dotted class and function path around each float literal equal to
+    ``value`` (``<module>`` at top level), one entry per literal; a default
+    argument belongs to its function."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == value:
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_float_detector_sees_defaults_bodies_and_the_module():
+    src = "A = 0.05\nclass C:\n    def f(self, g=0.05):\n        return 0.050 + 0.5 + 5e-2\n" \
+          "def h():\n    return '0.05'\n"
+    assert float_sites(src, 0.05) == ["<module>", "C.f", "C.f", "C.f"]
+
+
+def test_the_default_stepsize_ceiling_is_written_once():
+    # the drift checks run at DriftCoefficients.gamma_max; a second default
+    # stepsize (the deleted verify.gamma_grid had two) could drift from it
+    sites = [f"{path.stem}.{site}" for path in MODULES for site in float_sites(path.read_text(), 0.05)]
+    assert sites == ["lyapunov.DriftCoefficients.__init__"]
+    for path in MODULES + sorted((PACKAGE / "presets").glob("*.json")):
+        assert "gamma_grid" not in path.read_text(), path.name
 
 
 def dataclass_names(source: str) -> list[str]:

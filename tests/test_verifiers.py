@@ -1,5 +1,6 @@
 """Drift certificates: report structure, fitted constants, frozen examples."""
 
+import itertools
 import json
 import math
 import warnings
@@ -10,6 +11,7 @@ import pytest
 import driftlab.verifiers as verifiers
 from driftlab.adaptation import (
     AdaptationRule,
+    RULE_AM,
     RULE_COERCED,
     RULE_FAST_COERCED,
     am_update,
@@ -49,6 +51,7 @@ from driftlab.lyapunov import (
 )
 from driftlab.streams import substream
 from driftlab.targets import gaussian_target, make_target, smoothed_subexp_target
+from test_config_cli import mv_run_doc
 from driftlab.verifiers import (
     GridSpec,
     METHOD_MONTE_CARLO,
@@ -70,7 +73,8 @@ UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LO
 
 def coerced_coef(**kw):
     kw.setdefault("iota", 1.0)
-    return scenario_coefficients(SCENARIO_COERCED, alpha_star=0.44, gamma_max=0.05, **kw)
+    kw.setdefault("gamma_max", 0.05)
+    return scenario_coefficients(SCENARIO_COERCED, alpha_star=0.44, **kw)
 
 
 # -- two-state chain ---------------------------------------------------------
@@ -118,7 +122,6 @@ def test_fixed_theta_drift_gaussian_report():
     grid = GridSpec(
         x_grid=(0.0, 3.0, 6.0, 10.0, 20.0),
         theta_grid=(0.0,),
-        gamma_grid=(0.05,),
         method=METHOD_QUADRATURE,
     )
     report = verify_fixed_theta_drift(t, UNIFORM_1D, StateLyapunov(t, 0.5), coef, grid)
@@ -170,10 +173,8 @@ def test_w_drift_vanishing_stepsize_is_tight():
     t = gaussian_target(dim=1)
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
     weight = ParamLyapunov(W_EXP_ABS)
-    coef = coerced_coef()
-    grid = GridSpec(
-        x_grid=(0.0,), theta_grid=(5.0, -5.0), gamma_grid=(1e-12,), method=METHOD_QUADRATURE
-    )
+    coef = coerced_coef(gamma_max=1e-12)
+    grid = GridSpec(x_grid=(0.0,), theta_grid=(5.0, -5.0), method=METHOD_QUADRATURE)
     report = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, grid)
     for row in report.rows:
         theta = row.point["theta"]
@@ -188,9 +189,7 @@ def test_w_drift_coerced_contracts_both_directions():
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
     weight = ParamLyapunov(W_EXP_ABS)
     coef = coerced_coef()
-    grid = GridSpec(
-        x_grid=(0.0,), theta_grid=(5.0, -5.0), gamma_grid=(0.05,), method=METHOD_QUADRATURE
-    )
+    grid = GridSpec(x_grid=(0.0,), theta_grid=(5.0, -5.0), method=METHOD_QUADRATURE)
     report = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, grid)
     assert report.passed
     assert report.fitted["slope_c"] is not None
@@ -205,11 +204,8 @@ def test_w_drift_monte_carlo_agrees():
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
     weight = ParamLyapunov(W_EXP_ABS)
     coef = coerced_coef()
-    gq = GridSpec(x_grid=(0.0,), theta_grid=(2.0,), gamma_grid=(0.05,), method=METHOD_QUADRATURE)
-    gm = GridSpec(
-        x_grid=(0.0,), theta_grid=(2.0,), gamma_grid=(0.05,),
-        method=METHOD_MONTE_CARLO, mc_n=200_000, seed=4,
-    )
+    gq = GridSpec(x_grid=(0.0,), theta_grid=(2.0,), method=METHOD_QUADRATURE)
+    gm = GridSpec(x_grid=(0.0,), theta_grid=(2.0,), method=METHOD_MONTE_CARLO, mc_n=200_000, seed=4)
     rq = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, gq)
     rm = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, gm)
     assert abs(rq.rows[0].lhs - rm.rows[0].lhs) <= 4.0 * rm.rows[0].se
@@ -241,26 +237,28 @@ def test_monte_carlo_agrees_with_quadrature_per_row(preset, check, verify):
         assert abs(q_row.lhs - mc_row.lhs) <= 4.0 * mc_row.se + 1e-9
 
 
-def _am_reference_means(doc: dict, idx: int, param: AMParam, x: float, gamma: float):
+def _am_reference_means(doc: dict, idx: int, param: AMParam, x, gamma: float):
     """(mean V, mean w) one AM step on from (param, x), draw by draw with
     ``am_update``: the estimator's antithetic pairs with the coin
-    integrated out."""
+    integrated out.  ``x`` is a number on a 1-D target, else a point."""
     target = make_target(doc["target"]["name"], **doc["target"]["params"])
     proposal = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_AM_COVARIANCE, eps_ridge=0.1)
     lyap = StateLyapunov(target, 0.5)
     weight = ParamLyapunov(W_AM_POLY, eps=0.5)
     m = doc["verify"]["mc_n"] // 2
-    z = draw_increments(proposal, param, 1, substream(doc["verify"]["seed"], idx), size=m)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    z = draw_increments(proposal, param, xv.size, substream(doc["verify"]["seed"], idx), size=m).reshape(m, -1)
     lx = float(target.log_density(x))
-    w_reject = weight(AMParam(*am_update(param.mu, param.cov, [x], gamma)))
+    w_reject = weight(AMParam(*am_update(param.mu, param.cov, xv, gamma)))
     v_sum = np.zeros(m)
     w_sum = np.zeros(m)
-    for ys in (x + z, x - z):
-        for j, y in enumerate(ys.tolist()):
-            ly = float(target.log_density(y))
+    for ys in (xv + z, xv - z):
+        for j, y in enumerate(ys):
+            point = float(y[0]) if xv.size == 1 else y
+            ly = float(target.log_density(point))
             alpha = min(1.0, math.exp(ly - lx))
-            w_accept = weight(AMParam(*am_update(param.mu, param.cov, [y], gamma)))
-            v_sum[j] += alpha * float(lyap(y)) + (1.0 - alpha) * float(lyap(x))
+            w_accept = weight(AMParam(*am_update(param.mu, param.cov, y, gamma)))
+            v_sum[j] += alpha * float(lyap(point)) + (1.0 - alpha) * float(lyap(x))
             w_sum[j] += alpha * w_accept + (1.0 - alpha) * w_reject
     return float((0.5 * v_sum).mean()), float((0.5 * w_sum).mean())
 
@@ -270,27 +268,74 @@ def test_am_monte_carlo_checks_match_a_per_draw_reference(check):
     doc = _preset_check_doc("am-subexp-1d", check, "monte_carlo", mc_n=2000)
     report = run_check(check, doc)
     grid = build_grid(doc)
+    gamma = 0.05  # the preset sets no lyapunov.gamma_max, so the default
+    assert report.fitted["gamma_max"] == gamma
     rows = {json.dumps(row.point, sort_keys=True): row for row in report.rows}
     compared = 0
-    idx = 0
-    for param in grid.theta_grid:
-        for x in grid.x_grid:
-            for gamma in grid.gamma_grid:
-                mean_v, mean_w = _am_reference_means(doc, idx, param, x, gamma)
-                idx += 1
-                label = {"mu": param.mu.tolist(), "cov": param.cov.tolist(), "x": x, "gamma": gamma}
-                if check == "w_drift":
-                    label["region"] = "center" if abs(x) <= 5.0 else "tail"
-                    want = mean_w
-                else:
-                    label["gamma_bar"] = gamma
-                    want = report.fitted["lam_star"] * mean_v + mean_w / gamma
-                row = rows.get(json.dumps(label, sort_keys=True))
-                if row is None:  # a compound point inside the joint center
-                    continue
-                assert row.lhs == pytest.approx(want, rel=1e-12)
-                compared += 1
+    for idx, (param, x) in enumerate((param, x) for param in grid.theta_grid for x in grid.x_grid):
+        mean_v, mean_w = _am_reference_means(doc, idx, param, x, gamma)
+        label = {"mu": param.mu.tolist(), "cov": param.cov.tolist(), "x": x, "gamma": gamma}
+        if check == "w_drift":
+            label["region"] = "center" if abs(x) <= 5.0 else "tail"
+            want = mean_w
+        else:
+            want = report.fitted["lam_star"] * mean_v + mean_w / gamma
+        row = rows.get(json.dumps(label, sort_keys=True))
+        if row is None:  # a compound point inside the joint center
+            continue
+        assert row.lhs == pytest.approx(want, rel=1e-12)
+        compared += 1
     assert compared == len(report.rows) > 0
+
+
+def test_two_dimensional_compound_drift_evaluates_the_point_it_labels():
+    # a number x of verify.x_grid on a 2-D target is the point (x, x), not
+    # the one-coordinate point [x]: log pi([10]) = -59.56 against
+    # log pi((10, 10)) = -45.81
+    doc = mv_run_doc("am")
+    doc["lyapunov"]["scenario"] = "am_superexp"
+    doc["verify"] = {"checks": ["compound_drift"], "method": "monte_carlo", "mc_n": 2000, "seed": 3,
+                     "x_grid": [10.0], "theta_grid": [{"mu": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}]}
+    validate_document(doc)
+    report = run_check("compound_drift", doc)
+    (row,) = report.rows
+    assert row.point["x"] == [10.0, 10.0]
+    param = build_grid(doc).theta_grid[0]
+    mean_v, mean_w = _am_reference_means(doc, 0, param, np.array([10.0, 10.0]), report.fitted["gamma_max"])
+    assert row.lhs == pytest.approx(report.fitted["lam_star"] * mean_v + mean_w / report.fitted["gamma_max"],
+                                    rel=1e-12)
+
+
+# -- one stepsize row --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("rule_kind", [RULE_COERCED, RULE_FAST_COERCED, RULE_AM])
+def test_one_step_quotient_is_nondecreasing_in_the_stepsize(rule_kind):
+    # w_drift and compound_drift judge only gamma_max: their stepsize enters
+    # through (w_pair(gamma) - w(theta)) / gamma, with the update direction
+    # free of gamma and every weight convex, so on common draws each pair's
+    # quotient is nondecreasing in gamma and the gamma_max row covers
+    # (0, gamma_max]
+    t = gaussian_target(dim=1)
+    lyap = StateLyapunov(t, 0.5)
+    rule = AdaptationRule(kind=rule_kind, alpha_star=0.44)
+    if rule_kind == RULE_AM:
+        proposal = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_AM_COVARIANCE, eps_ridge=0.1)
+        weight = ParamLyapunov(W_AM_POLY, eps=0.5)
+        params = [AMParam(mu=np.array([m]), cov=np.array([[c]])) for m in (-8.0, 0.0, 3.0) for c in (0.01, 1.0, 25.0)]
+    else:
+        proposal = UNIFORM_1D
+        weight = ParamLyapunov(W_EXP_ABS if rule_kind == RULE_COERCED else W_ONE_PLUS_SQUARE)
+        params = [ScalarParam(theta=float(theta)) for theta in range(-8, 9, 2)]
+    gamma_max = coerced_coef().gamma_max
+    gammas = (gamma_max / 100, gamma_max / 10, gamma_max)
+    for i, (param, x) in enumerate(itertools.product(params, (-10.0, 0.0, 3.0, 10.0))):
+        samples = [verifiers._one_step_pairs(t, proposal, lyap, param, x, 2000, substream(7, i), rule, weight, gamma)
+                   for gamma in gammas]
+        assert all(np.array_equal(v_pair, samples[0][0]) for v_pair, _ in samples)
+        quotients = [(w_pair - weight(param)) / gamma for (_, w_pair), gamma in zip(samples, gammas)]
+        for lo, hi in zip(quotients, quotients[1:]):
+            assert np.all(hi >= lo - 1e-9 * np.maximum(np.abs(lo), np.abs(hi)))
 
 
 # -- compound drift ------------------------------------------------------------
@@ -301,10 +346,7 @@ def test_compound_drift_single_far_point_one_row():
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
     weight = ParamLyapunov(W_EXP_ABS)
     coef = coerced_coef()
-    grid = GridSpec(
-        x_grid=(20.0,), theta_grid=(8.0,), gamma_grid=(0.05,),
-        method=METHOD_MONTE_CARLO, mc_n=4000, seed=11,
-    )
+    grid = GridSpec(x_grid=(20.0,), theta_grid=(8.0,), method=METHOD_MONTE_CARLO, mc_n=4000, seed=11)
     report = verify_compound_drift(
         t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, grid, coef
     )
@@ -318,10 +360,7 @@ def test_compound_drift_excludes_joint_center():
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
     weight = ParamLyapunov(W_EXP_ABS)
     coef = coerced_coef()
-    grid = GridSpec(
-        x_grid=(0.0, 10.0), theta_grid=(0.0, 8.0), gamma_grid=(0.05,),
-        method=METHOD_MONTE_CARLO, mc_n=4000, seed=12,
-    )
+    grid = GridSpec(x_grid=(0.0, 10.0), theta_grid=(0.0, 8.0), method=METHOD_MONTE_CARLO, mc_n=4000, seed=12)
     report = verify_compound_drift(
         t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, grid, coef
     )
@@ -336,7 +375,8 @@ def test_compound_drift_excludes_joint_center():
     assert report.notes["searched_lam"][-1] == 1024.0
 
 
-def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch):
+@pytest.mark.parametrize("gamma_max", [0.05, 0.013])
+def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch, gamma_max):
     # the parameter weights behind every row must be those of the chain's
     # own fast-coerced step, draw by draw and bit for bit; at these points
     # rounding the step as (gamma * (|theta| + 1)) * (alpha - alpha*) moves
@@ -344,11 +384,8 @@ def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch):
     t = gaussian_target(dim=1)
     rule = AdaptationRule(kind=RULE_FAST_COERCED, alpha_star=0.44)
     weight = ParamLyapunov(W_ONE_PLUS_SQUARE)
-    coef = scenario_coefficients(SCENARIO_FAST_COERCED, iota=1.0, alpha_star=0.44, gamma_max=0.05)
-    grid = GridSpec(
-        x_grid=(0.0, 10.0), theta_grid=(0.3, -2.7), gamma_grid=(0.05, 0.013),
-        method=METHOD_MONTE_CARLO, mc_n=4000, seed=5,
-    )
+    coef = scenario_coefficients(SCENARIO_FAST_COERCED, iota=1.0, alpha_star=0.44, gamma_max=gamma_max)
+    grid = GridSpec(x_grid=(0.0, 10.0), theta_grid=(0.3, -2.7), method=METHOD_MONTE_CARLO, mc_n=4000, seed=5)
     captured = []
     vectorized = verifiers._weight_vectorized
 
@@ -370,15 +407,14 @@ def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch):
     idx = 0
     for theta in grid.theta_grid:
         for x in grid.x_grid:
-            for gamma in grid.gamma_grid:
-                z = draw_increments(UNIFORM_1D, ScalarParam(theta), 1, substream(grid.seed, idx), size=m)
-                lx = float(t.log_density(x))
-                for y in (x + z, x - z):
-                    alpha = np.exp(np.minimum(np.asarray(t.log_density(y)) - lx, 0.0))
-                    expected.append(
-                        [weight(scalar_update(RULE_FAST_COERCED, theta, a, gamma, 0.44)[0]) for a in alpha.tolist()]
-                    )
-                idx += 1
+            z = draw_increments(UNIFORM_1D, ScalarParam(theta), 1, substream(grid.seed, idx), size=m)
+            lx = float(t.log_density(x))
+            for y in (x + z, x - z):
+                alpha = np.exp(np.minimum(np.asarray(t.log_density(y)) - lx, 0.0))
+                expected.append(
+                    [weight(scalar_update(RULE_FAST_COERCED, theta, a, gamma_max, 0.44)[0]) for a in alpha.tolist()]
+                )
+            idx += 1
     assert len(captured) == len(expected)
     for got, want in zip(captured, expected):
         assert got.tolist() == want
@@ -493,6 +529,8 @@ def test_fixed_theta_drift_fails_where_no_proposal_moves(method):
     assert tail and all(row.lhs == pytest.approx(float(lyap(row.point["x"])), rel=1e-12) for row in tail)
     assert not report.fitted["a0"] > 0.0
     assert not report.passed
+    # the tail row that set a0 is the row the report fails on
+    assert not report.rows[report.notes["binding_rows"]["a0"]].passed
 
 
 # -- acceptance-rate envelopes -------------------------------------------------
