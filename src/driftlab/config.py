@@ -609,17 +609,14 @@ def build_state_lyapunov(doc: dict, target: TargetModel) -> StateLyapunov:
     return StateLyapunov(target, doc.get("lyapunov", {}).get("eta", 0.5))
 
 
-def default_weight_variant(rule_kind: str) -> str:
-    if rule_kind == RULE_AM:
-        return W_AM_POLY
-    if rule_kind == RULE_COERCED:
-        return W_EXP_ABS
-    return W_ONE_PLUS_SQUARE
-
-
 def build_weight(doc: dict, rule: AdaptationRule) -> ParamLyapunov:
+    """The run's recurrence weight, which sets {w <= M} and the trajectory's
+    W column: ``lyapunov.weight``, else am_poly under the am rule, exp_abs
+    under coerced and one_plus_square otherwise.  A drift certificate uses
+    its scenario's weight, ``DriftCoefficients.weight``."""
     cfg = doc.get("lyapunov", {})
-    return ParamLyapunov(cfg.get("weight", default_weight_variant(rule.kind)), eps=cfg.get("w_eps", 0.5))
+    default = W_AM_POLY if rule.kind == RULE_AM else W_EXP_ABS if rule.kind == RULE_COERCED else W_ONE_PLUS_SQUARE
+    return ParamLyapunov(cfg.get("weight", default), eps=cfg.get("w_eps", 0.5))
 
 
 def build_compound(doc: dict) -> CompoundSpec:
@@ -836,14 +833,13 @@ def build_check_args(check: str, doc: dict) -> tuple:
     if check == "fixed_theta_drift":
         return target, proposal, lyap, coef, grid, center_radius
     rule = build_rule(doc)
-    weight = build_weight(doc, rule)
     if check == "w_drift":
         if target.dim != 1:
             raise ConfigError(f"w_drift's center sup is one-dimensional, not dim {target.dim}", "verify.checks")
-        return target, proposal, rule, weight, coef, grid, lyap, center_radius
+        return target, proposal, rule, coef, grid, lyap, center_radius
     if "method" not in cfg:
         grid = grid._replace(method=METHOD_MONTE_CARLO)
-    return target, proposal, rule, lyap, weight, grid, coef, center_radius
+    return target, proposal, rule, lyap, grid, coef, center_radius
 
 
 def n_replicas(doc: dict, override: Optional[int] = None) -> int:

@@ -123,6 +123,39 @@ class ParamLyapunov(NamedTuple):
         float range is inf, without a warning."""
         return 1.0 + pow_or_inf(math.sqrt(sum(map(mul, mu, mu))), 2.0 + self.eps) + math.sqrt(sum(map(mul, cov, cov)))
 
+    def of_columns(self, cols: tuple, dim: int) -> list:
+        """w of every row of parameter columns given as lists of floats (a
+        block of an srwm chain): one theta column, or running moments as the
+        ``dim`` mean columns and then the covariance columns row by row.
+        Over Python floats, as ``__call__``; a 1x1 pair's norms are |mu| and
+        |cov|, and a weight past the float range is inf."""
+        if self.variant == W_AM_POLY and dim > 1:
+            of_floats = self.of_floats
+            return [of_floats(r[:dim], r[dim:]) for r in zip(*cols)]
+        if self.variant == W_AM_POLY:
+            expo = 2.0 + self.eps
+            try:
+                return [1.0 + abs(m) ** expo + abs(g) for m, g in zip(*cols)]
+            except OverflowError:  # a block with an overflowing weight, taken again row by row
+                return [1.0 + pow_or_inf(abs(m), expo) + abs(g) for m, g in zip(*cols)]
+        if self.variant == W_EXP_ABS:
+            exp, inf = math.exp, math.inf
+            return [exp(t) if t < 700.0 else inf for t in map(abs, cols[0])]
+        return [1.0 + t * t for t in cols[0]]
+
+    def of_thetas(self, theta) -> np.ndarray:
+        """w of an array of scalar parameters, elementwise: inf from |theta|
+        = 700 on and past the float range, as ``__call__``, without a
+        warning.  numpy's exp may differ from math.exp in the last digit."""
+        theta = np.asarray(theta, dtype=float)
+        if self.variant == W_EXP_ABS:
+            a = np.abs(theta)
+            return np.where(a < 700.0, np.exp(np.minimum(a, 700.0)), math.inf)
+        if self.variant == W_AM_POLY:
+            raise ValueError("am_poly weights take running moments")
+        with np.errstate(over="ignore"):
+            return 1.0 + theta * theta
+
 
 def pow_or_inf(base: float, expo: float) -> float:
     """``base ** expo`` for floats base >= 0 and expo > 0, inf on overflow."""
@@ -217,9 +250,6 @@ class DriftCoefficients:
         hi = math.exp(-2.0 * theta) if theta > -350.0 else math.inf
         return max(lo, hi) / self.a0
 
-    def b(self, param) -> float:
-        return self.b_const
-
     def c(self, param) -> float:
         if self.scenario in (SCENARIO_AM_SUPEREXP, SCENARIO_AM_SUBEXP_1D):
             w = self.weight()(param)
@@ -237,19 +267,14 @@ class DriftCoefficients:
         if self.scenario in (SCENARIO_AM_SUPEREXP, SCENARIO_AM_SUBEXP_1D):
             w = self.weight()(param)
             return self.c(param) + self.b_const**self.beta / w
-        theta = _theta_of(param)
         if self.scenario == SCENARIO_COERCED:
-            w = self.weight()(param)
-            return self.sup_c_vbeta / w + self.c(param)
-        e_theta = math.exp(abs(theta)) if abs(theta) < 700.0 else math.inf
-        return 2.0 * self.sup_c_vbeta / e_theta + self.c(param)
+            return self.sup_c_vbeta / self.weight()(param) + self.c(param)
+        return 2.0 * self.sup_c_vbeta / self.e(param) + self.c(param)
 
     def e(self, param) -> float:
         """Normalizer of V**beta inside the slope argument."""
         if self.scenario == SCENARIO_FAST_COERCED:
-            theta = _theta_of(param)
-            a = abs(theta)
-            return math.exp(a) if a < 700.0 else math.inf
+            return ParamLyapunov(W_EXP_ABS)(param)
         return self.weight()(param)
 
     def delta(self, z: float) -> float:

@@ -75,14 +75,7 @@ from .kernels import (
     RW_SCALE,
     _root_rows,
 )
-from .lyapunov import (
-    W_AM_POLY,
-    W_EXP_ABS,
-    W_ONE_PLUS_SQUARE,
-    CompoundSpec,
-    ParamLyapunov,
-    pow_or_inf,
-)
+from .lyapunov import CompoundSpec
 from .streams import substream
 
 THETA_MAX = 1e12
@@ -539,28 +532,6 @@ def _columns(rows: list[tuple]) -> tuple:
     return tuple(map(list, zip(*rows)))
 
 
-def _srwm_weights(weight: ParamLyapunov, dim: int):
-    """w of every row of a block's parameter columns: ``weight.of_floats``
-    row by row for running moments in several dimensions, else the scalar
-    arithmetic of ``weight`` (on a 1x1 running-moment pair for am_poly)."""
-    exp = math.exp
-    inf = math.inf
-    if weight.variant == W_AM_POLY and dim > 1:
-        of_floats = weight.of_floats
-        return lambda cols: [of_floats(r[:dim], r[dim:]) for r in zip(*cols)]
-    if weight.variant == W_AM_POLY:
-        expo = 2.0 + weight.eps
-        def am_poly_1d(cols):
-            try:
-                return [1.0 + abs(m) ** expo + abs(g) for m, g in zip(*cols)]
-            except OverflowError:  # a block with an overflowing weight, taken again row by row
-                return [1.0 + pow_or_inf(abs(m), expo) + abs(g) for m, g in zip(*cols)]
-        return am_poly_1d
-    if weight.variant == W_EXP_ABS:
-        return lambda cols: [exp(t) if t < 700.0 else inf for t in map(abs, cols[0])]
-    return lambda cols: [1.0 + t * t for t in cols[0]]
-
-
 # A chain far out overflows the multivariate update, the state's norm and
 # the weight to inf or NaN silently, as Python floats do in 1-D; the halt
 # check then ends the replica.
@@ -594,7 +565,7 @@ def _run_srwm(
         labels = [f"mu_{j+1}" for j in range(dim)] + [f"cov_{a+1}{b+1}" for a in range(dim) for b in range(dim)]
     else:
         labels = ["theta_1"]
-    weights = _srwm_weights(config.param_weight, dim)
+    weights = config.param_weight.of_columns
     stats = _RecurrenceCounter(len(rngs), config.recurrence_m, config.recurrence_r)
     horizon = np.array([config.horizon])
     records = []
@@ -609,7 +580,7 @@ def _run_srwm(
             theta = np.array(blk.theta)
             x = np.array(blk.x).reshape(index.shape[0], dim)
             x_norm = np.abs(x[:, 0]) if dim == 1 else np.linalg.norm(x, axis=1)
-            w_cells = weights(blk.theta)
+            w_cells = weights(blk.theta, dim)
             w = np.array(w_cells)
             stats.add(index, np.abs(theta).max(axis=0)[:, None], w[:, None], x_norm[:, None], cols, horizon)
             flags.extend(blk.accepted)
@@ -742,12 +713,7 @@ def _run_toy_replicas(
     kesten = _kesten_on(schedule)
     # step i uses the count left by steps 2..i-1, so at most n - 2
     gamma_table = np.array([schedule.gamma_of_count(c) for c in range(n)]) if kesten else None
-    weight = config.param_weight
-    if weight.variant == W_ONE_PLUS_SQUARE:
-        def weights(th):
-            return 1.0 + th * th
-    else:
-        weights = np.vectorize(weight, otypes=[float])
+    weights = config.param_weight.of_thetas
     stats = _RecurrenceCounter(n_rep, config.recurrence_m, config.recurrence_r)
     path = _KeptPath(config, ["theta_1"]) if keep_first else None
 

@@ -61,13 +61,7 @@ from .kernels import (
     toy_second_eigenvalue,
     toy_transition_matrix,
 )
-from .lyapunov import (
-    DriftCoefficients,
-    ParamLyapunov,
-    StateLyapunov,
-    W_EXP_ABS,
-    W_ONE_PLUS_SQUARE,
-)
+from .lyapunov import DriftCoefficients, ParamLyapunov, StateLyapunov
 from .quadrature import integrate_interval
 from .streams import substream
 from .targets import TargetModel, matched_density_point
@@ -182,15 +176,6 @@ def _grid_dict(grid: GridSpec) -> dict:
     }
 
 
-def _weight_vectorized(weight: ParamLyapunov) -> Callable[[np.ndarray], np.ndarray]:
-    """Vector form of a scalar-parameter weight for Monte-Carlo batches."""
-    if weight.variant == W_EXP_ABS:
-        return lambda t: np.exp(np.minimum(np.abs(t), 700.0))
-    if weight.variant == W_ONE_PLUS_SQUARE:
-        return lambda t: 1.0 + t * t
-    raise ValueError("vectorized weights exist for scalar variants only")
-
-
 def _one_step_pairs(
     target: TargetModel,
     proposal: ProposalSpec,
@@ -250,15 +235,25 @@ def _one_step_pairs(
         else:
             # the fixed rule hands theta back as a scalar
             t_new = scalar_update(rule.kind, param.theta, alpha, gamma, rule.alpha_star)[0]
-            w_sum = w_sum + _weight_vectorized(weight)(np.broadcast_to(t_new, alpha.shape))
+            w_sum = w_sum + weight.of_thetas(np.broadcast_to(t_new, alpha.shape))
     return 0.5 * v_sum, None if rule is None else 0.5 * w_sum
 
 
+def _pow2_scaled(samples: np.ndarray) -> tuple[np.ndarray, int]:
+    """``samples`` times 2**-k, with k the binary exponent of the largest
+    |sample| (0 when that is 0 or not finite), and k.  Scaling by a power
+    of two is exact, so moments of the scaled samples, scaled back, are
+    those of the samples, and their squares stay in the float range."""
+    k = math.frexp(float(np.abs(samples).max()))[1]
+    return np.ldexp(samples, -k), k
+
+
 def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its standard error; either is inf or nan, without a
-    warning, once the samples' sums pass the float range."""
+    """Sample mean and its standard error, formed on ``_pow2_scaled``
+    samples; either is inf or nan, without a warning, when a sample is."""
+    scaled, k = _pow2_scaled(samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(samples.size))
+        return math.ldexp(float(scaled.mean()), k), math.ldexp(float(scaled.std(ddof=1) / math.sqrt(samples.size)), k)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +366,7 @@ def verify_fixed_theta_drift(
     lyap: StateLyapunov,
     coef: DriftCoefficients,
     grid: GridSpec,
-    center_radius: float = 5.0,
+    center_radius: float,
 ) -> DriftReport:
     """Certificate for the state-space drift at frozen kernel parameters.
 
@@ -473,20 +468,20 @@ def verify_w_drift(
     target: TargetModel,
     proposal: ProposalSpec,
     rule: AdaptationRule,
-    weight: ParamLyapunov,
     coef: DriftCoefficients,
     grid: GridSpec,
-    state_lyapunov: Optional[StateLyapunov] = None,
-    center_radius: float = 5.0,
+    lyap: StateLyapunov,
+    center_radius: float,
 ) -> DriftReport:
-    """Certificate for the parameter drift with the scenario slope function.
+    """Certificate for the parameter drift with the scenario slope function,
+    in the scenario's weight ``coef.weight()``.
 
     The slope constant is the smallest value making every row clear its
     slack, found by geometric bisection on [1e-6, 1e12] (the right side
     grows with the constant); it is inf when no value up to 1e12 does, and
     the rows are then judged at the scenario's own constant.
     """
-    lyap = state_lyapunov if state_lyapunov is not None else StateLyapunov(target, 0.5)
+    weight = coef.weight()
     mc = grid.method == METHOD_MONTE_CARLO
 
     # sup of V**beta over the center set enters d(theta); exact for
@@ -550,12 +545,12 @@ def verify_compound_drift(
     proposal: ProposalSpec,
     rule: AdaptationRule,
     lyap_v: StateLyapunov,
-    weight: ParamLyapunov,
     grid: GridSpec,
     coef: DriftCoefficients,
-    center_radius: float = 5.0,
+    center_radius: float,
 ) -> DriftReport:
-    """Monte-Carlo certificate for the one-step compound contraction.
+    """Monte-Carlo certificate for the one-step compound contraction, in
+    the scenario's weight ``coef.weight()``.
 
     Searches doubling ``lam_star`` values and parameter-weight levels
     ``m_star`` (lexicographically) for the smallest pair giving a positive
@@ -579,20 +574,29 @@ def verify_compound_drift(
     grid = grid._replace(method=METHOD_MONTE_CARLO)
     n_pairs = grid.mc_n // 2
     gamma = coef.gamma_max
+    weight = coef.weight()
 
     def estimate(param, x, rng):
-        v_pair, w_pair = _one_step_pairs(target, proposal, lyap_v, param, x, grid.mc_n, rng, rule, weight, gamma)
-        # inf or nan, as in _mean_se, once the samples pass the float range
+        """The means of V and w one step on, then the variances and the
+        covariance of their pairs in units of 4**top, and top: each side is
+        _pow2_scaled, so the sums stay in the float range; inf or nan, as in
+        _mean_se, when a sample is."""
+        (v_pair, kv), (w_pair, kw) = map(_pow2_scaled, _one_step_pairs(
+            target, proposal, lyap_v, param, x, grid.mc_n, rng, rule, weight, gamma))
+        top = max(kv, kw)
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(v_pair.mean()), float(w_pair.mean()), (
-                float(v_pair.var(ddof=1)), float(w_pair.var(ddof=1)), float(np.cov(v_pair, w_pair, ddof=1)[0, 1]))
+            return math.ldexp(float(v_pair.mean()), kv), math.ldexp(float(w_pair.mean()), kw), (
+                math.ldexp(float(v_pair.var(ddof=1)), 2 * (kv - top)),
+                math.ldexp(float(w_pair.var(ddof=1)), 2 * (kw - top)),
+                math.ldexp(float(np.cov(v_pair, w_pair, ddof=1)[0, 1]), kv + kw - 2 * top), top)
 
     def lhs(k, pt):
         """(mean, SE) of lam * V + w / gamma one step on."""
         lam = k["lam_star"]
-        mean_v, mean_w, (var_v, var_w, cov_vw) = pt.est
+        mean_v, mean_w, (var_v, var_w, cov_vw, top) = pt.est
         var_s = lam * lam * var_v + 2.0 * lam * cov_vw / gamma + var_w / gamma**2
-        return lam * mean_v + mean_w / gamma, math.sqrt(max(var_s, 0.0) / n_pairs)
+        with np.errstate(over="ignore"):  # inf past the float range
+            return lam * mean_v + mean_w / gamma, float(np.ldexp(math.sqrt(max(var_s, 0.0) / n_pairs), top))
 
     def denom(pt):
         return pt.v**coef.iota / coef.a(pt.param) + weight(pt.param)

@@ -98,6 +98,36 @@ def test_am_poly_weight_past_the_float_range_is_inf_without_a_warning():
     assert w.of_moments(np.array(mu), np.array(cov).reshape(2, 2)) == w.of_floats(mu, cov)
 
 
+_EDGE_THETAS = [0.0, 1.0, -1.0, 699.9, -699.9, 700.0, -700.0, 701.0, -701.0, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("variant", [W_EXP_ABS, W_ONE_PLUS_SQUARE])
+def test_numpy_and_block_weight_forms_equal_the_float_form(variant):
+    # exp_abs is inf from |theta| = 700 on in every form, one_plus_square
+    # past the float range; none warns
+    w = ParamLyapunov(variant)
+    want = [w(theta) for theta in _EDGE_THETAS]
+    assert want[5:7] == ([math.inf] * 2 if variant == W_EXP_ABS else [490001.0] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert w.of_thetas(np.array(_EDGE_THETAS)).tolist() == want
+        assert w.of_thetas(np.array(_EDGE_THETAS).reshape(1, -1)).tolist() == [want]
+        assert w.of_columns((list(_EDGE_THETAS),), 1) == want
+
+
+def test_block_form_of_running_moments():
+    # 1x1 pairs: |mu| and |cov| as the norms, with the overflow of one row
+    # taking the block again row by row; d > 1: of_floats row by row
+    w = ParamLyapunov(W_AM_POLY, eps=0.5)
+    assert w.of_columns(([2.0, -1.0], [3.0, 0.5]), 1) == [w.of_floats([2.0], [3.0]), w.of_floats([-1.0], [0.5])]
+    assert w.of_columns(([1e200, 1.0], [1.0, 1.0]), 1) == [math.inf, 3.0]
+    rows = [([0.3, -1.2], [2.0, 0.4, 0.4, 0.7]), ([0.0, 1.0], [1.0, 0.0, 0.0, 1.0])]
+    cols = tuple(map(list, zip(*(mu + cov for mu, cov in rows))))
+    assert w.of_columns(cols, 2) == [w.of_floats(mu, cov) for mu, cov in rows]
+    with pytest.raises(ValueError):
+        w.of_thetas(np.zeros(2))
+
+
 def test_compound_value_modes():
     spec = CompoundSpec(upsilon_v=1.0, upsilon_w=1.0, mode="W")
     assert _compound_cells(spec, [8.0], [4.0], [0.5]) == [16.0]

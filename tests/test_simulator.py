@@ -383,7 +383,8 @@ TOY_CASES = {
     "polynomial": {"schedule": PolynomialSchedule(c0=100.0, c1=0.0, a=1.0)},
     "constant": {"schedule": ConstantSchedule(0.5)},
     "kesten": {"schedule": KestenSchedule(c0=3.0, a=0.6)},
-    # w = exp|theta| is evaluated per element, not as a numpy expression
+    # w = exp|theta| by numpy's exp, which can differ from math.exp in the
+    # last digit: the trajectory's w column is ParamLyapunov.of_thetas
     "polynomial-exp-weight": {"schedule": PolynomialSchedule(c0=2.0, c1=0.0, a=1.0), "m": 8.0, "weight": W_EXP_ABS},
     # every replica halts at step 4
     "polynomial-1e12": {"schedule": PolynomialSchedule(c0=1e12, c1=0.0, a=1.0), "theta0": 0.7},
@@ -415,7 +416,8 @@ def test_toy_engine_matches_scalar_recursion(monkeypatch, n_rep, case, block_ele
     assert first.y[:, 0].tolist() == [float(row[2]) for row in kept]
     assert first.accepted.tolist() == [row[3] for row in kept]
     assert first.gamma.tolist() == [row[4] for row in kept]
-    w = [cfg.param_weight(row[1]) for row in kept]
+    w = cfg.param_weight.of_thetas([row[1] for row in kept]).tolist()
+    assert w == pytest.approx([cfg.param_weight(row[1]) for row in kept], rel=1e-15)
     assert first.w.tolist() == w
     assert first.compound.tolist() == [1.0 + wv / row[4] for wv, row in zip(w, kept)]
     assert first.in_set.tolist() == [wv <= cfg.recurrence_m for wv in w]

@@ -3,8 +3,10 @@
 builders only, every JSON path a ``ConfigError`` names is a key path of
 the config schema, one function forks, one freezes the heap, the drift
 certificates have one headroom rule and one slack rule, the default
-stepsize ceiling is written once, two classes are dataclasses, and source
-code names every top-level function and class."""
+stepsize ceiling and center radius are written once, the weight variants
+are named only where weights are built and evaluated, two classes are
+dataclasses, and source code names every top-level function and class and
+every method."""
 
 import ast
 from pathlib import Path
@@ -238,6 +240,21 @@ def test_the_default_stepsize_ceiling_is_written_once():
         assert "gamma_grid" not in path.read_text(), path.name
 
 
+def test_the_default_center_radius_is_written_once():
+    # build_check_args hands every drift check its center radius; a
+    # verifier default would be a second copy that could drift from it
+    sites = [f"{path.stem}.{site}" for path in MODULES for site in float_sites(path.read_text(), 5.0)]
+    assert sites == ["config.build_check_args"]
+
+
+@pytest.mark.parametrize("name", ["W_AM_POLY", "W_EXP_ABS", "W_ONE_PLUS_SQUARE"])
+def test_weight_variants_are_named_only_where_weights_are_built_and_evaluated(name):
+    # lyapunov.ParamLyapunov evaluates every form of every weight, and config
+    # picks the run's; a module that branches on a variant holds a copy of
+    # a weight's arithmetic
+    assert {path.stem for path in MODULES if name_sites(path.read_text(), name)} == {"config", "lyapunov"}
+
+
 def dataclass_names(source: str) -> list[str]:
     """The classes a module decorates with ``dataclass``, bare, called or
     as ``dataclasses.dataclass``."""
@@ -316,3 +333,37 @@ def test_every_top_level_definition_is_named_by_source():
         "verifiers.deficit_loglog_slope",  # criterion 5: the drift deficit's log-log slope
     }
     assert unreferenced({path.stem: path.read_text() for path in MODULES}) == sorted(kept)
+
+
+def unreferenced_methods(sources: dict[str, str]) -> list[str]:
+    """``module.Class.method`` of each method, dunders aside, of a top-level
+    class of ``sources`` that no code reads as an attribute outside the
+    method's own body.  A bare name does not count: a method is reached
+    through an instance or its class, and a local of the same name is no
+    call of it."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            parts = [(top, None)]
+            if isinstance(top, ast.ClassDef):
+                parts = [(node, node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None)
+                         for node in top.body] + [(node, None) for node in top.bases + top.decorator_list]
+                defined += [(module, top.name, name) for _, name in parts
+                            if name is not None and not (name.startswith("__") and name.endswith("__"))]
+            for part, owner in parts:
+                read |= {node.attr for node in ast.walk(part) if isinstance(node, ast.Attribute) and node.attr != owner}
+    return sorted(f"{module}.{cls}.{name}" for module, cls, name in defined if name not in read)
+
+
+def test_method_detector_reads_attributes_only():
+    src = "class C:\n    def __init__(self):\n        self.helper()\n    def helper(self): pass\n" \
+          "    def recursive(self):\n        return self.recursive()\n    def b(self): pass\n" \
+          "    def by_name(self): pass\ndef f(c):\n    b = by_name\n    return c.used(b)\n" \
+          "class D:\n    def used(self): pass\n"
+    assert unreferenced_methods({"a": src}) == ["a.C.b", "a.C.by_name", "a.C.recursive"]
+
+
+def test_every_method_is_named_by_source():
+    # a method that only tests call is deleted with its tests, as a
+    # top-level definition is
+    assert unreferenced_methods({path.stem: path.read_text() for path in MODULES}) == []

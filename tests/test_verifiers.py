@@ -19,11 +19,10 @@ from driftlab.adaptation import (
 )
 from driftlab.cli import resolve_config_path, run_check
 from driftlab.config import (
+    build_coefficients,
     build_grid,
-    build_rule,
     build_state_lyapunov,
     build_target,
-    build_weight,
     load_config,
     validate_document,
 )
@@ -124,7 +123,7 @@ def test_fixed_theta_drift_gaussian_report():
         theta_grid=(0.0,),
         method=METHOD_QUADRATURE,
     )
-    report = verify_fixed_theta_drift(t, UNIFORM_1D, StateLyapunov(t, 0.5), coef, grid)
+    report = verify_fixed_theta_drift(t, UNIFORM_1D, StateLyapunov(t, 0.5), coef, grid, 5.0)
     assert report.passed
     assert report.fitted["a0"] > 0.0
     assert math.isfinite(report.fitted["b"])
@@ -139,7 +138,7 @@ def test_fixed_theta_drift_degenerate_lyapunov():
     t = gaussian_target(dim=1)
     coef = coerced_coef()
     grid = GridSpec(x_grid=(0.0, 6.0), theta_grid=(0.0,), method=METHOD_QUADRATURE)
-    report = verify_fixed_theta_drift(t, UNIFORM_1D, StateLyapunov(t, 0.0), coef, grid)
+    report = verify_fixed_theta_drift(t, UNIFORM_1D, StateLyapunov(t, 0.0), coef, grid, 5.0)
     assert not report.passed
     assert report.fitted["a0"] < 0.0
     assert report.fitted["b"] == pytest.approx(1.0, abs=1e-8)
@@ -153,8 +152,8 @@ def test_fixed_theta_drift_refined_grid_keeps_verdict():
     fine = GridSpec(
         x_grid=(6.0, 9.0, 12.0, 18.0, 24.0), theta_grid=(0.0, 0.3), method=METHOD_QUADRATURE
     )
-    r1 = verify_fixed_theta_drift(t, UNIFORM_1D, lyap, coef, coarse)
-    r2 = verify_fixed_theta_drift(t, UNIFORM_1D, lyap, coef, fine)
+    r1 = verify_fixed_theta_drift(t, UNIFORM_1D, lyap, coef, coarse, 5.0)
+    r2 = verify_fixed_theta_drift(t, UNIFORM_1D, lyap, coef, fine, 5.0)
     assert r1.passed and r2.passed
 
 
@@ -172,10 +171,9 @@ def test_deficit_slope_small_radius_quadratic():
 def test_w_drift_vanishing_stepsize_is_tight():
     t = gaussian_target(dim=1)
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
-    weight = ParamLyapunov(W_EXP_ABS)
     coef = coerced_coef(gamma_max=1e-12)
     grid = GridSpec(x_grid=(0.0,), theta_grid=(5.0, -5.0), method=METHOD_QUADRATURE)
-    report = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, grid)
+    report = verify_w_drift(t, UNIFORM_1D, rule, coef, grid, StateLyapunov(t, 0.5), 5.0)
     for row in report.rows:
         theta = row.point["theta"]
         assert abs(row.lhs - math.exp(abs(theta))) <= 1e-9 * math.exp(abs(theta))
@@ -187,10 +185,9 @@ def test_w_drift_coerced_contracts_both_directions():
     # Both moves shrink exp(|theta|).
     t = gaussian_target(dim=1)
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
-    weight = ParamLyapunov(W_EXP_ABS)
     coef = coerced_coef()
     grid = GridSpec(x_grid=(0.0,), theta_grid=(5.0, -5.0), method=METHOD_QUADRATURE)
-    report = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, grid)
+    report = verify_w_drift(t, UNIFORM_1D, rule, coef, grid, StateLyapunov(t, 0.5), 5.0)
     assert report.passed
     assert report.fitted["slope_c"] is not None
     assert report.fitted["delta0"] > 0.0
@@ -202,12 +199,12 @@ def test_w_drift_coerced_contracts_both_directions():
 def test_w_drift_monte_carlo_agrees():
     t = gaussian_target(dim=1)
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
-    weight = ParamLyapunov(W_EXP_ABS)
     coef = coerced_coef()
+    lyap = StateLyapunov(t, 0.5)
     gq = GridSpec(x_grid=(0.0,), theta_grid=(2.0,), method=METHOD_QUADRATURE)
     gm = GridSpec(x_grid=(0.0,), theta_grid=(2.0,), method=METHOD_MONTE_CARLO, mc_n=200_000, seed=4)
-    rq = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, gq)
-    rm = verify_w_drift(t, UNIFORM_1D, rule, weight, coef, gm)
+    rq = verify_w_drift(t, UNIFORM_1D, rule, coef, gq, lyap, 5.0)
+    rm = verify_w_drift(t, UNIFORM_1D, rule, coef, gm, lyap, 5.0)
     assert abs(rq.rows[0].lhs - rm.rows[0].lhs) <= 4.0 * rm.rows[0].se
 
 
@@ -344,12 +341,9 @@ def test_one_step_quotient_is_nondecreasing_in_the_stepsize(rule_kind):
 def test_compound_drift_single_far_point_one_row():
     t = gaussian_target(dim=1)
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
-    weight = ParamLyapunov(W_EXP_ABS)
     coef = coerced_coef()
     grid = GridSpec(x_grid=(20.0,), theta_grid=(8.0,), method=METHOD_MONTE_CARLO, mc_n=4000, seed=11)
-    report = verify_compound_drift(
-        t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, grid, coef
-    )
+    report = verify_compound_drift(t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), grid, coef, 5.0)
     assert len(report.rows) == 1
     assert report.passed
     assert report.fitted["delta"] > 0.0
@@ -358,12 +352,9 @@ def test_compound_drift_single_far_point_one_row():
 def test_compound_drift_excludes_joint_center():
     t = gaussian_target(dim=1)
     rule = AdaptationRule(kind=RULE_COERCED, alpha_star=0.44)
-    weight = ParamLyapunov(W_EXP_ABS)
     coef = coerced_coef()
     grid = GridSpec(x_grid=(0.0, 10.0), theta_grid=(0.0, 8.0), method=METHOD_MONTE_CARLO, mc_n=4000, seed=12)
-    report = verify_compound_drift(
-        t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, grid, coef
-    )
+    report = verify_compound_drift(t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), grid, coef, 5.0)
     assert report.passed
     labels = {(row.point["theta"], row.point["x"]) for row in report.rows}
     # theta=0 (weight at the floor) and x=0 (inside the center ball) is the
@@ -387,19 +378,14 @@ def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch, gamma_ma
     coef = scenario_coefficients(SCENARIO_FAST_COERCED, iota=1.0, alpha_star=0.44, gamma_max=gamma_max)
     grid = GridSpec(x_grid=(0.0, 10.0), theta_grid=(0.3, -2.7), method=METHOD_MONTE_CARLO, mc_n=4000, seed=5)
     captured = []
-    vectorized = verifiers._weight_vectorized
+    of_thetas = ParamLyapunov.of_thetas
 
-    def recording(w):
-        f = vectorized(w)
+    def recording(w, theta_new):
+        captured.append(of_thetas(w, theta_new))
+        return captured[-1]
 
-        def g(theta_new):
-            vals = f(theta_new)
-            captured.append(vals)
-            return vals
-        return g
-
-    monkeypatch.setattr(verifiers, "_weight_vectorized", recording)
-    report = verify_compound_drift(t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), weight, grid, coef)
+    monkeypatch.setattr(ParamLyapunov, "of_thetas", recording)
+    report = verify_compound_drift(t, UNIFORM_1D, rule, StateLyapunov(t, 0.5), grid, coef, 5.0)
     assert report.rows
 
     m = grid.mc_n // 2
@@ -463,7 +449,7 @@ def test_compound_drift_failed_search_names_the_blocking_rows():
     assert any(not r.passed for r in report.rows)
     target = build_target(doc)
     lyap = build_state_lyapunov(doc, target)
-    weight = build_weight(doc, build_rule(doc))
+    weight = build_coefficients(doc, target, None).weight()
     for row in report.rows:
         param = AMParam(mu=np.array(row.point["mu"]), cov=np.array(row.point["cov"]))
         at_zero = report.fitted["lam_star"] * float(lyap(row.point["x"])) + weight(param) / row.point["gamma"]
@@ -531,6 +517,78 @@ def test_fixed_theta_drift_fails_where_no_proposal_moves(method):
     assert not report.passed
     # the tail row that set a0 is the row the report fails on
     assert not report.rows[report.notes["binding_rows"]["a0"]].passed
+
+
+@pytest.mark.parametrize("check, method", [("w_drift", METHOD_QUADRATURE), ("w_drift", METHOD_MONTE_CARLO),
+                                           ("compound_drift", METHOD_MONTE_CARLO)])
+def test_parameter_drift_holds_where_no_proposal_moves(check, method):
+    # At theta = 650 every proposal is rejected, so the coerced update lowers
+    # theta by gamma * alpha* and w = e**|theta|, about 1e282, shrinks each
+    # step.  The Monte Carlo error terms square samples past 1e154; formed
+    # on samples scaled by a power of two, they stay finite, and both
+    # methods pass.
+    report = run_check(check, _preset_check_doc("coerced", check, method, theta_grid=[650.0]))
+    assert report.passed
+    assert report.rows and all(math.isfinite(row.se) for row in report.rows)
+    if check == "w_drift":
+        assert report.fitted["slope_c"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_scaled_moments_equal_the_plain_ones():
+    # a power-of-two scale is exact, so in the float range the mean and the
+    # standard error are numpy's to the bit; past it they stay finite
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        samples = rng.standard_normal(int(rng.integers(2, 300))) * 10.0 ** rng.uniform(-100.0, 100.0)
+        assert verifiers._mean_se(samples) == (float(samples.mean()),
+                                               float(samples.std(ddof=1) / math.sqrt(samples.size)))
+    mean, se = verifiers._mean_se(math.exp(650.0) * (1.0 + 1e-3 * rng.standard_normal(1000)))
+    assert mean == pytest.approx(math.exp(650.0), rel=1e-3)
+    assert se == pytest.approx(math.exp(650.0) * 1e-3 / math.sqrt(1000), rel=0.1)
+    assert verifiers._mean_se(np.array([1.0, math.inf]))[0] == math.inf
+
+
+# -- the certificates' parameter weight ---------------------------------------------
+
+
+def _weight_doc(preset: str, rule, weight) -> dict:
+    """``preset`` on the coerced preset's verify grid, with the adaptation
+    rule ``rule`` (None keeps the preset's) and ``lyapunov.weight``
+    ``weight`` (None leaves it unset)."""
+    doc = load_config(resolve_config_path(preset))
+    doc["verify"] = load_config(resolve_config_path("coerced"))["verify"]
+    if rule is not None:
+        doc["adaptation"]["rule"] = rule
+    doc["lyapunov"].pop("weight", None)
+    if weight is not None:
+        doc["lyapunov"]["weight"] = weight
+    return doc
+
+
+# lyapunov.weight picks the run's recurrence weight only: a certificate
+# states its inequalities in its scenario's weight (coerced: exp_abs,
+# fast_coerced: one_plus_square), whatever the document sets
+@pytest.mark.parametrize(
+    "preset, rule, weight, own",
+    [
+        ("coerced", None, "one_plus_square", "exp_abs"),
+        ("fast-coerced", None, "exp_abs", "one_plus_square"),
+        ("coerced", "fixed", None, "exp_abs"),  # the fixed rule's run weight is one_plus_square
+    ],
+    ids=["coerced-one_plus_square", "fast_coerced-exp_abs", "fixed-coerced"],
+)
+def test_certificates_use_their_scenarios_weight(preset, rule, weight, own):
+    checks = [("w_drift", METHOD_QUADRATURE)]
+    if rule != "fixed":
+        checks.append(("compound_drift", METHOD_MONTE_CARLO))
+    for check, method in checks:
+        reports = []
+        for w in (weight, own):
+            doc = _weight_doc(preset, rule, w)
+            doc["verify"].update(checks=[check], method=method)
+            validate_document(doc)
+            reports.append(run_check(check, doc).to_json_dict())
+        assert reports[0] == reports[1], check
 
 
 # -- acceptance-rate envelopes -------------------------------------------------
