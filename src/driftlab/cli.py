@@ -143,9 +143,8 @@ def run_experiment(
     table: list[tuple[str, bool, Optional[float]]] = []
 
     if simulate:
-        summary, first = run_replicas(chain_config, count, keep_first_trajectory=True)
-        if "csv" in formats and first is not None:
-            first.to_csv(out_dir / "trajectory.csv")
+        csv_path = out_dir / "trajectory.csv" if "csv" in formats else None
+        summary, _ = run_replicas(chain_config, count, csv_path=csv_path)
         if "json" in formats:
             _write_json(out_dir / "summary.json", {"config": doc, "summary": summary.to_json_dict()})
         if summary.any_diverged:

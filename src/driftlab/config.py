@@ -56,6 +56,7 @@ from .kernels import (
     ProposalSpec,
 )
 from .lyapunov import (
+    AM_POLY_EPS,
     SCENARIO_AM_SUBEXP_1D,
     SCENARIO_AM_SUPEREXP,
     SCENARIO_COERCED,
@@ -71,7 +72,14 @@ from .lyapunov import (
     W_VARIANTS,
     scenario_coefficients,
 )
-from .targets import BUILTIN_TARGETS, TailKind, TargetModel, make_target
+from .targets import (
+    BULK_ALPHA_MIN,
+    BUILTIN_TARGETS,
+    LEVEL_SEARCH_DOUBLINGS,
+    TailKind,
+    TargetModel,
+    make_target,
+)
 from .verifiers import METHOD_MONTE_CARLO, METHOD_QUADRATURE, GridSpec
 
 CHAIN_SRWM = "srwm"
@@ -415,7 +423,8 @@ def validate_document(doc: dict) -> None:
     adaptation rule (see ``_check_rule_fit``).  ``compound_drift`` is a
     Monte Carlo check, so a document that asks for quadrature with it is
     rejected, and so is a quadrature ``fixed_theta_drift`` or ``w_drift``
-    that the kernel integrals cannot run (see ``_check_quadrature``).
+    that the kernel integrals cannot run (see ``_check_quadrature``), or
+    one on a power-tailed target too flat for them (``_check_bulk_edges``).
     Last, the document is built through the builders ``driftlab run`` calls:
     the chain config when there is a ``run`` section, and the inputs of each
     listed check (``build_check_args``).
@@ -432,6 +441,7 @@ def validate_document(doc: dict) -> None:
             "verify.method",
         )
     _check_quadrature(doc)
+    _check_bulk_edges(doc)
     if "run" in doc:
         build_chain_config(doc)
     for check in verify.get("checks", ()):
@@ -515,6 +525,29 @@ def _check_quadrature(doc: dict) -> None:
     else:
         return
     raise ConfigError(f"{reason}; set method to 'monte_carlo'", "verify.method")
+
+
+def _check_bulk_edges(doc: dict) -> None:
+    """Reject, at ``target.params.alpha``, a power-tailed target too flat
+    for the kernel integrals of ``acceptance_bounds``, and of
+    ``fixed_theta_drift`` and ``w_drift`` by quadrature: they break at the
+    target's bulk edges, which the search for them finds only above
+    ``targets.BULK_ALPHA_MIN``."""
+    target = doc.get("target", {})
+    least = BULK_ALPHA_MIN.get(target.get("name"))
+    alpha = target.get("params", {}).get("alpha")
+    verify = doc.get("verify", {})
+    checks = set(verify.get("checks", ()))
+    if verify.get("method", METHOD_QUADRATURE) != METHOD_QUADRATURE:
+        checks -= {"fixed_theta_drift", "w_drift"}
+    if least is not None and alpha is not None and alpha <= least and \
+            checks & {"acceptance_bounds", "fixed_theta_drift", "w_drift"}:
+        raise ConfigError(
+            f"alpha = {alpha!r} puts the {target['name']} target's bulk edges past "
+            f"2**{LEVEL_SEARCH_DOUBLINGS}, where the kernel integrals cannot find them; they need "
+            f"alpha > {least!r}",
+            "target.params.alpha",
+        )
 
 
 def load_config(path) -> dict:
@@ -616,7 +649,7 @@ def build_weight(doc: dict, rule: AdaptationRule) -> ParamLyapunov:
     its scenario's weight, ``DriftCoefficients.weight``."""
     cfg = doc.get("lyapunov", {})
     default = W_AM_POLY if rule.kind == RULE_AM else W_EXP_ABS if rule.kind == RULE_COERCED else W_ONE_PLUS_SQUARE
-    return ParamLyapunov(cfg.get("weight", default), eps=cfg.get("w_eps", 0.5))
+    return ParamLyapunov(cfg.get("weight", default), eps=cfg.get("w_eps", AM_POLY_EPS))
 
 
 def build_compound(doc: dict) -> CompoundSpec:

@@ -43,6 +43,10 @@ W_EXP_ABS = "exp_abs"
 W_ONE_PLUS_SQUARE = "one_plus_square"
 W_VARIANTS = (W_AM_POLY, W_EXP_ABS, W_ONE_PLUS_SQUARE)
 
+# The am_poly weight's exponent eps when a document sets no
+# ``lyapunov.w_eps``: the weight, and a scenario's inequalities in it.
+AM_POLY_EPS = 0.5
+
 
 def _theta_of(param) -> float:
     if isinstance(param, ScalarParam):
@@ -90,7 +94,7 @@ class ParamLyapunov(NamedTuple):
     """
 
     variant: str
-    eps: float = 0.5
+    eps: float = AM_POLY_EPS
 
     def __call__(self, param) -> float:
         if self.variant == W_AM_POLY:
@@ -195,7 +199,7 @@ class DriftCoefficients:
         b_const: float = 1.0,
         sup_c_vbeta: float = 1.0,
         eps_ridge: float = 0.1,
-        w_eps: float = 0.5,
+        w_eps: float = AM_POLY_EPS,
         alpha_star: float = 0.44,
         gamma_max: float = 0.05,
         dim: int = 1,

@@ -43,20 +43,31 @@ log pi = 0 and alpha = NaN).  ``_KeptPath`` alone picks the kept rows,
 every ``record_stride``-th step and the last, and computes their V, w, W and
 in_C in the scalar arithmetic of a row-at-a-time recorder, so
 ``record_stride`` thins the trajectory and never the statistics.
-``Trajectory.to_csv`` formats blocks of rows a column at a time, its rows
-split over forked workers the same way.  Neither split changes a byte of the
-outputs: each replica draws from its own substream, records carry their
-global replica index, and a CSV row's text depends on that row alone.
+``Trajectory._csv_blocks`` formats blocks of rows a column at a time.
+
+``trajectory.csv`` is written one of two ways.  When the replica split
+leaves a usable core idle (one srwm replica, or the toy engine, on two
+cores), replica 0's loop is a slow one (the toy engine, or several
+dimensions) and it keeps at least ``_MIN_STREAM_ROWS`` rows (3,000), it is
+streamed: replica 0 hands over blocks of ``_KEPT_BLOCK_STEPS`` steps (512),
+each pickled down a pipe to a forked writer (``_write_kept_csv``), which
+builds and formats their kept rows while the loop runs.  Otherwise
+``Trajectory.to_csv`` writes the file after the run, its rows split over
+forked workers the same way as the replicas.
+No split changes a byte of the outputs: each replica draws from its own
+substream, records carry their global replica index, and a CSV row's text
+depends on that row alone.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
 from collections import deque
 from itertools import repeat
 from operator import add, mul, sub
-from typing import BinaryIO, Callable, NamedTuple, NoReturn, Optional
+from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -127,7 +138,7 @@ class Trajectory(NamedTuple):
         """
         own, *rest = _slices(self.index.shape[0], 1, _MIN_WORKER_ROWS)
         with open(path, "wb") as fh:
-            fh.write((",".join(self.column_names()) + "\n").encode())
+            fh.write(self._csv_header())
 
             def write_own() -> None:
                 for text in self._csv_blocks(own):
@@ -139,6 +150,9 @@ class Trajectory(NamedTuple):
 
             jobs = [lambda part=part: b"".join(self._csv_blocks(part)) for part in rest]
             _fork_map(jobs, write_own, copy)
+
+    def _csv_header(self) -> bytes:
+        return (",".join(self.column_names()) + "\n").encode()
 
     def _csv_blocks(self, part: slice):
         """The CSV lines of rows ``part``, as bytes, ``_CSV_CHUNK_ROWS`` rows
@@ -541,6 +555,7 @@ def _run_srwm(
     rngs: list,
     keep_first: bool,
     replica: int,
+    send: Optional[Callable[[int, _RawBlock, list], None]] = None,
 ) -> tuple[list[dict], Optional[Trajectory]]:
     """srwm chains, one replica per generator in ``rngs``, run one after
     another; the generators are those of replicas ``replica``,
@@ -551,20 +566,18 @@ def _run_srwm(
     A block is folded into the recurrence statistics and its accept flags
     into a ring for ``acceptance_tail``, then dropped, except the first
     replica's when ``keep_first``: its rows, thinned by ``record_stride``,
-    become the returned trajectory's columns.
+    become the returned trajectory's columns.  With ``send``, that replica
+    instead hands each block to ``send(start, blk, w_cells)`` (see
+    ``_KeptPath.add``), ``_KEPT_BLOCK_STEPS`` steps at a time, and no
+    trajectory is returned.
     Returns one record per generator, in order and labelled with its
     replica index, and the trajectory.
     """
     dim = config.target.dim
-    am = config.rule.kind == RULE_AM
     if dim > 1:
         blocks_of = _generic_blocks
     else:
-        blocks_of = _am_1d_blocks if am else _scalar_blocks
-    if am:
-        labels = [f"mu_{j+1}" for j in range(dim)] + [f"cov_{a+1}{b+1}" for a in range(dim) for b in range(dim)]
-    else:
-        labels = ["theta_1"]
+        blocks_of = _am_1d_blocks if config.rule.kind == RULE_AM else _scalar_blocks
     weights = config.param_weight.of_columns
     stats = _RecurrenceCounter(len(rngs), config.recurrence_m, config.recurrence_r)
     horizon = np.array([config.horizon])
@@ -572,20 +585,20 @@ def _run_srwm(
     traj = None
     for k, rng in enumerate(rngs):
         cols = np.array([k])
-        path = _KeptPath(config, labels) if keep_first and k == 0 else None
+        kept = keep_first and k == 0
+        path = _KeptPath(config) if kept and send is None else None
+        keep = (send if path is None else path.add) if kept else None
+        block = _KEPT_BLOCK_STEPS if kept and send is not None else _SRWM_BLOCK_STEPS
         flags = deque(maxlen=_TAIL_MAX)
         start = 0
-        for blk in blocks_of(config, rng, _SRWM_BLOCK_STEPS):
+        for blk in blocks_of(config, rng, block):
             index = np.arange(start, start + len(blk.x))
-            theta = np.array(blk.theta)
-            x = np.array(blk.x).reshape(index.shape[0], dim)
-            x_norm = np.abs(x[:, 0]) if dim == 1 else np.linalg.norm(x, axis=1)
             w_cells = weights(blk.theta, dim)
-            w = np.array(w_cells)
-            stats.add(index, np.abs(theta).max(axis=0)[:, None], w[:, None], x_norm[:, None], cols, horizon)
+            stats.add(index, np.abs(np.array(blk.theta)).max(axis=0)[:, None], np.array(w_cells)[:, None],
+                      _state_arrays(blk.x)[1][:, None], cols, horizon)
             flags.extend(blk.accepted)
-            if path is not None:
-                path.add(index, blk, theta, x, x_norm, w, w_cells)
+            if keep is not None:
+                keep(start, blk, w_cells)
             start += len(blk.x)
         end = start - 1
         tail = list(flags)[-min(_TAIL_MAX, max(end // 10, 1)):]
@@ -604,6 +617,16 @@ def _run_srwm(
     return records, traj
 
 
+def _state_arrays(xs: list) -> tuple[np.ndarray, np.ndarray]:
+    """States given as one float per row (a 1-D target) or one tuple of
+    coordinates per row, as an array with one row per state, and their
+    norms."""
+    x = np.array(xs)
+    if x.ndim == 1:
+        return x[:, None], np.abs(x)
+    return x, np.linalg.norm(x, axis=1)
+
+
 class _KeptPath:
     """Trajectory columns of one path, toy or srwm, built block by block and
     named after the ``Trajectory`` fields they become.
@@ -613,32 +636,35 @@ class _KeptPath:
     the scalar arithmetic of a one-row-at-a-time recorder.
     """
 
-    def __init__(self, config: ChainConfig, labels: list[str]):
+    def __init__(self, config: ChainConfig):
         self.config = config
-        self.labels = labels
+        if config.rule.kind == RULE_AM:
+            dim = config.target.dim
+            self.labels = [f"mu_{j+1}" for j in range(dim)] + [f"cov_{a+1}{b+1}" for a in range(dim)
+                                                                for b in range(dim)]
+        else:
+            self.labels = ["theta_1"]
         self.eta = config.state_lyapunov.eta if config.state_lyapunov is not None else 0.0
         self.cols: dict[str, list[np.ndarray]] = {}
 
-    def add(self, index, blk: _RawBlock, theta, x, x_norm, w, w_cells: list) -> None:
-        """Keep rows of ``blk``; ``index``, ``theta``, ``x``, ``x_norm`` and
-        ``w`` are its step numbers, parameter columns, states (one row per
-        step), state norms and weights as arrays, and ``w_cells`` the weights
-        as floats."""
+    def add(self, start: int, blk: _RawBlock, w_cells: list) -> bool:
+        """Keep rows of ``blk``, whose first row is step ``start`` and whose
+        weights are ``w_cells``; says whether it kept any."""
         config = self.config
         stride = config.record_stride
+        rows = len(blk.x)
         if stride == 1:
             keep = slice(None)
 
             def pick(col):
                 return col
         else:
-            rows = index.shape[0]
-            ends_run = blk.halted or index[-1] == config.horizon
-            keep = list(range(int(-index[0]) % stride, rows, stride))
+            ends_run = blk.halted or start + rows - 1 == config.horizon
+            keep = list(range(-start % stride, rows, stride))
             if ends_run and (not keep or keep[-1] != rows - 1):
                 keep.append(rows - 1)
             if not keep:
-                return
+                return False
 
             def pick(col):
                 return [col[p] for p in keep]
@@ -647,10 +673,11 @@ class _KeptPath:
         eta = self.eta
         vs = [exp(-eta * lx) if -eta * lx < 700.0 else inf for lx in pick(blk.log_density)]
         gammas = pick(blk.gamma)
-        x, w = x[keep], w[keep]
+        x, x_norm = _state_arrays(pick(blk.x))
+        w = np.array(pick(w_cells))
         for name, col in (
-            ("index", index[keep]),
-            ("theta", theta[:, keep].T),
+            ("index", np.arange(start, start + rows)[keep]),
+            ("theta", np.array([pick(c) for c in blk.theta]).T),
             ("x", x),
             ("y", np.array(pick(blk.y)).reshape(x.shape)),
             ("accepted", np.array(pick(blk.accepted), dtype=bool)),
@@ -659,17 +686,33 @@ class _KeptPath:
             ("v", np.array(vs)),
             ("w", w),
             ("compound", np.array(_compound_cells(config.compound, vs, pick(w_cells), gammas))),
-            ("in_set", (w <= config.recurrence_m) & (x_norm[keep] <= config.recurrence_r)),
+            ("in_set", (w <= config.recurrence_m) & (x_norm <= config.recurrence_r)),
             ("kesten_counts", np.array(pick(blk.counts) if blk.counts is not None else [], dtype=np.int64)),
         ):
             self.cols.setdefault(name, []).append(col)
+        return True
 
     def build(self) -> Trajectory:
+        """The trajectory of the rows kept since the last ``build``."""
         col = {name: np.concatenate(parts) for name, parts in self.cols.items()}
+        self.cols = {}
         col["theta"] = np.ascontiguousarray(col["theta"])
         if not _kesten_on(self.config.schedule):
             col["kesten_counts"] = None
         return Trajectory(theta_labels=self.labels, **col)
+
+
+def _write_kept_csv(config: ChainConfig, path, blocks: Iterator) -> None:
+    """Write replica 0's ``trajectory.csv`` from its raw blocks, given in
+    path order as ``(start, blk, w_cells)`` (see ``_KeptPath.add``)."""
+    kept = _KeptPath(config)
+    with open(path, "wb") as fh:
+        for start, blk, w_cells in blocks:
+            if kept.add(start, blk, w_cells):
+                traj = kept.build()
+                if start == 0:
+                    fh.write(traj._csv_header())
+                fh.writelines(traj._csv_blocks(slice(0, traj.index.shape[0])))
 
 
 def _compound_cells(comp: CompoundSpec, vs, ws, gammas) -> list[float]:
@@ -693,6 +736,7 @@ def _run_toy_replicas(
     config: ChainConfig,
     rngs: list,
     keep_first: bool,
+    send: Optional[Callable[[int, _RawBlock, list], None]] = None,
 ) -> tuple[list[dict], Optional[Trajectory]]:
     """Two-state chain with the mean-tracking parameter update, one replica
     per generator in ``rngs``, all stepped together as numpy vectors.
@@ -703,19 +747,24 @@ def _run_toy_replicas(
     the numbers a one-chain loop sees.  After each block its rows are folded
     into the recurrence statistics and dropped; when ``keep_first``, replica
     0's rows up to its halt row also go to a ``_KeptPath``, which builds the
-    returned trajectory.  A replica that diverges is frozen at its halt row.
+    returned trajectory, or with ``send`` to ``send(start, blk, w_cells)``,
+    in blocks of at most ``_KEPT_BLOCK_STEPS`` steps, and no trajectory is
+    returned.  A replica that diverges is frozen at its halt row.
     Returns one record per generator, in order, and the trajectory.
     """
     n = config.horizon
     n_rep = len(rngs)
     block = max(1, _BLOCK_ELEMENTS // n_rep)
+    if send is not None:
+        block = min(block, _KEPT_BLOCK_STEPS)
     schedule = config.schedule
     kesten = _kesten_on(schedule)
     # step i uses the count left by steps 2..i-1, so at most n - 2
     gamma_table = np.array([schedule.gamma_of_count(c) for c in range(n)]) if kesten else None
     weights = config.param_weight.of_thetas
     stats = _RecurrenceCounter(n_rep, config.recurrence_m, config.recurrence_r)
-    path = _KeptPath(config, ["theta_1"]) if keep_first else None
+    path = _KeptPath(config) if keep_first and send is None else None
+    keep = (send if path is None else path.add) if keep_first else None
 
     theta = np.full(n_rep, float(config.theta0))
     x = np.full(n_rep, bool(config.x0))
@@ -730,8 +779,8 @@ def _run_toy_replicas(
     with np.errstate(over="ignore"):
         w = weights(theta)
         stats.add(np.zeros(1, dtype=np.int64), np.abs(theta)[None], w[None], x[None], active, end)
-        if path is not None:
-            _keep_toy_rows(path, schedule, gamma_table, np.zeros(1, dtype=np.int64), theta[:1], x[:1], w[:1],
+        if keep is not None:
+            _keep_toy_rows(keep, schedule, gamma_table, np.zeros(1, dtype=np.int64), theta[:1], x[:1], w[:1],
                            bool(x[0]), 0, False)
         while start <= n and active.size:
             rows = min(block, n - start + 1)
@@ -771,9 +820,9 @@ def _run_toy_replicas(
             w = weights(th_blk)
             stats.add(index, np.abs(th_blk), w, x_blk, active, end[active])
             final_theta[active] = th_blk[-1]
-            if path is not None and active[0] == 0:
+            if keep is not None and active[0] == 0:
                 cut = int(end[0]) - start + 1  # rows up to replica 0's halt row, or all
-                _keep_toy_rows(path, schedule, gamma_table, index[:cut], th_blk[:cut, 0], x_blk[:cut, 0],
+                _keep_toy_rows(keep, schedule, gamma_table, index[:cut], th_blk[:cut, 0], x_blk[:cut, 0],
                                w[:cut, 0], x_in, count_in, bool(halted[0]))
             going = ~halted[active]
             active, theta, x, counts = active[going], th_blk[-1, going], x_blk[-1, going], counts[going]
@@ -794,9 +843,9 @@ def _run_toy_replicas(
     return records, traj
 
 
-def _keep_toy_rows(path: _KeptPath, schedule, gamma_table, index, theta, x, w, x_in: bool, count_in: int,
-                   halted: bool) -> None:
-    """Hand replica 0's toy rows ``index`` to ``path`` as the block an srwm
+def _keep_toy_rows(keep: Callable[[int, _RawBlock, list], object], schedule, gamma_table, index, theta, x, w,
+                   x_in: bool, count_in: int, halted: bool) -> None:
+    """Hand replica 0's toy rows ``index`` to ``keep`` as the block an srwm
     loop would hand over: x = y = the state, log pi = 0 (so V = 1), alpha =
     NaN, a flip as the accept flag, and the weights ``w`` the statistics
     used.  ``x_in`` and ``count_in`` are the state and Kesten count before
@@ -810,14 +859,11 @@ def _keep_toy_rows(path: _KeptPath, schedule, gamma_table, index, theta, x, w, x
         counts = after.tolist()
     else:
         gammas = [gamma_at(schedule, max(i, 1)) for i in index.tolist()]  # row 0: step 1's
-    xs = x.astype(float)
-    cells, w_cells = xs.tolist(), w.tolist()
+    cells = x.astype(float).tolist()
     rows = len(cells)
     blk = _RawBlock((theta.tolist(),), cells, cells, flips.tolist(), [math.nan] * rows, gammas, [0.0] * rows,
                     counts, halted)
-    # arrays of their own, as _run_srwm builds them: the path keeps what it is
-    # given, and a view of theta or w would keep every replica's block alive
-    path.add(index, blk, np.array(blk.theta), xs[:, None], xs, np.array(w_cells), w_cells)
+    keep(int(index[0]), blk, w.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -981,39 +1027,83 @@ def run_replicas(
     config: ChainConfig,
     n_replicas: int,
     keep_first_trajectory: bool = False,
+    csv_path=None,
 ) -> tuple[ReplicaSummary, Optional[Trajectory]]:
     """Run ``n_replicas`` independent chains on replica substreams.
 
     Returns the summary plus (optionally) replica 0's full trajectory for
-    trace output.  Every replica is reduced to statistics block by block as
-    it runs, so memory stays at desk scale.
+    trace output; with ``csv_path``, that trajectory is written to the file
+    ``csv_path`` as ``Trajectory.to_csv`` writes it, and none is returned.
+    Every replica is reduced to statistics block by block as it runs, so
+    memory stays at desk scale.
 
     srwm replicas are split into contiguous slices, one per worker
     (``_slices``).  This process runs the first slice, so replica 0's
-    trajectory never crosses a pipe; each forked worker runs one other slice
-    and sends back only its records.  The toy engine stays in this process:
-    its per-step cost is mostly numpy call overhead, which a split does not
-    divide.  200 x 2,000 steps took 58 ms in one process and 51 ms over two
-    workers (2-vCPU VM), 7 ms of a 0.38 s ``driftlab run`` of that size.
+    trajectory never crosses a pipe unless it is streamed; each forked
+    worker runs one other slice and sends back only its records.  The toy
+    engine runs every replica in this process: its per-step cost is mostly
+    numpy call overhead, which a split does not divide.  200 x 2,000 steps
+    took 58 ms in one process and 51 ms over two workers (2-vCPU VM), 7 ms
+    of a 0.38 s ``driftlab run`` of that size.
+
+    When the split leaves a usable core idle and replica 0's rows are
+    ``_worth_streaming``, the CSV is streamed: one more forked worker
+    (``_write_kept_csv``) builds and writes replica 0's rows from the raw
+    blocks its loop hands over, while the loop runs.  Otherwise the file is
+    written after the run, its rows split over forked workers.  Either way
+    its bytes are the same, and a run that raises leaves no partly streamed
+    file behind.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     rngs = [substream(config.seed, k) for k in range(n_replicas)]
-    if config.kind == CHAIN_TOY:
-        records, first_traj = _run_toy_replicas(config, rngs, keep_first_trajectory)
-        return summarize_replicas(records, config.seed), first_traj
-    own, *rest = _slices(n_replicas, config.horizon + 1, _MIN_WORKER_STEPS)
+    keep = keep_first_trajectory or csv_path is not None
+    toy = config.kind == CHAIN_TOY
+    own, *rest = [slice(0, n_replicas)] if toy else _slices(n_replicas, config.horizon + 1, _MIN_WORKER_STEPS)
+    streamed = csv_path is not None and len(rest) + 1 < _usable_cores() and _worth_streaming(config)
     records = []
 
-    def run_own():
-        own_records, traj = _run_srwm(config, rngs[own], keep_first_trajectory, 0)
+    def run_own(feed: Optional[_Feed] = None):
+        send = None if feed is None else lambda *block: feed.put(block)
+        if toy:
+            own_records, traj = _run_toy_replicas(config, rngs, keep, send)
+        else:
+            own_records, traj = _run_srwm(config, rngs[own], keep, 0, send)
         records.extend(own_records)
         return traj
 
     jobs = [lambda part=part: pickle.dumps(_run_srwm(config, rngs[part], False, part.start)[0])
             for part in rest]
-    first_traj = _fork_map(jobs, run_own, lambda stream: records.extend(pickle.load(stream)))
+    feed = (lambda blocks: _write_kept_csv(config, csv_path, blocks)) if streamed else None
+    try:
+        first_traj = _fork_map(jobs, run_own, lambda stream: records.extend(pickle.load(stream)), feed)
+    except BaseException:
+        if streamed:
+            with contextlib.suppress(OSError):
+                os.unlink(csv_path)
+        raise
+    if csv_path is not None and not streamed:
+        first_traj.to_csv(csv_path)
+        first_traj = None
     return summarize_replicas(records, config.seed), first_traj
+
+
+def _worth_streaming(config: ChainConfig) -> bool:
+    """Whether replica 0's CSV pays for a writer of its own on an idle core:
+    its loop makes a kept row about as slowly as the writer formats one, as
+    the toy engine and the loops in several dimensions do, and it keeps at
+    least ``_MIN_STREAM_ROWS`` rows.  A 1-D loop makes a row 3-5 times
+    faster than it is formatted (2.3-3.5 us a step against 11 us a row), so
+    a writer would set its pace, where the after-run split formats on every
+    core."""
+    slow = config.kind == CHAIN_TOY or config.target.dim > 1
+    return slow and _kept_rows(config) >= _MIN_STREAM_ROWS
+
+
+def _kept_rows(config: ChainConfig) -> int:
+    """The rows replica 0 keeps in a run to the horizon: every
+    ``record_stride``-th step and the last."""
+    return config.horizon // config.record_stride + 1 + (config.horizon % config.record_stride != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,13 +1112,35 @@ def run_replicas(
 # One fork, pipe and reap round trip with an empty job costs about 4.8 ms
 # on a 2-vCPU VM from a 40 MB process, and a worker then runs its first few
 # ms slower than this process would (copy-on-write faults), so a worker pays
-# for itself only past about 8 ms of work.  Measured break-evens, in work per
+# for itself only past about 8 ms of work; a ``driftlab run`` that forked
+# also takes about 4 ms longer to exit.  Measured break-evens, in work per
 # worker (R = 2, forced one against two workers, median of 21): 4,000-5,000
 # replica-steps of the 1-D scalar loops (1,500 for 1-D AM), and about 750
 # CSV rows of a 1-D srwm trajectory or 1,000-1,600 of a toy one.  A split
 # never leaves a worker less than these minimums.
 _MIN_WORKER_STEPS = 5_000
 _MIN_WORKER_ROWS = 1_500
+
+# Rows replica 0 must keep for its CSV to be streamed.  Below 3,000 rows the
+# after-run split writes the file without a fork, and a writer's fork and
+# exit cost about what its overlap saves.  Measured on whole ``driftlab
+# run`` processes (2-vCPU VM, median of the run and its exit over 11 or 21
+# alternating runs, streamed against written after the run): 2-D AM 126 ->
+# 111 ms at 2,001 rows, 180 -> 155 at 3,001 and 219 -> 191 at 4,001; 2-D
+# coerced 109 -> 106 ms at 3,001 rows, 129 -> 116 at 4,001 and 170 -> 148
+# at 5,001; the toy at R = 200 90 -> 100 ms at 2,001 rows, 187 -> 168 at
+# 3,001 and 198 -> 188 at 4,001.  1-D loops lost at every size: coerced 135
+# -> 158 ms at 5,001 rows and 145 -> 167 at 7,001, 1-D AM 126 -> 133 at
+# 7,001.
+_MIN_STREAM_ROWS = 3_000
+
+# Steps per block that a streamed replica 0 hands over.  At 4,096 steps a
+# 1 x 4,000 2-D AM run would arrive as one block, and nothing would
+# overlap.  In process, streamed against written after the run, 1 x 4,000
+# 2-D AM and 1 x 10,000 2-D coerced took 0.77 and 0.87 of the time at 256
+# steps, 0.79 and 0.84 at 512, and 0.86 and 0.91 at 1,024 (2-vCPU VM,
+# median of 21).
+_KEPT_BLOCK_STEPS = 1 << 9
 
 # The first byte a worker writes: its job's bytes follow, or the pickled
 # exception the job raised.
@@ -1054,60 +1166,133 @@ def _slices(n: int, cost: int, min_cost: int) -> list[slice]:
 
 def _fork_map(
     jobs: list[Callable[[], bytes]],
-    own: Callable[[], object],
+    own: Callable[..., object],
     take: Callable[[BinaryIO], None],
+    feed: Optional[Callable[[Iterator], None]] = None,
 ):
     """Run ``own()`` in this process while each of ``jobs`` runs in a forked
     worker, and return what ``own`` returns.
 
     A job returns bytes, which its worker writes to a pipe.  Once ``own``
     returns, ``take(stream)`` reads each job's bytes from a binary stream,
-    in job order.  An exception a job raises is raised here again, with its
-    type and message.  Every worker is reaped before this returns or
-    raises, after every read end is closed, so a worker blocked on a full
-    pipe gets EPIPE and exits instead of waiting for a reader that is gone.
+    in job order.
+
+    With ``feed``, one more worker runs ``feed(items)`` while ``own`` runs,
+    and ``own`` is called with a ``_Feed``: each object passed to its
+    ``put`` comes out of the iterator ``items``, which ends when ``own``
+    returns or raises.  Every job's worker closes both ends of the feed's
+    pipe, and the feed's worker its write end, so that the feed sees the
+    end.
+
+    An exception a job or the feed raises is raised here again, with its
+    type and message, once ``own`` has returned.  Every worker is reaped
+    before this returns or raises, after every read end is closed, so a
+    worker blocked on a full pipe gets EPIPE and exits instead of waiting
+    for a reader that is gone.
     """
     pids, reads = [], []
+    workers = [(job, ()) for job in jobs]
+    sink = None
+    if feed is not None:
+        feed_r, feed_w = os.pipe()
+        sink = _Feed(feed_w)  # a worker closes the descriptor and never touches this object
+        workers = [(job, (feed_r, feed_w)) for job in jobs]
+
+        def drain() -> bytes:
+            feed(_unpickled(feed_r))
+            return b""
+
+        workers.append((drain, (feed_w,)))
     try:
-        for job in jobs:
+        for job, inherited in workers:
             r, w = os.pipe()
             reads.append(r)
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(job, w, reads)
+                    _work(job, w, reads + list(inherited))
             finally:
                 os.close(w)
             pids.append(pid)
-        result = own()
+        if sink is None:
+            result = own()
+        else:
+            os.close(feed_r)
+            feed_r = None
+            result = own(sink)
+            sink.close()
         for k, r in enumerate(reads):
             with open(r, "rb", closefd=False) as stream:
                 status = stream.read(1)
                 if status == _JOB_DONE:
-                    take(stream)
+                    if k < len(jobs):
+                        take(stream)
                     continue
                 body = stream.read()
             if status == _JOB_FAILED:
                 raise pickle.loads(body)  # bytes our own worker wrote
-            raise RuntimeError(f"worker {k + 1} of {len(jobs)} ended without a result")
+            raise RuntimeError(f"worker {k + 1} of {len(workers)} ended without a result")
         return result
     finally:
+        if sink is not None:
+            sink.close()
+            if feed_r is not None:
+                os.close(feed_r)
         for r in reads:
             os.close(r)
         for pid in pids:
             os.waitpid(pid, 0)
 
 
-def _work(job: Callable[[], bytes], w: int, reads: list[int]) -> NoReturn:
-    """A forked worker's whole life: close the read ends it inherited, run
-    ``job`` and write its status byte and bytes (or the exception it raised)
-    to the pipe ``w``.  It leaves through ``os._exit``, so it never returns
-    into its caller's frames or flushes buffers it shares with its parent;
-    an exception that cannot be written leaves no status byte."""
+class _Feed:
+    """The write end of a feed worker's input pipe, given to ``own`` by
+    ``_fork_map``.
+
+    ``put`` pickles an object down the pipe.  Once the worker has failed
+    and exited, ``put`` drops what it is given: ``_fork_map`` raises the
+    worker's exception after ``own`` returns.
+    """
+
+    def __init__(self, fd: int):
+        self.stream = open(fd, "wb")
+
+    def put(self, item) -> None:
+        if not self.stream.closed:
+            try:
+                pickle.dump(item, self.stream, pickle.HIGHEST_PROTOCOL)
+                self.stream.flush()
+            except BrokenPipeError:
+                self.close()
+
+    def close(self) -> None:
+        """Close the pipe; a worker that has already exited cannot take the
+        last bytes, and they are dropped."""
+        with contextlib.suppress(BrokenPipeError):
+            self.stream.close()
+
+
+def _unpickled(fd: int) -> Iterator:
+    """The objects pickled into the pipe whose read end is ``fd``, until it
+    is closed."""
+    with open(fd, "rb") as stream:
+        while True:
+            try:
+                yield pickle.load(stream)
+            except EOFError:
+                return
+
+
+def _work(job: Callable[[], bytes], w: int, inherited: list[int]) -> NoReturn:
+    """A forked worker's whole life: close the pipe ends ``inherited`` from
+    its parent, run ``job`` and write its status byte and bytes (or the
+    exception it raised) to the pipe ``w``.  It leaves through ``os._exit``,
+    so it never returns into its caller's frames or flushes buffers it
+    shares with its parent; an exception that cannot be written leaves no
+    status byte."""
     code = 1
     try:
-        for r in reads:
-            os.close(r)
+        for fd in inherited:
+            os.close(fd)
         try:
             status, body = _JOB_DONE, job()
         except Exception as exc:

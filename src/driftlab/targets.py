@@ -28,6 +28,9 @@ import numpy as np
 BISECTION_TOL = 1e-10
 # How far below its mode, in nats, a unimodal target's bulk ends.
 BULK_NATS = 50.0
+# density_level_point doubles its bracket at most this many times, so it
+# finds no level farther than 2**LEVEL_SEARCH_DOUBLINGS from the mode.
+LEVEL_SEARCH_DOUBLINGS = 200
 # Absolute tolerance of every covariance symmetry check.
 SYMMETRY_TOL = 1e-12
 
@@ -193,6 +196,20 @@ def _subexp_tail(alpha: float) -> TailClass:
     return TailClass(TailKind.CUSTOM, 1.0)
 
 
+# The alpha of each power-tailed family whose bulk edges
+# (``TargetModel.bulk_edge``) lie at x = 2**LEVEL_SEARCH_DOUBLINGS, the
+# farthest point density_level_point reaches: the root of
+# 1 - (1 + x**2)**(alpha/2) = -BULK_NATS for ``subexp``, and of
+# -x**alpha = -BULK_NATS for ``subexp_exact`` (both have log pi = 0 at the
+# mode).  The search finds the edges of every larger alpha; at the root
+# itself log pi at x rounds to just above the level.
+_FARTHEST = 2.0**LEVEL_SEARCH_DOUBLINGS
+BULK_ALPHA_MIN = {
+    "subexp": 2.0 * math.log1p(BULK_NATS) / math.log1p(_FARTHEST * _FARTHEST),
+    "subexp_exact": math.log(BULK_NATS) / math.log(_FARTHEST),
+}
+
+
 def smoothed_subexp_target(alpha: float) -> TargetModel:
     """Smooth unimodal target with log-density ``1 - (1 + x^2)^(alpha/2)``."""
     if not (0.0 < alpha < 2.0):
@@ -313,7 +330,7 @@ def density_level_point(
         t_lo = t_hi
         t_hi *= 2.0
         expansions += 1
-        if expansions > 200:
+        if expansions > LEVEL_SEARCH_DOUBLINGS:
             raise ValueError(f"density never falls to log-density {level!r} on side {side:+g} of the mode")
     while t_hi - t_lo > tol:
         t_mid = 0.5 * (t_lo + t_hi)

@@ -35,6 +35,7 @@ from driftlab.config import (
     n_replicas,
     validate_document,
 )
+from driftlab.targets import BULK_ALPHA_MIN
 
 PRESET_NAMES = ["am-gaussian-1d", "am-subexp-1d", "coerced", "fast-coerced", "toy"]
 
@@ -1185,10 +1186,31 @@ def test_cross_section_rules_are_checked_at_load(tmp_path, base, edits, json_pat
                      "proposal.parametrization", id="moments-grid-scalar-proposal"),
         pytest.param("coerced", {"run": DELETE, "proposal": {"family": "gaussian", "parametrization": "am_covariance"}},
                      "proposal.parametrization", id="number-grid-covariance-proposal"),
+        # a target so flat that its bulk edges lie past 2**200: a raw ValueError
+        # ("density never falls to log-density -50.0") in the kernel integrals
+        *(pytest.param("am-subexp-1d", {"target.params.alpha": alpha}, "target.params.alpha", id=f"alpha-{alpha!r}")
+          for alpha in (5e-324, 1e-300, 1e-30, 1e-12, BULK_ALPHA_MIN["subexp"])),
+        pytest.param("am-subexp-1d", {"target.params.alpha": 0.02, "verify.checks": ["acceptance_bounds"],
+                                      "verify.method": "monte_carlo"}, "target.params.alpha",
+                     id="alpha-0.02-acceptance-bounds-monte-carlo"),
+        pytest.param("am-subexp-1d", {"target.name": "subexp_exact", "target.params.alpha": 0.02,
+                                      "verify.checks": ["fixed_theta_drift"]}, "target.params.alpha",
+                     id="alpha-0.02-exact-tails"),
     ],
 )
 def test_checks_that_cannot_run_are_rejected_before_the_run(tmp_path, base, edits, json_path):
     assert_rejected_before_running(tmp_path, edited(base, edits), json_path)
+
+
+def test_the_flattest_subexp_target_the_kernel_integrals_reach_is_verified(tmp_path):
+    # one float above targets.BULK_ALPHA_MIN the bulk edges lie just inside
+    # the search's reach, and every check of the preset runs
+    alpha = math.nextafter(BULK_ALPHA_MIN["subexp"], math.inf)
+    path = write_config(tmp_path, edited("am-subexp-1d", {"target.params.alpha": alpha, "run": DELETE}))
+    out = tmp_path / "out"
+    assert main(["verify", str(path), "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY)
+    checks = json.loads(path.read_text())["verify"]["checks"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"report-{c}.json" for c in checks)
 
 
 @pytest.mark.parametrize(

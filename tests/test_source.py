@@ -3,10 +3,10 @@
 builders only, every JSON path a ``ConfigError`` names is a key path of
 the config schema, one function forks, one freezes the heap, the drift
 certificates have one headroom rule and one slack rule, the default
-stepsize ceiling and center radius are written once, the weight variants
-are named only where weights are built and evaluated, two classes are
-dataclasses, and source code names every top-level function and class and
-every method."""
+stepsize ceiling, center radius and am_poly exponent are written once,
+the weight variants are named only where weights are built and evaluated,
+two classes are dataclasses, and source code names every top-level
+function and class and every method."""
 
 import ast
 from pathlib import Path
@@ -245,6 +245,56 @@ def test_the_default_center_radius_is_written_once():
     # verifier default would be a second copy that could drift from it
     sites = [f"{path.stem}.{site}" for path in MODULES for site in float_sites(path.read_text(), 5.0)]
     assert sites == ["config.build_check_args"]
+
+
+def exponent_defaults(source: str) -> list[tuple[str, str]]:
+    """(site, default) of each default written for the am_poly exponent: a
+    parameter or class field named ``eps`` or ``w_eps``, or the fallback of
+    a ``.get("w_eps", ...)``, with the default as ``ast.unparse`` gives it."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args.posonlyargs + node.args.args
+            positional = zip(args[len(args) - len(node.args.defaults):], node.args.defaults)
+            keyword = zip(node.args.kwonlyargs, node.args.kw_defaults)
+            found.extend((where, ast.unparse(d)) for a, d in [*positional, *keyword]
+                         if d is not None and a.arg in ("eps", "w_eps"))
+        if isinstance(node, ast.ClassDef):
+            found.extend((where, ast.unparse(item.value)) for item in node.body
+                         if isinstance(item, ast.AnnAssign) and item.value is not None
+                         and isinstance(item.target, ast.Name) and item.target.id in ("eps", "w_eps"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get" \
+                and len(node.args) == 2 and isinstance(node.args[0], ast.Constant) and node.args[0].value == "w_eps":
+            found.append((where, ast.unparse(node.args[1])))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_exponent_detector_sees_parameters_fields_and_lookups():
+    src = "class P:\n    eps: float = 0.5\n    def f(self, a, eps=E, *, w_eps=0.5, z=1):\n" \
+          "        return cfg.get('w_eps', E) + cfg.get('eps', 2)\n"
+    assert exponent_defaults(src) == [("P", "0.5"), ("P.f", "E"), ("P.f", "0.5"), ("P.f", "E")]
+
+
+def test_the_default_am_poly_exponent_is_written_once():
+    # the weight a run records and the weight a scenario's inequalities are
+    # stated in take one default exponent, lyapunov.AM_POLY_EPS
+    found = [(f"{path.stem}.{site}", default) for path in MODULES for site, default in
+             exponent_defaults(path.read_text())]
+    assert found == [
+        ("config.build_weight", "AM_POLY_EPS"),
+        ("lyapunov.ParamLyapunov", "AM_POLY_EPS"),
+        ("lyapunov.DriftCoefficients.__init__", "AM_POLY_EPS"),
+    ]
+    assigned = [path.stem for path in MODULES for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "AM_POLY_EPS" for t in node.targets)]
+    assert assigned == ["lyapunov"]
 
 
 @pytest.mark.parametrize("name", ["W_AM_POLY", "W_EXP_ABS", "W_ONE_PLUS_SQUARE"])

@@ -1,11 +1,14 @@
 """Worker processes: ``run`` splits srwm replicas and ``trajectory.csv``
-rows over forked workers.  The outputs must not depend on how many, and no
-worker may outlive the call, deadlock it, or return into its caller."""
+rows over forked workers, or streams replica 0's rows to a forked CSV
+writer when a core is left idle.  The outputs must not depend on how many
+workers there are, and no worker may outlive the call, deadlock it, or
+return into its caller."""
 
 import dataclasses
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -16,7 +19,7 @@ from driftlab.kernels import FAMILY_GAUSSIAN, FAMILY_STUDENT
 from driftlab.simulator import run_replicas
 
 from test_config_cli import mv_run_doc, write_config
-from test_simulator import mv_config, srwm_1d_config, synthetic_trajectory
+from test_simulator import SRWM_1D_CASES, mv_config, srwm_1d_config, synthetic_trajectory, toy_config
 
 # At step 1 the stepsize is huge, after it negligible (a = 40), so each
 # replica halts at step 1 or never, by its own first draw.
@@ -61,10 +64,12 @@ CASES = {
 
 
 def force_workers(monkeypatch, n: int) -> None:
-    """Split every run and every CSV over ``n`` workers, however small."""
+    """Split every run and every CSV over ``n`` workers, and stream every
+    CSV that leaves one of them idle, however small and on any path."""
     monkeypatch.setattr(simulator, "_usable_cores", lambda: n)
     monkeypatch.setattr(simulator, "_MIN_WORKER_STEPS", 1)
     monkeypatch.setattr(simulator, "_MIN_WORKER_ROWS", 1)
+    monkeypatch.setattr(simulator, "_worth_streaming", lambda config: True)
 
 
 def assert_no_child_left():
@@ -107,6 +112,42 @@ def test_runs_below_the_break_even_stay_serial(monkeypatch):
     first.to_csv(os.devnull)
 
 
+def test_a_slow_loop_streams_from_the_break_even_on(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a worker was started")
+
+    def refuse_writer(fd):
+        os.close(fd)
+        raise AssertionError("a writer was started")
+
+    monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(simulator, "_Feed", refuse_writer)
+    least = simulator._MIN_STREAM_ROWS
+    path = tmp_path / "trajectory.csv"
+    for cfg in (dataclasses.replace(mv_config(), horizon=least - 2), toy_config(horizon=7 * (least - 3) + 3, stride=7)):
+        # one row short: written after the run, and too short to split
+        assert simulator._kept_rows(cfg) == least - 1
+        run_replicas(cfg, 1, csv_path=path)
+        assert len(path.read_bytes().splitlines()) == least  # the header and each kept row
+        longer = dataclasses.replace(cfg, horizon=cfg.horizon + cfg.record_stride)
+        assert simulator._kept_rows(longer) == least
+        with pytest.raises(AssertionError, match="^a writer was started$"):
+            run_replicas(longer, 1, csv_path=path)
+
+
+def test_a_one_dimensional_loop_never_streams(tmp_path, monkeypatch):
+    def refuse(fd):
+        raise AssertionError("a writer was started")
+
+    monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(simulator, "_Feed", refuse)
+    horizon = 10 * simulator._MIN_STREAM_ROWS
+    for cfg in (srwm_1d_config(horizon=horizon), srwm_1d_config(horizon=horizon, **SRWM_1D_CASES["am-gaussian"])):
+        run_replicas(cfg, 1, csv_path=tmp_path / "trajectory.csv")
+        assert_no_child_left()
+
+
 @pytest.mark.parametrize("path, case", sorted(CASES), ids=lambda v: v)
 def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, path, case):
     arguments, fields, diverged = CASES[path, case]
@@ -147,10 +188,10 @@ def test_cli_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, na
 def test_a_worker_exception_is_raised_with_its_type_and_message(monkeypatch):
     run_srwm = simulator._run_srwm
 
-    def fail_in_worker(config, rngs, keep_first=True, replica=0):
+    def fail_in_worker(config, rngs, keep_first=True, replica=0, send=None):
         if replica == 2:
             raise ZeroDivisionError("replica 2 cannot run")
-        return run_srwm(config, rngs, keep_first, replica)
+        return run_srwm(config, rngs, keep_first, replica, send)
 
     force_workers(monkeypatch, 3)
     monkeypatch.setattr(simulator, "_run_srwm", fail_in_worker)
@@ -222,3 +263,158 @@ def test_a_worker_never_returns_into_its_caller(tmp_path):
     assert seen == ["returned", "worker 1 of 1 ended without a result"]
     assert_no_child_left()
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# streamed trajectories: 1 replica on 2 or 3 cores, or 2 replicas on 3,
+# leave a core idle, and a forked writer formats replica 0's rows while its
+# loop runs
+
+_FAST_COERCED_DIVERGES = dict(SRWM_1D_CASES["fast-coerced-diverges"], horizon=600)
+
+
+def _halt_of_replica_0(cfg) -> int:
+    summary, _ = run_replicas(cfg, 1)
+    return summary.per_replica[0]["halt_index"]
+
+
+# case -> (config, kept block length, or a function of replica 0's halt
+# index giving it)
+STREAMED = {
+    "scalar-1d": (lambda: srwm_1d_config(), 64),
+    "scalar-1d-stride-7": (lambda: srwm_1d_config(record_stride=7), 64),
+    "scalar-1d-kesten": (lambda: srwm_1d_config(**SRWM_1D_CASES["coerced-uniform-kesten"]), 64),
+    "am-1d": (lambda: srwm_1d_config(**SRWM_1D_CASES["am-gaussian"]), 100),
+    "halt-inside-a-block": (lambda: srwm_1d_config(**_FAST_COERCED_DIVERGES), lambda halt: halt + 5),
+    "halt-ends-a-block": (lambda: srwm_1d_config(**_FAST_COERCED_DIVERGES), lambda halt: halt),
+    "halt-opens-a-block": (lambda: srwm_1d_config(**_FAST_COERCED_DIVERGES), lambda halt: halt - 1),
+    "am-2d": (lambda: mv_config(), 64),
+    "am-2d-stride-7": (lambda: mv_config(stride=7), 64),
+    "toy": (lambda: toy_config(horizon=600), 64),
+    "toy-stride-7": (lambda: toy_config(horizon=600, stride=7), 64),
+    "toy-halts": (lambda: toy_config(c0=1e13, horizon=600), 64),
+}
+
+
+@pytest.mark.parametrize("replicas", [1, 2])
+@pytest.mark.parametrize("case", sorted(STREAMED))
+def test_streamed_csv_does_not_change_outputs(tmp_path, monkeypatch, deadline, case, replicas):
+    make, block = STREAMED[case]
+    cfg = make()
+    if callable(block):
+        halt = _halt_of_replica_0(cfg)
+        assert halt is not None and halt > 2
+        block = block(halt)
+    monkeypatch.setattr(simulator, "_KEPT_BLOCK_STEPS", block)
+    put = simulator._Feed.put
+    puts = []
+
+    def counted_put(self, item):
+        puts.append(item)
+        put(self, item)
+
+    monkeypatch.setattr(simulator._Feed, "put", counted_put)
+    outputs = []
+    for workers in (1, 2, 3):
+        force_workers(monkeypatch, workers)
+        path = tmp_path / f"trajectory-{workers}.csv"
+        puts.clear()
+        summary, first = run_replicas(cfg, replicas, csv_path=path)
+        assert first is None
+        # one slice per replica, except the toy engine's one: a writer is
+        # forked while a core is left idle
+        slices = 1 if cfg.kind == "toy" else min(replicas, workers)
+        assert bool(puts) == (slices < workers)
+        outputs.append((json.dumps(summary.to_json_dict(), indent=2, sort_keys=True), path.read_bytes()))
+        assert_no_child_left()
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    _, traj = run_replicas(cfg, replicas, keep_first_trajectory=True)
+    traj.to_csv(tmp_path / "kept.csv")
+    assert outputs[0][1] == (tmp_path / "kept.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["coerced", "am-2d", "toy"])
+def test_cli_outputs_of_a_streamed_run_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, name):
+    if name.endswith("-2d"):
+        doc = mv_run_doc(name[: -len("-2d")], horizon=2000, replicas=1)
+    else:
+        doc = json.loads(resolve_config_path(name).read_text())
+        doc["run"].update(horizon=2000, replicas=1)
+        doc.pop("verify", None)
+    path = write_config(tmp_path, doc)
+    outputs = []
+    for workers in (1, 2):
+        force_workers(monkeypatch, workers)
+        out = tmp_path / f"out-{workers}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        outputs.append({f: (out / f).read_bytes() for f in ("summary.json", "trajectory.csv")})
+        assert_no_child_left()
+    assert outputs[1] == outputs[0]
+
+
+def test_a_writer_exception_is_raised_with_its_type_and_message(tmp_path, monkeypatch, deadline):
+    parent = os.getpid()
+    csv_blocks = simulator.Trajectory._csv_blocks
+
+    def fail_in_writer(self, part):
+        if os.getpid() != parent:
+            raise OSError("disk full")
+        return csv_blocks(self, part)
+
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(simulator.Trajectory, "_csv_blocks", fail_in_writer)
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(OSError) as exc:
+        run_replicas(srwm_1d_config(horizon=3000), 1, csv_path=path)
+    assert os.getpid() == parent
+    assert type(exc.value) is OSError and str(exc.value) == "disk full"
+    assert_no_child_left()
+    assert not path.exists()  # no partly written trajectory is left behind
+
+
+def test_a_failure_in_the_streamed_loop_reaps_the_writer(tmp_path, monkeypatch, deadline):
+    scalar_blocks = simulator._scalar_blocks
+
+    def fail_after_three_blocks(config, rng, block):
+        for n, blk in enumerate(scalar_blocks(config, rng, block)):
+            if n == 3:
+                raise ZeroDivisionError("step 130 cannot run")
+            yield blk
+
+    force_workers(monkeypatch, 2)
+    monkeypatch.setattr(simulator, "_KEPT_BLOCK_STEPS", 64)
+    monkeypatch.setattr(simulator, "_scalar_blocks", fail_after_three_blocks)
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(ZeroDivisionError, match="^step 130 cannot run$"):
+        run_replicas(srwm_1d_config(), 1, csv_path=path)
+    assert_no_child_left()
+    assert not path.exists()
+
+
+def test_a_job_worker_does_not_hold_the_feed_open(tmp_path, deadline):
+    # the job outlasts this process's own work: it waits until the feed has
+    # seen the end of its input, which it never would while any worker
+    # held the write end of its pipe
+    ended = tmp_path / "feed-ended"
+
+    def job():
+        give_up = time.monotonic() + 10.0
+        while not ended.exists():
+            if time.monotonic() > give_up:
+                return b"the feed never saw its end"
+            time.sleep(0.01)
+        return b"done"
+
+    def feed(items):
+        ended.write_text(repr(list(items)))
+
+    def own(sink):
+        sink.put(("block", 1))
+        sink.put(b"text")
+        return "own"
+
+    got = []
+    assert simulator._fork_map([job], own, lambda stream: got.append(stream.read()), feed) == "own"
+    assert got == [b"done"]
+    assert ended.read_text() == "[('block', 1), b'text']"
+    assert_no_child_left()
