@@ -144,7 +144,7 @@ def run_experiment(
 
     if simulate:
         csv_path = out_dir / "trajectory.csv" if "csv" in formats else None
-        summary, _ = run_replicas(chain_config, count, csv_path=csv_path)
+        summary = run_replicas(chain_config, count, csv_path=csv_path)
         if "json" in formats:
             _write_json(out_dir / "summary.json", {"config": doc, "summary": summary.to_json_dict()})
         if summary.any_diverged:

@@ -54,6 +54,7 @@ from .kernels import (
     RW_SCALE,
     AMParam,
     ProposalSpec,
+    proposal_covariance,
 )
 from .lyapunov import (
     AM_POLY_EPS,
@@ -813,13 +814,14 @@ def build_check_args(check: str, doc: dict) -> tuple:
     ``verify.x_grid`` is the point (x, ..., x) on a dim-d target.  Rejects,
     each at its path, a check that cannot run on them: a drift check at an
     x where V(x) is not finite, without ``verify.theta_grid``, with running
-    moments whose dimension is not the target's, or with a
-    ``proposal.parametrization`` that does not fit them (running moments
-    take ``am_covariance``, numbers ``scalar_log_scale``); ``w_drift`` on a
-    target with dim > 1; ``acceptance_bounds`` on a target without a
-    subexponential tail, ``decomposition`` on one that is not 1-D and
-    unimodal, with ``lyapunov.eta`` = 0 or at a tail x <= 0, and either at a
-    ``verify.sigma_grid`` radius below the smallest normal float or a
+    moments whose dimension is not the target's or whose proposal covariance
+    (RW_SCALE**2 / d) * (cov + eps_ridge * I) is past the float range, or
+    with a ``proposal.parametrization`` that does not fit them (running
+    moments take ``am_covariance``, numbers ``scalar_log_scale``);
+    ``w_drift`` on a target with dim > 1; ``acceptance_bounds`` on a target
+    without a subexponential tail, ``decomposition`` on one that is not 1-D
+    and unimodal, with ``lyapunov.eta`` = 0 or at a tail x <= 0, and either
+    at a ``verify.sigma_grid`` radius below the smallest normal float or a
     ``verify.tail_x_grid`` point where log pi is not finite.
     ``compound_drift`` runs by Monte Carlo when no method is set."""
     cfg = doc.get("verify", {})
@@ -861,6 +863,13 @@ def build_check_args(check: str, doc: dict) -> tuple:
     if any(isinstance(t, AMParam) != (proposal.parametrization == PARAM_AM_COVARIANCE) for t in grid.theta_grid):
         raise ConfigError(f"{proposal.parametrization} proposals do not take the theta_grid's parameters",
                           "proposal.parametrization")
+    for i, theta in enumerate(grid.theta_grid):
+        if isinstance(theta, AMParam):
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = np.isfinite(proposal_covariance(proposal, theta)).all()
+            if not finite:
+                raise ConfigError("the proposal covariance (RW_SCALE**2 / d) * (cov + eps_ridge * I) is past the "
+                                  "float range", f"verify.theta_grid.{i}.cov")
     coef = build_coefficients(doc, target, proposal)
     center_radius = cfg.get("center_radius", 5.0)
     if check == "fixed_theta_drift":

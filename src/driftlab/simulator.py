@@ -37,21 +37,22 @@ appends.  A step that overflows the parameter is kept, raw, as the halt
 row.
 
 Either engine folds each block into per-replica recurrence statistics
-(``_RecurrenceCounter``) and drops it; replica 0's rows also go to
-``_KeptPath`` as a ``_RawBlock`` (a toy block reads x = y = the state,
-log pi = 0 and alpha = NaN).  ``_KeptPath`` alone picks the kept rows,
-every ``record_stride``-th step and the last, and computes their V, w, W and
-in_C in the scalar arithmetic of a row-at-a-time recorder, so
-``record_stride`` thins the trajectory and never the statistics.
-``Trajectory._csv_blocks`` formats blocks of rows a column at a time.
+(``_RecurrenceCounter``) and drops it; replica 0's blocks of at most
+``_BLOCK_STEPS`` (512) steps also go, as ``_RawBlock``s (a toy block reads
+x = y = the state, log pi = 0 and alpha = NaN), to the one sink that
+``run_replicas`` chose.  ``_KeptPath`` alone picks the kept rows, every
+``record_stride``-th step and the last, and computes their V, w, W and in_C
+in the scalar arithmetic of a row-at-a-time recorder, so ``record_stride``
+thins the trajectory and never the statistics.  ``Trajectory._csv_blocks``
+formats blocks of rows a column at a time.
 
 ``trajectory.csv`` is written one of two ways.  When the replica split
 leaves a usable core idle (one srwm replica, or the toy engine, on two
 cores), replica 0's loop is a slow one (the toy engine, or several
 dimensions) and it keeps at least ``_MIN_STREAM_ROWS`` rows (3,000), it is
-streamed: replica 0 hands over blocks of ``_KEPT_BLOCK_STEPS`` steps (512),
-each pickled down a pipe to a forked writer (``_write_kept_csv``), which
-builds and formats their kept rows while the loop runs.  Otherwise
+streamed: replica 0's blocks are pickled down a pipe to a forked writer
+(``_write_kept_csv``), which builds and formats their kept rows while the
+loop runs.  Otherwise a ``_KeptPath`` in this process takes them, and
 ``Trajectory.to_csv`` writes the file after the run, its rows split over
 forked workers the same way as the replicas.
 No split changes a byte of the outputs: each replica draws from its own
@@ -64,6 +65,7 @@ import contextlib
 import math
 import os
 import pickle
+import shutil
 from collections import deque
 from itertools import repeat
 from operator import add, mul, sub
@@ -133,8 +135,8 @@ class Trajectory(NamedTuple):
         (``_slices``).  This process writes the first slice straight to the
         file; each forked worker formats its slice in its own memory and
         sends the bytes through a pipe, which this process copies into the
-        file ``_PIPE_CHUNK_BYTES`` at a time, so it never holds another
-        slice's text.
+        file a buffer at a time (``shutil.copyfileobj``), so it never holds
+        another slice's text.
         """
         own, *rest = _slices(self.index.shape[0], 1, _MIN_WORKER_ROWS)
         with open(path, "wb") as fh:
@@ -144,12 +146,8 @@ class Trajectory(NamedTuple):
                 for text in self._csv_blocks(own):
                     fh.write(text)
 
-            def copy(stream: BinaryIO) -> None:
-                while chunk := stream.read(_PIPE_CHUNK_BYTES):
-                    fh.write(chunk)
-
             jobs = [lambda part=part: b"".join(self._csv_blocks(part)) for part in rest]
-            _fork_map(jobs, write_own, copy)
+            _fork_map(jobs, write_own, lambda stream: shutil.copyfileobj(stream, fh))
 
     def _csv_header(self) -> bytes:
         return (",".join(self.column_names()) + "\n").encode()
@@ -177,9 +175,6 @@ class Trajectory(NamedTuple):
 # toy run's.  At 128 rows the writer is as fast and the peak does not move.
 _CSV_CHUNK_ROWS = 128
 
-# Bytes per read when a CSV worker's pipe is copied into the file.
-_PIPE_CHUNK_BYTES = 1 << 16
-
 
 def _float_cells(col: np.ndarray) -> list[str]:
     return list(map(repr, col.tolist()))
@@ -193,10 +188,13 @@ def _kesten_on(schedule) -> bool:
     return isinstance(schedule, KestenSchedule)
 
 
-# Steps per block of the srwm loops.  Each block's raw columns are folded into
-# the recurrence statistics and then dropped, or, for a kept path, turned into
-# trajectory columns.
-_SRWM_BLOCK_STEPS = 1 << 12
+# Steps per block of the srwm loops, and the most per toy block.  A streamed
+# replica 0 overlaps its writer a block at a time, so at 4,096 steps a 1 x
+# 4,000 2-D AM run would arrive as one block and nothing would overlap.
+# Streamed against written after the run, in process, 1 x 4,000 2-D AM and
+# 1 x 10,000 2-D coerced took 0.79 and 0.84 of the time at 512 steps (0.77
+# and 0.87 at 256, 0.86 and 0.91 at 1,024; 2-vCPU VM, median of 21).
+_BLOCK_STEPS = 1 << 9
 
 # acceptance_tail is the accept rate over the last min(10,000, steps // 10)
 # steps (never row 0's flag); a ring of this many flags holds them.
@@ -550,28 +548,19 @@ def _columns(rows: list[tuple]) -> tuple:
 # the weight to inf or NaN silently, as Python floats do in 1-D; the halt
 # check then ends the replica.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_srwm(
-    config: ChainConfig,
-    rngs: list,
-    keep_first: bool,
-    replica: int,
-    send: Optional[Callable[[int, _RawBlock, list], None]] = None,
-) -> tuple[list[dict], Optional[Trajectory]]:
+def _run_srwm(config: ChainConfig, rngs: list, replica: int, keep: Optional[Callable] = None) -> list[dict]:
     """srwm chains, one replica per generator in ``rngs``, run one after
     another; the generators are those of replicas ``replica``,
     ``replica + 1``, ...
 
     Each replica's loop (``_scalar_blocks`` or ``_am_1d_blocks`` on a 1-D
-    target, ``_generic_blocks`` otherwise) yields raw columns block by block.
-    A block is folded into the recurrence statistics and its accept flags
-    into a ring for ``acceptance_tail``, then dropped, except the first
-    replica's when ``keep_first``: its rows, thinned by ``record_stride``,
-    become the returned trajectory's columns.  With ``send``, that replica
-    instead hands each block to ``send(start, blk, w_cells)`` (see
-    ``_KeptPath.add``), ``_KEPT_BLOCK_STEPS`` steps at a time, and no
-    trajectory is returned.
+    target, ``_generic_blocks`` otherwise) yields raw columns in blocks of
+    ``_BLOCK_STEPS`` steps.  A block is folded into the recurrence
+    statistics and its accept flags into a ring for ``acceptance_tail``,
+    then dropped; the first replica's blocks also go to
+    ``keep(start, blk, w_cells)`` (see ``_KeptPath.add``).
     Returns one record per generator, in order and labelled with its
-    replica index, and the trajectory.
+    replica index.
     """
     dim = config.target.dim
     if dim > 1:
@@ -582,22 +571,17 @@ def _run_srwm(
     stats = _RecurrenceCounter(len(rngs), config.recurrence_m, config.recurrence_r)
     horizon = np.array([config.horizon])
     records = []
-    traj = None
     for k, rng in enumerate(rngs):
         cols = np.array([k])
-        kept = keep_first and k == 0
-        path = _KeptPath(config) if kept and send is None else None
-        keep = (send if path is None else path.add) if kept else None
-        block = _KEPT_BLOCK_STEPS if kept and send is not None else _SRWM_BLOCK_STEPS
         flags = deque(maxlen=_TAIL_MAX)
         start = 0
-        for blk in blocks_of(config, rng, block):
+        for blk in blocks_of(config, rng, _BLOCK_STEPS):
             index = np.arange(start, start + len(blk.x))
             w_cells = weights(blk.theta, dim)
             stats.add(index, np.abs(np.array(blk.theta)).max(axis=0)[:, None], np.array(w_cells)[:, None],
                       _state_arrays(blk.x)[1][:, None], cols, horizon)
             flags.extend(blk.accepted)
-            if keep is not None:
+            if keep is not None and k == 0:
                 keep(start, blk, w_cells)
             start += len(blk.x)
         end = start - 1
@@ -612,9 +596,7 @@ def _run_srwm(
             "final_theta": final_theta,
             **_final_errors(config, np.array(final_theta), blk.halted),
         })
-        if path is not None:
-            traj = path.build()
-    return records, traj
+    return records
 
 
 def _state_arrays(xs: list) -> tuple[np.ndarray, np.ndarray]:
@@ -732,39 +714,29 @@ def _compound_cells(comp: CompoundSpec, vs, ws, gammas) -> list[float]:
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _run_toy_replicas(
-    config: ChainConfig,
-    rngs: list,
-    keep_first: bool,
-    send: Optional[Callable[[int, _RawBlock, list], None]] = None,
-) -> tuple[list[dict], Optional[Trajectory]]:
+def _run_toy_replicas(config: ChainConfig, rngs: list, keep: Optional[Callable] = None) -> list[dict]:
     """Two-state chain with the mean-tracking parameter update, one replica
     per generator in ``rngs``, all stepped together as numpy vectors.
 
     Each replica draws one uniform per step from its own generator, in
-    blocks of B steps with B * len(rngs) near ``_BLOCK_ELEMENTS``; a block
-    draw returns what B scalar draws would, so every replica sees exactly
-    the numbers a one-chain loop sees.  After each block its rows are folded
-    into the recurrence statistics and dropped; when ``keep_first``, replica
-    0's rows up to its halt row also go to a ``_KeptPath``, which builds the
-    returned trajectory, or with ``send`` to ``send(start, blk, w_cells)``,
-    in blocks of at most ``_KEPT_BLOCK_STEPS`` steps, and no trajectory is
-    returned.  A replica that diverges is frozen at its halt row.
-    Returns one record per generator, in order, and the trajectory.
+    blocks of B steps, with B * len(rngs) near ``_BLOCK_ELEMENTS`` and B at
+    most ``_BLOCK_STEPS``; a block draw returns what B scalar draws would,
+    so every replica sees exactly the numbers a one-chain loop sees.  After
+    each block its rows are folded into the recurrence statistics and
+    dropped; replica 0's rows up to its halt row also go to ``keep(start,
+    blk, w_cells)`` (see ``_KeptPath.add``).  A replica that diverges is
+    frozen at its halt row.
+    Returns one record per generator, in order.
     """
     n = config.horizon
     n_rep = len(rngs)
-    block = max(1, _BLOCK_ELEMENTS // n_rep)
-    if send is not None:
-        block = min(block, _KEPT_BLOCK_STEPS)
+    block = max(1, min(_BLOCK_ELEMENTS // n_rep, _BLOCK_STEPS))
     schedule = config.schedule
     kesten = _kesten_on(schedule)
     # step i uses the count left by steps 2..i-1, so at most n - 2
     gamma_table = np.array([schedule.gamma_of_count(c) for c in range(n)]) if kesten else None
     weights = config.param_weight.of_thetas
     stats = _RecurrenceCounter(n_rep, config.recurrence_m, config.recurrence_r)
-    path = _KeptPath(config) if keep_first and send is None else None
-    keep = (send if path is None else path.add) if keep_first else None
 
     theta = np.full(n_rep, float(config.theta0))
     x = np.full(n_rep, bool(config.x0))
@@ -828,7 +800,7 @@ def _run_toy_replicas(
             active, theta, x, counts = active[going], th_blk[-1, going], x_blk[-1, going], counts[going]
             start += rows
 
-    records = [
+    return [
         {
             "replica": j,
             **stats.record(j),
@@ -839,11 +811,9 @@ def _run_toy_replicas(
         }
         for j in range(n_rep)
     ]
-    traj = path.build() if path is not None else None
-    return records, traj
 
 
-def _keep_toy_rows(keep: Callable[[int, _RawBlock, list], object], schedule, gamma_table, index, theta, x, w,
+def _keep_toy_rows(keep: Callable, schedule, gamma_table, index, theta, x, w,
                    x_in: bool, count_in: int, halted: bool) -> None:
     """Hand replica 0's toy rows ``index`` to ``keep`` as the block an srwm
     loop would hand over: x = y = the state, log pi = 0 (so V = 1), alpha =
@@ -1023,69 +993,57 @@ def _final_errors(config: ChainConfig, final_theta: np.ndarray, diverged: bool) 
     }
 
 
-def run_replicas(
-    config: ChainConfig,
-    n_replicas: int,
-    keep_first_trajectory: bool = False,
-    csv_path=None,
-) -> tuple[ReplicaSummary, Optional[Trajectory]]:
-    """Run ``n_replicas`` independent chains on replica substreams.
-
-    Returns the summary plus (optionally) replica 0's full trajectory for
-    trace output; with ``csv_path``, that trajectory is written to the file
-    ``csv_path`` as ``Trajectory.to_csv`` writes it, and none is returned.
-    Every replica is reduced to statistics block by block as it runs, so
-    memory stays at desk scale.
+def run_replicas(config: ChainConfig, n_replicas: int, csv_path=None) -> ReplicaSummary:
+    """Run ``n_replicas`` independent chains on replica substreams and
+    return their summary; with ``csv_path``, replica 0's trajectory is
+    written to that file as ``Trajectory.to_csv`` writes it.  Every replica
+    is reduced to statistics block by block as it runs, so memory stays at
+    desk scale.
 
     srwm replicas are split into contiguous slices, one per worker
-    (``_slices``).  This process runs the first slice, so replica 0's
-    trajectory never crosses a pipe unless it is streamed; each forked
-    worker runs one other slice and sends back only its records.  The toy
-    engine runs every replica in this process: its per-step cost is mostly
-    numpy call overhead, which a split does not divide.  200 x 2,000 steps
-    took 58 ms in one process and 51 ms over two workers (2-vCPU VM), 7 ms
-    of a 0.38 s ``driftlab run`` of that size.
+    (``_slices``).  This process runs the first slice, so replica 0's rows
+    never cross a pipe unless they are streamed; each forked worker runs one
+    other slice and sends back only its records.  The toy engine runs every
+    replica in this process: its per-step cost is mostly numpy call
+    overhead, which a split does not divide.  200 x 2,000 steps took 58 ms
+    in one process and 51 ms over two workers (2-vCPU VM), 7 ms of a 0.38 s
+    ``driftlab run`` of that size.
 
-    When the split leaves a usable core idle and replica 0's rows are
-    ``_worth_streaming``, the CSV is streamed: one more forked worker
-    (``_write_kept_csv``) builds and writes replica 0's rows from the raw
-    blocks its loop hands over, while the loop runs.  Otherwise the file is
-    written after the run, its rows split over forked workers.  Either way
-    its bytes are the same, and a run that raises leaves no partly streamed
-    file behind.
+    Replica 0's rows go to one sink, chosen here.  When the split leaves a
+    usable core idle and they are ``_worth_streaming``, it is a ``_Feed``:
+    one more forked worker (``_write_kept_csv``) builds and writes them while
+    the loop runs.  Otherwise, with ``csv_path``, it is a ``_KeptPath``,
+    whose trajectory is written after the run, its rows split over forked
+    workers; without, there is none.  Either way the file's bytes are the
+    same, and a run that raises leaves no partly streamed file behind.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     rngs = [substream(config.seed, k) for k in range(n_replicas)]
-    keep = keep_first_trajectory or csv_path is not None
     toy = config.kind == CHAIN_TOY
     own, *rest = [slice(0, n_replicas)] if toy else _slices(n_replicas, config.horizon + 1, _MIN_WORKER_STEPS)
     streamed = csv_path is not None and len(rest) + 1 < _usable_cores() and _worth_streaming(config)
+    kept = _KeptPath(config) if csv_path is not None and not streamed else None
     records = []
 
-    def run_own(feed: Optional[_Feed] = None):
-        send = None if feed is None else lambda *block: feed.put(block)
-        if toy:
-            own_records, traj = _run_toy_replicas(config, rngs, keep, send)
-        else:
-            own_records, traj = _run_srwm(config, rngs[own], keep, 0, send)
-        records.extend(own_records)
-        return traj
+    def run_own(feed: Optional[_Feed] = None) -> None:
+        keep = None if kept is None else kept.add
+        if feed is not None:  # streamed: the writer keeps the rows
+            keep = lambda *block: feed.put(block)
+        records.extend(_run_toy_replicas(config, rngs, keep) if toy else _run_srwm(config, rngs[own], 0, keep))
 
-    jobs = [lambda part=part: pickle.dumps(_run_srwm(config, rngs[part], False, part.start)[0])
-            for part in rest]
+    jobs = [lambda part=part: pickle.dumps(_run_srwm(config, rngs[part], part.start)) for part in rest]
     feed = (lambda blocks: _write_kept_csv(config, csv_path, blocks)) if streamed else None
     try:
-        first_traj = _fork_map(jobs, run_own, lambda stream: records.extend(pickle.load(stream)), feed)
+        _fork_map(jobs, run_own, lambda stream: records.extend(pickle.load(stream)), feed)
     except BaseException:
         if streamed:
             with contextlib.suppress(OSError):
                 os.unlink(csv_path)
         raise
-    if csv_path is not None and not streamed:
-        first_traj.to_csv(csv_path)
-        first_traj = None
-    return summarize_replicas(records, config.seed), first_traj
+    if kept is not None:
+        kept.build().to_csv(csv_path)
+    return summarize_replicas(records, config.seed)
 
 
 def _worth_streaming(config: ChainConfig) -> bool:
@@ -1133,14 +1091,6 @@ _MIN_WORKER_ROWS = 1_500
 # -> 158 ms at 5,001 rows and 145 -> 167 at 7,001, 1-D AM 126 -> 133 at
 # 7,001.
 _MIN_STREAM_ROWS = 3_000
-
-# Steps per block that a streamed replica 0 hands over.  At 4,096 steps a
-# 1 x 4,000 2-D AM run would arrive as one block, and nothing would
-# overlap.  In process, streamed against written after the run, 1 x 4,000
-# 2-D AM and 1 x 10,000 2-D coerced took 0.77 and 0.87 of the time at 256
-# steps, 0.79 and 0.84 at 512, and 0.86 and 0.91 at 1,024 (2-vCPU VM,
-# median of 21).
-_KEPT_BLOCK_STEPS = 1 << 9
 
 # The first byte a worker writes: its job's bytes follow, or the pickled
 # exception the job raised.

@@ -43,7 +43,7 @@ def test_criterion_01_toy_exactness(criterion):
 
 def test_criterion_02_coerced_convergence(criterion):
     doc = preset_doc("coerced")
-    summary, _ = run_replicas(build_chain_config(doc), 20)
+    summary = run_replicas(build_chain_config(doc), 20)
     tails = [r["acceptance_tail"] for r in summary.per_replica]
     in_band = sum(1 for t in tails if abs(t - 0.44) <= 0.03)
     max_theta = summary.aggregate["max_abs_theta"]
@@ -54,7 +54,7 @@ def test_criterion_02_coerced_convergence(criterion):
 
 def test_criterion_03_am_mean_field_root(criterion):
     doc = preset_doc("am-gaussian-1d")
-    summary, _ = run_replicas(build_chain_config(doc), 20)
+    summary = run_replicas(build_chain_config(doc), 20)
     good = sum(
         1
         for r in summary.per_replica
@@ -69,7 +69,7 @@ def test_criterion_04_constant_stepsize_stability(criterion):
     doc = preset_doc("coerced")
     doc["schedule"] = {"kind": "constant", "gamma0": 0.02}
     doc["run"]["horizon"] = 100_000
-    coerced_summary, _ = run_replicas(build_chain_config(doc), 20)
+    coerced_summary = run_replicas(build_chain_config(doc), 20)
     coerced_max = coerced_summary.aggregate["max_abs_theta"]
 
     am = preset_doc("am-gaussian-1d")
@@ -78,7 +78,7 @@ def test_criterion_04_constant_stepsize_stability(criterion):
     am["run"]["recurrence"] = {"m": 1000.0, "r": 1e9}
     config = build_chain_config(am)
     assert config.param_weight(config.theta0) <= 1000.0  # starts inside the w level
-    am_summary, _ = run_replicas(config, 20)
+    am_summary = run_replicas(config, 20)
     w_exits = sum(r["exit_count"] for r in am_summary.per_replica)
 
     ok = (
@@ -214,8 +214,8 @@ def test_criterion_11_fast_rule_hits_sooner(criterion):
     fast["adaptation"]["rule"] = "fast_coerced"
     fast["lyapunov"]["scenario"] = "fast_coerced"
 
-    std_summary, _ = run_replicas(build_chain_config(base), 50)
-    fast_summary, _ = run_replicas(build_chain_config(fast), 50)
+    std_summary = run_replicas(build_chain_config(base), 50)
+    fast_summary = run_replicas(build_chain_config(fast), 50)
     censor = horizon + 1
     std_hits = [r["first_hit"] if r["first_hit"] is not None else censor for r in std_summary.per_replica]
     fast_hits = [r["first_hit"] if r["first_hit"] is not None else censor for r in fast_summary.per_replica]
@@ -250,7 +250,7 @@ def test_criterion_12_toy_gain_separates_divergence(criterion):
                 "recurrence": {"m": 2501.0, "r": 1.5},
             },
         }
-        summary, _ = run_replicas(build_chain_config(doc), 200)
+        summary = run_replicas(build_chain_config(doc), 200)
         fractions[gain] = sum(1 for r in summary.per_replica if r["max_abs_theta"] > 50.0) / 200.0
     ok = fractions[100.0] > fractions[0.1]
     criterion(

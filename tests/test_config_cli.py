@@ -1040,6 +1040,11 @@ DELETE = object()
 _IDENTITY_2D = {"mu": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
 
 
+def _moments_1d(cov: float) -> dict:
+    """A 1-D ``verify.theta_grid`` entry of running moments."""
+    return {"mu": [0.0], "cov": [[cov]]}
+
+
 def edited(base: str, edits: dict) -> dict:
     """A preset (or ``mv-am``, the 2-D AM run) with each dotted key set to
     its value; ``DELETE`` removes the key."""
@@ -1196,10 +1201,43 @@ def test_cross_section_rules_are_checked_at_load(tmp_path, base, edits, json_pat
         pytest.param("am-subexp-1d", {"target.name": "subexp_exact", "target.params.alpha": 0.02,
                                       "verify.checks": ["fixed_theta_drift"]}, "target.params.alpha",
                      id="alpha-0.02-exact-tails"),
+        # a running covariance whose scaled proposal covariance overflows: a
+        # numpy overflow warning, then a raw ValueError in the quadrature
+        pytest.param("am-subexp-1d", {"verify.theta_grid": [_moments_1d(1e308)]}, "verify.theta_grid.0.cov",
+                     id="theta-grid-cov-1e308"),
+        pytest.param("am-subexp-1d", {"verify.theta_grid": [_moments_1d(1.0), _moments_1d(sys.float_info.max)]},
+                     "verify.theta_grid.1.cov", id="theta-grid-cov-largest-float"),
     ],
 )
 def test_checks_that_cannot_run_are_rejected_before_the_run(tmp_path, base, edits, json_path):
     assert_rejected_before_running(tmp_path, edited(base, edits), json_path)
+
+
+def test_an_adaptively_tuned_stepsize_converges_through_the_cli(tmp_path):
+    # the coerced preset as shipped (seed 20240904, 20 x 100,000, its
+    # compound_drift check) with a Kesten schedule, judged by criterion 2's
+    # thresholds
+    doc = edited("coerced", {"schedule": {"kind": "kesten", "c0": 0.5, "a": 0.6}})
+    out = tmp_path / "out"
+    assert run_experiment(write_config(tmp_path, doc), out=str(out)) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())["summary"]
+    tails = [r["acceptance_tail"] for r in summary["per_replica"]]
+    assert len(tails) == 20
+    assert sum(1 for t in tails if abs(t - 0.44) <= 0.03) >= 18
+    assert summary["aggregate"]["max_abs_theta"] < 10.0
+    assert not summary["any_diverged"]
+
+
+def test_the_largest_running_covariance_in_range_is_verified(tmp_path):
+    # 1e307 * RW_SCALE**2 is still a float, and every check of the preset
+    # runs without a warning
+    path = write_config(tmp_path, edited("am-subexp-1d", {"verify.theta_grid": [_moments_1d(1e307)], "run": DELETE}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", str(path), "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY)
+    checks = json.loads(path.read_text())["verify"]["checks"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(f"report-{c}.json" for c in checks)
 
 
 def test_the_flattest_subexp_target_the_kernel_integrals_reach_is_verified(tmp_path):

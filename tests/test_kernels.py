@@ -30,7 +30,7 @@ from driftlab.kernels import (
     toy_transition_matrix,
 )
 from driftlab.lyapunov import W_AM_POLY, W_EXP_ABS, ParamLyapunov, StateLyapunov
-from driftlab.simulator import _run_srwm
+from driftlab.simulator import _KeptPath, _run_srwm
 from driftlab.streams import substream
 from driftlab.targets import exact_tail_subexp_target, gaussian_target, smoothed_subexp_target
 from driftlab.verifiers import _mean_se, _one_step_pairs
@@ -377,7 +377,9 @@ def test_srwm_step_with_known_log_density_is_the_same_step(target, spec, param, 
     chain is the one that evaluates log pi at both points on every step."""
     cfg = chain_from(target, spec, param, x0)
     with_lx, without = substream(21, 0), substream(21, 0)
-    _, traj = _run_srwm(cfg, [with_lx], True, 0)
+    kept = _KeptPath(cfg)
+    _run_srwm(cfg, [with_lx], 0, kept.add)
+    traj = kept.build()
     # same states, proposals, coins and acceptance probabilities, and V of
     # the carried log pi equal to V of a fresh evaluation at the state
     assert_same_trajectory(traj, reference_generic(cfg, rng=without)[0])

@@ -117,11 +117,23 @@ def am_config(horizon=2000, seed=5, schedule=None):
     )
 
 
+def kept_run(cfg, n_rep=1):
+    """``n_rep`` replicas by their engine, in this process, with replica 0's
+    rows handed to a ``_KeptPath``: their records, in replica order, and
+    replica 0's trajectory."""
+    kept = simulator._KeptPath(cfg)
+    rngs = [substream(cfg.seed, k) for k in range(n_rep)]
+    if cfg.kind == "toy":
+        records = simulator._run_toy_replicas(cfg, rngs, kept.add)
+    else:
+        records = simulator._run_srwm(cfg, rngs, 0, kept.add)
+    return records, kept.build()
+
+
 def first_run(cfg):
-    """Replica 0 alone, through ``run_replicas`` (one replica never forks):
-    its trajectory and its record."""
-    summary, traj = run_replicas(cfg, 1, keep_first_trajectory=True)
-    return traj, summary.per_replica[0]
+    """Replica 0 alone, by its engine: its trajectory and its record."""
+    records, traj = kept_run(cfg)
+    return traj, records[0]
 
 
 def recount(traj, m, r):
@@ -152,8 +164,9 @@ def test_run_chain_reproducible_and_substream_equivalent():
     t2, _ = first_run(cfg)
     assert np.array_equal(t1.theta, t2.theta)
     assert np.array_equal(t1.x, t2.x)
-    _, t3 = simulator._run_toy_replicas(cfg, [substream(cfg.seed, 0)], True)
-    assert np.array_equal(t1.theta, t3.theta)
+    kept = simulator._KeptPath(cfg)
+    simulator._run_toy_replicas(cfg, [substream(cfg.seed, 0)], kept.add)
+    assert np.array_equal(t1.theta, kept.build().theta)
 
 
 def test_recorded_gamma_matches_schedule():
@@ -272,12 +285,15 @@ def test_recurrence_stats_match_direct_recount():
 
 def test_run_replicas_matches_individual_runs():
     cfg = toy_config(horizon=300, seed=42)
-    summary, first = run_replicas(cfg, 3, keep_first_trajectory=True)
+    summary = run_replicas(cfg, 3)
+    first, _ = first_run(cfg)
     assert first is not None
     assert summary.n_replicas == 3
     assert [r["replica"] for r in summary.per_replica] == [0, 1, 2]
     # replica 2 run alone, by the engine on its substream, is the same chain
-    _, solo = simulator._run_toy_replicas(cfg, [substream(42, 2)], True)
+    kept = simulator._KeptPath(cfg)
+    simulator._run_toy_replicas(cfg, [substream(42, 2)], kept.add)
+    solo = kept.build()
     for k, traj in ((0, first), (2, solo)):
         want = recount(traj, cfg.recurrence_m, cfg.recurrence_r)
         assert {key: summary.per_replica[k][key] for key in want} == want
@@ -287,7 +303,7 @@ def test_run_replicas_matches_individual_runs():
 
 
 def test_am_error_fields_present_and_plausible():
-    summary, _ = run_replicas(am_config(horizon=4000), 2)
+    summary = run_replicas(am_config(horizon=4000), 2)
     for rec in summary.per_replica:
         assert rec["final_err_mu"] is not None
         assert rec["final_err_cov"] is not None
@@ -403,11 +419,13 @@ def test_toy_engine_matches_scalar_recursion(monkeypatch, n_rep, case, block_ele
         # two steps per block, so halts fall on both sides of block boundaries
         monkeypatch.setattr(simulator, "_BLOCK_ELEMENTS", block_elements * n_rep)
     cfg = toy_config(horizon=300, seed=23, stride=7, **TOY_CASES[case])
-    summary, first = run_replicas(cfg, n_rep, keep_first_trajectory=True)
+    summary = run_replicas(cfg, n_rep)
+    records, first = kept_run(cfg, n_rep)
     paths = [reference_toy(cfg, k) for k in range(n_rep)]
-    assert summary.per_replica == [reference_record(cfg, rows, k) for k, rows in enumerate(paths)]
+    assert summary.per_replica == records
+    assert records == [reference_record(cfg, rows, k) for k, rows in enumerate(paths)]
     if case == "kesten-1e12" and n_rep == 7:
-        assert {r["halt_index"] for r in summary.per_replica} == {2, 3}
+        assert {r["halt_index"] for r in records} == {2, 3}
 
     kept = [row for row in paths[0] if row[0] % 7 == 0 or row is paths[0][-1]]
     assert first.index.tolist() == [row[0] for row in kept]
@@ -426,10 +444,10 @@ def test_toy_engine_matches_scalar_recursion(monkeypatch, n_rep, case, block_ele
     else:
         assert first.kesten_counts is None
     # the trajectory ends at replica 0's halt row, or at the horizon
-    rec = summary.per_replica[0]
+    rec = records[0]
     assert first.index[-1] == (rec["halt_index"] if rec["diverged"] else cfg.horizon)
     # one chain alone gives replica 0's trajectory
-    _, solo = simulator._run_toy_replicas(cfg, [substream(cfg.seed, 0)], True)
+    solo, _ = first_run(cfg)
     assert solo.index.tolist() == first.index.tolist()
     assert solo.theta.tolist() == first.theta.tolist()
 
@@ -437,9 +455,9 @@ def test_toy_engine_matches_scalar_recursion(monkeypatch, n_rep, case, block_ele
 @pytest.mark.parametrize("case", sorted(TOY_CASES))
 def test_recurrence_stats_of_first_trajectory_equal_streamed_record(case):
     cfg = toy_config(horizon=400, seed=31, **TOY_CASES[case])
-    summary, first = run_replicas(cfg, 3, keep_first_trajectory=True)
+    records, first = kept_run(cfg, 3)
     want = recount(first, cfg.recurrence_m, cfg.recurrence_r)
-    rec = summary.per_replica[0]
+    rec = records[0]
     assert {key: rec[key] for key in want} == want
     assert first.index[-1] == (rec["halt_index"] if rec["diverged"] else cfg.horizon)
 
@@ -449,10 +467,12 @@ def test_am_negative_variance_halts_as_diverged():
     # directly must flag the negative variance it produces.  Seed 2 rejects
     # the first proposal, so g_1 = 1 + 5 * (0 - 1) = -4.
     cfg = am_config(horizon=200, seed=2, schedule=PolynomialSchedule(c0=5.0, c1=0.0, a=1.0))
-    summary, traj = run_replicas(cfg, 1, keep_first_trajectory=True)
+    summary = run_replicas(cfg, 1)
+    traj, rec = first_run(cfg)
     assert summary.any_diverged
-    assert summary.per_replica[0]["diverged"]
-    assert summary.per_replica[0]["halt_index"] == 1
+    assert summary.per_replica == [rec]
+    assert rec["diverged"]
+    assert rec["halt_index"] == 1
     assert traj.index.tolist() == [0, 1]
     assert traj.theta[-1, 1] == -4.0
 
@@ -1047,11 +1067,11 @@ def test_streamed_1d_matches_per_step_loops(monkeypatch, case, block):
     if case in HALTING_LATE:
         assert halt > 2
     if block.startswith("halt"):
-        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", halt if block == "halt-last" else halt - 1)
+        monkeypatch.setattr(simulator, "_BLOCK_STEPS", halt if block == "halt-last" else halt - 1)
     elif block != "default":
-        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", int(block))
-    summary, first = run_replicas(cfg, n_rep, keep_first_trajectory=True)
-    assert summary.per_replica == [replica_record(cfg, *ref, k) for k, ref in enumerate(refs)]
+        monkeypatch.setattr(simulator, "_BLOCK_STEPS", int(block))
+    records, first = kept_run(cfg, n_rep)
+    assert records == [replica_record(cfg, *ref, k) for k, ref in enumerate(refs)]
     assert_same_trajectory(first, refs[0][0])
 
 
@@ -1061,9 +1081,11 @@ def test_run_chain_stride_matches_per_step_loop(monkeypatch, case, block):
     # one chain, replica 4's, kept at stride 7 by the loop that runs a slice
     # of replicas
     if block is not None:
-        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", block)
+        monkeypatch.setattr(simulator, "_BLOCK_STEPS", block)
     cfg = srwm_1d_config(**SRWM_1D_CASES[case], record_stride=7)
-    records, traj = simulator._run_srwm(cfg, [substream(cfg.seed, 4)], True, 4)
+    kept = simulator._KeptPath(cfg)
+    records = simulator._run_srwm(cfg, [substream(cfg.seed, 4)], 4, kept.add)
+    traj = kept.build()
     ref, halt = reference_1d(cfg, substream(cfg.seed, 4))
     assert_same_trajectory(traj, ref)
     assert traj.index[0] == 0 and all(i % 7 == 0 for i in traj.index[1:-1].tolist())
@@ -1081,9 +1103,10 @@ def test_fast_coerced_update_is_the_1d_recursion():
     assert [scalar_update(RULE_FAST_COERCED, t, alpha, gamma, 0.44)[0] for t, alpha, gamma in steps] == theta[1:]
 
 
-def test_run_replicas_never_records_a_whole_1d_path(monkeypatch):
+def test_run_replicas_never_records_a_whole_1d_path(tmp_path, monkeypatch):
     # every srwm replica, 1-D or multivariate, is reduced block by block:
-    # only replica 0's rows go to a kept path
+    # only replica 0's rows go to a kept path, which this process writes
+    # after the run when it has no core to stream to
     paths = []
 
     class CountedPath(simulator._KeptPath):
@@ -1092,6 +1115,8 @@ def test_run_replicas_never_records_a_whole_1d_path(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(simulator, "_KeptPath", CountedPath)
+    monkeypatch.setattr(simulator, "_usable_cores", lambda: 1)
+    path = tmp_path / "trajectory.csv"
     for cfg in (
         srwm_1d_config(**SRWM_1D_CASES["coerced-uniform"]),
         srwm_1d_config(**SRWM_1D_CASES["am-gaussian"]),
@@ -1099,17 +1124,17 @@ def test_run_replicas_never_records_a_whole_1d_path(monkeypatch):
         mv_config(rule=RULE_COERCED),
     ):
         paths.clear()
-        summary, first = run_replicas(cfg, 3, keep_first_trajectory=True)
-        assert summary.n_replicas == 3 and first.index.shape[0] == cfg.horizon + 1
+        summary = run_replicas(cfg, 3, csv_path=path)
+        assert summary.n_replicas == 3 and len(path.read_bytes().splitlines()) == cfg.horizon + 2  # and a header
         assert len(paths) == 1
 
 
 def test_streamed_record_keeps_a_bounded_tail(monkeypatch):
     # 120,000 steps: acceptance_tail is over the last 10,000 flags, which span
-    # several blocks of 4,096 and, at 2,500 steps per block, more than four
-    monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", 2500)
+    # about twenty blocks of 512 and, at 2,500 steps per block, more than four
+    monkeypatch.setattr(simulator, "_BLOCK_STEPS", 2500)
     cfg = srwm_1d_config(horizon=120_000)
-    summary, _ = run_replicas(cfg, 1)
+    summary = run_replicas(cfg, 1)
     ref, halt = reference_1d(cfg, substream(cfg.seed, 0))
     assert summary.per_replica == [replica_record(cfg, ref, halt, 0)]
     assert summary.per_replica[0]["acceptance_tail"] == float(ref.accepted[-10_000:].mean())
@@ -1144,15 +1169,15 @@ def test_streamed_mv_matches_per_step_composition(monkeypatch, case, block):
     halt = refs[0][1]
     assert halt == MV_HALTS.get(case)
     if block.startswith("halt"):
-        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", halt if block == "halt-last" else halt - 1)
+        monkeypatch.setattr(simulator, "_BLOCK_STEPS", halt if block == "halt-last" else halt - 1)
     elif block != "default":
-        monkeypatch.setattr(simulator, "_SRWM_BLOCK_STEPS", int(block))
+        monkeypatch.setattr(simulator, "_BLOCK_STEPS", int(block))
     with warnings.catch_warnings():
         if case.endswith("-diverges"):
             # the halt is the report: no numpy overflow warning on the way
             warnings.simplefilter("error", RuntimeWarning)
-        summary, first = run_replicas(cfg, n_rep, keep_first_trajectory=True)
-    assert summary.per_replica == [replica_record(cfg, *ref, k) for k, ref in enumerate(refs)]
+        records, first = kept_run(cfg, n_rep)
+    assert records == [replica_record(cfg, *ref, k) for k, ref in enumerate(refs)]
     assert_same_trajectory(first, mv_reference(case, 0)[0])
 
 

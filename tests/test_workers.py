@@ -19,7 +19,7 @@ from driftlab.kernels import FAMILY_GAUSSIAN, FAMILY_STUDENT
 from driftlab.simulator import run_replicas
 
 from test_config_cli import mv_run_doc, write_config
-from test_simulator import SRWM_1D_CASES, mv_config, srwm_1d_config, synthetic_trajectory, toy_config
+from test_simulator import SRWM_1D_CASES, kept_run, mv_config, srwm_1d_config, synthetic_trajectory, toy_config
 
 # At step 1 the stepsize is huge, after it negligible (a = 40), so each
 # replica halts at step 1 or never, by its own first draw.
@@ -100,16 +100,16 @@ def test_slices_cover_the_range_in_order(monkeypatch):
     assert simulator._slices(10**6, 10**6, 1) == [slice(0, 10**6)]
 
 
-def test_runs_below_the_break_even_stay_serial(monkeypatch):
+def test_runs_below_the_break_even_stay_serial(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("a worker was started")
 
     monkeypatch.setattr(simulator, "_usable_cores", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse)
     cfg = srwm_1d_config(horizon=simulator._MIN_WORKER_STEPS // 2 - 1)
-    summary, first = run_replicas(cfg, 2, keep_first_trajectory=True)
-    assert first.index.shape[0] < 2 * simulator._MIN_WORKER_ROWS
-    first.to_csv(os.devnull)
+    path = tmp_path / "trajectory.csv"
+    run_replicas(cfg, 2, csv_path=path)
+    assert len(path.read_bytes().splitlines()) - 1 < 2 * simulator._MIN_WORKER_ROWS  # rows below the header
 
 
 def test_a_slow_loop_streams_from_the_break_even_on(tmp_path, monkeypatch):
@@ -155,8 +155,7 @@ def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, path, case)
     outputs = []
     for workers in (1, 2, 3):
         force_workers(monkeypatch, workers)
-        summary, first = run_replicas(cfg, 5, keep_first_trajectory=True)
-        first.to_csv(tmp_path / f"trajectory-{workers}.csv")
+        summary = run_replicas(cfg, 5, csv_path=tmp_path / f"trajectory-{workers}.csv")
         outputs.append((json.dumps(summary.to_json_dict(), indent=2, sort_keys=True),
                         (tmp_path / f"trajectory-{workers}.csv").read_bytes()))
         assert_no_child_left()
@@ -188,10 +187,10 @@ def test_cli_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, na
 def test_a_worker_exception_is_raised_with_its_type_and_message(monkeypatch):
     run_srwm = simulator._run_srwm
 
-    def fail_in_worker(config, rngs, keep_first=True, replica=0, send=None):
+    def fail_in_worker(config, rngs, replica=0, keep=None):
         if replica == 2:
             raise ZeroDivisionError("replica 2 cannot run")
-        return run_srwm(config, rngs, keep_first, replica, send)
+        return run_srwm(config, rngs, replica, keep)
 
     force_workers(monkeypatch, 3)
     monkeypatch.setattr(simulator, "_run_srwm", fail_in_worker)
@@ -274,7 +273,7 @@ _FAST_COERCED_DIVERGES = dict(SRWM_1D_CASES["fast-coerced-diverges"], horizon=60
 
 
 def _halt_of_replica_0(cfg) -> int:
-    summary, _ = run_replicas(cfg, 1)
+    summary = run_replicas(cfg, 1)
     return summary.per_replica[0]["halt_index"]
 
 
@@ -305,7 +304,7 @@ def test_streamed_csv_does_not_change_outputs(tmp_path, monkeypatch, deadline, c
         halt = _halt_of_replica_0(cfg)
         assert halt is not None and halt > 2
         block = block(halt)
-    monkeypatch.setattr(simulator, "_KEPT_BLOCK_STEPS", block)
+    monkeypatch.setattr(simulator, "_BLOCK_STEPS", block)
     put = simulator._Feed.put
     puts = []
 
@@ -319,8 +318,8 @@ def test_streamed_csv_does_not_change_outputs(tmp_path, monkeypatch, deadline, c
         force_workers(monkeypatch, workers)
         path = tmp_path / f"trajectory-{workers}.csv"
         puts.clear()
-        summary, first = run_replicas(cfg, replicas, csv_path=path)
-        assert first is None
+        summary = run_replicas(cfg, replicas, csv_path=path)
+        assert isinstance(summary, simulator.ReplicaSummary)  # and no trajectory
         # one slice per replica, except the toy engine's one: a writer is
         # forked while a core is left idle
         slices = 1 if cfg.kind == "toy" else min(replicas, workers)
@@ -328,7 +327,7 @@ def test_streamed_csv_does_not_change_outputs(tmp_path, monkeypatch, deadline, c
         outputs.append((json.dumps(summary.to_json_dict(), indent=2, sort_keys=True), path.read_bytes()))
         assert_no_child_left()
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    _, traj = run_replicas(cfg, replicas, keep_first_trajectory=True)
+    _, traj = kept_run(cfg, replicas)
     traj.to_csv(tmp_path / "kept.csv")
     assert outputs[0][1] == (tmp_path / "kept.csv").read_bytes()
 
@@ -382,7 +381,7 @@ def test_a_failure_in_the_streamed_loop_reaps_the_writer(tmp_path, monkeypatch, 
             yield blk
 
     force_workers(monkeypatch, 2)
-    monkeypatch.setattr(simulator, "_KEPT_BLOCK_STEPS", 64)
+    monkeypatch.setattr(simulator, "_BLOCK_STEPS", 64)
     monkeypatch.setattr(simulator, "_scalar_blocks", fail_after_three_blocks)
     path = tmp_path / "trajectory.csv"
     with pytest.raises(ZeroDivisionError, match="^step 130 cannot run$"):
