@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import csv
 import gc
 import json
 import sys
-from importlib import resources
+from importlib import import_module, resources
 from pathlib import Path
 from typing import Optional
 
 from .config import (
+    CHECK_NAMES,
     ConfigError,
+    _jsonable,
     build_chain_config,
     build_check_args,
     load_config,
@@ -31,16 +32,6 @@ from .config import (
     validate_document,
 )
 from .kernels import ScalarParam
-from .verifiers import (
-    DriftReport,
-    _jsonable,
-    verify_acceptance_bounds,
-    verify_compound_drift,
-    verify_decomposition,
-    verify_fixed_theta_drift,
-    verify_toy,
-    verify_w_drift,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,22 +66,32 @@ def resolve_config_path(name: str) -> Path:
 
 def _write_json(path: Path, obj) -> None:
     """Write ``obj`` as strict JSON: non-finite floats in the reports'
-    encoding, the strings "nan", "inf" and "-inf" (``verifiers._jsonable``)."""
+    encoding, the strings "nan", "inf" and "-inf" (``config._jsonable``)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def run_check(name: str, doc: dict) -> DriftReport:
+def __getattr__(name: str):
+    """``verify_<check>`` for each check of ``config.CHECK_NAMES``, looked
+    up in ``verifiers`` when first asked for (PEP 562), so that a command
+    without checks never loads the certificate stack.  A name set on this
+    module, a wrapper or a stub, is found before this hook runs."""
+    if name.startswith("verify_") and name[len("verify_"):] in CHECK_NAMES:
+        return getattr(import_module(".verifiers", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def run_check(name: str, doc: dict):
     """Run one verification check on the arguments ``build_check_args``
-    builds for it."""
-    verifiers = {"toy": verify_toy, "fixed_theta_drift": verify_fixed_theta_drift, "w_drift": verify_w_drift,
-                 "compound_drift": verify_compound_drift, "acceptance_bounds": verify_acceptance_bounds,
-                 "decomposition": verify_decomposition}
-    if name not in verifiers:
+    builds for it, and return its ``verifiers.DriftReport``.  The check is
+    ``verify_<name>`` as this module's attribute: a wrapper or stub set on
+    ``cli`` is what runs, and otherwise ``__getattr__`` finds the
+    function in ``verifiers``."""
+    if name not in CHECK_NAMES:
         raise ConfigError(f"unknown check {name!r}", "verify.checks")
-    return verifiers[name](*build_check_args(name, doc))
+    return getattr(sys.modules[__name__], f"verify_{name}")(*build_check_args(name, doc))
 
 
 def _fmt_margin(m) -> str:
@@ -126,6 +127,12 @@ def run_experiment(
         # module left a toy run's peak memory 0.3 MB higher.
         from .simulator import run_replicas
     doc = load_config(resolve_config_path(str(config_path)))
+    if "verify" in doc:
+        # The certificate stack loads only for a document that lists checks
+        # (the schema requires a non-empty list), after the config and
+        # before the simulation: compiled at the first check, on top of the
+        # simulation's heap, it left toy-sweep's peak memory 0.8 MB higher.
+        import_module(".verifiers", __package__)
     if seed is not None:
         for section in ("run", "verify") if simulate else ("verify",):
             if section in doc:
@@ -170,66 +177,97 @@ def run_experiment(
     return severity
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, list(reader)
+def _read_csv(path: Path, *columns: tuple[str, ...]) -> tuple[list[int], list[list[str]]]:
+    """The index of each of ``columns`` in a CSV input's header (the first
+    of its names the header has), and the input's rows, each of the
+    header's length."""
+    import csv
+
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header, rows = next(reader, []), list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"input {str(path)!r} is not a CSV file: {exc}") from exc
+    where = []
+    for names in columns:
+        found = [header.index(name) for name in names if name in header]
+        if not found:
+            raise ConfigError(f"input {str(path)!r} has no {' or '.join(names)} column")
+        where.append(found[0])
+    for n, row in enumerate(rows, 2):
+        if len(row) != len(header):
+            raise ConfigError(f"input {str(path)!r} has {len(row)} fields in row {n}, "
+                              f"and {len(header)} in its header")
+    return where, rows
 
 
-def _trace_theta_column(header: list[str]) -> str:
-    for name in ("theta_1", "mu_1"):
-        if name in header:
-            return name
-    raise ConfigError("input has no scalar parameter column (theta_1 or mu_1)")
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def emit_plot_data(input_path, kind: str, out_path=None, window: int = 1000) -> Path:
-    """Write a plot-ready long-format CSV for one of the known kinds."""
+    """Write a plot-ready long-format CSV for one of the known kinds.  An
+    option or an input the kind cannot read raises ``ConfigError`` before
+    the output file is opened."""
     if kind not in PLOT_KINDS:
         raise ConfigError(f"unknown plot kind {kind!r}; available: {', '.join(PLOT_KINDS)}")
+    if kind == "acceptance-rolling" and window < 1:
+        raise ConfigError(f"--window must be at least 1, not {window}")
     src = Path(input_path)
     if not src.exists():
-        raise ConfigError(f"input {input_path!r} does not exist")
+        raise ConfigError(f"input {str(src)!r} does not exist")
+    if src.is_dir():
+        raise ConfigError(f"input {str(src)!r} is a directory")
     dst = Path(out_path) if out_path is not None else src.with_suffix(f".{kind}.csv")
+    if dst.is_dir():
+        raise ConfigError(f"output {str(dst)!r} (--out) is a directory")
+    if not dst.parent.is_dir():
+        raise ConfigError(f"output {str(dst)!r} (--out) is in no existing directory")
 
     if kind == "theta-trace":
-        header, rows = _read_csv(src)
-        col = header.index(_trace_theta_column(header))
-        i_col = header.index("i")
-        with open(dst, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "theta"])
-            for row in rows:
-                w.writerow([row[i_col], row[col]])
+        (i_col, col), rows = _read_csv(src, ("i",), ("theta_1", "mu_1"))
+        _write_csv(dst, ["i", "theta"], [[row[i_col], row[col]] for row in rows])
         return dst
 
     if kind == "acceptance-rolling":
-        header, rows = _read_csv(src)
-        i_col = header.index("i")
-        a_col = header.index("accepted")
-        # trajectory.csv writes the flag as 1/0; True/False is read the same way
-        flags = [(int(r[i_col]), 1.0 if r[a_col] in ("1", "True") else 0.0) for r in rows]
-        flags = [f for f in flags if f[0] > 0]  # index 0 is the initial state, not a transition
-        with open(dst, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "rolling_acceptance"])
-            acc = 0.0
-            buf: list[float] = []
-            for step, flag in flags:
-                buf.append(flag)
-                acc += flag
-                if len(buf) > window:
-                    acc -= buf.pop(0)
-                if len(buf) == window:
-                    w.writerow([step, repr(acc / window)])
+        (i_col, a_col), rows = _read_csv(src, ("i",), ("accepted",))
+        try:
+            steps = [int(r[i_col]) for r in rows]
+        except ValueError as exc:
+            raise ConfigError(f"input {str(src)!r} has a step index i that is not an integer") from exc
+        # trajectory.csv writes the flag as 1/0; True/False is read the same
+        # way.  Index 0 is the initial state, not a transition.
+        flags = [(step, 1.0 if r[a_col] in ("1", "True") else 0.0) for step, r in zip(steps, rows) if step > 0]
+        rolling = []
+        acc = 0.0
+        buf: list[float] = []
+        for step, flag in flags:
+            buf.append(flag)
+            acc += flag
+            if len(buf) > window:
+                acc -= buf.pop(0)
+            if len(buf) == window:
+                rolling.append([step, repr(acc / window)])
+        _write_csv(dst, ["i", "rolling_acceptance"], rolling)
         return dst
 
     # drift-margin: report JSON -> (x, sigma, margin, se)
-    with open(src) as fh:
-        report = json.load(fh)
+    try:
+        with open(src) as fh:
+            report = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"input {str(src)!r} is not JSON: {exc}") from exc
+    if not (isinstance(report, dict) and isinstance(report.get("rows"), list)
+            and all(isinstance(row, dict) and isinstance(row.get("point", {}), dict) for row in report["rows"])):
+        raise ConfigError(f"input {str(src)!r} is not a verification report: it has no list of rows with points")
     rows_out = []
-    for row in report.get("rows", []):
+    for row in report["rows"]:
         point = row.get("point", {})
         x = point.get("x", "")
         if "sigma" in point:
@@ -239,10 +277,7 @@ def emit_plot_data(input_path, kind: str, out_path=None, window: int = 1000) -> 
         else:
             sigma = ""
         rows_out.append([x, sigma, row.get("margin", ""), row.get("se", "")])
-    with open(dst, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "sigma", "margin", "se"])
-        w.writerows(rows_out)
+    _write_csv(dst, ["x", "sigma", "margin", "se"], rows_out)
     return dst
 
 

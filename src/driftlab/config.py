@@ -1,6 +1,9 @@
 """Experiment configuration: JSON schema, validation, object builders, and
 the chain config (``ChainConfig``, chain kinds ``CHAIN_SRWM`` and
 ``CHAIN_TOY``) that ``build_chain_config`` returns and the simulator runs.
+It also owns the verify grid (``GridSpec``, ``METHOD_QUADRATURE`` and
+``METHOD_MONTE_CARLO``) and ``_jsonable``, the JSON encoding of every
+summary and report, so that loading a config never loads ``verifiers``.
 
 A config document has up to eight sections (target, proposal, adaptation,
 schedule, lyapunov, run, verify, output).  Each rule has one owner, and
@@ -27,7 +30,7 @@ import json
 import math
 import operator
 import sys
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -81,7 +84,6 @@ from .targets import (
     TargetModel,
     make_target,
 )
-from .verifiers import METHOD_MONTE_CARLO, METHOD_QUADRATURE, GridSpec
 
 CHAIN_SRWM = "srwm"
 CHAIN_TOY = "toy"
@@ -140,6 +142,39 @@ CHECK_NAMES = (
     "acceptance_bounds",
     "decomposition",
 )
+
+METHOD_QUADRATURE = "quadrature"
+METHOD_MONTE_CARLO = "monte_carlo"
+
+
+class GridSpec(NamedTuple):
+    """Evaluation grid plus estimation method for one verifier run."""
+
+    x_grid: tuple
+    theta_grid: tuple = ()
+    method: str = METHOD_QUADRATURE
+    mc_n: int = 10_000
+    seed: int = 2024
+
+
+def _jsonable(v):
+    """``v`` as JSON values: non-finite floats as the strings "nan", "inf"
+    and "-inf", numpy scalars and arrays as numbers and lists, anything
+    else as its repr; the encoding of every summary and report."""
+    if isinstance(v, (bool, int, str)) or v is None:
+        return v
+    if isinstance(v, (float, np.floating)):
+        f = float(v)
+        return f if math.isfinite(f) else repr(f)
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return [_jsonable(u) for u in np.asarray(v).tolist()] if isinstance(v, np.ndarray) else [
+            _jsonable(u) for u in v
+        ]
+    if isinstance(v, dict):
+        return {k: _jsonable(u) for k, u in v.items()}
+    if isinstance(v, (np.integer,)):
+        return int(v)
+    return repr(v)
 
 
 class ConfigError(ValueError):

@@ -4,25 +4,24 @@ A kernel is (proposal spec, kernel parameter): scalar log-scale proposals
 draw increments scaled by ``exp(theta)``, covariance-based proposals draw
 from the running-moments covariance inflated by a ridge.  Acceptance is the
 usual density ratio clipped at 1.
+
+The module holds what a chain step uses.  The kernel integrals that only
+the certificates take (the mean acceptance rate and P f, by quadrature) are
+in ``verifiers``, so a run that certifies nothing never loads ``quadrature``.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .quadrature import integrate_interval
-from .targets import SYMMETRY_TOL, TargetModel, is_symmetric, matched_density_point
+from .targets import SYMMETRY_TOL, is_symmetric
 
 FAMILY_GAUSSIAN = "gaussian"
 FAMILY_STUDENT = "student"
 FAMILY_UNIFORM = "uniform"
 PARAM_AM_COVARIANCE = "am_covariance"
 PARAM_SCALAR_LOG_SCALE = "scalar_log_scale"
-
-# Absolute tolerance of the kernel integrals (acceptance rate, P f).
-QUAD_TOL = 1e-9
 
 # Classical random-walk scaling constant for covariance-based proposals:
 # proposal covariance = (RW_SCALE**2 / dim) * (cov + eps_ridge * I).
@@ -189,146 +188,6 @@ def acceptance_vec(ly: np.ndarray, lx) -> tuple[np.ndarray, np.ndarray]:
     an array of log pi(y)."""
     log_alpha = np.minimum(ly - lx, 0.0)
     return np.exp(log_alpha), log_alpha
-
-
-def acceptance_breakpoints(target: TargetModel, x: float, half: float) -> list[float]:
-    """Breakpoints, as increments from ``x``, of a one-step integrand over
-    the window (-half, half): 0, the moves to the mode and to the
-    matched-density point (kinks of the acceptance probability), and the
-    target's bulk edges (``TargetModel.bulk_edge``) inside the window.  A
-    window much wider than the bulk can hold all of it between a breakpoint
-    and QAG-21's nearest node (0.22% of the subinterval's width away), so
-    the bulk edges are breakpoints too.  The integrator drops points
-    outside the window."""
-    pts = [0.0]
-    if target.unimodal_1d:
-        m = float(target.mode)
-        if x != m:
-            pts.append(m - x)
-            y_star = matched_density_point(target, x)
-            z_star = y_star - x
-            if -half < z_star < half:
-                pts.append(z_star)
-        for side in (-1.0, 1.0):
-            z_edge = target.bulk_edge(side) - x
-            if -half < z_edge < half:
-                pts.append(z_edge)
-    return pts
-
-
-def mean_acceptance(target: TargetModel, sigma: float, x: float) -> float:
-    """Average acceptance probability from ``x`` under compact-uniform
-    increments of half-width ``sigma``, by adaptive quadrature.
-
-    Only the compact-uniform family admits this finite-interval quadrature;
-    for unbounded increment families the verifiers' one-step Monte Carlo
-    estimator integrates the acceptance coin out instead.
-    """
-    if target.dim != 1:
-        raise ValueError("mean_acceptance requires a one-dimensional target")
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
-    x = float(x)
-    lx = float(target.log_density(x))
-    if not math.isfinite(lx):
-        raise ValueError(f"invalid point: log-density not finite at x={x!r}")
-    logp = target.log_density
-    q = 0.5 / sigma
-
-    def integrand(z: float) -> float:
-        return q * acceptance(float(logp(x + z)), lx)
-
-    pts = acceptance_breakpoints(target, x, sigma)
-    return integrate_interval(integrand, -sigma, sigma, tol=QUAD_TOL, points=pts)
-
-
-def apply_kernel_to_function(
-    target: TargetModel,
-    spec: ProposalSpec,
-    param: KernelParam,
-    log_f: Callable[[float, float], float],
-    x,
-) -> float:
-    """(P f)(x), the one-step kernel average of a positive function ``f``
-    from ``x``, by adaptive quadrature.
-
-    ``log_f(y, ly)`` is log f(y) at a state ``y`` whose log-density ``ly``
-    the integrand already has (``StateLyapunov.log`` fits), so log pi is
-    evaluated once per node.  Each proposal contributes
-    ``alpha * f(y) + (1 - alpha) * f(x)``, with the product formed as
-    ``exp(min(0, ly - lx) + log f(y))``: it stays finite where a state
-    Lyapunov function's f(y) alone overflows.  A proposal where
-    log pi = -inf (alpha = 0) contributes only ``f(x)``: its f(y) is not
-    formed.
-
-    One-dimensional targets with compact-uniform or gaussian increments
-    only; other families go through the verifiers' Monte Carlo estimator.
-    Gaussian increments are integrated over a 40-standard-deviation window.
-    The tail left out is below any realistic tolerance for the functions
-    used here (state Lyapunov functions, where ``alpha * f(y) <= f(x)``
-    caps the integrand, and polynomially growing parameter weights).
-    ``OverflowError`` is raised when ``f`` or ``alpha * f`` at a node is
-    past the float range.
-    """
-    if target.dim != 1:
-        raise ValueError("quadrature requires a one-dimensional target")
-    if spec.family == FAMILY_UNIFORM:
-        if not isinstance(param, ScalarParam):
-            raise ValueError("parametrization mismatch: scalar proposal needs a ScalarParam")
-        sigma = param.sigma
-        half = sigma
-
-        def q_of(z: float) -> float:
-            return 0.5 / sigma
-
-    elif spec.family == FAMILY_GAUSSIAN:
-        if isinstance(param, AMParam):
-            if param.mu.shape[0] != 1:
-                raise ValueError("quadrature requires a one-dimensional target")
-            sd = math.sqrt(float(proposal_covariance(spec, param)[0, 0]))
-        elif isinstance(param, ScalarParam):
-            sd = param.sigma
-        else:
-            raise ValueError(f"cannot interpret {param!r} as a kernel parameter")
-        if not (0.0 < sd < math.inf):
-            raise ValueError("gaussian quadrature needs a finite positive scale")
-        half = 40.0 * sd
-        norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
-        inv2 = 0.5 / (sd * sd)
-
-        def q_of(z: float) -> float:
-            return norm * math.exp(-z * z * inv2)
-
-    else:
-        raise ValueError(
-            "quadrature supports compact-uniform and gaussian increments; "
-            "use monte_carlo for heavy-tailed families"
-        )
-    x = float(x)
-    lx = float(target.log_density(x))
-    logp = target.log_density
-    log_fx = log_f(x, lx)
-    if not log_fx < 700.0:
-        raise OverflowError("non-integrable test function: non-finite value at the current state")
-    fx = math.exp(log_fx)
-
-    def accepted_part(z: float) -> float:
-        y = x + z
-        ly = float(logp(y))
-        if ly == -math.inf:  # never accepted; -inf + inf would be nan
-            return 0.0
-        arg = min(0.0, ly - lx) + log_f(y, ly)
-        if not arg < 700.0:
-            raise OverflowError(f"non-integrable test function: alpha * f is not finite at y={y!r}")
-        return q_of(z) * math.exp(arg)
-
-    def acceptance_mass(z: float) -> float:
-        return q_of(z) * acceptance(float(logp(x + z)), lx)
-
-    pts = acceptance_breakpoints(target, x, half)
-    moved = integrate_interval(accepted_part, -half, half, tol=QUAD_TOL, points=pts)
-    mass = integrate_interval(acceptance_mass, -half, half, tol=QUAD_TOL, points=pts)
-    return moved + fx * (1.0 - mass)
 
 
 # ---------------------------------------------------------------------------

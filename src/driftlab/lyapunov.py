@@ -76,7 +76,7 @@ class StateLyapunov(NamedTuple):
     def log(self, x, l):
         """log V(x) = -eta * l from the log-density ``l`` at ``x`` (``x`` is
         not read); floats or arrays.  The ``log_f(y, ly)`` form that
-        :func:`~driftlab.kernels.apply_kernel_to_function` integrates."""
+        :func:`~driftlab.verifiers.apply_kernel_to_function` integrates."""
         return -self.eta * l
 
     def of_log_density(self, l: float) -> float:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import driftlab
+import driftlab.cli as cli
 from driftlab.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -578,6 +579,22 @@ def test_run_check_unknown_name():
     assert exc.value.json_path == "verify.checks"
 
 
+def test_run_check_calls_the_function_set_on_cli(monkeypatch, tmp_path):
+    calls = []
+    verify_toy = cli.verify_toy
+
+    def wrapper(*args):
+        calls.append(args)
+        return verify_toy(*args)
+
+    monkeypatch.setattr(cli, "verify_toy", wrapper)
+    doc = {"verify": {"checks": ["toy"], "toy_theta_grid": [0.0, 1.0]}}
+    assert run_check("toy", doc).passed
+    assert calls == [((0.0, 1.0),)]
+    assert run_experiment(write_config(tmp_path, doc), out=str(tmp_path / "out"), simulate=False) == EXIT_OK
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # plot-data extraction
 
@@ -686,6 +703,51 @@ def test_plot_missing_input():
         emit_plot_data("/nonexistent/trace.csv", "theta-trace")
 
 
+@pytest.fixture(scope="module")
+def fast_coerced_run(tmp_path_factory) -> Path:
+    """The output directory of a short ``run fast-coerced`` without checks,
+    with three malformed inputs beside its outputs."""
+    tmp = tmp_path_factory.mktemp("fast-coerced")
+    doc = json.loads(resolve_config_path("fast-coerced").read_text())
+    doc["run"].update(horizon=200, replicas=1)
+    doc.pop("verify", None)
+    out = tmp / "out"
+    assert run_experiment(write_config(tmp, doc), out=str(out)) == EXIT_OK
+    (out / "rows.json").write_text('{"rows": [1]}')
+    (out / "ragged.csv").write_text("i,accepted\n1,1\n2\n")
+    (out / "steps.csv").write_text("i,accepted\n1,1\nx,0\n")
+    return out
+
+
+@pytest.mark.parametrize(
+    "input_name, options, message",
+    [
+        ("trajectory.csv", ["--kind", "acceptance-rolling", "--window", "0"], "--window must be at least 1, not 0"),
+        ("trajectory.csv", ["--kind", "acceptance-rolling", "--window", "-5"], "--window must be at least 1, not -5"),
+        ("summary.json", ["--kind", "drift-margin"], "summary.json' is not a verification report"),
+        ("trajectory.csv", ["--kind", "drift-margin"], "trajectory.csv' is not JSON"),
+        ("summary.json", ["--kind", "acceptance-rolling"], "summary.json' has no i column"),
+        ("trajectory.csv", ["--kind", "theta-trace", "--out", "{run}"], "(--out) is a directory"),
+        ("rows.json", ["--kind", "drift-margin"], "rows.json' is not a verification report"),
+        ("ragged.csv", ["--kind", "acceptance-rolling"], "ragged.csv' has 1 fields in row 3, and 2 in its header"),
+        ("steps.csv", ["--kind", "acceptance-rolling"], "steps.csv' has a step index i that is not an integer"),
+        ("", ["--kind", "theta-trace"], "out' is a directory"),
+        ("trajectory.csv", ["--kind", "theta-trace", "--out", "{run}/no-such-dir/plot.csv"],
+         "(--out) is in no existing directory"),
+    ],
+)
+def test_plot_rejects_what_it_cannot_read_before_writing(fast_coerced_run, capsys, input_name, options, message):
+    # each of these once ended in a raw traceback, or wrote a header alone
+    if "--out" not in options:
+        options = options + ["--out", "{run}/plot.csv"]
+    options = [arg.format(run=fast_coerced_run) for arg in options]
+    assert main(["plot", str(fast_coerced_run / input_name), *options]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert sorted(p.name for p in fast_coerced_run.iterdir()) == ["ragged.csv", "rows.json", "steps.csv",
+                                                                   "summary.json", "trajectory.csv"]
+
+
 # ---------------------------------------------------------------------------
 # argument parsing and process exit codes
 
@@ -740,14 +802,14 @@ sys.exit(code)
 """
 
 
-def run_in_fresh_process(cwd: Path, *args: str) -> subprocess.CompletedProcess:
-    """``driftlab`` ARGS in a new interpreter (this one may hold scipy
-    already), with the package under test first on the path."""
+def run_in_fresh_process(cwd: Path, *args: str, probe: str = _SCIPY_PROBE) -> subprocess.CompletedProcess:
+    """``driftlab`` ARGS under ``probe`` in a new interpreter (this one may
+    hold scipy already), with the package under test first on the path."""
     src = str(Path(driftlab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *args],
+        [sys.executable, "-c", probe, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
 
@@ -820,6 +882,82 @@ def test_commands_that_never_simulate_never_load_the_simulator(tmp_path, command
     proc = run_in_fresh_process(tmp_path, *args)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert module_count(proc, "simulator") == 0
+
+
+_LOAD_PROBE = """
+import sys
+argv = sys.argv[1:]
+if argv[0] == "--watch-run-replicas":
+    # run imports run_replicas from the simulator when it calls it, so a
+    # wrapper set on the module first is what runs
+    argv = argv[1:]
+    import driftlab.simulator as simulator
+    run_replicas = simulator.run_replicas
+
+    def watched(*args, **kwargs):
+        print("verifiers-at-run_replicas", "driftlab.verifiers" in sys.modules)
+        return run_replicas(*args, **kwargs)
+
+    simulator.run_replicas = watched
+import driftlab.cli
+code = driftlab.cli.main(argv)
+print("loaded", *sorted(m for m in sys.modules if m.startswith("driftlab.")))
+sys.exit(code)
+"""
+
+
+def loaded_modules(tmp_path: Path, *args: str) -> tuple[set[str], str]:
+    """The ``driftlab`` modules that ``driftlab`` ARGS loads in a new
+    interpreter, and the probe's standard output."""
+    proc = run_in_fresh_process(tmp_path, *args, probe=_LOAD_PROBE)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    return set(proc.stdout.rsplit("loaded", 1)[1].split()), proc.stdout
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    # the certificate stack (verifiers, and quadrature under it) loads for a
+    # document that lists checks, after its config and before its chains
+    doc = toy_run_doc(horizon=200)
+    no_checks = write_config(tmp_path, doc, "no-checks.json")
+    loaded, _ = loaded_modules(tmp_path, "run", str(no_checks), "--out", "a")
+    assert "driftlab.simulator" in loaded
+    assert not loaded & {"driftlab.verifiers", "driftlab.quadrature"}, loaded
+
+    doc["verify"] = {"checks": ["toy"], "toy_theta_grid": [0.0]}
+    checks = write_config(tmp_path, doc, "checks.json")
+    loaded, stdout = loaded_modules(tmp_path, "--watch-run-replicas", "run", str(checks), "--out", "b")
+    assert "verifiers-at-run_replicas True" in stdout
+    assert {"driftlab.simulator", "driftlab.verifiers", "driftlab.quadrature"} <= loaded
+
+    loaded, _ = loaded_modules(tmp_path, "verify", str(checks), "--out", "c")
+    assert "driftlab.verifiers" in loaded and "driftlab.simulator" not in loaded
+
+    run = tmp_path / "a"
+    for args in (["presets"], ["plot", str(run / "trajectory.csv"), "--kind", "theta-trace"],
+                 ["plot", str(run / "trajectory.csv"), "--kind", "acceptance-rolling", "--window", "10"],
+                 ["plot", str(tmp_path / "b" / "report-toy.json"), "--kind", "drift-margin"]):
+        loaded, _ = loaded_modules(tmp_path, *args)
+        assert not loaded & {"driftlab.verifiers", "driftlab.simulator", "driftlab.quadrature"}, (args, loaded)
+
+
+_NAMES_PROBE = """
+import sys
+import driftlab.cli as cli
+from driftlab.config import CHECK_NAMES
+assert "driftlab.verifiers" not in sys.modules
+found = {check: getattr(cli, f"verify_{check}") for check in CHECK_NAMES}
+import driftlab.verifiers as verifiers
+assert all(fn is getattr(verifiers, f"verify_{check}") for check, fn in found.items())
+assert getattr(cli, "verify_spectral_gap", None) is None and getattr(cli, "run_replicas", None) is None
+"""
+
+
+def test_each_check_is_a_cli_name_before_any_check_runs(tmp_path):
+    # bench/spans.py wraps getattr(cli, "verify_<check>", None) in place
+    # before main runs, so every check resolves there while verifiers is
+    # not yet loaded, and other names stay missing
+    proc = run_in_fresh_process(tmp_path, probe=_NAMES_PROBE)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_quadrature_verify_never_imports_scipy_and_passes(tmp_path):

@@ -22,9 +22,7 @@ from driftlab.kernels import (
     ScalarParam,
     _symmetric_sqrt,
     acceptance,
-    apply_kernel_to_function,
     draw_increments,
-    mean_acceptance,
     proposal_covariance,
     toy_second_eigenvalue,
     toy_transition_matrix,
@@ -33,7 +31,7 @@ from driftlab.lyapunov import W_AM_POLY, W_EXP_ABS, ParamLyapunov, StateLyapunov
 from driftlab.simulator import _KeptPath, _run_srwm
 from driftlab.streams import substream
 from driftlab.targets import exact_tail_subexp_target, gaussian_target, smoothed_subexp_target
-from driftlab.verifiers import _mean_se, _one_step_pairs
+from driftlab.verifiers import _mean_se, _one_step_pairs, apply_kernel_to_function, mean_acceptance
 from test_simulator import assert_same_trajectory, first_run, reference_generic, reference_srwm_step
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)

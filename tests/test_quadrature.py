@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-import driftlab.kernels as kernels
 import driftlab.verifiers as verifiers
 from driftlab.cli import resolve_config_path, run_check
 from driftlab.config import build_target, load_config
-from driftlab.kernels import mean_acceptance
 from driftlab.quadrature import (
     DEFAULT_ABS_TOL,
     MAX_SUBDIVISIONS,
@@ -19,6 +17,7 @@ from driftlab.quadrature import (
     _kronrod21,
     integrate_interval,
 )
+from driftlab.verifiers import mean_acceptance
 
 
 def scipy_quad_reference(
@@ -119,7 +118,7 @@ def test_subexp_acceptance_integrand_with_its_breakpoints(monkeypatch, subexp_ta
         calls.append((f, a, b, kwargs))
         return integrate_interval(f, a, b, **kwargs)
 
-    monkeypatch.setattr(kernels, "integrate_interval", capture)
+    monkeypatch.setattr(verifiers, "integrate_interval", capture)
     mean_acceptance(subexp_target, sigma, x)
     ((f, a, b, kwargs),) = calls
     assert kwargs["points"], "the subexp integrand has kinks"
@@ -216,8 +215,7 @@ def assert_close_tree(got, ref, path="", abs_tol=1e-9):
 
 def test_am_subexp_reports_match_the_scipy_reference(monkeypatch):
     ours = am_subexp_reports()
-    for module in (kernels, verifiers):
-        monkeypatch.setattr(module, "integrate_interval", scipy_quad_reference)
+    monkeypatch.setattr(verifiers, "integrate_interval", scipy_quad_reference)
     reference = am_subexp_reports()
     for name in AM_SUBEXP_CHECKS:
         got, ref = ours[name], reference[name]

@@ -12,6 +12,7 @@ import pytest
 import driftlab.cli as cli
 from driftlab.cli import resolve_config_path, run_check
 from driftlab.config import (
+    CHECK_NAMES,
     ConfigError,
     SCHEMA,
     SCHEMA_KEYWORDS,
@@ -267,7 +268,7 @@ def test_every_accepted_mutant_builds(monkeypatch):
     # simulation has written its artifacts; the checks themselves are
     # replaced by stubs that keep their grids
     grids = []
-    for name in [n for n in vars(cli) if n.startswith("verify_")]:
+    for name in ["verify_" + check for check in CHECK_NAMES]:
         monkeypatch.setattr(cli, name, lambda *args, **kw: grids.extend(a for a in args if isinstance(a, GridSpec)))
     rng = random.Random(20241018)
     bases = corpus_bases()

@@ -34,9 +34,7 @@ from driftlab.kernels import (
     PARAM_SCALAR_LOG_SCALE,
     ProposalSpec,
     ScalarParam,
-    apply_kernel_to_function,
     draw_increments,
-    mean_acceptance,
 )
 from driftlab.lyapunov import (
     ParamLyapunov,
@@ -56,8 +54,10 @@ from driftlab.verifiers import (
     METHOD_MONTE_CARLO,
     METHOD_QUADRATURE,
     accept_reject_profile,
+    apply_kernel_to_function,
     decomposition_terms,
     deficit_loglog_slope,
+    mean_acceptance,
     normalized_kernel_gain,
     verify_acceptance_bounds,
     verify_compound_drift,
