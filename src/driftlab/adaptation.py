@@ -142,19 +142,3 @@ def scalar_update(kind: str, theta, alpha, gamma, alpha_star):
     else:
         raise ValueError(f"{kind!r} is not a scalar log-scale rule")
     return theta + gamma * h, h
-
-
-class MeanFieldAM:
-    """True first and second central moments of the target."""
-
-    __slots__ = ("mu_pi", "cov_pi")
-
-    def __init__(self, mu_pi: np.ndarray, cov_pi: np.ndarray):
-        mu = np.atleast_1d(np.asarray(mu_pi, dtype=float))
-        cov = np.asarray(cov_pi, dtype=float)
-        if cov.shape == ():
-            cov = cov.reshape(1, 1)
-        if cov.shape != (mu.shape[0], mu.shape[0]):
-            raise ValueError("cov_pi shape must match mu_pi")
-        self.mu_pi = mu
-        self.cov_pi = cov

@@ -153,7 +153,7 @@ def run_experiment(
         csv_path = out_dir / "trajectory.csv" if "csv" in formats else None
         summary = run_replicas(chain_config, count, csv_path=csv_path)
         if "json" in formats:
-            _write_json(out_dir / "summary.json", {"config": doc, "summary": summary.to_json_dict()})
+            _write_json(out_dir / "summary.json", {"config": doc, "summary": summary._asdict()})
         if summary.any_diverged:
             severity = max(severity, EXIT_DIVERGED)
         agg = summary.aggregate

@@ -44,7 +44,6 @@ from .adaptation import (
     AdaptationRule,
     ConstantSchedule,
     KestenSchedule,
-    MeanFieldAM,
     PolynomialSchedule,
     Schedule,
     gamma_at,
@@ -109,7 +108,6 @@ class ChainConfig:
     state_lyapunov: Optional[StateLyapunov] = None
     param_weight: ParamLyapunov = ParamLyapunov(W_ONE_PLUS_SQUARE)
     compound: CompoundSpec = CompoundSpec()
-    moments: Optional[MeanFieldAM] = None
 
     def __post_init__(self):
         if self.kind == CHAIN_TOY:
@@ -789,13 +787,10 @@ def build_chain_config(doc: dict) -> ChainConfig:
     target = None
     proposal = None
     state_lyap = None
-    moments = None
     if kind == CHAIN_SRWM:
         target = build_target(doc)
         proposal = build_proposal(doc)
         state_lyap = build_state_lyapunov(doc, target)
-        if rule.kind == RULE_AM and target.known_mean is not None and target.known_cov is not None:
-            moments = MeanFieldAM(mu_pi=target.known_mean, cov_pi=target.known_cov)
     weight = build_weight(doc, rule)
     compound = build_compound(doc)
     theta0 = _theta0_from(cfg.get("theta0"), rule)
@@ -818,7 +813,6 @@ def build_chain_config(doc: dict) -> ChainConfig:
             state_lyapunov=state_lyap,
             param_weight=weight,
             compound=compound,
-            moments=moments,
         )
     except ValueError as exc:
         raise ConfigError(str(exc), "run") from exc

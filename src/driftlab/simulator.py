@@ -40,21 +40,23 @@ Either engine folds each block into per-replica recurrence statistics
 (``_RecurrenceCounter``) and drops it; replica 0's blocks of at most
 ``_BLOCK_STEPS`` (512) steps also go, as ``_RawBlock``s (a toy block reads
 x = y = the state, log pi = 0 and alpha = NaN), to the one sink that
-``run_replicas`` chose.  ``_KeptPath`` alone picks the kept rows, every
-``record_stride``-th step and the last, and computes their V, w, W and in_C
-in the scalar arithmetic of a row-at-a-time recorder, so ``record_stride``
-thins the trajectory and never the statistics.  ``Trajectory._csv_blocks``
-formats blocks of rows a column at a time.
+``run_replicas`` chose.  ``_KeptPath`` alone forms, keeps and writes the
+rows of ``trajectory.csv``: it builds the header from the config, picks the
+kept rows, every ``record_stride``-th step and the last, computes their V,
+w, W and in_C in the scalar arithmetic of a row-at-a-time recorder (so
+``record_stride`` thins the trajectory and never the statistics), and keeps
+each block as its CSV columns.  ``_csv_rows`` formats one block a column at
+a time; both writers below call it.
 
 ``trajectory.csv`` is written one of two ways.  When the replica split
 leaves a usable core idle (one srwm replica, or the toy engine, on two
 cores), replica 0's loop is a slow one (the toy engine, or several
 dimensions) and it keeps at least ``_MIN_STREAM_ROWS`` rows (3,000), it is
 streamed: replica 0's blocks are pickled down a pipe to a forked writer
-(``_write_kept_csv``), which builds and formats their kept rows while the
-loop runs.  Otherwise a ``_KeptPath`` in this process takes them, and
-``Trajectory.to_csv`` writes the file after the run, its rows split over
-forked workers the same way as the replicas.
+(``_write_kept_csv``), which forms and formats their kept rows while the
+loop runs.  Otherwise a ``_KeptPath`` in this process keeps them, and its
+``to_csv`` writes the file after the run, its blocks split over forked
+workers the same way as the replicas.
 No split changes a byte of the outputs: each replica draws from its own
 substream, records carry their global replica index, and a CSV row's text
 depends on that row alone.
@@ -92,96 +94,6 @@ from .lyapunov import CompoundSpec
 from .streams import substream
 
 THETA_MAX = 1e12
-
-
-class Trajectory(NamedTuple):
-    """Recorded rows of replica 0's run.  Row 0 is the initial condition;
-    whether and where the run halted is in the replica's record."""
-
-    index: np.ndarray
-    theta: np.ndarray
-    theta_labels: list[str]
-    x: np.ndarray
-    y: np.ndarray
-    accepted: np.ndarray
-    alpha: np.ndarray
-    gamma: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    compound: np.ndarray
-    in_set: np.ndarray
-    kesten_counts: Optional[np.ndarray]
-
-    def column_names(self) -> list[str]:
-        dim = self.x.shape[1]
-        xcols = ["x"] if dim == 1 else [f"x_{j+1}" for j in range(dim)]
-        ycols = ["y"] if dim == 1 else [f"y_{j+1}" for j in range(dim)]
-        cols = (
-            ["i"]
-            + list(self.theta_labels)
-            + xcols
-            + ycols
-            + ["accepted", "alpha", "gamma_i", "V", "w", "W", "in_C"]
-        )
-        if self.kesten_counts is not None:
-            cols.append("s")
-        return cols
-
-    def to_csv(self, path) -> None:
-        """Write the rows under ``column_names()``: integers and flags as
-        integers, floats by ``repr`` (so they read back exactly).
-
-        The rows are split into contiguous slices, one per worker
-        (``_slices``).  This process writes the first slice straight to the
-        file; each forked worker formats its slice in its own memory and
-        sends the bytes through a pipe, which this process copies into the
-        file a buffer at a time (``shutil.copyfileobj``), so it never holds
-        another slice's text.
-        """
-        own, *rest = _slices(self.index.shape[0], 1, _MIN_WORKER_ROWS)
-        with open(path, "wb") as fh:
-            fh.write(self._csv_header())
-
-            def write_own() -> None:
-                for text in self._csv_blocks(own):
-                    fh.write(text)
-
-            jobs = [lambda part=part: b"".join(self._csv_blocks(part)) for part in rest]
-            _fork_map(jobs, write_own, lambda stream: shutil.copyfileobj(stream, fh))
-
-    def _csv_header(self) -> bytes:
-        return (",".join(self.column_names()) + "\n").encode()
-
-    def _csv_blocks(self, part: slice):
-        """The CSV lines of rows ``part``, as bytes, ``_CSV_CHUNK_ROWS`` rows
-        at a time, each formatted a column at a time."""
-        for lo in range(part.start, part.stop, _CSV_CHUNK_ROWS):
-            rows = slice(lo, min(lo + _CSV_CHUNK_ROWS, part.stop))
-            cols = [_int_cells(self.index[rows])]
-            for block in (self.theta[rows], self.x[rows], self.y[rows]):
-                cols += [_float_cells(c) for c in block.T]
-            cols.append(_int_cells(self.accepted[rows]))
-            cols += [_float_cells(c[rows]) for c in (self.alpha, self.gamma, self.v, self.w, self.compound)]
-            cols.append(_int_cells(self.in_set[rows]))
-            if self.kesten_counts is not None:
-                cols.append(_int_cells(self.kesten_counts[rows]))
-            yield ("\n".join(map(",".join, zip(*cols))) + "\n").encode()
-
-
-# Rows per block of Trajectory._csv_blocks.  This process holds one block's
-# cells at a time (a CSV worker holds its whole slice's text, in its own
-# memory): whole columns at once raise a long run's peak memory by several
-# MB, and blocks of 1,024 rows still add about 0.8 MB (2 %) to a 2,001-row
-# toy run's.  At 128 rows the writer is as fast and the peak does not move.
-_CSV_CHUNK_ROWS = 128
-
-
-def _float_cells(col: np.ndarray) -> list[str]:
-    return list(map(repr, col.tolist()))
-
-
-def _int_cells(col: np.ndarray) -> list[str]:
-    return list(map(str, col.astype(np.int64).tolist()))
 
 
 def _kesten_on(schedule) -> bool:
@@ -235,15 +147,16 @@ def _first_stepsize(schedule) -> tuple[bool, float, float, float, float]:
     return False, 0.0, 0.0, 0.0, first
 
 
-def _scalar_blocks(config: ChainConfig, rng, block: int):
+def _scalar_blocks(config: ChainConfig, rng):
     """Scalar log-scale rules (coerced / fast_coerced / fixed) on a 1-D
-    target, over Python floats: yields row 0, then blocks of up to ``block``
-    steps, the last one ending at the horizon or at the halt row.
+    target, over Python floats: yields row 0, then blocks of up to
+    ``_BLOCK_STEPS`` steps, the last one ending at the horizon or at the halt
+    row.
 
     A uniform proposal draws a block's increments and coins at once, 2 *
-    block uniforms read alternately, which is the order of one increment and
-    one coin per step; a Gaussian or Student proposal draws its increment
-    and then its coin on every step.
+    ``_BLOCK_STEPS`` uniforms read alternately, which is the order of one
+    increment and one coin per step; a Gaussian or Student proposal draws
+    its increment and then its coin on every step.
     """
     target = config.target
     spec = config.proposal
@@ -274,8 +187,8 @@ def _scalar_blocks(config: ChainConfig, rng, block: int):
     h_prev = 0.0  # 0 * h is never negative, so step 1 cannot advance s
     yield _RawBlock(([theta],), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
-    for start in range(1, n + 1, block):
-        stop = min(start + block, n + 1)
+    for start in range(1, n + 1, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, n + 1)
         if uniform:
             u = rng.random(2 * (stop - start)).tolist()
             incs, coins = u[0::2], u[1::2]
@@ -332,10 +245,11 @@ def _scalar_blocks(config: ChainConfig, rng, block: int):
             return
 
 
-def _am_1d_blocks(config: ChainConfig, rng, block: int):
+def _am_1d_blocks(config: ChainConfig, rng):
     """Running-moments rule on a 1-D target with a Gaussian or Student
     proposal, over Python floats: yields row 0, then blocks of up to
-    ``block`` steps, the last one ending at the horizon or at the halt row.
+    ``_BLOCK_STEPS`` steps, the last one ending at the horizon or at the halt
+    row.
     A negative running variance is no covariance, so it halts the run."""
     target = config.target
     spec = config.proposal
@@ -364,11 +278,11 @@ def _am_1d_blocks(config: ChainConfig, rng, block: int):
     h_mu = h_g = 0.0  # the increment before step 1: cannot advance s
     yield _RawBlock(([mu], [g]), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
-    for start in range(1, n + 1, block):
+    for start in range(1, n + 1, _BLOCK_STEPS):
         mus, gs, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], [], []
         counts = [] if kesten else None
         halted = False
-        for i in range(start, min(start + block, n + 1)):
+        for i in range(start, min(start + _BLOCK_STEPS, n + 1)):
             if poly:
                 gm = c0 / (c1 + i) ** a
             var = scale2 * (g + eps)
@@ -408,10 +322,10 @@ def _am_1d_blocks(config: ChainConfig, rng, block: int):
             return
 
 
-def _generic_blocks(config: ChainConfig, rng, block: int):
+def _generic_blocks(config: ChainConfig, rng):
     """Multivariate chains over Python floats, one step at a time: yields
-    row 0, then blocks of up to ``block`` steps, the last one ending at the
-    horizon or at the halt row.
+    row 0, then blocks of up to ``_BLOCK_STEPS`` steps, the last one ending
+    at the horizon or at the halt row.
 
     A step draws ``standard_normal(d)`` and, under running moments, applies
     the ``kernels._root_rows`` root of the proposal covariance (RW_SCALE**2
@@ -476,11 +390,11 @@ def _generic_blocks(config: ChainConfig, rng, block: int):
     s = 0
     yield _RawBlock(_columns([row]), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
-    for start in range(1, n + 1, block):
+    for start in range(1, n + 1, _BLOCK_STEPS):
         rows, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], []
         counts = [] if kesten else None
         halted = False
-        for i in range(start, min(start + block, n + 1)):
+        for i in range(start, min(start + _BLOCK_STEPS, n + 1)):
             if poly:
                 gm = c0 / (c1 + i) ** a
             if am:
@@ -575,7 +489,7 @@ def _run_srwm(config: ChainConfig, rngs: list, replica: int, keep: Optional[Call
         cols = np.array([k])
         flags = deque(maxlen=_TAIL_MAX)
         start = 0
-        for blk in blocks_of(config, rng, _BLOCK_STEPS):
+        for blk in blocks_of(config, rng):
             index = np.arange(start, start + len(blk.x))
             w_cells = weights(blk.theta, dim)
             stats.add(index, np.abs(np.array(blk.theta)).max(axis=0)[:, None], np.array(w_cells)[:, None],
@@ -610,28 +524,40 @@ def _state_arrays(xs: list) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _KeptPath:
-    """Trajectory columns of one path, toy or srwm, built block by block and
-    named after the ``Trajectory`` fields they become.
+    """Replica 0's ``trajectory.csv``: its header, and the kept rows of one
+    path, toy or srwm, held block by block as their CSV columns in header
+    order.
 
-    A block keeps its rows at multiples of ``record_stride`` and its last
-    row when it ends the run; V, W and in_C of those rows are computed in
-    the scalar arithmetic of a one-row-at-a-time recorder.
+    The columns are i, the parameter (theta_1, or mu_j and the covariance
+    cov_ab row-major), the state x and the proposal y (x_j and y_j in several
+    dimensions), accepted, alpha, gamma_i, V, w, W and in_C, and under a
+    Kesten schedule s, the count.  Row 0 is the initial condition; whether
+    and where the run halted is in the replica's record.  A block keeps its
+    rows at multiples of ``record_stride`` and its last row when it ends the
+    run; V, W and in_C of those rows are computed in the scalar arithmetic of
+    a one-row-at-a-time recorder.
     """
 
     def __init__(self, config: ChainConfig):
         self.config = config
+        dim = 1 if config.target is None else config.target.dim
         if config.rule.kind == RULE_AM:
-            dim = config.target.dim
-            self.labels = [f"mu_{j+1}" for j in range(dim)] + [f"cov_{a+1}{b+1}" for a in range(dim)
-                                                                for b in range(dim)]
+            labels = [f"mu_{j+1}" for j in range(dim)] + [f"cov_{a+1}{b+1}" for a in range(dim) for b in range(dim)]
         else:
-            self.labels = ["theta_1"]
+            labels = ["theta_1"]
+        coords = [""] if dim == 1 else [f"_{j+1}" for j in range(dim)]
+        names = ["i", *labels, *(f"x{c}" for c in coords), *(f"y{c}" for c in coords),
+                 "accepted", "alpha", "gamma_i", "V", "w", "W", "in_C"]
+        if _kesten_on(config.schedule):
+            names.append("s")
+        self.header = (",".join(names) + "\n").encode()
         self.eta = config.state_lyapunov.eta if config.state_lyapunov is not None else 0.0
-        self.cols: dict[str, list[np.ndarray]] = {}
+        self.blocks: list[list[np.ndarray]] = []
 
     def add(self, start: int, blk: _RawBlock, w_cells: list) -> bool:
         """Keep rows of ``blk``, whose first row is step ``start`` and whose
-        weights are ``w_cells``; says whether it kept any."""
+        weights are ``w_cells``, as one more block; says whether it kept
+        any."""
         config = self.config
         stride = config.record_stride
         rows = len(blk.x)
@@ -657,44 +583,71 @@ class _KeptPath:
         gammas = pick(blk.gamma)
         x, x_norm = _state_arrays(pick(blk.x))
         w = np.array(pick(w_cells))
-        for name, col in (
-            ("index", np.arange(start, start + rows)[keep]),
-            ("theta", np.array([pick(c) for c in blk.theta]).T),
-            ("x", x),
-            ("y", np.array(pick(blk.y)).reshape(x.shape)),
-            ("accepted", np.array(pick(blk.accepted), dtype=bool)),
-            ("alpha", np.array(pick(blk.alpha))),
-            ("gamma", np.array(gammas)),
-            ("v", np.array(vs)),
-            ("w", w),
-            ("compound", np.array(_compound_cells(config.compound, vs, pick(w_cells), gammas))),
-            ("in_set", (w <= config.recurrence_m) & (x_norm <= config.recurrence_r)),
-            ("kesten_counts", np.array(pick(blk.counts) if blk.counts is not None else [], dtype=np.int64)),
-        ):
-            self.cols.setdefault(name, []).append(col)
+        cols = [np.arange(start, start + rows)[keep]]
+        cols += [np.array(pick(c)) for c in blk.theta]
+        cols += [*x.T, *np.array(pick(blk.y)).reshape(x.shape).T]
+        cols += [
+            np.array(pick(blk.accepted), dtype=bool),
+            np.array(pick(blk.alpha)),
+            np.array(gammas),
+            np.array(vs),
+            w,
+            np.array(_compound_cells(config.compound, vs, pick(w_cells), gammas)),
+            (w <= config.recurrence_m) & (x_norm <= config.recurrence_r),
+        ]
+        if blk.counts is not None:
+            cols.append(np.array(pick(blk.counts), dtype=np.int64))
+        self.blocks.append(cols)
         return True
 
-    def build(self) -> Trajectory:
-        """The trajectory of the rows kept since the last ``build``."""
-        col = {name: np.concatenate(parts) for name, parts in self.cols.items()}
-        self.cols = {}
-        col["theta"] = np.ascontiguousarray(col["theta"])
-        if not _kesten_on(self.config.schedule):
-            col["kesten_counts"] = None
-        return Trajectory(theta_labels=self.labels, **col)
+    def to_csv(self, path) -> None:
+        """Write the header and every kept block to ``path``.
+
+        The blocks are split into contiguous slices, one per worker, as
+        ``_slices`` splits them when each costs the blocks' mean row count.
+        This process writes the first slice straight to the file; each forked
+        worker formats its slice in its own memory and sends the bytes
+        through a pipe, which this process copies into the file a buffer at a
+        time (``shutil.copyfileobj``), so it never holds another slice's
+        text.
+        """
+        blocks = self.blocks
+        rows = sum(len(cols[0]) for cols in blocks)
+        own, *rest = _slices(len(blocks), rows // len(blocks), _MIN_WORKER_ROWS)
+        with open(path, "wb") as fh:
+            fh.write(self.header)
+
+            def write_own() -> None:
+                fh.writelines(map(_csv_rows, blocks[own]))
+
+            jobs = [lambda part=part: b"".join(map(_csv_rows, blocks[part])) for part in rest]
+            _fork_map(jobs, write_own, lambda stream: shutil.copyfileobj(stream, fh))
+
+
+def _csv_rows(cols: list[np.ndarray]) -> bytes:
+    """The CSV lines of one kept block, given as its columns in header
+    order."""
+    return ("\n".join(map(",".join, zip(*map(_cells, cols)))) + "\n").encode()
+
+
+def _cells(col: np.ndarray) -> Iterator[str]:
+    """A column's CSV cells: floats by ``repr``, so that they read back
+    exactly, and integers and flags as integers."""
+    if col.dtype.kind == "f":
+        return map(repr, col.tolist())
+    return map(str, col.astype(np.int64).tolist())
 
 
 def _write_kept_csv(config: ChainConfig, path, blocks: Iterator) -> None:
     """Write replica 0's ``trajectory.csv`` from its raw blocks, given in
-    path order as ``(start, blk, w_cells)`` (see ``_KeptPath.add``)."""
+    path order as ``(start, blk, w_cells)`` (see ``_KeptPath.add``), each
+    block's kept rows as it arrives."""
     kept = _KeptPath(config)
     with open(path, "wb") as fh:
-        for start, blk, w_cells in blocks:
-            if kept.add(start, blk, w_cells):
-                traj = kept.build()
-                if start == 0:
-                    fh.write(traj._csv_header())
-                fh.writelines(traj._csv_blocks(slice(0, traj.index.shape[0])))
+        fh.write(kept.header)
+        for block in blocks:
+            if kept.add(*block):
+                fh.write(_csv_rows(kept.blocks.pop()))
 
 
 def _compound_cells(comp: CompoundSpec, vs, ws, gammas) -> list[float]:
@@ -914,15 +867,6 @@ class ReplicaSummary(NamedTuple):
     aggregate: dict
     any_diverged: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_replicas": self.n_replicas,
-            "base_seed": self.base_seed,
-            "any_diverged": self.any_diverged,
-            "aggregate": self.aggregate,
-            "per_replica": self.per_replica,
-        }
-
 
 def _quantile(values: list[float], q: float) -> float:
     """The q-quantile of the finite values, nan when there are none.
@@ -984,19 +928,20 @@ def summarize_replicas(per_replica: list[dict], base_seed: int) -> ReplicaSummar
 def _final_errors(config: ChainConfig, final_theta: np.ndarray, diverged: bool) -> dict:
     """Distances of a running-moments run's final mean and covariance from
     the target's, when both are known and the run did not diverge."""
-    if config.rule.kind != RULE_AM or config.moments is None or diverged:
+    target = config.target
+    if config.rule.kind != RULE_AM or target.known_mean is None or diverged:
         return {}
-    k = config.moments.mu_pi.shape[0]
+    k = target.dim
     return {
-        "final_err_mu": float(np.linalg.norm(final_theta[:k] - config.moments.mu_pi)),
-        "final_err_cov": float(np.linalg.norm(final_theta[k:].reshape(k, k) - config.moments.cov_pi)),
+        "final_err_mu": float(np.linalg.norm(final_theta[:k] - target.known_mean)),
+        "final_err_cov": float(np.linalg.norm(final_theta[k:].reshape(k, k) - target.known_cov)),
     }
 
 
 def run_replicas(config: ChainConfig, n_replicas: int, csv_path=None) -> ReplicaSummary:
     """Run ``n_replicas`` independent chains on replica substreams and
     return their summary; with ``csv_path``, replica 0's trajectory is
-    written to that file as ``Trajectory.to_csv`` writes it.  Every replica
+    written to that file as ``_KeptPath.to_csv`` writes it.  Every replica
     is reduced to statistics block by block as it runs, so memory stays at
     desk scale.
 
@@ -1011,10 +956,10 @@ def run_replicas(config: ChainConfig, n_replicas: int, csv_path=None) -> Replica
 
     Replica 0's rows go to one sink, chosen here.  When the split leaves a
     usable core idle and they are ``_worth_streaming``, it is a ``_Feed``:
-    one more forked worker (``_write_kept_csv``) builds and writes them while
+    one more forked worker (``_write_kept_csv``) forms and writes them while
     the loop runs.  Otherwise, with ``csv_path``, it is a ``_KeptPath``,
-    whose trajectory is written after the run, its rows split over forked
-    workers; without, there is none.  Either way the file's bytes are the
+    which writes them after the run, its blocks split over forked workers;
+    without, there is none.  Either way the file's bytes are the
     same, and a run that raises leaves no partly streamed file behind.
     """
     if n_replicas < 1:
@@ -1042,7 +987,7 @@ def run_replicas(config: ChainConfig, n_replicas: int, csv_path=None) -> Replica
                 os.unlink(csv_path)
         raise
     if kept is not None:
-        kept.build().to_csv(csv_path)
+        kept.to_csv(csv_path)
     return summarize_replicas(records, config.seed)
 
 
@@ -1075,7 +1020,8 @@ def _kept_rows(config: ChainConfig) -> int:
 # worker (R = 2, forced one against two workers, median of 21): 4,000-5,000
 # replica-steps of the 1-D scalar loops (1,500 for 1-D AM), and about 750
 # CSV rows of a 1-D srwm trajectory or 1,000-1,600 of a toy one.  A split
-# never leaves a worker less than these minimums.
+# never leaves a worker less than these minimums (a CSV split counts each
+# kept block at the blocks' mean row count).
 _MIN_WORKER_STEPS = 5_000
 _MIN_WORKER_ROWS = 1_500
 

@@ -32,7 +32,7 @@ from driftlab.simulator import _KeptPath, _run_srwm
 from driftlab.streams import substream
 from driftlab.targets import exact_tail_subexp_target, gaussian_target, smoothed_subexp_target
 from driftlab.verifiers import _mean_se, _one_step_pairs, apply_kernel_to_function, mean_acceptance
-from test_simulator import assert_same_trajectory, first_run, reference_generic, reference_srwm_step
+from test_simulator import assert_same_trajectory, first_run, kept_rows, reference_generic, reference_srwm_step
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)
 GAUSS_1D = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_SCALAR_LOG_SCALE)
@@ -377,7 +377,7 @@ def test_srwm_step_with_known_log_density_is_the_same_step(target, spec, param, 
     with_lx, without = substream(21, 0), substream(21, 0)
     kept = _KeptPath(cfg)
     _run_srwm(cfg, [with_lx], 0, kept.add)
-    traj = kept.build()
+    traj = kept_rows(kept)
     # same states, proposals, coins and acceptance probabilities, and V of
     # the carried log pi equal to V of a fresh evaluation at the state
     assert_same_trajectory(traj, reference_generic(cfg, rng=without)[0])

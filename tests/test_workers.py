@@ -13,19 +13,28 @@ import time
 import pytest
 
 from driftlab import simulator
-from driftlab.adaptation import RULE_AM, RULE_COERCED, PolynomialSchedule
+from driftlab.adaptation import RULE_AM, RULE_COERCED, KestenSchedule, PolynomialSchedule
 from driftlab.cli import main, resolve_config_path
 from driftlab.kernels import FAMILY_GAUSSIAN, FAMILY_STUDENT
 from driftlab.simulator import run_replicas
 
 from test_config_cli import mv_run_doc, write_config
-from test_simulator import SRWM_1D_CASES, kept_run, mv_config, srwm_1d_config, synthetic_trajectory, toy_config
+from test_simulator import (
+    SRWM_1D_CASES,
+    mv_config,
+    run_kept,
+    srwm_1d_config,
+    synthetic_config,
+    synthetic_kept,
+    toy_config,
+)
 
 # At step 1 the stepsize is huge, after it negligible (a = 40), so each
 # replica halts at step 1 or never, by its own first draw.
 _SCALAR_STEP_1 = PolynomialSchedule(c0=2e12, c1=0.0, a=40.0)
 _AM_1D_STEP_1 = PolynomialSchedule(c0=1.5, c1=0.0, a=40.0)
 _COERCED_2D_STEP_1 = PolynomialSchedule(c0=1e13, c1=0.0, a=40.0)
+_KESTEN = KestenSchedule(c0=0.5, a=0.6)
 
 # (path, case) -> (config arguments, fields replaced after, which of the 5
 # replicas diverge).  601 rows and 5 replicas divide evenly over neither 2
@@ -39,9 +48,11 @@ PATHS = {
     "coerced-2d": lambda **kw: mv_config(rule=RULE_COERCED, **kw),
 }
 STRIDE_7 = ({}, {"record_stride": 7}, ".....")
+KESTEN = ({"schedule": _KESTEN}, {}, ".....")
 CASES = {
     ("scalar-1d", "plain"): ({}, {}, "....."),
     ("scalar-1d", "stride-7"): STRIDE_7,
+    ("scalar-1d", "kesten"): KESTEN,
     ("scalar-1d", "replica-0-halts"): ({"schedule": _SCALAR_STEP_1}, {"seed": 9}, "D.D.."),
     ("scalar-1d", "worker-replica-diverges"): ({"schedule": _SCALAR_STEP_1}, {"seed": 5}, "....D"),
     ("am-1d", "plain"): ({}, {}, "....."),
@@ -50,6 +61,7 @@ CASES = {
     ("am-1d", "worker-replica-diverges"): ({"schedule": _AM_1D_STEP_1}, {"seed": 1}, "...D."),
     ("am-2d", "plain"): ({}, {}, "....."),
     ("am-2d", "stride-7"): STRIDE_7,
+    ("am-2d", "kesten"): KESTEN,
     # the covariance passes THETA_MAX at step 1 in every replica
     ("am-2d", "every-replica-halts"): ({"x0": 1e7}, {}, "DDDDD"),
     ("am-2d-student", "plain"): ({}, {}, "....."),
@@ -156,7 +168,7 @@ def test_worker_count_does_not_change_outputs(tmp_path, monkeypatch, path, case)
     for workers in (1, 2, 3):
         force_workers(monkeypatch, workers)
         summary = run_replicas(cfg, 5, csv_path=tmp_path / f"trajectory-{workers}.csv")
-        outputs.append((json.dumps(summary.to_json_dict(), indent=2, sort_keys=True),
+        outputs.append((json.dumps(summary._asdict(), indent=2, sort_keys=True),
                         (tmp_path / f"trajectory-{workers}.csv").read_bytes()))
         assert_no_child_left()
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
@@ -205,18 +217,19 @@ def test_a_worker_exception_is_raised_with_its_type_and_message(monkeypatch):
 def test_own_slice_failure_does_not_wait_on_a_blocked_csv_worker(tmp_path, monkeypatch, deadline):
     # each worker's slice is several MB of text, far past a pipe's buffer:
     # the worker blocks on its write until the read end is closed
-    traj = synthetic_trajectory(30_000, 2, 6, True)
-    csv_blocks = simulator.Trajectory._csv_blocks
+    kept, _ = synthetic_kept(synthetic_config(2, 6, True), 30_000)
+    parent = os.getpid()
+    csv_rows = simulator._csv_rows
 
-    def fail_own_slice(self, part):
-        if part.start == 0:
+    def fail_own_slice(cols):
+        if os.getpid() == parent:
             raise OSError("disk full")
-        return csv_blocks(self, part)
+        return csv_rows(cols)
 
     force_workers(monkeypatch, 3)
-    monkeypatch.setattr(simulator.Trajectory, "_csv_blocks", fail_own_slice)
+    monkeypatch.setattr(simulator, "_csv_rows", fail_own_slice)
     with pytest.raises(OSError, match="^disk full$"):
-        traj.to_csv(tmp_path / "trajectory.csv")
+        kept.to_csv(tmp_path / "trajectory.csv")
     assert_no_child_left()
 
 
@@ -289,8 +302,12 @@ STREAMED = {
     "halt-opens-a-block": (lambda: srwm_1d_config(**_FAST_COERCED_DIVERGES), lambda halt: halt - 1),
     "am-2d": (lambda: mv_config(), 64),
     "am-2d-stride-7": (lambda: mv_config(stride=7), 64),
+    "am-2d-kesten": (lambda: mv_config(schedule=_KESTEN), 64),
+    "am-2d-kesten-stride-7": (lambda: mv_config(schedule=_KESTEN, stride=7), 64),
     "toy": (lambda: toy_config(horizon=600), 64),
     "toy-stride-7": (lambda: toy_config(horizon=600, stride=7), 64),
+    "toy-kesten": (lambda: toy_config(horizon=600, schedule=_KESTEN), 64),
+    "toy-kesten-stride-7": (lambda: toy_config(horizon=600, stride=7, schedule=_KESTEN), 64),
     "toy-halts": (lambda: toy_config(c0=1e13, horizon=600), 64),
 }
 
@@ -324,11 +341,11 @@ def test_streamed_csv_does_not_change_outputs(tmp_path, monkeypatch, deadline, c
         # forked while a core is left idle
         slices = 1 if cfg.kind == "toy" else min(replicas, workers)
         assert bool(puts) == (slices < workers)
-        outputs.append((json.dumps(summary.to_json_dict(), indent=2, sort_keys=True), path.read_bytes()))
+        outputs.append((json.dumps(summary._asdict(), indent=2, sort_keys=True), path.read_bytes()))
         assert_no_child_left()
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
-    _, traj = kept_run(cfg, replicas)
-    traj.to_csv(tmp_path / "kept.csv")
+    _, kept = run_kept(cfg, replicas)
+    kept.to_csv(tmp_path / "kept.csv")
     assert outputs[0][1] == (tmp_path / "kept.csv").read_bytes()
 
 
@@ -353,15 +370,15 @@ def test_cli_outputs_of_a_streamed_run_do_not_depend_on_the_worker_count(tmp_pat
 
 def test_a_writer_exception_is_raised_with_its_type_and_message(tmp_path, monkeypatch, deadline):
     parent = os.getpid()
-    csv_blocks = simulator.Trajectory._csv_blocks
+    csv_rows = simulator._csv_rows
 
-    def fail_in_writer(self, part):
+    def fail_in_writer(cols):
         if os.getpid() != parent:
             raise OSError("disk full")
-        return csv_blocks(self, part)
+        return csv_rows(cols)
 
     force_workers(monkeypatch, 2)
-    monkeypatch.setattr(simulator.Trajectory, "_csv_blocks", fail_in_writer)
+    monkeypatch.setattr(simulator, "_csv_rows", fail_in_writer)
     path = tmp_path / "trajectory.csv"
     with pytest.raises(OSError) as exc:
         run_replicas(srwm_1d_config(horizon=3000), 1, csv_path=path)
@@ -374,8 +391,8 @@ def test_a_writer_exception_is_raised_with_its_type_and_message(tmp_path, monkey
 def test_a_failure_in_the_streamed_loop_reaps_the_writer(tmp_path, monkeypatch, deadline):
     scalar_blocks = simulator._scalar_blocks
 
-    def fail_after_three_blocks(config, rng, block):
-        for n, blk in enumerate(scalar_blocks(config, rng, block)):
+    def fail_after_three_blocks(config, rng):
+        for n, blk in enumerate(scalar_blocks(config, rng)):
             if n == 3:
                 raise ZeroDivisionError("step 130 cannot run")
             yield blk
