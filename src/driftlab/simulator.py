@@ -23,9 +23,14 @@ one process.  srwm replicas are split into contiguous slices, one per usable
 core, each run in a forked worker (``_fork_map``) except the first, which
 this process runs.  Within a slice, replicas run one after another, each in
 a loop that appends only raw values (parameter, state, proposal, acceptance,
-stepsize, log pi) to per-block lists.  On a 1-D target the loop runs over
-Python floats, and a uniform proposal draws a block's uniforms at once, in
-the order of the scalar draws.
+stepsize, log pi) to per-block lists.  Each srwm replica k draws from split
+streams (``streams.split_streams``), one per kind of draw: its increments
+from ``spawn_key=(k, 0)``, its coins from ``(k, 1)`` and, under running
+moments with Student increments in several dimensions, its chi-square
+mixing variable from ``(k, 2)``.  A loop draws each block's values with
+one sized call per stream, and its step loop only reads them; since a block
+draw returns what as many scalar draws would, no output depends on the block
+length.  On a 1-D target the loop runs over Python floats.
 In several dimensions the loop runs over Python floats too, calling numpy
 only to draw: under running moments the proposal applies the root of the
 proposal covariance from ``kernels._root_rows`` (closed-form at d = 2,
@@ -58,7 +63,7 @@ loop runs.  Otherwise a ``_KeptPath`` in this process keeps them, and its
 ``to_csv`` writes the file after the run, its blocks split over forked
 workers the same way as the replicas.
 No split changes a byte of the outputs: each replica draws from its own
-substream, records carry their global replica index, and a CSV row's text
+streams, records carry their global replica index, and a CSV row's text
 depends on that row alone.
 """
 from __future__ import annotations
@@ -69,7 +74,7 @@ import os
 import pickle
 import shutil
 from collections import deque
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul, sub
 from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Optional
 
@@ -86,12 +91,13 @@ from .adaptation import (
 from .config import CHAIN_TOY, ChainConfig
 from .kernels import (
     FAMILY_GAUSSIAN,
+    FAMILY_STUDENT,
     FAMILY_UNIFORM,
     RW_SCALE,
     _root_rows,
 )
 from .lyapunov import CompoundSpec
-from .streams import substream
+from .streams import split_streams, substream
 
 THETA_MAX = 1e12
 
@@ -147,19 +153,29 @@ def _first_stepsize(schedule) -> tuple[bool, float, float, float, float]:
     return False, 0.0, 0.0, 0.0, first
 
 
-def _scalar_blocks(config: ChainConfig, rng):
+def _unit_draws(spec, inc) -> Callable:
+    """``draw(shape)``: a block of unscaled scalar-rule increments from the
+    increment stream ``inc``, uniform on (-1, 1), standard normal or
+    standard Student as ``spec.family`` says.  A block draw returns the
+    values that as many scalar draws would, in the same order."""
+    if spec.family == FAMILY_UNIFORM:
+        return lambda shape: 2.0 * inc.random(shape) - 1.0
+    if spec.family == FAMILY_GAUSSIAN:
+        return inc.standard_normal
+    return lambda shape: inc.standard_t(spec.student_dof, shape)
+
+
+def _scalar_blocks(config: ChainConfig, streams: tuple):
     """Scalar log-scale rules (coerced / fast_coerced / fixed) on a 1-D
     target, over Python floats: yields row 0, then blocks of up to
     ``_BLOCK_STEPS`` steps, the last one ending at the horizon or at the halt
     row.
 
-    A uniform proposal draws a block's increments and coins at once, 2 *
-    ``_BLOCK_STEPS`` uniforms read alternately, which is the order of one
-    increment and one coin per step; a Gaussian or Student proposal draws
-    its increment and then its coin on every step.
+    Each block draws its unscaled increments (``_unit_draws``) from the
+    increment stream and its coins from the coin stream, one sized call
+    each, and the step loop reads them.
     """
     target = config.target
-    spec = config.proposal
     rule = config.rule
     kesten = _kesten_on(config.schedule)
     gamma_of_count = config.schedule.gamma_of_count if kesten else None
@@ -167,17 +183,13 @@ def _scalar_blocks(config: ChainConfig, rng):
     alpha_star = rule.alpha_star if rule.alpha_star is not None else 0.0
     fast = rule.kind == RULE_FAST_COERCED
     fixed = rule.kind == RULE_FIXED
-    uniform = spec.family == FAMILY_UNIFORM
-    gaussian = spec.family == FAMILY_GAUSSIAN
-    dof = spec.student_dof
+    inc, coin = streams
+    draw = _unit_draws(config.proposal, inc)
 
     logp = target.log_density
     exp = math.exp
     isfinite = math.isfinite
     inf = math.inf
-    draw_normal = rng.standard_normal
-    draw_uniform = rng.random
-    draw_t = rng.standard_t
     poly, c0, c1, a, gm = _first_stepsize(config.schedule)
 
     theta = float(config.theta0)
@@ -189,30 +201,22 @@ def _scalar_blocks(config: ChainConfig, rng):
 
     for start in range(1, n + 1, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, n + 1)
-        if uniform:
-            u = rng.random(2 * (stop - start)).tolist()
-            incs, coins = u[0::2], u[1::2]
-        else:
-            incs = coins = repeat(0.0)
+        units = draw(stop - start).tolist()
+        coins = coin.random(stop - start).tolist()
         ths, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], []
         counts = [] if kesten else None
         halted = False
-        for i, du, coin in zip(range(start, stop), incs, coins):
+        for i, unit, u in zip(range(start, stop), units, coins):
             if poly:
                 gm = c0 / (c1 + i) ** a
             sigma = exp(theta) if theta < 700.0 else inf
-            if uniform:
-                z = sigma * (2.0 * du - 1.0)
-            else:
-                z = sigma * draw_normal() if gaussian else sigma * draw_t(dof)
-                coin = draw_uniform()
-            y = x + z
+            y = x + sigma * unit
             ly = float(logp(y))
             # kernels.acceptance and adaptation.scalar_update inlined: the two calls
             # took a 1.2 us step to 1.4 us (coerced preset, 2 x 200,000 steps, 2-vCPU VM)
             d = ly - lx
             alpha = 1.0 if d >= 0.0 else exp(d)
-            accepted = coin < alpha
+            accepted = u < alpha
             if accepted:
                 x, lx = y, ly
             if fixed:
@@ -245,11 +249,12 @@ def _scalar_blocks(config: ChainConfig, rng):
             return
 
 
-def _am_1d_blocks(config: ChainConfig, rng):
+def _am_1d_blocks(config: ChainConfig, streams: tuple):
     """Running-moments rule on a 1-D target with a Gaussian or Student
     proposal, over Python floats: yields row 0, then blocks of up to
     ``_BLOCK_STEPS`` steps, the last one ending at the horizon or at the halt
-    row.
+    row.  Each block draws its unscaled increments and its coins as
+    ``_scalar_blocks`` does.
     A negative running variance is no covariance, so it halts the run."""
     target = config.target
     spec = config.proposal
@@ -258,16 +263,13 @@ def _am_1d_blocks(config: ChainConfig, rng):
     n = config.horizon
     eps = spec.eps_ridge
     scale2 = RW_SCALE * RW_SCALE
-    gaussian = spec.family == FAMILY_GAUSSIAN
-    dof = spec.student_dof
+    inc, coin = streams
+    draw = _unit_draws(spec, inc)
 
     logp = target.log_density
     exp = math.exp
     sqrt = math.sqrt
     isfinite = math.isfinite
-    draw_normal = rng.standard_normal
-    draw_uniform = rng.random
-    draw_t = rng.standard_t
     poly, c0, c1, a, gm = _first_stepsize(config.schedule)
 
     mu = float(config.theta0.mu[0])
@@ -279,20 +281,22 @@ def _am_1d_blocks(config: ChainConfig, rng):
     yield _RawBlock(([mu], [g]), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
     for start in range(1, n + 1, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, n + 1)
+        units = draw(stop - start).tolist()
+        coins = coin.random(stop - start).tolist()
         mus, gs, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], [], []
         counts = [] if kesten else None
         halted = False
-        for i in range(start, min(start + _BLOCK_STEPS, n + 1)):
+        for i, unit, u in zip(range(start, stop), units, coins):
             if poly:
                 gm = c0 / (c1 + i) ** a
             var = scale2 * (g + eps)
             sd = sqrt(var) if var > 0 else 0.0
-            z = sd * draw_normal() if gaussian else sd * draw_t(dof)
-            y = x + z
+            y = x + sd * unit
             ly = float(logp(y))
             d = ly - lx
             alpha = 1.0 if d >= 0.0 else exp(d)  # kernels.acceptance, inlined as above
-            accepted = draw_uniform() < alpha
+            accepted = u < alpha
             if accepted:
                 x, lx = y, ly
             dev = x - mu
@@ -322,25 +326,28 @@ def _am_1d_blocks(config: ChainConfig, rng):
             return
 
 
-def _generic_blocks(config: ChainConfig, rng):
+def _generic_blocks(config: ChainConfig, streams: tuple):
     """Multivariate chains over Python floats, one step at a time: yields
     row 0, then blocks of up to ``_BLOCK_STEPS`` steps, the last one ending
     at the horizon or at the halt row.
 
-    A step draws ``standard_normal(d)`` and, under running moments, applies
-    the ``kernels._root_rows`` root of the proposal covariance (RW_SCALE**2
-    / d) * (cov + eps_ridge * I) row by row, then draws one chi-square for
-    Student increments; a scalar rule scales ``standard_normal(d)`` or
-    ``standard_t(dof, d)`` by exp(theta).  The coin comes last.  These are
-    the draws of one ``kernels.draw_increments`` increment and its coin.
-    The update is the elementwise arithmetic of ``adaptation.am_update``
-    or of ``scalar_update``; a Kesten count compares successive increments,
-    under running moments the mean's and the covariance's increments
-    flattened into one vector.  Sums of products are Python's ``sum``, so
-    they do not depend on the BLAS build (from Python 3.12 on ``sum`` is
-    compensated, which can move a last digit once more than two terms are
-    summed).  The target is evaluated once per step, at the proposal: log
-    pi of the current state is carried from step to step.
+    Each block of B steps draws, one sized call per stream, a (B, d) block
+    of standard normals from the increment stream (Student draws under a
+    scalar rule with Student increments), B coins from the coin stream and,
+    under running moments with Student increments, B chi-squares from the
+    mixing stream.  Under running moments a step applies the
+    ``kernels._root_rows`` root of the proposal covariance (RW_SCALE**2 / d)
+    * (cov + eps_ridge * I) to its normals row by row and divides by the
+    root of its chi-square over the dof, as ``kernels.draw_increments``
+    does; a scalar rule scales its draws by exp(theta).  The update is the
+    elementwise arithmetic of ``adaptation.am_update`` or of
+    ``scalar_update``; a Kesten count compares successive increments, under
+    running moments the mean's and the covariance's increments flattened
+    into one vector.  Sums of products are Python's ``sum``, so they do not
+    depend on the BLAS build (from Python 3.12 on ``sum`` is compensated,
+    which can move a last digit once more than two terms are summed).  The
+    target is evaluated once per step, at the proposal: log pi of the
+    current state is carried from step to step.
 
     No kernel parameter is built or checked: the update keeps the
     covariance symmetric, the step's row is checked against THETA_MAX (a
@@ -359,7 +366,8 @@ def _generic_blocks(config: ChainConfig, rng):
     fast = rule.kind == RULE_FAST_COERCED
     fixed = rule.kind == RULE_FIXED
     alpha_star = rule.alpha_star if rule.alpha_star is not None else 0.0
-    gaussian = spec.family == FAMILY_GAUSSIAN
+    inc, coin, *mixing = streams  # mixing: the chi-square stream, if there is one
+    draw = inc.standard_normal if am else _unit_draws(spec, inc)
     dof = spec.student_dof
     # proposal covariance scale * (cov + ridge), the elementwise arithmetic
     # of kernels.proposal_covariance, row-major like the covariance
@@ -368,13 +376,8 @@ def _generic_blocks(config: ChainConfig, rng):
 
     logp = target.log_density
     exp = math.exp
-    sqrt = math.sqrt
     isfinite = math.isfinite
     inf = math.inf
-    draw_normal = rng.standard_normal
-    draw_uniform = rng.random
-    draw_t = rng.standard_t
-    draw_chi = rng.chisquare
     poly, c0, c1, a, gm = _first_stepsize(config.schedule)
 
     if am:
@@ -391,27 +394,29 @@ def _generic_blocks(config: ChainConfig, rng):
     yield _RawBlock(_columns([row]), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
     for start in range(1, n + 1, _BLOCK_STEPS):
+        stop = min(start + _BLOCK_STEPS, n + 1)
+        units = draw((stop - start, dim)).tolist()
+        coins = coin.random(stop - start).tolist()
+        roots = np.sqrt(mixing[0].chisquare(dof, stop - start) / dof).tolist() if mixing else repeat(None)
         rows, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], []
         counts = [] if kesten else None
         halted = False
-        for i in range(start, min(start + _BLOCK_STEPS, n + 1)):
+        for i, unit, u, q in zip(range(start, stop), units, coins, roots):
             if poly:
                 gm = c0 / (c1 + i) ** a
             if am:
-                normal = draw_normal(dim).tolist()
                 root = _root_rows([scale * (c + e) for c, e in zip(cov, ridge)], dim)
-                z = [sum(map(mul, r, normal)) for r in root]
-                if not gaussian:
-                    q = sqrt(draw_chi(dof) / dof)
+                z = [sum(map(mul, r, unit)) for r in root]
+                if q is not None:
                     z = [v / q for v in z] if q > 0.0 else [v * inf for v in z]  # numpy's v / 0
             else:
                 sigma = exp(theta) if theta < 700.0 else inf
-                z = [sigma * v for v in (draw_normal(dim) if gaussian else draw_t(dof, dim)).tolist()]
+                z = [sigma * v for v in unit]
             y = tuple(map(add, x, z))  # a list(map(...)) of 2 would hold 8 slots
             ly = float(logp(y))
             d = ly - lx
             alpha = 1.0 if d >= 0.0 else exp(d)  # kernels.acceptance, inlined as in the 1-D loops
-            accepted = draw_uniform() < alpha
+            accepted = u < alpha
             if accepted:
                 x, lx = y, ly
             if am:
@@ -462,10 +467,10 @@ def _columns(rows: list[tuple]) -> tuple:
 # the weight to inf or NaN silently, as Python floats do in 1-D; the halt
 # check then ends the replica.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_srwm(config: ChainConfig, rngs: list, replica: int, keep: Optional[Callable] = None) -> list[dict]:
-    """srwm chains, one replica per generator in ``rngs``, run one after
-    another; the generators are those of replicas ``replica``,
-    ``replica + 1``, ...
+def _run_srwm(config: ChainConfig, streams: list[tuple], replica: int, keep: Optional[Callable] = None) -> list[dict]:
+    """srwm chains, one replica per entry of ``streams``, run one after
+    another; the entries are the split streams (``_replica_streams``) of
+    replicas ``replica``, ``replica + 1``, ...
 
     Each replica's loop (``_scalar_blocks`` or ``_am_1d_blocks`` on a 1-D
     target, ``_generic_blocks`` otherwise) yields raw columns in blocks of
@@ -473,7 +478,7 @@ def _run_srwm(config: ChainConfig, rngs: list, replica: int, keep: Optional[Call
     statistics and its accept flags into a ring for ``acceptance_tail``,
     then dropped; the first replica's blocks also go to
     ``keep(start, blk, w_cells)`` (see ``_KeptPath.add``).
-    Returns one record per generator, in order and labelled with its
+    Returns one record per replica, in order and labelled with its
     replica index.
     """
     dim = config.target.dim
@@ -482,14 +487,14 @@ def _run_srwm(config: ChainConfig, rngs: list, replica: int, keep: Optional[Call
     else:
         blocks_of = _am_1d_blocks if config.rule.kind == RULE_AM else _scalar_blocks
     weights = config.param_weight.of_columns
-    stats = _RecurrenceCounter(len(rngs), config.recurrence_m, config.recurrence_r)
+    stats = _RecurrenceCounter(len(streams), config.recurrence_m, config.recurrence_r)
     horizon = np.array([config.horizon])
     records = []
-    for k, rng in enumerate(rngs):
+    for k, draws in enumerate(streams):
         cols = np.array([k])
         flags = deque(maxlen=_TAIL_MAX)
         start = 0
-        for blk in blocks_of(config, rng):
+        for blk in blocks_of(config, draws):
             index = np.arange(start, start + len(blk.x))
             w_cells = weights(blk.theta, dim)
             stats.add(index, np.abs(np.array(blk.theta)).max(axis=0)[:, None], np.array(w_cells)[:, None],
@@ -513,14 +518,21 @@ def _run_srwm(config: ChainConfig, rngs: list, replica: int, keep: Optional[Call
     return records
 
 
+def _points(cells: list) -> np.ndarray:
+    """States or proposals given as one float per row (a 1-D target) or one
+    tuple of coordinates per row, as an array with one row per point.
+    Tuples are flattened first: numpy reads 512 pairs of floats in about
+    0.2 ms as tuples and in a fifth of that as one flat list."""
+    if isinstance(cells[0], tuple):
+        return np.array([*chain.from_iterable(cells)]).reshape(len(cells), -1)
+    return np.array(cells)[:, None]
+
+
 def _state_arrays(xs: list) -> tuple[np.ndarray, np.ndarray]:
-    """States given as one float per row (a 1-D target) or one tuple of
-    coordinates per row, as an array with one row per state, and their
-    norms."""
-    x = np.array(xs)
-    if x.ndim == 1:
-        return x[:, None], np.abs(x)
-    return x, np.linalg.norm(x, axis=1)
+    """States as ``_points`` takes them, as an array with one row per
+    state, and their norms."""
+    x = _points(xs)
+    return x, np.abs(x[:, 0]) if x.shape[1] == 1 else np.linalg.norm(x, axis=1)
 
 
 class _KeptPath:
@@ -585,7 +597,7 @@ class _KeptPath:
         w = np.array(pick(w_cells))
         cols = [np.arange(start, start + rows)[keep]]
         cols += [np.array(pick(c)) for c in blk.theta]
-        cols += [*x.T, *np.array(pick(blk.y)).reshape(x.shape).T]
+        cols += [*x.T, *_points(pick(blk.y)).T]
         cols += [
             np.array(pick(blk.accepted), dtype=bool),
             np.array(pick(blk.alpha)),
@@ -626,16 +638,21 @@ class _KeptPath:
 
 def _csv_rows(cols: list[np.ndarray]) -> bytes:
     """The CSV lines of one kept block, given as its columns in header
-    order."""
-    return ("\n".join(map(",".join, zip(*map(_cells, cols)))) + "\n").encode()
+    order: floats by ``repr``, so that they read back exactly, and integers
+    and flags as integers.
 
-
-def _cells(col: np.ndarray) -> Iterator[str]:
-    """A column's CSV cells: floats by ``repr``, so that they read back
-    exactly, and integers and flags as integers."""
-    if col.dtype.kind == "f":
-        return map(repr, col.tolist())
-    return map(str, col.astype(np.int64).tolist())
+    ``repr`` costs about 0.5 us a float, and about a quarter of a block's
+    floats repeat one another (x repeats y or the row before, V repeats on
+    rejected rows, cov_12 = cov_21, alpha = 1.0), so each distinct bit
+    pattern is formatted once: -0.0 and 0.0, or NaNs of different payloads,
+    stay distinct, and every cell reads as its own ``repr``.
+    """
+    floats = [col for col in cols if col.dtype.kind == "f"]
+    bits, where = np.unique(np.concatenate(floats).view(np.uint64), return_inverse=True)
+    texts = np.array([*map(repr, bits.view(np.float64).tolist())], dtype=object)
+    float_cells = iter(texts[where].reshape(len(floats), -1).tolist())
+    cells = [next(float_cells) if col.dtype.kind == "f" else map(str, col.astype(np.int64).tolist()) for col in cols]
+    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
 
 
 def _write_kept_csv(config: ChainConfig, path, blocks: Iterator) -> None:
@@ -964,7 +981,6 @@ def run_replicas(config: ChainConfig, n_replicas: int, csv_path=None) -> Replica
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    rngs = [substream(config.seed, k) for k in range(n_replicas)]
     toy = config.kind == CHAIN_TOY
     own, *rest = [slice(0, n_replicas)] if toy else _slices(n_replicas, config.horizon + 1, _MIN_WORKER_STEPS)
     streamed = csv_path is not None and len(rest) + 1 < _usable_cores() and _worth_streaming(config)
@@ -975,9 +991,13 @@ def run_replicas(config: ChainConfig, n_replicas: int, csv_path=None) -> Replica
         keep = None if kept is None else kept.add
         if feed is not None:  # streamed: the writer keeps the rows
             keep = lambda *block: feed.put(block)
-        records.extend(_run_toy_replicas(config, rngs, keep) if toy else _run_srwm(config, rngs[own], 0, keep))
+        if toy:
+            records.extend(_run_toy_replicas(config, [substream(config.seed, k) for k in range(n_replicas)], keep))
+        else:
+            records.extend(_run_srwm(config, _replica_streams(config, own), 0, keep))
 
-    jobs = [lambda part=part: pickle.dumps(_run_srwm(config, rngs[part], part.start)) for part in rest]
+    jobs = [lambda part=part: pickle.dumps(_run_srwm(config, _replica_streams(config, part), part.start))
+            for part in rest]
     feed = (lambda blocks: _write_kept_csv(config, csv_path, blocks)) if streamed else None
     try:
         _fork_map(jobs, run_own, lambda stream: records.extend(pickle.load(stream)), feed)
@@ -991,14 +1011,23 @@ def run_replicas(config: ChainConfig, n_replicas: int, csv_path=None) -> Replica
     return summarize_replicas(records, config.seed)
 
 
+def _replica_streams(config: ChainConfig, part: slice) -> list[tuple]:
+    """The split streams (``streams.split_streams``) of srwm replicas
+    ``part``, made where they run: stream 0 for the increments, stream 1 for
+    the coins and, under running moments with Student increments in several
+    dimensions, stream 2 for the chi-square mixing variable."""
+    mixing = config.rule.kind == RULE_AM and config.target.dim > 1 and config.proposal.family == FAMILY_STUDENT
+    return [split_streams(config.seed, k, 3 if mixing else 2) for k in range(part.start, part.stop)]
+
+
 def _worth_streaming(config: ChainConfig) -> bool:
     """Whether replica 0's CSV pays for a writer of its own on an idle core:
     its loop makes a kept row about as slowly as the writer formats one, as
     the toy engine and the loops in several dimensions do, and it keeps at
-    least ``_MIN_STREAM_ROWS`` rows.  A 1-D loop makes a row 3-5 times
-    faster than it is formatted (2.3-3.5 us a step against 11 us a row), so
-    a writer would set its pace, where the after-run split formats on every
-    core."""
+    least ``_MIN_STREAM_ROWS`` rows.  A 1-D loop makes a row about 5 times
+    faster than the writer forms and formats it (0.9-1.1 us a step against
+    4.9-5.7 us a row, in process on a 2-vCPU VM), so a writer would set its
+    pace, where the after-run split formats on every core."""
     slow = config.kind == CHAIN_TOY or config.target.dim > 1
     return slow and _kept_rows(config) >= _MIN_STREAM_ROWS
 
@@ -1018,10 +1047,12 @@ def _kept_rows(config: ChainConfig) -> int:
 # for itself only past about 8 ms of work; a ``driftlab run`` that forked
 # also takes about 4 ms longer to exit.  Measured break-evens, in work per
 # worker (R = 2, forced one against two workers, median of 21): 4,000-5,000
-# replica-steps of the 1-D scalar loops (1,500 for 1-D AM), and about 750
-# CSV rows of a 1-D srwm trajectory or 1,000-1,600 of a toy one.  A split
-# never leaves a worker less than these minimums (a CSV split counts each
-# kept block at the blocks' mean row count).
+# replica-steps of the 1-D scalar loops and about 4,000 of 1-D AM, and
+# about 750 CSV rows of a 1-D srwm trajectory or 1,000-1,600 of a toy one.
+# Whole ``driftlab run`` processes of 2 x 5,000 1-D AM steps took 207 ms
+# on two workers against 211 on one (median of 15).  A split never leaves a
+# worker less than these minimums (a CSV split counts each kept block at the
+# blocks' mean row count).
 _MIN_WORKER_STEPS = 5_000
 _MIN_WORKER_ROWS = 1_500
 

@@ -32,7 +32,14 @@ from driftlab.simulator import _KeptPath, _run_srwm
 from driftlab.streams import substream
 from driftlab.targets import exact_tail_subexp_target, gaussian_target, smoothed_subexp_target
 from driftlab.verifiers import _mean_se, _one_step_pairs, apply_kernel_to_function, mean_acceptance
-from test_simulator import assert_same_trajectory, first_run, kept_rows, reference_generic, reference_srwm_step
+from test_simulator import (
+    assert_same_trajectory,
+    first_run,
+    kept_rows,
+    reference_generic,
+    reference_srwm_step,
+    replica_draws,
+)
 
 UNIFORM_1D = ProposalSpec(family=FAMILY_UNIFORM, parametrization=PARAM_SCALAR_LOG_SCALE)
 GAUSS_1D = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_SCALAR_LOG_SCALE)
@@ -316,7 +323,7 @@ def test_step_acceptance_frequency_tracks_mean_acceptance(theta, x, seed):
     param = ScalarParam(theta=theta)
     rng = substream(seed, 0)
     n = 4000
-    hits = sum(reference_srwm_step(t, UNIFORM_1D, param, np.array([x]), rng)[2] for _ in range(n))
+    hits = sum(reference_srwm_step(t, UNIFORM_1D, param, np.array([x]), (rng, rng))[2] for _ in range(n))
     a_bar = mean_acceptance(t, param.sigma, x)
     se = math.sqrt(max(a_bar * (1.0 - a_bar), 1e-12) / n)
     assert abs(hits / n - a_bar) <= 5.0 * se + 1e-3
@@ -374,16 +381,16 @@ def test_srwm_step_with_known_log_density_is_the_same_step(target, spec, param, 
     """The simulator evaluates log pi once per step and carries it; its
     chain is the one that evaluates log pi at both points on every step."""
     cfg = chain_from(target, spec, param, x0)
-    with_lx, without = substream(21, 0), substream(21, 0)
+    with_lx, without = replica_draws(cfg, 0), replica_draws(cfg, 0)
     kept = _KeptPath(cfg)
     _run_srwm(cfg, [with_lx], 0, kept.add)
     traj = kept_rows(kept)
     # same states, proposals, coins and acceptance probabilities, and V of
     # the carried log pi equal to V of a fresh evaluation at the state
-    assert_same_trajectory(traj, reference_generic(cfg, rng=without)[0])
+    assert_same_trajectory(traj, reference_generic(cfg, draws=without)[0])
     assert 0 < traj.accepted[1:].sum() < 300
-    # both consumed the same draws
-    assert without.random() == with_lx.random()
+    # both consumed the same draws from every stream
+    assert [s.random() for s in without] == [s.random() for s in with_lx]
 
 
 def test_toy_transition_matrix_structure():

@@ -57,20 +57,20 @@ RUNS = {
 
 # name -> (SHA-256 of trajectory.csv, SHA-256 of summary.json)
 DIGESTS = {
-    "am-1d": ("5e96c0be45c7fabbf32ebd112af7498ddf29bfd3f3d6fbd4c22660d12b22578a",
-              "cb5b06032ab5133683b2215c956e8ee992488428df0727d2d724ae77a86a197e"),
-    "am-1d-split": ("503c73b92f2c3bd608cffba0bf66a51358e92cfa0a8b2481da525b8144ae7f08",
-                    "3d29e67a1dcb71b27d9fc6f4d543a684b547aa401393efb01646146c47606fe2"),
-    "am-2d": ("d1d776e3e680d2423a8dad406a1ed2793d2dc55701eecf3090bdebd1e7cd331e",
-              "5753247cf5a306b938e436e2a8312c2149f7aed3a6d3a0ea84b93ad521d58de0"),
-    "am-subexp-1d-kesten": ("e2ec3f090c152bc1dab400286004c55322cefb912619a143a7f5cce87fa17a94",
-                            "521f8e0e345c2fbe3429071c8fa181d548fd0247ae36f79345889e497bd7dad7"),
-    "coerced-2d-streamed": ("545dadfbbe241df58022155dbf180e23d79598d30cb8383a5a13f61bed75e669",
-                            "89a63f1b9b9750b62a6959087ffb83f94c2607e6838254577846248b80f487bd"),
-    "scalar-1d": ("39c41d7c591e44460844f5e84c63510b9eba07a789d6d95caa086bf3210c8d87",
-                  "ff4c9009118afcd45c8d46a778a75f2918d8c1bfc1695398e7558c076a38c6aa"),
-    "scalar-1d-stride-7": ("53b08097a22331782c1e3042b21a8477f5f8af8b45ca17fc27844b750ccf0524",
-                           "aa21156d9639933bbf47ada3e03f5a521e62f60901417d29146295d25992f4f9"),
+    "am-1d": ("34822ea8828622b732f5a995fc2ee4829eb8140f4736f5d79110d82101579beb",
+              "b9435adcf0a598b781b6eef306e5830a133b77138455d01f49aacddf25b7a548"),
+    "am-1d-split": ("fbec6be916f3c4be8533f9d150a03ac3c773caeeb28781e80fad2f69f10133c7",
+                    "8b97c28df67a5b2968dfba9945afbbc9f202c6fee876099edc18871f3198f78b"),
+    "am-2d": ("f76e370161fac728ef90fb71a349971d9173bc0e42017b81f21a19aa0539824e",
+              "2279d6dce4d0397429482774238031f1c88d82e2456bd748d20f18c43311ce97"),
+    "am-subexp-1d-kesten": ("fe3a8d4bbee864feb63d9e819a5201838d61ace4eaa30c2e7f8179ea8ce89388",
+                            "597fe1af0766824aafa00b19fcb5f870b15581a370a0524b147ae611152fb288"),
+    "coerced-2d-streamed": ("610190ea3c03e66194c131c6cd2a01fb049719a099da5b470da0be024b9063d9",
+                            "e17657d398d0b921a8dbdfc78417d69b21eca7e7e40621520c4c949b1aa104f2"),
+    "scalar-1d": ("8488a70b1c74c1ed182cc440d2284d32a11380b15c83ef5bc695434fa5d5c708",
+                  "1a71c453405bbdf6b35beee707d82e85ca6a4066de3813b321bb703212c322c4"),
+    "scalar-1d-stride-7": ("65fc7e075d80de1e451ff34bfa27e71eb6fd88ebf601e5676bbc210a4bdb1c8d",
+                           "a6c1d9bfb7ffa01e1e4d73121851f16561305cd746b56236310765aab1860df5"),
     "toy": ("4f2c7795952e8c4f800d147cc6c70f003861dee15c27191047b01f142e95dd46",
             "87ee37da93730a2d753181a2daebd1b403b4e4bc2627382ff0fe78a20f7defca"),
 }

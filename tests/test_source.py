@@ -5,8 +5,9 @@ the config schema, one function forks, one freezes the heap, the drift
 certificates have one headroom rule and one slack rule, the default
 stepsize ceiling, center radius and am_poly exponent are written once,
 the weight variants are named only where weights are built and evaluated,
-two classes are dataclasses, and source code names every top-level
-function and class and every method.
+two classes are dataclasses, source code names every top-level function
+and class and every method, no srwm step loop calls a generator, and the
+verifiers draw from ``streams.substream``.
 
 One rule covers the module ``__getattr__`` of ``cli`` (PEP 562): the
 interpreter calls it, and it looks up ``verify_<check>`` by name for each
@@ -427,3 +428,68 @@ def test_every_method_is_named_by_source():
     # a method that only tests call is deleted with its tests, as a
     # top-level definition is
     assert unreferenced_methods({path.stem: path.read_text() for path in MODULES}) == []
+
+
+GENERATOR_METHODS = {"random", "standard_normal", "standard_t", "chisquare"}
+
+
+def step_loop_draws(source: str) -> dict[str, tuple[int, list[str]]]:
+    """For each top-level function named ``*_blocks``: how many ``for``
+    loops it nests in another ``for`` (its step loops), and the generator
+    calls those loops make.  A call counts when it names a method of
+    GENERATOR_METHODS, or a local name bound to an expression that reads
+    one or that calls ``_unit_draws``."""
+    found = {}
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.endswith("_blocks")):
+            continue
+        aliases = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and any(
+                (isinstance(n, ast.Attribute) and n.attr in GENERATOR_METHODS)
+                or (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_unit_draws")
+                for n in ast.walk(node.value)
+            ):
+                aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        inner = [loop for outer in ast.walk(fn) if isinstance(outer, ast.For)
+                 for loop in ast.walk(outer) if isinstance(loop, ast.For) and loop is not outer]
+        calls = []
+        for loop in inner:
+            for node in ast.walk(loop):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    if isinstance(f, ast.Attribute) and f.attr in GENERATOR_METHODS:
+                        calls.append(f.attr)
+                    elif isinstance(f, ast.Name) and f.id in aliases:
+                        calls.append(f.id)
+        found[fn.name] = (len(inner), calls)
+    return found
+
+
+def test_step_loop_detector_sees_methods_and_their_aliases():
+    src = "def a_blocks(rng, s):\n    draw = rng.standard_t\n    unit = _unit_draws(s, rng)\n" \
+          "    for b in range(2):\n        u = rng.random(4).tolist()\n        for i in u:\n" \
+          "            draw(3)\n            unit(1)\n            s[0].chisquare(2)\n            rng.integers(2)\n" \
+          "def b_blocks(rng):\n    for b in range(2):\n        rng.random()\n" \
+          "def other(rng):\n    for b in range(2):\n        for i in b:\n            rng.random()\n"
+    assert step_loop_draws(src) == {"a_blocks": (1, ["draw", "unit", "chisquare"]), "b_blocks": (0, [])}
+
+
+def test_no_srwm_step_loop_calls_a_generator():
+    # each srwm loop draws a block's values with one sized call per split
+    # stream and its step loop only reads them
+    found = step_loop_draws((PACKAGE / "simulator.py").read_text())
+    assert sorted(found) == ["_am_1d_blocks", "_generic_blocks", "_scalar_blocks"]
+    assert all(loops == 1 for loops, _ in found.values())
+    assert {name: calls for name, (_, calls) in found.items() if calls} == {}
+
+
+def test_verifiers_draw_from_substreams():
+    # the Monte Carlo checks keep one streams.substream per grid point,
+    # whatever layout the simulator's split streams take
+    tree = ast.parse((PACKAGE / "verifiers.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "streams"]
+    assert [[a.name for a in node.names] for node in imports] == [["substream"]]
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "substream"]
+    assert calls

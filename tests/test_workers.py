@@ -53,12 +53,12 @@ CASES = {
     ("scalar-1d", "plain"): ({}, {}, "....."),
     ("scalar-1d", "stride-7"): STRIDE_7,
     ("scalar-1d", "kesten"): KESTEN,
-    ("scalar-1d", "replica-0-halts"): ({"schedule": _SCALAR_STEP_1}, {"seed": 9}, "D.D.."),
-    ("scalar-1d", "worker-replica-diverges"): ({"schedule": _SCALAR_STEP_1}, {"seed": 5}, "....D"),
+    ("scalar-1d", "replica-0-halts"): ({"schedule": _SCALAR_STEP_1}, {"seed": 9}, "D..DD"),
+    ("scalar-1d", "worker-replica-diverges"): ({"schedule": _SCALAR_STEP_1}, {"seed": 0}, "...D."),
     ("am-1d", "plain"): ({}, {}, "....."),
     ("am-1d", "stride-7"): STRIDE_7,
-    ("am-1d", "replica-0-halts"): ({"schedule": _AM_1D_STEP_1}, {"seed": 13}, "D...."),
-    ("am-1d", "worker-replica-diverges"): ({"schedule": _AM_1D_STEP_1}, {"seed": 1}, "...D."),
+    ("am-1d", "replica-0-halts"): ({"schedule": _AM_1D_STEP_1}, {"seed": 5}, "D...."),
+    ("am-1d", "worker-replica-diverges"): ({"schedule": _AM_1D_STEP_1}, {"seed": 26}, "...D."),
     ("am-2d", "plain"): ({}, {}, "....."),
     ("am-2d", "stride-7"): STRIDE_7,
     ("am-2d", "kesten"): KESTEN,
@@ -70,8 +70,8 @@ CASES = {
     ("am-3d", "stride-7"): STRIDE_7,
     ("coerced-2d", "plain"): ({}, {}, "....."),
     ("coerced-2d", "stride-7"): STRIDE_7,
-    ("coerced-2d", "replica-0-halts"): ({"schedule": _COERCED_2D_STEP_1}, {"seed": 10}, "D.DDD"),
-    ("coerced-2d", "worker-replica-diverges"): ({"schedule": _COERCED_2D_STEP_1}, {"seed": 22}, "..D.D"),
+    ("coerced-2d", "replica-0-halts"): ({"schedule": _COERCED_2D_STEP_1}, {"seed": 13}, "D.DDD"),
+    ("coerced-2d", "worker-replica-diverges"): ({"schedule": _COERCED_2D_STEP_1}, {"seed": 22}, ".DDDD"),
 }
 
 
