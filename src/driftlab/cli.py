@@ -246,13 +246,11 @@ def emit_plot_data(input_path, kind: str, out_path=None, window: int = 1000) -> 
         flags = [(step, 1.0 if r[a_col] in ("1", "True") else 0.0) for step, r in zip(steps, rows) if step > 0]
         rolling = []
         acc = 0.0
-        buf: list[float] = []
-        for step, flag in flags:
-            buf.append(flag)
+        for k, (step, flag) in enumerate(flags):
             acc += flag
-            if len(buf) > window:
-                acc -= buf.pop(0)
-            if len(buf) == window:
+            if k >= window:
+                acc -= flags[k - window][1]  # the flag that leaves the window
+            if k >= window - 1:
                 rolling.append([step, repr(acc / window)])
         _write_csv(dst, ["i", "rolling_acceptance"], rolling)
         return dst

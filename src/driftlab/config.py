@@ -529,7 +529,8 @@ def _check_rule_fit(doc: dict) -> None:
             if not moments and abs(entry) >= 700.0:
                 raise ConfigError(f"theta = {entry!r} puts e**|theta| past the float range",
                                   f"verify.theta_grid.{i}")
-    if rule == RULE_AM and doc.get("lyapunov", {}).get("gamma_max", 0.0) > 1.0:
+    gamma_max = doc.get("lyapunov", {}).get("gamma_max")  # the default is below 1
+    if rule == RULE_AM and gamma_max is not None and gamma_max > 1.0:
         raise ConfigError("a running-moments step needs stepsizes of at most 1", "lyapunov.gamma_max")
 
 
@@ -603,6 +604,13 @@ def load_config(path) -> dict:
 # builders
 
 
+def _given(cfg: dict, *keys: str) -> dict:
+    """The entries of ``keys`` that the section ``cfg`` sets.  A builder
+    passes only these, so each default is written once, in the record it
+    builds."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
 def build_target(doc: dict) -> TargetModel:
     cfg = doc.get("target")
     if cfg is None:
@@ -623,17 +631,12 @@ def build_proposal(doc: dict) -> ProposalSpec:
             f"uniform increments are one-dimensional; the target has dim {dim}",
             "proposal.family",
         )
-    eps_ridge = cfg.get("eps_ridge", 0.1)
-    if not math.isfinite(RW_SCALE**2 * eps_ridge):
-        raise ConfigError(f"eps_ridge = {eps_ridge!r} puts the scaled ridge RW_SCALE**2 * eps_ridge past the "
+    ridge = cfg.get("eps_ridge")  # the default ridge is in range
+    if ridge is not None and not math.isfinite(RW_SCALE**2 * ridge):
+        raise ConfigError(f"eps_ridge = {ridge!r} puts the scaled ridge RW_SCALE**2 * eps_ridge past the "
                           "float range", "proposal.eps_ridge")
     try:
-        return ProposalSpec(
-            family=cfg["family"],
-            parametrization=cfg["parametrization"],
-            eps_ridge=eps_ridge,
-            student_dof=cfg.get("student_dof", 4.0),
-        )
+        return ProposalSpec(cfg["family"], cfg["parametrization"], **_given(cfg, "eps_ridge", "student_dof"))
     except ValueError as exc:
         raise ConfigError(str(exc), "proposal") from exc
 
@@ -653,12 +656,11 @@ def build_schedule(doc: dict) -> Schedule:
     if cfg is None:
         raise ConfigError("section required for this operation", "schedule")
     kind = cfg["kind"]
-    if kind == "polynomial":
-        schedule = PolynomialSchedule(c0=cfg.get("c0", 1.0), c1=cfg.get("c1", 0.0), a=cfg.get("a", 1.0))
-    elif kind == "constant":
+    if kind == "constant":
         schedule = ConstantSchedule(gamma0=cfg.get("gamma0", 0.01))
     else:
-        schedule = KestenSchedule(c0=cfg.get("c0", 1.0), a=cfg.get("a", 0.6))
+        record = PolynomialSchedule if kind == "polynomial" else KestenSchedule
+        schedule = record(c0=cfg.get("c0", 1.0), **_given(cfg, *record._fields[1:]))
     # The running-moments update is a convex combination only while the
     # stepsize is at most 1; a larger first step can leave a negative
     # "covariance" that the divergence guard does not catch.
@@ -688,11 +690,10 @@ def build_weight(doc: dict, rule: AdaptationRule) -> ParamLyapunov:
 
 def build_compound(doc: dict) -> CompoundSpec:
     cfg = doc.get("lyapunov", {})
-    return CompoundSpec(
-        upsilon_v=cfg.get("upsilon_v", 1.0),
-        upsilon_w=cfg.get("upsilon_w", 1.0),
-        mode=cfg.get("compound_mode", "W"),
-    )
+    kw = _given(cfg, "upsilon_v", "upsilon_w")
+    if "compound_mode" in cfg:
+        kw["mode"] = cfg["compound_mode"]
+    return CompoundSpec(**kw)
 
 
 def build_coefficients(doc: dict, target: TargetModel, proposal: Optional[ProposalSpec]) -> DriftCoefficients:
@@ -703,13 +704,9 @@ def build_coefficients(doc: dict, target: TargetModel, proposal: Optional[Propos
     if scenario == SCENARIO_AM_SUBEXP_1D and target.dim != 1:
         raise ConfigError(f"the am_subexp_1d scenario is one-dimensional; the target has dim {target.dim}",
                           "lyapunov.scenario")
-    kw = {}
+    kw = _given(cfg, "gamma_max", "w_eps")
     if doc.get("adaptation", {}).get("alpha_star") is not None:
         kw["alpha_star"] = doc["adaptation"]["alpha_star"]
-    if "gamma_max" in cfg:
-        kw["gamma_max"] = cfg["gamma_max"]
-    if "w_eps" in cfg:
-        kw["w_eps"] = cfg["w_eps"]
     if proposal is not None:
         kw["eps_ridge"] = proposal.eps_ridge
     try:
@@ -809,10 +806,10 @@ def build_chain_config(doc: dict) -> ChainConfig:
             recurrence_r=rec["r"],
             target=target,
             proposal=proposal,
-            record_stride=cfg.get("record_stride", 1),
             state_lyapunov=state_lyap,
             param_weight=weight,
             compound=compound,
+            **_given(cfg, "record_stride"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc), "run") from exc
@@ -826,9 +823,7 @@ def build_grid(doc: dict) -> GridSpec:
             _am_param(entry, "verify.theta_grid") if isinstance(entry, dict) else float(entry)
             for entry in cfg.get("theta_grid", [])
         ),
-        method=cfg.get("method", METHOD_QUADRATURE),
-        mc_n=cfg.get("mc_n", 10_000),
-        seed=cfg.get("seed", 2024),
+        **_given(cfg, "method", "mc_n", "seed"),
     )
 
 

@@ -30,16 +30,18 @@ moments with Student increments in several dimensions, its chi-square
 mixing variable from ``(k, 2)``.  A loop draws each block's values with
 one sized call per stream, and its step loop only reads them; since a block
 draw returns what as many scalar draws would, no output depends on the block
-length.  On a 1-D target the loop runs over Python floats.
-In several dimensions the loop runs over Python floats too, calling numpy
-only to draw: under running moments the proposal applies the root of the
-proposal covariance from ``kernels._root_rows`` (closed-form at d = 2,
-``eigh`` from d = 3 on) row by row, and the running-moments update is the
-elementwise arithmetic of ``adaptation.am_update``.  The target is
-evaluated once per step, at the proposal, with log pi of the current state
-carried from step to step, and the divergence check reads the row the step
-appends.  A step that overflows the parameter is kept, raw, as the halt
-row.
+length.  On a 1-D target one loop over Python floats (``_line_blocks``)
+serves every rule: the rules differ only in the update, which also forms
+the next proposal scale, and the Kesten test and the halt check are
+written once.  In several dimensions the loop (``_generic_blocks``) runs
+over Python floats too, calling numpy only to draw: under running moments
+the proposal applies the root of the proposal covariance from
+``kernels._root_rows`` (closed-form at d = 2, ``eigh`` from d = 3 on) row
+by row, and the running-moments update is the elementwise arithmetic of
+``adaptation.am_update``.  The target is evaluated once per step, at the
+proposal, with log pi of the current state carried from step to step, and
+the divergence check reads the row the step appends.  A step that
+overflows the parameter is kept, raw, as the halt row.
 
 Either engine folds each block into per-replica recurrence statistics
 (``_RecurrenceCounter``) and drops it; replica 0's blocks of at most
@@ -165,51 +167,70 @@ def _unit_draws(spec, inc) -> Callable:
     return lambda shape: inc.standard_t(spec.student_dof, shape)
 
 
-def _scalar_blocks(config: ChainConfig, streams: tuple):
-    """Scalar log-scale rules (coerced / fast_coerced / fixed) on a 1-D
-    target, over Python floats: yields row 0, then blocks of up to
-    ``_BLOCK_STEPS`` steps, the last one ending at the horizon or at the halt
-    row.
+def _line_blocks(config: ChainConfig, streams: tuple):
+    """Every srwm rule on a 1-D target, over Python floats: yields row 0,
+    then blocks of up to ``_BLOCK_STEPS`` steps, the last one ending at the
+    horizon or at the halt row.
 
     Each block draws its unscaled increments (``_unit_draws``) from the
     increment stream and its coins from the coin stream, one sized call
-    each, and the step loop reads them.
+    each, and the step loop reads them.  A step is the one recursion of
+    every rule: a Metropolis move at the proposal scale sigma, then the
+    update theta += gamma * h, which also forms the next step's sigma.  A
+    scalar log-scale rule moves theta, the log scale, by h = alpha -
+    alpha_star (coerced), (|theta| + 1)(alpha - alpha_star) (fast_coerced)
+    or 0 (fixed), and sigma = exp(theta).  Running moments move theta, the
+    mean, by h = x - theta and the variance g by dg = h**2 - g, and sigma =
+    sqrt(RW_SCALE**2 * (g + eps_ridge)).  Under a scalar rule g = dg = 0
+    throughout, so one Kesten test (on h_prev * h + h_g * dg) and one halt
+    check serve every rule; a negative running variance is no covariance,
+    so it halts the run.
     """
-    target = config.target
     rule = config.rule
+    spec = config.proposal
     kesten = _kesten_on(config.schedule)
     gamma_of_count = config.schedule.gamma_of_count if kesten else None
     n = config.horizon
-    alpha_star = rule.alpha_star if rule.alpha_star is not None else 0.0
+    am = rule.kind == RULE_AM
     fast = rule.kind == RULE_FAST_COERCED
-    fixed = rule.kind == RULE_FIXED
+    adapts = rule.kind != RULE_FIXED
+    alpha_star = rule.alpha_star if rule.alpha_star is not None else 0.0
+    eps = spec.eps_ridge
+    scale2 = RW_SCALE * RW_SCALE
     inc, coin = streams
-    draw = _unit_draws(config.proposal, inc)
+    draw = _unit_draws(spec, inc)
 
-    logp = target.log_density
+    logp = config.target.log_density
     exp = math.exp
+    sqrt = math.sqrt
     isfinite = math.isfinite
     inf = math.inf
     poly, c0, c1, a, gm = _first_stepsize(config.schedule)
 
-    theta = float(config.theta0)
+    if am:
+        theta, g = float(config.theta0.mu[0]), float(config.theta0.cov[0, 0])
+        var = scale2 * (g + eps)
+        sigma = sqrt(var) if var > 0 else 0.0
+    else:
+        theta, g = float(config.theta0), 0.0
+        sigma = exp(theta) if theta < 700.0 else inf
+    params = 2 if am else 1
     x = float(np.asarray(config.x0, dtype=float).reshape(()))
     lx = float(logp(x))
     s = 0
-    h_prev = 0.0  # 0 * h is never negative, so step 1 cannot advance s
-    yield _RawBlock(([theta],), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
+    h = h_prev = h_g = dg = 0.0  # h stays 0 under the fixed rule; the increment before step 1 cannot advance s
+    yield _RawBlock(([theta], [g])[:params], [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
 
     for start in range(1, n + 1, _BLOCK_STEPS):
         stop = min(start + _BLOCK_STEPS, n + 1)
         units = draw(stop - start).tolist()
         coins = coin.random(stop - start).tolist()
-        ths, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], []
+        ths, gs, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], [], []
         counts = [] if kesten else None
         halted = False
         for i, unit, u in zip(range(start, stop), units, coins):
             if poly:
                 gm = c0 / (c1 + i) ** a
-            sigma = exp(theta) if theta < 700.0 else inf
             y = x + sigma * unit
             ly = float(logp(y))
             # kernels.acceptance and adaptation.scalar_update inlined: the two calls
@@ -219,14 +240,18 @@ def _scalar_blocks(config: ChainConfig, streams: tuple):
             accepted = u < alpha
             if accepted:
                 x, lx = y, ly
-            if fixed:
-                h_cur = 0.0
-            elif fast:
-                h_cur = (abs(theta) + 1.0) * (alpha - alpha_star)
-                theta = theta + gm * h_cur
-            else:
-                h_cur = alpha - alpha_star
-                theta = theta + gm * h_cur
+            if am:
+                h = x - theta
+                dg = h * h - g
+                theta = theta + gm * h
+                g = g + gm * dg
+                var = scale2 * (g + eps)
+                sigma = sqrt(var) if var > 0 else 0.0
+                gs.append(g)  # a column of running moments only
+            elif adapts:
+                h = (abs(theta) + 1.0) * (alpha - alpha_star) if fast else alpha - alpha_star
+                theta = theta + gm * h
+                sigma = exp(theta) if theta < 700.0 else inf
             ths.append(theta)
             xs.append(x)
             ys.append(y)
@@ -235,93 +260,16 @@ def _scalar_blocks(config: ChainConfig, streams: tuple):
             gms.append(gm)
             lxs.append(lx)
             if kesten:
-                if h_prev * h_cur < 0.0:
+                if h_prev * h + h_g * dg < 0.0:
                     s += 1
                     gm = gamma_of_count(s)
-                h_prev = h_cur
+                h_prev, h_g = h, dg
                 counts.append(s)
-            # a NaN or infinite theta fails the bound as well
-            if not (abs(theta) <= THETA_MAX and isfinite(x)):
+            # a NaN or infinite parameter fails the bounds as well
+            if not (0.0 <= g <= THETA_MAX and abs(theta) <= THETA_MAX and isfinite(x)):
                 halted = True
                 break
-        yield _RawBlock((ths,), xs, ys, accs, alphas, gms, lxs, counts, halted)
-        if halted:
-            return
-
-
-def _am_1d_blocks(config: ChainConfig, streams: tuple):
-    """Running-moments rule on a 1-D target with a Gaussian or Student
-    proposal, over Python floats: yields row 0, then blocks of up to
-    ``_BLOCK_STEPS`` steps, the last one ending at the horizon or at the halt
-    row.  Each block draws its unscaled increments and its coins as
-    ``_scalar_blocks`` does.
-    A negative running variance is no covariance, so it halts the run."""
-    target = config.target
-    spec = config.proposal
-    kesten = _kesten_on(config.schedule)
-    gamma_of_count = config.schedule.gamma_of_count if kesten else None
-    n = config.horizon
-    eps = spec.eps_ridge
-    scale2 = RW_SCALE * RW_SCALE
-    inc, coin = streams
-    draw = _unit_draws(spec, inc)
-
-    logp = target.log_density
-    exp = math.exp
-    sqrt = math.sqrt
-    isfinite = math.isfinite
-    poly, c0, c1, a, gm = _first_stepsize(config.schedule)
-
-    mu = float(config.theta0.mu[0])
-    g = float(config.theta0.cov[0, 0])
-    x = float(np.asarray(config.x0, dtype=float).reshape(()))
-    lx = float(logp(x))
-    s = 0
-    h_mu = h_g = 0.0  # the increment before step 1: cannot advance s
-    yield _RawBlock(([mu], [g]), [x], [x], [False], [math.nan], [gm], [lx], [0] if kesten else None, False)
-
-    for start in range(1, n + 1, _BLOCK_STEPS):
-        stop = min(start + _BLOCK_STEPS, n + 1)
-        units = draw(stop - start).tolist()
-        coins = coin.random(stop - start).tolist()
-        mus, gs, xs, ys, accs, alphas, gms, lxs = [], [], [], [], [], [], [], []
-        counts = [] if kesten else None
-        halted = False
-        for i, unit, u in zip(range(start, stop), units, coins):
-            if poly:
-                gm = c0 / (c1 + i) ** a
-            var = scale2 * (g + eps)
-            sd = sqrt(var) if var > 0 else 0.0
-            y = x + sd * unit
-            ly = float(logp(y))
-            d = ly - lx
-            alpha = 1.0 if d >= 0.0 else exp(d)  # kernels.acceptance, inlined as above
-            accepted = u < alpha
-            if accepted:
-                x, lx = y, ly
-            dev = x - mu
-            dg = dev * dev - g
-            mu = mu + gm * dev
-            g = g + gm * dg
-            mus.append(mu)
-            gs.append(g)
-            xs.append(x)
-            ys.append(y)
-            accs.append(accepted)
-            alphas.append(alpha)
-            gms.append(gm)
-            lxs.append(lx)
-            if kesten:
-                if h_mu * dev + h_g * dg < 0.0:
-                    s += 1
-                    gm = gamma_of_count(s)
-                h_mu, h_g = dev, dg
-                counts.append(s)
-            # NaN or infinite moments fail the bounds as well
-            if not (0.0 <= g <= THETA_MAX and abs(mu) <= THETA_MAX and isfinite(x)):
-                halted = True
-                break
-        yield _RawBlock((mus, gs), xs, ys, accs, alphas, gms, lxs, counts, halted)
+        yield _RawBlock((ths, gs)[:params], xs, ys, accs, alphas, gms, lxs, counts, halted)
         if halted:
             return
 
@@ -472,8 +420,8 @@ def _run_srwm(config: ChainConfig, streams: list[tuple], replica: int, keep: Opt
     another; the entries are the split streams (``_replica_streams``) of
     replicas ``replica``, ``replica + 1``, ...
 
-    Each replica's loop (``_scalar_blocks`` or ``_am_1d_blocks`` on a 1-D
-    target, ``_generic_blocks`` otherwise) yields raw columns in blocks of
+    Each replica's loop (``_line_blocks`` on a 1-D target,
+    ``_generic_blocks`` otherwise) yields raw columns in blocks of
     ``_BLOCK_STEPS`` steps.  A block is folded into the recurrence
     statistics and its accept flags into a ring for ``acceptance_tail``,
     then dropped; the first replica's blocks also go to
@@ -482,10 +430,7 @@ def _run_srwm(config: ChainConfig, streams: list[tuple], replica: int, keep: Opt
     replica index.
     """
     dim = config.target.dim
-    if dim > 1:
-        blocks_of = _generic_blocks
-    else:
-        blocks_of = _am_1d_blocks if config.rule.kind == RULE_AM else _scalar_blocks
+    blocks_of = _line_blocks if dim == 1 else _generic_blocks
     weights = config.param_weight.of_columns
     stats = _RecurrenceCounter(len(streams), config.recurrence_m, config.recurrence_r)
     horizon = np.array([config.horizon])
@@ -1047,7 +992,7 @@ def _kept_rows(config: ChainConfig) -> int:
 # for itself only past about 8 ms of work; a ``driftlab run`` that forked
 # also takes about 4 ms longer to exit.  Measured break-evens, in work per
 # worker (R = 2, forced one against two workers, median of 21): 4,000-5,000
-# replica-steps of the 1-D scalar loops and about 4,000 of 1-D AM, and
+# replica-steps of the 1-D loop under a scalar rule and about 4,000 under AM, and
 # about 750 CSV rows of a 1-D srwm trajectory or 1,000-1,600 of a toy one.
 # Whole ``driftlab run`` processes of 2 x 5,000 1-D AM steps took 207 ms
 # on two workers against 211 on one (median of 15).  A split never leaves a

@@ -1192,6 +1192,9 @@ SRWM_1D_CASES = {
         "rule": RULE_AM, "family": FAMILY_GAUSSIAN, "schedule": PolynomialSchedule(c0=1.5, c1=0.0, a=0.001),
         "seed": 11,
     },
+    # x0 = 2e6, far out: g_1 = 1 + gamma_1 * (4e12 - 1), about 4.7e11, and the
+    # variance passes THETA_MAX at step 4 on replicas 0 and 2 (1 runs on)
+    "am-variance-diverges": {"rule": RULE_AM, "family": FAMILY_GAUSSIAN, "x0": 2e6},
 }
 
 
@@ -1206,7 +1209,7 @@ def assert_same_trajectory(got, want):
 # 0's halt row ends block 1, or opens block 2 (for the cases that halt past
 # their first steps)
 BLOCK_SETTINGS = ["default", "64", "1"]
-HALTING_LATE = ["fast-coerced-diverges", "am-diverges"]
+HALTING_LATE = ["fast-coerced-diverges", "am-diverges", "am-variance-diverges"]
 
 
 @pytest.mark.parametrize(

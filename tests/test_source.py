@@ -2,8 +2,8 @@
 ``__init__`` re-exports nothing, ``cli`` builds through two config
 builders only, every JSON path a ``ConfigError`` names is a key path of
 the config schema, one function forks, one freezes the heap, the drift
-certificates have one headroom rule and one slack rule, the default
-stepsize ceiling, center radius and am_poly exponent are written once,
+certificates have one headroom rule and one slack rule, each document
+default is written once,
 the weight variants are named only where weights are built and evaluated,
 two classes are dataclasses, source code names every top-level function
 and class and every method, no srwm step loop calls a generator, and the
@@ -239,27 +239,16 @@ def test_float_detector_sees_defaults_bodies_and_the_module():
     assert float_sites(src, 0.05) == ["<module>", "C.f", "C.f", "C.f"]
 
 
-def test_the_default_stepsize_ceiling_is_written_once():
-    # the drift checks run at DriftCoefficients.gamma_max; a second default
-    # stepsize (the deleted verify.gamma_grid had two) could drift from it
-    sites = [f"{path.stem}.{site}" for path in MODULES for site in float_sites(path.read_text(), 0.05)]
-    assert sites == ["lyapunov.DriftCoefficients.__init__"]
-    for path in MODULES + sorted((PACKAGE / "presets").glob("*.json")):
-        assert "gamma_grid" not in path.read_text(), path.name
-
-
-def test_the_default_center_radius_is_written_once():
-    # build_check_args hands every drift check its center radius; a
-    # verifier default would be a second copy that could drift from it
-    sites = [f"{path.stem}.{site}" for path in MODULES for site in float_sites(path.read_text(), 5.0)]
-    assert sites == ["config.build_check_args"]
-
-
-def exponent_defaults(source: str) -> list[tuple[str, str]]:
-    """(site, default) of each default written for the am_poly exponent: a
-    parameter or class field named ``eps`` or ``w_eps``, or the fallback of
-    a ``.get("w_eps", ...)``, with the default as ``ast.unparse`` gives it."""
+def defaults_written(source: str, names: tuple, key: str) -> list[tuple[str, str]]:
+    """(site, default) of each default written for a document key: the
+    default of a parameter or class field named in ``names`` (a bare name
+    anywhere, ``Record.field`` in that class only; a None default marks an
+    unset value and is no default), or the fallback of a ``.get(key,
+    ...)``, with the default as ``ast.unparse`` gives it."""
     found = []
+
+    def named(where, name):
+        return name in names or f"{where}.{name}" in names
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -269,13 +258,13 @@ def exponent_defaults(source: str) -> list[tuple[str, str]]:
             positional = zip(args[len(args) - len(node.args.defaults):], node.args.defaults)
             keyword = zip(node.args.kwonlyargs, node.args.kw_defaults)
             found.extend((where, ast.unparse(d)) for a, d in [*positional, *keyword]
-                         if d is not None and a.arg in ("eps", "w_eps"))
+                         if d is not None and named(where, a.arg) and ast.unparse(d) != "None")
         if isinstance(node, ast.ClassDef):
             found.extend((where, ast.unparse(item.value)) for item in node.body
                          if isinstance(item, ast.AnnAssign) and item.value is not None
-                         and isinstance(item.target, ast.Name) and item.target.id in ("eps", "w_eps"))
+                         and isinstance(item.target, ast.Name) and named(where, item.target.id))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get" \
-                and len(node.args) == 2 and isinstance(node.args[0], ast.Constant) and node.args[0].value == "w_eps":
+                and len(node.args) == 2 and isinstance(node.args[0], ast.Constant) and node.args[0].value == key:
             found.append((where, ast.unparse(node.args[1])))
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -285,21 +274,80 @@ def exponent_defaults(source: str) -> list[tuple[str, str]]:
 
 
 def test_exponent_detector_sees_parameters_fields_and_lookups():
-    src = "class P:\n    eps: float = 0.5\n    def f(self, a, eps=E, *, w_eps=0.5, z=1):\n" \
-          "        return cfg.get('w_eps', E) + cfg.get('eps', 2)\n"
-    assert exponent_defaults(src) == [("P", "0.5"), ("P.f", "E"), ("P.f", "0.5"), ("P.f", "E")]
+    src = "class P:\n    eps: float = 0.5\n    def f(self, a, eps=E, *, w_eps=0.5, z=1, seed=None):\n" \
+          "        return cfg.get('w_eps', E) + cfg.get('eps', 2)\nclass Q:\n    eps: float = 1.0\n    mode: str = 'W'\n"
+    assert defaults_written(src, ("eps", "w_eps"), "w_eps") == [
+        ("P", "0.5"), ("P.f", "E"), ("P.f", "0.5"), ("P.f", "E"), ("Q", "1.0")]
+    assert defaults_written(src, ("P.eps", "Q.mode", "seed"), "mode") == [("P", "0.5"), ("Q", "'W'")]
 
 
-def test_the_default_am_poly_exponent_is_written_once():
+# Each document key with a default: the names that default may be written
+# under and the sites that write it.  A builder passes a key only when the
+# document sets it (config._given), so the default is written in the record
+# it builds, or in the builder when the record has none; a second copy could
+# drift from it.
+WRITTEN_ONCE = {
+    # the drift checks run at DriftCoefficients.gamma_max
+    "lyapunov.gamma_max": (("gamma_max",), [("lyapunov.DriftCoefficients.__init__", "0.05")]),
     # the weight a run records and the weight a scenario's inequalities are
     # stated in take one default exponent, lyapunov.AM_POLY_EPS
-    found = [(f"{path.stem}.{site}", default) for path in MODULES for site, default in
-             exponent_defaults(path.read_text())]
-    assert found == [
+    "lyapunov.w_eps": (("w_eps", "eps"), [
         ("config.build_weight", "AM_POLY_EPS"),
         ("lyapunov.ParamLyapunov", "AM_POLY_EPS"),
         ("lyapunov.DriftCoefficients.__init__", "AM_POLY_EPS"),
-    ]
+    ]),
+    "lyapunov.upsilon_v": (("upsilon_v",), [("lyapunov.CompoundSpec", "1.0")]),
+    "lyapunov.upsilon_w": (("upsilon_w",), [("lyapunov.CompoundSpec", "1.0")]),
+    "lyapunov.compound_mode": (("compound_mode", "CompoundSpec.mode"), [("lyapunov.CompoundSpec", "'W'")]),
+    # build_coefficients hands a drift scenario the proposal's ridge; the
+    # coefficient record keeps one of its own for records built without a
+    # proposal
+    "proposal.eps_ridge": (("eps_ridge",), [
+        ("kernels.ProposalSpec.__init__", "0.1"),
+        ("lyapunov.DriftCoefficients.__init__", "0.1"),
+    ]),
+    "proposal.student_dof": (("student_dof",), [("kernels.ProposalSpec.__init__", "4.0")]),
+    "schedule.c0": (("c0",), [("config.build_schedule", "1.0")]),
+    "schedule.c1": (("c1",), [("adaptation.PolynomialSchedule", "0.0")]),
+    "schedule.a": (("a",), [("adaptation.PolynomialSchedule", "1.0"), ("adaptation.KestenSchedule", "0.6")]),
+    "run.record_stride": (("record_stride",), [("config.ChainConfig", "1")]),
+    # build_check_args hands every drift check its center radius
+    "verify.center_radius": (("center_radius",), [("config.build_check_args", "5.0")]),
+    # the checks that cannot run by quadrature are rejected where the method
+    # is read
+    "verify.method": (("method",), [
+        ("config.GridSpec", "METHOD_QUADRATURE"),
+        ("config._check_quadrature", "METHOD_QUADRATURE"),
+        ("config._check_bulk_edges", "METHOD_QUADRATURE"),
+    ]),
+    "verify.mc_n": (("mc_n",), [("config.GridSpec", "10000")]),
+    "verify.seed": (("seed",), [("config.GridSpec", "2024")]),
+}
+
+# defaults whose literal appears nowhere else in the package, so no other
+# spelling of them (a bare literal in a verifier, say) can hide
+DISTINCT_LITERALS = {"lyapunov.gamma_max": 0.05, "verify.center_radius": 5.0}
+
+
+@pytest.mark.parametrize("key", sorted(WRITTEN_ONCE))
+def test_each_document_default_is_written_once(key):
+    names, sites = WRITTEN_ONCE[key]
+    found = [(f"{path.stem}.{site}", default) for path in MODULES
+             for site, default in defaults_written(path.read_text(), names, key.rsplit(".", 1)[1])]
+    assert found == sites
+    if key in DISTINCT_LITERALS:
+        literal = [f"{path.stem}.{site}" for path in MODULES
+                   for site in float_sites(path.read_text(), DISTINCT_LITERALS[key])]
+        assert literal == [site for site, _ in sites]
+
+
+def test_no_stepsize_grid_is_left():
+    # the deleted verify.gamma_grid had two default stepsizes of its own
+    for path in MODULES + sorted((PACKAGE / "presets").glob("*.json")):
+        assert "gamma_grid" not in path.read_text(), path.name
+
+
+def test_the_am_poly_exponent_is_assigned_once():
     assigned = [path.stem for path in MODULES for node in ast.parse(path.read_text()).body
                 if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "AM_POLY_EPS" for t in node.targets)]
     assert assigned == ["lyapunov"]
@@ -479,7 +527,7 @@ def test_no_srwm_step_loop_calls_a_generator():
     # each srwm loop draws a block's values with one sized call per split
     # stream and its step loop only reads them
     found = step_loop_draws((PACKAGE / "simulator.py").read_text())
-    assert sorted(found) == ["_am_1d_blocks", "_generic_blocks", "_scalar_blocks"]
+    assert sorted(found) == ["_generic_blocks", "_line_blocks"]
     assert all(loops == 1 for loops, _ in found.values())
     assert {name: calls for name, (_, calls) in found.items() if calls} == {}
 

@@ -389,17 +389,17 @@ def test_a_writer_exception_is_raised_with_its_type_and_message(tmp_path, monkey
 
 
 def test_a_failure_in_the_streamed_loop_reaps_the_writer(tmp_path, monkeypatch, deadline):
-    scalar_blocks = simulator._scalar_blocks
+    line_blocks = simulator._line_blocks
 
     def fail_after_three_blocks(config, rng):
-        for n, blk in enumerate(scalar_blocks(config, rng)):
+        for n, blk in enumerate(line_blocks(config, rng)):
             if n == 3:
                 raise ZeroDivisionError("step 130 cannot run")
             yield blk
 
     force_workers(monkeypatch, 2)
     monkeypatch.setattr(simulator, "_BLOCK_STEPS", 64)
-    monkeypatch.setattr(simulator, "_scalar_blocks", fail_after_three_blocks)
+    monkeypatch.setattr(simulator, "_line_blocks", fail_after_three_blocks)
     path = tmp_path / "trajectory.csv"
     with pytest.raises(ZeroDivisionError, match="^step 130 cannot run$"):
         run_replicas(srwm_1d_config(), 1, csv_path=path)
