@@ -26,6 +26,8 @@ PARAM_SCALAR_LOG_SCALE = "scalar_log_scale"
 # Classical random-walk scaling constant for covariance-based proposals:
 # proposal covariance = (RW_SCALE**2 / dim) * (cov + eps_ridge * I).
 RW_SCALE = 2.38
+# Default ridge eps_ridge of the running covariance (proposal.eps_ridge).
+EPS_RIDGE = 0.1
 
 
 class ProposalSpec:
@@ -38,7 +40,7 @@ class ProposalSpec:
 
     __slots__ = ("family", "parametrization", "eps_ridge", "student_dof")
 
-    def __init__(self, family: str, parametrization: str, eps_ridge: float = 0.1, student_dof: float = 4.0):
+    def __init__(self, family: str, parametrization: str, eps_ridge: float = EPS_RIDGE, student_dof: float = 4.0):
         if family == FAMILY_UNIFORM and parametrization != PARAM_SCALAR_LOG_SCALE:
             raise ValueError("uniform increments require the scalar log-scale parametrization")
         self.family = family

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import AMParam, ScalarParam
+from .kernels import EPS_RIDGE, AMParam, ScalarParam
 from .targets import TargetModel, is_symmetric
 
 SCENARIO_AM_SUPEREXP = "am_superexp"
@@ -198,7 +198,7 @@ class DriftCoefficients:
         slope_c: float = 1.0,
         b_const: float = 1.0,
         sup_c_vbeta: float = 1.0,
-        eps_ridge: float = 0.1,
+        eps_ridge: float = EPS_RIDGE,
         w_eps: float = AM_POLY_EPS,
         alpha_star: float = 0.44,
         gamma_max: float = 0.05,

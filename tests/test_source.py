@@ -2,8 +2,8 @@
 ``__init__`` re-exports nothing, ``cli`` builds through two config
 builders only, every JSON path a ``ConfigError`` names is a key path of
 the config schema, one function forks, one freezes the heap, the drift
-certificates have one headroom rule and one slack rule, each document
-default is written once,
+certificates have one headroom rule and one slack rule and write no
+tolerance inline, each document default is written once,
 the weight variants are named only where weights are built and evaluated,
 two classes are dataclasses, source code names every top-level function
 and class and every method, no srwm step loop calls a generator, and the
@@ -208,10 +208,11 @@ def test_drift_certificates_have_one_headroom_rule_and_one_slack_rule():
     # subtracted, names these constants outside those two functions
     source = (PACKAGE / "verifiers.py").read_text()
     assert set(name_sites(source, "HEADROOM")) == {"<module>", "_freeze"}
+    assert set(name_sites(source, "_FREEZE_STEP")) == {"<module>", "_freeze"}
     assert set(name_sites(source, "MC_SE_FACTOR")) == {"<module>", "_slack"}
     # QUAD_TOL is also the tolerance of the kernel integrals and of the
     # scalar w_drift integral, not a slack
-    assert set(name_sites(source, "QUAD_TOL")) == {"<module>", "_slack", "mean_acceptance", "apply_kernel_to_function",
+    assert set(name_sites(source, "QUAD_TOL")) == {"<module>", "_slack", "_acceptance_mass", "apply_kernel_to_function",
                                                     "_w_drift_lhs_quadrature"}
 
 
@@ -237,6 +238,14 @@ def test_float_detector_sees_defaults_bodies_and_the_module():
     src = "A = 0.05\nclass C:\n    def f(self, g=0.05):\n        return 0.050 + 0.5 + 5e-2\n" \
           "def h():\n    return '0.05'\n"
     assert float_sites(src, 0.05) == ["<module>", "C.f", "C.f", "C.f"]
+
+
+@pytest.mark.parametrize("value", [1.25, 1e-9, 1e-12, 1e-14, 1e-15])
+def test_verifiers_write_no_tolerance_inline(value):
+    # a check's factors, slacks and tolerances are named module constants,
+    # next to QUAD_TOL, MC_SE_FACTOR and HEADROOM; a literal in a function
+    # would be a side condition or slack that no reader of the module sees
+    assert set(float_sites((PACKAGE / "verifiers.py").read_text(), value)) <= {"<module>"}
 
 
 def defaults_written(source: str, names: tuple, key: str) -> list[tuple[str, str]]:
@@ -299,12 +308,12 @@ WRITTEN_ONCE = {
     "lyapunov.upsilon_v": (("upsilon_v",), [("lyapunov.CompoundSpec", "1.0")]),
     "lyapunov.upsilon_w": (("upsilon_w",), [("lyapunov.CompoundSpec", "1.0")]),
     "lyapunov.compound_mode": (("compound_mode", "CompoundSpec.mode"), [("lyapunov.CompoundSpec", "'W'")]),
-    # build_coefficients hands a drift scenario the proposal's ridge; the
-    # coefficient record keeps one of its own for records built without a
-    # proposal
+    # build_coefficients hands a drift scenario the proposal's ridge; a
+    # coefficient record built without a proposal takes the same named
+    # default, kernels.EPS_RIDGE
     "proposal.eps_ridge": (("eps_ridge",), [
-        ("kernels.ProposalSpec.__init__", "0.1"),
-        ("lyapunov.DriftCoefficients.__init__", "0.1"),
+        ("kernels.ProposalSpec.__init__", "EPS_RIDGE"),
+        ("lyapunov.DriftCoefficients.__init__", "EPS_RIDGE"),
     ]),
     "proposal.student_dof": (("student_dof",), [("kernels.ProposalSpec.__init__", "4.0")]),
     "schedule.c0": (("c0",), [("config.build_schedule", "1.0")]),

@@ -17,7 +17,7 @@ from driftlab.adaptation import (
     am_update,
     scalar_update,
 )
-from driftlab.cli import resolve_config_path, run_check
+from driftlab.cli import main, resolve_config_path, run_check
 from driftlab.config import (
     build_coefficients,
     build_grid,
@@ -88,7 +88,8 @@ def test_verify_toy_passes_with_exact_values():
     assert by_theta[-3.0].lhs == pytest.approx(0.9004258632642721, abs=1e-15)
     for row in report.rows:
         assert abs(row.lhs - row.rhs) <= 1e-12
-        assert row.se <= 1e-14  # invariance residual rides in the se slot
+        assert row.se == 0.0
+    assert report.notes["conditions"]["invariance_residual"]["value"] <= 1e-14
 
 
 def test_report_json_contract():
@@ -100,6 +101,43 @@ def test_report_json_contract():
         for key in ("point", "lhs", "rhs", "margin", "se", "pass"):
             assert key in row
     json.dumps(doc)  # serializable end to end
+
+
+# -- the one verdict rule -------------------------------------------------------
+
+
+def _hand_report(rows=(True,), constants=None, conditions=None) -> verifiers.DriftReport:
+    """A report with one row per entry of ``rows`` (its pass), each of
+    ``constants`` binding, and ``conditions`` name -> (value, bound)."""
+    constants = constants or {}
+    return verifiers.DriftReport(
+        "hand", {}, dict(constants),
+        [verifiers.DriftRow({"i": i}, 0.0, 1.0, 1.0, 0.0, ok) for i, ok in enumerate(rows)],
+        {"binding_rows": dict.fromkeys(constants),
+         "conditions": {name: verifiers._condition(*c) for name, c in (conditions or {}).items()}})
+
+
+@pytest.mark.parametrize("kw, passes", [
+    ({}, True),
+    ({"rows": ()}, False),
+    ({"rows": (True, False)}, False),
+    ({"constants": {"k": math.inf}}, False),
+    ({"constants": {"k": math.nan}}, False),
+    ({"constants": {"k": 0.0}}, False),
+    ({"constants": {"k": -1.0}}, False),
+    ({"conditions": {"c": (2.0, 1.0)}}, False),
+    ({"conditions": {"c": (math.nan, 1.0)}}, False),
+    ({"constants": {"k": 2.0}, "conditions": {"c": (1.0, 1.0)}}, True),
+    # a constant set by no row, or a condition with nothing to test, holds
+    ({"constants": {"k": None}}, True),
+    ({"rows": (False,), "constants": {"k": None}}, False),
+    ({"conditions": {"c": (None, 0.0)}}, True),
+], ids=["all-hold", "no-rows", "failing-row", "inf", "nan", "zero", "negative", "failing-condition",
+        "nan-condition", "at-the-bounds", "none-constant", "none-constant-failing-row", "none-condition"])
+def test_one_verdict_rule(kw, passes):
+    report = _hand_report(**kw)
+    assert report.passed is passes
+    assert report.to_json_dict()["pass"] is passes
 
 
 # -- fixed-parameter state drift ---------------------------------------------
@@ -603,23 +641,27 @@ def test_acceptance_bounds_subexp_pass_and_scaling():
     assert report.passed
     assert math.isfinite(report.fitted["c_plus"])
     assert math.isfinite(report.fitted["c_minus"])
-    assert report.fitted["stabilized_small_sigma"]
-    assert report.fitted["stabilized_large_sigma"]
+    assert report.notes["conditions"]["stabilized_small_sigma"]["pass"]
+    assert report.notes["conditions"]["stabilized_large_sigma"]["pass"]
     # 1/sigma law at the mode: a tenfold radius cuts acceptance by 5x-20x
     for s in (1e2, 1e3):
         ratio = mean_acceptance(t, 10.0 * s, 0.0) / mean_acceptance(t, s, 0.0)
         assert 0.05 <= ratio <= 0.2
 
 
-def test_acceptance_bounds_fail_when_the_large_radius_level_grows():
+def _growing_level_report() -> verifiers.DriftReport:
     # from x = 20 a window of radius 20 covers half of {|y| <= 20} and one of
     # radius 40 all of it, so alpha * sigma doubles: no 1/sigma law yet
+    return verify_acceptance_bounds(smoothed_subexp_target(0.5), sigma_grid=(0.5, 1.0, 20.0, 40.0), x_grid=(20.0,))
+
+
+def test_acceptance_bounds_fail_when_the_large_radius_level_grows():
     t = smoothed_subexp_target(0.5)
-    report = verify_acceptance_bounds(t, sigma_grid=(0.5, 1.0, 20.0, 40.0), x_grid=(20.0,))
+    report = _growing_level_report()
     ratio = 2.0 * mean_acceptance(t, 40.0, 20.0) / mean_acceptance(t, 20.0, 20.0)
     assert ratio > 1.25
-    assert report.fitted["stabilized_large_sigma"] is False
-    assert report.fitted["stabilized_small_sigma"] is True
+    assert report.notes["conditions"]["stabilized_large_sigma"]["pass"] is False
+    assert report.notes["conditions"]["stabilized_small_sigma"]["pass"] is True
     assert all(r.passed for r in report.rows)
     assert not report.passed
 
@@ -650,26 +692,34 @@ def test_decomposition_report_passes():
         x_grid=(20.0, 40.0, 80.0, 160.0),
     )
     assert report.passed
-    assert report.fitted["profile_max"] <= 1e-9
-    assert report.fitted["cross_accept_max"] <= 1e-9
+    assert report.notes["conditions"]["profile_max"]["value"] <= 1e-9
+    assert report.notes["conditions"]["cross_accept_max"]["value"] <= 1e-9
     assert report.fitted["eps_t"] > 0.0
     assert report.fitted["r_t"] is not None and report.fitted["r_t"] <= 80.0
     assert all(r.passed for r in report.rows)
 
 
-def test_decomposition_without_a_threshold_reports_the_worst_rate():
-    # at x = 20 the outward mass still beats the inward deficit at sigma = 20,
-    # so no level qualifies and eps_t is the worst rate on the grid
+# at x = 20 the outward mass still beats the inward deficit at sigma = 20,
+# so no level qualifies and eps_t is the worst rate on the grid
+_NO_THRESHOLD_SIGMAS = (20.0, 100.0)
+
+
+def _no_threshold_report() -> verifiers.DriftReport:
     t = smoothed_subexp_target(0.5)
-    sigmas = (20.0, 100.0)
-    report = verify_decomposition(t, StateLyapunov(t, 0.5), sigma_grid=sigmas, x_grid=(20.0,))
+    return verify_decomposition(t, StateLyapunov(t, 0.5), sigma_grid=_NO_THRESHOLD_SIGMAS, x_grid=(20.0,))
+
+
+def test_decomposition_without_a_threshold_reports_the_worst_rate():
+    t = smoothed_subexp_target(0.5)
+    report = _no_threshold_report()
     rates = []
-    for s in sigmas:
+    for s in _NO_THRESHOLD_SIGMAS:
         terms = decomposition_terms(t, 0.5, s, 20.0)
         rates.append(-(terms["local"] + terms["outward"]) * s / 20.0)
     assert min(rates) <= 0.0
     assert report.fitted["r_t"] is None
     assert report.fitted["eps_t"] == min(rates)
+    assert report.notes["binding_rows"] == {"eps_t": rates.index(min(rates)), "r_t": None}
     assert all(r.passed for r in report.rows)
     assert not report.passed
 
@@ -694,3 +744,43 @@ def test_profile_zero_at_origin():
     t = smoothed_subexp_target(0.5)
     for x in (5.0, 20.0, 80.0):
         assert accept_reject_profile(t, 0.5, x, 0.0) == 0.0
+
+
+# -- every written report, judged again from its JSON ---------------------------
+
+
+def _json_float(v):
+    """A report's number as a float, None for null: ``_jsonable`` writes the
+    non-finite floats as the strings "inf", "-inf" and "nan"."""
+    return None if v is None else float(v)
+
+
+def judge(report: dict) -> bool:
+    """The README's PASS rule, from a written report alone: there are rows,
+    every row passes, every constant named in ``notes.binding_rows`` is null
+    or finite and positive, and every condition holds.  Each binding row
+    must name a row of the report, and each condition's pass must be
+    value <= bound, or a null value."""
+    rows, notes = report["rows"], report["notes"]
+    assert all(i is None or 0 <= i < len(rows) for i in notes["binding_rows"].values())
+    for name, c in notes["conditions"].items():
+        value = _json_float(c["value"])
+        assert c["pass"] == (value is None or value <= _json_float(c["bound"])), name
+    constants = [_json_float(report["fitted_constants"][name]) for name in notes["binding_rows"]]
+    return (bool(rows) and all(row["pass"] for row in rows)
+            and all(k is None or (math.isfinite(k) and k > 0.0) for k in constants)
+            and all(c["pass"] for c in notes["conditions"].values()))
+
+
+def test_every_report_is_judged_again_from_its_json(tmp_path, capsys):
+    # the reports verify writes for every preset that declares checks, then
+    # the two negative controls above
+    written = []
+    for preset in ("toy", "coerced", "am-subexp-1d"):
+        assert main(["verify", preset, "--out", str(tmp_path / preset)]) == 0
+        written += sorted((tmp_path / preset).glob("report-*.json"))
+    reports = [json.loads(path.read_text()) for path in written]
+    reports += [json.loads(json.dumps(r.to_json_dict())) for r in (_growing_level_report(), _no_threshold_report())]
+    assert [r["check"] for r in reports] == ["toy", "compound_drift", "acceptance_bounds", "decomposition",
+                                             "fixed_theta_drift", "acceptance_bounds", "decomposition"]
+    assert [judge(r) for r in reports] == [r["pass"] for r in reports] == [True] * 5 + [False] * 2
