@@ -705,8 +705,11 @@ def build_coefficients(doc: dict, target: TargetModel, proposal: Optional[Propos
         raise ConfigError(f"the am_subexp_1d scenario is one-dimensional; the target has dim {target.dim}",
                           "lyapunov.scenario")
     kw = _given(cfg, "gamma_max", "w_eps")
-    if doc.get("adaptation", {}).get("alpha_star") is not None:
-        kw["alpha_star"] = doc["adaptation"]["alpha_star"]
+    kw["alpha_star"] = doc.get("adaptation", {}).get("alpha_star")
+    if kw["alpha_star"] is None and scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED):
+        # a fixed-rule document need state none, and no hidden alpha_star stands in for it
+        raise ConfigError(f"the {scenario} scenario's margin min(alpha_star, 1/2 - alpha_star) needs an alpha_star",
+                          "adaptation.alpha_star")
     if proposal is not None:
         kw["eps_ridge"] = proposal.eps_ridge
     try:

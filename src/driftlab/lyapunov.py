@@ -183,7 +183,11 @@ class DriftCoefficients:
     Free constants (``a0``, ``slope_c``, ``b_const``, ``sup_c_vbeta``) are
     fitted by the verifiers on a grid and then frozen; everything else is
     structural.  ``iota`` is the state-drift exponent, ``beta`` the
-    parameter-drift exponent.
+    parameter-drift exponent.  ``alpha_star`` is the coerced acceptance
+    level, the document's ``adaptation.alpha_star``; it has no default, so
+    the coerced scenarios' margin min(alpha_star, 1/2 - alpha_star) rests
+    on no number a document leaves unstated, and it is None under the am
+    scenarios, which take no margin from it.
     """
 
     __slots__ = ("scenario", "iota", "beta", "a0", "slope_c", "b_const", "sup_c_vbeta", "eps_ridge", "w_eps",
@@ -200,7 +204,8 @@ class DriftCoefficients:
         sup_c_vbeta: float = 1.0,
         eps_ridge: float = EPS_RIDGE,
         w_eps: float = AM_POLY_EPS,
-        alpha_star: float = 0.44,
+        *,
+        alpha_star: Optional[float],
         gamma_max: float = 0.05,
         dim: int = 1,
     ):
@@ -218,6 +223,8 @@ class DriftCoefficients:
         self.dim = dim
         if a0 <= 0 or slope_c <= 0:
             raise ValueError("fitted constants must be positive")
+        if scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED) and alpha_star is None:
+            raise ValueError(f"the {scenario} scenario's margin min(alpha_star, 1/2 - alpha_star) needs alpha_star")
         if scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED) and not (0.0 < gamma_max < self.accept_margin):
             raise ValueError("gamma_max must lie in (0, min(alpha_star, 1/2 - alpha_star))")
 

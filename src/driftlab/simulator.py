@@ -52,8 +52,9 @@ rows of ``trajectory.csv``: it builds the header from the config, picks the
 kept rows, every ``record_stride``-th step and the last, computes their V,
 w, W and in_C in the scalar arithmetic of a row-at-a-time recorder (so
 ``record_stride`` thins the trajectory and never the statistics), and keeps
-each block as its CSV columns.  ``_csv_rows`` formats one block a column at
-a time; both writers below call it.
+each block as its CSV columns.  ``_csv_rows`` formats kept rows through
+``csvfmt``, whose numpy digits are ``repr``'s bytes; both writers below
+call it, on a block or on a run of thin blocks (``_batches``).
 
 ``trajectory.csv`` is written one of two ways.  When the replica split
 leaves a usable core idle (one srwm replica, or the toy engine, on two
@@ -71,6 +72,7 @@ depends on that row alone.
 from __future__ import annotations
 
 import contextlib
+import importlib
 import math
 import os
 import pickle
@@ -78,7 +80,7 @@ import shutil
 from collections import deque
 from itertools import chain, repeat
 from operator import add, mul, sub
-from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Optional
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -568,6 +570,11 @@ class _KeptPath:
         time (``shutil.copyfileobj``), so it never holds another slice's
         text.
         """
+        # ``_csv_rows``' module, imported before the workers fork so that they
+        # share its code and tables: compiled in each worker instead, a
+        # 10,001-row write took about 3 ms longer (median of 15 whole runs)
+        importlib.import_module(".csvfmt", __package__)
+
         blocks = self.blocks
         rows = sum(len(cols[0]) for cols in blocks)
         own, *rest = _slices(len(blocks), rows // len(blocks), _MIN_WORKER_ROWS)
@@ -575,41 +582,59 @@ class _KeptPath:
             fh.write(self.header)
 
             def write_own() -> None:
-                fh.writelines(map(_csv_rows, blocks[own]))
+                fh.writelines(map(_csv_rows, _batches(blocks[own])))
 
-            jobs = [lambda part=part: b"".join(map(_csv_rows, blocks[part])) for part in rest]
+            jobs = [lambda part=part: b"".join(map(_csv_rows, _batches(blocks[part]))) for part in rest]
             _fork_map(jobs, write_own, lambda stream: shutil.copyfileobj(stream, fh))
 
 
-def _csv_rows(cols: list[np.ndarray]) -> bytes:
-    """The CSV lines of one kept block, given as its columns in header
-    order: floats by ``repr``, so that they read back exactly, and integers
-    and flags as integers.
+def _batches(blocks: Iterable[list[np.ndarray]]) -> Iterator[list[np.ndarray]]:
+    """Kept blocks, in order, joined into runs of at least ``_BATCH_CELLS``
+    cells (the last run may hold fewer)."""
+    run: list[list[np.ndarray]] = []
+    cells = 0
+    for cols in blocks:
+        run.append(cols)
+        cells += len(cols) * len(cols[0])
+        if cells >= _BATCH_CELLS:
+            yield _joined(run)
+            run, cells = [], 0
+    if run:
+        yield _joined(run)
 
-    ``repr`` costs about 0.5 us a float, and about a quarter of a block's
-    floats repeat one another (x repeats y or the row before, V repeats on
-    rejected rows, cov_12 = cov_21, alpha = 1.0), so each distinct bit
-    pattern is formatted once: -0.0 and 0.0, or NaNs of different payloads,
-    stay distinct, and every cell reads as its own ``repr``.
-    """
-    floats = [col for col in cols if col.dtype.kind == "f"]
-    bits, where = np.unique(np.concatenate(floats).view(np.uint64), return_inverse=True)
-    texts = np.array([*map(repr, bits.view(np.float64).tolist())], dtype=object)
-    float_cells = iter(texts[where].reshape(len(floats), -1).tolist())
-    cells = [next(float_cells) if col.dtype.kind == "f" else map(str, col.astype(np.int64).tolist()) for col in cols]
-    return ("\n".join(map(",".join, zip(*cells))) + "\n").encode()
+
+def _joined(run: list[list[np.ndarray]]) -> list[np.ndarray]:
+    return run[0] if len(run) == 1 else [np.concatenate(col) for col in zip(*run)]
+
+
+# Cells formatted in one call: one 512-row block of a record_stride = 1 run,
+# several thin blocks of a strided one.  ``csvfmt``'s cost per cell falls
+# with the call's size up to about 5,000 cells (294 ns a cell at 1,408 cells,
+# 205 at 2,816 and 180-186 from 5,632 to 69,632; 11 and 17 columns, 2-vCPU
+# VM), and it holds about 150 bytes a cell while it runs.  Joining the
+# 51-row blocks of a record_stride = 10 run took its rows from 7.5 to 3.7 us
+# (min of 15).
+_BATCH_CELLS = 4_096
+
+
+def _csv_rows(cols: list[np.ndarray]) -> bytes:
+    """The CSV lines of kept rows, given as their columns in header order:
+    floats by ``repr``'s bytes, so that they read back exactly, and
+    integers and flags as integers (``csvfmt``, imported at the first CSV
+    write, since a run without one never needs its tables)."""
+    from .csvfmt import csv_lines
+
+    return csv_lines(cols)
 
 
 def _write_kept_csv(config: ChainConfig, path, blocks: Iterator) -> None:
     """Write replica 0's ``trajectory.csv`` from its raw blocks, given in
-    path order as ``(start, blk, w_cells)`` (see ``_KeptPath.add``), each
-    block's kept rows as it arrives."""
+    path order as ``(start, blk, w_cells)`` (see ``_KeptPath.add``), the
+    kept rows as they arrive, ``_BATCH_CELLS`` cells at a time."""
     kept = _KeptPath(config)
     with open(path, "wb") as fh:
         fh.write(kept.header)
-        for block in blocks:
-            if kept.add(*block):
-                fh.write(_csv_rows(kept.blocks.pop()))
+        fh.writelines(map(_csv_rows, _batches(kept.blocks.pop() for block in blocks if kept.add(*block))))
 
 
 def _compound_cells(comp: CompoundSpec, vs, ws, gammas) -> list[float]:
@@ -969,10 +994,11 @@ def _worth_streaming(config: ChainConfig) -> bool:
     """Whether replica 0's CSV pays for a writer of its own on an idle core:
     its loop makes a kept row about as slowly as the writer formats one, as
     the toy engine and the loops in several dimensions do, and it keeps at
-    least ``_MIN_STREAM_ROWS`` rows.  A 1-D loop makes a row about 5 times
-    faster than the writer forms and formats it (0.9-1.1 us a step against
-    4.9-5.7 us a row, in process on a 2-vCPU VM), so a writer would set its
-    pace, where the after-run split formats on every core."""
+    least ``_MIN_STREAM_ROWS`` rows.  A 1-D loop makes a row about 3 times
+    faster than the writer forms, formats and writes it (0.97-1.07 us a step
+    against 3.3-3.6 us a row, in process on a 2-vCPU VM, min of 15), so a
+    writer would set its pace, where the after-run split formats on every
+    core."""
     slow = config.kind == CHAIN_TOY or config.target.dim > 1
     return slow and _kept_rows(config) >= _MIN_STREAM_ROWS
 
@@ -992,26 +1018,32 @@ def _kept_rows(config: ChainConfig) -> int:
 # for itself only past about 8 ms of work; a ``driftlab run`` that forked
 # also takes about 4 ms longer to exit.  Measured break-evens, in work per
 # worker (R = 2, forced one against two workers, median of 21): 4,000-5,000
-# replica-steps of the 1-D loop under a scalar rule and about 4,000 under AM, and
-# about 750 CSV rows of a 1-D srwm trajectory or 1,000-1,600 of a toy one.
+# replica-steps of the 1-D loop under a scalar rule and about 4,000 under AM.
 # Whole ``driftlab run`` processes of 2 x 5,000 1-D AM steps took 207 ms
-# on two workers against 211 on one (median of 15).  A split never leaves a
-# worker less than these minimums (a CSV split counts each kept block at the
-# blocks' mean row count).
+# on two workers against 211 on one (median of 15).  The after-run CSV split
+# pays from about 4,000 rows a worker since ``csvfmt`` formats a row in
+# about 2 us: whole 1-D coerced runs (R = 2, one process against two,
+# medians of 11-21 alternating runs) took 163 against 178 ms at 2,001 rows,
+# 178 against 183 at 4,001, 210 against 226 at 6,001, 287 against 280 at
+# 8,001 and 228 against 222 at 10,001; in process ``to_csv`` alone took 8.3
+# against 13.8 ms at 3,001 rows and 22.8 against 17.2 at 7,001 (min of 31).
+# A split never leaves a worker less than these minimums (a CSV split counts
+# each kept block at the blocks' mean row count).
 _MIN_WORKER_STEPS = 5_000
-_MIN_WORKER_ROWS = 1_500
+_MIN_WORKER_ROWS = 4_000
 
 # Rows replica 0 must keep for its CSV to be streamed.  Below 3,000 rows the
 # after-run split writes the file without a fork, and a writer's fork and
 # exit cost about what its overlap saves.  Measured on whole ``driftlab
-# run`` processes (2-vCPU VM, median of the run and its exit over 11 or 21
-# alternating runs, streamed against written after the run): 2-D AM 126 ->
-# 111 ms at 2,001 rows, 180 -> 155 at 3,001 and 219 -> 191 at 4,001; 2-D
-# coerced 109 -> 106 ms at 3,001 rows, 129 -> 116 at 4,001 and 170 -> 148
-# at 5,001; the toy at R = 200 90 -> 100 ms at 2,001 rows, 187 -> 168 at
-# 3,001 and 198 -> 188 at 4,001.  1-D loops lost at every size: coerced 135
-# -> 158 ms at 5,001 rows and 145 -> 167 at 7,001, 1-D AM 126 -> 133 at
-# 7,001.
+# run`` processes (2-vCPU VM, median of the run and its exit over 15
+# alternating runs, written after the run against streamed, ``csvfmt``
+# formatting): 2-D AM 210 -> 205 ms at 2,001 rows, 290 -> 279 at 3,001, 350
+# -> 272 at 4,001 and 382 -> 365 at 6,001; 2-D coerced 203 -> 220 ms at
+# 2,001 rows, 294 -> 299 at 3,001, 305 -> 300 at 4,001 and 314 -> 307 at
+# 6,001; the toy at R = 200 286 -> 312 ms at 2,001 rows, 368 -> 358 at
+# 3,001, 373 -> 354 at 4,001 and 432 -> 401 at 6,001.  1-D loops (R = 1)
+# still lose or tie: coerced 287 -> 300 ms at 5,001 rows and 304 -> 302 at
+# 10,001, 1-D AM 268 -> 274 at 5,001 and 287 -> 297 at 10,001.
 _MIN_STREAM_ROWS = 3_000
 
 # The first byte a worker writes: its job's bytes follow, or the pickled

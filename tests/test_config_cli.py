@@ -796,6 +796,7 @@ print("scipy-modules", sum(1 for m in sys.modules if m.startswith("scipy")))
 print("jsonschema-modules", sum(1 for m in sys.modules if m.split(".")[0] in ("jsonschema", "referencing", "attrs")))
 print("process-pool-modules", sum(1 for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
 print("simulator-modules", sum(1 for m in sys.modules if m == "driftlab.simulator"))
+print("csvfmt-modules", sum(1 for m in sys.modules if m == "driftlab.csvfmt"))
 import resource
 print("worker-maxrss-kb", resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 sys.exit(code)
@@ -866,7 +867,26 @@ def test_run_without_quadrature_never_imports_scipy(tmp_path):
     assert module_count(proc, "process-pool") == 0
     assert module_count(proc, "jsonschema") == 0
     assert module_count(proc, "simulator") == 1
+    assert module_count(proc, "csvfmt") == 1  # this process wrote trajectory.csv
     assert (tmp_path / "out" / "report-toy.json").exists()
+
+
+@pytest.mark.parametrize("preset", ["toy", "coerced", "am-subexp-1d", "run-json-only"])
+def test_commands_that_write_no_csv_never_load_the_formatter(tmp_path, preset):
+    # the formatter's tables are built at the first CSV write, so neither
+    # verify (certify) nor a run's set-up pays for them
+    if preset == "run-json-only":
+        doc = json.loads(resolve_config_path("coerced").read_text())
+        doc["run"].update(horizon=300, replicas=2)
+        doc["output"] = {"formats": ["json"]}
+        args = ["run", str(write_config(tmp_path, doc))]
+    else:
+        args = ["verify", preset]
+    proc = run_in_fresh_process(tmp_path, *args, "--out", str(tmp_path / "out"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert module_count(proc, "csvfmt") == 0
+    written = {path.name for path in (tmp_path / "out").iterdir()}
+    assert written and "trajectory.csv" not in written
 
 
 @pytest.mark.parametrize("command", ["verify toy", "presets", "plot"])
@@ -1071,6 +1091,9 @@ _AM_1D_PARAM = {"mu": [0.0], "cov": [[1.0]]}
                      "verify.checks", id="toy-rule-compound-drift"),
         pytest.param("coerced", {"adaptation": {"rule": "fixed"}},
                      "verify.checks", id="fixed-rule-compound-drift"),
+        # the coerced scenario's margin min(alpha*, 1/2 - alpha*) takes no alpha* the document leaves unstated
+        pytest.param("coerced", {"adaptation": {"rule": "fixed"}, "verify.checks": ["w_drift"]},
+                     "adaptation.alpha_star", id="fixed-rule-w-drift-without-alpha-star"),
         pytest.param("am-subexp-1d", {"verify.theta_grid": [_AM_1D_PARAM, 1.0]},
                      "verify.theta_grid", id="am-scenario-scalar-theta"),
         pytest.param("coerced", {"verify.theta_grid": [0.0, _AM_1D_PARAM]},

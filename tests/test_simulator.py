@@ -982,6 +982,18 @@ CSV_EDGE_BLOCKS = {
                                 np.array([1.5, 1.5, 2.5, 2.5]), np.ones(4), _FLAGS, np.full(4, 7, dtype=np.int64)],
     "one-row": [np.array([12], dtype=np.int64), np.array([-0.0]), np.array([0.0]), np.array([True]),
                 np.array([1e300])],
+    # where shortest digits go wrong: below a power of two (a narrower rounding
+    # interval), around powers of ten and repr's layout edges, near 2**53, in
+    # the subnormals and at the range ends
+    "shortest-digit-classes": [
+        np.arange(9, dtype=np.int64),
+        np.nextafter(np.ldexp(1.0, [-1074, -1022, -1022, -537, 1, 52, 53, 54, 1023]), [1, 0, 1, 0, 0, 3, 0, 0, 0]),
+        np.nextafter([1e-323, 1e-5, 1e-4, 1e-4, 1e15, 1e16, 1e16, 1e17, 1e308], [1, 0, 0, 1, 2e15, 0, 2e16, 0, 0]),
+        -np.array([5e-324, 2.2250738585072009e-308, 1e-5, 0.0001, 2.0**53 + 2, 1e16, 1e22, 1e23,
+                   sys.float_info.max]),
+        np.array([True, False, True, True, False, False, True, False, True]),
+        np.array([0, 9, 10, 99, 100, 10**15, 10**16 - 1, 2**53 - 1, 2**53], dtype=np.int64),
+    ],
 }
 
 
