@@ -69,7 +69,8 @@ def test_a_million_normals_from_1e_minus_300_to_1e300():
     rng = np.random.default_rng(20261021)
     x = rng.standard_normal(1_000_000) * 10.0 ** rng.uniform(-300, 300, 1_000_000)
     # in slices, as the simulator hands over its blocks: the formatter holds about 150 bytes a cell
-    assert b"".join(one_column(part) for part in np.split(x, 40)) == by_repr(x)
+    for part in np.split(x, 40):
+        assert one_column(part) == by_repr(part)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
