@@ -184,10 +184,10 @@ class DriftCoefficients:
     fitted by the verifiers on a grid and then frozen; everything else is
     structural.  ``iota`` is the state-drift exponent, ``beta`` the
     parameter-drift exponent.  ``alpha_star`` is the coerced acceptance
-    level, the document's ``adaptation.alpha_star``; it has no default, so
-    the coerced scenarios' margin min(alpha_star, 1/2 - alpha_star) rests
-    on no number a document leaves unstated, and it is None under the am
-    scenarios, which take no margin from it.
+    level, the document's ``adaptation.alpha_star``.  The coerced scenarios
+    reject None, so their margin min(alpha_star, 1/2 - alpha_star) rests on
+    no number a document leaves unstated; the am scenarios take no margin
+    from it.
     """
 
     __slots__ = ("scenario", "iota", "beta", "a0", "slope_c", "b_const", "sup_c_vbeta", "eps_ridge", "w_eps",
@@ -204,8 +204,7 @@ class DriftCoefficients:
         sup_c_vbeta: float = 1.0,
         eps_ridge: float = EPS_RIDGE,
         w_eps: float = AM_POLY_EPS,
-        *,
-        alpha_star: Optional[float],
+        alpha_star: Optional[float] = None,
         gamma_max: float = 0.05,
         dim: int = 1,
     ):

@@ -54,7 +54,7 @@ w, W and in_C in the scalar arithmetic of a row-at-a-time recorder (so
 ``record_stride`` thins the trajectory and never the statistics), and keeps
 each block as its CSV columns.  ``_csv_rows`` formats kept rows through
 ``csvfmt``, whose numpy digits are ``repr``'s bytes; both writers below
-call it, on a block or on a run of thin blocks (``_batches``).
+call it once a block.
 
 ``trajectory.csv`` is written one of two ways.  When the replica split
 leaves a usable core idle (one srwm replica, or the toy engine, on two
@@ -80,7 +80,7 @@ import shutil
 from collections import deque
 from itertools import chain, repeat
 from operator import add, mul, sub
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional
+from typing import BinaryIO, Callable, Iterator, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -582,43 +582,14 @@ class _KeptPath:
             fh.write(self.header)
 
             def write_own() -> None:
-                fh.writelines(map(_csv_rows, _batches(blocks[own])))
+                fh.writelines(map(_csv_rows, blocks[own]))
 
-            jobs = [lambda part=part: b"".join(map(_csv_rows, _batches(blocks[part]))) for part in rest]
+            jobs = [lambda part=part: b"".join(map(_csv_rows, blocks[part])) for part in rest]
             _fork_map(jobs, write_own, lambda stream: shutil.copyfileobj(stream, fh))
 
 
-def _batches(blocks: Iterable[list[np.ndarray]]) -> Iterator[list[np.ndarray]]:
-    """Kept blocks, in order, joined into runs of at least ``_BATCH_CELLS``
-    cells (the last run may hold fewer)."""
-    run: list[list[np.ndarray]] = []
-    cells = 0
-    for cols in blocks:
-        run.append(cols)
-        cells += len(cols) * len(cols[0])
-        if cells >= _BATCH_CELLS:
-            yield _joined(run)
-            run, cells = [], 0
-    if run:
-        yield _joined(run)
-
-
-def _joined(run: list[list[np.ndarray]]) -> list[np.ndarray]:
-    return run[0] if len(run) == 1 else [np.concatenate(col) for col in zip(*run)]
-
-
-# Cells formatted in one call: one 512-row block of a record_stride = 1 run,
-# several thin blocks of a strided one.  ``csvfmt``'s cost per cell falls
-# with the call's size up to about 5,000 cells (294 ns a cell at 1,408 cells,
-# 205 at 2,816 and 180-186 from 5,632 to 69,632; 11 and 17 columns, 2-vCPU
-# VM), and it holds about 150 bytes a cell while it runs.  Joining the
-# 51-row blocks of a record_stride = 10 run took its rows from 7.5 to 3.7 us
-# (min of 15).
-_BATCH_CELLS = 4_096
-
-
 def _csv_rows(cols: list[np.ndarray]) -> bytes:
-    """The CSV lines of kept rows, given as their columns in header order:
+    """The CSV lines of one kept block, given as its columns in header order:
     floats by ``repr``'s bytes, so that they read back exactly, and
     integers and flags as integers (``csvfmt``, imported at the first CSV
     write, since a run without one never needs its tables)."""
@@ -629,12 +600,14 @@ def _csv_rows(cols: list[np.ndarray]) -> bytes:
 
 def _write_kept_csv(config: ChainConfig, path, blocks: Iterator) -> None:
     """Write replica 0's ``trajectory.csv`` from its raw blocks, given in
-    path order as ``(start, blk, w_cells)`` (see ``_KeptPath.add``), the
-    kept rows as they arrive, ``_BATCH_CELLS`` cells at a time."""
+    path order as ``(start, blk, w_cells)`` (see ``_KeptPath.add``), each
+    block's kept rows as it arrives."""
     kept = _KeptPath(config)
     with open(path, "wb") as fh:
         fh.write(kept.header)
-        fh.writelines(map(_csv_rows, _batches(kept.blocks.pop() for block in blocks if kept.add(*block))))
+        for block in blocks:
+            if kept.add(*block):
+                fh.write(_csv_rows(kept.blocks.pop()))
 
 
 def _compound_cells(comp: CompoundSpec, vs, ws, gammas) -> list[float]:

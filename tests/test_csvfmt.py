@@ -68,9 +68,10 @@ def test_zeros_infinities_and_nans():
 def test_a_million_normals_from_1e_minus_300_to_1e300():
     rng = np.random.default_rng(20261021)
     x = rng.standard_normal(1_000_000) * 10.0 ** rng.uniform(-300, 300, 1_000_000)
-    # in slices, as the simulator hands over its blocks: the formatter holds about 150 bytes a cell
-    for part in np.split(x, 40):
-        assert one_column(part) == by_repr(part)
+    # in slices of 100,000, as the formatter holds about 150 bytes a cell; repr of the whole
+    # list at once, as the oracle's per-float cost is most of this test's time
+    for part in np.split(x, 10):
+        assert b"[" + one_column(part)[:-1].replace(b"\n", b", ") + b"]" == repr(part.tolist()).encode()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

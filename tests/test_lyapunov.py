@@ -202,7 +202,7 @@ def test_fast_coerced_offsets_closed_form():
 
 
 def test_scenario_coefficient_values_am():
-    coef = scenario_coefficients(SCENARIO_AM_SUPEREXP, dim=1, iota=1.0, w_eps=0.5, a0=1.0, alpha_star=None)
+    coef = scenario_coefficients(SCENARIO_AM_SUPEREXP, dim=1, iota=1.0, w_eps=0.5, a0=1.0)
     p = AMParam(mu=np.array([0.0]), cov=np.array([[1.0]]))
     w = coef.weight()(p)  # 1 + 0 + 1 = 2
     assert w == 2.0
