@@ -1,6 +1,7 @@
 """Pinned outputs: the SHA-256 of ``trajectory.csv`` and ``summary.json`` of
 eight small ``driftlab run`` invocations, one per way replica 0's rows are
-formed and written.
+formed and written, and of the five ``report-<check>.json`` files that
+``driftlab verify`` writes for the presets that declare checks.
 
 Acceptance criterion 13 checks that a rerun within one commit gives the same
 bytes; these digests check that a commit gives the bytes of the commit
@@ -85,3 +86,24 @@ def test_outputs_match_their_pinned_digests(tmp_path, monkeypatch, name):
     assert main(["run", str(write_config(tmp_path, make())), "--out", str(out)]) == 0
     got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in ("trajectory.csv", "summary.json"))
     assert got == DIGESTS[name]
+
+
+# preset -> {check: SHA-256 of report-<check>.json}
+REPORT_DIGESTS = {
+    "am-subexp-1d": {
+        "acceptance_bounds": "e5bf4e2d8d58dda9e88689e21ec8550e24b1e53773ffc2665abd3c07cde4e359",
+        "decomposition": "ffec8e08140e2450b3b1b900238f9d518640c5a8abc4fe9574313e69f6aa0dc5",
+        "fixed_theta_drift": "b775ce3bcd0d547b3144e5db3682450b811f233113a4df20eda511c677133ae1",
+    },
+    "coerced": {"compound_drift": "0e2242382935630128928e264374a669c0098fd2550dec89da97ff305a97e747"},
+    "toy": {"toy": "aa4904843406c81e5a3cac95f4e3605951e7e588c77b52d83a5985e5b385502d"},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(REPORT_DIGESTS))
+def test_reports_match_their_pinned_digests(tmp_path, preset):
+    out = tmp_path / "out"
+    assert main(["verify", preset, "--out", str(out)]) == 0
+    got = {path.name[len("report-"):-len(".json")]: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in out.glob("report-*.json")}
+    assert got == REPORT_DIGESTS[preset]
