@@ -39,6 +39,8 @@ EXIT_DIVERGED = 2
 EXIT_VERIFY = 3
 
 PLOT_KINDS = ("theta-trace", "drift-margin", "acceptance-rolling")
+# The acceptance-rolling window, in steps, when --window is not given.
+ROLLING_WINDOW = 1000
 
 
 def list_presets() -> list[str]:
@@ -100,13 +102,12 @@ def _fmt_margin(m) -> str:
     return f"{m:.3e}"
 
 
-def _print_table(rows: list[tuple[str, bool, Optional[float]]], out=None) -> None:
-    out = out if out is not None else sys.stdout
+def _print_table(rows: list[tuple[str, bool, Optional[float]]]) -> None:
     name_w = max([len(r[0]) for r in rows] + [len("check")])
-    print(f"{'check'.ljust(name_w)}  result  worst_margin", file=out)
-    print(f"{'-' * name_w}  ------  ------------", file=out)
+    print(f"{'check'.ljust(name_w)}  result  worst_margin")
+    print(f"{'-' * name_w}  ------  ------------")
     for name, ok, margin in rows:
-        print(f"{name.ljust(name_w)}  {'PASS' if ok else 'FAIL':6}  {_fmt_margin(margin)}", file=out)
+        print(f"{name.ljust(name_w)}  {'PASS' if ok else 'FAIL':6}  {_fmt_margin(margin)}")
 
 
 def run_experiment(
@@ -211,7 +212,7 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
         w.writerows(rows)
 
 
-def emit_plot_data(input_path, kind: str, out_path=None, window: int = 1000) -> Path:
+def emit_plot_data(input_path, kind: str, out_path=None, window: int = ROLLING_WINDOW) -> Path:
     """Write a plot-ready long-format CSV for one of the known kinds.  An
     option or an input the kind cannot read raises ``ConfigError`` before
     the output file is opened."""
@@ -271,7 +272,7 @@ def emit_plot_data(input_path, kind: str, out_path=None, window: int = 1000) -> 
         if "sigma" in point:
             sigma = point["sigma"]
         elif "theta" in point:
-            sigma = ScalarParam(point["theta"]).sigma  # inf from theta = 700 on
+            sigma = ScalarParam(point["theta"]).sigma  # inf from theta = kernels.EXP_CUTOFF on
         else:
             sigma = ""
         rows_out.append([x, sigma, row.get("margin", ""), row.get("se", "")])
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("input", help="trajectory CSV or report JSON")
     p_plot.add_argument("--kind", required=True, help=f"one of: {', '.join(PLOT_KINDS)}")
     p_plot.add_argument("--out", default=None, help="output CSV path")
-    p_plot.add_argument("--window", type=int, default=1000, help="rolling window length")
+    p_plot.add_argument("--window", type=int, default=ROLLING_WINDOW, help="rolling window length")
 
     p_presets = sub.add_parser("presets", help="list shipped preset names")
     del p_presets

@@ -49,6 +49,7 @@ from .adaptation import (
     gamma_at,
 )
 from .kernels import (
+    EXP_CUTOFF,
     FAMILY_STUDENT,
     FAMILY_UNIFORM,
     PARAM_AM_COVARIANCE,
@@ -498,11 +499,12 @@ def _check_rule_fit(doc: dict) -> None:
     """Reject, each at its path, a parameter weight, drift scenario or check
     that does not fit the adaptation rule, a ``verify.theta_grid`` entry
     that is no parameter of the scenario (am scenarios take running moments
-    {mu, cov}, the others a number with |theta| < 700: from |theta| = 700
-    on the ``exp_abs`` weight e**|theta| is inf, and so is the proposal
-    scale e**theta, ``kernels.ScalarParam.sigma``, above 700, while below
-    about -745.13 it rounds to 0), and under the am rule a
-    ``lyapunov.gamma_max`` above 1, which no running-moments step takes."""
+    {mu, cov}, the others a number with |theta| < ``kernels.EXP_CUTOFF``:
+    from |theta| = EXP_CUTOFF on the ``exp_abs`` weight e**|theta| is inf,
+    and so is the proposal scale e**theta, ``kernels.ScalarParam.sigma``,
+    above it, while below about -745.13 it rounds to 0), and under the am
+    rule a ``lyapunov.gamma_max`` above 1, which no running-moments step
+    takes."""
     rule = doc.get("adaptation", {}).get("rule")
     variant = doc.get("lyapunov", {}).get("weight")
     scenario = doc.get("lyapunov", {}).get("scenario")
@@ -526,7 +528,7 @@ def _check_rule_fit(doc: dict) -> None:
             if isinstance(entry, dict) != moments:
                 wants = "running moments {mu, cov}" if moments else "a number"
                 raise ConfigError(f"entry {i} is no {scenario!r} parameter, which is {wants}", "verify.theta_grid")
-            if not moments and abs(entry) >= 700.0:
+            if not moments and abs(entry) >= EXP_CUTOFF:
                 raise ConfigError(f"theta = {entry!r} puts e**|theta| past the float range",
                                   f"verify.theta_grid.{i}")
     gamma_max = doc.get("lyapunov", {}).get("gamma_max")  # the default is below 1
@@ -850,7 +852,7 @@ def build_check_args(check: str, doc: dict) -> tuple:
     and unimodal, with ``lyapunov.eta`` = 0 or at a tail x <= 0, and either
     at a ``verify.sigma_grid`` radius below the smallest normal float or a
     ``verify.tail_x_grid`` point where log pi is not finite.
-    ``compound_drift`` runs by Monte Carlo when no method is set."""
+    ``compound_drift`` runs by Monte Carlo whatever the grid's method."""
     cfg = doc.get("verify", {})
     if check == "toy":
         return (tuple(float(t) for t in cfg.get("toy_theta_grid", range(-3, 4))),)
@@ -906,8 +908,6 @@ def build_check_args(check: str, doc: dict) -> tuple:
         if target.dim != 1:
             raise ConfigError(f"w_drift's center sup is one-dimensional, not dim {target.dim}", "verify.checks")
         return target, proposal, rule, coef, grid, lyap, center_radius
-    if "method" not in cfg:
-        grid = grid._replace(method=METHOD_MONTE_CARLO)
     return target, proposal, rule, lyap, grid, coef, center_radius
 
 

@@ -28,6 +28,11 @@ PARAM_SCALAR_LOG_SCALE = "scalar_log_scale"
 RW_SCALE = 2.38
 # Default ridge eps_ridge of the running covariance (proposal.eps_ridge).
 EPS_RIDGE = 0.1
+# The overflow cut-off of every exponential the package forms: e**a is taken
+# as inf from a = EXP_CUTOFF on (math.exp itself overflows past about
+# 709.78).  It bounds |theta| at load, and makes the proposal scale e**theta,
+# V = pi**-eta, the weight e**|theta| and the drift rates inf.
+EXP_CUTOFF = 700.0
 
 
 class ProposalSpec:
@@ -84,7 +89,7 @@ class ScalarParam:
 
     @property
     def sigma(self) -> float:
-        return math.exp(self.theta) if self.theta < 700.0 else math.inf
+        return math.exp(self.theta) if self.theta < EXP_CUTOFF else math.inf
 
 
 KernelParam = AMParam | ScalarParam

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import EPS_RIDGE, AMParam, ScalarParam
+from .kernels import EPS_RIDGE, EXP_CUTOFF, AMParam, ScalarParam
 from .targets import TargetModel, is_symmetric
 
 SCENARIO_AM_SUPEREXP = "am_superexp"
@@ -71,7 +71,7 @@ class StateLyapunov(NamedTuple):
         if np.ndim(l) == 0:
             return self.of_log_density(float(l))
         arg = self.log(x, np.asarray(l, dtype=float))
-        return np.where(arg < 700.0, np.exp(np.minimum(arg, 700.0)), math.inf)
+        return np.where(arg < EXP_CUTOFF, np.exp(np.minimum(arg, EXP_CUTOFF)), math.inf)
 
     def log(self, x, l):
         """log V(x) = -eta * l from the log-density ``l`` at ``x`` (``x`` is
@@ -82,7 +82,7 @@ class StateLyapunov(NamedTuple):
     def of_log_density(self, l: float) -> float:
         """V at a point whose log-density ``l`` is already known."""
         arg = -self.eta * l
-        return math.exp(arg) if arg < 700.0 else math.inf
+        return math.exp(arg) if arg < EXP_CUTOFF else math.inf
 
 
 class ParamLyapunov(NamedTuple):
@@ -104,7 +104,7 @@ class ParamLyapunov(NamedTuple):
         theta = _theta_of(param)
         if self.variant == W_EXP_ABS:
             a = abs(theta)
-            return math.exp(a) if a < 700.0 else math.inf
+            return math.exp(a) if a < EXP_CUTOFF else math.inf
         return 1.0 + theta * theta
 
     def of_moments(self, mu: np.ndarray, cov: np.ndarray):
@@ -143,18 +143,18 @@ class ParamLyapunov(NamedTuple):
             except OverflowError:  # a block with an overflowing weight, taken again row by row
                 return [1.0 + pow_or_inf(abs(m), expo) + abs(g) for m, g in zip(*cols)]
         if self.variant == W_EXP_ABS:
-            exp, inf = math.exp, math.inf
-            return [exp(t) if t < 700.0 else inf for t in map(abs, cols[0])]
+            exp, inf, cutoff = math.exp, math.inf, EXP_CUTOFF
+            return [exp(t) if t < cutoff else inf for t in map(abs, cols[0])]
         return [1.0 + t * t for t in cols[0]]
 
     def of_thetas(self, theta) -> np.ndarray:
         """w of an array of scalar parameters, elementwise: inf from |theta|
-        = 700 on and past the float range, as ``__call__``, without a
+        = EXP_CUTOFF on and past the float range, as ``__call__``, without a
         warning.  numpy's exp may differ from math.exp in the last digit."""
         theta = np.asarray(theta, dtype=float)
         if self.variant == W_EXP_ABS:
             a = np.abs(theta)
-            return np.where(a < 700.0, np.exp(np.minimum(a, 700.0)), math.inf)
+            return np.where(a < EXP_CUTOFF, np.exp(np.minimum(a, EXP_CUTOFF)), math.inf)
         if self.variant == W_AM_POLY:
             raise ValueError("am_poly weights take running moments")
         with np.errstate(over="ignore"):
@@ -177,55 +177,32 @@ class CompoundSpec(NamedTuple):
     mode: str = "W"
 
 
-class DriftCoefficients:
-    """Coefficient functions of one drift scenario.
+class DriftCoefficients(NamedTuple):
+    """Coefficient functions of one drift scenario, built by
+    :func:`scenario_coefficients`.
 
     Free constants (``a0``, ``slope_c``, ``b_const``, ``sup_c_vbeta``) are
-    fitted by the verifiers on a grid and then frozen; everything else is
-    structural.  ``iota`` is the state-drift exponent, ``beta`` the
-    parameter-drift exponent.  ``alpha_star`` is the coerced acceptance
-    level, the document's ``adaptation.alpha_star``.  The coerced scenarios
-    reject None, so their margin min(alpha_star, 1/2 - alpha_star) rests on
-    no number a document leaves unstated; the am scenarios take no margin
-    from it.
+    fitted by the verifiers on a grid and then frozen with ``_replace``;
+    everything else is structural.  ``iota`` is the state-drift exponent,
+    ``beta`` the parameter-drift exponent.  ``alpha_star`` is the coerced
+    acceptance level, the document's ``adaptation.alpha_star``.  The coerced
+    scenarios reject None, so their margin min(alpha_star, 1/2 - alpha_star)
+    rests on no number a document leaves unstated; the am scenarios take no
+    margin from it.
     """
 
-    __slots__ = ("scenario", "iota", "beta", "a0", "slope_c", "b_const", "sup_c_vbeta", "eps_ridge", "w_eps",
-                 "alpha_star", "gamma_max", "dim")
-
-    def __init__(
-        self,
-        scenario: str,
-        iota: float,
-        beta: float,
-        a0: float = 1.0,
-        slope_c: float = 1.0,
-        b_const: float = 1.0,
-        sup_c_vbeta: float = 1.0,
-        eps_ridge: float = EPS_RIDGE,
-        w_eps: float = AM_POLY_EPS,
-        alpha_star: Optional[float] = None,
-        gamma_max: float = 0.05,
-        dim: int = 1,
-    ):
-        self.scenario = scenario
-        self.iota = iota
-        self.beta = beta
-        self.a0 = a0
-        self.slope_c = slope_c
-        self.b_const = b_const
-        self.sup_c_vbeta = sup_c_vbeta
-        self.eps_ridge = eps_ridge
-        self.w_eps = w_eps
-        self.alpha_star = alpha_star
-        self.gamma_max = gamma_max
-        self.dim = dim
-        if a0 <= 0 or slope_c <= 0:
-            raise ValueError("fitted constants must be positive")
-        if scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED) and alpha_star is None:
-            raise ValueError(f"the {scenario} scenario's margin min(alpha_star, 1/2 - alpha_star) needs alpha_star")
-        if scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED) and not (0.0 < gamma_max < self.accept_margin):
-            raise ValueError("gamma_max must lie in (0, min(alpha_star, 1/2 - alpha_star))")
+    scenario: str
+    iota: float
+    beta: float
+    a0: float = 1.0
+    slope_c: float = 1.0
+    b_const: float = 1.0
+    sup_c_vbeta: float = 1.0
+    eps_ridge: float = EPS_RIDGE
+    w_eps: float = AM_POLY_EPS
+    alpha_star: Optional[float] = None
+    gamma_max: float = 0.05
+    dim: int = 1
 
     # -- scenario pieces ----------------------------------------------------
 
@@ -256,8 +233,8 @@ class DriftCoefficients:
             sigma = math.sqrt(param.cov[0, 0] + self.eps_ridge)
             return max(sigma, sigma**-2.0) / self.a0
         theta = _theta_of(param)
-        lo = math.exp(theta) if theta < 700.0 else math.inf
-        hi = math.exp(-2.0 * theta) if theta > -350.0 else math.inf
+        lo = math.exp(theta) if theta < EXP_CUTOFF else math.inf
+        hi = math.exp(-2.0 * theta) if -2.0 * theta < EXP_CUTOFF else math.inf
         return max(lo, hi) / self.a0
 
     def c(self, param) -> float:
@@ -300,9 +277,6 @@ class DriftCoefficients:
     def delta0(self) -> float:
         return self.delta(0.0)
 
-    def with_constants(self, **kw) -> "DriftCoefficients":
-        return DriftCoefficients(**{**{name: getattr(self, name) for name in self.__slots__}, **kw})
-
 
 def default_beta(scenario: str, iota: float, dim: int = 1) -> float:
     """Largest admissible parameter-drift exponent for each scenario."""
@@ -327,7 +301,9 @@ def scenario_coefficients(
     """Build a coefficient record with scenario-appropriate exponents.
 
     The exponent ceilings are enforced: ``beta`` above the scenario rule is
-    rejected rather than silently clipped.
+    rejected rather than silently clipped.  So are the record's own rules:
+    fitted constants positive and, in a coerced scenario, an ``alpha_star``
+    and a ``gamma_max`` in (0, min(alpha_star, 1/2 - alpha_star)).
     """
     if iota is None:
         iota = 1.0 if scenario == SCENARIO_AM_SUPEREXP else 0.9
@@ -339,7 +315,15 @@ def scenario_coefficients(
             raise ValueError("fast_coerced requires beta < iota/2")
     elif beta > cap + 1e-12:
         raise ValueError(f"beta={beta} exceeds the scenario ceiling {cap}")
-    return DriftCoefficients(scenario=scenario, iota=iota, beta=beta, dim=dim, **kw)
+    coef = DriftCoefficients(scenario, iota, beta, dim=dim, **kw)
+    if coef.a0 <= 0 or coef.slope_c <= 0:
+        raise ValueError("fitted constants must be positive")
+    if scenario in (SCENARIO_COERCED, SCENARIO_FAST_COERCED):
+        if coef.alpha_star is None:
+            raise ValueError(f"the {scenario} scenario's margin min(alpha_star, 1/2 - alpha_star) needs alpha_star")
+        if not (0.0 < coef.gamma_max < coef.accept_margin):
+            raise ValueError("gamma_max must lie in (0, min(alpha_star, 1/2 - alpha_star))")
+    return coef
 
 
 class DetCheckResult(NamedTuple):

@@ -113,17 +113,16 @@ def integrate_interval(
     *,
     tol: float = DEFAULT_ABS_TOL,
     points: Optional[Sequence[float]] = None,
-    limit: int = MAX_SUBDIVISIONS,
 ) -> float:
     """Integrate ``f`` over the finite interval [a, b] to absolute tolerance.
 
     ``points`` lists interior breakpoints (kinks of the integrand); points
     outside (a, b) are dropped.  Bisection stops once the summed error
     estimate is at most ``max(tol, 1e-11 * |value|)`` or the partition has
-    ``limit`` subintervals.  A result at the limit is still accepted when its
-    error is at most ``50 * max(tol, 1e-10 * |value|)``; otherwise, and
-    whenever the estimate or its error is not finite, QuadratureError is
-    raised with the partial estimate attached.
+    MAX_SUBDIVISIONS subintervals.  A result at that limit is still
+    accepted when its error is at most ``50 * max(tol, 1e-10 * |value|)``;
+    otherwise, and whenever the estimate or its error is not finite,
+    QuadratureError is raised with the partial estimate attached.
     """
     if not (a < b):
         if a == b:
@@ -145,7 +144,7 @@ def integrate_interval(
                 f"estimate {value!r} with error bound {err!r}",
                 partial=value,
             )
-        if err <= max(tol, _REL_TOL * abs(value)) or len(heap) >= limit:
+        if err <= max(tol, _REL_TOL * abs(value)) or len(heap) >= MAX_SUBDIVISIONS:
             break
         neg_err, lo, hi, part = heap[0]
         mid = 0.5 * (lo + hi)

@@ -94,6 +94,7 @@ from .adaptation import (
 )
 from .config import CHAIN_TOY, ChainConfig
 from .kernels import (
+    EXP_CUTOFF,
     FAMILY_GAUSSIAN,
     FAMILY_STUDENT,
     FAMILY_UNIFORM,
@@ -207,6 +208,7 @@ def _line_blocks(config: ChainConfig, streams: tuple):
     sqrt = math.sqrt
     isfinite = math.isfinite
     inf = math.inf
+    cutoff = EXP_CUTOFF
     poly, c0, c1, a, gm = _first_stepsize(config.schedule)
 
     if am:
@@ -215,7 +217,7 @@ def _line_blocks(config: ChainConfig, streams: tuple):
         sigma = sqrt(var) if var > 0 else 0.0
     else:
         theta, g = float(config.theta0), 0.0
-        sigma = exp(theta) if theta < 700.0 else inf
+        sigma = exp(theta) if theta < cutoff else inf
     params = 2 if am else 1
     x = float(np.asarray(config.x0, dtype=float).reshape(()))
     lx = float(logp(x))
@@ -253,7 +255,7 @@ def _line_blocks(config: ChainConfig, streams: tuple):
             elif adapts:
                 h = (abs(theta) + 1.0) * (alpha - alpha_star) if fast else alpha - alpha_star
                 theta = theta + gm * h
-                sigma = exp(theta) if theta < 700.0 else inf
+                sigma = exp(theta) if theta < cutoff else inf
             ths.append(theta)
             xs.append(x)
             ys.append(y)
@@ -328,6 +330,7 @@ def _generic_blocks(config: ChainConfig, streams: tuple):
     exp = math.exp
     isfinite = math.isfinite
     inf = math.inf
+    cutoff = EXP_CUTOFF
     poly, c0, c1, a, gm = _first_stepsize(config.schedule)
 
     if am:
@@ -360,7 +363,7 @@ def _generic_blocks(config: ChainConfig, streams: tuple):
                 if q is not None:
                     z = [v / q for v in z] if q > 0.0 else [v * inf for v in z]  # numpy's v / 0
             else:
-                sigma = exp(theta) if theta < 700.0 else inf
+                sigma = exp(theta) if theta < cutoff else inf
                 z = [sigma * v for v in unit]
             y = tuple(map(add, x, z))  # a list(map(...)) of 2 would hold 8 slots
             ly = float(logp(y))
@@ -537,8 +540,9 @@ class _KeptPath:
                 return [col[p] for p in keep]
         exp = math.exp
         inf = math.inf
+        cutoff = EXP_CUTOFF
         eta = self.eta
-        vs = [exp(-eta * lx) if -eta * lx < 700.0 else inf for lx in pick(blk.log_density)]
+        vs = [exp(-eta * lx) if -eta * lx < cutoff else inf for lx in pick(blk.log_density)]
         gammas = pick(blk.gamma)
         x, x_norm = _state_arrays(pick(blk.x))
         w = np.array(pick(w_cells))

@@ -294,11 +294,12 @@ def make_target(name: str, **params) -> TargetModel:
 # operations
 
 
-def matched_density_point(target: TargetModel, x: float, tol: float = BISECTION_TOL) -> float:
+def matched_density_point(target: TargetModel, x: float) -> float:
     """Point on the opposite side of the mode with the same density as ``x``.
 
     Bracket by geometric expansion from the mode, then plain bisection down
-    to absolute tolerance ``tol`` (or to adjacent floats, far from the mode).  ``x`` at the mode returns ``x`` itself.
+    to absolute tolerance BISECTION_TOL (or to adjacent floats, far from the
+    mode).  ``x`` at the mode returns ``x`` itself.
     """
     if target.dim != 1:
         raise ValueError("matched_density_point requires a one-dimensional target")
@@ -312,16 +313,14 @@ def matched_density_point(target: TargetModel, x: float, tol: float = BISECTION_
     if not math.isfinite(level):
         raise ValueError(f"invalid point: log-density not finite at x={x!r}")
     side = -1.0 if x > m else 1.0
-    return density_level_point(target, level, side, max(abs(x - m), 1.0), tol)
+    return density_level_point(target, level, side, max(abs(x - m), 1.0))
 
 
-def density_level_point(
-    target: TargetModel, level: float, side: float, t_hi: float = 1.0, tol: float = BISECTION_TOL
-) -> float:
+def density_level_point(target: TargetModel, level: float, side: float, t_hi: float = 1.0) -> float:
     """``mode + side * t`` (``side`` +1 or -1) where the log-density of a
     unimodal one-dimensional target falls to ``level``: the bracket
     [0, t_hi] doubles until it holds the crossing, then bisection halves it
-    down to ``tol`` or to two adjacent floats, whichever comes first."""
+    down to BISECTION_TOL or to two adjacent floats, whichever comes first."""
     m = float(target.mode)
     logp = target.log_density
     t_lo = 0.0
@@ -332,7 +331,7 @@ def density_level_point(
         expansions += 1
         if expansions > LEVEL_SEARCH_DOUBLINGS:
             raise ValueError(f"density never falls to log-density {level!r} on side {side:+g} of the mode")
-    while t_hi - t_lo > tol:
+    while t_hi - t_lo > BISECTION_TOL:
         t_mid = 0.5 * (t_lo + t_hi)
         if not t_lo < t_mid < t_hi:
             break  # adjacent floats: far from the mode, ulp(t) exceeds tol

@@ -64,6 +64,7 @@ from .adaptation import (
 )
 from .config import METHOD_MONTE_CARLO, METHOD_QUADRATURE, GridSpec, _jsonable
 from .kernels import (
+    EXP_CUTOFF,
     FAMILY_GAUSSIAN,
     FAMILY_UNIFORM,
     PARAM_SCALAR_LOG_SCALE,
@@ -237,7 +238,7 @@ def _one_step_pairs(
         # -inf + inf would be nan: a proposal pi never reaches is never accepted
         v_step = (1.0 - alpha) * v_x
         moves = log_alpha > -np.inf
-        v_step[moves] += np.exp(np.minimum(log_alpha[moves] + lyap.log(y[moves], ly[moves]), 700.0))
+        v_step[moves] += np.exp(np.minimum(log_alpha[moves] + lyap.log(y[moves], ly[moves]), EXP_CUTOFF))
         v_sum = v_sum + v_step
         if rule is None:
             continue
@@ -403,7 +404,7 @@ def apply_kernel_to_function(
     lx = float(target.log_density(x))
     logp = target.log_density
     log_fx = log_f(x, lx)
-    if not log_fx < 700.0:
+    if not log_fx < EXP_CUTOFF:
         raise OverflowError("non-integrable test function: non-finite value at the current state")
     fx = math.exp(log_fx)
 
@@ -413,7 +414,7 @@ def apply_kernel_to_function(
         if ly == -math.inf:  # never accepted; -inf + inf would be nan
             return 0.0
         arg = min(0.0, ly - lx) + log_f(y, ly)
-        if not arg < 700.0:
+        if not arg < EXP_CUTOFF:
             raise OverflowError(f"non-integrable test function: alpha * f is not finite at y={y!r}")
         return q_of(z) * math.exp(arg)
 
@@ -558,7 +559,7 @@ def verify_fixed_theta_drift(
             return k["b"]
         # a rate that fits no row is judged at the scenario's own a0
         a0 = k["a0"] if k["a0"] > 0 else coef.a0
-        return pt.v - pt.v**coef.iota / coef.with_constants(a0=a0).a(pt.param)
+        return pt.v - pt.v**coef.iota / coef._replace(a0=a0).a(pt.param)
 
     def fit(points, slack):
         # each tail row caps a0 (coef.a(param) * coef.a0 is the scenario's
@@ -659,7 +660,7 @@ def verify_w_drift(
         float(lyap(xx)) ** coef.beta
         for xx in {0.0, center_radius, -center_radius}
     )
-    coef = coef.with_constants(sup_c_vbeta=sup_vbeta)
+    coef = coef._replace(sup_c_vbeta=sup_vbeta)
     gamma = coef.gamma_max
 
     def estimate(param, x, rng):
@@ -673,12 +674,12 @@ def verify_w_drift(
 
     def rhs(k, pt):
         c = k["slope_c"]
-        return rhs_at(coef.with_constants(slope_c=c) if c is not None and math.isfinite(c) else coef, pt)
+        return rhs_at(coef._replace(slope_c=c) if c is not None and math.isfinite(c) else coef, pt)
 
     def fit(points, slack):
         def worst(c: float) -> tuple[float, Optional[int]]:
             """The smallest margin beyond the slack at slope constant c, and its row."""
-            cc = coef.with_constants(slope_c=c)
+            cc = coef._replace(slope_c=c)
             return min(((rhs_at(cc, pt) - pt.est[0] - slack(pt.est[1]), pt.i) for pt in points),
                        default=(math.inf, None))
 
@@ -901,7 +902,7 @@ def _phi(target: TargetModel, base: float, expo: float, sign: float, z: float) -
     """[(density at base + sign*z) / (density at base)] ** expo, in log space."""
     diff = float(target.log_density(base + sign * z)) - float(target.log_density(base))
     arg = expo * diff
-    return math.exp(arg) if arg < 700.0 else math.inf
+    return math.exp(arg) if arg < EXP_CUTOFF else math.inf
 
 
 def accept_reject_profile(target: TargetModel, eta: float, x: float, z: float) -> float:

@@ -649,6 +649,22 @@ def test_acceptance_rolling_drops_initial_row_and_averages(tmp_path):
     assert len(rows) == 1 + 6
 
 
+def test_a_run_in_compound_mode_u_records_gamma_times_w(tmp_path):
+    # lyapunov.compound_mode "U" records U = gamma_i * (V**uv + w**uw / gamma_i)
+    doc = json.loads(resolve_config_path("coerced").read_text())
+    doc["run"].update(horizon=300, replicas=1)
+    doc.pop("verify", None)
+    doc["lyapunov"].update(compound_mode="U", upsilon_v=0.5, upsilon_w=0.7)
+    out = tmp_path / "out"
+    assert run_experiment(write_config(tmp_path, doc), out=str(out)) == EXIT_OK
+    with open(out / "trajectory.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    gm, v, w, u = ([float(r[header.index(name)]) for r in rows] for name in ("gamma_i", "V", "w", "W"))
+    assert len(u) == 301
+    assert u == [g * (a**0.5 + b**0.7 / g) for g, a, b in zip(gm, v, w)]
+    assert all(x != a**0.5 + b**0.7 / g for g, a, b, x in zip(gm, v, w, u))
+
+
 def test_acceptance_rolling_of_a_run_matches_the_accepted_column(tmp_path):
     # trajectory.csv writes the flag as 1/0
     doc = json.loads(resolve_config_path("coerced").read_text())
@@ -687,6 +703,25 @@ def test_drift_margin_columns(tmp_path):
     assert rows[2] == ["20.0", "10.0", "0.25", "0.01"]
     assert rows[3] == ["3.0", "inf", "-inf", "0.0"]
     assert rows[4] == ["0.0", repr(math.exp(650.0)), "0.0", "0.0"]
+
+
+def test_drift_margin_of_running_moments_has_no_sigma(tmp_path):
+    # am-subexp-1d's fixed_theta_drift rows are at running moments {mu, cov},
+    # which name no proposal scale
+    doc = json.loads(resolve_config_path("am-subexp-1d").read_text())
+    doc.pop("run")
+    doc["verify"]["checks"] = ["fixed_theta_drift"]
+    out = tmp_path / "out"
+    assert main(["verify", str(write_config(tmp_path, doc)), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report-fixed_theta_drift.json").read_text())
+    dst = tmp_path / "margin.csv"
+    assert main(["plot", str(out / "report-fixed_theta_drift.json"), "--kind", "drift-margin",
+                 "--out", str(dst)]) == EXIT_OK
+    with open(dst, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["x", "sigma", "margin", "se"]
+    assert len(report["rows"]) == 18 and all(row["point"].keys() >= {"mu", "cov"} for row in report["rows"])
+    assert rows == [[repr(row["point"]["x"]), "", repr(row["margin"]), repr(row["se"])] for row in report["rows"]]
 
 
 def test_unknown_plot_kind_lists_available(tmp_path):

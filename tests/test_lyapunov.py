@@ -225,6 +225,18 @@ def test_scenario_beta_ceilings():
         scenario_coefficients(SCENARIO_AM_SUBEXP_1D, iota=0.8, beta=0.5)
 
 
+@pytest.mark.parametrize("scenario, kw, message", [
+    (SCENARIO_AM_SUPEREXP, {"a0": 0.0}, "fitted constants must be positive"),
+    (SCENARIO_AM_SUBEXP_1D, {"slope_c": -1.0}, "fitted constants must be positive"),
+    (SCENARIO_COERCED, {}, "needs alpha_star"),
+    (SCENARIO_FAST_COERCED, {"alpha_star": 0.44, "gamma_max": 0.06}, "gamma_max must lie in"),
+    (SCENARIO_COERCED, {"alpha_star": 0.44, "gamma_max": 0.0}, "gamma_max must lie in"),
+])
+def test_the_builder_rejects_a_record_its_scenario_cannot_use(scenario, kw, message):
+    with pytest.raises(ValueError, match=message):
+        scenario_coefficients(scenario, **kw)
+
+
 def test_det_inequality_frozen_case_and_identity_equality():
     r = check_det_inequality(np.diag([1.0, 4.0]))
     assert r.lhs == pytest.approx(2.0, rel=1e-14)

@@ -21,7 +21,7 @@ from driftlab.verifiers import mean_acceptance
 
 
 def scipy_quad_reference(
-    f, a, b, *, tol=DEFAULT_ABS_TOL, points=None, limit=MAX_SUBDIVISIONS
+    f, a, b, *, tol=DEFAULT_ABS_TOL, points=None
 ):
     """The integrator as it was, on ``scipy.integrate.quad``: same signature,
     same stopping tolerances and the same acceptance rule at the limit."""
@@ -35,7 +35,7 @@ def scipy_quad_reference(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         value, err = integrate.quad(
-            f, a, b, epsabs=tol, epsrel=1e-11, limit=limit, points=brk
+            f, a, b, epsabs=tol, epsrel=1e-11, limit=MAX_SUBDIVISIONS, points=brk
         )
     if err > max(tol, 1e-10 * abs(value)) * 50:
         raise QuadratureError(f"reference did not converge on [{a}, {b}]", partial=value)

@@ -216,16 +216,17 @@ def test_drift_certificates_have_one_headroom_rule_and_one_slack_rule():
                                                     "_w_drift_lhs_quadrature"}
 
 
-def float_sites(source: str, value: float) -> list[str]:
+def float_sites(source: str, value: float, kinds: tuple = (float,)) -> list[str]:
     """The dotted class and function path around each float literal equal to
     ``value`` (``<module>`` at top level), one entry per literal; a default
-    argument belongs to its function."""
+    argument belongs to its function.  ``kinds`` are the literal types
+    read: ``(int, float)`` reads ints as well."""
     sites = []
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = node.name if where == "<module>" else f"{where}.{node.name}"
-        if isinstance(node, ast.Constant) and type(node.value) is float and node.value == value:
+        if isinstance(node, ast.Constant) and type(node.value) in kinds and node.value == value:
             sites.append(where)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
@@ -238,6 +239,20 @@ def test_float_detector_sees_defaults_bodies_and_the_module():
     src = "A = 0.05\nclass C:\n    def f(self, g=0.05):\n        return 0.050 + 0.5 + 5e-2\n" \
           "def h():\n    return '0.05'\n"
     assert float_sites(src, 0.05) == ["<module>", "C.f", "C.f", "C.f"]
+    src = "A = 700.0\ndef f(t):\n    return t < 700 or -t > 7e2 or t > -350.0 or '700'\n"
+    assert float_sites(src, 700.0) == ["<module>", "f"]
+    assert float_sites(src, 700.0, (int, float)) == ["<module>", "f", "f"]
+    assert float_sites(src, 350.0) == ["f"]
+
+
+def test_the_overflow_cut_off_is_written_once():
+    # e**a is inf from a = kernels.EXP_CUTOFF on, in the proposal scale, V,
+    # the weights, the drift rates, the kernel integrals and the load-time
+    # bound on |theta|; a second literal of it, or of the half that
+    # e**(-2 theta) would take, could drift from it
+    found = [f"{path.stem}.{site}" for path in MODULES for value in (700.0, 350.0)
+             for site in float_sites(path.read_text(), value, (int, float))]
+    assert found == ["kernels.<module>"]
 
 
 @pytest.mark.parametrize("value", [1.25, 1e-9, 1e-12, 1e-14, 1e-15])
@@ -297,13 +312,13 @@ def test_exponent_detector_sees_parameters_fields_and_lookups():
 # drift from it.
 WRITTEN_ONCE = {
     # the drift checks run at DriftCoefficients.gamma_max
-    "lyapunov.gamma_max": (("gamma_max",), [("lyapunov.DriftCoefficients.__init__", "0.05")]),
+    "lyapunov.gamma_max": (("gamma_max",), [("lyapunov.DriftCoefficients", "0.05")]),
     # the weight a run records and the weight a scenario's inequalities are
     # stated in take one default exponent, lyapunov.AM_POLY_EPS
     "lyapunov.w_eps": (("w_eps", "eps"), [
         ("config.build_weight", "AM_POLY_EPS"),
         ("lyapunov.ParamLyapunov", "AM_POLY_EPS"),
-        ("lyapunov.DriftCoefficients.__init__", "AM_POLY_EPS"),
+        ("lyapunov.DriftCoefficients", "AM_POLY_EPS"),
     ]),
     "lyapunov.upsilon_v": (("upsilon_v",), [("lyapunov.CompoundSpec", "1.0")]),
     "lyapunov.upsilon_w": (("upsilon_w",), [("lyapunov.CompoundSpec", "1.0")]),
@@ -313,7 +328,7 @@ WRITTEN_ONCE = {
     # default, kernels.EPS_RIDGE
     "proposal.eps_ridge": (("eps_ridge",), [
         ("kernels.ProposalSpec.__init__", "EPS_RIDGE"),
-        ("lyapunov.DriftCoefficients.__init__", "EPS_RIDGE"),
+        ("lyapunov.DriftCoefficients", "EPS_RIDGE"),
     ]),
     "proposal.student_dof": (("student_dof",), [("kernels.ProposalSpec.__init__", "4.0")]),
     "schedule.c0": (("c0",), [("config.build_schedule", "1.0")]),
