@@ -16,6 +16,7 @@ import argparse
 import atexit
 import gc
 import json
+import math
 import sys
 from importlib import import_module, resources
 from pathlib import Path
@@ -31,7 +32,7 @@ from .config import (
     n_replicas,
     validate_document,
 )
-from .kernels import ScalarParam
+from .kernels import exp_or_inf
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -253,6 +254,8 @@ def emit_plot_data(input_path, kind: str, out_path=None, window: int = ROLLING_W
                 acc -= flags[k - window][1]  # the flag that leaves the window
             if k >= window - 1:
                 rolling.append([step, repr(acc / window)])
+        if not rolling:
+            raise ConfigError(f"input {str(src)!r} has {len(flags)} transitions, fewer than --window {window}")
         _write_csv(dst, ["i", "rolling_acceptance"], rolling)
         return dst
 
@@ -266,13 +269,17 @@ def emit_plot_data(input_path, kind: str, out_path=None, window: int = ROLLING_W
             and all(isinstance(row, dict) and isinstance(row.get("point", {}), dict) for row in report["rows"])):
         raise ConfigError(f"input {str(src)!r} is not a verification report: it has no list of rows with points")
     rows_out = []
-    for row in report["rows"]:
+    for i, row in enumerate(report["rows"]):
         point = row.get("point", {})
         x = point.get("x", "")
         if "sigma" in point:
             sigma = point["sigma"]
         elif "theta" in point:
-            sigma = ScalarParam(point["theta"]).sigma  # inf from theta = kernels.EXP_CUTOFF on
+            theta = point["theta"]
+            # a bool is an int; the chained comparison also takes an int past the float range
+            if isinstance(theta, bool) or not (isinstance(theta, (int, float)) and -math.inf < theta < math.inf):
+                raise ConfigError(f"input {str(src)!r} row {i} has point.theta {theta!r}, which is no finite number")
+            sigma = exp_or_inf(theta)  # inf from theta = kernels.EXP_CUTOFF on
         else:
             sigma = ""
         rows_out.append([x, sigma, row.get("margin", ""), row.get("se", "")])

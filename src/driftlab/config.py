@@ -501,7 +501,7 @@ def _check_rule_fit(doc: dict) -> None:
     that is no parameter of the scenario (am scenarios take running moments
     {mu, cov}, the others a number with |theta| < ``kernels.EXP_CUTOFF``:
     from |theta| = EXP_CUTOFF on the ``exp_abs`` weight e**|theta| is inf,
-    and so is the proposal scale e**theta, ``kernels.ScalarParam.sigma``,
+    and so is the proposal scale e**theta, ``kernels.exp_or_inf(theta)``,
     above it, while below about -745.13 it rounds to 0), and under the am
     rule a ``lyapunov.gamma_max`` above 1, which no running-moments step
     takes."""

@@ -1,17 +1,25 @@
 """Symmetric random-walk Metropolis kernels and the two-state toy chain.
 
-A kernel is (proposal spec, kernel parameter): scalar log-scale proposals
-draw increments scaled by ``exp(theta)``, covariance-based proposals draw
-from the running-moments covariance inflated by a ridge.  Acceptance is the
-usual density ratio clipped at 1.
+A kernel is (proposal spec, kernel parameter).  The parameter of a scalar
+log-scale proposal is a float theta, and its increments are unit draws of
+the proposal's family scaled by ``exp(theta)``; the parameter of a
+covariance-based proposal is an ``AMParam``, whose running covariance,
+inflated by a ridge, shapes its draws.  Acceptance is the usual density
+ratio clipped at 1.
 
-The module holds what a chain step uses.  The kernel integrals that only
-the certificates take (the mean acceptance rate and P f, by quadrature) are
-in ``verifiers``, so a run that certifies nothing never loads ``quadrature``.
+The module holds what a chain step uses, and the two pieces that the
+simulator's step loops and the certificates both follow: the increment law
+of a scalar rule (``_unit_draws``), which the loops and ``draw_increments``
+draw from, and e**a with its overflow cut-off (``exp_or_inf``), which the
+loops inline and the Lyapunov functions and certificates call.  The kernel
+integrals that only the certificates take (the mean acceptance rate
+and P f, by quadrature) are in ``verifiers``, so a run that certifies
+nothing never loads ``quadrature``.
 """
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -33,6 +41,11 @@ EPS_RIDGE = 0.1
 # 709.78).  It bounds |theta| at load, and makes the proposal scale e**theta,
 # V = pi**-eta, the weight e**|theta| and the drift rates inf.
 EXP_CUTOFF = 700.0
+
+
+def exp_or_inf(a: float) -> float:
+    """e**a, or inf from a = EXP_CUTOFF on (and for a NaN)."""
+    return math.exp(a) if a < EXP_CUTOFF else math.inf
 
 
 class ProposalSpec:
@@ -75,24 +88,6 @@ class AMParam:
             raise ValueError(f"cov must be symmetric to {SYMMETRY_TOL}")
         self.mu = mu
         self.cov = cov
-
-
-class ScalarParam:
-    """Scalar log-scale kernel parameter; increment scale is exp(theta)."""
-
-    __slots__ = ("theta",)
-
-    def __init__(self, theta: float):
-        if not math.isfinite(theta):
-            raise ValueError("kernel parameter must be finite")
-        self.theta = theta
-
-    @property
-    def sigma(self) -> float:
-        return math.exp(self.theta) if self.theta < EXP_CUTOFF else math.inf
-
-
-KernelParam = AMParam | ScalarParam
 
 
 def proposal_covariance(spec: ProposalSpec, param: AMParam) -> np.ndarray:
@@ -143,29 +138,34 @@ def _symmetric_sqrt(mat: np.ndarray) -> np.ndarray:
     return np.array(_root_rows(mat.ravel().tolist(), mat.shape[0]))
 
 
+def _unit_draws(spec: ProposalSpec, inc: np.random.Generator) -> Callable:
+    """``draw(shape)``: a block of unscaled scalar-rule increments from the
+    increment stream ``inc``, uniform on (-1, 1), standard normal or
+    standard Student as ``spec.family`` says.  A block draw returns the
+    values that as many scalar draws would, in the same order."""
+    if spec.family == FAMILY_UNIFORM:
+        return lambda shape: 2.0 * inc.random(shape) - 1.0
+    if spec.family == FAMILY_GAUSSIAN:
+        return inc.standard_normal
+    return lambda shape: inc.standard_t(spec.student_dof, shape)
+
+
 def draw_increments(
     spec: ProposalSpec,
-    param: KernelParam,
+    param: float | AMParam,
     dim: int,
     rng: np.random.Generator,
     size: int,
 ) -> np.ndarray:
     """Draw ``size`` proposal increments: shape (size,) in one dimension,
-    (size, dim) otherwise."""
+    (size, dim) otherwise.  ``param`` is a float theta under the scalar
+    log-scale parametrization and an ``AMParam`` under running moments."""
     if spec.parametrization == PARAM_SCALAR_LOG_SCALE:
-        if not isinstance(param, ScalarParam):
-            raise ValueError("parametrization mismatch: scalar proposal needs a ScalarParam")
+        if isinstance(param, AMParam):
+            raise ValueError("parametrization mismatch: scalar proposal needs a float theta")
         if spec.family == FAMILY_UNIFORM and dim != 1:
             raise ValueError("uniform increments are one-dimensional")
-        sigma = param.sigma
-        shape = size if dim == 1 else (size, dim)
-        if spec.family == FAMILY_GAUSSIAN:
-            raw = rng.standard_normal(shape)
-        elif spec.family == FAMILY_STUDENT:
-            raw = rng.standard_t(spec.student_dof, shape)
-        else:
-            raw = 2.0 * rng.random(shape) - 1.0
-        return sigma * raw
+        return exp_or_inf(param) * _unit_draws(spec, rng)(size if dim == 1 else (size, dim))
 
     if not isinstance(param, AMParam):
         raise ValueError("parametrization mismatch: covariance proposal needs an AMParam")
@@ -179,8 +179,6 @@ def draw_increments(
     if spec.family == FAMILY_STUDENT:
         chi = rng.chisquare(spec.student_dof, size) / spec.student_dof
         z = z / np.sqrt(chi)[:, None]
-    elif spec.family == FAMILY_UNIFORM:
-        raise ValueError("uniform increments require the scalar log-scale parametrization")
     return z[:, 0] if n_dim == 1 else z
 
 

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .kernels import EPS_RIDGE, EXP_CUTOFF, AMParam, ScalarParam
+from .kernels import EPS_RIDGE, EXP_CUTOFF, AMParam, exp_or_inf
 from .targets import TargetModel, is_symmetric
 
 SCENARIO_AM_SUPEREXP = "am_superexp"
@@ -49,8 +49,6 @@ AM_POLY_EPS = 0.5
 
 
 def _theta_of(param) -> float:
-    if isinstance(param, ScalarParam):
-        return param.theta
     if isinstance(param, (int, float, np.floating)):
         return float(param)
     raise ValueError("expected a scalar kernel parameter")
@@ -81,8 +79,7 @@ class StateLyapunov(NamedTuple):
 
     def of_log_density(self, l: float) -> float:
         """V at a point whose log-density ``l`` is already known."""
-        arg = -self.eta * l
-        return math.exp(arg) if arg < EXP_CUTOFF else math.inf
+        return exp_or_inf(-self.eta * l)
 
 
 class ParamLyapunov(NamedTuple):
@@ -103,8 +100,7 @@ class ParamLyapunov(NamedTuple):
             return self.of_moments(param.mu, param.cov)
         theta = _theta_of(param)
         if self.variant == W_EXP_ABS:
-            a = abs(theta)
-            return math.exp(a) if a < EXP_CUTOFF else math.inf
+            return exp_or_inf(abs(theta))
         return 1.0 + theta * theta
 
     def of_moments(self, mu: np.ndarray, cov: np.ndarray):
@@ -233,9 +229,7 @@ class DriftCoefficients(NamedTuple):
             sigma = math.sqrt(param.cov[0, 0] + self.eps_ridge)
             return max(sigma, sigma**-2.0) / self.a0
         theta = _theta_of(param)
-        lo = math.exp(theta) if theta < EXP_CUTOFF else math.inf
-        hi = math.exp(-2.0 * theta) if -2.0 * theta < EXP_CUTOFF else math.inf
-        return max(lo, hi) / self.a0
+        return max(exp_or_inf(theta), exp_or_inf(-2.0 * theta)) / self.a0
 
     def c(self, param) -> float:
         if self.scenario in (SCENARIO_AM_SUPEREXP, SCENARIO_AM_SUBEXP_1D):

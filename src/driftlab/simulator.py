@@ -95,11 +95,10 @@ from .adaptation import (
 from .config import CHAIN_TOY, ChainConfig
 from .kernels import (
     EXP_CUTOFF,
-    FAMILY_GAUSSIAN,
     FAMILY_STUDENT,
-    FAMILY_UNIFORM,
     RW_SCALE,
     _root_rows,
+    _unit_draws,
 )
 from .lyapunov import CompoundSpec
 from .streams import split_streams, substream
@@ -158,25 +157,13 @@ def _first_stepsize(schedule) -> tuple[bool, float, float, float, float]:
     return False, 0.0, 0.0, 0.0, first
 
 
-def _unit_draws(spec, inc) -> Callable:
-    """``draw(shape)``: a block of unscaled scalar-rule increments from the
-    increment stream ``inc``, uniform on (-1, 1), standard normal or
-    standard Student as ``spec.family`` says.  A block draw returns the
-    values that as many scalar draws would, in the same order."""
-    if spec.family == FAMILY_UNIFORM:
-        return lambda shape: 2.0 * inc.random(shape) - 1.0
-    if spec.family == FAMILY_GAUSSIAN:
-        return inc.standard_normal
-    return lambda shape: inc.standard_t(spec.student_dof, shape)
-
-
 def _line_blocks(config: ChainConfig, streams: tuple):
     """Every srwm rule on a 1-D target, over Python floats: yields row 0,
     then blocks of up to ``_BLOCK_STEPS`` steps, the last one ending at the
     horizon or at the halt row.
 
-    Each block draws its unscaled increments (``_unit_draws``) from the
-    increment stream and its coins from the coin stream, one sized call
+    Each block draws its unscaled increments (``kernels._unit_draws``) from
+    the increment stream and its coins from the coin stream, one sized call
     each, and the step loop reads them.  A step is the one recursion of
     every rule: a Metropolis move at the proposal scale sigma, then the
     update theta += gamma * h, which also forms the next step's sigma.  A

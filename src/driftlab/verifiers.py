@@ -69,12 +69,11 @@ from .kernels import (
     FAMILY_UNIFORM,
     PARAM_SCALAR_LOG_SCALE,
     AMParam,
-    KernelParam,
     ProposalSpec,
-    ScalarParam,
     acceptance,
     acceptance_vec,
     draw_increments,
+    exp_or_inf,
     proposal_covariance,
     toy_second_eigenvalue,
     toy_transition_matrix,
@@ -171,24 +170,16 @@ class DriftReport:
         }
 
 
-def _as_param(p):
-    if isinstance(p, (ScalarParam, AMParam)):
-        return p
-    if isinstance(p, (int, float, np.floating)):
-        return ScalarParam(theta=float(p))
-    raise ValueError(f"cannot interpret {p!r} as a kernel parameter")
-
-
 def _param_label(p) -> dict:
     if isinstance(p, AMParam):
         return {"mu": [float(u) for u in p.mu], "cov": [[float(u) for u in row] for row in p.cov]}
-    return {"theta": float(p.theta)}
+    return {"theta": float(p)}
 
 
 def _grid_dict(grid: GridSpec) -> dict:
     return {
         "x_grid": [float(x) for x in grid.x_grid],
-        "theta_grid": [_param_label(_as_param(t)) for t in grid.theta_grid],
+        "theta_grid": [_param_label(t) for t in grid.theta_grid],
         "method": grid.method,
         "mc_n": grid.mc_n if grid.method == METHOD_MONTE_CARLO else None,
         "seed": grid.seed,
@@ -253,7 +244,7 @@ def _one_step_pairs(
             w_sum = w_sum + w_step
         else:
             # the fixed rule hands theta back as a scalar
-            t_new = scalar_update(rule.kind, param.theta, alpha, gamma, rule.alpha_star)[0]
+            t_new = scalar_update(rule.kind, param, alpha, gamma, rule.alpha_star)[0]
             w_sum = w_sum + weight.of_thetas(np.broadcast_to(t_new, alpha.shape))
     return 0.5 * v_sum, None if rule is None else 0.5 * w_sum
 
@@ -340,12 +331,14 @@ def _acceptance_mass(target: TargetModel, x: float, lx: float, q_of: Callable[[f
 def apply_kernel_to_function(
     target: TargetModel,
     spec: ProposalSpec,
-    param: KernelParam,
+    param: float | AMParam,
     log_f: Callable[[float, float], float],
     x,
 ) -> float:
     """(P f)(x), the one-step kernel average of a positive function ``f``
-    from ``x``, by adaptive quadrature.
+    from ``x``, by adaptive quadrature.  ``param`` is a float theta under
+    the scalar log-scale parametrization and an ``AMParam`` under running
+    moments.
 
     ``log_f(y, ly)`` is log f(y) at a state ``y`` whose log-density ``ly``
     the integrand already has (``StateLyapunov.log`` fits), so log pi is
@@ -369,9 +362,9 @@ def apply_kernel_to_function(
     if target.dim != 1:
         raise ValueError("quadrature requires a one-dimensional target")
     if spec.family == FAMILY_UNIFORM:
-        if not isinstance(param, ScalarParam):
-            raise ValueError("parametrization mismatch: scalar proposal needs a ScalarParam")
-        sigma = param.sigma
+        if isinstance(param, AMParam):
+            raise ValueError("parametrization mismatch: scalar proposal needs a float theta")
+        sigma = exp_or_inf(param)
         half = sigma
 
         def q_of(z: float) -> float:
@@ -382,10 +375,8 @@ def apply_kernel_to_function(
             if param.mu.shape[0] != 1:
                 raise ValueError("quadrature requires a one-dimensional target")
             sd = math.sqrt(float(proposal_covariance(spec, param)[0, 0]))
-        elif isinstance(param, ScalarParam):
-            sd = param.sigma
         else:
-            raise ValueError(f"cannot interpret {param!r} as a kernel parameter")
+            sd = exp_or_inf(param)
         if not (0.0 < sd < math.inf):
             raise ValueError("gaussian quadrature needs a finite positive scale")
         half = 40.0 * sd
@@ -494,7 +485,7 @@ def _certify(
     mc = grid.method == METHOD_MONTE_CARLO
     dim = lyap.target.dim
     points = []
-    for i, (param, x_raw) in enumerate((_as_param(p), x) for p in grid.theta_grid for x in grid.x_grid):
+    for i, (param, x_raw) in enumerate((p, x) for p in grid.theta_grid for x in grid.x_grid):
         x = float(x_raw) if dim == 1 else np.full(dim, float(x_raw))
         v = float(lyap(x))
         inside = (abs(x) if dim == 1 else float(np.linalg.norm(x))) <= center_radius
@@ -597,8 +588,7 @@ def deficit_loglog_slope(
     deficits = []
     v = float(lyap(x))
     for sigma in sigmas:
-        param = ScalarParam(theta=math.log(sigma))
-        pv = apply_kernel_to_function(target, spec, param, lyap.log, float(x))
+        pv = apply_kernel_to_function(target, spec, math.log(sigma), lyap.log, float(x))
         deficits.append(v - pv)
     if any(d <= 0 for d in deficits):
         return math.nan, deficits
@@ -619,15 +609,14 @@ def _w_drift_lhs_quadrature(target, proposal, rule, weight, param, x, gamma) -> 
             return math.log(weight.of_moments(*am_update(param.mu, param.cov, [y], gamma)))
 
         return apply_kernel_to_function(target, proposal, param, log_w, x)
-    theta = param.theta
-    sigma = param.sigma
+    sigma = exp_or_inf(param)
     if not math.isfinite(sigma):
         raise ValueError("proposal radius overflow")
     lx = float(target.log_density(x))
 
     def integrand(z: float) -> float:
         alpha = acceptance(float(target.log_density(x + z)), lx)
-        t_new = scalar_update(rule.kind, theta, alpha, gamma, rule.alpha_star)[0]
+        t_new = scalar_update(rule.kind, param, alpha, gamma, rule.alpha_star)[0]
         return weight(t_new) / (2.0 * sigma)
 
     points = acceptance_breakpoints(target, x, sigma)
@@ -778,7 +767,7 @@ def verify_compound_drift(
     def outside(pt, m_star):
         return not (weight(pt.param) <= m_star and pt.inside)
 
-    w_levels = sorted({weight(_as_param(t)) for t in grid.theta_grid})
+    w_levels = sorted({weight(t) for t in grid.theta_grid})
     lam_values = [float(2**k) for k in range(11)]
 
     def fit(points, slack):
@@ -901,8 +890,7 @@ _PROFILE_POINTS = 201
 def _phi(target: TargetModel, base: float, expo: float, sign: float, z: float) -> float:
     """[(density at base + sign*z) / (density at base)] ** expo, in log space."""
     diff = float(target.log_density(base + sign * z)) - float(target.log_density(base))
-    arg = expo * diff
-    return math.exp(arg) if arg < EXP_CUTOFF else math.inf
+    return exp_or_inf(expo * diff)
 
 
 def accept_reject_profile(target: TargetModel, eta: float, x: float, z: float) -> float:

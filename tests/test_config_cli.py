@@ -741,7 +741,7 @@ def test_plot_missing_input():
 @pytest.fixture(scope="module")
 def fast_coerced_run(tmp_path_factory) -> Path:
     """The output directory of a short ``run fast-coerced`` without checks,
-    with three malformed inputs beside its outputs."""
+    with six malformed inputs beside its outputs."""
     tmp = tmp_path_factory.mktemp("fast-coerced")
     doc = json.loads(resolve_config_path("fast-coerced").read_text())
     doc["run"].update(horizon=200, replicas=1)
@@ -751,6 +751,12 @@ def fast_coerced_run(tmp_path_factory) -> Path:
     (out / "rows.json").write_text('{"rows": [1]}')
     (out / "ragged.csv").write_text("i,accepted\n1,1\n2\n")
     (out / "steps.csv").write_text("i,accepted\n1,1\nx,0\n")
+    # a theta that names no proposal scale: json reads Infinity as inf, and
+    # config._jsonable writes inf as the string "inf"
+    (out / "theta-inf.json").write_text('{"rows": [{"point": {"theta": 0.0, "x": 1.0}}, '
+                                        '{"point": {"theta": Infinity, "x": 1.0}}]}')
+    (out / "theta-text.json").write_text('{"rows": [{"point": {"theta": "inf", "x": 1.0}}]}')
+    (out / "theta-bool.json").write_text('{"rows": [{"point": {"theta": true, "x": 1.0}}]}')
     return out
 
 
@@ -769,6 +775,11 @@ def fast_coerced_run(tmp_path_factory) -> Path:
         ("", ["--kind", "theta-trace"], "out' is a directory"),
         ("trajectory.csv", ["--kind", "theta-trace", "--out", "{run}/no-such-dir/plot.csv"],
          "(--out) is in no existing directory"),
+        ("trajectory.csv", ["--kind", "acceptance-rolling", "--window", "5000"],
+         "trajectory.csv' has 200 transitions, fewer than --window 5000"),
+        ("theta-inf.json", ["--kind", "drift-margin"], "theta-inf.json' row 1 has point.theta inf, which is no finite number"),
+        ("theta-text.json", ["--kind", "drift-margin"], "theta-text.json' row 0 has point.theta 'inf', which is no finite"),
+        ("theta-bool.json", ["--kind", "drift-margin"], "theta-bool.json' row 0 has point.theta True, which is no finite"),
     ],
 )
 def test_plot_rejects_what_it_cannot_read_before_writing(fast_coerced_run, capsys, input_name, options, message):
@@ -780,7 +791,8 @@ def test_plot_rejects_what_it_cannot_read_before_writing(fast_coerced_run, capsy
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err, err
     assert sorted(p.name for p in fast_coerced_run.iterdir()) == ["ragged.csv", "rows.json", "steps.csv",
-                                                                   "summary.json", "trajectory.csv"]
+                                                                   "summary.json", "theta-bool.json", "theta-inf.json",
+                                                                   "theta-text.json", "trajectory.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -1133,7 +1145,7 @@ _AM_1D_PARAM = {"mu": [0.0], "cov": [[1.0]]}
                      "verify.theta_grid", id="am-scenario-scalar-theta"),
         pytest.param("coerced", {"verify.theta_grid": [0.0, _AM_1D_PARAM]},
                      "verify.theta_grid", id="coerced-scenario-moments-theta"),
-        # from theta = 700 on, the proposal scale ScalarParam.sigma = e**theta is inf
+        # from theta = 700 on, the proposal scale e**theta, kernels.exp_or_inf(theta), is inf
         pytest.param("coerced", {"verify.theta_grid": [3.0, 700.5]}, "verify.theta_grid.1", id="coerced-theta-700.5"),
         pytest.param("coerced", {"verify.theta_grid": [3.0, 800.0]}, "verify.theta_grid.1", id="coerced-theta-800"),
         # from theta = -700 down the exp_abs weight e**|theta| is inf (compound_drift

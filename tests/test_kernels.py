@@ -12,6 +12,7 @@ from driftlab.adaptation import RULE_AM, RULE_FIXED, AdaptationRule, PolynomialS
 from driftlab.config import ChainConfig
 from driftlab.kernels import (
     AMParam,
+    EXP_CUTOFF,
     FAMILY_GAUSSIAN,
     FAMILY_STUDENT,
     FAMILY_UNIFORM,
@@ -19,15 +20,22 @@ from driftlab.kernels import (
     PARAM_SCALAR_LOG_SCALE,
     ProposalSpec,
     RW_SCALE,
-    ScalarParam,
     _symmetric_sqrt,
     acceptance,
     draw_increments,
+    exp_or_inf,
     proposal_covariance,
     toy_second_eigenvalue,
     toy_transition_matrix,
 )
-from driftlab.lyapunov import W_AM_POLY, W_EXP_ABS, ParamLyapunov, StateLyapunov
+from driftlab.lyapunov import (
+    SCENARIO_COERCED,
+    W_AM_POLY,
+    W_EXP_ABS,
+    ParamLyapunov,
+    StateLyapunov,
+    scenario_coefficients,
+)
 from driftlab.simulator import _KeptPath, _run_srwm
 from driftlab.streams import substream
 from driftlab.targets import exact_tail_subexp_target, gaussian_target, smoothed_subexp_target
@@ -136,18 +144,55 @@ def test_am_param_symmetry_check_is_absolute():
             AMParam(mu=np.array([0.0, bad]), cov=np.eye(2))
 
 
-def test_scalar_param_sigma_is_exp_theta():
-    assert ScalarParam(theta=0.0).sigma == 1.0
-    assert ScalarParam(theta=2.0).sigma == pytest.approx(math.exp(2.0), rel=1e-15)
-    assert math.isinf(ScalarParam(theta=800.0).sigma)
+def _coerced_rate(theta):
+    """The coerced scenario's rate max(e**theta, e**(-2 theta)) / a0 at a0 = 1."""
+    return scenario_coefficients(SCENARIO_COERCED, alpha_star=0.44, gamma_max=0.05).a(theta)
+
+
+def _v_of_log_density(l):
+    """V = e**(-eta l) at eta = 1/2 from a known log-density l."""
+    return StateLyapunov(gaussian_target(dim=1), 0.5).of_log_density(l)
+
+
+_BELOW_CUTOFF = math.nextafter(700.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "f, arg, want",
+    [
+        pytest.param(exp_or_inf, 0.0, 1.0, id="exp-a=0"),
+        pytest.param(exp_or_inf, 2.0, math.exp(2.0), id="exp-a=2"),
+        pytest.param(exp_or_inf, _BELOW_CUTOFF, math.exp(_BELOW_CUTOFF), id="exp-a=700-ulp"),
+        pytest.param(exp_or_inf, EXP_CUTOFF, math.inf, id="exp-a=700"),
+        # math.exp itself overflows only past about 709.78
+        pytest.param(exp_or_inf, 709.79, math.inf, id="exp-a=709.79"),
+        pytest.param(exp_or_inf, math.inf, math.inf, id="exp-a=inf"),
+        pytest.param(exp_or_inf, -math.inf, 0.0, id="exp-a=-inf"),
+        pytest.param(exp_or_inf, math.nan, math.inf, id="exp-a=nan"),
+        # -2 theta = 700 at theta = -350, so e**(-2 theta) is inf there and below
+        pytest.param(_coerced_rate, math.nextafter(-350.0, 0.0), math.exp(_BELOW_CUTOFF), id="rate-theta=-350+ulp"),
+        pytest.param(_coerced_rate, -350.0, math.inf, id="rate-theta=-350"),
+        pytest.param(_coerced_rate, math.nextafter(-350.0, -math.inf), math.inf, id="rate-theta=-350-ulp"),
+        pytest.param(_coerced_rate, _BELOW_CUTOFF, math.exp(_BELOW_CUTOFF), id="rate-theta=700-ulp"),
+        pytest.param(_coerced_rate, 700.0, math.inf, id="rate-theta=700"),
+        # -l / 2 = 700 at l = -1400
+        pytest.param(_v_of_log_density, math.nextafter(-1400.0, 0.0), math.exp(_BELOW_CUTOFF), id="v-l=-1400+ulp"),
+        pytest.param(_v_of_log_density, -1400.0, math.inf, id="v-l=-1400"),
+        pytest.param(_v_of_log_density, math.nextafter(-1400.0, -math.inf), math.inf, id="v-l=-1400-ulp"),
+    ],
+)
+def test_exp_or_inf_and_its_callers_at_the_cutoff(f, arg, want):
+    # e**a is taken as inf from a = EXP_CUTOFF on, whichever caller forms it
+    assert EXP_CUTOFF == 700.0
+    assert f(arg) == want
 
 
 def test_uniform_increments_stay_in_box():
     rng = substream(5, 0)
-    z = draw_increments(UNIFORM_1D, ScalarParam(theta=math.log(3.0)), 1, rng, size=4000)
+    z = draw_increments(UNIFORM_1D, math.log(3.0), 1, rng, size=4000)
     assert np.max(np.abs(z)) <= 3.0
     # one draw in one dimension is a vector of one
-    assert draw_increments(UNIFORM_1D, ScalarParam(theta=0.0), 1, rng, size=1).shape == (1,)
+    assert draw_increments(UNIFORM_1D, 0.0, 1, rng, size=1).shape == (1,)
 
 
 def test_parametrization_mismatch_rejected():
@@ -155,7 +200,7 @@ def test_parametrization_mismatch_rejected():
         draw_increments(UNIFORM_1D, AMParam(mu=np.zeros(1), cov=np.eye(1)), 1, substream(1, 0), size=1)
     spec = ProposalSpec(family=FAMILY_GAUSSIAN, parametrization=PARAM_AM_COVARIANCE)
     with pytest.raises(ValueError, match="mismatch"):
-        proposal_covariance(spec, ScalarParam(theta=0.0))  # type: ignore[arg-type]
+        proposal_covariance(spec, 0.0)  # type: ignore[arg-type]
 
 
 def test_student_increments_match_requested_scale_family():
@@ -198,7 +243,7 @@ def test_wide_window_on_the_gaussian_matches_closed_forms(theta):
     # V = pi**(-1/2): alpha * V(y) = exp(-y**2 / 4) from x = 0
     moved = math.sqrt(math.pi) / sigma * math.erf(sigma / 2.0)
     lyap = StateLyapunov(t, 0.5)
-    pv = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=theta), lyap.log, 0.0)
+    pv = apply_kernel_to_function(t, UNIFORM_1D, theta, lyap.log, 0.0)
     assert pv == pytest.approx(moved + 1.0 - mass, abs=1e-9)
 
 
@@ -213,7 +258,7 @@ def test_wide_target_breakpoints_far_from_the_mode():
     assert mean_acceptance(t, sigma, 0.0) == pytest.approx(mass, rel=1e-9)
     moved = math.sqrt(math.pi) * s / sigma * math.erf(sigma / (2.0 * s))
     lyap = StateLyapunov(t, 0.5)
-    pv = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=theta), lyap.log, 0.0)
+    pv = apply_kernel_to_function(t, UNIFORM_1D, theta, lyap.log, 0.0)
     assert pv == pytest.approx(moved + 1.0 - mass, abs=1e-9)
     # a slowly decaying tail: 50 nats down lies near |y| = 50**4
     heavy = smoothed_subexp_target(0.25)
@@ -241,7 +286,7 @@ def test_apply_kernel_uniform_matches_direct_integral():
     t = smoothed_subexp_target(0.5)
     lyap = StateLyapunov(t, 0.5)
     x, sigma = 7.0, 1.5
-    got = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=math.log(sigma)), lyap.log, x)
+    got = apply_kernel_to_function(t, UNIFORM_1D, math.log(sigma), lyap.log, x)
     lx = float(t.log_density(x))
 
     def integrand(z):
@@ -257,7 +302,7 @@ def test_apply_kernel_gaussian_matches_direct_integral():
     t = gaussian_target(dim=1)
     lyap = StateLyapunov(t, 0.5)
     x, sigma = 2.0, 0.7
-    got = apply_kernel_to_function(t, GAUSS_1D, ScalarParam(theta=math.log(sigma)), lyap.log, x)
+    got = apply_kernel_to_function(t, GAUSS_1D, math.log(sigma), lyap.log, x)
     lx = float(t.log_density(x))
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
 
@@ -280,8 +325,8 @@ def test_apply_kernel_student_requires_monte_carlo():
     lyap = StateLyapunov(t, 0.5)
     spec = ProposalSpec(family=FAMILY_STUDENT, parametrization=PARAM_SCALAR_LOG_SCALE)
     with pytest.raises(ValueError, match="monte_carlo"):
-        apply_kernel_to_function(t, spec, ScalarParam(theta=0.0), lyap.log, 1.0)
-    v_pairs, _ = _one_step_pairs(t, spec, lyap, ScalarParam(theta=0.0), 1.0, 20_000, substream(9, 0))
+        apply_kernel_to_function(t, spec, 0.0, lyap.log, 1.0)
+    v_pairs, _ = _one_step_pairs(t, spec, lyap, 0.0, 1.0, 20_000, substream(9, 0))
     got, se = _mean_se(v_pairs)
     assert se > 0.0
     assert math.isfinite(got)
@@ -306,9 +351,8 @@ def _gaussian_points(n=20):
 def test_apply_kernel_mc_agrees_with_quadrature(target, theta, x, n, stream):
     t = smoothed_subexp_target(0.5) if target == "subexp" else gaussian_target(dim=1)
     lyap = StateLyapunov(t, 0.5)
-    param = ScalarParam(theta=theta)
-    quad = apply_kernel_to_function(t, UNIFORM_1D, param, lyap.log, x)
-    mc, se = _mean_se(_one_step_pairs(t, UNIFORM_1D, lyap, param, x, n, substream(*stream))[0])
+    quad = apply_kernel_to_function(t, UNIFORM_1D, theta, lyap.log, x)
+    mc, se = _mean_se(_one_step_pairs(t, UNIFORM_1D, lyap, theta, x, n, substream(*stream))[0])
     assert abs(mc - quad) <= 4.0 * se
 
 
@@ -320,25 +364,24 @@ def test_apply_kernel_mc_agrees_with_quadrature(target, theta, x, n, stream):
 )
 def test_step_acceptance_frequency_tracks_mean_acceptance(theta, x, seed):
     t = smoothed_subexp_target(0.5)
-    param = ScalarParam(theta=theta)
     rng = substream(seed, 0)
     n = 4000
-    hits = sum(reference_srwm_step(t, UNIFORM_1D, param, np.array([x]), (rng, rng))[2] for _ in range(n))
-    a_bar = mean_acceptance(t, param.sigma, x)
+    hits = sum(reference_srwm_step(t, UNIFORM_1D, theta, np.array([x]), (rng, rng))[2] for _ in range(n))
+    a_bar = mean_acceptance(t, math.exp(theta), x)
     se = math.sqrt(max(a_bar * (1.0 - a_bar), 1e-12) / n)
     assert abs(hits / n - a_bar) <= 5.0 * se + 1e-3
 
 
 def chain_from(target, spec, param, x0, horizon=300):
     """A ``horizon``-step chain from ``x0`` with ``param`` as its initial
-    kernel parameter: under the fixed rule at a ScalarParam, or under
+    kernel parameter: under the fixed rule at a float theta, or under
     running moments from an AMParam."""
     am = isinstance(param, AMParam)
     return ChainConfig(
         kind="srwm",
         rule=AdaptationRule(kind=RULE_AM if am else RULE_FIXED),
         schedule=PolynomialSchedule(c0=0.5, c1=10.0, a=0.6),
-        theta0=param if am else param.theta,
+        theta0=param,
         x0=x0,
         horizon=horizon,
         seed=21,
@@ -352,7 +395,7 @@ def chain_from(target, spec, param, x0, horizon=300):
 
 
 def test_srwm_step_rejection_keeps_state():
-    traj, _ = first_run(chain_from(gaussian_target(dim=1), UNIFORM_1D, ScalarParam(theta=1.0), 0.5, horizon=200))
+    traj, _ = first_run(chain_from(gaussian_target(dim=1), UNIFORM_1D, 1.0, 0.5, horizon=200))
     x, y = traj.x[:, 0], traj.y[:, 0]
     for i in range(1, 201):
         if not traj.accepted[i]:
@@ -366,15 +409,15 @@ def test_srwm_step_rejection_keeps_state():
 @pytest.mark.parametrize(
     "target, spec, param, x0",
     [
-        (gaussian_target(dim=1), UNIFORM_1D, ScalarParam(theta=1.0), 0.5),
-        (smoothed_subexp_target(0.5), GAUSS_1D, ScalarParam(theta=0.3), 2.0),
+        (gaussian_target(dim=1), UNIFORM_1D, 1.0, 0.5),
+        (smoothed_subexp_target(0.5), GAUSS_1D, 0.3, 2.0),
         (
             gaussian_target(dim=2, mean=[1.0, -1.0], cov=[[1.0, 0.8], [0.8, 2.0]]),
             ProposalSpec(family=FAMILY_STUDENT, parametrization=PARAM_AM_COVARIANCE),
             AMParam(mu=np.zeros(2), cov=np.array([[1.0, 0.3], [0.3, 0.5]])),
             np.array([2.0, 2.0]),
         ),
-        (gaussian_target(dim=3), GAUSS_1D, ScalarParam(theta=-0.2), np.array([1.0, 0.0, -1.0])),
+        (gaussian_target(dim=3), GAUSS_1D, -0.2, np.array([1.0, 0.0, -1.0])),
     ],
 )
 def test_srwm_step_with_known_log_density_is_the_same_step(target, spec, param, x0):

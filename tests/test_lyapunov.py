@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from driftlab.kernels import AMParam, ScalarParam
+from driftlab.kernels import AMParam
 from driftlab.lyapunov import (
     CompoundSpec,
     ParamLyapunov,
@@ -64,15 +64,15 @@ def test_state_lyapunov_arrays_cap_without_warning():
 
 
 def test_param_weights_frozen_values():
-    assert ParamLyapunov(W_EXP_ABS)(ScalarParam(theta=math.log(10.0))) == pytest.approx(10.0, rel=1e-15)
-    assert ParamLyapunov(W_ONE_PLUS_SQUARE)(ScalarParam(theta=3.0)) == 10.0
+    assert ParamLyapunov(W_EXP_ABS)(math.log(10.0)) == pytest.approx(10.0, rel=1e-15)
+    assert ParamLyapunov(W_ONE_PLUS_SQUARE)(3.0) == 10.0
     w = ParamLyapunov(W_AM_POLY, eps=0.5)
     p = AMParam(mu=np.array([2.0]), cov=np.array([[3.0]]))
     # 1 + |mu|^2.5 + |cov|_F = 1 + 2^2.5 + 3
     assert w(p) == pytest.approx(1.0 + 2.0**2.5 + 3.0, rel=1e-15)
-    assert math.isinf(ParamLyapunov(W_EXP_ABS)(ScalarParam(theta=701.0)))
+    assert math.isinf(ParamLyapunov(W_EXP_ABS)(701.0))
     with pytest.raises(ValueError):
-        ParamLyapunov(W_AM_POLY)(ScalarParam(theta=0.0))
+        ParamLyapunov(W_AM_POLY)(0.0)
     # a stack of moments gives one weight per entry
     mus = np.array([[2.0, 0.0], [0.0, 1.0]])
     covs = np.array([np.eye(2), 2.0 * np.eye(2)])
@@ -156,8 +156,8 @@ def test_scenario_coefficient_values_coerced():
         SCENARIO_COERCED, iota=1.0, alpha_star=0.44, gamma_max=0.05, slope_c=1.0
     )
     # a(theta) = max(e^theta, e^{-2 theta}) / a0
-    assert coef.a(ScalarParam(theta=-1.0)) == pytest.approx(math.exp(2.0), rel=1e-15)
-    assert coef.a(ScalarParam(theta=1.0)) == pytest.approx(math.e, rel=1e-15)
+    assert coef.a(-1.0) == pytest.approx(math.exp(2.0), rel=1e-15)
+    assert coef.a(1.0) == pytest.approx(math.e, rel=1e-15)
     # accept margin m = min(0.44, 0.06) = 0.06; delta(0) = m - gamma_max
     assert coef.accept_margin == pytest.approx(0.06, rel=1e-12)
     assert coef.delta0() == pytest.approx(0.01, rel=1e-10)
@@ -167,8 +167,8 @@ def test_scenario_coefficient_values_coerced():
     with pytest.raises(ValueError):
         coef.delta(-0.1)
     # c vanishes outside the small-parameter window
-    assert coef.c(ScalarParam(theta=0.04)) > 0.0
-    assert coef.c(ScalarParam(theta=0.06)) == 0.0
+    assert coef.c(0.04) > 0.0
+    assert coef.c(0.06) == 0.0
     assert coef.weight().variant == W_EXP_ABS
 
 
@@ -180,7 +180,7 @@ def test_scenario_coefficient_values_fast_coerced():
     assert coef.delta0() == pytest.approx(0.02, rel=1e-10)
     assert coef.weight().variant == W_ONE_PLUS_SQUARE
     # normalizer stays exponential even though the weight is polynomial
-    assert coef.e(ScalarParam(theta=2.0)) == pytest.approx(math.exp(2.0), rel=1e-15)
+    assert coef.e(2.0) == pytest.approx(math.exp(2.0), rel=1e-15)
     # beta must sit strictly below iota/2
     with pytest.raises(ValueError):
         scenario_coefficients(SCENARIO_FAST_COERCED, iota=1.0, beta=0.5)
@@ -192,13 +192,13 @@ def test_fast_coerced_offsets_closed_form():
     )
     # c = m / slope_c on the window |theta| <= 1 (m = min(0.44, 0.06)), else 0
     for theta in (0.0, 0.5, -1.0, 1.0):
-        assert coef.c(ScalarParam(theta=theta)) == pytest.approx(0.03, rel=1e-12)
+        assert coef.c(theta) == pytest.approx(0.03, rel=1e-12)
     for theta in (1.5, -3.0):
-        assert coef.c(ScalarParam(theta=theta)) == 0.0
+        assert coef.c(theta) == 0.0
     # d = 2 sup_C V**beta / e^|theta| + c, with e^|theta| = inf from |theta| = 700 on
-    assert coef.d(ScalarParam(theta=0.5)) == pytest.approx(6.0 * math.exp(-0.5) + 0.03, rel=1e-12)
-    assert coef.d(ScalarParam(theta=-2.0)) == pytest.approx(6.0 * math.exp(-2.0), rel=1e-12)
-    assert coef.d(ScalarParam(theta=800.0)) == 0.0
+    assert coef.d(0.5) == pytest.approx(6.0 * math.exp(-0.5) + 0.03, rel=1e-12)
+    assert coef.d(-2.0) == pytest.approx(6.0 * math.exp(-2.0), rel=1e-12)
+    assert coef.d(800.0) == 0.0
 
 
 def test_scenario_coefficient_values_am():
@@ -300,7 +300,7 @@ def test_coerced_weighted_rate_bounded_where_slope_engaged():
     rng = substream(515, 2)
     checked = 0
     for theta, x in zip(rng.uniform(-6, 6, 400), rng.uniform(0, 30, 400)):
-        param = ScalarParam(float(theta))
+        param = float(theta)
         v = float(lyap(float(x)))
         if v**coef.beta / coef.e(param) < eps:
             continue

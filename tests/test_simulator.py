@@ -37,9 +37,9 @@ from driftlab.kernels import (
     PARAM_AM_COVARIANCE,
     PARAM_SCALAR_LOG_SCALE,
     ProposalSpec,
-    ScalarParam,
     _root_rows,
     draw_increments,
+    exp_or_inf,
 )
 from driftlab.lyapunov import (
     CompoundSpec,
@@ -679,10 +679,10 @@ def random_walk_increment(spec, param, d, rng):
     """exp(theta) times normal, Student or uniform (-1, 1) draws of shape
     (1, d)."""
     if spec.family == FAMILY_UNIFORM:
-        return param.sigma * (2.0 * rng.random((1, d)) - 1.0)
+        return exp_or_inf(param) * (2.0 * rng.random((1, d)) - 1.0)
     if spec.family == FAMILY_STUDENT:
-        return param.sigma * rng.standard_t(spec.student_dof, (1, d))
-    return param.sigma * rng.standard_normal((1, d))
+        return exp_or_inf(param) * rng.standard_t(spec.student_dof, (1, d))
+    return exp_or_inf(param) * rng.standard_normal((1, d))
 
 
 def metropolis_move(target, x, y, coin):
@@ -742,7 +742,7 @@ def reference_generic(cfg, replica=0, draws=None, step=reference_srwm_step):
     rec = RowRecorder(cfg, param_labels(cfg))
 
     def param():
-        return AMParam(mu=mu, cov=cov) if am else ScalarParam(theta=theta)
+        return AMParam(mu=mu, cov=cov) if am else theta
 
     def row(i, y, accepted, alpha, gamma):
         v = float(cfg.state_lyapunov(x[0] if dim == 1 else x))

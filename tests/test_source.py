@@ -6,8 +6,9 @@ certificates have one headroom rule and one slack rule and write no
 tolerance inline, each document default is written once,
 the weight variants are named only where weights are built and evaluated,
 two classes are dataclasses, source code names every top-level function
-and class and every method, no srwm step loop calls a generator, and the
-verifiers draw from ``streams.substream``.
+and class and every method, no srwm step loop calls a generator, e**a
+with its overflow cut-off and the scalar rule's increment law are each
+written once, and the verifiers draw from ``streams.substream``.
 
 One rule covers the module ``__getattr__`` of ``cli`` (PEP 562): the
 interpreter calls it, and it looks up ``verify_<check>`` by name for each
@@ -253,6 +254,56 @@ def test_the_overflow_cut_off_is_written_once():
     found = [f"{path.stem}.{site}" for path in MODULES for value in (700.0, 350.0)
              for site in float_sites(path.read_text(), value, (int, float))]
     assert found == ["kernels.<module>"]
+
+
+def exp_or_inf_sites(source: str) -> list[tuple[str, str]]:
+    """(site, cut-off) of each conditional ``exp(a) if a < c else inf``: an
+    ``if``-expression whose value is a call of ``exp`` (a name or an
+    attribute) and whose other value reads ``inf``.  The cut-off is
+    ``"local"`` when ``c`` is a local name bound to ``EXP_CUTOFF`` (alone
+    or in a tuple assignment), else ``ast.unparse(c)``."""
+    sites = []
+
+    def named(node, name):
+        return (isinstance(node, ast.Name) and node.id == name) or (isinstance(node, ast.Attribute) and node.attr == name)
+
+    def visit(node, where, cutoffs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+            cutoffs = set()
+            for a in ast.walk(node):
+                if isinstance(a, ast.Assign) and len(a.targets) == 1:
+                    pairs = [(a.targets[0], a.value)]
+                    if isinstance(a.targets[0], ast.Tuple) and isinstance(a.value, ast.Tuple):
+                        pairs = zip(a.targets[0].elts, a.value.elts)
+                    cutoffs |= {t.id for t, v in pairs if isinstance(t, ast.Name) and named(v, "EXP_CUTOFF")}
+        if (isinstance(node, ast.IfExp) and isinstance(node.body, ast.Call) and named(node.body.func, "exp")
+                and named(node.orelse, "inf") and isinstance(node.test, ast.Compare)):
+            c = node.test.comparators[-1]
+            sites.append((where, "local" if isinstance(c, ast.Name) and c.id in cutoffs else ast.unparse(c)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, cutoffs)
+
+    visit(ast.parse(source), "<module>", set())
+    return sites
+
+
+def test_exp_or_inf_detector_sees_bound_cut_offs():
+    src = "def f(a):\n    return math.exp(a) if a < EXP_CUTOFF else math.inf\n" \
+          "class C:\n    def g(self, t):\n        exp, inf, cut = math.exp, math.inf, EXP_CUTOFF\n" \
+          "        return [exp(u) if u < cut else inf for u in t]\n" \
+          "def h(a):\n    return exp(a) if a < 700.0 else inf, sqrt(a) if a > 0 else inf, exp(a) if a else 0.0\n"
+    assert exp_or_inf_sites(src) == [("f", "EXP_CUTOFF"), ("C.g", "local"), ("h", "700.0")]
+
+
+def test_e_to_the_a_or_inf_is_written_once():
+    # kernels.exp_or_inf forms e**a, inf from a = EXP_CUTOFF on; only the
+    # step loops and the per-row loop over a block inline it, with the
+    # cut-off bound to a local
+    found = sorted((f"{path.stem}.{site}", c) for path in MODULES for site, c in exp_or_inf_sites(path.read_text()))
+    assert found == [("kernels.exp_or_inf", "EXP_CUTOFF"), ("lyapunov.ParamLyapunov.of_columns", "local"),
+                     ("simulator._KeptPath.add", "local"), ("simulator._generic_blocks", "local"),
+                     ("simulator._line_blocks", "local"), ("simulator._line_blocks", "local")]
 
 
 @pytest.mark.parametrize("value", [1.25, 1e-9, 1e-12, 1e-14, 1e-15])
@@ -554,6 +605,21 @@ def test_no_srwm_step_loop_calls_a_generator():
     assert sorted(found) == ["_generic_blocks", "_line_blocks"]
     assert all(loops == 1 for loops, _ in found.values())
     assert {name: calls for name, (_, calls) in found.items() if calls} == {}
+
+
+def test_one_increment_law():
+    # the scalar rule's unit increments (uniform, Gaussian or Student) are
+    # drawn by one function, kernels._unit_draws, which the two srwm loops
+    # and draw_increments call, so that their draws cannot drift apart
+    defined, callers = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        defined += [path.stem for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "_unit_draws"]
+        callers += [f"{path.stem}.{fn.name}" for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                    and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "_unit_draws"
+                            for n in ast.walk(fn))]
+    assert defined == ["kernels"]
+    assert sorted(callers) == ["kernels.draw_increments", "simulator._generic_blocks", "simulator._line_blocks"]
 
 
 def test_verifiers_draw_from_substreams():

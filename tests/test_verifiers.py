@@ -33,7 +33,6 @@ from driftlab.kernels import (
     PARAM_AM_COVARIANCE,
     PARAM_SCALAR_LOG_SCALE,
     ProposalSpec,
-    ScalarParam,
     draw_increments,
 )
 from driftlab.lyapunov import (
@@ -149,7 +148,7 @@ def test_gaussian_tail_contracts_pointwise():
     t = gaussian_target(dim=1)
     lyap = StateLyapunov(t, 0.5)
     for x in (6.0, 10.0, 20.0):
-        pv = apply_kernel_to_function(t, UNIFORM_1D, ScalarParam(theta=0.0), lyap.log, x)
+        pv = apply_kernel_to_function(t, UNIFORM_1D, 0.0, lyap.log, x)
         assert pv - float(lyap(x)) < 0.0
 
 
@@ -361,7 +360,7 @@ def test_one_step_quotient_is_nondecreasing_in_the_stepsize(rule_kind):
     else:
         proposal = UNIFORM_1D
         weight = ParamLyapunov(W_EXP_ABS if rule_kind == RULE_COERCED else W_ONE_PLUS_SQUARE)
-        params = [ScalarParam(theta=float(theta)) for theta in range(-8, 9, 2)]
+        params = [float(theta) for theta in range(-8, 9, 2)]
     gamma_max = coerced_coef().gamma_max
     gammas = (gamma_max / 100, gamma_max / 10, gamma_max)
     for i, (param, x) in enumerate(itertools.product(params, (-10.0, 0.0, 3.0, 10.0))):
@@ -431,7 +430,7 @@ def test_compound_drift_fast_coerced_uses_the_chain_update(monkeypatch, gamma_ma
     idx = 0
     for theta in grid.theta_grid:
         for x in grid.x_grid:
-            z = draw_increments(UNIFORM_1D, ScalarParam(theta), 1, substream(grid.seed, idx), size=m)
+            z = draw_increments(UNIFORM_1D, theta, 1, substream(grid.seed, idx), size=m)
             lx = float(t.log_density(x))
             for y in (x + z, x - z):
                 alpha = np.exp(np.minimum(np.asarray(t.log_density(y)) - lx, 0.0))
