@@ -213,6 +213,25 @@ def _write_csv(path: Path, header: list[str], rows: list) -> None:
         w.writerows(rows)
 
 
+def _unreadable_cell(row: dict, point: dict) -> Optional[tuple]:
+    """(name, value, what it is not) of the first cell of a report row that
+    the drift-margin CSV cannot copy (an absent one it leaves empty), or None."""
+    def number(v) -> bool:  # a bool is an int, but no number here
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    x, sigma, theta = point.get("x", 0), point.get("sigma", 0), point.get("theta", 0)
+    if not (number(x) or isinstance(x, list) and all(map(number, x))):
+        return "point.x", x, "no number or list of numbers"
+    if not number(sigma):
+        return "point.sigma", sigma, "no number"
+    # the chained comparison also takes an int past the float range
+    if "sigma" not in point and not (number(theta) and -math.inf < theta < math.inf):
+        return "point.theta", theta, "no finite number"
+    for key in ("margin", "se"):  # or non-finite, as config._jsonable writes it
+        if not (number(row.get(key, 0)) or row[key] in ("inf", "-inf", "nan")):
+            return key, row[key], "no number"
+    return None
+
+
 def emit_plot_data(input_path, kind: str, out_path=None, window: int = ROLLING_WINDOW) -> Path:
     """Write a plot-ready long-format CSV for one of the known kinds.  An
     option or an input the kind cannot read raises ``ConfigError`` before
@@ -245,6 +264,9 @@ def emit_plot_data(input_path, kind: str, out_path=None, window: int = ROLLING_W
             raise ConfigError(f"input {str(src)!r} has a step index i that is not an integer") from exc
         # trajectory.csv writes the flag as 1/0; True/False is read the same
         # way.  Index 0 is the initial state, not a transition.
+        for n, r in enumerate(rows, 2):
+            if r[a_col] not in ("1", "0", "True", "False"):
+                raise ConfigError(f"input {str(src)!r} row {n} has accepted {r[a_col]!r}, which is no flag")
         flags = [(step, 1.0 if r[a_col] in ("1", "True") else 0.0) for step, r in zip(steps, rows) if step > 0]
         rolling = []
         acc = 0.0
@@ -271,18 +293,12 @@ def emit_plot_data(input_path, kind: str, out_path=None, window: int = ROLLING_W
     rows_out = []
     for i, row in enumerate(report["rows"]):
         point = row.get("point", {})
-        x = point.get("x", "")
-        if "sigma" in point:
-            sigma = point["sigma"]
-        elif "theta" in point:
-            theta = point["theta"]
-            # a bool is an int; the chained comparison also takes an int past the float range
-            if isinstance(theta, bool) or not (isinstance(theta, (int, float)) and -math.inf < theta < math.inf):
-                raise ConfigError(f"input {str(src)!r} row {i} has point.theta {theta!r}, which is no finite number")
-            sigma = exp_or_inf(theta)  # inf from theta = kernels.EXP_CUTOFF on
-        else:
-            sigma = ""
-        rows_out.append([x, sigma, row.get("margin", ""), row.get("se", "")])
+        bad = _unreadable_cell(row, point)
+        if bad is not None:
+            raise ConfigError(f"input {str(src)!r} row {i} has {bad[0]} {bad[1]!r}, which is {bad[2]}")
+        # sigma = e**theta, inf from theta = kernels.EXP_CUTOFF on
+        sigma = point["sigma"] if "sigma" in point else exp_or_inf(point["theta"]) if "theta" in point else ""
+        rows_out.append([point.get("x", ""), sigma, row.get("margin", ""), row.get("se", "")])
     _write_csv(dst, ["x", "sigma", "margin", "se"], rows_out)
     return dst
 

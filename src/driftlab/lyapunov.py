@@ -64,12 +64,8 @@ class StateLyapunov(NamedTuple):
     target: TargetModel
     eta: float
 
-    def __call__(self, x):
-        l = self.target.log_density(x)
-        if np.ndim(l) == 0:
-            return self.of_log_density(float(l))
-        arg = self.log(x, np.asarray(l, dtype=float))
-        return np.where(arg < EXP_CUTOFF, np.exp(np.minimum(arg, EXP_CUTOFF)), math.inf)
+    def __call__(self, x) -> float:
+        return self.of_log_density(float(self.target.log_density(x)))
 
     def log(self, x, l):
         """log V(x) = -eta * l from the log-density ``l`` at ``x`` (``x`` is

@@ -15,7 +15,8 @@ replica sweeps can count failures.
 Replicas never keep their whole path.  The toy chain runs on one lockstep
 engine: all replicas advance together as numpy vectors, each drawing its
 uniforms in blocks from its own substream, with a block length chosen so
-that block length times replica count stays near 2**15 elements.  One toy
+that block length times replica count stays near 2**15 elements, and it
+takes its stepsize from ``_first_stepsize``, as the srwm loops do.  One toy
 chain alone pays numpy's per-call cost on every step (11.7 us/step at R = 1,
 against 2.3 us for a scalar loop, on a 2-vCPU VM); no preset or benchmark
 workload runs one, so it gets no second engine of its own, and it stays in
@@ -45,16 +46,16 @@ overflows the parameter is kept, raw, as the halt row.
 
 Either engine folds each block into per-replica recurrence statistics
 (``_RecurrenceCounter``) and drops it; replica 0's blocks of at most
-``_BLOCK_STEPS`` (512) steps also go, as ``_RawBlock``s (a toy block reads
-x = y = the state, log pi = 0 and alpha = NaN), to the one sink that
-``run_replicas`` chose.  ``_KeptPath`` alone forms, keeps and writes the
-rows of ``trajectory.csv``: it builds the header from the config, picks the
-kept rows, every ``record_stride``-th step and the last, computes their V,
-w, W and in_C in the scalar arithmetic of a row-at-a-time recorder (so
-``record_stride`` thins the trajectory and never the statistics), and keeps
-each block as its CSV columns.  ``_csv_rows`` formats kept rows through
-``csvfmt``, whose numpy digits are ``repr``'s bytes; both writers below
-call it once a block.
+``_BLOCK_STEPS`` (512) steps also go, as ``_RawBlock``s (a toy block holds
+the flips, stepsizes and Kesten counts its steps made; see ``_toy_block``),
+to the one sink that ``run_replicas`` chose.  ``_KeptPath`` alone forms,
+keeps and writes the rows of ``trajectory.csv``: it builds the header from
+the config, picks the kept rows, every ``record_stride``-th step and the
+last, computes their V, w, W and in_C in the scalar arithmetic of a
+row-at-a-time recorder (so ``record_stride`` thins the trajectory and never
+the statistics), and keeps each block as its CSV columns.  ``_csv_rows``
+formats kept rows through ``csvfmt``, whose numpy digits are ``repr``'s
+bytes; both writers below call it once a block.
 
 ``trajectory.csv`` is written one of two ways.  When the replica split
 leaves a usable core idle (one srwm replica, or the toy engine, on two
@@ -106,10 +107,6 @@ from .streams import split_streams, substream
 THETA_MAX = 1e12
 
 
-def _kesten_on(schedule) -> bool:
-    return isinstance(schedule, KestenSchedule)
-
-
 # Steps per block of the srwm loops, and the most per toy block.  A streamed
 # replica 0 overlaps its writer a block at a time, so at 4,096 steps a 1 x
 # 4,000 2-D AM run would arrive as one block and nothing would overlap.
@@ -145,13 +142,13 @@ class _RawBlock(NamedTuple):
 
 
 def _first_stepsize(schedule) -> tuple[bool, float, float, float, float]:
-    """(polynomial?, c0, c1, a, stepsize of step 1) for the srwm loops.
+    """(polynomial?, c0, c1, a, stepsize of step 1) for every chain engine.
 
     A polynomial stepsize is recomputed on every step as ``c0 / (c1 + i) **
     a``, the arithmetic of ``gamma_at``; a constant one never changes, and a
     Kesten one changes only when the count does.
     """
-    first = gamma_at(schedule, 1, 0 if _kesten_on(schedule) else None)
+    first = gamma_at(schedule, 1, 0 if isinstance(schedule, KestenSchedule) else None)
     if isinstance(schedule, PolynomialSchedule):
         return True, schedule.c0, schedule.c1, schedule.a, first
     return False, 0.0, 0.0, 0.0, first
@@ -178,7 +175,7 @@ def _line_blocks(config: ChainConfig, streams: tuple):
     """
     rule = config.rule
     spec = config.proposal
-    kesten = _kesten_on(config.schedule)
+    kesten = isinstance(config.schedule, KestenSchedule)
     gamma_of_count = config.schedule.gamma_of_count if kesten else None
     n = config.horizon
     am = rule.kind == RULE_AM
@@ -297,13 +294,13 @@ def _generic_blocks(config: ChainConfig, streams: tuple):
     target = config.target
     spec = config.proposal
     rule = config.rule
-    kesten = _kesten_on(config.schedule)
+    kesten = isinstance(config.schedule, KestenSchedule)
     gamma_of_count = config.schedule.gamma_of_count if kesten else None
     n = config.horizon
     dim = target.dim
     am = rule.kind == RULE_AM
     fast = rule.kind == RULE_FAST_COERCED
-    fixed = rule.kind == RULE_FIXED
+    adapts = rule.kind != RULE_FIXED
     alpha_star = rule.alpha_star if rule.alpha_star is not None else 0.0
     inc, coin, *mixing = streams  # mixing: the chi-square stream, if there is one
     draw = inc.standard_normal if am else _unit_draws(spec, inc)
@@ -326,8 +323,9 @@ def _generic_blocks(config: ChainConfig, streams: tuple):
         h_prev = [0.0] * len(row)  # the increment before step 1: cannot advance s
     else:
         theta = float(config.theta0)
+        sigma = exp(theta) if theta < cutoff else inf
         row = [theta]
-        h_prev = 0.0
+        h_prev = h_cur = 0.0  # h_cur stays 0 under the fixed rule
     x = tuple(np.atleast_1d(np.asarray(config.x0, dtype=float)).tolist())
     lx = float(logp(x))
     s = 0
@@ -350,7 +348,6 @@ def _generic_blocks(config: ChainConfig, streams: tuple):
                 if q is not None:
                     z = [v / q for v in z] if q > 0.0 else [v * inf for v in z]  # numpy's v / 0
             else:
-                sigma = exp(theta) if theta < cutoff else inf
                 z = [sigma * v for v in unit]
             y = tuple(map(add, x, z))  # a list(map(...)) of 2 would hold 8 slots
             ly = float(logp(y))
@@ -366,14 +363,10 @@ def _generic_blocks(config: ChainConfig, streams: tuple):
                 mu, cov = row[:dim], row[dim:]
                 bounded = all(abs(v) <= THETA_MAX for v in row)
             else:
-                if fixed:
-                    h_cur = 0.0
-                elif fast:
-                    h_cur = (abs(theta) + 1.0) * (alpha - alpha_star)
+                if adapts:
+                    h_cur = (abs(theta) + 1.0) * (alpha - alpha_star) if fast else alpha - alpha_star
                     theta = theta + gm * h_cur
-                else:
-                    h_cur = alpha - alpha_star
-                    theta = theta + gm * h_cur
+                    sigma = exp(theta) if theta < cutoff else inf
                 row = [theta]
                 bounded = abs(theta) <= THETA_MAX
             rows.append(row)
@@ -497,7 +490,7 @@ class _KeptPath:
         coords = [""] if dim == 1 else [f"_{j+1}" for j in range(dim)]
         names = ["i", *labels, *(f"x{c}" for c in coords), *(f"y{c}" for c in coords),
                  "accepted", "alpha", "gamma_i", "V", "w", "W", "in_C"]
-        if _kesten_on(config.schedule):
+        if isinstance(config.schedule, KestenSchedule):
             names.append("s")
         self.header = (",".join(names) + "\n").encode()
         self.eta = config.state_lyapunov.eta if config.state_lyapunov is not None else 0.0
@@ -628,27 +621,31 @@ def _run_toy_replicas(config: ChainConfig, rngs: list, keep: Optional[Callable] 
     so every replica sees exactly the numbers a one-chain loop sees.  After
     each block its rows are folded into the recurrence statistics and
     dropped; replica 0's rows up to its halt row also go to ``keep(start,
-    blk, w_cells)`` (see ``_KeptPath.add``).  A replica that diverges is
-    frozen at its halt row.
+    blk, w_cells)`` (see ``_KeptPath.add``), row 0 and then each block as
+    a ``_toy_block`` of the flip, stepsize and Kesten count each step made.
+    A replica that diverges is frozen at its halt row.
     Returns one record per generator, in order.
     """
     n = config.horizon
     n_rep = len(rngs)
     block = max(1, min(_BLOCK_ELEMENTS // n_rep, _BLOCK_STEPS))
-    schedule = config.schedule
-    kesten = _kesten_on(schedule)
+    kesten = isinstance(config.schedule, KestenSchedule)
     # step i uses the count left by steps 2..i-1, so at most n - 2
-    gamma_table = np.array([schedule.gamma_of_count(c) for c in range(n)]) if kesten else None
+    gamma_table = np.array([config.schedule.gamma_of_count(c) for c in range(n)]) if kesten else None
+    poly, c0, c1, a, gm = _first_stepsize(config.schedule)
     weights = config.param_weight.of_thetas
     stats = _RecurrenceCounter(n_rep, config.recurrence_m, config.recurrence_r)
 
     theta = np.full(n_rep, float(config.theta0))
     x = np.full(n_rep, bool(config.x0))
     counts = np.zeros(n_rep, dtype=np.int64)
-    end = np.full(n_rep, n, dtype=np.int64)  # halt index, or the horizon
-    halted = np.zeros(n_rep, dtype=bool)
+    end = np.full(n_rep, n + 1, dtype=np.int64)  # halt index, or n + 1 while it runs
     active = np.arange(n_rep)
     final_theta = theta.copy()
+    # replica 0's flip, stepsize and Kesten count of each step of a block
+    flips0 = np.empty(block, dtype=bool)
+    gms0 = np.empty(block)
+    counts0 = np.empty(block, dtype=np.int64)
 
     start = 1
     # theta and w may overflow to inf, silently, as Python floats do
@@ -656,8 +653,8 @@ def _run_toy_replicas(config: ChainConfig, rngs: list, keep: Optional[Callable] 
         w = weights(theta)
         stats.add(np.zeros(1, dtype=np.int64), np.abs(theta)[None], w[None], x[None], active, end)
         if keep is not None:
-            _keep_toy_rows(keep, schedule, gamma_table, np.zeros(1, dtype=np.int64), theta[:1], x[:1], w[:1],
-                           bool(x[0]), 0, False)
+            keep(0, _toy_block(theta[:1], x[:1], np.zeros(1, dtype=bool), np.array([gm]),
+                               np.zeros(1, dtype=np.int64) if kesten else None, False), w[:1].tolist())
         while start <= n and active.size:
             rows = min(block, n - start + 1)
             u = np.empty((active.size, rows))
@@ -666,14 +663,17 @@ def _run_toy_replicas(config: ChainConfig, rngs: list, keep: Optional[Callable] 
             u = np.ascontiguousarray(u.T)
             th_blk = np.empty((rows, active.size))
             x_blk = np.empty((rows, active.size), dtype=bool)
-            x_in, count_in = bool(x[0]), int(counts[0])
+            keep0 = keep is not None and active[0] == 0
             # per-step work is a few ufunc calls, so they write into scratch
             # arrays: p holds exp(-|theta|), then the parameter increment
             p = np.empty(active.size)
             flipped = np.empty(active.size, dtype=bool)
             for b in range(rows):
                 i = start + b
-                gm = gamma_table[counts] if kesten else gamma_at(schedule, i)
+                if poly:
+                    gm = c0 / (c1 + i) ** a
+                elif kesten:
+                    gm = gamma_table[counts]
                 np.abs(theta, out=p)
                 np.negative(p, out=p)
                 np.exp(p, out=p)
@@ -684,6 +684,10 @@ def _run_toy_replicas(config: ChainConfig, rngs: list, keep: Optional[Callable] 
                 np.subtract(0.5, x, out=p)
                 np.multiply(p, gm, out=p)
                 theta = np.add(theta, p, out=th_blk[b])
+                if keep0:
+                    flips0[b] = flipped[0]
+                    gms0[b] = gm[0] if kesten else gm
+                    counts0[b] = counts[0]
             # freeze each replica at its first row past THETA_MAX; x needs no
             # freezing, since exp(-|theta|) is 0 there and x cannot flip
             bad = ~(np.abs(th_blk) <= THETA_MAX)
@@ -691,16 +695,14 @@ def _run_toy_replicas(config: ChainConfig, rngs: list, keep: Optional[Callable] 
                 b = int(bad[:, j].argmax())
                 th_blk[b + 1:, j] = th_blk[b, j]
                 end[active[j]] = start + b
-                halted[active[j]] = True
-            index = np.arange(start, start + rows)
             w = weights(th_blk)
-            stats.add(index, np.abs(th_blk), w, x_blk, active, end[active])
+            stats.add(np.arange(start, start + rows), np.abs(th_blk), w, x_blk, active, end[active])
             final_theta[active] = th_blk[-1]
-            if keep is not None and active[0] == 0:
-                cut = int(end[0]) - start + 1  # rows up to replica 0's halt row, or all
-                _keep_toy_rows(keep, schedule, gamma_table, index[:cut], th_blk[:cut, 0], x_blk[:cut, 0],
-                               w[:cut, 0], x_in, count_in, bool(halted[0]))
-            going = ~halted[active]
+            if keep0:
+                cut = min(int(end[0]) - start + 1, rows)  # rows up to replica 0's halt row, or all
+                keep(start, _toy_block(th_blk[:cut, 0], x_blk[:cut, 0], flips0[:cut], gms0[:cut],
+                                       counts0[:cut] if kesten else None, bool(end[0] <= n)), w[:cut, 0].tolist())
+            going = end[active] > n
             active, theta, x, counts = active[going], th_blk[-1, going], x_blk[-1, going], counts[going]
             start += rows
 
@@ -708,8 +710,8 @@ def _run_toy_replicas(config: ChainConfig, rngs: list, keep: Optional[Callable] 
         {
             "replica": j,
             **stats.record(j),
-            "diverged": bool(halted[j]),
-            "halt_index": int(end[j]) if halted[j] else None,
+            "diverged": bool(end[j] <= n),
+            "halt_index": int(end[j]) if end[j] <= n else None,
             "acceptance_tail": None,
             "final_theta": [float(final_theta[j])],
         }
@@ -717,27 +719,12 @@ def _run_toy_replicas(config: ChainConfig, rngs: list, keep: Optional[Callable] 
     ]
 
 
-def _keep_toy_rows(keep: Callable, schedule, gamma_table, index, theta, x, w,
-                   x_in: bool, count_in: int, halted: bool) -> None:
-    """Hand replica 0's toy rows ``index`` to ``keep`` as the block an srwm
-    loop would hand over: x = y = the state, log pi = 0 (so V = 1), alpha =
-    NaN, a flip as the accept flag, and the weights ``w`` the statistics
-    used.  ``x_in`` and ``count_in`` are the state and Kesten count before
-    the rows; ``gamma_table`` is None without a Kesten schedule."""
-    flips = x != np.concatenate(([x_in], x[:-1]))
-    counts = None
-    if gamma_table is not None:
-        # the count moves from step 2 on, and step i uses the count of row i - 1
-        after = count_in + np.cumsum(flips & (index > 1))
-        gammas = gamma_table[np.concatenate(([count_in], after[:-1]))].tolist()
-        counts = after.tolist()
-    else:
-        gammas = [gamma_at(schedule, max(i, 1)) for i in index.tolist()]  # row 0: step 1's
+def _toy_block(theta, x, flips, gammas, counts, halted: bool) -> _RawBlock:
+    """Toy rows, given as arrays, as the ``_RawBlock`` an srwm loop hands
+    over: x = y = the state, log pi = 0 (so V = 1) and alpha = NaN."""
     cells = x.astype(float).tolist()
-    rows = len(cells)
-    blk = _RawBlock((theta.tolist(),), cells, cells, flips.tolist(), [math.nan] * rows, gammas, [0.0] * rows,
-                    counts, halted)
-    keep(int(index[0]), blk, w.tolist())
+    return _RawBlock((theta.tolist(),), cells, cells, flips.tolist(), [math.nan] * len(cells), gammas.tolist(),
+                     [0.0] * len(cells), None if counts is None else counts.tolist(), halted)
 
 
 # ---------------------------------------------------------------------------

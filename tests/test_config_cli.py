@@ -741,7 +741,7 @@ def test_plot_missing_input():
 @pytest.fixture(scope="module")
 def fast_coerced_run(tmp_path_factory) -> Path:
     """The output directory of a short ``run fast-coerced`` without checks,
-    with six malformed inputs beside its outputs."""
+    with twelve malformed inputs beside its outputs."""
     tmp = tmp_path_factory.mktemp("fast-coerced")
     doc = json.loads(resolve_config_path("fast-coerced").read_text())
     doc["run"].update(horizon=200, replicas=1)
@@ -757,6 +757,16 @@ def fast_coerced_run(tmp_path_factory) -> Path:
                                         '{"point": {"theta": Infinity, "x": 1.0}}]}')
     (out / "theta-text.json").write_text('{"rows": [{"point": {"theta": "inf", "x": 1.0}}]}')
     (out / "theta-bool.json").write_text('{"rows": [{"point": {"theta": true, "x": 1.0}}]}')
+    # cells the CSV would copy as they are: a number is an int or a float,
+    # and margin and se may also be a non-finite float as _jsonable writes it
+    (out / "cells.json").write_text('{"rows": [{"point": {"sigma": [1, 2], "x": {"a": 1}}, "margin": "abc", '
+                                    '"se": true}]}')
+    (out / "x-bools.json").write_text('{"rows": [{"point": {"sigma": 1.0, "x": [1.0, true]}}]}')
+    (out / "sigma-list.json").write_text('{"rows": [{"point": {"sigma": [1, 2], "x": [1.0, 2]}}]}')
+    (out / "margin-text.json").write_text('{"rows": [{"point": {"x": 1.0}, "margin": "-inf", "se": "nan"}, '
+                                          '{"point": {"x": 1.0}, "margin": "abc"}]}')
+    (out / "se-bool.json").write_text('{"rows": [{"point": {"theta": 0.0}, "margin": 0.5, "se": true}]}')
+    (out / "flags.csv").write_text("i,accepted\n0,0\n1,True\n2,yes\n3,2\n")
     return out
 
 
@@ -780,6 +790,17 @@ def fast_coerced_run(tmp_path_factory) -> Path:
         ("theta-inf.json", ["--kind", "drift-margin"], "theta-inf.json' row 1 has point.theta inf, which is no finite number"),
         ("theta-text.json", ["--kind", "drift-margin"], "theta-text.json' row 0 has point.theta 'inf', which is no finite"),
         ("theta-bool.json", ["--kind", "drift-margin"], "theta-bool.json' row 0 has point.theta True, which is no finite"),
+        ("cells.json", ["--kind", "drift-margin"],
+         "cells.json' row 0 has point.x {'a': 1}, which is no number or list of numbers"),
+        ("x-bools.json", ["--kind", "drift-margin"],
+         "x-bools.json' row 0 has point.x [1.0, True], which is no number or list of numbers"),
+        ("sigma-list.json", ["--kind", "drift-margin"],
+         "sigma-list.json' row 0 has point.sigma [1, 2], which is no number"),
+        ("margin-text.json", ["--kind", "drift-margin"],
+         "margin-text.json' row 1 has margin 'abc', which is no number"),
+        ("se-bool.json", ["--kind", "drift-margin"], "se-bool.json' row 0 has se True, which is no number"),
+        ("flags.csv", ["--kind", "acceptance-rolling", "--window", "1"],
+         "flags.csv' row 4 has accepted 'yes', which is no flag"),
     ],
 )
 def test_plot_rejects_what_it_cannot_read_before_writing(fast_coerced_run, capsys, input_name, options, message):
@@ -790,9 +811,10 @@ def test_plot_rejects_what_it_cannot_read_before_writing(fast_coerced_run, capsy
     assert main(["plot", str(fast_coerced_run / input_name), *options]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err, err
-    assert sorted(p.name for p in fast_coerced_run.iterdir()) == ["ragged.csv", "rows.json", "steps.csv",
-                                                                   "summary.json", "theta-bool.json", "theta-inf.json",
-                                                                   "theta-text.json", "trajectory.csv"]
+    assert sorted(p.name for p in fast_coerced_run.iterdir()) == [
+        "cells.json", "flags.csv", "margin-text.json", "ragged.csv", "rows.json", "se-bool.json", "sigma-list.json",
+        "steps.csv", "summary.json", "theta-bool.json", "theta-inf.json", "theta-text.json", "trajectory.csv",
+        "x-bools.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,6 @@ def test_state_lyapunov_gaussian_values():
     # l(2) = -2, so V(2) = exp(1)
     assert v(2.0) == pytest.approx(math.e, rel=1e-15)
     assert v(0.0) == 1.0
-    out = v(np.array([0.0, 2.0]))
-    assert out == pytest.approx([1.0, math.e], rel=1e-14)
     # eta = 0 degenerates to the constant 1
     assert StateLyapunov(t, 0.0)(17.3) == 1.0
 
@@ -46,19 +44,18 @@ def test_state_lyapunov_at_least_one_for_calibrated_targets():
     t = smoothed_subexp_target(0.5)
     v = StateLyapunov(t, 0.7)
     xs = np.linspace(-50, 50, 101)
-    assert np.all(v(xs) >= 1.0)
+    assert all(v(x) >= 1.0 for x in xs.tolist())
 
 
 def test_state_lyapunov_arrays_cap_without_warning():
-    # V = pi**(-1/2) on the standard Gaussian overflows past |x| = 53; the
-    # array form reads inf there, as the scalar form does, and stays quiet
+    # V = pi**(-1/2) on the standard Gaussian overflows past |x| = 53; V
+    # reads inf there and stays quiet, and its log takes arrays
     t = gaussian_target(dim=1)
     v = StateLyapunov(t, 0.5)
     xs = np.array([0.0, 2.0, 52.0, 53.0, 60.0, 1e100])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = v(xs)
-    assert out.tolist() == [v(float(x)) for x in xs]
+        out = [v(x) for x in xs.tolist()]
     assert math.isinf(out[-1]) and math.isfinite(out[2])
     assert v.log(xs, t.log_density(xs)).tolist() == (-0.5 * t.log_density(xs)).tolist()
 

@@ -555,6 +555,24 @@ def test_toy_engine_matches_scalar_recursion(monkeypatch, n_rep, case, block_ele
     assert solo.theta.tolist() == first.theta.tolist()
 
 
+@pytest.mark.parametrize("block_elements", [None, 2], ids=["block-default", "block-2-steps"])
+def test_toy_handover_after_a_narrower_block(monkeypatch, block_elements):
+    # replica 1 halts at step 2 and replicas 0 and 2 at step 3, so under
+    # two-step blocks replica 0 takes its last step in a block of two
+    # columns, after a block of three
+    if block_elements is not None:
+        monkeypatch.setattr(simulator, "_BLOCK_ELEMENTS", block_elements * 3)
+    cfg = toy_config(horizon=300, seed=20, **TOY_CASES["kesten-1e12"])
+    records, first = kept_run(cfg, 3)
+    assert [r["halt_index"] for r in records] == [3, 2, 3]
+    rows = reference_toy(cfg, 0)
+    assert first.index.tolist() == [row[0] for row in rows] == [0, 1, 2, 3]
+    assert first.theta[:, 0].tolist() == [row[1] for row in rows]
+    assert first.accepted.tolist() == [row[3] for row in rows]
+    assert first.gamma.tolist() == [row[4] for row in rows]
+    assert first.kesten_counts.tolist() == [row[5] for row in rows]
+
+
 @pytest.mark.parametrize("case", sorted(TOY_CASES))
 def test_recurrence_stats_of_first_trajectory_equal_streamed_record(case):
     cfg = toy_config(horizon=400, seed=31, **TOY_CASES[case])

@@ -8,7 +8,8 @@ the weight variants are named only where weights are built and evaluated,
 two classes are dataclasses, source code names every top-level function
 and class and every method, no srwm step loop calls a generator, e**a
 with its overflow cut-off and the scalar rule's increment law are each
-written once, and the verifiers draw from ``streams.substream``.
+written once, every chain engine takes its stepsize one way, and the
+verifiers draw from ``streams.substream``.
 
 One rule covers the module ``__getattr__`` of ``cli`` (PEP 562): the
 interpreter calls it, and it looks up ``verify_<check>`` by name for each
@@ -303,7 +304,8 @@ def test_e_to_the_a_or_inf_is_written_once():
     found = sorted((f"{path.stem}.{site}", c) for path in MODULES for site, c in exp_or_inf_sites(path.read_text()))
     assert found == [("kernels.exp_or_inf", "EXP_CUTOFF"), ("lyapunov.ParamLyapunov.of_columns", "local"),
                      ("simulator._KeptPath.add", "local"), ("simulator._generic_blocks", "local"),
-                     ("simulator._line_blocks", "local"), ("simulator._line_blocks", "local")]
+                     ("simulator._generic_blocks", "local"), ("simulator._line_blocks", "local"),
+                     ("simulator._line_blocks", "local")]
 
 
 @pytest.mark.parametrize("value", [1.25, 1e-9, 1e-12, 1e-14, 1e-15])
@@ -605,6 +607,13 @@ def test_no_srwm_step_loop_calls_a_generator():
     assert sorted(found) == ["_generic_blocks", "_line_blocks"]
     assert all(loops == 1 for loops, _ in found.values())
     assert {name: calls for name, (_, calls) in found.items() if calls} == {}
+
+
+def test_every_chain_engine_takes_its_stepsize_one_way():
+    # the toy engine and both srwm loops take the stepsize of step 1 and the
+    # polynomial constants from simulator._first_stepsize, so no step loop
+    # or row keeper works a stepsize out a second way
+    assert name_sites((PACKAGE / "simulator.py").read_text(), "gamma_at") == ["<module>", "_first_stepsize"]
 
 
 def test_one_increment_law():
